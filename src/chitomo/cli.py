@@ -33,7 +33,7 @@ from .fileio import (
 from .fock_oracle import run_default_suite
 from .gaussian_field import GaussianFieldState, ModeSet, char_analytic, state_from_dict
 from .pulse_protocol import reachable_manifold, schedule_from_dict, schedule_to_dict
-from .ramsey_readout import records_table, run_readout_scan
+from .ramsey_readout import readout_chi, records_table, run_readout_scan
 from .tomography import (
     chi_grid_from_state,
     grid_axis,
@@ -68,8 +68,6 @@ _DEFAULTS: dict[str, dict] = {
         "mode": _BASE_MODE,
         "N_list": [1, 4, 5, 6, 7, 8, 9, 10],
         "tau": {"min": 0.02, "max": _TWO_PI, "points": 315},
-        "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "chi-scan": {
@@ -80,7 +78,6 @@ _DEFAULTS: dict[str, dict] = {
         "shots": 0,
         "half": False,
         "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "simulate": {
@@ -89,7 +86,6 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 10_000,
         "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "wigner": {
@@ -101,7 +97,6 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 0,
         "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "moments": {
@@ -115,14 +110,12 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 0,
         "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "oracle-check": {
         "n_draws": 20,
         "D": 40,
         "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
     "bec-map": {
@@ -136,8 +129,6 @@ _DEFAULTS: dict[str, dict] = {
         },
         "modes": {"spatial_dim": 1, "box_side": _TWO_PI, "indices": [[1], [2], [3]]},
         "schedule": _BASE_SCHEDULE,
-        "seed": 0,
-        "threads": 1,
         "timestamps": False,
     },
 }
@@ -181,7 +172,7 @@ def _resolve_config(args) -> dict:
             raise ValidationError(f"{args.config} must hold a JSON object")
         _deep_update(config, doc)
     _apply_set(config, args.set)
-    for flag in ("seed", "threads", "shots", "theta", "out"):
+    for flag in ("seed", "shots", "theta", "out"):
         value = getattr(args, flag, None)
         if value is not None:
             config[flag] = value
@@ -271,23 +262,13 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
         columns.append("stderr")
     rows = []
     for curve in _curves(config["manifold"]):
+        chis = np.array([char_analytic(state, [xi]) for xi in curve.xis], dtype=complex)
+        errs = np.zeros(chis.shape)
         if shots > 0:
-            records = run_readout_scan(
-                state,
-                list(curve.xis),
-                theta=float(config["theta"]),
-                shots=shots,
-                seed=int(config["seed"]) + curve.N,
-                threads=int(config["threads"]),
+            readout = readout_chi(
+                chis, float(config["theta"]), shots, int(config["seed"]) + curve.N
             )
-            chis = [r.chi_est for r in records]
-            errs = [
-                math.sqrt(r.stderr_sx**2 + r.stderr_sy**2) / abs(math.sin(r.theta))
-                for r in records
-            ]
-        else:
-            chis = [char_analytic(state, [xi]) for xi in curve.xis]
-            errs = [0.0] * len(chis)
+            chis, errs = readout.chi_est, readout.chi_stderr
         for tau, xi, chi, err in zip(curve.taus, curve.xis, chis, errs):
             row = [curve.N, float(tau), xi.real, xi.imag, chi.real, chi.imag]
             if shots > 0:
@@ -313,7 +294,6 @@ def cmd_chi_scan(config: dict) -> None:
             theta=float(config["theta"]),
             shots=int(config["shots"]),
             seed=int(config["seed"]),
-            threads=int(config["threads"]),
             half=bool(config["half"]),
         )
     else:
@@ -339,7 +319,6 @@ def cmd_simulate(config: dict) -> None:
         theta=float(config["theta"]),
         shots=int(config["shots"]),
         seed=int(config["seed"]),
-        threads=int(config["threads"]),
     )
     columns, rows = records_table(records)
     write_table(config["out"], columns, rows, meta=_meta("simulate", config),
@@ -358,7 +337,6 @@ def _chi_grid_for(config: dict):
             theta=float(config["theta"]),
             shots=int(config["shots"]),
             seed=int(config["seed"]),
-            threads=int(config["threads"]),
         )
     return chi_grid_from_state(state, axes)
 
@@ -498,8 +476,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input and exit 1; argparse's own 2 would read as
+    a refused numerical check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chitomo",
         description="characteristic-function readout protocol: simulation and validation",
     )
@@ -517,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, help="RNG seed recorded in the output")
-        p.add_argument("--threads", type=int, help="worker threads for sampled grids")
         p.add_argument("--shots", type=int, help="measurements per point (0 = exact)")
         p.add_argument("--theta", type=float, help="preparation angle")
         p.add_argument(

@@ -14,15 +14,16 @@ written in the (ground, excited) ordering used internally, sigma_z = diag(-1,
 formula above reproduces an explicit joint qubit-field simulation (see
 fock_oracle).
 
-Finite-shot mode draws M independent +-1 outcomes per basis with
-P(+1) = (1 + <sigma>)/2. The generator is counter-based (Philox) and
-stream-split per (point, basis), so results are reproducible under any
-parallel execution order.
+The map from chi to the Bloch vector is elementwise, so readout_chi runs it
+over whole arrays of chi values at once. Finite-shot mode draws M independent
++-1 outcomes per basis with P(+1) = (1 + <sigma>)/2, as one binomial draw per
+point. Each basis has one counter-based (Philox) stream keyed by (seed,
+basis), consumed in point order, so a given seed and point list always give
+the same samples.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -38,6 +39,7 @@ __all__ = [
     "SIGMA_Z",
     "QubitState",
     "ShotResult",
+    "ChiReadout",
     "ReadoutRecord",
     "rotate",
     "final_qubit_state",
@@ -45,6 +47,7 @@ __all__ = [
     "shot_rng",
     "sample_shots",
     "estimate_chi",
+    "readout_chi",
     "required_shots",
     "run_readout_scan",
     "records_table",
@@ -92,6 +95,12 @@ class QubitState:
         )
 
 
+def _check_characteristic(chi) -> None:
+    worst = float(np.max(np.abs(chi), initial=0.0))
+    if worst > 1.0 + 1e-9:
+        raise ValidationError(f"|chi| = {worst} > 1 is not a characteristic value")
+
+
 def final_qubit_state(theta: float, chi: complex) -> QubitState:
     """Qubit state after the full sequence, given chi(xi) of the field.
 
@@ -99,8 +108,7 @@ def final_qubit_state(theta: float, chi: complex) -> QubitState:
     |b| = sqrt(cos^2 th + sin^2 th |chi|^2) <= 1 with equality iff |chi| = 1.
     """
     chi = complex(chi)
-    if abs(chi) > 1.0 + 1e-9:
-        raise ValidationError(f"|chi| = {abs(chi)} > 1 is not a characteristic value")
+    _check_characteristic(chi)
     s = math.sin(theta)
     return QubitState(bx=s * chi.imag, by=s * chi.real, bz=-math.cos(theta))
 
@@ -116,9 +124,8 @@ def bloch_expectation(qs: QubitState, basis: str) -> float:
 def shot_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for a named stream.
 
-    Streams derived from the same seed but different (point, basis, ...)
-    indices are statistically independent, so grid points can be sampled in
-    any order or in parallel without changing results.
+    Streams derived from the same seed but different stream indices (the
+    readout uses one per basis) are statistically independent.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
@@ -129,39 +136,45 @@ class ShotResult(NamedTuple):
     stderr: float
 
 
+def _shot_count(M) -> int:
+    if int(M) != M or M < 1:
+        raise ValidationError("shot count M must be an integer >= 1 in sampling mode")
+    return int(M)
+
+
+def _sample_mean(bloch, M: int, rng: np.random.Generator):
+    """Mean of M projective +-1 reads with P(+1) = (1 + bloch)/2 and its
+    binomial standard error sqrt((1 - mean^2)/M), elementwise over bloch."""
+    k = rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0))
+    est = 2.0 * k / M - 1.0
+    return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
+
+
 def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     """Sample mean of M projective +-1 measurements of sigma_basis.
 
     P(+1) = (1 + <sigma>)/2; returns the sample mean and its binomial
     standard error sqrt((1 - mean^2)/M). rng is a Generator or an int seed.
     """
-    if int(M) != M or M < 1:
-        raise ValidationError("shot count M must be an integer >= 1 in sampling mode")
-    M = int(M)
+    M = _shot_count(M)
     if not isinstance(rng, np.random.Generator):
         rng = shot_rng(int(rng))
-    b = bloch_expectation(qs, basis)
-    p = min(max((1.0 + b) / 2.0, 0.0), 1.0)
-    k = int(rng.binomial(M, p))
-    est = 2.0 * k / M - 1.0
-    stderr = math.sqrt(max(1.0 - est * est, 0.0) / M)
-    return ShotResult(estimate=est, stderr=stderr)
+    est, stderr = _sample_mean(bloch_expectation(qs, basis), M, rng)
+    return ShotResult(estimate=float(est), stderr=float(stderr))
 
 
-def _estimate_value(rec) -> float:
-    return float(getattr(rec, "estimate", rec))
-
-
-def estimate_chi(rec_x, rec_y, theta: float) -> complex:
+def estimate_chi(rec_x, rec_y, theta: float):
     """chi estimate (est_sy + i est_sx)/sin(theta) from X- and Y-basis reads.
 
-    Accepts ShotResult or plain floats. theta with sin(theta) = 0 encodes no
-    field information on the qubit and is rejected.
+    Accepts ShotResults, floats or arrays of estimates (elementwise). theta
+    with sin(theta) = 0 encodes no field information on the qubit and is
+    rejected.
     """
     s = math.sin(theta)
     if s == 0.0:
         raise ValidationError("sin(theta) = 0: protocol encodes no information")
-    return (_estimate_value(rec_y) + 1j * _estimate_value(rec_x)) / s
+    est_x, est_y = getattr(rec_x, "estimate", rec_x), getattr(rec_y, "estimate", rec_y)
+    return est_y / s + 1j * (est_x / s)
 
 
 def required_shots(target_error: float) -> int:
@@ -173,6 +186,45 @@ def required_shots(target_error: float) -> int:
     if not target_error > 0:
         raise ValidationError("target error must be positive")
     return math.ceil(2.0 / target_error**2)
+
+
+class ChiReadout(NamedTuple):
+    """Arrays of X/Y estimates with their binomial errors, the chi estimate,
+    and its combined error sqrt(stderr_sx^2 + stderr_sy^2)/|sin theta|."""
+
+    est_sx: NDArray[np.float64]
+    est_sy: NDArray[np.float64]
+    stderr_sx: NDArray[np.float64]
+    stderr_sy: NDArray[np.float64]
+    chi_est: NDArray[np.complex128]
+    chi_stderr: NDArray[np.float64]
+
+
+def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
+    """Read out an array of chi values through the qubit, elementwise.
+
+    The Bloch components are (sin th Im chi, sin th Re chi). shots = 0 returns
+    them exactly, with zero errors. Otherwise each basis takes one binomial
+    draw of M = shots per point from shot_rng(seed, basis), basis 0 for X and
+    1 for Y, in the points' C order.
+    """
+    chi = np.asarray(chi, dtype=complex)
+    if shots < 0:
+        raise ValidationError("shots must be >= 0")
+    _check_characteristic(chi)
+    s = math.sin(theta)
+    bloch_x, bloch_y = s * chi.imag, s * chi.real
+    if shots == 0:
+        est_x, est_y = bloch_x, bloch_y
+        err_x = err_y = np.zeros(chi.shape)
+    else:
+        M = _shot_count(shots)
+        est_x, err_x = _sample_mean(bloch_x, M, shot_rng(seed, 0))
+        est_y, err_y = _sample_mean(bloch_y, M, shot_rng(seed, 1))
+    chi_est = estimate_chi(est_x, est_y, theta)
+    return ChiReadout(
+        est_x, est_y, err_x, err_y, chi_est, np.sqrt(err_x**2 + err_y**2) / abs(s)
+    )
 
 
 @dataclass(frozen=True)
@@ -190,66 +242,25 @@ class ReadoutRecord:
     seed: int
 
 
-def _readout_point(
-    state: GaussianFieldState,
-    xi,
-    theta: float,
-    shots: int,
-    seed: int,
-    index: int,
-) -> ReadoutRecord:
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    chi = char_analytic(state, xi)
-    qs = final_qubit_state(theta, chi)
-    if shots == 0:
-        sx = ShotResult(bloch_expectation(qs, "x"), 0.0)
-        sy = ShotResult(bloch_expectation(qs, "y"), 0.0)
-    else:
-        sx = sample_shots(qs, "x", shots, shot_rng(seed, index, 0))
-        sy = sample_shots(qs, "y", shots, shot_rng(seed, index, 1))
-    return ReadoutRecord(
-        xi=xi,
-        theta=theta,
-        shots=int(shots),
-        est_sx=sx.estimate,
-        est_sy=sy.estimate,
-        stderr_sx=sx.stderr,
-        stderr_sy=sy.stderr,
-        chi_est=estimate_chi(sx, sy, theta),
-        seed=int(seed),
-    )
-
-
 def run_readout_scan(
     state: GaussianFieldState,
     xi_points: Sequence,
     theta: float,
     shots: int = 0,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ReadoutRecord]:
-    """Readout records for a sequence of displacement points.
+    """Readout records for a sequence of displacement points, in point order.
 
-    shots = 0 means exact mode. Each point uses its own RNG streams keyed by
-    (seed, point index, basis), so the result is independent of threads and
-    of evaluation order; records are returned in point order.
+    shots = 0 means exact mode. chi is evaluated at every point, then the
+    whole scan is read out in one readout_chi call.
     """
-    if shots < 0:
-        raise ValidationError("shots must be >= 0")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    points = list(xi_points)
-    if threads == 1 or len(points) < 2:
-        return [
-            _readout_point(state, xi, theta, shots, seed, i)
-            for i, xi in enumerate(points)
-        ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_readout_point, state, xi, theta, shots, seed, i)
-            for i, xi in enumerate(points)
-        ]
-        return [f.result() for f in futures]
+    xis = [np.atleast_1d(np.asarray(xi, dtype=complex)) for xi in xi_points]
+    chi = np.array([char_analytic(state, xi) for xi in xis], dtype=complex)
+    r = readout_chi(chi, theta, shots, seed)
+    return [
+        ReadoutRecord(xi, theta, int(shots), sx, sy, ex, ey, c, int(seed))
+        for xi, sx, sy, ex, ey, c in zip(xis, *(a.tolist() for a in r[:5]))
+    ]
 
 
 def records_table(records: Sequence[ReadoutRecord]) -> tuple[list[str], list[list]]:

@@ -35,6 +35,7 @@ from numpy.typing import NDArray
 
 from .errors import NumericalCheckError, ValidationError
 from .gaussian_field import (
+    OMEGA_2X2,
     GaussianFieldState,
     ModeSet,
     Squeezed,
@@ -42,7 +43,7 @@ from .gaussian_field import (
     Vacuum,
     char_analytic_grid,
 )
-from .ramsey_readout import run_readout_scan
+from .ramsey_readout import readout_chi
 
 __all__ = [
     "ChiGrid",
@@ -193,14 +194,20 @@ def chi_grid_from_state(
 
 
 def _half_space_mask(axes: Sequence[np.ndarray]) -> NDArray[np.bool_]:
-    """True on the canonical half: first nonzero coordinate positive, plus 0."""
+    """True on the canonical half: first nonzero coordinate positive, plus 0.
+
+    Lexicographic sign test, one axis at a time: a point is decided at its
+    first nonzero coordinate; points still undecided after the last axis are
+    the origin.
+    """
     shape = tuple(a.size for a in axes)
     mask = np.zeros(shape, dtype=bool)
-    for idx in np.ndindex(shape):
-        coords = [axes[d][i] for d, i in enumerate(idx)]
-        first = next((c for c in coords if c != 0.0), 0.0)
-        mask[idx] = first >= 0.0
-    return mask
+    undecided = np.ones(shape, dtype=bool)
+    for d, a in enumerate(axes):
+        c = np.reshape(a, [-1 if k == d else 1 for k in range(len(shape))])
+        mask |= undecided & (c > 0)
+        undecided &= c == 0
+    return mask | undecided
 
 
 def sampled_chi_grid(
@@ -209,45 +216,32 @@ def sampled_chi_grid(
     theta: float = np.pi / 2,
     shots: int = 10_000,
     seed: int = 0,
-    threads: int = 1,
     half: bool = False,
 ) -> ChiGrid:
     """Simulated finite-shot chi grid via the qubit readout.
 
     Each grid point is an independent two-basis measurement; stderr combines
-    the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|. With half=True
+    the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|. The measured
+    points are read out in C order by one readout_chi call. With half=True
     only the canonical half-space is measured (NaN elsewhere), ready for
     hermitian_fill.
     """
     axes = _default_axes(state) if axes is None else _check_axes(axes)
     if len(axes) != 2 * state.n_modes:
         raise ValidationError("axis count does not match the state's mode count")
-    shape = tuple(a.size for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xi_flat = np.stack(
-        [mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(state.n_modes)], axis=-1
-    ).reshape(-1, state.n_modes)
-    measured = (
-        _half_space_mask(axes).reshape(-1)
-        if half
-        else np.ones(xi_flat.shape[0], dtype=bool)
-    )
-    records = run_readout_scan(
-        state, [xi_flat[i] for i in np.flatnonzero(measured)],
-        theta=theta, shots=shots, seed=seed, threads=threads,
-    )
-    values = np.full(xi_flat.shape[0], np.nan + 0j)
-    stderr = np.full(xi_flat.shape[0], np.nan)
-    s = abs(math.sin(theta))
-    for slot, rec in zip(np.flatnonzero(measured), records):
-        values[slot] = rec.chi_est
-        stderr[slot] = math.sqrt(rec.stderr_sx**2 + rec.stderr_sy**2) / s
+    chi = char_analytic_grid(state, axes)
+    measured = _half_space_mask(axes) if half else np.ones(chi.shape, dtype=bool)
+    readout = readout_chi(chi[measured], theta, shots, seed)
+    values = np.full(chi.shape, np.nan + 0j)
+    stderr = np.full(chi.shape, np.nan)
+    values[measured] = readout.chi_est
+    stderr[measured] = readout.chi_stderr
     return ChiGrid(
         axes=axes,
-        values=values.reshape(shape),
+        values=values,
         provenance="sampled",
         shots=int(shots),
-        stderr=stderr.reshape(shape),
+        stderr=stderr,
     )
 
 
@@ -509,9 +503,6 @@ def moments_fd(
 # --------------------------------------------------------------------------
 # Gaussian covariance fit
 
-_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianFit:
     """Weighted least-squares covariance recovered from -2 ln|chi|.
@@ -599,7 +590,7 @@ def gaussian_fit(grid: ChiGrid, min_abs: float = 1e-3) -> GaussianFit:
         G = np.array(
             [[beta[3 * m], beta[3 * m + 1]], [beta[3 * m + 1], beta[3 * m + 2]]]
         )
-        V = _OMEGA.T @ G @ _OMEGA
+        V = OMEGA_2X2.T @ G @ OMEGA_2X2
         cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = V
         det = float(np.linalg.det(V))
         if not (V[0, 0] > 0 and det > 0):

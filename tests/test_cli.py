@@ -89,12 +89,18 @@ def test_chi_scan_outputs_are_reproducible(tmp_path):
     assert data_lines(a) == data_lines(b)
 
 
-def test_chi_scan_thread_count_leaves_data_unchanged(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ("chi-scan", "--set", "grid.points=11", "--shots", "100", "--seed", "3")
-    assert run(*base, "--threads", "1", "--out", str(a)) == 0
-    assert run(*base, "--threads", "4", "--out", str(b)) == 0
-    assert data_lines(a) == data_lines(b)
+def test_sampled_outputs_are_byte_identical_on_rerun(tmp_path):
+    cases = {
+        "simulate": ("simulate", "--set", "points=[[0.2, 0.0], [0.0, 0.4]]",
+                     "--shots", "300", "--seed", "9"),
+        "wigner": ("wigner", "--set", "grid.points=21", "--set", "boundary_tol=1.0",
+                   "--shots", "300", "--seed", "9"),
+    }
+    for name, args in cases.items():
+        a, b = tmp_path / f"{name}_a.csv", tmp_path / f"{name}_b.csv"
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--out", str(b)) == 0
+        assert data_lines(a) == data_lines(b)
 
 
 def test_chi_scan_sampled_errors_cover_truth(tmp_path):
@@ -145,6 +151,43 @@ def test_chi_scan_manifold_mode(tmp_path):
     for N, tau, re_xi, im_xi, re_chi, im_chi in rows[:10]:
         want = char_analytic(state, complex(re_xi, im_xi))
         assert complex(re_chi, im_chi) == pytest.approx(want, abs=1e-12)
+
+
+def test_chi_scan_manifold_sampled_writes_stderr(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "state": {
+            "spatial_dim": 1, "box_side": 2 * math.pi, "mass": 1.0,
+            "modes": [{"j": [1], "kind": "thermal", "params": {"n": 1.0}}],
+        },
+        "manifold": {
+            "schedule": {"lambda": 0.5, "tau": 1.0, "N": 1,
+                         "smearing": {"kind": "delta"},
+                         "switching": {"kind": "constant", "value": 1.0}},
+            "mode": {"k": 1.0, "omega": 1.0, "L": 2 * math.pi, "n": 1},
+            "N_list": [1, 4],
+            "tau": {"min": 0.1, "max": 6.0, "points": 40},
+        },
+    }))
+    out = tmp_path / "scan.csv"
+    args = ("chi-scan", "--config", str(cfg), "--shots", "2000", "--seed", "4")
+    assert run(*args, "--out", str(out)) == 0
+    columns, rows, _ = read_table(out)
+    assert columns == ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi", "stderr"]
+    assert len(rows) == 80
+    state = GaussianFieldState(
+        modes=ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1]]),
+        mode_states=[Thermal(n=1.0)],
+    )
+    pulls = []
+    for N, tau, re_xi, im_xi, re_chi, im_chi, err in rows:
+        assert 0.0 <= err <= math.sqrt(2.0 / 2000) + 1e-12
+        want = char_analytic(state, complex(re_xi, im_xi))
+        pulls.append(abs(complex(re_chi, im_chi) - want) / max(err, 1e-12))
+    assert np.mean(np.array(pulls) <= 3.0) >= 0.95
+    again = tmp_path / "again.csv"
+    assert run(*args, "--out", str(again)) == 0
+    assert data_lines(out) == data_lines(again)
 
 
 # ---------------------------------------------------------------- simulate
@@ -335,3 +378,19 @@ def test_malformed_config_is_exit_1(tmp_path):
 
 def test_missing_out_is_exit_1():
     assert run("manifold") == 1
+
+
+@pytest.mark.parametrize("flag", [("--threads", "4"), ("--no-such-flag",)])
+def test_unknown_flag_is_exit_1(tmp_path, flag):
+    out = tmp_path / "chi.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("chi-scan", *flag, "--out", str(out))
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
+def test_version_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--version")
+    assert exc.value.code == 0
+    assert "chitomo" in capsys.readouterr().out

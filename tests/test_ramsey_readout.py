@@ -18,6 +18,7 @@ from chitomo.ramsey_readout import (
     bloch_expectation,
     estimate_chi,
     final_qubit_state,
+    readout_chi,
     records_table,
     required_shots,
     rotate,
@@ -160,13 +161,62 @@ def test_exact_scan_reproduces_analytic_chi():
         assert rec.shots == 0
 
 
-def test_scan_is_thread_invariant():
+def test_readout_exact_mode_is_the_bloch_map():
+    chi = np.array([1.0, 0.4 - 0.25j, -0.3j, 0.0])
+    theta = 0.7
+    r = readout_chi(chi, theta)
+    np.testing.assert_array_equal(r.est_sx, math.sin(theta) * chi.imag)
+    np.testing.assert_array_equal(r.est_sy, math.sin(theta) * chi.real)
+    for err in (r.stderr_sx, r.stderr_sy, r.chi_stderr):
+        np.testing.assert_array_equal(err, 0.0)
+    np.testing.assert_allclose(r.chi_est, chi, rtol=0, atol=1e-15)
+
+
+def test_readout_draws_one_binomial_per_basis_in_point_order():
+    chi = np.exp(-0.5 * np.linspace(0.0, 2.0, 7)) * np.exp(1j * np.linspace(0.0, 3.0, 7))
+    theta, M, seed = 1.1, 300, 5
+    r = readout_chi(chi, theta, shots=M, seed=seed)
+    s = math.sin(theta)
+    kx = shot_rng(seed, 0).binomial(M, (1.0 + s * chi.imag) / 2.0)
+    ky = shot_rng(seed, 1).binomial(M, (1.0 + s * chi.real) / 2.0)
+    np.testing.assert_array_equal(r.est_sx, 2.0 * kx / M - 1.0)
+    np.testing.assert_array_equal(r.est_sy, 2.0 * ky / M - 1.0)
+    np.testing.assert_array_equal(r.stderr_sx, np.sqrt((1.0 - r.est_sx**2) / M))
+    np.testing.assert_array_equal(r.chi_stderr, np.sqrt(r.stderr_sx**2 + r.stderr_sy**2) / s)
+    again = readout_chi(chi, theta, shots=M, seed=seed)
+    for a, b in zip(r, again):
+        np.testing.assert_array_equal(a, b)
+    other = readout_chi(chi, theta, shots=M, seed=seed + 1)
+    assert not np.array_equal(r.chi_est, other.chi_est)
+
+
+def test_readout_guards():
+    with pytest.raises(ValidationError):
+        readout_chi([0.5, 1.5], 1.0)
+    readout_chi([1.0 + 5e-10], 1.0)  # within the 1e-9 rounding allowance
+    with pytest.raises(ValidationError):
+        readout_chi([0.5], 1.0, shots=-1)
+    with pytest.raises(ValidationError):
+        readout_chi([0.5], 1.0, shots=2.5)
+    for shots in (0, 10):
+        with pytest.raises(ValidationError):
+            readout_chi([0.5], 0.0, shots=shots)
+    with pytest.raises(ValidationError):
+        run_readout_scan(THERMAL, [0.2], theta=1.0, shots=-1)
+
+
+def test_scan_records_equal_array_readout():
     pts = [complex(x, y) for x in (-0.4, 0.0, 0.4) for y in (-0.4, 0.0, 0.4)]
-    one = run_readout_scan(THERMAL, pts, theta=1.2, shots=400, seed=11, threads=1)
-    four = run_readout_scan(THERMAL, pts, theta=1.2, shots=400, seed=11, threads=4)
-    for a, b in zip(one, four):
-        assert a.est_sx == b.est_sx and a.est_sy == b.est_sy
-        assert a.chi_est == b.chi_est
+    recs = run_readout_scan(THERMAL, pts, theta=1.2, shots=400, seed=11)
+    chi = np.array([char_analytic(THERMAL, p) for p in pts])
+    r = readout_chi(chi, 1.2, shots=400, seed=11)
+    for i, rec in enumerate(recs):
+        np.testing.assert_array_equal(rec.xi, [pts[i]])
+        assert (rec.est_sx, rec.est_sy) == (r.est_sx[i], r.est_sy[i])
+        assert (rec.stderr_sx, rec.stderr_sy) == (r.stderr_sx[i], r.stderr_sy[i])
+        assert rec.chi_est == r.chi_est[i]
+        assert (rec.theta, rec.shots, rec.seed) == (1.2, 400, 11)
+    assert run_readout_scan(THERMAL, [], theta=1.2, shots=400) == []
 
 
 def test_scan_seed_changes_samples_not_truth():

@@ -111,10 +111,47 @@ def test_sampled_grid_shapes_and_streams():
     assert g.shots == 500
     assert g.stderr is not None and g.stderr.shape == g.values.shape
     assert not np.any(np.isnan(g.values.real))
-    # same seed reproduces; different thread counts agree bitwise
-    g2 = sampled_chi_grid(THERMAL, axes, shots=500, seed=4, threads=4)
+    # the same seed reproduces bitwise; another seed draws other samples
+    g2 = sampled_chi_grid(THERMAL, axes, shots=500, seed=4)
     np.testing.assert_array_equal(g.values, g2.values)
     np.testing.assert_array_equal(g.stderr, g2.stderr)
+    g3 = sampled_chi_grid(THERMAL, axes, shots=500, seed=5)
+    assert not np.array_equal(g.values, g3.values)
+
+
+def test_sampled_grid_without_shots_is_the_exact_grid():
+    axes = square_axes(2.0, 21)
+    g = sampled_chi_grid(SQ_TILTED, axes, theta=math.pi / 2, shots=0, half=True)
+    mask = _half_space_mask(axes)
+    np.testing.assert_array_equal(g.values[mask], chi_grid_from_state(SQ_TILTED, axes).values[mask])
+    np.testing.assert_array_equal(g.stderr[mask], 0.0)
+    assert np.isnan(g.values[~mask].real).all()
+
+
+def _half_space_mask_reference(axes):
+    """The canonical half point by point: first nonzero coordinate >= 0."""
+    shape = tuple(a.size for a in axes)
+    mask = np.zeros(shape, dtype=bool)
+    for idx in np.ndindex(shape):
+        coords = [axes[d][i] for d, i in enumerate(idx)]
+        first = next((c for c in coords if c != 0.0), 0.0)
+        mask[idx] = first >= 0.0
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_modes=st.sampled_from([1, 2]), data=st.data())
+def test_half_space_mask_matches_pointwise_definition(n_modes, data):
+    sizes = data.draw(st.lists(st.sampled_from([3, 5, 7, 9, 11]),
+                               min_size=2 * n_modes, max_size=2 * n_modes))
+    extents = data.draw(st.lists(st.floats(0.1, 10.0), min_size=2 * n_modes,
+                                 max_size=2 * n_modes))
+    axes = tuple(grid_axis(e, n) for e, n in zip(extents, sizes))
+    mask = _half_space_mask(axes)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, _half_space_mask_reference(axes))
+    # exactly the origin plus one of each +-xi pair
+    assert np.count_nonzero(mask) == (mask.size + 1) // 2
 
 
 def test_sampled_grid_half_space():
