@@ -18,7 +18,6 @@ alternative is a one-line swap.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,9 +28,10 @@ from .errors import ValidationError
 from .gaussian_field import ModeSet
 from .pulse_protocol import (
     PulseSchedule,
-    displacement_param,
+    _displacement,
     register_smearing_kind,
     smearing_from_dict,
+    switching_integral,
 )
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "map_to_protocol",
     "params_to_dict",
     "params_from_dict",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -134,14 +132,14 @@ class BogoliubovWeighted:
         if not (self.m_B > 0 and self.g_rho0 > 0):
             raise ValidationError("weight needs positive m_B and g*rho0")
 
-    def _weight(self, kmag: float) -> float:
-        if kmag == 0.0:
+    def _weight(self, kmag):
+        if np.any(kmag == 0.0):
             raise ValidationError("k = 0 carries no Bogoliubov excitation")
-        E = kmag**2 / (2.0 * self.m_B)
-        return math.sqrt(E / math.sqrt(E * (E + 2.0 * self.g_rho0)))
+        E = np.square(kmag) / (2.0 * self.m_B)
+        return np.sqrt(E / np.sqrt(E * (E + 2.0 * self.g_rho0)))
 
-    def ft(self, kmag: float, n: int) -> complex:
-        return self.sign * self._weight(kmag) * complex(self.base.ft(kmag, n))
+    def ft(self, kmag, n: int):
+        return self.sign * self._weight(kmag) * self.base.ft(kmag, n)
 
     def to_dict(self) -> dict:
         return {
@@ -185,19 +183,10 @@ class MappedProtocol:
         """xi per mode under the mapped schedule and dispersion."""
         if self.no_signal:
             return np.zeros(self.modes.n_modes, dtype=complex)
-        k = self.modes.wavevectors
-        return np.array(
-            [
-                displacement_param(
-                    self.schedule,
-                    k[m],
-                    float(self.omegas[m]),
-                    self.modes.box_side,
-                    self.modes.spatial_dim,
-                )
-                for m in range(self.modes.n_modes)
-            ]
-        )
+        s, n = self.schedule, self.modes.spatial_dim
+        eta_k = switching_integral(s.switching, s.tau, self.omegas, self.modes.box_side, n)
+        ft = s.smearing.ft(np.linalg.norm(self.modes.wavevectors, axis=1), n)
+        return _displacement(s.lam, s.N, s.tau, self.omegas, eta_k, ft)
 
 
 def map_to_protocol(
@@ -275,14 +264,3 @@ def params_from_dict(doc: dict) -> BecParams:
         )
     except KeyError as exc:
         raise ValidationError(f"BEC parameter file missing field {exc}") from exc
-
-
-def save_params(params: BecParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_params(path) -> BecParams:
-    with open(path, encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))

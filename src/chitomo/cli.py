@@ -134,6 +134,14 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# dedicated flags; a subcommand takes one only when its defaults carry the key
+_FLAGS = {
+    "seed": (int, "RNG seed recorded in the output"),
+    "shots": (int, "measurements per point (0 = exact)"),
+    "theta": (float, "preparation angle"),
+}
+
+
 # --------------------------------------------------------------------------
 # config plumbing
 
@@ -172,12 +180,15 @@ def _resolve_config(args) -> dict:
             raise ValidationError(f"{args.config} must hold a JSON object")
         _deep_update(config, doc)
     _apply_set(config, args.set)
-    for flag in ("seed", "shots", "theta", "out"):
+    for flag in (*_FLAGS, "out"):
         value = getattr(args, flag, None)
         if value is not None:
             config[flag] = value
     if args.timestamps:
         config["timestamps"] = True
+    unknown = sorted(set(config) - set(_DEFAULTS[args.command]) - {"out"})
+    if unknown:
+        raise ValidationError(f"unknown {args.command} config key(s): {', '.join(unknown)}")
     if "out" not in config and args.command != "oracle-check":
         raise ValidationError("an output path is required (--out or config key 'out')")
     return config
@@ -198,41 +209,41 @@ def _state(config) -> GaussianFieldState:
     return _inline_or_file(config["state"], state_from_dict, "state")
 
 
+def _fields(doc, names: tuple, what: str) -> list:
+    """The values of a config object that must hold exactly the fields names."""
+    if not isinstance(doc, dict) or set(doc) != set(names):
+        raise ValidationError(f"{what} takes exactly the fields {', '.join(names)}: {doc!r}")
+    return [doc[name] for name in names]
+
+
 def _mode_args(doc) -> tuple:
-    try:
-        return float(doc["k"]), float(doc["omega"]), float(doc["L"]), int(doc["n"])
-    except KeyError as exc:
-        raise ValidationError(f"mode spec missing field {exc}") from exc
+    k, omega, L, n = _fields(doc, ("k", "omega", "L", "n"), "mode spec")
+    return float(k), float(omega), float(L), int(n)
 
 
 def _tau_grid(doc) -> np.ndarray:
-    try:
-        lo, hi, points = float(doc["min"]), float(doc["max"]), int(doc["points"])
-    except KeyError as exc:
-        raise ValidationError(f"tau grid missing field {exc}") from exc
+    lo, hi, points = _fields(doc, ("min", "max", "points"), "tau grid")
+    lo, hi, points = float(lo), float(hi), int(points)
     if not (0 < lo < hi and points >= 2):
         raise ValidationError("tau grid needs 0 < min < max and >= 2 points")
     return np.linspace(lo, hi, points)
 
 
 def _grid_axes(spec, n_modes: int):
-    try:
-        extent, points = float(spec["extent"]), int(spec["points"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("grid spec needs 'extent' and 'points'") from exc
-    return tuple(grid_axis(extent, points) for _ in range(2 * n_modes))
+    extent, points = _fields(spec, ("extent", "points"), "grid spec")
+    return tuple(grid_axis(float(extent), int(points)) for _ in range(2 * n_modes))
 
 
 def _meta(command: str, config: dict) -> dict:
     return {"command": command, "config": config}
 
 
-def _curves(config):
-    sched = schedule_from_dict(config["schedule"])
-    k, omega, L, n = _mode_args(config["mode"])
-    taus = _tau_grid(config["tau"])
-    N_list = [int(N) for N in config["N_list"]]
-    return reachable_manifold(sched, N_list, taus, k, omega, L, n)
+_MANIFOLD_FIELDS = ("schedule", "mode", "N_list", "tau")
+
+
+def _curves(schedule, mode, N_list, tau):
+    sched = schedule_from_dict(schedule)
+    return reachable_manifold(sched, N_list, _tau_grid(tau), *_mode_args(mode))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +251,7 @@ def _curves(config):
 
 def cmd_manifold(config: dict) -> None:
     rows = []
-    for curve in _curves(config):
+    for curve in _curves(*(config[name] for name in _MANIFOLD_FIELDS)):
         for tau, xi in zip(curve.taus, curve.xis):
             rows.append([curve.N, float(tau), xi.real, xi.imag])
     write_table(
@@ -261,7 +272,7 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
     if shots > 0:
         columns.append("stderr")
     rows = []
-    for curve in _curves(config["manifold"]):
+    for curve in _curves(*_fields(config["manifold"], _MANIFOLD_FIELDS, "manifold spec")):
         chis = np.array([char_analytic(state, [xi]) for xi in curve.xis], dtype=complex)
         errs = np.zeros(chis.shape)
         if shots > 0:
@@ -423,16 +434,15 @@ def cmd_oracle_check(config: dict) -> int:
 
 def cmd_bec_map(config: dict) -> None:
     params = _inline_or_file(config["bec"], params_from_dict, "bec parameters")
-    mdoc = config["modes"]
-    try:
-        modes = ModeSet(
-            spatial_dim=int(mdoc["spatial_dim"]),
-            box_side=float(mdoc["box_side"]),
-            mass=0.0,
-            mode_indices=tuple(tuple(int(c) for c in j) for j in mdoc["indices"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"modes spec missing field {exc}") from exc
+    spatial_dim, box_side, indices = _fields(
+        config["modes"], ("spatial_dim", "box_side", "indices"), "modes spec"
+    )
+    modes = ModeSet(
+        spatial_dim=int(spatial_dim),
+        box_side=float(box_side),
+        mass=0.0,
+        mode_indices=tuple(tuple(int(c) for c in j) for j in indices),
+    )
     template = schedule_from_dict(config["schedule"])
     mapped = map_to_protocol(params, modes, template)
     xis = mapped.displacements()
@@ -503,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted config override, value parsed as JSON (repeatable)",
         )
         p.add_argument("--out", help="output file path")
-        p.add_argument("--seed", type=int, help="RNG seed recorded in the output")
-        p.add_argument("--shots", type=int, help="measurements per point (0 = exact)")
-        p.add_argument("--theta", type=float, help="preparation angle")
+        for flag, (kind, flag_help) in _FLAGS.items():
+            if flag in _DEFAULTS[name]:
+                p.add_argument(f"--{flag}", type=kind, help=flag_help)
         p.add_argument(
             "--timestamps",
             action="store_true",

@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .errors import NumericalCheckError, ValidationError
 from .gaussian_field import (
@@ -128,6 +127,8 @@ def truncated_mode(D: int) -> TruncatedMode:
 
 def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
     """D(xi) = exp(xi a-dagger - conj(xi) a) at cutoff D."""
+    from scipy.linalg import expm
+
     xi = complex(xi)
     a = ladder(D)
     return expm(xi * a.conj().T - np.conj(xi) * a)
@@ -169,6 +170,8 @@ def squeezed_ket(
     S = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2]. Built without closed-form
     Fock amplitudes so it stays an independent check on the analytic layer.
     """
+    from scipy.linalg import expm
+
     if r < 0:
         raise ValidationError("squeezing modulus must be >= 0")
     zeta = r * np.exp(1j * theta)
@@ -228,6 +231,8 @@ def build_segment(
     Raises when any low Fock column leaks population above leak_tol into the
     top level, which is the signal to enlarge D.
     """
+    from scipy.linalg import expm
+
     if int(D) != D or D < 8:
         raise ValidationError("segment cutoff must be an integer >= 8")
     D = int(D)
@@ -433,6 +438,8 @@ def joint_bloch_oracle(
     S = P F P F with F the branch-conditioned half-segment evolution and P
     the pi pulse, then S^N, then traces out the field. No closed form enters.
     """
+    from scipy.linalg import expm
+
     mode_state = _single_mode_state(state)
     seg = build_segment(sched, mode, D)
     rho_f = fock_density(mode_state, seg.dim, tail_tol, boundary_tol)

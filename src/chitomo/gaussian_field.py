@@ -46,7 +46,6 @@ exponent; moments_analytic implements the pairing sum up to p + q = 4.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -72,8 +71,6 @@ __all__ = [
     "beta_from_n",
     "state_to_dict",
     "state_from_dict",
-    "save_state",
-    "load_state",
 ]
 
 OMEGA_2X2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -431,14 +428,3 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
         else:
             raise ValidationError(f"unknown mode kind {kind!r}")
     return GaussianFieldState(modes=modeset, mode_states=tuple(states))
-
-
-def save_state(state: GaussianFieldState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_state(path) -> GaussianFieldState:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))

@@ -19,20 +19,20 @@ u = omega tau = (2m+1) pi, where it tends to -2N(-1)^N; there the magnitude
 attains its maximum 8 lambda N eta_k |F(k)| / pi. Both are handled
 analytically, never through floating-point tan near a pole.
 
-Switching is integrated per segment window [0, tau]; for scans where tau
-varies, the Gaussian window can be specified fractionally (relative=True) so
-that it keeps its shape inside each segment.
+One array kernel evaluates the closed form for a single displacement, a tau
+grid or a mode list alike. The switching window integrals over [0, tau] are
+exact and take tau arrays: erf/erfc for the Gaussian window, a cumulative
+table for tabulated switching. For tau scans the Gaussian window can be given
+fractionally (relative=True) so that it keeps its shape inside each segment.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
 
 from .errors import ValidationError
 
@@ -55,8 +55,6 @@ __all__ = [
     "switching_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
-    "save_schedule",
-    "load_schedule",
     "register_smearing_kind",
     "register_switching_kind",
 ]
@@ -76,8 +74,8 @@ class SphericalGaussian:
         if not self.sigma > 0:
             raise ValidationError("smearing width must be positive")
 
-    def ft(self, kmag: float, n: int) -> complex:
-        return complex(np.exp(-0.5 * self.sigma**2 * kmag**2))
+    def ft(self, kmag, n: int):
+        return np.exp(-0.5 * self.sigma**2 * np.square(kmag))
 
     def to_dict(self) -> dict:
         return {"kind": "spherical_gaussian", "sigma": self.sigma}
@@ -87,7 +85,7 @@ class SphericalGaussian:
 class Delta:
     """Point-like profile at the origin; F(k) = 1 for all k."""
 
-    def ft(self, kmag: float, n: int) -> complex:
+    def ft(self, kmag, n: int) -> complex:
         return 1.0 + 0.0j
 
     def to_dict(self) -> dict:
@@ -114,21 +112,22 @@ class CustomRadial:
         if not all(math.isfinite(v) for v in f):
             raise ValidationError("radial profile contains non-finite values")
 
-    def ft(self, kmag: float, n: int) -> complex:
+    def ft(self, kmag, n: int):
         r = np.asarray(self.r)
         f = np.asarray(self.f)
+        kr = np.multiply.outer(kmag, r)
         if n == 1:
-            integrand = 2.0 * f * np.cos(kmag * r)
+            integrand = 2.0 * f * np.cos(kr)
         elif n == 2:
             from scipy.special import j0
 
-            integrand = 2.0 * np.pi * f * j0(kmag * r) * r
+            integrand = 2.0 * np.pi * f * j0(kr) * r
         elif n == 3:
             # np.sinc(x) = sin(pi x)/(pi x), so sin(kr)/(kr) = np.sinc(kr/pi)
-            integrand = 4.0 * np.pi * f * np.sinc(kmag * r / np.pi) * r**2
+            integrand = 4.0 * np.pi * f * np.sinc(kr / np.pi) * r**2
         else:
             raise ValidationError(f"unsupported spatial dimension {n} for radial table")
-        return complex(np.trapezoid(integrand, r))
+        return np.trapezoid(integrand, r, axis=-1)
 
     def to_dict(self) -> dict:
         return {"kind": "custom_radial", "r": list(self.r), "f": list(self.f)}
@@ -142,7 +141,8 @@ def smearing_ft(f, k, n: int) -> complex:
 
     k may be a wave vector (length n) or a scalar magnitude; every supported
     profile is radial so only |k| enters. Real and positive for centered
-    nonnegative profiles; F(0) equals the profile's total integral.
+    nonnegative profiles; F(0) equals the profile's total integral. A
+    profile's own ft(kmag, n) also takes an array of magnitudes.
     """
     if n not in (1, 2, 3):
         raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
@@ -168,7 +168,7 @@ class Constant:
         if not self.value >= 0:
             raise ValidationError("switching must be nonnegative")
 
-    def window_integral(self, tau: float) -> float:
+    def window_integral(self, tau):
         return self.value * tau
 
     def to_dict(self) -> dict:
@@ -191,13 +191,18 @@ class GaussianWindow:
         if not self.width > 0:
             raise ValidationError("window width must be positive")
 
-    def window_integral(self, tau: float) -> float:
+    def window_integral(self, tau):
+        from scipy.special import erf, erfc
+
+        # (w sqrt(pi)/2) [erf(a) + erf(b)]; with one of a, b negative the equal
+        # erfc(-min) - erfc(max), which does not cancel in the far tail
         c = self.center * tau if self.relative else self.center
         w = self.width * tau if self.relative else self.width
-        fn = lambda s: math.exp(-(((s - c) / w) ** 2))
-        pts = [c] if 0.0 < c < tau else None
-        val, _ = quad(fn, 0.0, tau, epsabs=1e-12, epsrel=1e-12, limit=200, points=pts)
-        return val
+        a = (tau - c) / w
+        b = c / w
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        both = np.where(lo < 0.0, erfc(-lo) - erfc(hi), erf(a) + erf(b))
+        return 0.5 * math.sqrt(math.pi) * w * both
 
     def to_dict(self) -> dict:
         return {
@@ -227,17 +232,17 @@ class CustomSwitching:
         if not all(math.isfinite(v) and v >= 0 for v in e):
             raise ValidationError("switching table must be finite and nonnegative")
 
-    def window_integral(self, tau: float) -> float:
+    def window_integral(self, tau):
+        # the interpolant's exact integral from a cumulative table; nodes before
+        # 0 collapse onto 0, so no integral is formed as a difference
         t = np.asarray(self.t)
         e = np.asarray(self.eta)
-        hi = min(tau, t[-1])
-        lo = max(0.0, t[0])
-        if hi <= lo:
-            return 0.0
-        mask = (t > lo) & (t < hi)
-        ts = np.concatenate(([lo], t[mask], [hi]))
+        ts = np.maximum(t, 0.0)
         es = np.interp(ts, t, e)
-        return float(np.trapezoid(es, ts))
+        table = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(ts) * (es[1:] + es[:-1]))))
+        x = np.clip(tau, ts[0], ts[-1])
+        i = np.clip(np.searchsorted(ts, x, side="right") - 1, 0, ts.size - 2)
+        return table[i] + 0.5 * (x - ts[i]) * (es[i] + np.interp(x, t, e))
 
     def to_dict(self) -> dict:
         return {"kind": "custom", "t": list(self.t), "eta": list(self.eta)}
@@ -246,11 +251,16 @@ class CustomSwitching:
 SwitchingFunction = Union[Constant, GaussianWindow, CustomSwitching]
 
 
-def switching_integral(eta, tau: float, omega_k: float, L: float, n: int) -> float:
-    """eta_k(tau) = integral_0^tau eta(s) ds / sqrt(2 L^n omega_k)."""
-    if not tau > 0:
+def switching_integral(eta, tau, omega_k, L: float, n: int):
+    """eta_k(tau) = integral_0^tau eta(s) ds / sqrt(2 L^n omega_k).
+
+    tau and omega_k may be arrays; they broadcast against each other.
+    """
+    tau = np.asarray(tau, dtype=float)
+    omega_k = np.asarray(omega_k, dtype=float)
+    if not np.all(tau > 0):
         raise ValidationError("tau must be positive")
-    if not omega_k > 0:
+    if not np.all(omega_k > 0):
         raise ValidationError("omega must be positive")
     if not L > 0 or n not in (1, 2, 3):
         raise ValidationError("bad box parameters")
@@ -258,11 +268,17 @@ def switching_integral(eta, tau: float, omega_k: float, L: float, n: int) -> flo
         window = eta.window_integral
     except AttributeError:
         raise ValidationError(f"unsupported switching object {eta!r}") from None
-    return float(window(tau)) / math.sqrt(2.0 * L**n * omega_k)
+    return window(tau) / np.sqrt(2.0 * L**n * omega_k)
 
 
 # --------------------------------------------------------------------------
 # pulse schedule and the displacement closed form
+
+def _segment_count(N) -> int:
+    if int(N) != N or N < 1:
+        raise ValidationError(f"segment count N must be an integer >= 1, got {N!r}")
+    return int(N)
+
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -279,30 +295,33 @@ class PulseSchedule:
             raise ValidationError("coupling must be positive")
         if not self.tau > 0:
             raise ValidationError("tau must be positive")
-        if int(self.N) != self.N or self.N < 1:
-            raise ValidationError("segment count N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _segment_count(self.N))
 
     @property
     def total_time(self) -> float:
         return 2.0 * self.N * self.tau
 
 
-def _sin_tan_product(u: float, N: int) -> float:
+def _sin_tan_product(u, N):
     """sin(N u) * tan(u/2) with the poles at u = (2m+1) pi removed.
 
     Near an odd multiple of pi, with d = u - (2m+1) pi,
     sin(N u) tan(u/2) = -(-1)^N sin(N d) cos(d/2) / sin(d/2),
-    which tends to -2N(-1)^N as d -> 0.
+    which tends to -2N(-1)^N as d -> 0; that limit is used exactly at d == 0.
     """
-    m = round((u / math.pi - 1.0) / 2.0)
-    d = u - (2 * m + 1) * math.pi
-    if abs(d) < 0.5:
-        sign = -(-1.0) ** N
-        if d == 0.0:
-            return sign * 2.0 * N
-        return sign * math.sin(N * d) * math.cos(0.5 * d) / math.sin(0.5 * d)
-    return math.sin(N * u) * math.tan(0.5 * u)
+    m = np.round((u / np.pi - 1.0) / 2.0)
+    d = u - (2.0 * m + 1.0) * np.pi
+    safe = np.where(d == 0.0, 1.0, d)
+    near = np.sin(N * safe) * np.cos(0.5 * safe) / np.sin(0.5 * safe)
+    near = -((-1.0) ** N) * np.where(d == 0.0, 2.0 * N, near)
+    return np.where(np.abs(d) < 0.5, near, np.sin(N * u) * np.tan(0.5 * u))
+
+
+def _displacement(lam, N, tau, omega_k, eta_k, ft):
+    """xi of the module docstring, elementwise: N, tau and the per-mode
+    omega_k, eta_k (from switching_integral) and ft = F(k) broadcast."""
+    u = omega_k * tau
+    return -4.0 * lam * eta_k * np.conj(ft) / u * _sin_tan_product(u, N) * np.exp(1j * N * u)
 
 
 def displacement_param(
@@ -315,19 +334,9 @@ def displacement_param(
     through the removable singularities at omega_k tau = (2m+1) pi, where
     |xi| = 8 lam N eta_k |F(k)| / pi is the per-mode maximum.
     """
-    eta_tilde = switching_integral(sched.switching, sched.tau, omega_k, L, n)
+    eta_k = switching_integral(sched.switching, sched.tau, omega_k, L, n)
     ft = smearing_ft(sched.smearing, k, n)
-    u = omega_k * sched.tau
-    core = _sin_tan_product(u, sched.N)
-    return (
-        -4.0
-        * sched.lam
-        * eta_tilde
-        * np.conj(ft)
-        / u
-        * core
-        * np.exp(1j * sched.N * u)
-    )
+    return complex(_displacement(sched.lam, sched.N, sched.tau, omega_k, eta_k, ft))
 
 
 @dataclass(frozen=True)
@@ -361,14 +370,14 @@ def reachable_manifold(
         raise ValidationError("tau grid must be positive and strictly increasing")
     if len(N_list) == 0:
         raise ValidationError("empty N list")
-    curves = []
-    for N in N_list:
-        sched = replace(sched_template, N=int(N))
-        xis = np.array(
-            [displacement_param(replace(sched, tau=float(t)), k, omega_k, L, n) for t in taus]
-        )
-        curves.append(Curve(N=int(N), taus=taus.copy(), xis=xis))
-    return curves
+    counts = [_segment_count(N) for N in N_list]
+    eta_k = switching_integral(sched_template.switching, taus, omega_k, L, n)
+    ft = smearing_ft(sched_template.smearing, k, n)
+    lam = sched_template.lam
+    return [
+        Curve(N=N, taus=taus.copy(), xis=_displacement(lam, N, taus, omega_k, eta_k, ft))
+        for N in counts
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -450,14 +459,3 @@ def schedule_from_dict(doc: dict) -> PulseSchedule:
         )
     except KeyError as exc:
         raise ValidationError(f"schedule document missing field {exc}") from exc
-
-
-def save_schedule(sched: PulseSchedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_dict(sched), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_schedule(path) -> PulseSchedule:
-    with open(path, encoding="utf-8") as fh:
-        return schedule_from_dict(json.load(fh))

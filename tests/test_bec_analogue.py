@@ -12,13 +12,12 @@ from chitomo.bec_analogue import (
     bogoliubov_energy,
     bogoliubov_omega,
     bogoliubov_weight,
-    load_params,
     map_to_protocol,
     params_from_dict,
     params_to_dict,
-    save_params,
 )
 from chitomo.errors import ValidationError
+from chitomo.fileio import read_json, write_json
 from chitomo.gaussian_field import ModeSet
 from chitomo.pulse_protocol import (
     Constant,
@@ -182,5 +181,5 @@ def test_params_roundtrip(tmp_path):
     p = params(g_g=0.011, g_e=0.023, g_rho0=1.7, m_B=0.9)
     assert params_from_dict(params_to_dict(p)) == p
     path = tmp_path / "bec.json"
-    save_params(p, path)
-    assert load_params(path) == p
+    write_json(path, params_to_dict(p))
+    assert params_from_dict(read_json(path)) == p

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +59,12 @@ def test_manifold_scales_linearly_with_coupling(tmp_path):
 def test_manifold_rejects_bad_schedule(tmp_path):
     out = tmp_path / "x.csv"
     assert run("manifold", "--set", "schedule.N=0", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_manifold_rejects_non_integer_N(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run("manifold", "--set", "N_list=[2.5]", "--out", str(out)) == 1
     assert not out.exists()
 
 
@@ -380,6 +389,34 @@ def test_missing_out_is_exit_1():
     assert run("manifold") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,key",
+    [(("--set", "grid.point=9"), "point"), (("--set", "bogus=1"), "bogus"),
+     (("--config", '{"stat": {}}'), "stat")],
+)
+def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
+    if argv[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[1])
+        argv = ("--config", str(cfg))
+    out = tmp_path / "chi.csv"
+    assert run("chi-scan", *argv, "--out", str(out)) == 1
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("manifold", "--seed", "1"), ("bec-map", "--shots", "5"), ("manifold", "--theta", "0.3")],
+)
+def test_flag_of_another_subcommand_is_exit_1(tmp_path, argv):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(out))
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [("--threads", "4"), ("--no-such-flag",)])
 def test_unknown_flag_is_exit_1(tmp_path, flag):
     out = tmp_path / "chi.csv"
@@ -387,6 +424,21 @@ def test_unknown_flag_is_exit_1(tmp_path, flag):
         run("chi-scan", *flag, "--out", str(out))
     assert exc.value.code == 1
     assert not out.exists()
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # scipy.integrate, .linalg and .special load only where they are used,
+    # while every layer module (fock_oracle too) is loaded by the cli
+    code = (
+        "import sys, chitomo.cli; "
+        "print(sorted(m for m in ('chitomo.fock_oracle', 'scipy.integrate', 'scipy.linalg', "
+        "'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "['chitomo.fock_oracle']"
 
 
 def test_version_exits_0(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chitomo.errors import ValidationError
+from chitomo.fileio import read_json, write_json
 from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -21,10 +22,8 @@ from chitomo.gaussian_field import (
     char_closed_form,
     covariance,
     gaussian_expectation,
-    load_state,
     moments_analytic,
     n_from_beta,
-    save_state,
     state_from_dict,
     state_to_dict,
 )
@@ -255,8 +254,8 @@ def test_state_roundtrip_exact():
 def test_state_file_roundtrip(tmp_path):
     st_ = single_mode(Squeezed(r=1.0, theta=0.25))
     path = tmp_path / "state.json"
-    save_state(st_, path)
-    back = load_state(path)
+    write_json(path, state_to_dict(st_))
+    back = state_from_dict(read_json(path))
     assert back.mode_states == st_.mode_states
     assert back.modes.box_side == st_.modes.box_side
 

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from chitomo.errors import ValidationError
+from chitomo.fileio import read_json, write_json
 from chitomo.pulse_protocol import (
     Constant,
     CustomRadial,
@@ -15,10 +19,9 @@ from chitomo.pulse_protocol import (
     GaussianWindow,
     PulseSchedule,
     SphericalGaussian,
+    _sin_tan_product,
     displacement_param,
-    load_schedule,
     reachable_manifold,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
     smearing_ft,
@@ -42,6 +45,49 @@ def canonical(lam=0.01, tau=1.0, N=3, smearing=None, switching=None):
 
 def xi_of(sched, k=1.0, omega=1.0, box=L, n=1):
     return displacement_param(sched, k, omega, box, n)
+
+
+# ------------------------------------------------- per-tau scalar reference
+# Scalar reference: the closed form one tau at a time, with the switching
+# windows integrated numerically (quad, trapezoid); the array path must agree.
+
+def sin_tan_reference(u, N):
+    m = round((u / math.pi - 1.0) / 2.0)
+    d = u - (2 * m + 1) * math.pi
+    if abs(d) < 0.5:
+        sign = -(-1.0) ** N
+        if d == 0.0:
+            return sign * 2.0 * N
+        return sign * math.sin(N * d) * math.cos(0.5 * d) / math.sin(0.5 * d)
+    return math.sin(N * u) * math.tan(0.5 * u)
+
+
+def window_reference(eta, tau):
+    if isinstance(eta, Constant):
+        return eta.value * tau
+    if isinstance(eta, GaussianWindow):
+        c = eta.center * tau if eta.relative else eta.center
+        w = eta.width * tau if eta.relative else eta.width
+        fn = lambda s: math.exp(-(((s - c) / w) ** 2))
+        pts = [c] if 0.0 < c < tau else None
+        val, _ = quad(fn, 0.0, tau, epsabs=1e-12, epsrel=1e-12, limit=200, points=pts)
+        return val
+    t, e = np.asarray(eta.t), np.asarray(eta.eta)
+    hi, lo = min(tau, t[-1]), max(0.0, t[0])
+    if hi <= lo:
+        return 0.0
+    ts = np.concatenate(([lo], t[(t > lo) & (t < hi)], [hi]))
+    return float(np.trapezoid(np.interp(ts, t, e), ts))
+
+
+def xi_reference(sched, k=1.0, omega=1.0, box=L, n=1):
+    """xi and its envelope 8 lam N eta_k |F| / u, the bound on |xi| at this tau."""
+    eta_k = window_reference(sched.switching, sched.tau) / math.sqrt(2.0 * box**n * omega)
+    ft = smearing_ft(sched.smearing, k, n)
+    u = omega * sched.tau
+    pre = -4.0 * sched.lam * eta_k * np.conj(ft) / u
+    xi = pre * sin_tan_reference(u, sched.N) * np.exp(1j * sched.N * u)
+    return xi, abs(pre) * 2.0 * sched.N
 
 
 # ---------------------------------------------------------------- smearing
@@ -109,6 +155,10 @@ def test_switching_integral_validation():
     with pytest.raises(ValidationError):
         switching_integral(Constant(1.0), 0.0, 1.0, L, 1)
     with pytest.raises(ValidationError):
+        switching_integral(Constant(1.0), np.array([0.5, 0.0]), 1.0, L, 1)
+    with pytest.raises(ValidationError):
+        switching_integral(Constant(1.0), np.array([0.5, np.nan]), 1.0, L, 1)
+    with pytest.raises(ValidationError):
         switching_integral(Constant(1.0), 1.0, -1.0, L, 1)
     with pytest.raises(ValidationError):
         switching_integral(object(), 1.0, 1.0, L, 1)
@@ -130,6 +180,17 @@ def test_relative_gaussian_window_scales_with_tau():
     assert win.window_integral(0.25) == pytest.approx(0.25 * one, rel=1e-12)
 
 
+def test_gaussian_window_far_tail_keeps_relative_accuracy():
+    # a window centred far past the segment: erf(a) + erf(b) cancels to 0 here
+    win = GaussianWindow(center=9.0, width=0.25)
+    taus = np.linspace(3.0, 2.0 * math.pi, 64)  # values from 1e-250 to 1e-53
+    got = win.window_integral(taus)
+    for tau, value in zip(taus, got):
+        want = 0.125 * math.sqrt(math.pi) * (math.erfc((9.0 - tau) / 0.25) - math.erfc(36.0))
+        assert want > 0.0
+        assert value == pytest.approx(want, rel=1e-14)
+
+
 def test_custom_switching_tables():
     # trapezoid is exact on piecewise-linear tables
     ramp = CustomSwitching(t=(0.0, 1.0), eta=(0.0, 1.0))
@@ -138,6 +199,12 @@ def test_custom_switching_tables():
     flat = CustomSwitching(t=(0.0, 2.0), eta=(1.0, 1.0))
     assert flat.window_integral(1.5) == pytest.approx(1.5, abs=1e-15)
     assert flat.window_integral(5.0) == pytest.approx(2.0, abs=1e-15)  # zero past the table
+    late = CustomSwitching(t=(1.0, 2.0, 4.0), eta=(2.0, 0.0, 1.0))  # starts after 0
+    np.testing.assert_allclose(
+        late.window_integral(np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0])),
+        [0.0, 0.0, 0.75, 1.0, 1.25, 2.0, 2.0],
+        rtol=0, atol=1e-15,
+    )
     with pytest.raises(ValidationError):
         CustomSwitching(t=(0.0, 0.0), eta=(1.0, 1.0))
     with pytest.raises(ValidationError):
@@ -255,6 +322,56 @@ def test_manifold_validation():
         reachable_manifold(canonical(), [0], [1.0], 1.0, 1.0, L, 1)
     with pytest.raises(ValidationError):
         reachable_manifold(canonical(), [1], [], 1.0, 1.0, L, 1)
+    with pytest.raises(ValidationError):
+        reachable_manifold(canonical(), [1, 2.5], [1.0], 1.0, 1.0, L, 1)  # not truncated
+    assert reachable_manifold(canonical(), [2.0], [1.0], 1.0, 1.0, L, 1)[0].N == 2
+
+
+# ------------------------------------------------ array path vs reference
+
+SWITCHINGS = st.one_of(
+    st.builds(Constant, st.floats(0.1, 3.0)),
+    st.builds(GaussianWindow, center=st.floats(0.1, 0.9), width=st.floats(0.1, 0.5),
+              relative=st.just(True)),
+    st.builds(GaussianWindow, center=st.floats(0.0, 2.0), width=st.floats(0.5, 2.0),
+              relative=st.just(False)),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), min_size=3, max_size=12).flatmap(
+        lambda eta: st.floats(-1.0, 2.0).map(
+            lambda t0: CustomSwitching(
+                t=tuple(t0 + 0.7 * i for i in range(len(eta))), eta=tuple(eta)
+            )
+        )
+    ),
+)
+# free values plus neighbourhoods of the poles at odd multiples of pi / omega
+TAUS = st.one_of(
+    st.floats(0.05, 20.0),
+    st.tuples(st.integers(0, 5), st.sampled_from([0.0, 1e-12, -1e-9, 3e-7, -0.4, 0.49])).map(
+        lambda md: (2 * md[0] + 1) * math.pi + md[1]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    switching=SWITCHINGS,
+    taus=st.lists(TAUS, min_size=1, max_size=8, unique=True),
+    N=st.integers(1, 10),
+    omega=st.sampled_from([1.0, 0.5, 2.0]),
+)
+def test_array_path_matches_per_tau_reference(switching, taus, N, omega):
+    sched = canonical(N=N, switching=switching, smearing=SphericalGaussian(sigma=0.7))
+    taus = np.sort(np.asarray(taus)) / omega
+    curve = reachable_manifold(sched, [N], taus, 1.3, omega, L, 1)[0]
+    for tau, xi in zip(taus, curve.xis):
+        one = canonical(tau=float(tau), N=N, switching=switching,
+                        smearing=SphericalGaussian(sigma=0.7))
+        want, envelope = xi_reference(one, k=1.3, omega=omega)
+        assert abs(xi - want) <= 1e-12 * envelope
+        assert abs(xi_of(one, k=1.3, omega=omega) - want) <= 1e-12 * envelope
+        u = omega * float(tau)
+        core = float(_sin_tan_product(u, N))
+        assert abs(core - sin_tan_reference(u, N)) <= 1e-12 * 2.0 * N
 
 
 # ------------------------------------------------------------ serialization
@@ -278,8 +395,8 @@ def test_schedule_roundtrip(smearing, switching):
 def test_schedule_file_roundtrip(tmp_path):
     sched = canonical(lam=0.015, tau=2.2, N=6)
     path = tmp_path / "sched.json"
-    save_schedule(sched, path)
-    assert load_schedule(path) == sched
+    write_json(path, schedule_to_dict(sched))
+    assert schedule_from_dict(read_json(path)) == sched
 
 
 def test_schedule_unknown_kind_rejected():
