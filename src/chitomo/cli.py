@@ -209,41 +209,64 @@ def _state(config) -> GaussianFieldState:
     return _inline_or_file(config["state"], state_from_dict, "state")
 
 
-def _fields(doc, names: tuple, what: str) -> list:
-    """The values of a config object that must hold exactly the fields names."""
-    if not isinstance(doc, dict) or set(doc) != set(names):
-        raise ValidationError(f"{what} takes exactly the fields {', '.join(names)}: {doc!r}")
-    return [doc[name] for name in names]
+def _as(kind, value, key: str):
+    """kind(value) for the config value at key; a value kind refuses is bad input."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config value {key} = {value!r} is not usable: {exc}") from None
 
 
-def _mode_args(doc) -> tuple:
-    k, omega, L, n = _fields(doc, ("k", "omega", "L", "n"), "mode spec")
-    return float(k), float(omega), float(L), int(n)
+def _get(config: dict, key: str, kind):
+    return _as(kind, config[key], key)
 
 
-def _tau_grid(doc) -> np.ndarray:
-    lo, hi, points = _fields(doc, ("min", "max", "points"), "tau grid")
-    lo, hi, points = float(lo), float(hi), int(points)
+def _listed(kind):
+    """A converter of a config list whose entries kind converts."""
+    def convert(values) -> list:
+        if not isinstance(values, list):
+            raise TypeError(f"a list is expected, not {type(values).__name__}")
+        return [kind(v) for v in values]
+    return convert
+
+
+def _fields(doc, fields: dict, key: str) -> list:
+    """The values of the config object at key, which must hold exactly the
+    given fields; a field mapped to a converter (not None) is converted."""
+    if not isinstance(doc, dict) or set(doc) != set(fields):
+        raise ValidationError(f"{key} takes exactly the fields {', '.join(fields)}: {doc!r}")
+    return [doc[n] if k is None else _as(k, doc[n], f"{key}.{n}") for n, k in fields.items()]
+
+
+def _mode_args(doc, key: str) -> tuple:
+    return tuple(_fields(doc, {"k": float, "omega": float, "L": float, "n": int}, key))
+
+
+def _tau_grid(doc, key: str) -> np.ndarray:
+    lo, hi, points = _fields(doc, {"min": float, "max": float, "points": int}, key)
     if not (0 < lo < hi and points >= 2):
         raise ValidationError("tau grid needs 0 < min < max and >= 2 points")
     return np.linspace(lo, hi, points)
 
 
-def _grid_axes(spec, n_modes: int):
-    extent, points = _fields(spec, ("extent", "points"), "grid spec")
-    return tuple(grid_axis(float(extent), int(points)) for _ in range(2 * n_modes))
+def _grid_axes(config: dict, key: str, n_modes: int):
+    extent, points = _fields(config[key], {"extent": float, "points": int}, key)
+    return tuple(grid_axis(extent, points) for _ in range(2 * n_modes))
 
 
 def _meta(command: str, config: dict) -> dict:
     return {"command": command, "config": config}
 
 
-_MANIFOLD_FIELDS = ("schedule", "mode", "N_list", "tau")
+_MANIFOLD_FIELDS = dict.fromkeys(("schedule", "mode", "N_list", "tau"))
 
 
-def _curves(schedule, mode, N_list, tau):
+def _curves(schedule, mode, N_list, tau, prefix: str = ""):
+    """The manifold curves of a spec whose fields sit at config keys prefix + name."""
     sched = schedule_from_dict(schedule)
-    return reachable_manifold(sched, N_list, _tau_grid(tau), *_mode_args(mode))
+    counts = _as(_listed(float), N_list, f"{prefix}N_list")
+    taus = _tau_grid(tau, f"{prefix}tau")
+    return reachable_manifold(sched, counts, taus, *_mode_args(mode, f"{prefix}mode"))
 
 
 # --------------------------------------------------------------------------
@@ -267,17 +290,17 @@ def cmd_manifold(config: dict) -> None:
 def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
     if state.n_modes != 1:
         raise ValidationError("manifold scans address a single mode")
-    shots = int(config["shots"])
+    shots = _get(config, "shots", int)
     columns = ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]
     if shots > 0:
         columns.append("stderr")
     rows = []
-    for curve in _curves(*_fields(config["manifold"], _MANIFOLD_FIELDS, "manifold spec")):
+    for curve in _curves(*_fields(config["manifold"], _MANIFOLD_FIELDS, "manifold"), "manifold."):
         chis = np.array([char_analytic(state, [xi]) for xi in curve.xis], dtype=complex)
         errs = np.zeros(chis.shape)
         if shots > 0:
             readout = readout_chi(
-                chis, float(config["theta"]), shots, int(config["seed"]) + curve.N
+                chis, _get(config, "theta", float), shots, _get(config, "seed", int) + curve.N
             )
             chis, errs = readout.chi_est, readout.chi_stderr
         for tau, xi, chi, err in zip(curve.taus, curve.xis, chis, errs):
@@ -293,22 +316,10 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
 
 
 def cmd_chi_scan(config: dict) -> None:
-    state = _state(config)
     if config.get("manifold"):
-        _chi_scan_manifold(config, state)
+        _chi_scan_manifold(config, _state(config))
         return
-    axes = _grid_axes(config["grid"], state.n_modes)
-    if int(config["shots"]) > 0:
-        grid = sampled_chi_grid(
-            state,
-            axes,
-            theta=float(config["theta"]),
-            shots=int(config["shots"]),
-            seed=int(config["seed"]),
-            half=bool(config["half"]),
-        )
-    else:
-        grid = chi_grid_from_state(state, axes)
+    grid = _chi_grid_for(config)
     save_chi_grid(grid, config["out"], meta=_meta("chi-scan", config),
                   timestamps=config["timestamps"])
     print(f"wrote a {grid.values.shape} chi grid to {config['out']}")
@@ -317,8 +328,8 @@ def cmd_chi_scan(config: dict) -> None:
 def cmd_simulate(config: dict) -> None:
     state = _state(config)
     points = []
-    for entry in config["points"]:
-        flat = np.asarray(entry, dtype=float).reshape(-1)
+    reals = _listed(lambda entry: np.asarray(entry, dtype=float).reshape(-1))
+    for flat in _get(config, "points", reals):
         if flat.size != 2 * state.n_modes:
             raise ValidationError(
                 f"each point needs {2 * state.n_modes} reals (re, im per mode)"
@@ -327,9 +338,9 @@ def cmd_simulate(config: dict) -> None:
     records = run_readout_scan(
         state,
         points,
-        theta=float(config["theta"]),
-        shots=int(config["shots"]),
-        seed=int(config["seed"]),
+        theta=_get(config, "theta", float),
+        shots=_get(config, "shots", int),
+        seed=_get(config, "seed", int),
     )
     columns, rows = records_table(records)
     write_table(config["out"], columns, rows, meta=_meta("simulate", config),
@@ -341,13 +352,15 @@ def _chi_grid_for(config: dict):
     if config.get("chi_file"):
         return load_chi_grid(config["chi_file"])
     state = _state(config)
-    axes = _grid_axes(config["grid"], state.n_modes)
-    if int(config["shots"]) > 0:
+    axes = _grid_axes(config, "grid", state.n_modes)
+    shots = _get(config, "shots", int)
+    if shots > 0:
         return sampled_chi_grid(
             state, axes,
-            theta=float(config["theta"]),
-            shots=int(config["shots"]),
-            seed=int(config["seed"]),
+            theta=_get(config, "theta", float),
+            shots=shots,
+            seed=_get(config, "seed", int),
+            half=bool(config.get("half", False)),
         )
     return chi_grid_from_state(state, axes)
 
@@ -356,10 +369,8 @@ def cmd_wigner(config: dict) -> None:
     grid = _chi_grid_for(config)
     if grid.provenance != "exact" or np.any(np.isnan(grid.values)):
         grid = hermitian_fill(grid)
-    alpha_axes = (
-        _grid_axes(config["alpha"], grid.n_modes) if config.get("alpha") else None
-    )
-    wgrid = wigner_transform(grid, alpha_axes, boundary_tol=float(config["boundary_tol"]))
+    alpha_axes = _grid_axes(config, "alpha", grid.n_modes) if config.get("alpha") else None
+    wgrid = wigner_transform(grid, alpha_axes, boundary_tol=_get(config, "boundary_tol", float))
     save_wigner_grid(wgrid, config["out"], meta=_meta("wigner", config),
                      timestamps=config["timestamps"])
     print(
@@ -369,9 +380,9 @@ def cmd_wigner(config: dict) -> None:
 
 
 def cmd_moments(config: dict) -> None:
-    mode = int(config["mode"])
-    h = config["h"]
-    if config.get("chi_file") or int(config["shots"]) > 0:
+    mode = _get(config, "mode", int)
+    h = None if config["h"] is None else _get(config, "h", float)
+    if config.get("chi_file") or _get(config, "shots", int) > 0:
         source = _chi_grid_for(config)
         if np.any(np.isnan(source.values)):
             source = hermitian_fill(source)
@@ -390,11 +401,13 @@ def cmd_moments(config: dict) -> None:
         if h is None:
             h = 0.01
     rows = []
-    for entry in config["orders"]:
-        p, q = int(entry[0]), int(entry[1])
+    for order in _get(config, "orders", _listed(_listed(int))):
+        if len(order) != 2:
+            raise ValidationError(f"each moment order is a pair [p, q], got {order}")
+        p, q = order
         value, error = moments_fd(
             source, src_mode, p, q,
-            h=None if h is None else float(h),
+            h=h,
             richardson=bool(config["richardson"]),
             with_error=True,
         )
@@ -411,7 +424,8 @@ def cmd_moments(config: dict) -> None:
 
 def cmd_oracle_check(config: dict) -> int:
     reports = run_default_suite(
-        n_draws=int(config["n_draws"]), D=int(config["D"]), seed=int(config["seed"])
+        n_draws=_get(config, "n_draws", int), D=_get(config, "D", int),
+        seed=_get(config, "seed", int),
     )
     all_passed = all(r["passed"] for r in reports)
     for r in reports:
@@ -435,13 +449,15 @@ def cmd_oracle_check(config: dict) -> int:
 def cmd_bec_map(config: dict) -> None:
     params = _inline_or_file(config["bec"], params_from_dict, "bec parameters")
     spatial_dim, box_side, indices = _fields(
-        config["modes"], ("spatial_dim", "box_side", "indices"), "modes spec"
+        config["modes"],
+        {"spatial_dim": int, "box_side": float, "indices": _listed(_listed(int))},
+        "modes",
     )
     modes = ModeSet(
-        spatial_dim=int(spatial_dim),
-        box_side=float(box_side),
+        spatial_dim=spatial_dim,
+        box_side=box_side,
         mass=0.0,
-        mode_indices=tuple(tuple(int(c) for c in j) for j in indices),
+        mode_indices=tuple(map(tuple, indices)),
     )
     template = schedule_from_dict(config["schedule"])
     mapped = map_to_protocol(params, modes, template)

@@ -2,14 +2,18 @@
 
 Every file opens with a format tag line, a meta line holding one JSON object
 (axes, provenance, resolved configuration, ...) and a columns line, followed
-by plain CSV rows. Floats are written with repr, which round-trips exactly,
-so loading a grid reproduces the saved arrays bit for bit. Headers carry no
-timestamp unless explicitly requested, keeping identical runs byte-identical.
+by plain CSV rows. Columns are typed: each is written whole, as integers if
+its cells convert to an integer array and with repr if they convert to a float
+array (any other dtype is refused). repr round-trips exactly, and read_table
+parses the data block into one 2-D float64 array, so loading a grid
+reproduces the saved arrays bit for bit. Headers carry no timestamp unless
+explicitly requested, keeping identical runs byte-identical.
 """
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,19 +33,29 @@ __all__ = [
 ]
 
 _TAG = "chitomo-table v1"
+_BLOCK = 4096  # rows formatted and written at a time
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        raise ValidationError("boolean cells are not part of the table format")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _typed_columns(rows, width: int) -> list:
+    """(formatter, 1-D array) per column of rows, a 2-D array or a list of
+    rows of width cells, each column converted once."""
+    if hasattr(rows, "shape"):  # an array's columns are views sharing its dtype
+        ok, cols = rows.shape[1:] == (width,), list(rows.T)
+    else:
+        ok, cols = all(len(row) == width for row in rows), [np.asarray(c) for c in zip(*rows)]
+    if not ok:
+        raise ValidationError("row width does not match the column list")
+    if any(col.dtype.kind not in "iuf" for col in cols):
+        raise ValidationError("table columns must convert to integer or float arrays")
+    # the cells of .tolist() are Python ints and floats; their str and repr are the format
+    return [(str, c) if c.dtype.kind in "iu" else (repr, c.astype(float, copy=False))
+            for c in cols]
 
 
 def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool = False) -> None:
     """CSV with a '#' header: tag, optional timestamp, meta JSON, column names."""
     columns = list(columns)
+    typed = _typed_columns(rows, len(columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_TAG}\n")
         if timestamps:
@@ -49,105 +63,97 @@ def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool 
             fh.write(f"# generated: {stamp}\n")
         fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            if len(row) != len(columns):
-                raise ValidationError("row width does not match the column list")
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        for start in range(0, len(rows), _BLOCK):
+            cells = [map(fmt, col[start:start + _BLOCK].tolist()) for fmt, col in typed]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_table(path) -> tuple[list[str], list[list[float]], dict]:
-    """Inverse of write_table; numeric cells come back as floats."""
-    columns: list[str] | None = None
+def read_table(path) -> tuple[list[str], np.ndarray, dict]:
+    """Inverse of write_table: column names, the cells as a 2-D float64 array
+    (one row per data line) and the meta object."""
     meta: dict = {}
-    rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != f"# {_TAG}":
+        if fh.readline().rstrip("\n") != f"# {_TAG}":
             raise ValidationError(f"{path} is not a {_TAG} file")
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].lstrip()
-                if body.startswith("meta:"):
-                    meta = json.loads(body[len("meta:"):])
-                elif body.startswith("columns:"):
-                    columns = [c.strip() for c in body[len("columns:"):].split(",")]
-                continue
-            if columns is None:
+            if not line.startswith("#"):
                 raise ValidationError(f"{path} has data before a columns header")
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise ValidationError(f"{path}: row width does not match columns")
-            rows.append([float(c) for c in cells])
-    if columns is None:
-        raise ValidationError(f"{path} has no columns header")
-    return columns, rows, meta
+            key, _, value = line[1:].lstrip().partition(":")
+            if key == "meta":
+                meta = json.loads(value)
+            elif key == "columns":
+                columns = [c.strip() for c in value.split(",")]
+                break
+        else:
+            raise ValidationError(f"{path} has no columns header")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty data block
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:  # a malformed cell or a row of another width
+                raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
+    if data.size == 0:
+        data = data.reshape(0, len(columns))
+    if data.shape[1] != len(columns):
+        raise ValidationError(f"{path}: row width does not match columns")
+    return columns, data, meta
 
 
-def _axes_to_meta(axes) -> list[list[float]]:
-    return [[float(v) for v in a] for a in axes]
+def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, timestamps):
+    """One row per grid point, C order: the coordinate pair coords of each
+    mode (suffixed by the mode index when there are several), then values."""
+    n = grid.n_modes
+    names = list(coords) if n == 1 else [f"{c}{m}" for m in range(n) for c in coords]
+    doc = dict(meta or {})
+    doc.update(fields, kind=kind, axes=[np.asarray(a, dtype=float).tolist() for a in grid.axes])
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
+    table = np.stack(
+        [m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values.values()], axis=1
+    )
+    write_table(path, names + list(values), table, doc, timestamps)
 
 
-def _axes_from_meta(meta) -> tuple[np.ndarray, ...]:
+def _load_grid(path, kind: str, required: tuple, optional: tuple = ()):
+    """(axes, the required then the optional columns on the axes' shape, with
+    None for an absent optional one, meta) of a grid file of the given kind."""
+    columns, data, meta = read_table(path)
+    if meta.get("kind") != kind:
+        raise ValidationError(f"{path} is not a {kind.replace('_', ' ')} file")
     try:
-        return tuple(np.array(a, dtype=float) for a in meta["axes"])
+        axes = tuple(np.array(a, dtype=float) for a in meta["axes"])
     except KeyError:
         raise ValidationError("grid file carries no axes in its meta header") from None
-
-
-def _coordinate_rows(axes, extra_columns):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    return np.stack(flat + list(extra_columns), axis=1)
+    shape = tuple(a.size for a in axes)
+    if data.shape[0] != math.prod(shape):
+        raise ValidationError(f"{path}: row count does not match the axes")
+    if not set(required) <= set(columns):
+        raise ValidationError(f"{path} lacks one of the columns {', '.join(required)}")
+    values = [
+        data[:, columns.index(name)].reshape(shape) if name in columns else None
+        for name in required + optional
+    ]
+    return axes, values, meta
 
 
 def save_chi_grid(
     grid: ChiGrid, path, meta: dict | None = None, timestamps: bool = False
 ) -> None:
     """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr]."""
-    n = grid.n_modes
-    if n == 1:
-        coord_names = ["re_xi", "im_xi"]
-    else:
-        coord_names = []
-        for m in range(n):
-            coord_names += [f"re_xi{m}", f"im_xi{m}"]
-    columns = coord_names + ["re_chi", "im_chi"]
-    extra = [grid.values.reshape(-1).real, grid.values.reshape(-1).imag]
+    values = {"re_chi": grid.values.real, "im_chi": grid.values.imag}
     if grid.stderr is not None:
-        columns.append("stderr")
-        extra.append(grid.stderr.reshape(-1))
-    doc = dict(meta or {})
-    doc.update(
-        {
-            "kind": "chi_grid",
-            "provenance": grid.provenance,
-            "shots": grid.shots,
-            "axes": _axes_to_meta(grid.axes),
-        }
-    )
-    write_table(path, columns, _coordinate_rows(grid.axes, extra), doc, timestamps)
+        values["stderr"] = grid.stderr
+    fields = {"provenance": grid.provenance, "shots": grid.shots}
+    _save_grid(path, "chi_grid", grid, ("re_xi", "im_xi"), values, fields, meta, timestamps)
 
 
 def load_chi_grid(path) -> ChiGrid:
-    columns, rows, meta = read_table(path)
-    if meta.get("kind") != "chi_grid":
-        raise ValidationError(f"{path} is not a chi grid file")
-    axes = _axes_from_meta(meta)
-    shape = tuple(a.size for a in axes)
-    data = np.asarray(rows, dtype=float)
-    if data.shape[0] != math.prod(shape):
-        raise ValidationError(f"{path}: row count does not match the axes")
-    k = len(axes)
-    values = (data[:, k] + 1j * data[:, k + 1]).reshape(shape)
-    stderr = None
-    if "stderr" in columns:
-        stderr = data[:, columns.index("stderr")].reshape(shape)
+    axes, (re, im, stderr), meta = _load_grid(path, "chi_grid", ("re_chi", "im_chi"), ("stderr",))
     return ChiGrid(
         axes=axes,
-        values=values,
+        values=re + 1j * im,
         provenance=str(meta.get("provenance", "exact")),
         shots=int(meta.get("shots", 0)),
         stderr=stderr,
@@ -157,40 +163,15 @@ def load_chi_grid(path) -> ChiGrid:
 def save_wigner_grid(
     grid: WignerGrid, path, meta: dict | None = None, timestamps: bool = False
 ) -> None:
-    n = grid.n_modes
-    if n == 1:
-        coord_names = ["x", "p"]
-    else:
-        coord_names = []
-        for m in range(n):
-            coord_names += [f"x{m}", f"p{m}"]
-    columns = coord_names + ["w"]
-    doc = dict(meta or {})
-    doc.update(
-        {
-            "kind": "wigner_grid",
-            "normalization": grid.normalization,
-            "imag_residual": grid.imag_residual,
-            "axes": _axes_to_meta(grid.axes),
-        }
-    )
-    write_table(
-        path, columns, _coordinate_rows(grid.axes, [grid.values.reshape(-1)]), doc, timestamps
-    )
+    fields = {"normalization": grid.normalization, "imag_residual": grid.imag_residual}
+    _save_grid(path, "wigner_grid", grid, ("x", "p"), {"w": grid.values}, fields, meta, timestamps)
 
 
 def load_wigner_grid(path) -> WignerGrid:
-    _, rows, meta = read_table(path)
-    if meta.get("kind") != "wigner_grid":
-        raise ValidationError(f"{path} is not a Wigner grid file")
-    axes = _axes_from_meta(meta)
-    shape = tuple(a.size for a in axes)
-    data = np.asarray(rows, dtype=float)
-    if data.shape[0] != math.prod(shape):
-        raise ValidationError(f"{path}: row count does not match the axes")
+    axes, (values,), meta = _load_grid(path, "wigner_grid", ("w",))
     return WignerGrid(
         axes=axes,
-        values=data[:, len(axes)].reshape(shape),
+        values=values,
         normalization=float(meta.get("normalization", float("nan"))),
         imag_residual=float(meta.get("imag_residual", 0.0)),
     )

@@ -579,7 +579,7 @@ def gaussian_fit(grid: ChiGrid, min_abs: float = 1e-3) -> GaussianFit:
         xi = mesh[2 * m + 1].reshape(-1)[mask]
         cols += [xr**2, 2.0 * xr * xi, xi**2]
     A = np.stack(cols, axis=1)
-    w = np.sqrt(absval[mask] ** 2)
+    w = absval[mask]
     beta, *_ = np.linalg.lstsq(A * w[:, None], y * w, rcond=None)
 
     cov = np.zeros((2 * n, 2 * n))

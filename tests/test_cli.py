@@ -278,6 +278,21 @@ def test_wigner_missing_chi_file(tmp_path):
     assert run("wigner", "--set", 'chi_file="/nonexistent/chi.csv"', "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("damage", ["cell", "short_row"])
+def test_wigner_corrupt_chi_file_is_exit_1(tmp_path, capsys, damage):
+    chi = tmp_path / "chi.csv"
+    assert run("chi-scan", "--set", "grid.points=9", "--out", str(chi)) == 0
+    lines = chi.read_text().splitlines(keepends=True)
+    cells = lines[-5].rstrip("\n").split(",")
+    cells = ["abc"] + cells[1:] if damage == "cell" else cells[:-1]
+    lines[-5] = ",".join(cells) + "\n"
+    chi.write_text("".join(lines))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- moments
 
 def test_moments_thermal_table(tmp_path):
@@ -403,6 +418,20 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
     assert run("chi-scan", *argv, "--out", str(out)) == 1
     assert not out.exists()
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [(("chi-scan", "--set", 'grid.points="abc"'), "grid.points"),
+     (("manifold", "--set", 'N_list=["x"]'), "N_list"),
+     (("manifold", "--set", "tau.points=null"), "tau.points")],
+)
+def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 1  # a ValidationError, not an escaping traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

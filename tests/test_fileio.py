@@ -1,10 +1,13 @@
 """Table format and grid serialization round trips."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
@@ -32,6 +35,72 @@ THERMAL = GaussianFieldState(modes=MS1, mode_states=[Thermal(n=1.0)])
 
 
 # ------------------------------------------------------------------- tables
+
+# The per-cell writer and reader that the columnar ones replaced, kept as the
+# reference for their bytes and their parse.
+
+def _reference_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        raise ValidationError("boolean cells are not part of the table format")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _reference_write_table(path, columns, rows, meta=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# chitomo-table v1\n")
+        fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
+        fh.write(f"# columns: {','.join(columns)}\n")
+        for row in rows:
+            if len(row) != len(columns):
+                raise ValidationError("row width does not match the column list")
+            fh.write(",".join(_reference_cell(v) for v in row) + "\n")
+
+
+def _reference_read_rows(path) -> list[list[float]]:
+    with open(path, encoding="utf-8") as fh:
+        return [[float(c) for c in line.rstrip("\n").split(",")]
+                for line in fh if line.strip() and not line.startswith("#")]
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_INTS = st.one_of(st.sampled_from([0, -1, 2**53 + 1, 2**63 - 1, -(2**63)]), _INT64)
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, math.inf,
+                     -math.inf, 1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.floats(),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows): int and float columns, as row lists or one 2-D array."""
+    kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=5))
+    n = draw(st.integers(0, 12))
+    cols = [draw(st.lists(_INTS if k == "i" else _FLOATS, min_size=n, max_size=n))
+            for k in kinds]
+    rows = [list(r) for r in zip(*cols)]
+    if draw(st.booleans()):
+        dtype = np.int64 if set(kinds) == {"i"} else float
+        rows = np.array(rows, dtype=dtype).reshape(n, len(kinds))
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_columnar_table_matches_per_cell_reference(tmp_path_factory, table):
+    columns, rows = table
+    d = tmp_path_factory.mktemp("t")
+    new, ref = d / "new.csv", d / "ref.csv"
+    write_table(new, columns, rows, meta={"k": 1})
+    _reference_write_table(ref, columns, rows, meta={"k": 1})
+    assert new.read_bytes() == ref.read_bytes()
+    got_columns, data, meta = read_table(new)
+    assert got_columns == columns and meta == {"k": 1}
+    want = np.array(_reference_read_rows(ref), dtype=float).reshape(-1, len(columns))
+    assert data.dtype == np.float64 and data.shape == want.shape
+    assert data.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bitwise
 
 def test_table_roundtrip_exact(tmp_path):
     path = tmp_path / "t.csv"
@@ -68,6 +137,31 @@ def test_table_rejects_bad_cells(tmp_path):
         write_table(path, ["x"], [[True]])
     with pytest.raises(ValidationError):
         write_table(path, ["x", "y"], [[1.0]])
+    with pytest.raises(ValidationError):
+        write_table(path, ["x"], np.array([[True], [False]]))  # a bool array column
+    with pytest.raises(ValidationError):
+        write_table(path, ["x", "y"], [[1.0, 2.0], [1.0, 1 + 2j]])  # a complex cell
+    with pytest.raises(ValidationError):
+        write_table(path, ["x", "y"], [[1.0, 2.0], [1.0]])  # a ragged row
+
+
+@pytest.mark.parametrize("damage", ["cell", "short_row"])
+def test_read_rejects_corrupt_data(tmp_path, damage):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c"], [[1, 0.5, 2.5], [2, 0.25, -1.0], [3, 0.0, 7.0]])
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-2] = "2,abc,-1.0\n" if damage == "cell" else "2,0.25\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError):
+        read_table(path)
+
+
+def test_read_empty_table_keeps_its_width(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], [])
+    columns, data, _ = read_table(path)
+    assert columns == ["a", "b"]
+    assert data.shape == (0, 2)
 
 
 def test_read_rejects_foreign_files(tmp_path):
