@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
+from .errors import ValidationError, read_field
 from .gaussian_field import ModeSet
 from .pulse_protocol import (
     PulseSchedule,
@@ -154,10 +154,10 @@ class BogoliubovWeighted:
 register_smearing_kind(
     "bogoliubov_weighted",
     lambda d: BogoliubovWeighted(
-        base=smearing_from_dict(d["base"]),
-        m_B=float(d["m_B"]),
-        g_rho0=float(d["g_rho0"]),
-        sign=float(d.get("sign", 1.0)),
+        base=read_field(d, "base", smearing_from_dict, "smearing"),
+        m_B=read_field(d, "m_B", float, "smearing"),
+        g_rho0=read_field(d, "g_rho0", float, "smearing"),
+        sign=read_field(d, "sign", float, "smearing", 1.0),
     ),
 )
 
@@ -253,14 +253,11 @@ def params_to_dict(params: BecParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> BecParams:
-    try:
-        return BecParams(
-            rho0=float(doc["rho0"]),
-            g_g=float(doc["g_g"]),
-            g_e=float(doc["g_e"]),
-            g_rho0=float(doc["g_rho0"]),
-            m_B=float(doc["m_B"]),
-            omega0=float(doc["omega0"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"BEC parameter file missing field {exc}") from exc
+    return BecParams(
+        rho0=read_field(doc, "rho0", float, "bec"),
+        g_g=read_field(doc, "g_g", float, "bec"),
+        g_e=read_field(doc, "g_e", float, "bec"),
+        g_rho0=read_field(doc, "g_rho0", float, "bec"),
+        m_B=read_field(doc, "m_B", float, "bec"),
+        omega0=read_field(doc, "omega0", float, "bec"),
+    )

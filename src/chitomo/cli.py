@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
-from .errors import NumericalCheckError, ValidationError
+from .errors import NumericalCheckError, ValidationError, converted, listed
 from .fileio import (
     load_chi_grid,
     read_json,
@@ -209,25 +209,8 @@ def _state(config) -> GaussianFieldState:
     return _inline_or_file(config["state"], state_from_dict, "state")
 
 
-def _as(kind, value, key: str):
-    """kind(value) for the config value at key; a value kind refuses is bad input."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"config value {key} = {value!r} is not usable: {exc}") from None
-
-
 def _get(config: dict, key: str, kind):
-    return _as(kind, config[key], key)
-
-
-def _listed(kind):
-    """A converter of a config list whose entries kind converts."""
-    def convert(values) -> list:
-        if not isinstance(values, list):
-            raise TypeError(f"a list is expected, not {type(values).__name__}")
-        return [kind(v) for v in values]
-    return convert
+    return converted(kind, config[key], key)
 
 
 def _fields(doc, fields: dict, key: str) -> list:
@@ -235,7 +218,9 @@ def _fields(doc, fields: dict, key: str) -> list:
     given fields; a field mapped to a converter (not None) is converted."""
     if not isinstance(doc, dict) or set(doc) != set(fields):
         raise ValidationError(f"{key} takes exactly the fields {', '.join(fields)}: {doc!r}")
-    return [doc[n] if k is None else _as(k, doc[n], f"{key}.{n}") for n, k in fields.items()]
+    return [
+        doc[n] if k is None else converted(k, doc[n], f"{key}.{n}") for n, k in fields.items()
+    ]
 
 
 def _mode_args(doc, key: str) -> tuple:
@@ -264,7 +249,7 @@ _MANIFOLD_FIELDS = dict.fromkeys(("schedule", "mode", "N_list", "tau"))
 def _curves(schedule, mode, N_list, tau, prefix: str = ""):
     """The manifold curves of a spec whose fields sit at config keys prefix + name."""
     sched = schedule_from_dict(schedule)
-    counts = _as(_listed(float), N_list, f"{prefix}N_list")
+    counts = converted(listed(float), N_list, f"{prefix}N_list")
     taus = _tau_grid(tau, f"{prefix}tau")
     return reachable_manifold(sched, counts, taus, *_mode_args(mode, f"{prefix}mode"))
 
@@ -328,7 +313,7 @@ def cmd_chi_scan(config: dict) -> None:
 def cmd_simulate(config: dict) -> None:
     state = _state(config)
     points = []
-    reals = _listed(lambda entry: np.asarray(entry, dtype=float).reshape(-1))
+    reals = listed(lambda entry: np.asarray(entry, dtype=float).reshape(-1))
     for flat in _get(config, "points", reals):
         if flat.size != 2 * state.n_modes:
             raise ValidationError(
@@ -401,7 +386,7 @@ def cmd_moments(config: dict) -> None:
         if h is None:
             h = 0.01
     rows = []
-    for order in _get(config, "orders", _listed(_listed(int))):
+    for order in _get(config, "orders", listed(listed(int))):
         if len(order) != 2:
             raise ValidationError(f"each moment order is a pair [p, q], got {order}")
         p, q = order
@@ -450,7 +435,7 @@ def cmd_bec_map(config: dict) -> None:
     params = _inline_or_file(config["bec"], params_from_dict, "bec parameters")
     spatial_dim, box_side, indices = _fields(
         config["modes"],
-        {"spatial_dim": int, "box_side": float, "indices": _listed(_listed(int))},
+        {"spatial_dim": int, "box_side": float, "indices": listed(listed(int))},
         "modes",
     )
     modes = ModeSet(

@@ -1,10 +1,12 @@
-"""Shared exception types.
+"""Shared exception types and the readers of input fields that raise them.
 
 ValueError subclasses signal bad inputs (CLI exit code 1); NumericalCheckError
 signals a failed runtime numerical safeguard such as a truncation-leak or
 boundary-decay check (CLI exit code 2).
 """
 from __future__ import annotations
+
+_REQUIRED = object()
 
 
 class ValidationError(ValueError):
@@ -13,3 +15,37 @@ class ValidationError(ValueError):
 
 class NumericalCheckError(RuntimeError):
     """A numerical safeguard failed (truncation leak, boundary decay, ...)."""
+
+
+def converted(kind, value, name: str):
+    """kind(value) for the input field name; a value kind refuses is bad input.
+
+    A ValidationError raised by kind itself (a nested loader) passes through
+    with its own message.
+    """
+    try:
+        return kind(value)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} = {value!r} is not usable: {exc}") from None
+
+
+def listed(kind):
+    """A converter of an input list whose entries kind converts."""
+    def convert(values) -> list:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"a list is expected, not {type(values).__name__}")
+        return [kind(v) for v in values]
+    return convert
+
+
+def read_field(doc, key: str, kind, where: str, default=_REQUIRED):
+    """Field key of the input object named where, converted by kind (None
+    keeps it as it is); without a default a missing field is bad input."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object, got {doc!r}")
+    if key not in doc and default is _REQUIRED:
+        raise ValidationError(f"{where} is missing field {key!r}")
+    value = doc.get(key, default)
+    return value if kind is None else converted(kind, value, f"{where}.{key}")

@@ -1,11 +1,17 @@
 """Brute-force verification layer in a truncated Fock space.
 
 Everything here is deliberately independent of the analytic layer: states are
-built by matrix exponentials (never from closed-form amplitudes), the pulse
-sequence is multiplied out segment by segment, and the qubit check embeds the
-two-level system explicitly and partial-traces it back out. Agreement between
-this module and the closed forms is the evidence that the closed forms are
-implemented with the right signs and orderings.
+built by exponentiating their generators (never from closed-form amplitudes),
+the pulse sequence is multiplied out segment by segment, and the qubit check
+embeds the two-level system explicitly and partial-traces it back out.
+Agreement between this module and the closed forms is the evidence that the
+closed forms are implemented with the right signs and orderings.
+
+Every exponential taken here is exp(-i H) of a Hermitian H (the segment
+generators, i(xi a-dagger - conj(xi) a) for a displacement, i/2 (conj(zeta)
+a^2 - zeta a-dagger^2) for a squeezer). It is formed from the eigendecomposition
+H = V diag(w) V-dagger as V diag(e^(-i w)) V-dagger, which is unitary up to
+rounding at any norm of H.
 
 Conventions validated against the closed-form layer:
 
@@ -125,13 +131,17 @@ def truncated_mode(D: int) -> TruncatedMode:
     return TruncatedMode(dim=int(D), a=a, adag=adag, number=adag @ a)
 
 
+def _unitary(H: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """exp(-i H) for a Hermitian H, from its eigendecomposition."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
 def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
     """D(xi) = exp(xi a-dagger - conj(xi) a) at cutoff D."""
-    from scipy.linalg import expm
-
     xi = complex(xi)
     a = ladder(D)
-    return expm(xi * a.conj().T - np.conj(xi) * a)
+    return _unitary(1j * (xi * a.conj().T - np.conj(xi) * a))
 
 
 def number_rotation(D: int, y: float) -> NDArray[np.complex128]:
@@ -170,14 +180,12 @@ def squeezed_ket(
     S = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2]. Built without closed-form
     Fock amplitudes so it stays an independent check on the analytic layer.
     """
-    from scipy.linalg import expm
-
     if r < 0:
         raise ValidationError("squeezing modulus must be >= 0")
     zeta = r * np.exp(1j * theta)
     a = ladder(D)
     adag = a.conj().T
-    S = expm(0.5 * (np.conj(zeta) * (a @ a) - zeta * (adag @ adag)))
+    S = _unitary(0.5j * (np.conj(zeta) * (a @ a) - zeta * (adag @ adag)))
     psi = S[:, 0]
     boundary = max(abs(psi[-1]), abs(psi[-2]))
     if boundary >= boundary_tol:
@@ -206,18 +214,21 @@ def fock_density(
 
 @dataclass(frozen=True, eq=False)
 class SegmentOperators:
-    """Unitaries and integrated generators for one [tau - pi - tau - pi] segment.
+    """Segment and half-segment unitaries for one [tau - pi - tau - pi] segment.
 
-    v_g, v_e are the window-integrated generators omega tau n -/+ lam eta
-    (F a + conj(F) a-dagger); leak is the largest top-level population any
-    low Fock state acquires under u_g or u_e.
+    half_g = exp(-i v_g) and half_e = exp(-i v_e) evolve the field over one
+    half-segment under the window-integrated generators v_g, v_e = omega tau n
+    -/+ lam eta (F a + conj(F) a-dagger), each exponentiated once from its
+    eigendecomposition; u_g = half_e half_g and u_e = half_g half_e. leak is
+    the largest top-level population any low Fock state acquires under u_g or
+    u_e.
     """
 
     dim: int
     u_g: NDArray[np.complex128]
     u_e: NDArray[np.complex128]
-    v_g: NDArray[np.complex128]
-    v_e: NDArray[np.complex128]
+    half_g: NDArray[np.complex128]
+    half_e: NDArray[np.complex128]
     leak: float
 
 
@@ -231,8 +242,6 @@ def build_segment(
     Raises when any low Fock column leaks population above leak_tol into the
     top level, which is the signal to enlarge D.
     """
-    from scipy.linalg import expm
-
     if int(D) != D or D < 8:
         raise ValidationError("segment cutoff must be an integer >= 8")
     D = int(D)
@@ -243,10 +252,10 @@ def build_segment(
     tm = truncated_mode(D)
     free = mode.omega * sched.tau * tm.number
     coupling = sched.lam * eta * (ft * tm.a + np.conj(ft) * tm.adag)
-    v_g = free - coupling
-    v_e = free + coupling
-    u_g = expm(-1j * v_e) @ expm(-1j * v_g)
-    u_e = expm(-1j * v_g) @ expm(-1j * v_e)
+    half_g = _unitary(free - coupling)
+    half_e = _unitary(free + coupling)
+    u_g = half_e @ half_g
+    u_e = half_g @ half_e
     half = D // 2
     leak = max(
         float(np.max(np.abs(u_g[D - 1, :half]) ** 2)),
@@ -257,7 +266,7 @@ def build_segment(
             f"segment leaks population {leak:.3e} into the top Fock level at D = {D}; "
             "increase the cutoff"
         )
-    return SegmentOperators(dim=D, u_g=u_g, u_e=u_e, v_g=v_g, v_e=v_e, leak=leak)
+    return SegmentOperators(dim=D, u_g=u_g, u_e=u_e, half_g=half_g, half_e=half_e, leak=leak)
 
 
 def evolve_pulse_sequence(seg: SegmentOperators, N: int) -> NDArray[np.complex128]:
@@ -438,8 +447,6 @@ def joint_bloch_oracle(
     S = P F P F with F the branch-conditioned half-segment evolution and P
     the pi pulse, then S^N, then traces out the field. No closed form enters.
     """
-    from scipy.linalg import expm
-
     mode_state = _single_mode_state(state)
     seg = build_segment(sched, mode, D)
     rho_f = fock_density(mode_state, seg.dim, tail_tol, boundary_tol)
@@ -450,9 +457,7 @@ def joint_bloch_oracle(
     proj_g[0, 0] = 1.0
     proj_e = np.zeros((2, 2), dtype=complex)
     proj_e[1, 1] = 1.0
-    half_g = expm(-1j * seg.v_g)
-    half_e = expm(-1j * seg.v_e)
-    F = np.kron(proj_g, half_g) + np.kron(proj_e, half_e)
+    F = np.kron(proj_g, seg.half_g) + np.kron(proj_e, seg.half_e)
     P = np.kron(_qubit_rotation(np.pi, 0.0), np.eye(seg.dim, dtype=complex))
     S = P @ F @ P @ F
     total = np.linalg.matrix_power(S, sched.N)

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
+from .errors import ValidationError, listed, read_field
 
 __all__ = [
     "ModeSet",
@@ -405,26 +405,26 @@ def state_to_dict(state: GaussianFieldState) -> dict:
 
 
 def state_from_dict(doc: dict) -> GaussianFieldState:
-    try:
-        entries = doc["modes"]
-        modeset = ModeSet(
-            spatial_dim=int(doc["spatial_dim"]),
-            box_side=float(doc["box_side"]),
-            mass=float(doc["mass"]),
-            mode_indices=tuple(tuple(int(c) for c in e["j"]) for e in entries),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"state document missing field {exc}") from exc
+    entries = read_field(doc, "modes", listed(dict), "state")
+    where = [f"state.modes[{i}]" for i in range(len(entries))]
+    modeset = ModeSet(
+        spatial_dim=read_field(doc, "spatial_dim", int, "state"),
+        box_side=read_field(doc, "box_side", float, "state"),
+        mass=read_field(doc, "mass", float, "state"),
+        mode_indices=tuple(read_field(e, "j", listed(int), w) for e, w in zip(entries, where)),
+    )
     states: list[ModeState] = []
-    for e in entries:
-        kind = e.get("kind", "vacuum")
-        params = e.get("params", {})
+    for e, w in zip(entries, where):
+        kind = read_field(e, "kind", None, w, "vacuum")
+        params = read_field(e, "params", dict, w, {})
+        at = f"{w}.params"
         if kind == "vacuum":
             states.append(Vacuum())
         elif kind == "thermal":
-            states.append(Thermal(n=float(params["n"])))
+            states.append(Thermal(n=read_field(params, "n", float, at)))
         elif kind == "squeezed":
-            states.append(Squeezed(r=float(params["r"]), theta=float(params.get("theta", 0.0))))
+            r = read_field(params, "r", float, at)
+            states.append(Squeezed(r=r, theta=read_field(params, "theta", float, at, 0.0)))
         else:
             raise ValidationError(f"unknown mode kind {kind!r}")
     return GaussianFieldState(modes=modeset, mode_states=tuple(states))

@@ -34,7 +34,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
+from .errors import ValidationError, listed, read_field
 
 __all__ = [
     "SphericalGaussian",
@@ -275,9 +275,13 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
 # pulse schedule and the displacement closed form
 
 def _segment_count(N) -> int:
-    if int(N) != N or N < 1:
+    try:
+        count = int(N)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count != N or count < 1:
         raise ValidationError(f"segment count N must be an integer >= 1, got {N!r}")
-    return int(N)
+    return count
 
 
 @dataclass(frozen=True)
@@ -396,23 +400,34 @@ def register_switching_kind(name: str, loader: Callable[[dict], object]) -> None
 
 
 register_smearing_kind(
-    "spherical_gaussian", lambda d: SphericalGaussian(sigma=float(d["sigma"]))
+    "spherical_gaussian",
+    lambda d: SphericalGaussian(sigma=read_field(d, "sigma", float, "smearing")),
 )
 register_smearing_kind("delta", lambda d: Delta())
 register_smearing_kind(
-    "custom_radial", lambda d: CustomRadial(r=tuple(d["r"]), f=tuple(d["f"]))
-)
-register_switching_kind("constant", lambda d: Constant(value=float(d.get("value", 1.0))))
-register_switching_kind(
-    "gaussian",
-    lambda d: GaussianWindow(
-        center=float(d["center"]),
-        width=float(d["width"]),
-        relative=bool(d.get("relative", False)),
+    "custom_radial",
+    lambda d: CustomRadial(
+        r=read_field(d, "r", listed(float), "smearing"),
+        f=read_field(d, "f", listed(float), "smearing"),
     ),
 )
 register_switching_kind(
-    "custom", lambda d: CustomSwitching(t=tuple(d["t"]), eta=tuple(d["eta"]))
+    "constant", lambda d: Constant(value=read_field(d, "value", float, "switching", 1.0))
+)
+register_switching_kind(
+    "gaussian",
+    lambda d: GaussianWindow(
+        center=read_field(d, "center", float, "switching"),
+        width=read_field(d, "width", float, "switching"),
+        relative=read_field(d, "relative", bool, "switching", False),
+    ),
+)
+register_switching_kind(
+    "custom",
+    lambda d: CustomSwitching(
+        t=read_field(d, "t", listed(float), "switching"),
+        eta=read_field(d, "eta", listed(float), "switching"),
+    ),
 )
 
 
@@ -421,7 +436,7 @@ def smearing_to_dict(f) -> dict:
 
 
 def smearing_from_dict(doc: dict):
-    kind = doc.get("kind")
+    kind = read_field(doc, "kind", str, "smearing")
     if kind not in _SMEARING_KINDS:
         raise ValidationError(f"unknown smearing kind {kind!r}")
     return _SMEARING_KINDS[kind](doc)
@@ -432,7 +447,7 @@ def switching_to_dict(eta) -> dict:
 
 
 def switching_from_dict(doc: dict):
-    kind = doc.get("kind")
+    kind = read_field(doc, "kind", str, "switching")
     if kind not in _SWITCHING_KINDS:
         raise ValidationError(f"unknown switching kind {kind!r}")
     return _SWITCHING_KINDS[kind](doc)
@@ -449,13 +464,10 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(doc: dict) -> PulseSchedule:
-    try:
-        return PulseSchedule(
-            lam=float(doc["lambda"]),
-            tau=float(doc["tau"]),
-            N=int(doc["N"]),
-            smearing=smearing_from_dict(doc["smearing"]),
-            switching=switching_from_dict(doc["switching"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"schedule document missing field {exc}") from exc
+    return PulseSchedule(
+        lam=read_field(doc, "lambda", float, "schedule"),
+        tau=read_field(doc, "tau", float, "schedule"),
+        N=read_field(doc, "N", None, "schedule"),
+        smearing=read_field(doc, "smearing", smearing_from_dict, "schedule"),
+        switching=read_field(doc, "switching", switching_from_dict, "schedule"),
+    )

@@ -179,17 +179,32 @@ def grid_integral(grid) -> float:
 # --------------------------------------------------------------------------
 # grid construction
 
-def _default_axes(state: GaussianFieldState, extent: float = 6.0, points: int = 129):
-    return tuple(grid_axis(extent, points) for _ in range(2 * state.n_modes))
+# the largest grid a state may be evaluated on: 537 MB per complex array
+MAX_GRID_CELLS = 2**25
+
+
+def _state_axes(state: GaussianFieldState, axes: Sequence[np.ndarray] | None):
+    """Checked axes for a grid of state (default: 129 points at extent 6 on
+    every axis); a grid above MAX_GRID_CELLS is refused before it exists."""
+    if axes is None:
+        axes = tuple(grid_axis(6.0, 129) for _ in range(2 * state.n_modes))
+    axes = _check_axes(axes)
+    if len(axes) != 2 * state.n_modes:
+        raise ValidationError("axis count does not match the state's mode count")
+    cells = math.prod(a.size for a in axes)
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"a {'x'.join(str(a.size) for a in axes)} grid has {cells} cells, "
+            f"above the budget of {MAX_GRID_CELLS}; use fewer points"
+        )
+    return axes
 
 
 def chi_grid_from_state(
     state: GaussianFieldState, axes: Sequence[np.ndarray] | None = None
 ) -> ChiGrid:
     """Exact chi on a grid, straight from the closed form."""
-    axes = _default_axes(state) if axes is None else _check_axes(axes)
-    if len(axes) != 2 * state.n_modes:
-        raise ValidationError("axis count does not match the state's mode count")
+    axes = _state_axes(state, axes)
     return ChiGrid(axes=axes, values=char_analytic_grid(state, axes), provenance="exact")
 
 
@@ -226,9 +241,7 @@ def sampled_chi_grid(
     only the canonical half-space is measured (NaN elsewhere), ready for
     hermitian_fill.
     """
-    axes = _default_axes(state) if axes is None else _check_axes(axes)
-    if len(axes) != 2 * state.n_modes:
-        raise ValidationError("axis count does not match the state's mode count")
+    axes = _state_axes(state, axes)
     chi = char_analytic_grid(state, axes)
     measured = _half_space_mask(axes) if half else np.ones(chi.shape, dtype=bool)
     readout = readout_chi(chi[measured], theta, shots, seed)

@@ -98,18 +98,24 @@ def test_chi_scan_outputs_are_reproducible(tmp_path):
     assert data_lines(a) == data_lines(b)
 
 
-def test_sampled_outputs_are_byte_identical_on_rerun(tmp_path):
+def test_sampled_outputs_are_byte_identical_on_rerun(tmp_path, monkeypatch):
     cases = {
         "simulate": ("simulate", "--set", "points=[[0.2, 0.0], [0.0, 0.4]]",
                      "--shots", "300", "--seed", "9"),
         "wigner": ("wigner", "--set", "grid.points=21", "--set", "boundary_tol=1.0",
                    "--shots", "300", "--seed", "9"),
+        "oracle-check": ("oracle-check", "--set", "n_draws=3"),
     }
+    # each rerun writes the same relative path from its own directory, so the
+    # recorded config, headers included, is the same too
     for name, args in cases.items():
-        a, b = tmp_path / f"{name}_a.csv", tmp_path / f"{name}_b.csv"
-        assert run(*args, "--out", str(a)) == 0
-        assert run(*args, "--out", str(b)) == 0
-        assert data_lines(a) == data_lines(b)
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / side)
+            assert run(*args, "--out", f"{name}.out") == 0
+        assert (tmp_path / "a" / f"{name}.out").read_bytes() == (
+            tmp_path / "b" / f"{name}.out"
+        ).read_bytes()
 
 
 def test_chi_scan_sampled_errors_cover_truth(tmp_path):
@@ -424,7 +430,14 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
     "argv,key",
     [(("chi-scan", "--set", 'grid.points="abc"'), "grid.points"),
      (("manifold", "--set", 'N_list=["x"]'), "N_list"),
-     (("manifold", "--set", "tau.points=null"), "tau.points")],
+     (("manifold", "--set", "tau.points=null"), "tau.points"),
+     (("manifold", "--set", 'schedule.lambda="a"'), "schedule.lambda"),
+     (("bec-map", "--set", 'bec.rho0="a"'), "bec.rho0"),
+     (("chi-scan", "--set",
+       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": "a"}}]'),
+      "state.modes[0].params.n"),
+     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "thermal", "params": {}}]'),
+      "state.modes[0].params is missing field 'n'")],
 )
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"
@@ -468,6 +481,50 @@ def test_cli_import_loads_no_heavy_scipy():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.strip() == "['chitomo.fock_oracle']"
+
+
+def test_oracle_check_loads_no_scipy_linalg(tmp_path):
+    # every exponential of the oracle comes from numpy's Hermitian eigensolver
+    argv = ["oracle-check", "--set", "n_draws=2", "--out", str(tmp_path / "o.json")]
+    code = (
+        "import sys; from chitomo.cli import main; "
+        f"code = main({argv!r}); print(code, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_oversized_grid_is_refused_before_allocation(tmp_path):
+    # two modes at the default 129 points ask for 129^4 cells (4.4 GB); under a
+    # 1 GB address-space limit a missing guard shows as a MemoryError
+    out = tmp_path / "chi.csv"
+    two_modes = 'state.modes=[{"j": [1], "kind": "vacuum"}, {"j": [2], "kind": "vacuum"}]'
+    argv = ["chi-scan", "--set", two_modes, "--out", str(out)]
+    code = (
+        "import resource, sys\n"
+        "from chitomo.cli import main\n"
+        "from chitomo.errors import ValidationError\n"
+        "from chitomo.gaussian_field import GaussianFieldState, ModeSet\n"
+        "from chitomo.tomography import chi_grid_from_state, sampled_chi_grid\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "state = GaussianFieldState(ModeSet(1, 6.28, 1.0, ((1,), (2,))))\n"
+        "for build in (chi_grid_from_state, sampled_chi_grid):\n"
+        "    try:\n"
+        "        build(state)\n"
+        "    except ValidationError:\n"
+        "        print('refused')\n"
+        f"print(main({argv!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.splitlines() == ["refused", "refused", "1"], proc.stderr
+    assert proc.stderr.startswith("error:") and "cells" in proc.stderr
+    assert not out.exists()
 
 
 def test_version_exits_0(capsys):

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.fock_oracle import (
     FieldMode,
+    _unitary,
     build_segment,
     chi_fock,
     default_cutoff,
@@ -32,7 +36,7 @@ from chitomo.gaussian_field import (
     Thermal,
     char_analytic,
 )
-from chitomo.pulse_protocol import Constant, Delta, PulseSchedule
+from chitomo.pulse_protocol import Constant, Delta, PulseSchedule, switching_integral
 from chitomo.ramsey_readout import final_qubit_state
 
 MODE = FieldMode(k=1.0, omega=1.0, box_side=2 * math.pi, spatial_dim=1)
@@ -72,6 +76,52 @@ def test_displacement_operator_coherent_amplitudes():
     xi = 0.7 - 0.3j
     assert U[0, 0] == pytest.approx(math.exp(-abs(xi) ** 2 / 2), abs=1e-13)
     assert U[1, 0] == pytest.approx(xi * U[0, 0], abs=1e-13)
+
+
+def assert_matches_expm(U, H):
+    # scipy's Pade expm is the reference the eigendecomposition replaces
+    bound = 1e-13 * max(1.0, np.linalg.norm(H, 2))
+    assert np.linalg.norm(U - expm(-1j * H), 2) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), norm=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1))
+def test_unitary_matches_expm_on_random_hermitian(n, norm, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = A + A.conj().T
+    H *= norm / np.linalg.norm(H, 2)
+    assert_matches_expm(_unitary(H), H)
+
+
+def test_unitary_matches_expm_on_the_oracle_generators():
+    a, xi = ladder(40), 0.7 - 0.3j
+    H = 1j * (xi * a.conj().T - np.conj(xi) * a)
+    assert_matches_expm(_unitary(H), H)
+    assert_matches_expm(displacement_operator(40, xi), H)
+
+    a = ladder(160)
+    H = 0.5j * (a @ a - a.conj().T @ a.conj().T)  # squeezer, r = 1, theta = 0
+    assert_matches_expm(_unitary(H), H)
+    ref = expm(-1j * H)[:, 0]
+    assert np.linalg.norm(squeezed_ket(160, 1.0) - ref) <= 1e-13 * np.linalg.norm(H, 2)
+
+    s, tm = sched(), truncated_mode(40)
+    eta = switching_integral(s.switching, s.tau, MODE.omega, MODE.box_side, MODE.spatial_dim)
+    free = MODE.omega * s.tau * tm.number
+    coupling = s.lam * eta * (tm.a + tm.adag)  # point smearing, F = 1
+    seg = build_segment(s, MODE, 40)
+    for half, v in ((seg.half_g, free - coupling), (seg.half_e, free + coupling)):
+        assert_matches_expm(_unitary(v), v)
+        assert_matches_expm(half, v)
+
+
+def test_segment_is_the_product_of_its_halves():
+    # each generator is exponentiated once; the segment unitaries are the two
+    # orders of the same pair of half-segment factors
+    seg = build_segment(sched(), MODE, 40)
+    np.testing.assert_array_equal(seg.half_e @ seg.half_g, seg.u_g)
+    np.testing.assert_array_equal(seg.half_g @ seg.half_e, seg.u_e)
 
 
 def test_number_rotation_phases():

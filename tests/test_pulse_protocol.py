@@ -404,3 +404,23 @@ def test_schedule_unknown_kind_rejected():
     doc["smearing"] = {"kind": "nope"}
     with pytest.raises(ValidationError):
         schedule_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field,value,named",
+    [("N", 2.5, "segment count N"), ("N", "2", "segment count N"),
+     ("N", None, "segment count N"), ("lambda", "a", "schedule.lambda"),
+     ("tau", [1.0], "schedule.tau"),
+     ("smearing", {"kind": "spherical_gaussian", "sigma": "x"}, "smearing.sigma"),
+     ("smearing", {"sigma": 1.0}, "missing field 'kind'"),
+     ("switching", {"kind": "custom", "t": "ab", "eta": [1.0, 1.0]}, "switching.t")],
+)
+def test_schedule_from_dict_names_the_bad_field(field, value, named):
+    # N reaches PulseSchedule unconverted, so 2.5 is refused rather than read as 2
+    doc = schedule_to_dict(canonical())
+    doc[field] = value
+    with pytest.raises(ValidationError, match=named):
+        schedule_from_dict(doc)
+    del doc[field]
+    with pytest.raises(ValidationError, match=f"missing field '{field}'"):
+        schedule_from_dict(doc)
