@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
-from .errors import NumericalCheckError, ValidationError, converted, listed
+from .errors import NumericalCheckError, ValidationError, boolean, converted, integer, listed
 from .fileio import (
     load_chi_grid,
     read_json,
@@ -224,18 +224,18 @@ def _fields(doc, fields: dict, key: str) -> list:
 
 
 def _mode_args(doc, key: str) -> tuple:
-    return tuple(_fields(doc, {"k": float, "omega": float, "L": float, "n": int}, key))
+    return tuple(_fields(doc, {"k": float, "omega": float, "L": float, "n": integer}, key))
 
 
 def _tau_grid(doc, key: str) -> np.ndarray:
-    lo, hi, points = _fields(doc, {"min": float, "max": float, "points": int}, key)
+    lo, hi, points = _fields(doc, {"min": float, "max": float, "points": integer}, key)
     if not (0 < lo < hi and points >= 2):
         raise ValidationError("tau grid needs 0 < min < max and >= 2 points")
     return np.linspace(lo, hi, points)
 
 
 def _grid_axes(config: dict, key: str, n_modes: int):
-    extent, points = _fields(config[key], {"extent": float, "points": int}, key)
+    extent, points = _fields(config[key], {"extent": float, "points": integer}, key)
     return tuple(grid_axis(extent, points) for _ in range(2 * n_modes))
 
 
@@ -275,7 +275,7 @@ def cmd_manifold(config: dict) -> None:
 def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
     if state.n_modes != 1:
         raise ValidationError("manifold scans address a single mode")
-    shots = _get(config, "shots", int)
+    shots = _get(config, "shots", integer)
     columns = ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]
     if shots > 0:
         columns.append("stderr")
@@ -285,7 +285,7 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
         errs = np.zeros(chis.shape)
         if shots > 0:
             readout = readout_chi(
-                chis, _get(config, "theta", float), shots, _get(config, "seed", int) + curve.N
+                chis, _get(config, "theta", float), shots, _get(config, "seed", integer) + curve.N
             )
             chis, errs = readout.chi_est, readout.chi_stderr
         for tau, xi, chi, err in zip(curve.taus, curve.xis, chis, errs):
@@ -324,8 +324,8 @@ def cmd_simulate(config: dict) -> None:
         state,
         points,
         theta=_get(config, "theta", float),
-        shots=_get(config, "shots", int),
-        seed=_get(config, "seed", int),
+        shots=_get(config, "shots", integer),
+        seed=_get(config, "seed", integer),
     )
     columns, rows = records_table(records)
     write_table(config["out"], columns, rows, meta=_meta("simulate", config),
@@ -338,14 +338,14 @@ def _chi_grid_for(config: dict):
         return load_chi_grid(config["chi_file"])
     state = _state(config)
     axes = _grid_axes(config, "grid", state.n_modes)
-    shots = _get(config, "shots", int)
+    shots = _get(config, "shots", integer)
     if shots > 0:
         return sampled_chi_grid(
             state, axes,
             theta=_get(config, "theta", float),
             shots=shots,
-            seed=_get(config, "seed", int),
-            half=bool(config.get("half", False)),
+            seed=_get(config, "seed", integer),
+            half=converted(boolean, config.get("half", False), "half"),
         )
     return chi_grid_from_state(state, axes)
 
@@ -365,9 +365,9 @@ def cmd_wigner(config: dict) -> None:
 
 
 def cmd_moments(config: dict) -> None:
-    mode = _get(config, "mode", int)
+    mode = _get(config, "mode", integer)
     h = None if config["h"] is None else _get(config, "h", float)
-    if config.get("chi_file") or _get(config, "shots", int) > 0:
+    if config.get("chi_file") or _get(config, "shots", integer) > 0:
         source = _chi_grid_for(config)
         if np.any(np.isnan(source.values)):
             source = hermitian_fill(source)
@@ -386,14 +386,14 @@ def cmd_moments(config: dict) -> None:
         if h is None:
             h = 0.01
     rows = []
-    for order in _get(config, "orders", listed(listed(int))):
+    for order in _get(config, "orders", listed(listed(integer))):
         if len(order) != 2:
             raise ValidationError(f"each moment order is a pair [p, q], got {order}")
         p, q = order
         value, error = moments_fd(
             source, src_mode, p, q,
             h=h,
-            richardson=bool(config["richardson"]),
+            richardson=_get(config, "richardson", boolean),
             with_error=True,
         )
         rows.append([p, q, value.real, value.imag, float("nan") if error is None else error])
@@ -409,8 +409,8 @@ def cmd_moments(config: dict) -> None:
 
 def cmd_oracle_check(config: dict) -> int:
     reports = run_default_suite(
-        n_draws=_get(config, "n_draws", int), D=_get(config, "D", int),
-        seed=_get(config, "seed", int),
+        n_draws=_get(config, "n_draws", integer), D=_get(config, "D", integer),
+        seed=_get(config, "seed", integer),
     )
     all_passed = all(r["passed"] for r in reports)
     for r in reports:
@@ -435,7 +435,7 @@ def cmd_bec_map(config: dict) -> None:
     params = _inline_or_file(config["bec"], params_from_dict, "bec parameters")
     spatial_dim, box_side, indices = _fields(
         config["modes"],
-        {"spatial_dim": int, "box_side": float, "indices": listed(listed(int))},
+        {"spatial_dim": integer, "box_side": float, "indices": listed(listed(integer))},
         "modes",
     )
     modes = ModeSet(

@@ -6,6 +6,8 @@ boundary-decay check (CLI exit code 2).
 """
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 _REQUIRED = object()
 
 
@@ -29,6 +31,23 @@ def converted(kind, value, name: str):
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} = {value!r} is not usable: {exc}") from None
+
+
+def integer(value) -> int:
+    """An exact integer field: 2 and 2.0 are 2; 2.5, '2', True, NaN and inf
+    are refused rather than truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"an integer is expected, not {type(value).__name__}")
+    if not isinstance(value, Integral) and not float(value).is_integer():
+        raise ValueError("an integer is expected")
+    return int(value)
+
+
+def boolean(value) -> bool:
+    """A boolean field: only true and false; "false", 0 and 1 are refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"true or false is expected, not {type(value).__name__}")
+    return value
 
 
 def listed(kind):

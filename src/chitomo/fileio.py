@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, read_field
 from .tomography import ChiGrid, WignerGrid
 
 __all__ = [
@@ -155,7 +155,7 @@ def load_chi_grid(path) -> ChiGrid:
         axes=axes,
         values=re + 1j * im,
         provenance=str(meta.get("provenance", "exact")),
-        shots=int(meta.get("shots", 0)),
+        shots=read_field(meta, "shots", integer, f"{path} meta", 0),
         stderr=stderr,
     )
 

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, listed, read_field
+from .errors import ValidationError, integer, listed, read_field
 
 __all__ = [
     "ModeSet",
@@ -276,7 +276,8 @@ def char_analytic_grid(
         new_shape[2 * k] = len(x)
         new_shape[2 * k + 1] = len(y)
         expo += e2.reshape(new_shape)
-    return np.exp(expo).astype(complex)
+    # exp in place: one real and one complex grid alive, not a second real one
+    return np.exp(expo, out=expo).astype(complex)
 
 
 def gaussian_expectation(
@@ -408,10 +409,10 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
     entries = read_field(doc, "modes", listed(dict), "state")
     where = [f"state.modes[{i}]" for i in range(len(entries))]
     modeset = ModeSet(
-        spatial_dim=read_field(doc, "spatial_dim", int, "state"),
+        spatial_dim=read_field(doc, "spatial_dim", integer, "state"),
         box_side=read_field(doc, "box_side", float, "state"),
         mass=read_field(doc, "mass", float, "state"),
-        mode_indices=tuple(read_field(e, "j", listed(int), w) for e, w in zip(entries, where)),
+        mode_indices=tuple(read_field(e, "j", listed(integer), w) for e, w in zip(entries, where)),
     )
     states: list[ModeState] = []
     for e, w in zip(entries, where):

@@ -34,7 +34,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, listed, read_field
+from .errors import ValidationError, boolean, integer, listed, read_field
 
 __all__ = [
     "SphericalGaussian",
@@ -276,10 +276,10 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
 
 def _segment_count(N) -> int:
     try:
-        count = int(N)
-    except (TypeError, ValueError, OverflowError):
+        count = integer(N)
+    except (TypeError, ValueError):
         count = 0
-    if count != N or count < 1:
+    if count < 1:
         raise ValidationError(f"segment count N must be an integer >= 1, got {N!r}")
     return count
 
@@ -419,7 +419,7 @@ register_switching_kind(
     lambda d: GaussianWindow(
         center=read_field(d, "center", float, "switching"),
         width=read_field(d, "width", float, "switching"),
-        relative=read_field(d, "relative", bool, "switching", False),
+        relative=read_field(d, "relative", boolean, "switching", False),
     ),
 )
 register_switching_kind(

@@ -256,6 +256,16 @@ def test_wigner_boundary_guard_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_wigner_boundary_refusal_on_a_sampled_grid_states_the_stderr(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--shots", "1000", "--set", "grid.points=33", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    # the leading text is the one the benchmark's known refusal matches
+    assert "at the grid boundary exceeds 1.0e-06; the largest stderr on the boundary is" in err
+    assert "enlarge" not in err
+    assert not out.exists()
+
+
 def test_wigner_from_sampled_half_grid(tmp_path):
     chi_out = tmp_path / "chi.csv"
     code = run(
@@ -442,6 +452,30 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"
     assert run(*argv, "--out", str(out)) == 1  # a ValidationError, not an escaping traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [(("chi-scan", "--set", "grid.points=9.7"), "grid.points"),
+     (("chi-scan", "--set", 'state.modes=[{"j": [1.5]}]'), "state.modes[0].j"),
+     (("chi-scan", "--set", "state.spatial_dim=true"), "state.spatial_dim"),
+     (("moments", "--set", "mode=0.5"), "mode"),
+     (("moments", "--set", "orders=[[1, 1.5]]"), "orders"),
+     (("oracle-check", "--set", "n_draws=2.5"), "n_draws"),
+     (("oracle-check", "--set", "D=40.5"), "D"),
+     (("bec-map", "--set", "modes.spatial_dim=1.5"), "modes.spatial_dim"),
+     (("chi-scan", "--shots", "100", "--set", 'half="false"'), "half"),
+     (("moments", "--set", 'richardson="false"'), "richardson"),
+     (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
+       '"width": 0.2, "relative": "false"}'), "switching.relative")],
+)
+def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
+    # 9.7 is not truncated to 9, nor the string "false" read as true
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()

@@ -187,6 +187,18 @@ def test_chi_grid_roundtrip_bitwise(tmp_path):
     assert back.shots == g.shots
 
 
+@pytest.mark.parametrize("shots", ['"abc"', "100.7", "true"])
+def test_chi_grid_meta_shots_must_be_an_exact_integer(tmp_path, shots):
+    g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 5),) * 2, shots=100, seed=1)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    text = path.read_text()
+    assert text.count('"shots": 100') == 1
+    path.write_text(text.replace('"shots": 100', f'"shots": {shots}'))
+    with pytest.raises(ValidationError, match="meta.shots"):
+        load_chi_grid(path)
+
+
 def test_chi_grid_roundtrip_exact_and_two_mode(tmp_path):
     st2 = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.4)])
     g = chi_grid_from_state(st2, (grid_axis(2.0, 7),) * 4)

@@ -413,7 +413,10 @@ def test_schedule_unknown_kind_rejected():
      ("tau", [1.0], "schedule.tau"),
      ("smearing", {"kind": "spherical_gaussian", "sigma": "x"}, "smearing.sigma"),
      ("smearing", {"sigma": 1.0}, "missing field 'kind'"),
-     ("switching", {"kind": "custom", "t": "ab", "eta": [1.0, 1.0]}, "switching.t")],
+     ("switching", {"kind": "custom", "t": "ab", "eta": [1.0, 1.0]}, "switching.t"),
+     ("N", True, "segment count N"),
+     ("switching", {"kind": "gaussian", "center": 0.5, "width": 0.2, "relative": "false"},
+      "switching.relative")],
 )
 def test_schedule_from_dict_names_the_bad_field(field, value, named):
     # N reaches PulseSchedule unconverted, so 2.5 is refused rather than read as 2

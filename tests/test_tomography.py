@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,16 +12,19 @@ from hypothesis import strategies as st
 
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.gaussian_field import (
+    OMEGA_2X2,
     GaussianFieldState,
     ModeSet,
     Squeezed,
     Thermal,
     Vacuum,
+    _quadratic_form,
     char_analytic,
     moments_analytic,
 )
 from chitomo.tomography import (
     ChiGrid,
+    WignerGrid,
     chi_grid_from_state,
     gaussian_fit,
     grid_axis,
@@ -438,3 +442,202 @@ def test_fit_recovers_from_sampled_grid():
     g = sampled_chi_grid(THERMAL, square_axes(2.0, 21), shots=100_000, seed=3, half=True)
     fit = gaussian_fit(hermitian_fill(g))
     assert fit.nbar[0] == pytest.approx(1.0, abs=0.05)
+
+
+# ------------------------------------------------- reference implementations
+#
+# The dense exact-grid layers were rewritten to avoid full-size temporaries.
+# The straightforward forms below are kept as references: the library must
+# agree with them bit for bit, sign of zero included.
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _chi_grid_reference(state, axes):
+    """exp of the summed per-mode exponents, then cast to complex."""
+    expo = np.zeros(tuple(a.size for a in axes))
+    for k in range(state.n_modes):
+        G = _quadratic_form(state, k)
+        x, y = axes[2 * k], axes[2 * k + 1]
+        e2 = -0.5 * (
+            G[0, 0] * x[:, None] ** 2
+            + 2.0 * G[0, 1] * x[:, None] * y[None, :]
+            + G[1, 1] * y[None, :] ** 2
+        )
+        shape = [1] * len(axes)
+        shape[2 * k], shape[2 * k + 1] = x.size, y.size
+        expo += e2.reshape(shape)
+    return np.exp(expo).astype(complex)
+
+
+def _fill_reference(grid):
+    """Three np.where calls over full-size operands."""
+    rev = tuple(slice(None, None, -1) for _ in grid.axes)
+    partner = np.conj(grid.values[rev])
+    have_v = ~np.isnan(grid.values)
+    have_p = ~np.isnan(partner)
+    values = np.where(
+        have_v & have_p,
+        0.5 * (np.where(have_v, grid.values, 0) + np.where(have_p, partner, 0)),
+        np.where(have_v, grid.values, partner),
+    )
+    stderr = None
+    if grid.stderr is not None:
+        err_p = grid.stderr[rev]
+        both = have_v & have_p
+        stderr = np.where(
+            both,
+            0.5 * np.sqrt(np.where(both, grid.stderr**2 + err_p**2, 0)),
+            np.where(have_v, grid.stderr, err_p),
+        )
+    return values, stderr
+
+
+def _wigner_reference(grid, alpha_axes):
+    """One np.tensordot per axis; returns the complex transform."""
+    out = grid.values
+    for xi_ax, al_ax in zip(grid.axes, alpha_axes):
+        step = float(xi_ax[1] - xi_ax[0])
+        kernel = np.exp(2j * np.outer(al_ax, xi_ax)) * (step / (2.0 * np.pi))
+        out = np.tensordot(out, kernel, axes=([0], [1]))
+    return out
+
+
+def _inverse_reference(wgrid, xi_axes):
+    out = wgrid.values.astype(complex)
+    for al_ax, xi_ax in zip(wgrid.axes, xi_axes):
+        step = float(al_ax[1] - al_ax[0])
+        kernel = np.exp(-2j * np.outer(xi_ax, al_ax)) * (2.0 * step)
+        out = np.tensordot(out, kernel, axes=([0], [1]))
+    return out
+
+
+def _fit_reference(grid, min_abs=1e-3):
+    """Covariance, residual and point count from a dense coordinate meshgrid."""
+    n = grid.n_modes
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
+    absval = np.abs(grid.values).reshape(-1)
+    mask = np.isfinite(absval) & (absval > min_abs)
+    if np.count_nonzero(mask) < 3 * n + 1:
+        raise ValidationError("too few usable grid points for the fit")
+    y = -2.0 * np.log(absval[mask])
+    cols = []
+    for m in range(n):
+        xr = mesh[2 * m].reshape(-1)[mask]
+        xi = mesh[2 * m + 1].reshape(-1)[mask]
+        cols += [xr**2, 2.0 * xr * xi, xi**2]
+    A = np.stack(cols, axis=1)
+    w = absval[mask]
+    beta, *_ = np.linalg.lstsq(A * w[:, None], y * w, rcond=None)
+    cov = np.zeros((2 * n, 2 * n))
+    for m in range(n):
+        G = np.array([[beta[3 * m], beta[3 * m + 1]], [beta[3 * m + 1], beta[3 * m + 2]]])
+        cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = OMEGA_2X2.T @ G @ OMEGA_2X2
+    residual = float(np.sqrt(np.mean(((A * w[:, None]) @ beta - y * w) ** 2)))
+    return cov, residual, int(np.count_nonzero(mask))
+
+
+_MODE_STATES = st.one_of(
+    st.builds(Thermal, n=st.floats(0.0, 2.0)),
+    st.builds(Squeezed, r=st.floats(0.0, 0.8), theta=st.floats(0.0, 6.3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_modes=st.sampled_from([1, 2]), kind=st.sampled_from(["exact", "full", "half"]),
+       negzero=st.booleans(), data=st.data())
+def test_dense_layers_match_references_bitwise(n_modes, kind, negzero, data):
+    modes = MS1 if n_modes == 1 else MS2
+    state = GaussianFieldState(
+        modes=modes, mode_states=data.draw(st.lists(_MODE_STATES, min_size=n_modes,
+                                                    max_size=n_modes)))
+    sizes = [5, 7, 9, 15, 21] if n_modes == 1 else [5, 7, 9]
+    axes = tuple(grid_axis(data.draw(st.floats(1.0, 6.0)), data.draw(st.sampled_from(sizes)))
+                 for _ in range(2 * n_modes))
+    grid = chi_grid_from_state(state, axes)
+    assert _same_bits(grid.values, _chi_grid_reference(state, axes))
+    if kind != "exact":
+        grid = sampled_chi_grid(state, axes, shots=200, seed=data.draw(st.integers(0, 99)),
+                                half=kind == "half")
+    if negzero:
+        # signed zeros on measured cells, where conj and averaging meet them
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        values = grid.values.copy()
+        values.real[rng.random(values.shape) < 0.3] = -0.0
+        values.imag[rng.random(values.shape) < 0.3] = -0.0
+        values[np.isnan(grid.values)] = np.nan
+        grid = ChiGrid(axes=axes, values=values, provenance=grid.provenance,
+                       shots=grid.shots, stderr=grid.stderr)
+
+    filled = hermitian_fill(grid)
+    want_values, want_stderr = _fill_reference(grid)
+    assert _same_bits(filled.values, want_values)
+    assert (filled.stderr is None) == (want_stderr is None)
+    if want_stderr is not None:
+        assert _same_bits(filled.stderr, want_stderr)
+
+    alpha_axes = tuple(grid_axis(2.0, 11) for _ in axes)
+    w = wigner_transform(filled, alpha_axes, boundary_tol=np.inf)
+    want = _wigner_reference(filled, alpha_axes)
+    assert _same_bits(w.values, want.real)
+    assert w.imag_residual == float(np.max(np.abs(want.imag)))
+    back = inverse_wigner_transform(w, axes)
+    assert _same_bits(back.values, _inverse_reference(w, axes))
+
+    try:
+        cov, residual, n_points = _fit_reference(filled)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            gaussian_fit(filled)
+        return
+    fit = gaussian_fit(filled)
+    assert _same_bits(fit.covariance, cov)
+    assert fit.residual == residual and fit.n_points == n_points
+
+
+# ---------------------------------------------------------- memory budgets
+
+# an exact two-mode grid of 21^4 = 194,481 cells (3.1 MB complex)
+_BUDGET_STATE = GaussianFieldState(
+    modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.3, theta=0.4)])
+_BUDGET_AXES = (grid_axis(7.0, 21),) * 4
+
+
+def _traced(fn, *args):
+    """fn(*args), the peak of the memory it allocated, and what it left allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+def test_dense_layers_stay_within_their_memory_budgets():
+    # peaks in units of one complex grid; each bound sits between the layer's
+    # own peak and that of its full-size-temporary reference form above
+    chi, peak, _ = _traced(chi_grid_from_state, _BUDGET_STATE, _BUDGET_AXES)
+    grid = chi.values.nbytes
+    assert peak <= 1.6 * grid  # one real exponent and the complex result
+    _, peak, _ = _traced(hermitian_fill, chi)
+    assert peak <= 2.5 * grid  # the result, the mirrored partner and masks
+    _, peak, _ = _traced(gaussian_fit, chi)
+    assert peak <= 1.0 * grid  # |chi| and the kept cells' rows only
+    w, peak, kept = _traced(wigner_transform, chi)
+    assert peak <= 2.1 * grid  # one stage's input and output
+    assert kept <= 0.55 * grid  # the real result alone
+    _, peak, _ = _traced(inverse_wigner_transform, w)
+    assert peak <= 2.1 * grid
+
+
+def test_wigner_grid_owns_a_contiguous_real_array():
+    out = np.exp(1j * np.linspace(0.0, 1.0, 9)).reshape(3, 3)
+    ax = grid_axis(1.0, 3)
+    w = WignerGrid(axes=(ax, ax), values=out.real, normalization=1.0)
+    assert w.values.dtype == np.float64 and w.values.flags.c_contiguous
+    assert not np.shares_memory(w.values, out)
+    w = wigner_transform(chi_grid_from_state(VACUUM, square_axes(6.0, 41)))
+    assert w.values.flags.c_contiguous and w.values.base is None
