@@ -2,12 +2,19 @@
 
 Every file opens with a format tag line, a meta line holding one JSON object
 (axes, provenance, resolved configuration, ...) and a columns line, followed
-by plain CSV rows. Columns are typed: each is written whole, as integers if
-its cells convert to an integer array and with repr if they convert to a float
-array (any other dtype is refused). repr round-trips exactly, and read_table
-parses the data block into one 2-D float64 array, so loading a grid
-reproduces the saved arrays bit for bit. Headers carry no timestamp unless
-explicitly requested, keeping identical runs byte-identical.
+by plain CSV rows. Columns are typed: each is written as integers if its
+cells convert to an integer array and with repr if they convert to a float
+array (any other dtype is refused). Rows are formatted and written a block
+at a time, which bounds the memory beyond the table itself. Within a block a
+float column is formatted as a dictionary: each distinct bit pattern is
+passed to repr once and its text reused for every cell that holds it. Equal
+bits give equal text, so the bytes are those of formatting every cell;
+-0.0 and 0.0 stay distinct, and every NaN prints as nan. repr round-trips
+exactly, and read_table parses the data block into one 2-D float64 array, so
+loading a grid reproduces the saved arrays bit for bit; a grid file whose
+coordinate columns are not the outer product of its meta axes is refused.
+Headers carry no timestamp unless explicitly requested, keeping identical
+runs byte-identical.
 """
 from __future__ import annotations
 
@@ -33,7 +40,9 @@ __all__ = [
 ]
 
 _TAG = "chitomo-table v1"
-_BLOCK = 4096  # rows formatted and written at a time
+_BLOCK = 1024  # rows formatted and written at a time
+_CHI_COORDS = ("re_xi", "im_xi")  # the coordinate pair of each mode in a grid file
+_WIGNER_COORDS = ("x", "p")
 
 
 def _typed_columns(rows, width: int) -> list:
@@ -47,9 +56,20 @@ def _typed_columns(rows, width: int) -> list:
         raise ValidationError("row width does not match the column list")
     if any(col.dtype.kind not in "iuf" for col in cols):
         raise ValidationError("table columns must convert to integer or float arrays")
-    # the cells of .tolist() are Python ints and floats; their str and repr are the format
-    return [(str, c) if c.dtype.kind in "iu" else (repr, c.astype(float, copy=False))
-            for c in cols]
+    return [(_int_cells, c) if c.dtype.kind in "iu"
+            else (_float_cells, c.astype(float, copy=False)) for c in cols]
+
+
+def _int_cells(block):
+    return map(str, block.tolist())
+
+
+def _float_cells(block) -> list:
+    """repr of each cell, each distinct bit pattern formatted once: equal bits
+    give an equal repr, so the text is that of formatting every cell."""
+    bits, where = np.unique(block.view(np.int64), return_inverse=True)
+    labels = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return labels[where].tolist()
 
 
 def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool = False) -> None:
@@ -64,7 +84,7 @@ def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool 
         fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
         for start in range(0, len(rows), _BLOCK):
-            cells = [map(fmt, col[start:start + _BLOCK].tolist()) for fmt, col in typed]
+            cells = [fmt(col[start:start + _BLOCK]) for fmt, col in typed]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -102,23 +122,37 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
     return columns, data, meta
 
 
+def _coordinate_names(coords, n_modes: int) -> list[str]:
+    """The coordinate pair coords of each mode, suffixed by the mode index
+    when there are several."""
+    return list(coords) if n_modes == 1 else [f"{c}{m}" for m in range(n_modes) for c in coords]
+
+
+def _along(axis, k: int, ndim: int):
+    """axis shaped to vary along dimension k of an ndim-dimensional grid."""
+    return axis.reshape((-1,) + (1,) * (ndim - 1 - k))
+
+
 def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, timestamps):
-    """One row per grid point, C order: the coordinate pair coords of each
-    mode (suffixed by the mode index when there are several), then values."""
-    n = grid.n_modes
-    names = list(coords) if n == 1 else [f"{c}{m}" for m in range(n) for c in coords]
+    """One row per grid point, C order: the coordinates, then values."""
+    names = _coordinate_names(coords, grid.n_modes) + list(values)
+    axes = [np.asarray(a, dtype=float) for a in grid.axes]
     doc = dict(meta or {})
-    doc.update(fields, kind=kind, axes=[np.asarray(a, dtype=float).tolist() for a in grid.axes])
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    table = np.stack(
-        [m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values.values()], axis=1
-    )
-    write_table(path, names + list(values), table, doc, timestamps)
+    doc.update(fields, kind=kind, axes=[a.tolist() for a in axes])
+    shape = tuple(a.size for a in axes)
+    table = np.empty(shape + (len(names),))  # filled column by column, no mesh
+    for k, a in enumerate(axes):
+        table[..., k] = _along(a, k, len(shape))
+    for k, v in enumerate(values.values(), start=len(axes)):
+        table[..., k] = v
+    write_table(path, names, table.reshape(-1, len(names)), doc, timestamps)
 
 
-def _load_grid(path, kind: str, required: tuple, optional: tuple = ()):
+def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = ()):
     """(axes, the required then the optional columns on the axes' shape, with
-    None for an absent optional one, meta) of a grid file of the given kind."""
+    None for an absent optional one, meta) of a grid file of the given kind.
+    Its coordinate columns must be, bit for bit, the C-order outer product of
+    the axes in its meta header."""
     columns, data, meta = read_table(path)
     if meta.get("kind") != kind:
         raise ValidationError(f"{path} is not a {kind.replace('_', ' ')} file")
@@ -126,11 +160,19 @@ def _load_grid(path, kind: str, required: tuple, optional: tuple = ()):
         axes = tuple(np.array(a, dtype=float) for a in meta["axes"])
     except KeyError:
         raise ValidationError("grid file carries no axes in its meta header") from None
+    names = _coordinate_names(coords, len(axes) // 2)
+    if not axes or len(names) != len(axes) or any(a.ndim != 1 for a in axes):
+        raise ValidationError(f"{path}: meta axes are not one 1-D (Re, Im) pair per mode")
     shape = tuple(a.size for a in axes)
     if data.shape[0] != math.prod(shape):
         raise ValidationError(f"{path}: row count does not match the axes")
-    if not set(required) <= set(columns):
-        raise ValidationError(f"{path} lacks one of the columns {', '.join(required)}")
+    needed = names + list(required)
+    if not set(needed) <= set(columns):
+        raise ValidationError(f"{path} lacks one of the columns {', '.join(needed)}")
+    for k, (name, a) in enumerate(zip(names, axes)):
+        cells = data[:, columns.index(name)].reshape(shape).view(np.int64)
+        if not np.all(cells == _along(a.view(np.int64), k, len(shape))):
+            raise ValidationError(f"{path}: column {name} does not match the meta axes")
     values = [
         data[:, columns.index(name)].reshape(shape) if name in columns else None
         for name in required + optional
@@ -146,11 +188,13 @@ def save_chi_grid(
     if grid.stderr is not None:
         values["stderr"] = grid.stderr
     fields = {"provenance": grid.provenance, "shots": grid.shots}
-    _save_grid(path, "chi_grid", grid, ("re_xi", "im_xi"), values, fields, meta, timestamps)
+    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, timestamps)
 
 
 def load_chi_grid(path) -> ChiGrid:
-    axes, (re, im, stderr), meta = _load_grid(path, "chi_grid", ("re_chi", "im_chi"), ("stderr",))
+    axes, (re, im, stderr), meta = _load_grid(
+        path, "chi_grid", _CHI_COORDS, ("re_chi", "im_chi"), ("stderr",)
+    )
     return ChiGrid(
         axes=axes,
         values=re + 1j * im,
@@ -164,11 +208,12 @@ def save_wigner_grid(
     grid: WignerGrid, path, meta: dict | None = None, timestamps: bool = False
 ) -> None:
     fields = {"normalization": grid.normalization, "imag_residual": grid.imag_residual}
-    _save_grid(path, "wigner_grid", grid, ("x", "p"), {"w": grid.values}, fields, meta, timestamps)
+    _save_grid(path, "wigner_grid", grid, _WIGNER_COORDS, {"w": grid.values}, fields, meta,
+               timestamps)
 
 
 def load_wigner_grid(path) -> WignerGrid:
-    axes, (values,), meta = _load_grid(path, "wigner_grid", ("w",))
+    axes, (values,), meta = _load_grid(path, "wigner_grid", _WIGNER_COORDS, ("w",))
     return WignerGrid(
         axes=axes,
         values=values,

@@ -53,7 +53,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, integer, listed, read_field
+from .errors import ValidationError, converted, integer, listed, read_field
 
 __all__ = [
     "ModeSet",
@@ -177,7 +177,7 @@ class GaussianFieldState:
 
 
 def _check_mode(state: GaussianFieldState, mode: int) -> int:
-    mode = int(mode)
+    mode = converted(integer, mode, "mode")
     if not 0 <= mode < state.n_modes:
         raise ValidationError(f"mode index {mode} out of range 0..{state.n_modes - 1}")
     return mode
@@ -345,7 +345,7 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
     (-1)^q times the sum over perfect matchings.
     """
     mode = _check_mode(state, mode)
-    p, q = int(p), int(q)
+    p, q = converted(integer, p, "p"), converted(integer, q, "q")
     if p < 0 or q < 0:
         raise ValidationError("moment orders must be nonnegative")
     if p + q > 4:

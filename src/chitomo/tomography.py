@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError
+from .errors import NumericalCheckError, ValidationError, converted, integer
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
@@ -82,7 +82,7 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
     """
     if not extent > 0:
         raise ValidationError("axis extent must be positive")
-    points = int(points)
+    points = converted(integer, points, "points")
     if points < 3:
         raise ValidationError("axis needs at least 3 points")
     if points % 2 == 0:
@@ -481,9 +481,10 @@ def moments_fd(
     warning is raised when the moment is smaller than its error bar. With
     with_error=True returns (value, error) instead of the bare value.
     """
+    mode = converted(integer, mode, "mode")
+    p, q = converted(integer, p, "p"), converted(integer, q, "q")
     if p < 0 or q < 0 or p + q > 4:
         raise ValidationError("orders must be nonnegative with p + q <= 4")
-    mode = int(mode)
 
     if callable(chi_source):
         if mode != 0:
@@ -567,7 +568,7 @@ class GaussianFit:
     n_points: int
 
     def mode_block(self, mode: int) -> NDArray[np.float64]:
-        i = 2 * int(mode)
+        i = 2 * converted(integer, mode, "mode")
         return self.covariance[i : i + 2, i : i + 2]
 
     def to_state(self, modes: ModeSet) -> GaussianFieldState:

@@ -309,6 +309,21 @@ def test_wigner_corrupt_chi_file_is_exit_1(tmp_path, capsys, damage):
     assert not out.exists()
 
 
+def test_wigner_refuses_a_chi_file_whose_coordinates_are_not_its_axes(tmp_path, capsys):
+    chi = tmp_path / "chi.csv"
+    assert run("chi-scan", "--set", "grid.points=9", "--out", str(chi)) == 0
+    lines = chi.read_text().splitlines(keepends=True)
+    cells = lines[-5].rstrip("\n").split(",")
+    cells[1] = repr(float(np.nextafter(float(cells[1]), np.inf)))  # one ulp off
+    lines[-5] = ",".join(cells) + "\n"
+    chi.write_text("".join(lines))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "column im_xi does not match" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- moments
 
 def test_moments_thermal_table(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
+    _BLOCK,
     load_chi_grid,
     load_wigner_grid,
     read_json,
@@ -32,6 +34,7 @@ from chitomo.tomography import (
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
 THERMAL = GaussianFieldState(modes=MS1, mode_states=[Thermal(n=1.0)])
+TWO_MODE = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.4)])
 
 
 # ------------------------------------------------------------------- tables
@@ -101,6 +104,72 @@ def test_columnar_table_matches_per_cell_reference(tmp_path_factory, table):
     want = np.array(_reference_read_rows(ref), dtype=float).reshape(-1, len(columns))
     assert data.dtype == np.float64 and data.shape == want.shape
     assert data.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bitwise
+
+
+# The columnar writer that formatted every cell with repr, a block of 4096
+# rows at a time, kept as the reference for the dictionary-formatted one.
+
+def _repr_reference_write_table(path, columns, rows, meta=None):
+    cols = list(rows.T) if hasattr(rows, "shape") else [np.asarray(c) for c in zip(*rows)]
+    typed = [(str, c) if c.dtype.kind in "iu" else (repr, c.astype(float)) for c in cols]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# chitomo-table v1\n")
+        fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
+        fh.write(f"# columns: {','.join(columns)}\n")
+        for start in range(0, len(rows), 4096):
+            cells = [map(fmt, col[start:start + 4096].tolist()) for fmt, col in typed]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def data_lines_of(path) -> list[str]:
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def _bits(u: int) -> float:
+    return float(np.frombuffer(np.uint64(u).tobytes(), dtype=np.float64)[0])
+
+
+_SPECIAL = [0.0, -0.0, math.nan, _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
+            math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e16, 1e-5,
+            0.1, -2.5]
+
+
+@st.composite
+def _repetitive_tables(draw):
+    """(columns, rows): int and float columns drawn from a few distinct values
+    each, special floats included, at row counts around the block size."""
+    kinds = draw(st.lists(st.sampled_from("iff"), min_size=1, max_size=4))
+    n = draw(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for k in kinds:
+        values = _INTS if k == "i" else st.one_of(st.sampled_from(_SPECIAL), st.floats())
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=6)),
+                        dtype=np.int64 if k == "i" else float)
+        cols.append(pool[rng.integers(0, pool.size, n)])
+    rows = np.column_stack(cols)  # int64 when every column is, else float64
+    if draw(st.booleans()):  # a list of rows of Python ints and floats instead
+        rows = [list(r) for r in zip(*(c.tolist() for c in cols))]
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=_repetitive_tables())
+def test_dictionary_formatting_matches_the_repr_reference(tmp_path_factory, table):
+    columns, rows = table
+    d = tmp_path_factory.mktemp("t")
+    new, ref = d / "new.csv", d / "ref.csv"
+    write_table(new, columns, rows, meta={"k": 1})
+    _repr_reference_write_table(ref, columns, rows, meta={"k": 1})
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_dictionary_formatting_keeps_signed_zeros_and_nan_payloads(tmp_path):
+    col = np.array([0.0, -0.0, math.nan, _bits(0x7FF8000000000001), -0.0, 5e-324] * 300)
+    path = tmp_path / "t.csv"
+    write_table(path, ["x"], col[:, None])
+    assert data_lines_of(path) == ["0.0", "-0.0", "nan", "nan", "-0.0", "5e-324"] * 300
+
 
 def test_table_roundtrip_exact(tmp_path):
     path = tmp_path / "t.csv"
@@ -200,8 +269,7 @@ def test_chi_grid_meta_shots_must_be_an_exact_integer(tmp_path, shots):
 
 
 def test_chi_grid_roundtrip_exact_and_two_mode(tmp_path):
-    st2 = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.4)])
-    g = chi_grid_from_state(st2, (grid_axis(2.0, 7),) * 4)
+    g = chi_grid_from_state(TWO_MODE, (grid_axis(2.0, 7),) * 4)
     path = tmp_path / "chi2.csv"
     save_chi_grid(g, path)
     back = load_chi_grid(path)
@@ -210,6 +278,82 @@ def test_chi_grid_roundtrip_exact_and_two_mode(tmp_path):
     assert back.stderr is None
     columns, _, _ = read_table(path)
     assert columns[:4] == ["re_xi0", "im_xi0", "re_xi1", "im_xi1"]
+
+
+RAGGED_AXES = tuple(grid_axis(2.0 + 0.5 * k, n) for k, n in enumerate((9, 7, 9, 7)))
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_grid_rows_match_a_meshgrid_table(tmp_path, sampled):
+    if sampled:
+        g = sampled_chi_grid(TWO_MODE, RAGGED_AXES, shots=50, seed=3, half=True)
+    else:
+        g = chi_grid_from_state(TWO_MODE, RAGGED_AXES)
+    path, ref = tmp_path / "chi.csv", tmp_path / "ref.csv"
+    save_chi_grid(g, path)
+    mesh = np.meshgrid(*g.axes, indexing="ij")
+    values = [g.values.real, g.values.imag] + ([] if g.stderr is None else [g.stderr])
+    table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
+    columns, _, _ = read_table(path)
+    _repr_reference_write_table(ref, columns, table)
+    assert data_lines_of(path) == data_lines_of(ref)
+
+
+def test_chi_grid_save_peak_memory(tmp_path):
+    g = chi_grid_from_state(TWO_MODE, (grid_axis(3.0, 17),) * 4)
+    tracemalloc.start()
+    try:
+        save_chi_grid(g, tmp_path / "chi.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (cells x 6) float table is 3.0 grids; a meshgrid and a stack made 6.1
+    assert peak <= 4.0 * g.values.nbytes
+
+
+def _damage_cell(path, row: int, col: int) -> None:
+    """Move one cell of a table file by one unit in its last place."""
+    lines = path.read_text().splitlines(keepends=True)
+    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    cells = lines[data[row]].rstrip("\n").split(",")
+    cells[col] = repr(float(np.nextafter(float(cells[col]), np.inf)))
+    lines[data[row]] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("column, col", [("re_xi0", 0), ("im_xi0", 1), ("re_xi1", 2),
+                                         ("im_xi1", 3)])
+def test_load_refuses_coordinates_that_are_not_the_axes(tmp_path, column, col):
+    path = tmp_path / "chi.csv"
+    save_chi_grid(chi_grid_from_state(TWO_MODE, RAGGED_AXES), path)
+    load_chi_grid(path)
+    _damage_cell(path, 1234, col)
+    with pytest.raises(ValidationError, match=f"column {column} does not match"):
+        load_chi_grid(path)
+
+
+def test_load_refuses_meta_axes_that_are_not_the_coordinates(tmp_path):
+    g = chi_grid_from_state(THERMAL, (grid_axis(2.0, 5), grid_axis(3.0, 5)))
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    text = path.read_text()
+    _, _, meta = read_table(path)
+    swapped = dict(meta, axes=meta["axes"][::-1])  # same shape, other order
+    path.write_text(text.replace(json.dumps(meta, sort_keys=True),
+                                 json.dumps(swapped, sort_keys=True)))
+    with pytest.raises(ValidationError, match="column re_xi does not match"):
+        load_chi_grid(path)
+
+
+def test_load_refuses_a_grid_without_its_coordinates(tmp_path):
+    g = chi_grid_from_state(THERMAL, (grid_axis(2.0, 5),) * 2)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    meta = read_table(path)[2]
+    values = np.stack([g.values.real.ravel(), g.values.imag.ravel()], axis=1)
+    write_table(path, ["re_chi", "im_chi"], values, meta)
+    with pytest.raises(ValidationError, match="lacks one of the columns"):
+        load_chi_grid(path)
 
 
 def test_wigner_grid_roundtrip(tmp_path):

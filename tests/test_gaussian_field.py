@@ -105,6 +105,20 @@ def test_covariance_determinant_is_purity_measure():
     assert np.linalg.det(covariance(single_mode(Thermal(n=1.0)), 0)) == pytest.approx(9.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [9.7, 0.7, True, "1"])
+def test_mode_and_order_arguments_are_exact_integers(bad):
+    st2 = GaussianFieldState(modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0,
+                                           mode_indices=[[1], [2]]),
+                             mode_states=[Thermal(n=1.0), Squeezed(r=0.5)])
+    with pytest.raises(ValidationError, match="mode = "):
+        covariance(st2, bad)
+    for args, name in (((bad, 1, 1), "mode"), ((1, bad, 1), "p"), ((1, 1, bad), "q")):
+        with pytest.raises(ValidationError, match=f"{name} = "):
+            moments_analytic(st2, *args)
+    np.testing.assert_array_equal(covariance(st2, 1.0), covariance(st2, 1))
+    assert moments_analytic(st2, 1.0, 2.0, 0.0) == moments_analytic(st2, 1, 2, 0)
+
+
 # ---------------------------------------------------- characteristic values
 
 def test_char_vacuum():

@@ -345,6 +345,31 @@ def test_moments_fd_order_and_mode_limits():
         moments_fd(f, 1, 1, 1)  # callables are single-plane
 
 
+def _two_thermal_grid() -> ChiGrid:
+    state = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Thermal(n=1.0)])
+    return chi_grid_from_state(state, square_axes(4.0, 17) * 2)
+
+
+@pytest.mark.parametrize("bad", [9.7, 0.7, True, "1"])
+def test_integer_arguments_are_exact(bad):
+    with pytest.raises(ValidationError, match="points = "):
+        grid_axis(6.0, bad)
+    grid2 = _two_thermal_grid()
+    for args, name in (((bad, 1, 1), "mode"), ((1, bad, 1), "p"), ((1, 1, bad), "q")):
+        with pytest.raises(ValidationError, match=f"{name} = "):
+            moments_fd(grid2, *args)
+    with pytest.raises(ValidationError, match="mode = "):
+        gaussian_fit(grid2).mode_block(bad)
+
+
+def test_integral_floats_are_integers():
+    np.testing.assert_array_equal(grid_axis(6.0, 9.0), grid_axis(6.0, 9))
+    grid2 = _two_thermal_grid()
+    assert moments_fd(grid2, 1.0, 1.0, 1.0) == moments_fd(grid2, 1, 1, 1)
+    fit = gaussian_fit(grid2)
+    np.testing.assert_array_equal(fit.mode_block(1.0), fit.mode_block(1))
+
+
 def test_moments_fd_warns_when_noise_dominates():
     noisy = sampled_chi_grid(THERMAL, square_axes(3.0, 31), shots=50, seed=9)
     with pytest.warns(UserWarning):
