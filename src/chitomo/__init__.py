@@ -20,6 +20,7 @@ from .gaussian_field import (
     Thermal,
     Vacuum,
     char_analytic,
+    char_points,
     covariance,
     moments_analytic,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Thermal",
     "Squeezed",
     "char_analytic",
+    "char_points",
     "covariance",
     "moments_analytic",
     "PulseSchedule",

@@ -31,9 +31,9 @@ from .fileio import (
     write_table,
 )
 from .fock_oracle import run_default_suite
-from .gaussian_field import GaussianFieldState, ModeSet, char_analytic, state_from_dict
+from .gaussian_field import GaussianFieldState, ModeSet, char_points, state_from_dict
 from .pulse_protocol import reachable_manifold, schedule_from_dict, schedule_to_dict
-from .ramsey_readout import readout_chi, records_table, run_readout_scan
+from .ramsey_readout import readout_chi
 from .tomography import (
     chi_grid_from_state,
     grid_axis,
@@ -281,7 +281,7 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
         columns.append("stderr")
     rows = []
     for curve in _curves(*_fields(config["manifold"], _MANIFOLD_FIELDS, "manifold"), "manifold."):
-        chis = np.array([char_analytic(state, [xi]) for xi in curve.xis], dtype=complex)
+        chis = char_points(state, curve.xis[:, None])
         errs = np.zeros(chis.shape)
         if shots > 0:
             readout = readout_chi(
@@ -312,22 +312,24 @@ def cmd_chi_scan(config: dict) -> None:
 
 def cmd_simulate(config: dict) -> None:
     state = _state(config)
-    points = []
+    n = state.n_modes
     reals = listed(lambda entry: np.asarray(entry, dtype=float).reshape(-1))
-    for flat in _get(config, "points", reals):
-        if flat.size != 2 * state.n_modes:
-            raise ValidationError(
-                f"each point needs {2 * state.n_modes} reals (re, im per mode)"
-            )
-        points.append(flat[0::2] + 1j * flat[1::2])
-    records = run_readout_scan(
-        state,
-        points,
-        theta=_get(config, "theta", float),
-        shots=_get(config, "shots", integer),
-        seed=_get(config, "seed", integer),
-    )
-    columns, rows = records_table(records)
+    points = _get(config, "points", reals)
+    if not points or any(flat.size != 2 * n for flat in points):
+        raise ValidationError(f"points must be one or more lists of {2 * n} reals (re, im)")
+    flat = np.array(points)
+    theta = _get(config, "theta", float)
+    shots = _get(config, "shots", integer)
+    seed = _get(config, "seed", integer)
+    r = readout_chi(char_points(state, flat[:, 0::2] + 1j * flat[:, 1::2]), theta, shots, seed)
+    columns = [f"{part}_xi{k if n > 1 else ''}" for k in range(n) for part in ("re", "im")]
+    columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
+    rows = [
+        [*xi, theta, shots, sx, sy, chi.real, chi.imag, seed]
+        for xi, sx, sy, chi in zip(
+            flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist()
+        )
+    ]
     write_table(config["out"], columns, rows, meta=_meta("simulate", config),
                 timestamps=config["timestamps"])
     print(f"wrote {len(rows)} readout records to {config['out']}")
@@ -378,9 +380,9 @@ def cmd_moments(config: dict) -> None:
             raise ValidationError(f"state has no mode {mode}")
 
         def source(z: complex) -> complex:
-            xi = np.zeros(state.n_modes, dtype=complex)
-            xi[mode] = z
-            return char_analytic(state, xi)
+            xi = np.zeros((1, state.n_modes), dtype=complex)
+            xi[0, mode] = z
+            return complex(char_points(state, xi)[0])
 
         src_mode = 0
         if h is None:

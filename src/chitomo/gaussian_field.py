@@ -34,7 +34,9 @@ The equivalent per-mode exponential closed forms are
 The sign of the sinh term is the one validated against the truncated-Fock
 oracle (see fock_oracle.chi_fock); it also follows from the covariance matrix
 above. Displacement vectors are plain complex arrays ordered like the mode
-list; there is no wrapper class.
+list; there is no wrapper class. One exponent expression serves a batch of
+points (char_points, shape (P, n_modes)), a single point (char_analytic) and
+a separable grid (char_analytic_grid), so all three agree bit for bit.
 
 Symmetric-ordered moments are generated by Wirtinger derivatives at the
 origin,
@@ -62,10 +64,9 @@ __all__ = [
     "Squeezed",
     "GaussianFieldState",
     "covariance",
+    "char_points",
     "char_analytic",
-    "char_closed_form",
     "char_analytic_grid",
-    "gaussian_expectation",
     "moments_analytic",
     "n_from_beta",
     "beta_from_n",
@@ -176,10 +177,10 @@ class GaussianFieldState:
         return self.modes.n_modes
 
 
-def _check_mode(state: GaussianFieldState, mode: int) -> int:
+def _check_mode(mode: int, n_modes: int) -> int:
     mode = converted(integer, mode, "mode")
-    if not 0 <= mode < state.n_modes:
-        raise ValidationError(f"mode index {mode} out of range 0..{state.n_modes - 1}")
+    if not 0 <= mode < n_modes:
+        raise ValidationError(f"mode index {mode} out of range 0..{n_modes - 1}")
     return mode
 
 
@@ -189,7 +190,7 @@ def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
     Vacuum gives the identity, thermal (2n+1)*I, squeezed the closed form in
     the module docstring. det V >= 1 always; equality for pure modes.
     """
-    s = state.mode_states[_check_mode(state, mode)]
+    s = state.mode_states[_check_mode(mode, state.n_modes)]
     if isinstance(s, Vacuum):
         return np.eye(2)
     if isinstance(s, Thermal):
@@ -199,60 +200,51 @@ def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
     return np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
 
 
-def _quadratic_form(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
-    """G = Omega V Omega^T, the matrix acting on (Re xi, Im xi)."""
+def _chi_coeffs(state: GaussianFieldState, mode: int) -> tuple[float, float, float]:
+    """(Gxx, Gxy, Gyy) of G = Omega V Omega^T, the form acting on (Re xi, Im xi),
+    read off V exactly: Omega only permutes and negates its entries."""
     V = covariance(state, mode)
-    return OMEGA_2X2 @ V @ OMEGA_2X2.T
+    return V[1, 1], -V[0, 1], V[0, 0]
 
 
-def _as_xi_vector(state: GaussianFieldState, xi) -> NDArray[np.complex128]:
-    vec = np.atleast_1d(np.asarray(xi, dtype=complex))
-    if vec.ndim != 1 or vec.size != state.n_modes:
-        raise ValidationError(
-            f"displacement vector has {vec.size} entries for {state.n_modes} modes"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError("displacement vector contains non-finite entries")
-    return vec
+def _exponent(g: tuple[float, float, float], x, y):
+    """One mode's exponent -1/2 (Gxx x^2 + 2 Gxy x y + Gyy y^2), broadcast over
+    x = Re xi and y = Im xi; points and grids share it, so they agree exactly."""
+    gxx, gxy, gyy = g
+    return -0.5 * (gxx * x**2 + 2.0 * gxy * x * y + gyy * y**2)
+
+
+def char_points(state: GaussianFieldState, xi) -> NDArray[np.complex128]:
+    """chi at P displacement points; xi has shape (P, n_modes)."""
+    try:
+        pts = np.asarray(xi, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError("displacement points must be a complex array") from None
+    if pts.ndim != 2 or pts.shape[1] != state.n_modes:
+        raise ValidationError(f"points have shape {pts.shape}, need (P, {state.n_modes})")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("displacement points contain non-finite entries")
+    expo = np.zeros(len(pts))
+    for k in range(state.n_modes):
+        expo += _exponent(_chi_coeffs(state, k), pts[:, k].real, pts[:, k].imag)
+    return np.exp(expo, out=expo).astype(complex)
 
 
 def char_analytic(state: GaussianFieldState, xi) -> complex:
-    """chi(xi) via the covariance quadratic form (canonical route).
+    """chi(xi) at one point: char_points on a single row.
 
     xi is a complex scalar (single mode) or a length-n_modes sequence.
     """
-    vec = _as_xi_vector(state, xi)
-    expo = 0.0
-    for k in range(state.n_modes):
-        G = _quadratic_form(state, k)
-        v = np.array([vec[k].real, vec[k].imag])
-        expo += -0.5 * float(v @ G @ v)
-    return complex(np.exp(expo))
-
-
-def char_closed_form(state: GaussianFieldState, xi) -> complex:
-    """chi(xi) via the per-mode exponential closed forms (cross-check route)."""
-    vec = _as_xi_vector(state, xi)
-    out = 1.0 + 0.0j
-    for k, s in enumerate(state.mode_states):
-        z = vec[k]
-        a2 = abs(z) ** 2
-        if isinstance(s, Vacuum):
-            out *= np.exp(-0.5 * a2)
-        elif isinstance(s, Thermal):
-            out *= np.exp(-0.5 * (2.0 * s.n + 1.0) * a2)
-        else:
-            q = np.cosh(2.0 * s.r) * a2 + np.sinh(2.0 * s.r) * (
-                np.exp(1j * s.theta) * np.conj(z) ** 2
-            ).real
-            out *= np.exp(-0.5 * q)
-    return complex(out)
+    vec = np.atleast_1d(np.asarray(xi, dtype=complex))
+    if vec.ndim != 1 or vec.size != state.n_modes:
+        raise ValidationError(f"displacement has {vec.size} entries for {state.n_modes} modes")
+    return complex(char_points(state, vec[None, :])[0])
 
 
 def char_analytic_grid(
     state: GaussianFieldState, axes: Sequence[NDArray[np.float64]]
 ) -> NDArray[np.complex128]:
-    """Vectorized chi over a separable grid.
+    """chi over a separable grid, as an outer sum of the per-mode exponents.
 
     axes holds 2*n_modes 1-D arrays ordered (re_0, im_0, re_1, im_1, ...);
     the result has shape (len(re_0), len(im_0), ...).
@@ -264,64 +256,13 @@ def char_analytic_grid(
     shape = tuple(len(a) for a in axes)
     expo = np.zeros(shape)
     for k in range(state.n_modes):
-        G = _quadratic_form(state, k)
         x = np.asarray(axes[2 * k], dtype=float)
         y = np.asarray(axes[2 * k + 1], dtype=float)
-        e2 = -0.5 * (
-            G[0, 0] * x[:, None] ** 2
-            + 2.0 * G[0, 1] * x[:, None] * y[None, :]
-            + G[1, 1] * y[None, :] ** 2
-        )
         new_shape = [1] * (2 * state.n_modes)
-        new_shape[2 * k] = len(x)
-        new_shape[2 * k + 1] = len(y)
-        expo += e2.reshape(new_shape)
+        new_shape[2 * k : 2 * k + 2] = len(x), len(y)
+        expo += _exponent(_chi_coeffs(state, k), x[:, None], y[None, :]).reshape(new_shape)
     # exp in place: one real and one complex grid alive, not a second real one
     return np.exp(expo, out=expo).astype(complex)
-
-
-def gaussian_expectation(
-    state: GaussianFieldState, terms: Iterable[tuple[int, float, float]]
-) -> float:
-    """Second moment <O^2> of a linear quadrature combination.
-
-    The operator is described as O = sum over terms of
-    c_x * X_k + c_p * P_k with X = a + a^dag and P = i(a^dag - a), each term a
-    (mode, c_x, c_p) triple. Modes are independent and mean zero, so
-    <O^2> = sum_k c_k^T V_k c_k. Together with <exp(-iO)> = exp(-<O^2>/2)
-    this fixes every Gaussian expectation used elsewhere.
-    """
-    coeffs: dict[int, NDArray[np.float64]] = {}
-    got_any = False
-    for term in terms:
-        try:
-            mode, cx, cp = term
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                "operator description must be (mode, c_x, c_p) triples"
-            ) from exc
-        mode = _check_mode(state, mode)
-        c = coeffs.setdefault(mode, np.zeros(2))
-        c += np.array([float(cx), float(cp)])
-        got_any = True
-    if not got_any:
-        raise ValidationError("empty operator description")
-    total = 0.0
-    for mode, c in coeffs.items():
-        V = covariance(state, mode)
-        total += float(c @ V @ c)
-    return total
-
-
-def _exponent_coeffs(s: ModeState) -> tuple[float, complex, complex]:
-    """(A, B, C) of the single-mode exponent chi = exp(-Q/2),
-    Q = A xi conj(xi) + B xi^2 + C conj(xi)^2."""
-    if isinstance(s, Vacuum):
-        return 1.0, 0.0j, 0.0j
-    if isinstance(s, Thermal):
-        return 2.0 * s.n + 1.0, 0.0j, 0.0j
-    B = 0.5 * np.sinh(2.0 * s.r) * np.exp(-1j * s.theta)
-    return float(np.cosh(2.0 * s.r)), complex(B), complex(np.conj(B))
 
 
 def _pairings(slots: list[str]) -> Iterable[list[tuple[str, str]]]:
@@ -344,7 +285,7 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
     contributes -A/2, (conj xi, conj xi) contributes -C, and the moment is
     (-1)^q times the sum over perfect matchings.
     """
-    mode = _check_mode(state, mode)
+    mode = _check_mode(mode, state.n_modes)
     p, q = converted(integer, p, "p"), converted(integer, q, "q")
     if p < 0 or q < 0:
         raise ValidationError("moment orders must be nonnegative")
@@ -354,7 +295,12 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
         return 1.0 + 0.0j
     if (p + q) % 2 == 1:
         return 0.0 + 0.0j
-    A, B, C = _exponent_coeffs(state.mode_states[mode])
+    # chi = exp(-Q/2) with Q = A xi conj(xi) + B xi^2 + C conj(xi)^2, the
+    # quadratic form in (Re xi, Im xi) rewritten in xi and conj(xi)
+    gxx, gxy, gyy = _chi_coeffs(state, mode)
+    A = (gxx + gyy) / 2.0
+    B = complex((gxx - gyy) / 4.0, -gxy / 2.0)
+    C = B.conjugate()
     pair_value = {
         ("d", "d"): -B,
         ("d", "c"): -A / 2.0,

@@ -8,11 +8,12 @@ state is
 
 so the Bloch vector is (sin(theta) Im chi, sin(theta) Re chi, -cos(theta))
 and chi is read out as (<sigma_y> + i <sigma_x>) / sin(theta). The Pauli
-matrices here are the standard ones for the basis ordered (excited, ground);
-written in the (ground, excited) ordering used internally, sigma_z = diag(-1,
-+1) and sigma_y = [[0, i], [-i, 0]]. This is the convention under which the
-formula above reproduces an explicit joint qubit-field simulation (see
-fock_oracle).
+matrices are the standard ones for the basis ordered (excited, ground);
+written in the (ground, excited) ordering, sigma_z = diag(-1, +1) and
+sigma_y = [[0, i], [-i, 0]]. This is the convention under which the formula
+above reproduces an explicit joint qubit-field simulation. This module works
+on Bloch vectors only; the matrices themselves live in fock_oracle, which
+restates them on purpose, and in the tests.
 
 The map from chi to the Bloch vector is elementwise, so readout_chi runs it
 over whole arrays of chi values at once. Finite-shot mode draws M independent
@@ -31,17 +32,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .gaussian_field import GaussianFieldState, char_analytic
+from .gaussian_field import GaussianFieldState, char_points
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "QubitState",
     "ShotResult",
     "ChiReadout",
     "ReadoutRecord",
-    "rotate",
     "final_qubit_state",
     "bloch_expectation",
     "shot_rng",
@@ -50,24 +47,7 @@ __all__ = [
     "readout_chi",
     "required_shots",
     "run_readout_scan",
-    "records_table",
 ]
-
-# Basis ordering (|g>, |e>); sigma_z|g> = -|g>.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-_BASIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def rotate(theta: float, phi: float = 0.0) -> NDArray[np.complex128]:
-    """R(theta, phi) = cos(theta/2) I - i sin(theta/2) (cos phi sigma_x
-    + sin phi sigma_y). Applied to |g> with phi = 0 this gives
-    cos(theta/2)|g> - i sin(theta/2)|e>."""
-    return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * (
-        np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y
-    )
 
 
 @dataclass(frozen=True)
@@ -85,14 +65,6 @@ class QubitState:
     @property
     def norm(self) -> float:
         return math.sqrt(self.bx**2 + self.by**2 + self.bz**2)
-
-    def density_matrix(self) -> NDArray[np.complex128]:
-        return 0.5 * (
-            np.eye(2, dtype=complex)
-            + self.bx * SIGMA_X
-            + self.by * SIGMA_Y
-            + self.bz * SIGMA_Z
-        )
 
 
 def _check_characteristic(chi) -> None:
@@ -168,11 +140,13 @@ def estimate_chi(rec_x, rec_y, theta: float):
 
     Accepts ShotResults, floats or arrays of estimates (elementwise). theta
     with sin(theta) = 0 encodes no field information on the qubit and is
-    rejected.
+    rejected. A float multiple of pi has a sin of rounding size, not 0, so
+    any |sin(theta)| within theta's own spacing counts as 0.
     """
     s = math.sin(theta)
-    if s == 0.0:
-        raise ValidationError("sin(theta) = 0: protocol encodes no information")
+    if abs(s) <= np.spacing(abs(theta)):
+        raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
+                              "protocol encodes no information")
     est_x, est_y = getattr(rec_x, "estimate", rec_x), getattr(rec_y, "estimate", rec_y)
     return est_y / s + 1j * (est_x / s)
 
@@ -251,43 +225,16 @@ def run_readout_scan(
 ) -> list[ReadoutRecord]:
     """Readout records for a sequence of displacement points, in point order.
 
-    shots = 0 means exact mode. chi is evaluated at every point, then the
-    whole scan is read out in one readout_chi call.
+    Each point is a complex scalar (single mode) or a length-n_modes
+    sequence. shots = 0 means exact mode. chi of the whole scan comes from one
+    char_points call and is read out in one readout_chi call.
     """
-    xis = [np.atleast_1d(np.asarray(xi, dtype=complex)) for xi in xi_points]
-    chi = np.array([char_analytic(state, xi) for xi in xis], dtype=complex)
-    r = readout_chi(chi, theta, shots, seed)
+    try:
+        xis = np.asarray(xi_points, dtype=complex).reshape(len(xi_points), state.n_modes)
+    except ValueError:
+        raise ValidationError(f"each point needs {state.n_modes} complex entries") from None
+    r = readout_chi(char_points(state, xis), theta, shots, seed)
     return [
         ReadoutRecord(xi, theta, int(shots), sx, sy, ex, ey, c, int(seed))
         for xi, sx, sy, ex, ey, c in zip(xis, *(a.tolist() for a in r[:5]))
     ]
-
-
-def records_table(records: Sequence[ReadoutRecord]) -> tuple[list[str], list[list]]:
-    """Flatten records to (columns, rows) for the readout-log CSV."""
-    if not records:
-        raise ValidationError("no records")
-    n_modes = len(records[0].xi)
-    if n_modes == 1:
-        xi_cols = ["re_xi", "im_xi"]
-    else:
-        xi_cols = []
-        for k in range(n_modes):
-            xi_cols += [f"re_xi{k}", f"im_xi{k}"]
-    columns = xi_cols + ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
-    rows = []
-    for r in records:
-        row: list = []
-        for k in range(n_modes):
-            row += [r.xi[k].real, r.xi[k].imag]
-        row += [
-            r.theta,
-            r.shots,
-            r.est_sx,
-            r.est_sy,
-            r.chi_est.real,
-            r.chi_est.imag,
-            r.seed,
-        ]
-        rows.append(row)
-    return columns, rows

@@ -52,6 +52,7 @@ from .gaussian_field import (
     Squeezed,
     Thermal,
     Vacuum,
+    _check_mode,
     char_analytic_grid,
 )
 from .ramsey_readout import readout_chi
@@ -568,7 +569,7 @@ class GaussianFit:
     n_points: int
 
     def mode_block(self, mode: int) -> NDArray[np.float64]:
-        i = 2 * converted(integer, mode, "mode")
+        i = 2 * _check_mode(mode, self.covariance.shape[0] // 2)
         return self.covariance[i : i + 2, i : i + 2]
 
     def to_state(self, modes: ModeSet) -> GaussianFieldState:

@@ -12,7 +12,7 @@ import pytest
 
 from chitomo.cli import main
 from chitomo.fileio import load_chi_grid, load_wigner_grid, read_json, read_table
-from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, char_analytic
+from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, Vacuum, char_analytic
 from chitomo.pulse_protocol import schedule_from_dict
 from chitomo.tomography import chi_grid_from_state, grid_axis
 
@@ -235,6 +235,48 @@ def test_simulate_seed_changes_output(tmp_path):
 def test_simulate_validates_point_width(tmp_path):
     out = tmp_path / "x.csv"
     assert run("simulate", "--set", "points=[[0.1]]", "--out", str(out)) == 1
+    assert run("simulate", "--set", "points=[]", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_simulate_two_mode_columns(tmp_path):
+    out = tmp_path / "records.csv"
+    modes = ('[{"j": [1], "kind": "thermal", "params": {"n": 1.0}},'
+             ' {"j": [2], "kind": "vacuum", "params": {}}]')
+    code = run(
+        "simulate",
+        "--set", f"state.modes={modes}",
+        "--set", "points=[[0.2, 0.1, -0.3, 0.4], [0.0, 0.0, 0.0, 0.0]]",
+        "--shots", "0",
+        "--out", str(out),
+    )
+    assert code == 0
+    columns, rows, _ = read_table(out)
+    assert columns == ["re_xi0", "im_xi0", "re_xi1", "im_xi1", "theta", "M",
+                       "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
+    row = dict(zip(columns, rows[0]))
+    assert (row["re_xi0"], row["im_xi0"], row["re_xi1"], row["im_xi1"]) == (0.2, 0.1, -0.3, 0.4)
+    assert (row["theta"], row["M"], row["seed"]) == (math.pi / 2, 0, 0)
+    state = GaussianFieldState(
+        modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]]),
+        mode_states=[Thermal(n=1.0), Vacuum()],
+    )
+    want = char_analytic(state, [0.2 + 0.1j, -0.3 + 0.4j])
+    assert complex(row["re_chi"], row["im_chi"]) == pytest.approx(want, abs=1e-15)
+    assert dict(zip(columns, rows[1]))["re_chi"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv", [("simulate",), ("chi-scan", "--set", "grid.points=5")], ids=["simulate", "chi-scan"]
+)
+def test_theta_at_a_multiple_of_pi_is_exit_1(tmp_path, capsys, argv):
+    # sin(pi) is 1.2e-16 in floats, not 0; dividing by it scaled chi by 1e16
+    out = tmp_path / "x.csv"
+    for theta in (math.pi, -math.pi, 2.0 * math.pi):
+        assert run(*argv, "--shots", "100", "--theta", repr(theta), "--out", str(out)) == 1
+        assert "sin(theta)" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(*argv, "--shots", "100", "--theta", repr(math.pi / 2), "--out", str(out)) == 0
 
 
 # ------------------------------------------------------------------ wigner

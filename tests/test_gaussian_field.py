@@ -19,9 +19,8 @@ from chitomo.gaussian_field import (
     beta_from_n,
     char_analytic,
     char_analytic_grid,
-    char_closed_form,
+    char_points,
     covariance,
-    gaussian_expectation,
     moments_analytic,
     n_from_beta,
     state_from_dict,
@@ -37,6 +36,37 @@ SQ_MOMENT_11 = 1.8810978455418155        # sinh(1)^2 + 1/2
 SQ_MOMENT_20 = -1.8134302039235095       # -sinh(2)/2
 SQ_MOMENT_22 = 10.365587313506197        # Weyl average over orderings, Fock side
 TH_MOMENT_22 = 4.5
+
+
+def char_closed_form(state, xi) -> complex:
+    """chi(xi) from the per-mode exponential closed forms in the
+    gaussian_field docstring: a second expression for the same Gaussian."""
+    vec = np.atleast_1d(np.asarray(xi, dtype=complex))
+    out = 1.0 + 0.0j
+    for z, s in zip(vec, state.mode_states):
+        a2 = abs(z) ** 2
+        if isinstance(s, Vacuum):
+            out *= np.exp(-0.5 * a2)
+        elif isinstance(s, Thermal):
+            out *= np.exp(-0.5 * (2.0 * s.n + 1.0) * a2)
+        else:
+            q = np.cosh(2.0 * s.r) * a2 + np.sinh(2.0 * s.r) * (
+                np.exp(1j * s.theta) * np.conj(z) ** 2
+            ).real
+            out *= np.exp(-0.5 * q)
+    return complex(out)
+
+
+def gaussian_expectation(state, terms) -> float:
+    """<O^2> for O = sum over (mode, c_x, c_p) terms of c_x X_k + c_p P_k.
+
+    Modes are independent and mean zero, so <O^2> = sum_k c_k^T V_k c_k,
+    with the coefficients of repeated terms on one mode added first.
+    """
+    coeffs: dict = {}
+    for mode, cx, cp in terms:
+        coeffs[mode] = coeffs.get(mode, 0.0) + np.array([cx, cp])
+    return sum(float(c @ covariance(state, mode) @ c) for mode, c in coeffs.items())
 
 
 def single_mode(mode_state=None, mass=1.0):
@@ -178,12 +208,31 @@ def test_char_bounded_and_hermitian(kind, param, theta, xr, xi_im):
 
 
 def test_char_grid_matches_pointwise():
-    ax = np.linspace(-2, 2, 5)
-    st_ = single_mode(Thermal(n=0.3))
-    grid = char_analytic_grid(st_, (ax, ax))
-    assert grid.shape == (5, 5)
-    assert grid[2, 2] == 1.0
-    assert grid[1, 3] == pytest.approx(char_analytic(st_, complex(ax[1], ax[3])), abs=1e-15)
+    # one exponent expression serves all three routes, so they agree exactly
+    for state, points in (
+        (single_mode(Thermal(n=0.3)), 9),
+        (single_mode(Squeezed(r=0.4, theta=0.7)), 9),
+        (two_mode(Thermal(n=0.3), Squeezed(r=0.4, theta=0.7)), 5),
+    ):
+        axes = [np.linspace(-2, 2, points)] * (2 * state.n_modes)
+        grid = char_analytic_grid(state, axes)
+        assert grid.shape == (points,) * (2 * state.n_modes)
+        assert grid[(points // 2,) * (2 * state.n_modes)] == 1.0
+        mesh = np.meshgrid(*axes, indexing="ij")
+        xi = np.stack(
+            [mesh[2 * k] + 1j * mesh[2 * k + 1] for k in range(state.n_modes)], axis=-1
+        ).reshape(-1, state.n_modes)
+        flat = grid.reshape(-1)
+        np.testing.assert_array_equal(char_points(state, xi), flat)
+        np.testing.assert_array_equal([char_analytic(state, v) for v in xi], flat)
+
+
+def test_char_points_checks_its_input():
+    st2 = two_mode(Thermal(n=0.3), Vacuum())
+    assert char_points(st2, np.zeros((0, 2))).shape == (0,)
+    for bad in (np.zeros(2), np.zeros((3, 1)), [[0.1, np.nan]], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(ValidationError):
+            char_points(st2, bad)
 
 
 # ------------------------------------------------------ quadrature averages
@@ -212,8 +261,6 @@ def test_gaussian_expectation_accumulates_and_adds_modes():
     assert gaussian_expectation(st2, [(0, 1.0, 0.0), (1, 1.0, 0.0)]) == pytest.approx(4.0)
     # repeated terms on one mode add coefficients, (2X)^2 = 4 X^2
     assert gaussian_expectation(st2, [(0, 1.0, 0.0), (0, 1.0, 0.0)]) == pytest.approx(12.0)
-    with pytest.raises(ValidationError):
-        gaussian_expectation(st2, [])
 
 
 # ----------------------------------------------------------------- moments

@@ -11,21 +11,36 @@ from hypothesis import strategies as st
 from chitomo.errors import ValidationError
 from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, char_analytic
 from chitomo.ramsey_readout import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     QubitState,
     bloch_expectation,
     estimate_chi,
     final_qubit_state,
     readout_chi,
-    records_table,
     required_shots,
-    rotate,
     run_readout_scan,
     sample_shots,
     shot_rng,
 )
+
+# Pauli matrices in the basis ordering (|g>, |e>); sigma_z|g> = -|g>.
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def rotate(theta: float, phi: float = 0.0):
+    """R(theta, phi) = cos(theta/2) I - i sin(theta/2) (cos phi sigma_x
+    + sin phi sigma_y). Applied to |g> with phi = 0 this gives
+    cos(theta/2)|g> - i sin(theta/2)|e>."""
+    return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * (
+        np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y
+    )
+
+
+def density_matrix(qs: QubitState):
+    """rho = (1 + b . sigma)/2 of a Bloch vector."""
+    return 0.5 * (np.eye(2, dtype=complex) + qs.bx * SIGMA_X + qs.by * SIGMA_Y + qs.bz * SIGMA_Z)
+
 
 THERMAL = GaussianFieldState(
     modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]]),
@@ -60,7 +75,7 @@ def test_rotate_moves_ground_state():
 
 def test_qubit_state_validation_and_density():
     qs = QubitState(bx=0.3, by=-0.4, bz=0.5)
-    rho = qs.density_matrix()
+    rho = density_matrix(qs)
     assert np.trace(rho).real == pytest.approx(1.0)
     np.testing.assert_allclose(rho, rho.conj().T)
     assert np.trace(rho @ SIGMA_X).real == pytest.approx(0.3, abs=1e-15)
@@ -107,8 +122,12 @@ def test_estimate_chi_inverts_encoding(theta, re, im):
 
 
 def test_estimate_chi_rejects_degenerate_theta():
-    with pytest.raises(ValidationError):
-        estimate_chi(0.1, 0.1, 0.0)
+    # a float multiple of pi has sin of rounding size (1.2e-16 at pi), not 0
+    for theta in (0.0, math.pi, -math.pi, 2.0 * math.pi, 1e6 * math.pi):
+        with pytest.raises(ValidationError, match="sin"):
+            estimate_chi(0.1, 0.1, theta)
+    assert estimate_chi(0.1, 0.2, math.pi / 2) == complex(0.2, 0.1)
+    assert estimate_chi(0.0, 1e-300, 1e-300) == 1.0
 
 
 # ------------------------------------------------------------------- shots
@@ -199,10 +218,14 @@ def test_readout_guards():
     with pytest.raises(ValidationError):
         readout_chi([0.5], 1.0, shots=2.5)
     for shots in (0, 10):
-        with pytest.raises(ValidationError):
-            readout_chi([0.5], 0.0, shots=shots)
+        for theta in (0.0, math.pi, -math.pi, 2.0 * math.pi):
+            with pytest.raises(ValidationError):
+                readout_chi([0.5], theta, shots=shots)
     with pytest.raises(ValidationError):
         run_readout_scan(THERMAL, [0.2], theta=1.0, shots=-1)
+    for bad in ([[0.2, 0.3]], [[0.2], [0.1, 0.3]], [0.2, float("nan")]):
+        with pytest.raises(ValidationError):
+            run_readout_scan(THERMAL, bad, theta=1.0)
 
 
 def test_scan_records_equal_array_readout():
@@ -226,16 +249,3 @@ def test_scan_seed_changes_samples_not_truth():
     assert (a.est_sx, a.est_sy) != (b.est_sx, b.est_sy)
     exact = run_readout_scan(THERMAL, pts, theta=1.2, shots=0, seed=1)[0]
     assert exact.chi_est == run_readout_scan(THERMAL, pts, theta=1.2, shots=0, seed=2)[0].chi_est
-
-
-def test_records_table_layout():
-    recs = run_readout_scan(THERMAL, [0.2, 0.4], theta=0.6, shots=0)
-    columns, rows = records_table(recs)
-    assert columns[:2] == ["re_xi", "im_xi"]
-    assert {"est_sx", "est_sy", "re_chi", "im_chi", "theta", "M", "seed"} <= set(columns)
-    assert len(rows) == 2
-    row = dict(zip(columns, rows[0]))
-    assert row["re_xi"] == 0.2 and row["im_xi"] == 0.0
-    assert row["re_chi"] == pytest.approx(char_analytic(THERMAL, 0.2).real)
-    with pytest.raises(ValidationError):
-        records_table([])

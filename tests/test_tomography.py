@@ -18,8 +18,8 @@ from chitomo.gaussian_field import (
     Squeezed,
     Thermal,
     Vacuum,
-    _quadratic_form,
     char_analytic,
+    covariance,
     moments_analytic,
 )
 from chitomo.tomography import (
@@ -425,6 +425,9 @@ def test_fit_two_mode_blocks():
     )
     back = fit.to_state(MS2).mode_states
     assert isinstance(back[0], Thermal) and isinstance(back[1], Squeezed)
+    for bad in (-1, 2):
+        with pytest.raises(ValidationError, match="out of range"):
+            fit.mode_block(bad)
 
 
 def test_fit_flags_unphysical_grids():
@@ -484,7 +487,7 @@ def _chi_grid_reference(state, axes):
     """exp of the summed per-mode exponents, then cast to complex."""
     expo = np.zeros(tuple(a.size for a in axes))
     for k in range(state.n_modes):
-        G = _quadratic_form(state, k)
+        G = OMEGA_2X2 @ covariance(state, k) @ OMEGA_2X2.T
         x, y = axes[2 * k], axes[2 * k + 1]
         e2 = -0.5 * (
             G[0, 0] * x[:, None] ** 2
