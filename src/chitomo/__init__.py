@@ -17,6 +17,7 @@ from .gaussian_field import (
     GaussianFieldState,
     ModeSet,
     Squeezed,
+    SqueezedThermal,
     Thermal,
     Vacuum,
     char_analytic,
@@ -46,6 +47,7 @@ __all__ = [
     "Vacuum",
     "Thermal",
     "Squeezed",
+    "SqueezedThermal",
     "char_analytic",
     "char_points",
     "covariance",

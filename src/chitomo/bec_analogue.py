@@ -19,12 +19,12 @@ alternative is a one-line swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, read_field
+from .errors import ValidationError, read_object
 from .gaussian_field import ModeSet
 from .pulse_protocol import (
     PulseSchedule,
@@ -153,12 +153,8 @@ class BogoliubovWeighted:
 
 register_smearing_kind(
     "bogoliubov_weighted",
-    lambda d: BogoliubovWeighted(
-        base=read_field(d, "base", smearing_from_dict, "smearing"),
-        m_B=read_field(d, "m_B", float, "smearing"),
-        g_rho0=read_field(d, "g_rho0", float, "smearing"),
-        sign=read_field(d, "sign", float, "smearing", 1.0),
-    ),
+    BogoliubovWeighted,
+    {"base": smearing_from_dict, "m_B": float, "g_rho0": float, "sign": float},
 )
 
 
@@ -253,11 +249,4 @@ def params_to_dict(params: BecParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> BecParams:
-    return BecParams(
-        rho0=read_field(doc, "rho0", float, "bec"),
-        g_g=read_field(doc, "g_g", float, "bec"),
-        g_e=read_field(doc, "g_e", float, "bec"),
-        g_rho0=read_field(doc, "g_rho0", float, "bec"),
-        m_B=read_field(doc, "m_B", float, "bec"),
-        omega0=read_field(doc, "omega0", float, "bec"),
-    )
+    return read_object(doc, BecParams, {f.name: float for f in fields(BecParams)}, "bec")

@@ -21,7 +21,16 @@ import numpy as np
 
 from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
-from .errors import NumericalCheckError, ValidationError, boolean, converted, integer, listed
+from .errors import (
+    NumericalCheckError,
+    ValidationError,
+    boolean,
+    converted,
+    integer,
+    known_fields,
+    listed,
+    read_field,
+)
 from .fileio import (
     load_chi_grid,
     read_json,
@@ -186,9 +195,7 @@ def _resolve_config(args) -> dict:
             config[flag] = value
     if args.timestamps:
         config["timestamps"] = True
-    unknown = sorted(set(config) - set(_DEFAULTS[args.command]) - {"out"})
-    if unknown:
-        raise ValidationError(f"unknown {args.command} config key(s): {', '.join(unknown)}")
+    known_fields(config, (*_DEFAULTS[args.command], "out"), f"the {args.command} config")
     if "out" not in config and args.command != "oracle-check":
         raise ValidationError("an output path is required (--out or config key 'out')")
     return config
@@ -216,11 +223,8 @@ def _get(config: dict, key: str, kind):
 def _fields(doc, fields: dict, key: str) -> list:
     """The values of the config object at key, which must hold exactly the
     given fields; a field mapped to a converter (not None) is converted."""
-    if not isinstance(doc, dict) or set(doc) != set(fields):
-        raise ValidationError(f"{key} takes exactly the fields {', '.join(fields)}: {doc!r}")
-    return [
-        doc[n] if k is None else converted(k, doc[n], f"{key}.{n}") for n, k in fields.items()
-    ]
+    known_fields(doc, fields, key)
+    return [read_field(doc, name, kind, key) for name, kind in fields.items()]
 
 
 def _mode_args(doc, key: str) -> tuple:

@@ -6,9 +6,10 @@ boundary-decay check (CLI exit code 2).
 """
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
-_REQUIRED = object()
+_REQUIRED = MISSING  # a field without a default is required, as in a dataclass
 
 
 class ValidationError(ValueError):
@@ -43,6 +44,24 @@ def integer(value) -> int:
     return int(value)
 
 
+def at_least(least: int):
+    """A converter of an exact integer >= least (see integer)."""
+    def convert(value) -> int:
+        n = integer(value)
+        if n < least:
+            raise ValueError(f"an integer >= {least} is expected")
+        return n
+    return convert
+
+
+def dimension(value) -> int:
+    """A spatial dimension: an exact integer 1, 2 or 3 (1.0 is 1, True is refused)."""
+    n = integer(value)
+    if n not in (1, 2, 3):
+        raise ValueError("a spatial dimension is 1, 2 or 3")
+    return n
+
+
 def boolean(value) -> bool:
     """A boolean field: only true and false; "false", 0 and 1 are refused."""
     if not isinstance(value, bool):
@@ -68,3 +87,25 @@ def read_field(doc, key: str, kind, where: str, default=_REQUIRED):
         raise ValidationError(f"{where} is missing field {key!r}")
     value = doc.get(key, default)
     return value if kind is None else converted(kind, value, f"{where}.{key}")
+
+
+def known_fields(doc, names, where: str) -> None:
+    """Refuse the input object named where if it holds a field outside names;
+    whether a field of names may be missing is read_field's to decide."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object, got {doc!r}")
+    unknown = ", ".join(repr(k) for k in doc if k not in names)
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown field(s) {unknown}; it takes {', '.join(names) or 'none'}"
+        )
+
+
+def read_object(doc, cls, kinds: dict, where: str, also: tuple = ()):
+    """The dataclass cls from the input object named where: each field name
+    of kinds is converted by kinds[name] and defaults to cls's own default;
+    a field outside kinds and also is refused."""
+    known_fields(doc, (*also, *kinds), where)
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls(**{name: read_field(doc, name, kind, where, defaults[name])
+                  for name, kind in kinds.items()})

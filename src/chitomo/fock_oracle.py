@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError
+from .errors import NumericalCheckError, ValidationError, at_least, converted, dimension, integer
 from .gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -84,8 +84,10 @@ class FieldMode:
     def __post_init__(self) -> None:
         if not self.omega > 0:
             raise ValidationError("mode frequency must be positive")
-        if not self.box_side > 0 or self.spatial_dim not in (1, 2, 3):
+        if not self.box_side > 0:
             raise ValidationError("bad box parameters")
+        dim = converted(dimension, self.spatial_dim, "spatial_dim")
+        object.__setattr__(self, "spatial_dim", dim)
 
     @classmethod
     def from_mode_set(cls, modes: ModeSet, index: int = 0) -> "FieldMode":
@@ -106,8 +108,7 @@ class FieldMode:
 
 def ladder(D: int) -> NDArray[np.complex128]:
     """Annihilation operator, a|n> = sqrt(n)|n-1>, as a dense D x D matrix."""
-    if int(D) != D or D < 2:
-        raise ValidationError("Fock cutoff must be an integer >= 2")
+    D = converted(at_least(2), D, "Fock cutoff D")
     return np.diag(np.sqrt(np.arange(1.0, D)), k=1).astype(complex)
 
 
@@ -128,7 +129,7 @@ class TruncatedMode:
 def truncated_mode(D: int) -> TruncatedMode:
     a = ladder(D)
     adag = a.conj().T
-    return TruncatedMode(dim=int(D), a=a, adag=adag, number=adag @ a)
+    return TruncatedMode(dim=a.shape[0], a=a, adag=adag, number=adag @ a)
 
 
 def _unitary(H: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -172,41 +173,43 @@ def thermal_density(D: int, n: float, tail_tol: float = 1e-10) -> NDArray[np.com
     return np.diag(p).astype(complex)
 
 
-def squeezed_ket(
-    D: int, r: float, theta: float = 0.0, boundary_tol: float = 1e-8
-) -> NDArray[np.complex128]:
-    """S(zeta)|0> with zeta = r e^(i theta), by exponentiating the generator.
-
-    S = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2]. Built without closed-form
-    Fock amplitudes so it stays an independent check on the analytic layer.
-    """
-    if r < 0:
-        raise ValidationError("squeezing modulus must be >= 0")
+def _squeezer(D: int, r: float, theta: float) -> NDArray[np.complex128]:
+    """S(zeta) = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2] with zeta = r e^(i theta),
+    exponentiated from its generator, never from closed-form Fock amplitudes."""
     zeta = r * np.exp(1j * theta)
     a = ladder(D)
     adag = a.conj().T
-    S = _unitary(0.5j * (np.conj(zeta) * (a @ a) - zeta * (adag @ adag)))
-    psi = S[:, 0]
-    boundary = max(abs(psi[-1]), abs(psi[-2]))
-    if boundary >= boundary_tol:
+    return _unitary(0.5j * (np.conj(zeta) * (a @ a) - zeta * (adag @ adag)))
+
+
+def _check_boundary(top, D: int, boundary_tol: float) -> None:
+    if max(top) >= boundary_tol:
         raise NumericalCheckError(
-            f"squeezed boundary amplitude {boundary:.3e} at D = {D} exceeds {boundary_tol:.1e}"
+            f"squeezed boundary amplitude {max(top):.3e} at D = {D} exceeds {boundary_tol:.1e}"
         )
+
+
+def squeezed_ket(
+    D: int, r: float, theta: float = 0.0, boundary_tol: float = 1e-8
+) -> NDArray[np.complex128]:
+    """S(zeta)|0> with zeta = r e^(i theta)."""
+    if r < 0:
+        raise ValidationError("squeezing modulus must be >= 0")
+    psi = _squeezer(D, r, theta)[:, 0]
+    _check_boundary(np.abs(psi[-2:]), D, boundary_tol)
     return psi
 
 
 def fock_density(
     mode_state, D: int, tail_tol: float = 1e-10, boundary_tol: float = 1e-8
 ) -> NDArray[np.complex128]:
-    """Truncated density matrix for one analytic mode state."""
-    if isinstance(mode_state, Vacuum):
-        return thermal_density(D, 0.0)
-    if isinstance(mode_state, Thermal):
-        return thermal_density(D, mode_state.n, tail_tol)
-    if isinstance(mode_state, Squeezed):
-        psi = squeezed_ket(D, mode_state.r, mode_state.theta, boundary_tol)
-        return np.outer(psi, psi.conj())
-    raise ValidationError(f"unknown mode state {mode_state!r}")
+    """S rho_th S-dagger of one mode state (n, r, theta); S acts only when r > 0."""
+    rho = thermal_density(D, mode_state.n, tail_tol)
+    if mode_state.r > 0:
+        S = _squeezer(D, mode_state.r, mode_state.theta)
+        rho = (S * rho.diagonal()) @ S.conj().T  # rho_th is diagonal
+        _check_boundary(np.sqrt(np.abs(np.diag(rho)[-2:])), D, boundary_tol)
+    return rho
 
 
 # --------------------------------------------------------------------------
@@ -242,9 +245,7 @@ def build_segment(
     Raises when any low Fock column leaks population above leak_tol into the
     top level, which is the signal to enlarge D.
     """
-    if int(D) != D or D < 8:
-        raise ValidationError("segment cutoff must be an integer >= 8")
-    D = int(D)
+    D = converted(at_least(8), D, "segment cutoff D")
     eta = switching_integral(
         sched.switching, sched.tau, mode.omega, mode.box_side, mode.spatial_dim
     )
@@ -271,10 +272,8 @@ def build_segment(
 
 def evolve_pulse_sequence(seg: SegmentOperators, N: int) -> NDArray[np.complex128]:
     """(u_g^dag)^N (u_e)^N, the operator the qubit coherence averages."""
-    if int(N) != N or N < 1:
-        raise ValidationError("segment count N must be an integer >= 1")
-    ug_dag = seg.u_g.conj().T
-    return np.linalg.matrix_power(ug_dag, int(N)) @ np.linalg.matrix_power(seg.u_e, int(N))
+    N = converted(at_least(1), N, "segment count N")
+    return np.linalg.matrix_power(seg.u_g.conj().T, N) @ np.linalg.matrix_power(seg.u_e, N)
 
 
 def _aligned_low_column_distance(
@@ -381,12 +380,11 @@ def verify_displacement_composition(x: complex, y: float, N: int, D: int = 40) -
     x_N = x (1 - e^(iNy)) / (1 - e^(iy)), or N x when y = 0 mod 2pi. Distance
     is taken over the low Fock columns modulo a global phase.
     """
-    if int(N) != N or N < 1:
-        raise ValidationError("N must be an integer >= 1")
+    N = converted(at_least(1), N, "N")
     x = complex(x)
     y = float(y)
     step = displacement_operator(D, x) @ number_rotation(D, y)
-    lhs = np.linalg.matrix_power(step, int(N))
+    lhs = np.linalg.matrix_power(step, N)
     ratio = 1.0 - np.exp(1j * y)
     if abs(ratio) < 1e-12:
         x_total = N * x
@@ -490,12 +488,12 @@ def run_displacement_draws(
     """
     from .pulse_protocol import Constant, Delta
 
-    if n_draws < 1:
-        raise ValidationError("need at least one draw")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    n_draws = converted(at_least(1), n_draws, "n_draws")
+    entropy = converted(integer, seed, "seed")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
     mode = FieldMode(k=1.0, omega=1.0, box_side=2.0 * np.pi, spatial_dim=1)
     reports = []
-    for _ in range(int(n_draws)):
+    for _ in range(n_draws):
         lam = rng.uniform(0.1 * lam_max, lam_max)
         tau = rng.uniform(0.05, 2.0 * np.pi - 0.05)
         N = int(rng.integers(1, N_max + 1))

@@ -2,8 +2,12 @@
 
 The field is expanded in discrete modes k = 2*pi*j/L, j in Z^n, with
 dispersion omega_k = sqrt(m^2 + |k|^2). Each mode is an independent harmonic
-oscillator prepared in one of three mean-zero Gaussian states: vacuum, thermal
-with occupation n_k, or squeezed with zeta_k = r_k * exp(i*theta_k).
+oscillator in a mean-zero Gaussian state. By Williamson's theorem every such
+single-mode state is a thermal state squeezed by zeta = r e^(i theta), so each
+mode carries the same three parameters (n, r, theta): the thermal occupation
+n >= 0, the squeezing modulus r >= 0 and its phase theta. SqueezedThermal
+takes all three; Vacuum (0, 0, 0), Thermal(n) (n, 0, 0) and Squeezed(r, theta)
+(0, r, theta) are its special cases, and no formula branches on them.
 
 The central object is the symmetric characteristic function
 
@@ -17,19 +21,18 @@ which for a product of mean-zero Gaussian modes is the Gaussian
 where V_k is the mode's 2x2 covariance matrix in the convention
 
     V = [[<X^2>, <{X,P}>/2], [<{X,P}>/2, <P^2>]],
-    X = a + a^dag,   P = i(a^dag - a),
+    X = a + a^dag,   P = i(a^dag - a).
 
-so the vacuum has V = I, a thermal mode has V = (2 n + 1) I, and a squeezed
-mode has
+One formula gives V for every mode (Weedbrook et al., RMP 84, 621 (2012)):
 
-    V = [[cosh 2r - cos(theta) sinh 2r,  -sin(theta) sinh 2r],
-         [-sin(theta) sinh 2r,  cosh 2r + cos(theta) sinh 2r]].
+    V = (2n + 1) S S^T = (2n + 1) [[cosh 2r - cos(theta) sinh 2r,  -sin(theta) sinh 2r],
+                                   [-sin(theta) sinh 2r,  cosh 2r + cos(theta) sinh 2r]],
 
-The equivalent per-mode exponential closed forms are
+with S = S(r, theta) the squeezer acting on (X, P). The vacuum has V = I, a
+thermal mode (2n + 1) I, and det V = (2n + 1)^2, so det V = 1 marks a pure mode.
+The per-mode closed form is
 
-    vacuum:   exp(-|xi|^2 / 2)
-    thermal:  exp(-(2n+1) |xi|^2 / 2)
-    squeezed: exp(-[cosh(2r) |xi|^2 + sinh(2r) Re(e^{i theta} conj(xi)^2)] / 2)
+    chi(xi) = exp(-(2n+1) [cosh(2r) |xi|^2 + sinh(2r) Re(e^{i theta} conj(xi)^2)] / 2).
 
 The sign of the sinh term is the one validated against the truncated-Fock
 oracle (see fock_oracle.chi_fock); it also follows from the covariance matrix
@@ -49,19 +52,29 @@ exponent; moments_analytic implements the pairing sum up to p + q = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, converted, integer, listed, read_field
+from .errors import (
+    ValidationError,
+    converted,
+    dimension,
+    integer,
+    known_fields,
+    listed,
+    read_field,
+    read_object,
+)
 
 __all__ = [
     "ModeSet",
     "Vacuum",
     "Thermal",
     "Squeezed",
+    "SqueezedThermal",
     "GaussianFieldState",
     "covariance",
     "char_points",
@@ -92,13 +105,13 @@ class ModeSet:
     mode_indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.spatial_dim not in (1, 2, 3):
-            raise ValidationError(f"spatial_dim must be 1, 2 or 3, got {self.spatial_dim}")
+        dim = converted(dimension, self.spatial_dim, "spatial_dim")
+        object.__setattr__(self, "spatial_dim", dim)
         if not self.box_side > 0:
             raise ValidationError("box_side must be positive")
         if self.mass < 0:
             raise ValidationError("mass must be nonnegative")
-        idx = tuple(tuple(int(c) for c in j) for j in self.mode_indices)
+        idx = tuple(tuple(converted(listed(integer), j, "mode index")) for j in self.mode_indices)
         object.__setattr__(self, "mode_indices", idx)
         for j in idx:
             if len(j) != self.spatial_dim:
@@ -125,31 +138,45 @@ class ModeSet:
 
 
 @dataclass(frozen=True)
-class Vacuum:
-    pass
+class SqueezedThermal:
+    """Thermal occupation n squeezed by zeta = r e^(i theta); Vacuum, Thermal
+    and Squeezed are this mode with their other parameters pinned at 0."""
 
-
-@dataclass(frozen=True)
-class Thermal:
     n: float
-
-    def __post_init__(self) -> None:
-        if not self.n >= 0:
-            raise ValidationError("thermal occupation must be >= 0")
-
-
-@dataclass(frozen=True)
-class Squeezed:
     r: float
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.r >= 0:
-            raise ValidationError("squeezing modulus must be >= 0")
+        # finite, or V and chi turn NaN
+        if not 0 <= self.n < math.inf:
+            raise ValidationError(f"thermal occupation must be finite and >= 0, got {self.n}")
+        if not 0 <= self.r < math.inf or not math.isfinite(self.theta):
+            raise ValidationError(
+                f"squeezing must be finite with r >= 0, got r = {self.r}, theta = {self.theta}"
+            )
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
 
 
-ModeState = Union[Vacuum, Thermal, Squeezed]
+def _fixed():  # a parameter a special case pins at 0
+    return field(default=0.0, init=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Vacuum(SqueezedThermal):
+    n: float = _fixed()
+    r: float = _fixed()
+    theta: float = _fixed()
+
+
+@dataclass(frozen=True)
+class Thermal(SqueezedThermal):
+    r: float = _fixed()
+    theta: float = _fixed()
+
+
+@dataclass(frozen=True)
+class Squeezed(SqueezedThermal):
+    n: float = _fixed()
 
 
 @dataclass(frozen=True)
@@ -157,7 +184,7 @@ class GaussianFieldState:
     """Product of independent mean-zero Gaussian modes over a ModeSet."""
 
     modes: ModeSet
-    mode_states: tuple[ModeState, ...] = field(default=())
+    mode_states: tuple[SqueezedThermal, ...] = field(default=())
 
     def __post_init__(self) -> None:
         states = tuple(self.mode_states) if self.mode_states is not None else ()
@@ -169,7 +196,7 @@ class GaussianFieldState:
                 f"{len(states)} mode states for {self.modes.n_modes} modes"
             )
         for s in states:
-            if not isinstance(s, (Vacuum, Thermal, Squeezed)):
+            if not isinstance(s, SqueezedThermal):
                 raise ValidationError(f"unknown mode state {s!r}")
 
     @property
@@ -185,19 +212,11 @@ def _check_mode(mode: int, n_modes: int) -> int:
 
 
 def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
-    """2x2 covariance matrix V of one mode.
-
-    Vacuum gives the identity, thermal (2n+1)*I, squeezed the closed form in
-    the module docstring. det V >= 1 always; equality for pure modes.
-    """
+    """2x2 covariance V = (2n+1) S S^T of one mode; det V = (2n+1)^2 >= 1."""
     s = state.mode_states[_check_mode(mode, state.n_modes)]
-    if isinstance(s, Vacuum):
-        return np.eye(2)
-    if isinstance(s, Thermal):
-        return (2.0 * s.n + 1.0) * np.eye(2)
     c, sh = np.cosh(2.0 * s.r), np.sinh(2.0 * s.r)
     ct, st = np.cos(s.theta), np.sin(s.theta)
-    return np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
+    return (2.0 * s.n + 1.0) * np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
 
 
 def _chi_coeffs(state: GaussianFieldState, mode: int) -> tuple[float, float, float]:
@@ -330,19 +349,22 @@ def beta_from_n(n: float, omega: float) -> float:
     return math.log1p(1.0 / n) / omega
 
 
-_KIND_NAMES = {Vacuum: "vacuum", Thermal: "thermal", Squeezed: "squeezed"}
+# state-document kind name -> class; each kind's params are its init fields
+_KINDS = {"vacuum": Vacuum, "thermal": Thermal, "squeezed": Squeezed,
+          "squeezed_thermal": SqueezedThermal}
+_KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
+
+
+def _params(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def state_to_dict(state: GaussianFieldState) -> dict:
-    modes = []
-    for j, s in zip(state.modes.mode_indices, state.mode_states):
-        if isinstance(s, Vacuum):
-            params: dict = {}
-        elif isinstance(s, Thermal):
-            params = {"n": s.n}
-        else:
-            params = {"r": s.r, "theta": s.theta}
-        modes.append({"j": list(j), "kind": _KIND_NAMES[type(s)], "params": params})
+    modes = [
+        {"j": list(j), "kind": _KIND_NAMES[type(s)],
+         "params": {name: getattr(s, name) for name in _params(type(s))}}
+        for j, s in zip(state.modes.mode_indices, state.mode_states)
+    ]
     return {
         "spatial_dim": state.modes.spatial_dim,
         "box_side": state.modes.box_side,
@@ -352,6 +374,7 @@ def state_to_dict(state: GaussianFieldState) -> dict:
 
 
 def state_from_dict(doc: dict) -> GaussianFieldState:
+    known_fields(doc, ("spatial_dim", "box_side", "mass", "modes"), "state")
     entries = read_field(doc, "modes", listed(dict), "state")
     where = [f"state.modes[{i}]" for i in range(len(entries))]
     modeset = ModeSet(
@@ -360,18 +383,12 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
         mass=read_field(doc, "mass", float, "state"),
         mode_indices=tuple(read_field(e, "j", listed(integer), w) for e, w in zip(entries, where)),
     )
-    states: list[ModeState] = []
+    states = []
     for e, w in zip(entries, where):
+        known_fields(e, ("j", "kind", "params"), w)
         kind = read_field(e, "kind", None, w, "vacuum")
-        params = read_field(e, "params", dict, w, {})
-        at = f"{w}.params"
-        if kind == "vacuum":
-            states.append(Vacuum())
-        elif kind == "thermal":
-            states.append(Thermal(n=read_field(params, "n", float, at)))
-        elif kind == "squeezed":
-            r = read_field(params, "r", float, at)
-            states.append(Squeezed(r=r, theta=read_field(params, "theta", float, at, 0.0)))
-        else:
+        if kind not in _KINDS:
             raise ValidationError(f"unknown mode kind {kind!r}")
+        cls, params = _KINDS[kind], read_field(e, "params", None, w, {})
+        states.append(read_object(params, cls, dict.fromkeys(_params(cls), float), f"{w}.params"))
     return GaussianFieldState(modes=modeset, mode_states=tuple(states))

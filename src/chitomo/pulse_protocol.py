@@ -29,12 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, boolean, integer, listed, read_field
+from .errors import (
+    ValidationError,
+    at_least,
+    boolean,
+    converted,
+    dimension,
+    known_fields,
+    listed,
+    read_field,
+    read_object,
+)
 
 __all__ = [
     "SphericalGaussian",
@@ -144,8 +154,7 @@ def smearing_ft(f, k, n: int) -> complex:
     nonnegative profiles; F(0) equals the profile's total integral. A
     profile's own ft(kmag, n) also takes an array of magnitudes.
     """
-    if n not in (1, 2, 3):
-        raise ValidationError(f"spatial dimension must be 1, 2 or 3, got {n}")
+    n = converted(dimension, n, "spatial dimension")
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.ndim != 1 or kv.size not in (1, n):
         raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
@@ -262,8 +271,9 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
         raise ValidationError("tau must be positive")
     if not np.all(omega_k > 0):
         raise ValidationError("omega must be positive")
-    if not L > 0 or n not in (1, 2, 3):
+    if not L > 0:
         raise ValidationError("bad box parameters")
+    n = converted(dimension, n, "spatial dimension")
     try:
         window = eta.window_integral
     except AttributeError:
@@ -275,13 +285,7 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
 # pulse schedule and the displacement closed form
 
 def _segment_count(N) -> int:
-    try:
-        count = integer(N)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ValidationError(f"segment count N must be an integer >= 1, got {N!r}")
-    return count
+    return converted(at_least(1), N, "segment count N")
 
 
 @dataclass(frozen=True)
@@ -387,48 +391,28 @@ def reachable_manifold(
 # --------------------------------------------------------------------------
 # serialization
 
-_SMEARING_KINDS: dict[str, Callable[[dict], object]] = {}
-_SWITCHING_KINDS: dict[str, Callable[[dict], object]] = {}
+# kind name -> (class, {field: converter}); a document holds "kind" and the
+# class's fields, which default to the class's own defaults
+_SMEARING_KINDS: dict[str, tuple[type, dict]] = {}
+_SWITCHING_KINDS: dict[str, tuple[type, dict]] = {}
 
 
-def register_smearing_kind(name: str, loader: Callable[[dict], object]) -> None:
-    _SMEARING_KINDS[name] = loader
+def register_smearing_kind(name: str, cls: type, fields: dict) -> None:
+    _SMEARING_KINDS[name] = (cls, fields)
 
 
-def register_switching_kind(name: str, loader: Callable[[dict], object]) -> None:
-    _SWITCHING_KINDS[name] = loader
+def register_switching_kind(name: str, cls: type, fields: dict) -> None:
+    _SWITCHING_KINDS[name] = (cls, fields)
 
 
-register_smearing_kind(
-    "spherical_gaussian",
-    lambda d: SphericalGaussian(sigma=read_field(d, "sigma", float, "smearing")),
-)
-register_smearing_kind("delta", lambda d: Delta())
-register_smearing_kind(
-    "custom_radial",
-    lambda d: CustomRadial(
-        r=read_field(d, "r", listed(float), "smearing"),
-        f=read_field(d, "f", listed(float), "smearing"),
-    ),
-)
+register_smearing_kind("spherical_gaussian", SphericalGaussian, {"sigma": float})
+register_smearing_kind("delta", Delta, {})
+register_smearing_kind("custom_radial", CustomRadial, {"r": listed(float), "f": listed(float)})
+register_switching_kind("constant", Constant, {"value": float})
 register_switching_kind(
-    "constant", lambda d: Constant(value=read_field(d, "value", float, "switching", 1.0))
+    "gaussian", GaussianWindow, {"center": float, "width": float, "relative": boolean}
 )
-register_switching_kind(
-    "gaussian",
-    lambda d: GaussianWindow(
-        center=read_field(d, "center", float, "switching"),
-        width=read_field(d, "width", float, "switching"),
-        relative=read_field(d, "relative", boolean, "switching", False),
-    ),
-)
-register_switching_kind(
-    "custom",
-    lambda d: CustomSwitching(
-        t=read_field(d, "t", listed(float), "switching"),
-        eta=read_field(d, "eta", listed(float), "switching"),
-    ),
-)
+register_switching_kind("custom", CustomSwitching, {"t": listed(float), "eta": listed(float)})
 
 
 def smearing_to_dict(f) -> dict:
@@ -439,7 +423,7 @@ def smearing_from_dict(doc: dict):
     kind = read_field(doc, "kind", str, "smearing")
     if kind not in _SMEARING_KINDS:
         raise ValidationError(f"unknown smearing kind {kind!r}")
-    return _SMEARING_KINDS[kind](doc)
+    return read_object(doc, *_SMEARING_KINDS[kind], "smearing", also=("kind",))
 
 
 def switching_to_dict(eta) -> dict:
@@ -450,7 +434,7 @@ def switching_from_dict(doc: dict):
     kind = read_field(doc, "kind", str, "switching")
     if kind not in _SWITCHING_KINDS:
         raise ValidationError(f"unknown switching kind {kind!r}")
-    return _SWITCHING_KINDS[kind](doc)
+    return read_object(doc, *_SWITCHING_KINDS[kind], "switching", also=("kind",))
 
 
 def schedule_to_dict(sched: PulseSchedule) -> dict:
@@ -464,6 +448,7 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(doc: dict) -> PulseSchedule:
+    known_fields(doc, ("lambda", "tau", "N", "smearing", "switching"), "schedule")
     return PulseSchedule(
         lam=read_field(doc, "lambda", float, "schedule"),
         tau=read_field(doc, "tau", float, "schedule"),

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
+from .errors import ValidationError, at_least, converted, integer
 from .gaussian_field import GaussianFieldState, char_points
 
 __all__ = [
@@ -99,19 +99,15 @@ def shot_rng(seed: int, *stream: int) -> np.random.Generator:
     Streams derived from the same seed but different stream indices (the
     readout uses one per basis) are statistically independent.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    ss = np.random.SeedSequence(
+        entropy=converted(integer, seed, "seed"), spawn_key=tuple(int(s) for s in stream)
+    )
     return np.random.Generator(np.random.Philox(ss))
 
 
 class ShotResult(NamedTuple):
     estimate: float
     stderr: float
-
-
-def _shot_count(M) -> int:
-    if int(M) != M or M < 1:
-        raise ValidationError("shot count M must be an integer >= 1 in sampling mode")
-    return int(M)
 
 
 def _sample_mean(bloch, M: int, rng: np.random.Generator):
@@ -128,9 +124,9 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     P(+1) = (1 + <sigma>)/2; returns the sample mean and its binomial
     standard error sqrt((1 - mean^2)/M). rng is a Generator or an int seed.
     """
-    M = _shot_count(M)
+    M = converted(at_least(1), M, "shot count M")
     if not isinstance(rng, np.random.Generator):
-        rng = shot_rng(int(rng))
+        rng = shot_rng(rng)
     est, stderr = _sample_mean(bloch_expectation(qs, basis), M, rng)
     return ShotResult(estimate=float(est), stderr=float(stderr))
 
@@ -183,6 +179,7 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     1 for Y, in the points' C order.
     """
     chi = np.asarray(chi, dtype=complex)
+    shots, seed = converted(integer, shots, "shots"), converted(integer, seed, "seed")
     if shots < 0:
         raise ValidationError("shots must be >= 0")
     _check_characteristic(chi)
@@ -192,9 +189,8 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
         est_x, est_y = bloch_x, bloch_y
         err_x = err_y = np.zeros(chi.shape)
     else:
-        M = _shot_count(shots)
-        est_x, err_x = _sample_mean(bloch_x, M, shot_rng(seed, 0))
-        est_y, err_y = _sample_mean(bloch_y, M, shot_rng(seed, 1))
+        est_x, err_x = _sample_mean(bloch_x, shots, shot_rng(seed, 0))
+        est_y, err_y = _sample_mean(bloch_y, shots, shot_rng(seed, 1))
     chi_est = estimate_chi(est_x, est_y, theta)
     return ChiReadout(
         est_x, est_y, err_x, err_y, chi_est, np.sqrt(err_x**2 + err_y**2) / abs(s)

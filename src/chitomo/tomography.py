@@ -50,6 +50,7 @@ from .gaussian_field import (
     GaussianFieldState,
     ModeSet,
     Squeezed,
+    SqueezedThermal,
     Thermal,
     Vacuum,
     _check_mode,
@@ -573,11 +574,8 @@ class GaussianFit:
         return self.covariance[i : i + 2, i : i + 2]
 
     def to_state(self, modes: ModeSet) -> GaussianFieldState:
-        """Nearest representable product state (vacuum / thermal / squeezed).
-
-        A covariance that is both squeezed and mixed has no counterpart in
-        the state model and is rejected rather than approximated silently.
-        """
+        """Nearest product state: each block read as V = nu S(r, theta) S^T
+        with nu = 2n + 1, and a parameter within rounding of 0 taken as 0."""
         n = self.covariance.shape[0] // 2
         if modes.n_modes != n:
             raise ValidationError("mode count does not match the fitted covariance")
@@ -595,15 +593,10 @@ class GaussianFit:
             r = 0.25 * math.log(evals[-1] / evals[0])
             if r <= 1e-6:
                 states.append(Vacuum() if n_th <= 1e-9 else Thermal(n=n_th))
-            elif n_th <= 1e-6:
-                sinh2r = math.sinh(2.0 * r)
-                theta = math.atan2(-V[0, 1] / (nu * sinh2r), (V[1, 1] - V[0, 0]) / (2.0 * nu * sinh2r))
-                states.append(Squeezed(r=r, theta=theta))
-            else:
-                raise ValidationError(
-                    "fitted covariance is squeezed and thermal at once; "
-                    "outside the representable state model"
-                )
+                continue
+            sinh2r = math.sinh(2.0 * r)
+            theta = math.atan2(-V[0, 1] / (nu * sinh2r), (V[1, 1] - V[0, 0]) / (2.0 * nu * sinh2r))
+            states.append(Squeezed(r, theta) if n_th <= 1e-6 else SqueezedThermal(n_th, r, theta))
         return GaussianFieldState(modes, tuple(states))
 
 

@@ -12,11 +12,21 @@ import pytest
 
 from chitomo.cli import main
 from chitomo.fileio import load_chi_grid, load_wigner_grid, read_json, read_table
-from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, Vacuum, char_analytic
+from chitomo.gaussian_field import (
+    GaussianFieldState,
+    ModeSet,
+    Squeezed,
+    SqueezedThermal,
+    Thermal,
+    Vacuum,
+    char_analytic,
+)
 from chitomo.pulse_protocol import schedule_from_dict
 from chitomo.tomography import chi_grid_from_state, grid_axis
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
+# the fields of a Bogoliubov-weighted smearing without its optional sign
+_WEIGHTED = '"kind": "bogoliubov_weighted", "base": {"kind": "delta"}, "m_B": 1.0, "g_rho0": 1.0'
 
 
 def run(*argv):
@@ -504,7 +514,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
        'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": "a"}}]'),
       "state.modes[0].params.n"),
      (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "thermal", "params": {}}]'),
-      "state.modes[0].params is missing field 'n'")],
+      "state.modes[0].params is missing field 'n'"),
+     (("chi-scan", "--set",
+       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
+      "thermal occupation must be finite")],
 )
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"
@@ -527,7 +540,9 @@ def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
      (("chi-scan", "--shots", "100", "--set", 'half="false"'), "half"),
      (("moments", "--set", 'richardson="false"'), "richardson"),
      (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
-       '"width": 0.2, "relative": "false"}'), "switching.relative")],
+       '"width": 0.2, "relative": "false"}'), "switching.relative"),
+     (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
+     (("oracle-check", "--set", "seed=0.5"), "seed")],
 )
 def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
     # 9.7 is not truncated to 9, nor the string "false" read as true
@@ -536,6 +551,68 @@ def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [(("chi-scan", "--set",
+       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 0.5, "r": 0.3}}]'), "'r'"),
+     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum", "parms": {}}]'),
+      "'parms'"),
+     (("chi-scan", "--set", "state.colour=1"), "'colour'"),
+     (("manifold", "--set", "schedule.foo=1"), "'foo'"),
+     (("manifold", "--set", 'schedule.switching={"kind": "constant", "width": 0.2}'),
+      "'width'"),
+     (("manifold", "--set", 'schedule.smearing={"kind": "delta", "sigma": 0.2}'), "'sigma'"),
+     (("manifold", "--set", 'schedule.smearing={"kind": "spherical_gaussian", "sigma": 0.2, '
+       '"width": 1.0}'), "'width'"),
+     (("manifold", "--set", 'schedule.switching={"kind": "custom", "t": [0, 2], '
+       '"eta": [1, 1], "dt": 0.1}'), "'dt'"),
+     (("manifold", "--set", f'schedule.smearing={{{_WEIGHTED}, "weight": 2.0}}'), "'weight'"),
+     (("chi-scan", "--set", 'state.modes=[{"j": [1], "params": {"n": 0.5}}]'), "'n'"),
+     (("bec-map", "--set", "bec.rho=2"), "'rho'")],
+)
+def test_unknown_document_field_is_exit_1(tmp_path, capsys, argv, field):
+    # a field the loader does not read is refused, not dropped
+    out = tmp_path / "x.out"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown field(s) {field}" in err
+    assert not out.exists()
+
+
+def test_optional_document_fields_may_be_omitted(tmp_path):
+    # kind, params, theta, relative, a constant's value and a weighted sign have defaults
+    state = ('state.modes=[{"j": [1]}, {"j": [2], "kind": "squeezed", "params": {"r": 0.2}}, '
+             '{"j": [3], "kind": "squeezed_thermal", "params": {"n": 0.1, "r": 0.2}}]')
+    assert run("chi-scan", "--set", state, "--set", "grid.points=3",
+               "--out", str(tmp_path / "chi.csv")) == 0
+    for switching, smearing in (
+        ('{"kind": "gaussian", "center": 0.5, "width": 0.2}', '{"kind": "delta"}'),
+        ('{"kind": "constant"}', f"{{{_WEIGHTED}}}"),
+    ):
+        assert run("manifold", "--set", f"schedule.switching={switching}",
+                   "--set", f"schedule.smearing={smearing}", "--set", "tau.points=5",
+                   "--out", str(tmp_path / "m.csv")) == 0
+
+
+def test_chi_scan_squeezed_thermal_state(tmp_path):
+    out = tmp_path / "chi.csv"
+    modes = ('[{"j": [1], "kind": "squeezed_thermal", '
+             '"params": {"n": 0.5, "r": 0.3, "theta": 0.4}}]')
+    assert run("chi-scan", "--set", f"state.modes={modes}", "--set", "grid.extent=4.0",
+               "--set", "grid.points=21", "--out", str(out)) == 0
+    grid = load_chi_grid(out)
+    state = GaussianFieldState(
+        modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]]),
+        mode_states=[SqueezedThermal(n=0.5, r=0.3, theta=0.4)],
+    )
+    want = chi_grid_from_state(state, (grid_axis(4.0, 21), grid_axis(4.0, 21)))
+    np.testing.assert_array_equal(grid.values, want.values)
+    # V = (2n+1) V_sq: chi is the pure squeezed chi to the power 2n + 1 = 2
+    pure = GaussianFieldState(modes=state.modes, mode_states=[Squeezed(r=0.3, theta=0.4)])
+    xi = complex(grid.axes[0][3], grid.axes[1][15])
+    assert grid.values[3, 15] == pytest.approx(char_analytic(pure, xi) ** 2, rel=1e-13)
 
 
 @pytest.mark.parametrize(

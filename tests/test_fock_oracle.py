@@ -18,6 +18,7 @@ from chitomo.fock_oracle import (
     default_cutoff,
     displacement_operator,
     evolve_pulse_sequence,
+    fock_density,
     joint_bloch_oracle,
     ladder,
     number_rotation,
@@ -33,7 +34,9 @@ from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
     Squeezed,
+    SqueezedThermal,
     Thermal,
+    Vacuum,
     char_analytic,
 )
 from chitomo.pulse_protocol import Constant, Delta, PulseSchedule, switching_integral
@@ -261,6 +264,40 @@ def test_chi_fock_resolves_squeezed_sign():
     assert off_axis == pytest.approx(CHI_SQ_HALF_I, abs=1e-8)
     assert abs(on_axis - CHI_SQ_HALF_I) > 0.5
     assert abs(off_axis - CHI_SQ_HALF) > 0.5
+
+
+@pytest.mark.parametrize(
+    "mode_state,D",
+    [(SqueezedThermal(n=0.5, r=0.3, theta=0.4), 80),
+     (SqueezedThermal(n=1.0, r=0.6, theta=2.0), 200)],
+)
+def test_chi_fock_pins_squeezed_thermal(mode_state, D):
+    # S rho_th S-dagger, built from the generators alone, against the closed form
+    st_ = state_of(mode_state)
+    for xi in (0.5, 0.5j, 0.3 + 0.2j, -0.4 + 0.7j):
+        assert chi_fock(st_, xi, D) == pytest.approx(char_analytic(st_, xi), abs=1e-8)
+
+
+def test_fock_density_squeezes_only_when_r_is_positive():
+    # vacuum and thermal densities are thermal_density's own, bit for bit
+    np.testing.assert_array_equal(fock_density(Vacuum(), 40), thermal_density(40, 0.0))
+    np.testing.assert_array_equal(fock_density(Thermal(n=1.0), 60), thermal_density(60, 1.0))
+    np.testing.assert_array_equal(
+        fock_density(SqueezedThermal(n=1.0, r=0.0, theta=0.5), 60), thermal_density(60, 1.0)
+    )
+    # a pure squeezed density is the squeezed ket's projector
+    psi = squeezed_ket(160, 1.0, 0.7)
+    rho = fock_density(Squeezed(r=1.0, theta=0.7), 160)
+    assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-14
+
+
+def test_fock_density_boundary_guard_sees_the_mixed_tail():
+    # a mixed squeezed state reaches higher Fock levels than the pure one
+    with pytest.raises(NumericalCheckError, match="boundary amplitude"):
+        fock_density(SqueezedThermal(n=0.5, r=0.3, theta=0.4), 60)
+    rho = fock_density(SqueezedThermal(n=0.5, r=0.3, theta=0.4), 80)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(rho - rho.conj().T).max() < 1e-15
 
 
 def test_chi_fock_single_mode_only():

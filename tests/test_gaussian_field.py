@@ -14,6 +14,7 @@ from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
     Squeezed,
+    SqueezedThermal,
     Thermal,
     Vacuum,
     beta_from_n,
@@ -69,6 +70,35 @@ def gaussian_expectation(state, terms) -> float:
     return sum(float(c @ covariance(state, mode) @ c) for mode, c in coeffs.items())
 
 
+def squeezer(r, theta):
+    """S(r, theta) = exp(-r M), M = [[cos t, sin t], [sin t, -cos t]] (M^2 = I),
+    acting on (X, P): the Bogoliubov matrix of the squeezer, as a product."""
+    M = np.array([[math.cos(theta), math.sin(theta)], [math.sin(theta), -math.cos(theta)]])
+    return math.cosh(r) * np.eye(2) - math.sinh(r) * M
+
+
+def per_kind_covariance(s):
+    """The covariance each kind had before all kinds became (n, r, theta)."""
+    if isinstance(s, Vacuum):
+        return np.eye(2)
+    if isinstance(s, Thermal):
+        return (2.0 * s.n + 1.0) * np.eye(2)
+    c, sh = np.cosh(2.0 * s.r), np.sinh(2.0 * s.r)
+    ct, st_ = np.cos(s.theta), np.sin(s.theta)
+    return np.array([[c - ct * sh, -st_ * sh], [-st_ * sh, c + ct * sh]])
+
+
+def per_kind_chi(state, x, y):
+    """chi from per_kind_covariance through the same exponent expression,
+    x and y holding Re xi and Im xi per mode (broadcast against each other)."""
+    expo = 0.0
+    for k, s in enumerate(state.mode_states):
+        V = per_kind_covariance(s)
+        gxx, gxy, gyy = V[1, 1], -V[0, 1], V[0, 0]
+        expo = expo + -0.5 * (gxx * x[k] ** 2 + 2.0 * gxy * x[k] * y[k] + gyy * y[k] ** 2)
+    return np.exp(expo).astype(complex)
+
+
 def single_mode(mode_state=None, mass=1.0):
     modes = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=mass, mode_indices=[[1]])
     states = None if mode_state is None else [mode_state]
@@ -87,6 +117,13 @@ def test_mode_set_wavevectors_and_omegas():
     np.testing.assert_allclose(modes.wavevectors[0], [2 * np.pi / 4.0, 0.0, 0.0])
     k1 = np.linalg.norm(modes.wavevectors[1])
     assert modes.omegas[1] == pytest.approx(math.sqrt(0.25 + k1**2), rel=1e-15)
+
+
+def test_mode_set_accepts_integral_floats():
+    modes = ModeSet(spatial_dim=2.0, box_side=6.28, mass=1.0, mode_indices=[[1.0, np.int64(2)]])
+    assert modes.spatial_dim == 2 and type(modes.spatial_dim) is int
+    assert modes.mode_indices == ((1, 2),)
+    assert all(type(c) is int for c in modes.mode_indices[0])
 
 
 def test_mode_set_rejects_duplicates_and_massless_zero_mode():
@@ -111,7 +148,28 @@ def test_mode_state_parameter_validation():
         Thermal(n=-0.5)
     with pytest.raises(ValidationError):
         Squeezed(r=-1.0)
+    for bad in ({"n": -0.5, "r": 0.1}, {"n": 0.5, "r": -0.1}, {"n": math.inf, "r": 0.1},
+                {"n": 0.5, "r": math.inf}, {"n": 0.5, "r": 0.1, "theta": math.nan}):
+        with pytest.raises(ValidationError):
+            SqueezedThermal(**bad)
     assert Squeezed(r=1.0, theta=2 * np.pi + 0.3).theta == pytest.approx(0.3)
+    assert SqueezedThermal(n=0.5, r=1.0, theta=-0.3).theta == pytest.approx(2 * np.pi - 0.3)
+
+
+def test_every_kind_is_a_squeezed_thermal_mode():
+    # each special case is (n, r, theta) with its other parameters pinned at 0
+    for s, params in (
+        (Vacuum(), (0.0, 0.0, 0.0)),
+        (Thermal(n=0.7), (0.7, 0.0, 0.0)),
+        (Squeezed(r=0.4, theta=1.1), (0.0, 0.4, 1.1)),
+        (SqueezedThermal(n=0.7, r=0.4, theta=1.1), (0.7, 0.4, 1.1)),
+    ):
+        assert isinstance(s, SqueezedThermal)
+        assert (s.n, s.r, s.theta) == params
+    with pytest.raises(TypeError):
+        Thermal(n=0.7, r=0.4)  # a pinned parameter is not an argument
+    assert repr(Thermal(n=0.7)) == "Thermal(n=0.7)"
+    assert Thermal(n=0.0) != Vacuum()
 
 
 # -------------------------------------------------------------- covariances
@@ -128,6 +186,25 @@ def test_covariance_squeezed():
     V = covariance(single_mode(Squeezed(r=1.0, theta=np.pi / 2)), 0)
     assert V[0, 1] == pytest.approx(-math.sinh(2.0), rel=1e-14)
     np.testing.assert_allclose(np.diag(V), [math.cosh(2.0)] * 2, rtol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["vacuum", "thermal", "squeezed", "squeezed_thermal"]),
+    n=st.floats(0.0, 5.0),
+    r=st.floats(0.0, 2.0),
+    theta=st.floats(0.0, 6.28),
+)
+def test_covariance_is_nu_s_s_transpose(kind, n, r, theta):
+    s = {
+        "vacuum": Vacuum(),
+        "thermal": Thermal(n=n),
+        "squeezed": Squeezed(r=r, theta=theta),
+        "squeezed_thermal": SqueezedThermal(n=n, r=r, theta=theta),
+    }[kind]
+    S = squeezer(s.r, s.theta)
+    want = (2.0 * s.n + 1.0) * S @ S.T
+    np.testing.assert_allclose(covariance(single_mode(s), 0), want, rtol=1e-12, atol=1e-12)
 
 
 def test_covariance_determinant_is_purity_measure():
@@ -227,6 +304,26 @@ def test_char_grid_matches_pointwise():
         np.testing.assert_array_equal([char_analytic(state, v) for v in xi], flat)
 
 
+def test_chi_is_bitwise_the_per_kind_formula():
+    # giving every kind (n, r, theta) leaves chi of the three old kinds unchanged
+    # to the last bit, on points and on grids
+    rng = np.random.default_rng(9)
+    ax = np.linspace(-3.0, 3.0, 25)
+    for s in (Vacuum(), Thermal(n=0.0), Thermal(n=0.3), Thermal(n=7.3), Squeezed(r=0.0),
+              Squeezed(r=1.0), Squeezed(r=0.4, theta=0.7), Squeezed(r=0.8, theta=np.pi)):
+        state = single_mode(s)
+        pts = rng.normal(size=(200, 1)) + 1j * rng.normal(size=(200, 1))
+        want = per_kind_chi(state, [pts[:, 0].real], [pts[:, 0].imag])
+        assert char_points(state, pts).tobytes() == want.tobytes()
+        grid = char_analytic_grid(state, [ax, ax])
+        assert grid.tobytes() == per_kind_chi(state, [ax[:, None]], [ax[None, :]]).tobytes()
+    state = two_mode(Thermal(n=0.5), Squeezed(r=0.3, theta=0.4))
+    a = np.linspace(-2.0, 2.0, 7)
+    mesh = np.meshgrid(a, a, a, a, indexing="ij")
+    want = per_kind_chi(state, mesh[0::2], mesh[1::2])
+    assert char_analytic_grid(state, [a] * 4).tobytes() == want.tobytes()
+
+
 def test_char_points_checks_its_input():
     st2 = two_mode(Thermal(n=0.3), Vacuum())
     assert char_points(st2, np.zeros((0, 2))).shape == (0,)
@@ -319,6 +416,28 @@ def test_state_file_roundtrip(tmp_path):
     back = state_from_dict(read_json(path))
     assert back.mode_states == st_.mode_states
     assert back.modes.box_side == st_.modes.box_side
+
+
+def test_squeezed_thermal_document_roundtrip(tmp_path):
+    st2 = two_mode(SqueezedThermal(n=0.5, r=1.0, theta=0.4), Vacuum())
+    doc = state_to_dict(st2)
+    assert doc["modes"][0]["kind"] == "squeezed_thermal"
+    assert doc["modes"][0]["params"] == {"n": 0.5, "r": 1.0, "theta": 0.4}
+    assert doc["modes"][1]["params"] == {}
+    path = tmp_path / "state.json"
+    write_json(path, doc)
+    back = state_from_dict(read_json(path))
+    assert back.mode_states == st2.mode_states
+    assert type(back.mode_states[0]) is SqueezedThermal
+
+    # theta defaults to 0; n and r are required
+    doc["modes"][0]["params"] = {"n": 0.5, "r": 1.0}
+    assert state_from_dict(doc).mode_states[0] == SqueezedThermal(n=0.5, r=1.0, theta=0.0)
+    for missing in ("n", "r"):
+        doc["modes"][0]["params"] = {"n": 0.5, "r": 1.0}
+        del doc["modes"][0]["params"][missing]
+        with pytest.raises(ValidationError, match=f"missing field '{missing}'"):
+            state_from_dict(doc)
 
 
 def test_state_from_dict_rejects_unknown_kind():

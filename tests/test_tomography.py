@@ -16,6 +16,7 @@ from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
     Squeezed,
+    SqueezedThermal,
     Thermal,
     Vacuum,
     char_analytic,
@@ -445,8 +446,16 @@ def test_fit_flags_unphysical_grids():
     assert fit.psd_ok and not fit.uncertainty_ok
 
 
-def test_fit_rejects_mixed_squeezed_state():
-    # valid covariance, but outside the pure/thermal state model
+def _assert_mode(got, n, r, theta):
+    assert isinstance(got, SqueezedThermal)
+    assert got.n == pytest.approx(n, abs=1e-6)
+    assert got.r == pytest.approx(r, abs=1e-6)
+    assert math.remainder(got.theta - theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_fit_round_trips_mixed_squeezed_state():
+    # squeezed and mixed at once: V = (2n+1) S S^T with n = 0.5, r = 1, theta = 0,
+    # built here from its exponent rather than from the library's chi
     axes = square_axes(2.0, 41)
     x, y = np.meshgrid(*axes, indexing="ij")
     ex = 2.0 * math.exp(2.0) * x**2 + 2.0 * math.exp(-2.0) * y**2
@@ -454,8 +463,15 @@ def test_fit_rejects_mixed_squeezed_state():
     fit = gaussian_fit(grid)
     assert fit.psd_ok and fit.uncertainty_ok
     assert fit.nbar[0] == pytest.approx(0.5, abs=1e-6)
-    with pytest.raises(ValidationError):
-        fit.to_state(MS1)
+    _assert_mode(fit.to_state(MS1).mode_states[0], 0.5, 1.0, 0.0)
+
+    # two modes: exact grid -> fit -> state gives back both modes
+    modes = (SqueezedThermal(n=0.5, r=1.0), SqueezedThermal(n=0.25, r=0.4, theta=0.7))
+    st2 = GaussianFieldState(modes=MS2, mode_states=modes)
+    fit = gaussian_fit(chi_grid_from_state(st2, (grid_axis(2.0, 21),) * 4))
+    back = fit.to_state(MS2).mode_states
+    for got, want in zip(back, modes):
+        _assert_mode(got, want.n, want.r, want.theta)
 
 
 def test_fit_needs_enough_usable_points():
