@@ -7,11 +7,26 @@ embeds the two-level system explicitly and partial-traces it back out.
 Agreement between this module and the closed forms is the evidence that the
 closed forms are implemented with the right signs and orderings.
 
-Every exponential taken here is exp(-i H) of a Hermitian H (the segment
-generators, i(xi a-dagger - conj(xi) a) for a displacement, i/2 (conj(zeta)
-a^2 - zeta a-dagger^2) for a squeezer). It is formed from the eigendecomposition
-H = V diag(w) V-dagger as V diag(e^(-i w)) V-dagger, which is unitary up to
-rounding at any norm of H.
+Every exponential taken here is exp(-i H) of a Hermitian H, formed from an
+eigendecomposition H = V diag(w) V-dagger as V diag(e^(-i w)) V-dagger, which
+is unitary up to rounding at any norm of H. Each generator is a phase rotation
+of a real symmetric matrix, by exact identities of the truncated matrices
+(P = diag(e^(i phi n)) and Pi = diag((-1)^n) are diagonal, so they hold at
+any cutoff D):
+
+  * displacement, i(xi a-dagger - conj(xi) a) = |xi| P (a + a-dagger) P-dagger
+    with phi = arg xi + pi/2;
+  * squeezer, i/2 (conj(zeta) a^2 - zeta a-dagger^2)
+    = -r P [(a^2 + a-dagger^2)/2] P-dagger with phi = theta/2 + pi/4;
+  * segment pair, v_g/e = omega tau n -/+ (c a + conj(c) a-dagger) with
+    c = lam eta F: v_g = P (omega tau n - |c| (a + a-dagger)) P-dagger with
+    phi = -arg c, and v_e = Pi v_g Pi.
+
+So a displacement or squeezer at cutoff D rotates the eigenbasis of the real
+(a^p + a-dagger^p)/p, p = 1 or 2, taken once per (D, p) and kept read-only in
+a small memo, and a segment takes one real eigendecomposition for v_g and
+pairs half_e = Pi half_g Pi exactly. The generators are still exponentiated:
+no closed-form amplitude, and no code of the analytic layer, enters.
 
 Conventions validated against the closed-form layer:
 
@@ -31,9 +46,9 @@ of a truncated displacement is wrong by construction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -134,15 +149,46 @@ def truncated_mode(D: int) -> TruncatedMode:
 
 def _unitary(H: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """exp(-i H) for a Hermitian H, from its eigendecomposition."""
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w)) @ V.conj().T
+    return _exp_from_basis(*np.linalg.eigh(H))
+
+
+def _exp_from_basis(
+    w: NDArray[np.float64], V: NDArray, cols=slice(None)
+) -> NDArray[np.complex128]:
+    """Columns cols of exp(-i H) for H = V diag(w) V-dagger."""
+    return (V * np.exp(-1j * w)) @ V[cols].conj().T
+
+
+def _phased(V: NDArray[np.float64], phi: float) -> NDArray[np.complex128]:
+    """P V with P = diag(e^(i phi n)): the eigenbasis of P H P-dagger."""
+    return np.exp(1j * phi * np.arange(V.shape[0]))[:, None] * V
+
+
+def _finite(value: complex, name: str) -> None:
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _quadrature_basis(D: int, p: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Read-only eigh of the real symmetric (a^p + a-dagger^p)/p at cutoff D."""
+    ap = np.linalg.matrix_power(ladder(D).real, p)
+    w, V = np.linalg.eigh((ap + ap.T) / p)
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return w, V
 
 
 def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
-    """D(xi) = exp(xi a-dagger - conj(xi) a) at cutoff D."""
+    """D(xi) = exp(xi a-dagger - conj(xi) a) at cutoff D.
+
+    The generator is |xi| P (a + a-dagger) P-dagger, phi = arg xi + pi/2.
+    """
+    D = converted(at_least(2), D, "Fock cutoff D")
     xi = complex(xi)
-    a = ladder(D)
-    return _unitary(1j * (xi * a.conj().T - np.conj(xi) * a))
+    _finite(xi, "xi")
+    w, V = _quadrature_basis(D, 1)
+    return _exp_from_basis(abs(xi) * w, _phased(V, np.angle(xi) + np.pi / 2))
 
 
 def number_rotation(D: int, y: float) -> NDArray[np.complex128]:
@@ -157,8 +203,8 @@ def thermal_density(D: int, n: float, tail_tol: float = 1e-10) -> NDArray[np.com
     trace deficit below (n+1) tail_tol. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
-    if n < 0:
-        raise ValidationError("thermal occupation must be >= 0")
+    if not 0 <= n < math.inf:
+        raise ValidationError(f"thermal occupation n must be finite and >= 0, got {n!r}")
     if n == 0:
         rho = np.zeros((D, D), dtype=complex)
         rho[0, 0] = 1.0
@@ -173,13 +219,18 @@ def thermal_density(D: int, n: float, tail_tol: float = 1e-10) -> NDArray[np.com
     return np.diag(p).astype(complex)
 
 
-def _squeezer(D: int, r: float, theta: float) -> NDArray[np.complex128]:
-    """S(zeta) = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2] with zeta = r e^(i theta),
-    exponentiated from its generator, never from closed-form Fock amplitudes."""
-    zeta = r * np.exp(1j * theta)
-    a = ladder(D)
-    adag = a.conj().T
-    return _unitary(0.5j * (np.conj(zeta) * (a @ a) - zeta * (adag @ adag)))
+def _squeezer(D: int, r: float, theta: float, cols=slice(None)) -> NDArray[np.complex128]:
+    """Columns cols of S(zeta) = exp[(conj(zeta) a^2 - zeta a-dagger^2)/2] with
+    zeta = r e^(i theta), exponentiated from its generator
+    -r P [(a^2 + a-dagger^2)/2] P-dagger, phi = theta/2 + pi/4, never from
+    closed-form Fock amplitudes."""
+    D = converted(at_least(2), D, "Fock cutoff D")
+    _finite(r, "r")
+    _finite(theta, "theta")
+    if r < 0:
+        raise ValidationError("squeezing modulus must be >= 0")
+    w, V = _quadrature_basis(D, 2)
+    return _exp_from_basis(-r * w, _phased(V, theta / 2.0 + np.pi / 4.0), cols)
 
 
 def _check_boundary(top, D: int, boundary_tol: float) -> None:
@@ -193,9 +244,7 @@ def squeezed_ket(
     D: int, r: float, theta: float = 0.0, boundary_tol: float = 1e-8
 ) -> NDArray[np.complex128]:
     """S(zeta)|0> with zeta = r e^(i theta)."""
-    if r < 0:
-        raise ValidationError("squeezing modulus must be >= 0")
-    psi = _squeezer(D, r, theta)[:, 0]
+    psi = _squeezer(D, r, theta, 0)
     _check_boundary(np.abs(psi[-2:]), D, boundary_tol)
     return psi
 
@@ -206,8 +255,10 @@ def fock_density(
     """S rho_th S-dagger of one mode state (n, r, theta); S acts only when r > 0."""
     rho = thermal_density(D, mode_state.n, tail_tol)
     if mode_state.r > 0:
-        S = _squeezer(D, mode_state.r, mode_state.theta)
-        rho = (S * rho.diagonal()) @ S.conj().T  # rho_th is diagonal
+        p = rho.diagonal()  # rho_th is diagonal: only the columns it weights enter
+        k = np.flatnonzero(p)
+        S = _squeezer(D, mode_state.r, mode_state.theta, k)
+        rho = (S * p[k]) @ S.conj().T
         _check_boundary(np.sqrt(np.abs(np.diag(rho)[-2:])), D, boundary_tol)
     return rho
 
@@ -221,10 +272,11 @@ class SegmentOperators:
 
     half_g = exp(-i v_g) and half_e = exp(-i v_e) evolve the field over one
     half-segment under the window-integrated generators v_g, v_e = omega tau n
-    -/+ lam eta (F a + conj(F) a-dagger), each exponentiated once from its
-    eigendecomposition; u_g = half_e half_g and u_e = half_g half_e. leak is
-    the largest top-level population any low Fock state acquires under u_g or
-    u_e.
+    -/+ (c a + conj(c) a-dagger), c = lam eta F. v_g is exponentiated from one
+    real eigendecomposition (module docstring), and half_e = Pi half_g Pi
+    exactly, Pi = diag((-1)^n); u_g = half_e half_g and u_e = half_g half_e.
+    leak is the largest top-level population any low Fock state acquires
+    under u_g or u_e.
     """
 
     dim: int
@@ -250,11 +302,13 @@ def build_segment(
         sched.switching, sched.tau, mode.omega, mode.box_side, mode.spatial_dim
     )
     ft = smearing_ft(sched.smearing, mode.k, mode.spatial_dim)
-    tm = truncated_mode(D)
-    free = mode.omega * sched.tau * tm.number
-    coupling = sched.lam * eta * (ft * tm.a + np.conj(ft) * tm.adag)
-    half_g = _unitary(free - coupling)
-    half_e = _unitary(free + coupling)
+    c = complex(sched.lam * eta * ft)  # lam and eta are real
+    a = ladder(D).real
+    n = np.arange(D)
+    w, V = np.linalg.eigh(np.diag(mode.omega * sched.tau * n) - abs(c) * (a + a.T))
+    half_g = _exp_from_basis(w, _phased(V, -np.angle(c)))
+    parity = (-1.0) ** n
+    half_e = parity[:, None] * half_g * parity
     u_g = half_e @ half_g
     u_e = half_g @ half_e
     half = D // 2
@@ -383,6 +437,8 @@ def verify_displacement_composition(x: complex, y: float, N: int, D: int = 40) -
     N = converted(at_least(1), N, "N")
     x = complex(x)
     y = float(y)
+    _finite(x, "x")
+    _finite(y, "y")
     step = displacement_operator(D, x) @ number_rotation(D, y)
     lhs = np.linalg.matrix_power(step, N)
     ratio = 1.0 - np.exp(1j * y)
@@ -413,7 +469,7 @@ def chi_fock(
     """Tr[rho_D D(xi)] for a single-mode state, everything dense at cutoff D."""
     mode_state = _single_mode_state(state)
     rho = fock_density(mode_state, D, tail_tol, boundary_tol)
-    return complex(np.trace(rho @ displacement_operator(D, xi)))
+    return complex(np.einsum("ij,ji->", rho, displacement_operator(D, xi)))
 
 
 # The qubit algebra is restated here on purpose: the oracle must not import

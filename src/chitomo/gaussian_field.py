@@ -155,6 +155,9 @@ class SqueezedThermal:
                 f"squeezing must be finite with r >= 0, got r = {self.r}, theta = {self.theta}"
             )
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
+        # a finite r can still overflow V, and cosh 2r - sinh 2r = inf - inf is NaN
+        if not np.all(np.isfinite(_covariance(self))):
+            raise ValidationError(f"covariance overflows at n = {self.n}, r = {self.r}")
 
 
 def _fixed():  # a parameter a special case pins at 0
@@ -211,12 +214,16 @@ def _check_mode(mode: int, n_modes: int) -> int:
     return mode
 
 
+def _covariance(s: SqueezedThermal) -> NDArray[np.float64]:
+    with np.errstate(over="ignore", invalid="ignore"):  # SqueezedThermal refuses a non-finite V
+        c, sh = np.cosh(2.0 * s.r), np.sinh(2.0 * s.r)
+        ct, st = np.cos(s.theta), np.sin(s.theta)
+        return (2.0 * s.n + 1.0) * np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
+
+
 def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
     """2x2 covariance V = (2n+1) S S^T of one mode; det V = (2n+1)^2 >= 1."""
-    s = state.mode_states[_check_mode(mode, state.n_modes)]
-    c, sh = np.cosh(2.0 * s.r), np.sinh(2.0 * s.r)
-    ct, st = np.cos(s.theta), np.sin(s.theta)
-    return (2.0 * s.n + 1.0) * np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
+    return _covariance(state.mode_states[_check_mode(mode, state.n_modes)])
 
 
 def _chi_coeffs(state: GaussianFieldState, mode: int) -> tuple[float, float, float]:

@@ -615,6 +615,17 @@ def test_chi_scan_squeezed_thermal_state(tmp_path):
     assert grid.values[3, 15] == pytest.approx(char_analytic(pure, xi) ** 2, rel=1e-13)
 
 
+def test_chi_scan_overflowing_squeezing_is_exit_1(tmp_path, capsys):
+    # a finite r whose covariance overflows would write an all-NaN grid
+    out = tmp_path / "chi.csv"
+    modes = '[{"j": [1], "kind": "squeezed", "params": {"r": 400}}]'
+    assert run("chi-scan", "--set", f"state.modes={modes}", "--set", "grid.points=3",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "covariance overflows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [("manifold", "--seed", "1"), ("bec-map", "--shots", "5"), ("manifold", "--theta", "0.3")],

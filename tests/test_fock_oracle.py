@@ -12,6 +12,8 @@ from scipy.linalg import expm
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.fock_oracle import (
     FieldMode,
+    _quadrature_basis,
+    _squeezer,
     _unitary,
     build_segment,
     chi_fock,
@@ -39,7 +41,16 @@ from chitomo.gaussian_field import (
     Vacuum,
     char_analytic,
 )
-from chitomo.pulse_protocol import Constant, Delta, PulseSchedule, switching_integral
+from chitomo.pulse_protocol import (
+    Constant,
+    CustomRadial,
+    Delta,
+    GaussianWindow,
+    PulseSchedule,
+    SphericalGaussian,
+    smearing_ft,
+    switching_integral,
+)
 from chitomo.ramsey_readout import final_qubit_state
 
 MODE = FieldMode(k=1.0, omega=1.0, box_side=2 * math.pi, spatial_dim=1)
@@ -109,14 +120,71 @@ def test_unitary_matches_expm_on_the_oracle_generators():
     ref = expm(-1j * H)[:, 0]
     assert np.linalg.norm(squeezed_ket(160, 1.0) - ref) <= 1e-13 * np.linalg.norm(H, 2)
 
-    s, tm = sched(), truncated_mode(40)
-    eta = switching_integral(s.switching, s.tau, MODE.omega, MODE.box_side, MODE.spatial_dim)
-    free = MODE.omega * s.tau * tm.number
-    coupling = s.lam * eta * (tm.a + tm.adag)  # point smearing, F = 1
-    seg = build_segment(s, MODE, 40)
-    for half, v in ((seg.half_g, free - coupling), (seg.half_e, free + coupling)):
+    seg = build_segment(sched(), MODE, 40)
+    for half, v in zip((seg.half_g, seg.half_e), segment_generators(sched(), MODE, 40)):
         assert_matches_expm(_unitary(v), v)
         assert_matches_expm(half, v)
+
+
+def segment_generators(s, mode, D):
+    """v_g and v_e = omega tau n -/+ lam eta (F a + conj(F) a-dagger), built as
+    dense complex matrices without the phase-rotation identity."""
+    tm = truncated_mode(D)
+    eta = switching_integral(s.switching, s.tau, mode.omega, mode.box_side, mode.spatial_dim)
+    ft = smearing_ft(s.smearing, mode.k, mode.spatial_dim)
+    free = mode.omega * s.tau * tm.number
+    coupling = s.lam * eta * (ft * tm.a + np.conj(ft) * tm.adag)
+    return free - coupling, free + coupling
+
+
+@pytest.mark.parametrize("D", [2, 8, 40, 160])
+@pytest.mark.parametrize(
+    "xi", [0.7 + 0.3j, -0.7 + 0.3j, -0.7 - 0.3j, 0.7 - 0.3j, 0.5, -0.5, 0.5j, -0.5j, 0.0]
+)
+def test_displacement_operator_matches_expm(D, xi):
+    # every quadrant and both axes: the phase rotation of the one real basis
+    a = ladder(D)
+    assert_matches_expm(displacement_operator(D, xi), 1j * (xi * a.conj().T - np.conj(xi) * a))
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi, -2.0])
+def test_squeezer_matches_expm(theta):
+    a, zeta = ladder(160), np.exp(1j * theta)  # r = 1
+    H = 0.5j * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T))
+    assert_matches_expm(_squeezer(160, 1.0, theta), H)
+    ref = expm(-1j * H)[:, 0]
+    assert np.linalg.norm(squeezed_ket(160, 1.0, theta) - ref) <= 1e-13 * np.linalg.norm(H, 2)
+
+
+@pytest.mark.parametrize(
+    "smearing,switching",
+    [(CustomRadial(r=(0.0, 1.0), f=(-1.0, -1.0)), Constant(1.0)),  # F(1) < 0
+     (SphericalGaussian(sigma=0.4), GaussianWindow(center=0.5, width=0.2, relative=True))],
+)
+def test_segment_halves_match_expm(smearing, switching):
+    s = PulseSchedule(lam=0.3, tau=1.0, N=2, smearing=smearing, switching=switching)
+    seg = build_segment(s, MODE, 40)
+    for half, v in zip((seg.half_g, seg.half_e), segment_generators(s, MODE, 40)):
+        assert_matches_expm(half, v)
+
+
+def test_segment_excited_half_is_the_parity_image_of_the_ground_half():
+    # v_e = Pi v_g Pi with Pi = diag((-1)^n); the pairing is exact, not rounded
+    s = PulseSchedule(lam=0.3, tau=1.0, N=2, smearing=CustomRadial(r=(0.0, 1.0), f=(-1.0, -1.0)),
+                      switching=Constant(1.0))
+    seg = build_segment(s, MODE, 40)
+    parity = np.diag((-1.0) ** np.arange(40))
+    np.testing.assert_array_equal(seg.half_e, parity @ seg.half_g @ parity)
+
+
+def test_cached_quadrature_basis_is_read_only():
+    for p in (1, 2):
+        w, V = _quadrature_basis(40, p)
+        assert _quadrature_basis(40, p)[1] is V  # one basis per (D, p)
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 def test_segment_is_the_product_of_its_halves():
@@ -345,6 +413,52 @@ def test_default_suite_passes():
         "chi_closed_form",
         "joint_qubit_bloch",
     }
+
+
+def test_default_suite_is_the_same_with_the_memo_cold_and_warm():
+    _quadrature_basis.cache_clear()
+    cold = run_default_suite()
+    assert run_default_suite() == cold
+
+
+def test_default_suite_eigendecomposition_count(monkeypatch):
+    # one real eigh per segment plus one per (D, p) basis; 74 complex ones before
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(H):
+        calls.append(H.shape)
+        return eigh(H)
+
+    _quadrature_basis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_default_suite()
+    assert len(calls) <= 25
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize(
+    "call,name",
+    [pytest.param(lambda v: displacement_operator(8, v), "xi", id="displacement_operator"),
+     pytest.param(lambda v: displacement_operator(8, complex(0.1, v)), "xi",
+                  id="displacement_operator-imag"),
+     pytest.param(lambda v: verify_displacement_composition(v, 0.3, 2, D=8), "x",
+                  id="composition-x"),
+     pytest.param(lambda v: verify_displacement_composition(0.1, v, 2, D=8), "y",
+                  id="composition-y"),
+     pytest.param(lambda v: squeezed_ket(8, v), "r", id="squeezed_ket-r"),
+     pytest.param(lambda v: squeezed_ket(8, 0.1, v), "theta", id="squeezed_ket-theta"),
+     pytest.param(lambda v: _squeezer(8, v, 0.0), "r", id="squeezer-r"),
+     pytest.param(lambda v: _squeezer(8, 0.1, v), "theta", id="squeezer-theta"),
+     pytest.param(lambda v: thermal_density(8, v), "n", id="thermal_density-n")],
+)
+def test_non_finite_oracle_input_is_refused(call, name, bad):
+    # a cached basis would turn NaN or inf silently into an all-NaN matrix
+    with pytest.raises(ValidationError, match=rf"\b{name} must be finite"):
+        call(bad)
 
 
 # ----------------------------------------------------------------- plumbing

@@ -207,6 +207,23 @@ def test_covariance_is_nu_s_s_transpose(kind, n, r, theta):
     np.testing.assert_allclose(covariance(single_mode(s), 0), want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params", [{"n": 0.0, "r": 400.0}, {"n": 0.0, "r": 355.0}, {"n": 1e308, "r": 0.0}]
+)
+def test_squeezing_that_overflows_the_covariance_is_refused(params):
+    # cosh 2r and sinh 2r overflow near 2r = 710 and inf - inf turns V NaN; at
+    # r = 355 both are finite but V = e^(2r) at theta = 0 is not
+    with pytest.raises(ValidationError, match="covariance overflows"):
+        SqueezedThermal(**params)
+
+
+def test_squeezing_just_below_the_overflow_keeps_a_finite_covariance():
+    # V_yy = e^(2r) at theta = 0 overflows from r = 354.89 on
+    V = covariance(single_mode(Squeezed(r=354.8)), 0)
+    assert np.all(np.isfinite(V))
+    assert V[1, 1] == pytest.approx(math.exp(709.6), rel=1e-12)
+
+
 def test_covariance_determinant_is_purity_measure():
     assert np.linalg.det(covariance(single_mode(Squeezed(r=0.7, theta=1.1)), 0)) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.det(covariance(single_mode(Thermal(n=1.0)), 0)) == pytest.approx(9.0, rel=1e-14)
