@@ -13,7 +13,7 @@ u_k + v_k = sqrt(E_k / omega_k), E_k = k^2 / (2 m_B),
 omega_k = sqrt(E_k (E_k + 2 g rho0)). The weight multiplies the impurity's
 localization transform, so the mapped system is again the displacement
 protocol with F(k) -> w(k) F(k) and the Bogoliubov dispersion in place of
-the relativistic one. The dispersion is isolated in bogoliubov_omega so an
+the relativistic one. The dispersion is isolated in _dispersion so an
 alternative is a one-line swap.
 """
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .errors import ValidationError, read_object
 from .gaussian_field import ModeSet
 from .pulse_protocol import (
     PulseSchedule,
-    _displacement,
+    displacement_surface,
     register_smearing_kind,
     smearing_from_dict,
-    switching_integral,
 )
 
 __all__ = [
@@ -84,32 +83,44 @@ class BecParams:
         return math.sqrt(self.g_rho0 / self.m_B)
 
 
-def _kmag(k) -> float:
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    return float(np.linalg.norm(kv))
+def _kmag(k):
+    """|k| of one wave vector (a scalar or 1-D k) or of each row of an (M, n) stack."""
+    return np.linalg.norm(np.atleast_1d(np.asarray(k, dtype=float)), axis=-1)
 
 
-def bogoliubov_energy(k, params: BecParams) -> float:
-    """Free-particle energy E_k = k^2 / (2 m_B)."""
-    return _kmag(k) ** 2 / (2.0 * params.m_B)
+def _dispersion(kmag, m_B: float, g_rho0: float):
+    """E_k = k^2 / (2 m_B) and omega_k = sqrt(E_k (E_k + 2 g rho0)) at kmag."""
+    E = np.square(kmag) / (2.0 * m_B)
+    return E, np.sqrt(E * (E + 2.0 * g_rho0))
 
 
-def bogoliubov_omega(k, params: BecParams) -> float:
+def _weight(kmag, m_B: float, g_rho0: float):
+    """u_k + v_k = sqrt(E_k / omega_k) at kmag, which must not hold 0."""
+    if np.any(kmag == 0.0):
+        raise ValidationError("k = 0 carries no Bogoliubov excitation")
+    E, omega = _dispersion(kmag, m_B, g_rho0)
+    return np.sqrt(E / omega)
+
+
+def bogoliubov_energy(k, params: BecParams):
+    """Free-particle energy E_k = k^2 / (2 m_B); like bogoliubov_omega and
+    bogoliubov_weight, one value per row of an (M, n) stack of wave vectors."""
+    return _dispersion(_kmag(k), params.m_B, params.g_rho0)[0]
+
+
+def bogoliubov_omega(k, params: BecParams):
     """Excitation frequency omega_k = sqrt(E_k (E_k + 2 g rho0)).
 
     Phonon-like (c |k|) for k much below 1/healing_length, free-particle
     quadratic far above.
     """
-    E = bogoliubov_energy(k, params)
-    return math.sqrt(E * (E + 2.0 * params.g_rho0))
+    return _dispersion(_kmag(k), params.m_B, params.g_rho0)[1]
 
 
-def bogoliubov_weight(k, params: BecParams) -> float:
+def bogoliubov_weight(k, params: BecParams):
     """Density-coupling weight u_k + v_k = sqrt(E_k / omega_k); k = 0 has no
     excitation to couple to and is rejected."""
-    if _kmag(k) == 0.0:
-        raise ValidationError("k = 0 carries no Bogoliubov excitation")
-    return math.sqrt(bogoliubov_energy(k, params) / bogoliubov_omega(k, params))
+    return _weight(_kmag(k), params.m_B, params.g_rho0)
 
 
 @dataclass(frozen=True)
@@ -132,14 +143,8 @@ class BogoliubovWeighted:
         if not (self.m_B > 0 and self.g_rho0 > 0):
             raise ValidationError("weight needs positive m_B and g*rho0")
 
-    def _weight(self, kmag):
-        if np.any(kmag == 0.0):
-            raise ValidationError("k = 0 carries no Bogoliubov excitation")
-        E = np.square(kmag) / (2.0 * self.m_B)
-        return np.sqrt(E / np.sqrt(E * (E + 2.0 * self.g_rho0)))
-
     def ft(self, kmag, n: int):
-        return self.sign * self._weight(kmag) * self.base.ft(kmag, n)
+        return self.sign * _weight(kmag, self.m_B, self.g_rho0) * self.base.ft(kmag, n)
 
     def to_dict(self) -> dict:
         return {
@@ -179,10 +184,10 @@ class MappedProtocol:
         """xi per mode under the mapped schedule and dispersion."""
         if self.no_signal:
             return np.zeros(self.modes.n_modes, dtype=complex)
-        s, n = self.schedule, self.modes.spatial_dim
-        eta_k = switching_integral(s.switching, s.tau, self.omegas, self.modes.box_side, n)
-        ft = s.smearing.ft(np.linalg.norm(self.modes.wavevectors, axis=1), n)
-        return _displacement(s.lam, s.N, s.tau, self.omegas, eta_k, ft)
+        s, m = self.schedule, self.modes
+        xi = displacement_surface(s, [s.N], [s.tau], _kmag(m.wavevectors), self.omegas,
+                                  m.box_side, m.spatial_dim)
+        return xi[0, 0]
 
 
 def map_to_protocol(
@@ -195,12 +200,8 @@ def map_to_protocol(
     negative lambda_eff is folded into the smearing sign since the schedule
     stores a magnitude.
     """
-    kvecs = modes.wavevectors
-    kmags = np.linalg.norm(kvecs, axis=1)
-    if np.any(kmags == 0.0):
-        raise ValidationError("mode list must exclude k = 0")
-    omegas = np.array([bogoliubov_omega(k, params) for k in kvecs])
-    weights = np.array([bogoliubov_weight(k, params) for k in kvecs])
+    weights = bogoliubov_weight(modes.wavevectors, params)  # refuses k = 0
+    omegas = bogoliubov_omega(modes.wavevectors, params)
     lambda_eff = (params.g_e - params.g_g) * math.sqrt(params.rho0) / 2.0
     if lambda_eff == 0.0:
         return MappedProtocol(

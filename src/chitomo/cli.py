@@ -24,6 +24,7 @@ from .bec_analogue import map_to_protocol, params_from_dict
 from .errors import (
     NumericalCheckError,
     ValidationError,
+    at_least,
     boolean,
     converted,
     integer,
@@ -32,6 +33,8 @@ from .errors import (
     read_field,
 )
 from .fileio import (
+    _CHI_COORDS,
+    _coordinate_names,
     load_chi_grid,
     read_json,
     save_chi_grid,
@@ -41,7 +44,12 @@ from .fileio import (
 )
 from .fock_oracle import run_default_suite
 from .gaussian_field import GaussianFieldState, ModeSet, char_points, state_from_dict
-from .pulse_protocol import reachable_manifold, schedule_from_dict, schedule_to_dict
+from .pulse_protocol import (
+    displacement_surface,
+    reachable_manifold,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from .ramsey_readout import readout_chi
 from .tomography import (
     chi_grid_from_state,
@@ -227,10 +235,6 @@ def _fields(doc, fields: dict, key: str) -> list:
     return [read_field(doc, name, kind, key) for name, kind in fields.items()]
 
 
-def _mode_args(doc, key: str) -> tuple:
-    return tuple(_fields(doc, {"k": float, "omega": float, "L": float, "n": integer}, key))
-
-
 def _tau_grid(doc, key: str) -> np.ndarray:
     lo, hi, points = _fields(doc, {"min": float, "max": float, "points": integer}, key)
     if not (0 < lo < hi and points >= 2):
@@ -247,60 +251,53 @@ def _meta(command: str, config: dict) -> dict:
     return {"command": command, "config": config}
 
 
-_MANIFOLD_FIELDS = dict.fromkeys(("schedule", "mode", "N_list", "tau"))
-
-
-def _curves(schedule, mode, N_list, tau, prefix: str = ""):
-    """The manifold curves of a spec whose fields sit at config keys prefix + name."""
-    sched = schedule_from_dict(schedule)
-    counts = converted(listed(float), N_list, f"{prefix}N_list")
-    taus = _tau_grid(tau, f"{prefix}tau")
-    return reachable_manifold(sched, counts, taus, *_mode_args(mode, f"{prefix}mode"))
+def _manifold_spec(schedule, N_list, tau) -> tuple:
+    counts = converted(listed(at_least(1)), N_list, "N_list")
+    return schedule_from_dict(schedule), counts, _tau_grid(tau, "tau")
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
+def _surface_rows(counts, taus, xis, *values) -> list:
+    """One row per (N, tau) of a displacement surface xis: N, tau, Re and Im
+    of xi per mode, then each of values (arrays of shape (N, tau)) there."""
+    cells = np.stack([xis.real, xis.imag], axis=-1).reshape(len(counts), len(taus), -1)
+    cells = np.concatenate([cells, *(v[..., None] for v in values)], axis=-1).tolist()
+    return [[N, tau, *row] for N, block in zip(counts, cells)
+            for tau, row in zip(taus.tolist(), block)]
+
+
 def cmd_manifold(config: dict) -> None:
-    rows = []
-    for curve in _curves(*(config[name] for name in _MANIFOLD_FIELDS)):
-        for tau, xi in zip(curve.taus, curve.xis):
-            rows.append([curve.N, float(tau), xi.real, xi.imag])
-    write_table(
-        config["out"],
-        ["N", "tau", "re_xi", "im_xi"],
-        rows,
-        meta=_meta("manifold", config),
-        timestamps=config["timestamps"],
-    )
+    sched, counts, taus = _manifold_spec(config["schedule"], config["N_list"], config["tau"])
+    mode = _fields(config["mode"], {"k": float, "omega": float, "L": float, "n": integer}, "mode")
+    curves = reachable_manifold(sched, counts, taus, *mode)
+    rows = _surface_rows(counts, taus, np.array([c.xis for c in curves])[..., None])
+    write_table(config["out"], ["N", "tau", "re_xi", "im_xi"], rows,
+                meta=_meta("manifold", config), timestamps=config["timestamps"])
     print(f"wrote {len(rows)} manifold points to {config['out']}")
 
 
 def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
-    if state.n_modes != 1:
-        raise ValidationError("manifold scans address a single mode")
-    shots = _get(config, "shots", integer)
-    columns = ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]
-    if shots > 0:
+    """chi along xi(tau, N) of every mode of the state, which the probe
+    displaces at once; the modes' |k|, omega_k and box come from the state."""
+    spec = _fields(config["manifold"], dict.fromkeys(("schedule", "N_list", "tau")), "manifold")
+    sched, counts, taus = _manifold_spec(*spec)
+    modes = state.modes
+    xis = displacement_surface(sched, counts, taus, np.linalg.norm(modes.wavevectors, axis=1),
+                               modes.omegas, modes.box_side, modes.spatial_dim)
+    chis = char_points(state, xis.reshape(-1, state.n_modes)).reshape(xis.shape[:2])
+    columns = ["N", "tau", *_coordinate_names(_CHI_COORDS, state.n_modes), "re_chi", "im_chi"]
+    shots, stderr = _get(config, "shots", integer), []
+    if shots > 0:  # curve N reads out from seed + N
+        theta, seed = _get(config, "theta", float), _get(config, "seed", integer)
+        readouts = [readout_chi(chi, theta, shots, seed + N) for N, chi in zip(counts, chis)]
+        chis = np.array([r.chi_est for r in readouts])
+        stderr = [np.array([r.chi_stderr for r in readouts])]
         columns.append("stderr")
-    rows = []
-    for curve in _curves(*_fields(config["manifold"], _MANIFOLD_FIELDS, "manifold"), "manifold."):
-        chis = char_points(state, curve.xis[:, None])
-        errs = np.zeros(chis.shape)
-        if shots > 0:
-            readout = readout_chi(
-                chis, _get(config, "theta", float), shots, _get(config, "seed", integer) + curve.N
-            )
-            chis, errs = readout.chi_est, readout.chi_stderr
-        for tau, xi, chi, err in zip(curve.taus, curve.xis, chis, errs):
-            row = [curve.N, float(tau), xi.real, xi.imag, chi.real, chi.imag]
-            if shots > 0:
-                row.append(err)
-            rows.append(row)
-    write_table(
-        config["out"], columns, rows, meta=_meta("chi-scan", config),
-        timestamps=config["timestamps"],
-    )
+    rows = _surface_rows(counts, taus, xis, chis.real, chis.imag, *stderr)
+    write_table(config["out"], columns, rows, meta=_meta("chi-scan", config),
+                timestamps=config["timestamps"])
     print(f"wrote {len(rows)} chi values to {config['out']}")
 
 
@@ -326,7 +323,7 @@ def cmd_simulate(config: dict) -> None:
     shots = _get(config, "shots", integer)
     seed = _get(config, "seed", integer)
     r = readout_chi(char_points(state, flat[:, 0::2] + 1j * flat[:, 1::2]), theta, shots, seed)
-    columns = [f"{part}_xi{k if n > 1 else ''}" for k in range(n) for part in ("re", "im")]
+    columns = _coordinate_names(_CHI_COORDS, n)
     columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
     rows = [
         [*xi, theta, shots, sx, sy, chi.real, chi.imag, seed]

@@ -66,15 +66,12 @@ from .pulse_protocol import PulseSchedule, displacement_param, smearing_ft, swit
 
 __all__ = [
     "FieldMode",
-    "TruncatedMode",
     "SegmentOperators",
     "IdentityReport",
     "ladder",
-    "truncated_mode",
     "displacement_operator",
     "number_rotation",
     "thermal_density",
-    "squeezed_ket",
     "fock_density",
     "build_segment",
     "evolve_pulse_sequence",
@@ -125,26 +122,6 @@ def ladder(D: int) -> NDArray[np.complex128]:
     """Annihilation operator, a|n> = sqrt(n)|n-1>, as a dense D x D matrix."""
     D = converted(at_least(2), D, "Fock cutoff D")
     return np.diag(np.sqrt(np.arange(1.0, D)), k=1).astype(complex)
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedMode:
-    """Dense a, a-dagger and number matrices at cutoff dim.
-
-    [a, a-dagger] = 1 holds on the top-left (dim-1) block only; the corner
-    defect is the price of truncation and the reason for the leak checks.
-    """
-
-    dim: int
-    a: NDArray[np.complex128]
-    adag: NDArray[np.complex128]
-    number: NDArray[np.complex128]
-
-
-def truncated_mode(D: int) -> TruncatedMode:
-    a = ladder(D)
-    adag = a.conj().T
-    return TruncatedMode(dim=a.shape[0], a=a, adag=adag, number=adag @ a)
 
 
 def _unitary(H: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -238,15 +215,6 @@ def _check_boundary(top, D: int, boundary_tol: float) -> None:
         raise NumericalCheckError(
             f"squeezed boundary amplitude {max(top):.3e} at D = {D} exceeds {boundary_tol:.1e}"
         )
-
-
-def squeezed_ket(
-    D: int, r: float, theta: float = 0.0, boundary_tol: float = 1e-8
-) -> NDArray[np.complex128]:
-    """S(zeta)|0> with zeta = r e^(i theta)."""
-    psi = _squeezer(D, r, theta, 0)
-    _check_boundary(np.abs(psi[-2:]), D, boundary_tol)
-    return psi
 
 
 def fock_density(

@@ -23,13 +23,15 @@ where V_k is the mode's 2x2 covariance matrix in the convention
     V = [[<X^2>, <{X,P}>/2], [<{X,P}>/2, <P^2>]],
     X = a + a^dag,   P = i(a^dag - a).
 
-One formula gives V for every mode (Weedbrook et al., RMP 84, 621 (2012)):
+One formula gives V = (2n + 1) S S^T for every mode, S = S(r, theta) the
+squeezer acting on (X, P) (Weedbrook et al., RMP 84, 621 (2012)), with no
+cancellation of cosh 2r against sinh 2r at large squeezing:
 
-    V = (2n + 1) S S^T = (2n + 1) [[cosh 2r - cos(theta) sinh 2r,  -sin(theta) sinh 2r],
-                                   [-sin(theta) sinh 2r,  cosh 2r + cos(theta) sinh 2r]],
+    V = (2n + 1) [[e^(-2r) c^2 + e^(2r) s^2,  -sin(theta) sinh 2r],
+                  [-sin(theta) sinh 2r,  e^(2r) c^2 + e^(-2r) s^2]],
 
-with S = S(r, theta) the squeezer acting on (X, P). The vacuum has V = I, a
-thermal mode (2n + 1) I, and det V = (2n + 1)^2, so det V = 1 marks a pure mode.
+c = cos(theta/2), s = sin(theta/2). The vacuum has V = I, a thermal mode
+(2n + 1) I, and det V = (2n + 1)^2, so det V = 1 marks a pure mode.
 The per-mode closed form is
 
     chi(xi) = exp(-(2n+1) [cosh(2r) |xi|^2 + sinh(2r) Re(e^{i theta} conj(xi)^2)] / 2).
@@ -155,7 +157,7 @@ class SqueezedThermal:
                 f"squeezing must be finite with r >= 0, got r = {self.r}, theta = {self.theta}"
             )
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
-        # a finite r can still overflow V, and cosh 2r - sinh 2r = inf - inf is NaN
+        # a finite r can still overflow V: e^(2r) = inf, and inf * 0 is NaN
         if not np.all(np.isfinite(_covariance(self))):
             raise ValidationError(f"covariance overflows at n = {self.n}, r = {self.r}")
 
@@ -216,9 +218,11 @@ def _check_mode(mode: int, n_modes: int) -> int:
 
 def _covariance(s: SqueezedThermal) -> NDArray[np.float64]:
     with np.errstate(over="ignore", invalid="ignore"):  # SqueezedThermal refuses a non-finite V
-        c, sh = np.cosh(2.0 * s.r), np.sinh(2.0 * s.r)
-        ct, st = np.cos(s.theta), np.sin(s.theta)
-        return (2.0 * s.n + 1.0) * np.array([[c - ct * sh, -st * sh], [-st * sh, c + ct * sh]])
+        grow, shrink = np.exp(2.0 * s.r), np.exp(-2.0 * s.r)
+        c2, s2 = np.cos(0.5 * s.theta) ** 2, np.sin(0.5 * s.theta) ** 2
+        xy = -np.sin(s.theta) * np.sinh(2.0 * s.r)  # both slots: V exactly symmetric
+        return (2.0 * s.n + 1.0) * np.array([[shrink * c2 + grow * s2, xy],
+                                             [xy, grow * c2 + shrink * s2]])
 
 
 def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:

@@ -19,10 +19,12 @@ u = omega tau = (2m+1) pi, where it tends to -2N(-1)^N; there the magnitude
 attains its maximum 8 lambda N eta_k |F(k)| / pi. Both are handled
 analytically, never through floating-point tan near a pole.
 
-One array kernel evaluates the closed form for a single displacement, a tau
-grid or a mode list alike. The switching window integrals over [0, tau] are
-exact and take tau arrays: erf/erfc for the Gaussian window, a cumulative
-table for tabulated switching. For tau scans the Gaussian window can be given
+One probe displaces every field mode at once, so displacement_surface gives
+xi of all modes over an N x tau grid; a single displacement, a manifold
+curve, a manifold scan and the condensate map are calls into it and agree
+bit for bit. The switching window integrals over [0, tau] are exact and take
+tau arrays: erf/erfc for the Gaussian window, a cumulative table for
+tabulated switching. For tau scans the Gaussian window can be given
 fractionally (relative=True) so that it keeps its shape inside each segment.
 """
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "Curve",
     "smearing_ft",
     "switching_integral",
+    "displacement_surface",
     "displacement_param",
     "reachable_manifold",
     "smearing_to_dict",
@@ -146,6 +149,24 @@ class CustomRadial:
 SmearingFunction = Union[SphericalGaussian, Delta, CustomRadial]
 
 
+def _wave_number(k, n: int) -> float:
+    """|k| of a wave vector (length n) or of a scalar magnitude."""
+    kv = np.atleast_1d(np.asarray(k, dtype=float))
+    if kv.ndim != 1 or kv.size not in (1, n):
+        raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
+    return float(np.linalg.norm(kv)) if kv.size == n else abs(float(kv[0]))
+
+
+def _transform(f, kmag, n: int):
+    """The profile's own ft(kmag, n), always complex: a complex F divided by a
+    real u is not bitwise a real F divided by u."""
+    try:
+        ft = f.ft
+    except AttributeError:
+        raise ValidationError(f"unsupported smearing object {f!r}") from None
+    return np.asarray(ft(kmag, n), dtype=complex)
+
+
 def smearing_ft(f, k, n: int) -> complex:
     """Spatial Fourier transform F(k) = integral d^n x F(x) exp(i k x).
 
@@ -155,15 +176,7 @@ def smearing_ft(f, k, n: int) -> complex:
     profile's own ft(kmag, n) also takes an array of magnitudes.
     """
     n = converted(dimension, n, "spatial dimension")
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    if kv.ndim != 1 or kv.size not in (1, n):
-        raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
-    kmag = float(np.linalg.norm(kv)) if kv.size == n else abs(float(kv[0]))
-    try:
-        ft = f.ft
-    except AttributeError:
-        raise ValidationError(f"unsupported smearing object {f!r}") from None
-    return complex(ft(kmag, n))
+    return complex(_transform(f, _wave_number(k, n), n))
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +338,22 @@ def _sin_tan_product(u, N):
     return np.where(np.abs(d) < 0.5, near, np.sin(N * u) * np.tan(0.5 * u))
 
 
-def _displacement(lam, N, tau, omega_k, eta_k, ft):
-    """xi of the module docstring, elementwise: N, tau and the per-mode
-    omega_k, eta_k (from switching_integral) and ft = F(k) broadcast."""
-    u = omega_k * tau
-    return -4.0 * lam * eta_k * np.conj(ft) / u * _sin_tan_product(u, N) * np.exp(1j * N * u)
+def displacement_surface(sched: PulseSchedule, Ns, taus, kmag, omega, L: float, n: int):
+    """xi of M modes (|k| = kmag, omega_k = omega) on Ns x taus, shape
+    (len(Ns), len(taus), M): one switching integral over taus x omega and one
+    F(k) over kmag. The schedule's own tau and N are not read."""
+    n = converted(dimension, n, "spatial dimension")
+    taus, kmag, omega = (np.asarray(a, dtype=float) for a in (taus, kmag, omega))
+    if taus.ndim != 1 or kmag.ndim != 1 or kmag.shape != omega.shape:
+        raise ValidationError("need a 1-D tau array and one |k| per omega")
+    if len(Ns) == 0:
+        raise ValidationError("empty N list")
+    N = np.array([_segment_count(v) for v in Ns]).reshape(-1, 1, 1)
+    eta_k = switching_integral(sched.switching, taus[:, None], omega, L, n)
+    ft = _transform(sched.smearing, kmag, n)
+    u = omega * taus[:, None]
+    return (-4.0 * sched.lam * eta_k * np.conj(ft) / u * _sin_tan_product(u, N)
+            * np.exp(1j * N * u))
 
 
 def displacement_param(
@@ -342,9 +366,9 @@ def displacement_param(
     through the removable singularities at omega_k tau = (2m+1) pi, where
     |xi| = 8 lam N eta_k |F(k)| / pi is the per-mode maximum.
     """
-    eta_k = switching_integral(sched.switching, sched.tau, omega_k, L, n)
-    ft = smearing_ft(sched.smearing, k, n)
-    return complex(_displacement(sched.lam, sched.N, sched.tau, omega_k, eta_k, ft))
+    kmag = _wave_number(k, converted(dimension, n, "spatial dimension"))
+    xi = displacement_surface(sched, [sched.N], [sched.tau], [kmag], [omega_k], L, n)
+    return complex(xi[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -376,16 +400,10 @@ def reachable_manifold(
         raise ValidationError("empty tau grid")
     if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be positive and strictly increasing")
-    if len(N_list) == 0:
-        raise ValidationError("empty N list")
     counts = [_segment_count(N) for N in N_list]
-    eta_k = switching_integral(sched_template.switching, taus, omega_k, L, n)
-    ft = smearing_ft(sched_template.smearing, k, n)
-    lam = sched_template.lam
-    return [
-        Curve(N=N, taus=taus.copy(), xis=_displacement(lam, N, taus, omega_k, eta_k, ft))
-        for N in counts
-    ]
+    kmag = _wave_number(k, converted(dimension, n, "spatial dimension"))
+    xis = displacement_surface(sched_template, counts, taus, [kmag], [omega_k], L, n)
+    return [Curve(N=N, taus=taus.copy(), xis=x[:, 0]) for N, x in zip(counts, xis)]
 
 
 # --------------------------------------------------------------------------

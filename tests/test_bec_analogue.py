@@ -21,6 +21,7 @@ from chitomo.fileio import read_json, write_json
 from chitomo.gaussian_field import ModeSet
 from chitomo.pulse_protocol import (
     Constant,
+    CustomRadial,
     Delta,
     PulseSchedule,
     SphericalGaussian,
@@ -144,28 +145,57 @@ def test_map_rejects_zero_mode():
         map_to_protocol(params(), modes_1d(0, 1), template())
 
 
+BOX_3D = ModeSet(spatial_dim=3, box_side=2 * math.pi, mass=0.0, mode_indices=[
+    (a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)
+    if (a, b, c) != (0, 0, 0)
+])
+
+
+class Frozen:
+    """A smearing whose transform is one fixed value at every k."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def ft(self, kmag, n):
+        return self.value
+
+
 def test_mapped_run_equals_weighted_scalar_run():
-    # a mapped run must be bit-identical to a plain run whose profile is
-    # pre-multiplied by the mode weight
+    # a mapped run must be bit-identical, mode by mode, to a plain run whose
+    # profile is pre-multiplied by the mode weight, whatever the base profile;
+    # a real-valued base once divided a real F(k) by omega tau, which differs
+    # from the complex division of the plain run in the last bit
     p = params(g_g=0.03, g_e=0.01)  # negative lambda_eff branch too
-    modes = modes_1d(2)
-    mapped = map_to_protocol(p, modes, template(tau=1.3, N=4))
-    xi_mapped = mapped.displacements()[0]
+    r = np.linspace(0.0, 3.0, 257)
+    radial = CustomRadial(r=tuple(r), f=tuple(np.exp(-((r / 0.5) ** 2))))
+    for base in (Delta(), SphericalGaussian(sigma=0.3), radial):
+        for modes in (modes_1d(2), BOX_3D):
+            mapped = map_to_protocol(p, modes, template(tau=1.3, N=4, smearing=base))
+            n = modes.spatial_dim
+            xi_plain = []
+            for m, kvec in enumerate(modes.wavevectors):
+                k = float(np.linalg.norm(kvec))
+                plain = PulseSchedule(lam=mapped.schedule.lam, tau=1.3, N=4,
+                                      smearing=Frozen(mapped.schedule.smearing.ft(k, n)),
+                                      switching=Constant(1.0))
+                xi_plain.append(displacement_param(plain, k, float(mapped.omegas[m]),
+                                                   modes.box_side, n))
+            assert mapped.displacements().tobytes() == np.array(xi_plain).tobytes()
 
-    class Frozen:
-        def __init__(self, value):
-            self.value = value
 
-        def ft(self, kmag, n):
-            return self.value
-
-    k = float(np.linalg.norm(modes.wavevectors[0]))
-    fval = mapped.schedule.smearing.ft(k, 1)
-    plain = PulseSchedule(lam=mapped.schedule.lam, tau=1.3, N=4,
-                          smearing=Frozen(fval), switching=Constant(1.0))
-    xi_plain = displacement_param(plain, k, float(mapped.omegas[0]),
-                                  modes.box_side, modes.spatial_dim)
-    assert xi_mapped == xi_plain  # bitwise
+def test_dispersion_takes_a_stack_of_wave_vectors():
+    p = params()
+    stack = BOX_3D.wavevectors
+    for fn in (bogoliubov_energy, bogoliubov_omega, bogoliubov_weight):
+        rows = fn(stack, p)
+        assert rows.shape == (BOX_3D.n_modes,)
+        assert rows.tobytes() == np.array([fn(k, p) for k in stack]).tobytes()
+    # a 1-D k stays one wave vector
+    assert np.ndim(bogoliubov_omega([3.0, 4.0], p)) == 0
+    assert bogoliubov_omega([3.0, 4.0], p) == bogoliubov_omega(5.0, p)
+    with pytest.raises(ValidationError):
+        bogoliubov_weight(np.array([[1.0, 0.0], [0.0, 0.0]]), p)
 
 
 def test_mapped_schedule_serializes():

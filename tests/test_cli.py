@@ -20,8 +20,10 @@ from chitomo.gaussian_field import (
     Thermal,
     Vacuum,
     char_analytic,
+    char_points,
+    state_to_dict,
 )
-from chitomo.pulse_protocol import schedule_from_dict
+from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
 from chitomo.tomography import chi_grid_from_state, grid_axis
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
@@ -159,7 +161,6 @@ def test_chi_scan_manifold_mode(tmp_path):
             "schedule": {"lambda": 0.01, "tau": 1.0, "N": 1,
                          "smearing": {"kind": "delta"},
                          "switching": {"kind": "constant", "value": 1.0}},
-            "mode": {"k": 1.0, "omega": 1.0, "L": 2 * math.pi, "n": 1},
             "N_list": [1, 4],
             "tau": {"min": 0.1, "max": 6.0, "points": 40},
         },
@@ -189,7 +190,6 @@ def test_chi_scan_manifold_sampled_writes_stderr(tmp_path):
             "schedule": {"lambda": 0.5, "tau": 1.0, "N": 1,
                          "smearing": {"kind": "delta"},
                          "switching": {"kind": "constant", "value": 1.0}},
-            "mode": {"k": 1.0, "omega": 1.0, "L": 2 * math.pi, "n": 1},
             "N_list": [1, 4],
             "tau": {"min": 0.1, "max": 6.0, "points": 40},
         },
@@ -213,6 +213,58 @@ def test_chi_scan_manifold_sampled_writes_stderr(tmp_path):
     again = tmp_path / "again.csv"
     assert run(*args, "--out", str(again)) == 0
     assert data_lines(out) == data_lines(again)
+
+
+def test_chi_scan_manifold_reads_every_mode_of_the_state(tmp_path):
+    # one probe displaces both modes at once: xi columns per mode, chi of the pair
+    modes = ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1], [2]])
+    state = GaussianFieldState(modes=modes, mode_states=[Thermal(n=1.0), Squeezed(r=0.3)])
+    schedule = {"lambda": 0.5, "tau": 1.0, "N": 1,
+                "smearing": {"kind": "spherical_gaussian", "sigma": 0.3},
+                "switching": {"kind": "constant", "value": 1.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "state": state_to_dict(state),
+        "manifold": {"schedule": schedule, "N_list": [1, 4],
+                     "tau": {"min": 0.1, "max": 6.0, "points": 40}},
+    }))
+    out = tmp_path / "scan.csv"
+    assert run("chi-scan", "--config", str(cfg), "--out", str(out)) == 0
+    columns, rows, _ = read_table(out)
+    assert columns == ["N", "tau", "re_xi0", "im_xi0", "re_xi1", "im_xi1", "re_chi", "im_chi"]
+    assert len(rows) == 80
+    sched = schedule_from_dict(schedule)
+    for N, tau, re0, im0, re1, im1, re_chi, im_chi in rows:
+        one = PulseSchedule(lam=sched.lam, tau=tau, N=int(N), smearing=sched.smearing,
+                            switching=sched.switching)
+        xi = []
+        for m, (re, im) in enumerate(((re0, im0), (re1, im1))):
+            want = displacement_param(one, modes.wavevectors[m], modes.omegas[m],
+                                      modes.box_side, modes.spatial_dim)
+            assert (re, im) == (want.real, want.imag)  # bitwise, through repr
+            xi.append(want)
+        chi = char_points(state, np.array([xi]))[0]
+        assert (re_chi, im_chi) == (chi.real, chi.imag)
+    args = ("chi-scan", "--config", str(cfg), "--shots", "1000", "--seed", "2")
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert run(*args, "--out", str(first)) == 0
+    assert run(*args, "--out", str(again)) == 0
+    assert read_table(first)[0] == columns + ["stderr"]
+    assert data_lines(first) == data_lines(again)
+
+
+def test_chi_scan_manifold_takes_no_mode_of_its_own(tmp_path, capsys):
+    # the scanned modes are the state's; a separate manifold mode is refused
+    out = tmp_path / "scan.csv"
+    assert run("chi-scan", "--set",
+               'manifold={"schedule": {"lambda": 0.01, "tau": 1.0, "N": 1, '
+               '"smearing": {"kind": "delta"}, "switching": {"kind": "constant"}}, '
+               '"mode": {"k": 1.0, "omega": 1.0, "L": 6.283185307179586, "n": 1}, '
+               '"N_list": [1], "tau": {"min": 0.1, "max": 6.0, "points": 5}}',
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown field(s) 'mode'" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- simulate

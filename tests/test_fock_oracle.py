@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.linalg import expm
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.fock_oracle import (
     FieldMode,
+    _check_boundary,
     _quadrature_basis,
     _squeezer,
     _unitary,
@@ -26,9 +28,7 @@ from chitomo.fock_oracle import (
     number_rotation,
     run_default_suite,
     run_displacement_draws,
-    squeezed_ket,
     thermal_density,
-    truncated_mode,
     verify_displacement_composition,
     verify_displacement_identity,
 )
@@ -67,6 +67,21 @@ def sched(lam=0.01, tau=1.0, N=3):
 
 def state_of(mode_state):
     return GaussianFieldState(modes=MODES_1D, mode_states=[mode_state])
+
+
+def truncated_mode(D):
+    """Dense a, a-dagger and number matrices at cutoff D; [a, a-dagger] = 1
+    holds on the top-left (D-1) block only."""
+    a = ladder(D)
+    return SimpleNamespace(a=a, adag=a.conj().T, number=a.conj().T @ a)
+
+
+def squeezed_ket(D, r, theta=0.0, boundary_tol=1e-8):
+    """S(zeta)|0> with zeta = r e^(i theta), through the oracle's squeezer and
+    its boundary guard."""
+    psi = _squeezer(D, r, theta, 0)
+    _check_boundary(np.abs(psi[-2:]), D, boundary_tol)
+    return psi
 
 
 # ---------------------------------------------------------------- operators

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -211,8 +212,8 @@ def test_covariance_is_nu_s_s_transpose(kind, n, r, theta):
     "params", [{"n": 0.0, "r": 400.0}, {"n": 0.0, "r": 355.0}, {"n": 1e308, "r": 0.0}]
 )
 def test_squeezing_that_overflows_the_covariance_is_refused(params):
-    # cosh 2r and sinh 2r overflow near 2r = 710 and inf - inf turns V NaN; at
-    # r = 355 both are finite but V = e^(2r) at theta = 0 is not
+    # e^(2r) overflows from r = 354.89 on (inf * 0 turns the other entries NaN),
+    # so r = 355 and r = 400 are refused
     with pytest.raises(ValidationError, match="covariance overflows"):
         SqueezedThermal(**params)
 
@@ -222,6 +223,46 @@ def test_squeezing_just_below_the_overflow_keeps_a_finite_covariance():
     V = covariance(single_mode(Squeezed(r=354.8)), 0)
     assert np.all(np.isfinite(V))
     assert V[1, 1] == pytest.approx(math.exp(709.6), rel=1e-12)
+    assert np.all(np.isfinite(covariance(single_mode(Squeezed(r=354.0)), 0)))
+
+
+def covariance_reference(n, r, theta):
+    """(V_xx, V_xy, V_yy) with e^(+-2r) and sinh 2r taken to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        nu, grow, shrink = 2 * Decimal(n) + 1, (2 * Decimal(r)).exp(), (-2 * Decimal(r)).exp()
+        c2, s2 = Decimal(math.cos(theta / 2)) ** 2, Decimal(math.sin(theta / 2)) ** 2
+        return (float(nu * (shrink * c2 + grow * s2)),
+                float(-nu * Decimal(math.sin(theta)) * (grow - shrink) / 2),
+                float(nu * (grow * c2 + shrink * s2)))
+
+
+@pytest.mark.parametrize("r", [0.5, 5.0, 10.0, 40.0, 150.0, 300.0])
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, 2.0, np.pi, 5.5])
+@pytest.mark.parametrize("n", [0.0, 0.7])
+def test_covariance_entries_keep_relative_accuracy_at_large_squeezing(n, r, theta):
+    # cosh 2r - sinh 2r cancelled to 0 at r = 10, where V_xx = e^(-20)
+    s = SqueezedThermal(n=n, r=r, theta=theta)
+    V = covariance(single_mode(s), 0)
+    assert V[0, 1] == V[1, 0]
+    for got, want in zip((V[0, 0], V[0, 1], V[1, 1]), covariance_reference(n, r, s.theta)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("r", [0.3, 2.0, 8.0])
+@pytest.mark.parametrize("theta", [0.0, np.pi])
+@pytest.mark.parametrize("n", [0.0, 0.7])
+def test_covariance_determinant_on_the_squeezing_axes(n, r, theta):
+    # at other theta, det V of entries near e^(2r) is itself a cancellation
+    V = covariance(single_mode(SqueezedThermal(n=n, r=r, theta=theta)), 0)
+    assert V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0] == pytest.approx((2 * n + 1) ** 2, rel=1e-12)
+
+
+def test_strongly_squeezed_chi_does_not_collapse_to_one():
+    # V_xx = e^(-20): chi(2e4 i) = exp(-e^(-20) (2e4)^2 / 2) = 0.66217
+    chi = char_analytic(single_mode(Squeezed(r=10.0)), 2e4j)
+    assert chi.real == pytest.approx(math.exp(-0.5 * math.exp(-20.0) * 4e8), rel=1e-12)
+    assert chi.real == pytest.approx(0.66217, abs=1e-5)
 
 
 def test_covariance_determinant_is_purity_measure():
@@ -322,8 +363,9 @@ def test_char_grid_matches_pointwise():
 
 
 def test_chi_is_bitwise_the_per_kind_formula():
-    # giving every kind (n, r, theta) leaves chi of the three old kinds unchanged
-    # to the last bit, on points and on grids
+    # giving every kind (n, r, theta) leaves chi of the unsqueezed kinds unchanged
+    # to the last bit, on points and on grids; the per-kind squeezed covariance
+    # cancels cosh 2r against sinh 2r, so squeezed chi agrees to rtol 1e-12
     rng = np.random.default_rng(9)
     ax = np.linspace(-3.0, 3.0, 25)
     for s in (Vacuum(), Thermal(n=0.0), Thermal(n=0.3), Thermal(n=7.3), Squeezed(r=0.0),
@@ -331,14 +373,19 @@ def test_chi_is_bitwise_the_per_kind_formula():
         state = single_mode(s)
         pts = rng.normal(size=(200, 1)) + 1j * rng.normal(size=(200, 1))
         want = per_kind_chi(state, [pts[:, 0].real], [pts[:, 0].imag])
-        assert char_points(state, pts).tobytes() == want.tobytes()
         grid = char_analytic_grid(state, [ax, ax])
-        assert grid.tobytes() == per_kind_chi(state, [ax[:, None]], [ax[None, :]]).tobytes()
+        want_grid = per_kind_chi(state, [ax[:, None]], [ax[None, :]])
+        if s.r == 0:
+            assert char_points(state, pts).tobytes() == want.tobytes()
+            assert grid.tobytes() == want_grid.tobytes()
+        else:
+            np.testing.assert_allclose(char_points(state, pts), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grid, want_grid, rtol=1e-12, atol=0)
     state = two_mode(Thermal(n=0.5), Squeezed(r=0.3, theta=0.4))
     a = np.linspace(-2.0, 2.0, 7)
     mesh = np.meshgrid(a, a, a, a, indexing="ij")
     want = per_kind_chi(state, mesh[0::2], mesh[1::2])
-    assert char_analytic_grid(state, [a] * 4).tobytes() == want.tobytes()
+    np.testing.assert_allclose(char_analytic_grid(state, [a] * 4), want, rtol=1e-12, atol=0)
 
 
 def test_char_points_checks_its_input():

@@ -21,6 +21,7 @@ from chitomo.pulse_protocol import (
     SphericalGaussian,
     _sin_tan_product,
     displacement_param,
+    displacement_surface,
     reachable_manifold,
     schedule_from_dict,
     schedule_to_dict,
@@ -325,6 +326,72 @@ def test_manifold_validation():
     with pytest.raises(ValidationError):
         reachable_manifold(canonical(), [1, 2.5], [1.0], 1.0, 1.0, L, 1)  # not truncated
     assert reachable_manifold(canonical(), [2.0], [1.0], 1.0, 1.0, L, 1)[0].N == 2
+
+
+# ------------------------------------------------------------------ surface
+
+def profile_pairs():
+    """The smearing/switching pairs of the displacement benchmark: flat, a
+    Gaussian with a relative window, and tabulated profiles."""
+    rng = np.random.default_rng(3)
+    r = np.linspace(0.0, 3.0, 257)
+    f = np.exp(-((r / 0.5) ** 2)) * (1.0 + 0.2 * rng.uniform(size=r.size))
+    t = np.linspace(0.0, 2.0 * math.pi, 129)
+    eta = np.sin(0.5 * t) ** 2 * (1.0 + 0.2 * rng.uniform(size=t.size))
+    return [
+        (Delta(), Constant(1.0)),
+        (SphericalGaussian(sigma=0.3), GaussianWindow(center=0.5, width=0.25, relative=True)),
+        (CustomRadial(r=tuple(r), f=tuple(f)), CustomSwitching(t=tuple(t), eta=tuple(eta))),
+    ]
+
+
+SURFACE_NS = [1, 4, 7]
+SURFACE_TAUS = np.array([0.02, 0.37, 1.0, math.pi / 1.7, math.pi, 4.0, 5.1, 2.0 * math.pi])
+SURFACE_KMAG = np.array([0.0, 1.0, 2.5, 0.3])
+SURFACE_OMEGA = np.array([1.0, 1.7, 0.6, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pair", range(3))
+def test_surface_is_displacement_param_elementwise(pair, n):
+    smearing, switching = profile_pairs()[pair]
+    sched = canonical(lam=0.01, smearing=smearing, switching=switching)
+    xi = displacement_surface(sched, SURFACE_NS, SURFACE_TAUS, SURFACE_KMAG, SURFACE_OMEGA, L, n)
+    assert xi.shape == (len(SURFACE_NS), len(SURFACE_TAUS), len(SURFACE_OMEGA))
+    for (i, j, m), got in np.ndenumerate(xi):
+        one = canonical(lam=0.01, tau=float(SURFACE_TAUS[j]), N=SURFACE_NS[i],
+                        smearing=smearing, switching=switching)
+        want = displacement_param(one, SURFACE_KMAG[m], SURFACE_OMEGA[m], L, n)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    # each mode's manifold curves are slices of the one surface
+    for m in range(len(SURFACE_OMEGA)):
+        curves = reachable_manifold(sched, SURFACE_NS, SURFACE_TAUS, SURFACE_KMAG[m],
+                                    SURFACE_OMEGA[m], L, n)
+        for i, curve in enumerate(curves):
+            assert curve.xis.tobytes() == xi[i, :, m].tobytes()
+
+
+def test_surface_ignores_the_schedule_tau_and_N():
+    a = displacement_surface(canonical(tau=1.0, N=1), [3], [0.5, 2.0], [1.0], [1.0], L, 1)
+    b = displacement_surface(canonical(tau=4.0, N=9), [3], [0.5, 2.0], [1.0], [1.0], L, 1)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_surface_validation():
+    sched = canonical()
+    for Ns, taus, kmag, omega in (
+        ([], [1.0], [1.0], [1.0]),            # no N
+        ([0], [1.0], [1.0], [1.0]),           # N < 1
+        ([2.5], [1.0], [1.0], [1.0]),         # N not an integer
+        ([1], [[1.0]], [1.0], [1.0]),         # tau not 1-D
+        ([1], [1.0], [1.0, 2.0], [1.0]),      # one |k| per omega
+        ([1], [0.0], [1.0], [1.0]),           # tau > 0
+        ([1], [1.0], [1.0], [0.0]),           # omega > 0
+    ):
+        with pytest.raises(ValidationError):
+            displacement_surface(sched, Ns, taus, kmag, omega, L, 1)
+    with pytest.raises(ValidationError):
+        displacement_surface(sched, [1], [1.0], [1.0], [1.0], L, 4)
 
 
 # ------------------------------------------------ array path vs reference
