@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError, read_object
-from .gaussian_field import ModeSet
+from .gaussian_field import ModeSet, _kmag
 from .pulse_protocol import (
     PulseSchedule,
     displacement_surface,
@@ -81,11 +81,6 @@ class BecParams:
     @property
     def sound_speed(self) -> float:
         return math.sqrt(self.g_rho0 / self.m_B)
-
-
-def _kmag(k):
-    """|k| of one wave vector (a scalar or 1-D k) or of each row of an (M, n) stack."""
-    return np.linalg.norm(np.atleast_1d(np.asarray(k, dtype=float)), axis=-1)
 
 
 def _dispersion(kmag, m_B: float, g_rho0: float):
@@ -185,7 +180,7 @@ class MappedProtocol:
         if self.no_signal:
             return np.zeros(self.modes.n_modes, dtype=complex)
         s, m = self.schedule, self.modes
-        xi = displacement_surface(s, [s.N], [s.tau], _kmag(m.wavevectors), self.omegas,
+        xi = displacement_surface(s, [s.N], [s.tau], m.wavenumbers, self.omegas,
                                   m.box_side, m.spatial_dim)
         return xi[0, 0]
 

@@ -284,8 +284,8 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
     spec = _fields(config["manifold"], dict.fromkeys(("schedule", "N_list", "tau")), "manifold")
     sched, counts, taus = _manifold_spec(*spec)
     modes = state.modes
-    xis = displacement_surface(sched, counts, taus, np.linalg.norm(modes.wavevectors, axis=1),
-                               modes.omegas, modes.box_side, modes.spatial_dim)
+    xis = displacement_surface(sched, counts, taus, modes.wavenumbers, modes.omegas,
+                               modes.box_side, modes.spatial_dim)
     chis = char_points(state, xis.reshape(-1, state.n_modes)).reshape(xis.shape[:2])
     columns = ["N", "tau", *_coordinate_names(_CHI_COORDS, state.n_modes), "re_chi", "im_chi"]
     shots, stderr = _get(config, "shots", integer), []
@@ -455,7 +455,7 @@ def cmd_bec_map(config: dict) -> None:
         per_mode.append(
             {
                 "j": list(j),
-                "kmag": float(np.linalg.norm(modes.wavevectors[m])),
+                "kmag": float(modes.wavenumbers[m]),
                 "omega": float(mapped.omegas[m]),
                 "weight": float(mapped.weights[m]),
                 "re_xi": float(xis[m].real),

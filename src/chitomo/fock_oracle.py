@@ -103,9 +103,8 @@ class FieldMode:
 
     @classmethod
     def from_mode_set(cls, modes: ModeSet, index: int = 0) -> "FieldMode":
-        k = modes.wavevectors[index]
         return cls(
-            k=float(np.linalg.norm(k)),
+            k=float(modes.wavenumbers[index]),
             omega=float(modes.omegas[index]),
             box_side=modes.box_side,
             spatial_dim=modes.spatial_dim,

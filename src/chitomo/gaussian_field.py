@@ -92,6 +92,13 @@ __all__ = [
 OMEGA_2X2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _kmag(k):
+    """|k| of one wave vector (a scalar or 1-D k) or of each row of an (M, n)
+    stack, by one rule: the root of the row's sum of squares. (np.linalg.norm
+    of a single vector is a dot product, which can differ in the last bit.)"""
+    return np.sqrt(np.sum(np.square(np.atleast_1d(np.asarray(k, dtype=float))), axis=-1))
+
+
 @dataclass(frozen=True)
 class ModeSet:
     """Discrete modes j in Z^n on a torus of side L with mass m.
@@ -132,6 +139,11 @@ class ModeSet:
         """Array of shape (n_modes, spatial_dim), k = 2*pi*j/L."""
         j = np.array(self.mode_indices, dtype=float).reshape(self.n_modes, self.spatial_dim)
         return 2.0 * np.pi * j / self.box_side
+
+    @property
+    def wavenumbers(self) -> NDArray[np.float64]:
+        """|k| per mode, by the rule every displacement of a mode reads."""
+        return _kmag(self.wavevectors)
 
     @property
     def omegas(self) -> NDArray[np.float64]:

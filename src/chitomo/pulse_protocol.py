@@ -26,6 +26,10 @@ bit for bit. The switching window integrals over [0, tau] are exact and take
 tau arrays: erf/erfc for the Gaussian window, a cumulative table for
 tabulated switching. For tau scans the Gaussian window can be given
 fractionally (relative=True) so that it keeps its shape inside each segment.
+
+erf and erfc come from libm through the math module, element by element over
+the tau array (the window is never evaluated over modes). The one user of
+scipy.special is the 2-D radial table transform (Bessel j0).
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ from .errors import (
     read_field,
     read_object,
 )
+from .gaussian_field import _kmag
 
 __all__ = [
     "SphericalGaussian",
@@ -154,7 +159,7 @@ def _wave_number(k, n: int) -> float:
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.ndim != 1 or kv.size not in (1, n):
         raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
-    return float(np.linalg.norm(kv)) if kv.size == n else abs(float(kv[0]))
+    return float(_kmag(kv)) if kv.size == n else abs(float(kv[0]))
 
 
 def _transform(f, kmag, n: int):
@@ -197,6 +202,16 @@ class Constant:
         return {"kind": "constant", "value": self.value}
 
 
+def _erf_pair(a: float, b: float) -> float:
+    """erf(a) + erf(b); with one of a, b negative the equal erfc(-min) -
+    erfc(max), which does not cancel in the far tail."""
+    lo, hi = (a, b) if a < b else (b, a)
+    return math.erfc(-lo) - math.erfc(hi) if lo < 0.0 else math.erf(a) + math.erf(b)
+
+
+_erf_sum = np.frompyfunc(_erf_pair, 2, 1)
+
+
 @dataclass(frozen=True)
 class GaussianWindow:
     """eta(s) = exp(-((s - center)/width)^2) integrated over [0, tau].
@@ -214,17 +229,11 @@ class GaussianWindow:
             raise ValidationError("window width must be positive")
 
     def window_integral(self, tau):
-        from scipy.special import erf, erfc
-
-        # (w sqrt(pi)/2) [erf(a) + erf(b)]; with one of a, b negative the equal
-        # erfc(-min) - erfc(max), which does not cancel in the far tail
+        # (w sqrt(pi)/2) [erf(a) + erf(b)], element by element from libm
         c = self.center * tau if self.relative else self.center
         w = self.width * tau if self.relative else self.width
-        a = (tau - c) / w
-        b = c / w
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        both = np.where(lo < 0.0, erfc(-lo) - erfc(hi), erf(a) + erf(b))
-        return 0.5 * math.sqrt(math.pi) * w * both
+        both = _erf_sum((tau - c) / w, c / w)
+        return 0.5 * math.sqrt(math.pi) * w * np.asarray(both, dtype=float)
 
     def to_dict(self) -> dict:
         return {

@@ -28,7 +28,9 @@ need. Their peak allocation, counted in complex grids of the input's size
 (the input itself not counted; tracemalloc on exact two-mode grids):
 
     chi_grid_from_state       1.5   the real exponent and the complex result
-    hermitian_fill            2.2   the mirrored partner, the result, masks
+    hermitian_fill            1.3   the mirrored partner, which becomes the
+                                    result, and masks; 2.1 on a sampled grid
+                                    (stderr's buffer and one squared temporary)
     gaussian_fit              0.7   |chi|, then only the kept cells' rows
     wigner_transform          2.0   one stage's input and output; the result
                                     is a contiguous real array (0.5)
@@ -93,17 +95,30 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
     return np.concatenate((-half[:0:-1], half))
 
 
+# rounding allowed in an axis's steps and mirror symmetry, relative to its extent
+_AXIS_RTOL = 1e-9
+
+
 def _check_axes(axes: Sequence[np.ndarray]) -> tuple[NDArray[np.float64], ...]:
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) < 2 or len(axes) % 2 != 0:
         raise ValidationError("need one (Re xi, Im xi) axis pair per mode")
-    for a in axes:
+    for d, a in enumerate(axes):
         if a.ndim != 1 or a.size < 3 or a.size % 2 == 0:
             raise ValidationError("axes must be 1-D, odd-length, >= 3 points")
         if np.any(np.diff(a) <= 0):
             raise ValidationError("axes must be strictly increasing")
         if a[a.size // 2] != 0.0:
             raise ValidationError("axes must contain the origin at the center")
+        # the transforms, the fill and the stencils all read one step per axis
+        # and the mirror point -xi of every xi
+        step = (a[-1] - a[0]) / (a.size - 1)
+        off = max(np.max(np.abs(np.diff(a) - step)), np.max(np.abs(a + a[::-1])))
+        if off > _AXIS_RTOL * a[-1]:
+            raise ValidationError(
+                f"axis {d} is not uniform and symmetric about 0: a step or a mirror "
+                f"pair is {off:.3g} off, above {_AXIS_RTOL:g} of the extent {a[-1]:g}"
+            )
     return axes
 
 
@@ -280,24 +295,27 @@ def hermitian_fill(grid: ChiGrid) -> ChiGrid:
     chi(-xi))/2, which makes the stored array Hermitian to the last bit.
     Fails if some point is missing from both halves.
     """
+    # the result is built in the buffer of the conjugated mirror: the cells
+    # measured only at xi are copied in, the doubly measured ones averaged
     rev = tuple(slice(None, None, -1) for _ in grid.axes)
-    partner = np.conj(grid.values[rev])
-    have_v = ~np.isnan(grid.values)
-    have_p = ~np.isnan(partner)
-    if not np.all(have_v | have_p):
+    values = np.conj(grid.values[rev])
+    only_v = np.isnan(values)
+    missing_v = np.isnan(grid.values)
+    if np.any(missing_v & only_v):
         raise ValidationError("grid is not a centrally complete half-space")
-    # the measured value or its mirrored partner, then the doubly measured
-    # cells averaged in place: no full-size temporary beyond the partner
-    both = have_v & have_p
-    values = np.where(have_v, grid.values, partner)
-    np.add(values, partner, out=values, where=both)
+    both = ~(missing_v | only_v)
+    del missing_v
+    np.copyto(values, grid.values, where=only_v)
+    np.add(values, grid.values, out=values, where=both)
     np.multiply(values, 0.5, out=values, where=both)
-    del partner
     stderr = None
     if grid.stderr is not None:
-        err_p = grid.stderr[rev]
-        stderr = np.where(have_v, grid.stderr, err_p)
-        np.sqrt(grid.stderr**2 + err_p**2, out=stderr, where=both)
+        # 0.5 sqrt(s^2 + e^2) on the doubly measured cells, in the same way
+        stderr = grid.stderr[rev].copy()
+        np.copyto(stderr, grid.stderr, where=only_v)
+        np.square(stderr, out=stderr, where=both)
+        np.add(stderr, np.square(grid.stderr), out=stderr, where=both)
+        np.sqrt(stderr, out=stderr, where=both)
         np.multiply(stderr, 0.5, out=stderr, where=both)
     return ChiGrid(
         axes=grid.axes,

@@ -1,17 +1,20 @@
 """End-to-end command-line runs, exit codes, and output determinism."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from chitomo.cli import main
-from chitomo.fileio import load_chi_grid, load_wigner_grid, read_json, read_table
+from chitomo.fileio import _save_grid, load_chi_grid, load_wigner_grid, read_json, read_table
+from chitomo.fock_oracle import FieldMode
 from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -253,6 +256,35 @@ def test_chi_scan_manifold_reads_every_mode_of_the_state(tmp_path):
     assert data_lines(first) == data_lines(again)
 
 
+@pytest.mark.parametrize("box", [5.3, 7.1, 3.3])
+def test_chi_scan_manifold_xi_is_displacement_param_of_the_wave_vector(tmp_path, box):
+    # 728 modes of a 3-D box with |j_i| <= 4: the scan's |k| is the one that
+    # displacement_param takes of each mode's wave vector, to the last bit
+    idx = [list(j) for j in itertools.product(range(-4, 5), repeat=3) if any(j)]
+    modes = ModeSet(spatial_dim=3, box_side=box, mass=0.5, mode_indices=idx)
+    state = GaussianFieldState(modes=modes, mode_states=[Vacuum()] * len(idx))
+    schedule = {"lambda": 0.5, "tau": 1.0, "N": 1,
+                "smearing": {"kind": "spherical_gaussian", "sigma": 0.3},
+                "switching": {"kind": "constant", "value": 1.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "state": state_to_dict(state),
+        "manifold": {"schedule": schedule, "N_list": [3],
+                     "tau": {"min": 0.4, "max": 2.3, "points": 2}},
+    }))
+    out = tmp_path / "scan.csv"
+    assert run("chi-scan", "--config", str(cfg), "--out", str(out)) == 0
+    _, rows, _ = read_table(out)
+    sched = schedule_from_dict(schedule)
+    for N, tau, *cells in rows:
+        one = PulseSchedule(lam=sched.lam, tau=tau, N=int(N), smearing=sched.smearing,
+                            switching=sched.switching)
+        want = [displacement_param(one, k, omega, box, 3)
+                for k, omega in zip(modes.wavevectors, modes.omegas)]
+        got = np.array(cells[:-2]).reshape(-1, 2)
+        assert got.tolist() == [[xi.real, xi.imag] for xi in want]
+
+
 def test_chi_scan_manifold_takes_no_mode_of_its_own(tmp_path, capsys):
     # the scanned modes are the state's; a separate manifold mode is refused
     out = tmp_path / "scan.csv"
@@ -428,6 +460,20 @@ def test_wigner_refuses_a_chi_file_whose_coordinates_are_not_its_axes(tmp_path, 
     assert not out.exists()
 
 
+def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
+    # odd, increasing and centred on 0, but neither uniform nor symmetric
+    axes = (np.array([-1.0, -0.4, 0.0, 0.5, 2.0]), grid_axis(1.0, 5))
+    chi = tmp_path / "chi.csv"
+    _save_grid(chi, "chi_grid", SimpleNamespace(axes=axes, n_modes=1), ("re_xi", "im_xi"),
+               {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None, False)
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "axis 0 is not uniform and symmetric" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- moments
 
 def test_moments_thermal_table(tmp_path):
@@ -497,6 +543,17 @@ def test_bec_map_output(tmp_path):
     sched = schedule_from_dict(doc["schedule"])
     assert sched.lam == pytest.approx(0.01)
     assert doc["schedule"]["smearing"]["kind"] == "bogoliubov_weighted"
+
+
+def test_bec_map_kmag_is_the_wave_number_of_every_other_layer(tmp_path):
+    idx = [list(j) for j in itertools.product(range(-4, 5), repeat=3) if any(j)]
+    modes = ModeSet(spatial_dim=3, box_side=7.1, mass=0.0, mode_indices=idx)
+    out = tmp_path / "bec.json"
+    spec = json.dumps({"spatial_dim": 3, "box_side": 7.1, "indices": idx})
+    assert run("bec-map", "--set", f"modes={spec}", "--out", str(out)) == 0
+    kmag = [pm["kmag"] for pm in read_json(out)["per_mode"]]
+    assert kmag == modes.wavenumbers.tolist()
+    assert kmag == [FieldMode.from_mode_set(modes, m).k for m in range(len(idx))]
 
 
 def test_bec_map_no_signal_flag(tmp_path):
@@ -726,6 +783,26 @@ def test_oracle_check_loads_no_scipy_linalg(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_gaussian_window_loads_no_scipy(tmp_path):
+    # erf/erfc come from libm: a direct window integral and a manifold with a
+    # Gaussian switching leave no scipy module loaded
+    window = '{"kind": "gaussian", "center": 1.5, "width": 0.7}'
+    argv = ["manifold", "--set", f"schedule.switching={window}",
+            "--out", str(tmp_path / "m.csv")]
+    code = (
+        "import sys; from chitomo.cli import main; "
+        "from chitomo.pulse_protocol import GaussianWindow; "
+        "GaussianWindow(0.5, 0.2, relative=True).window_integral(1.3); "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_oversized_grid_is_refused_before_allocation(tmp_path):

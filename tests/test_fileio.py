@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
     _BLOCK,
+    _CHI_COORDS,
+    _WIGNER_COORDS,
+    _save_grid,
     load_chi_grid,
     load_wigner_grid,
     read_json,
@@ -343,6 +347,22 @@ def test_load_refuses_meta_axes_that_are_not_the_coordinates(tmp_path):
                                  json.dumps(swapped, sort_keys=True)))
     with pytest.raises(ValidationError, match="column re_xi does not match"):
         load_chi_grid(path)
+
+
+def test_load_refuses_an_axis_that_is_not_uniform_and_symmetric(tmp_path):
+    # odd, increasing and centred on 0, but neither uniform nor mirror-symmetric
+    bad = np.array([-1.0, -0.4, 0.0, 0.5, 2.0])
+    grid = SimpleNamespace(axes=(bad, grid_axis(1.0, 5)), n_modes=1)
+    ones = np.ones((5, 5))
+    for kind, coords, values, fields, load in (
+        ("chi_grid", _CHI_COORDS, {"re_chi": ones, "im_chi": 0.0 * ones},
+         {"provenance": "exact", "shots": 0}, load_chi_grid),
+        ("wigner_grid", _WIGNER_COORDS, {"w": ones}, {"normalization": 0.25}, load_wigner_grid),
+    ):
+        path = tmp_path / f"{kind}.csv"
+        _save_grid(path, kind, grid, coords, values, fields, None, False)
+        with pytest.raises(ValidationError, match="axis 0 is not uniform and symmetric"):
+            load(path)
 
 
 def test_load_refuses_a_grid_without_its_coordinates(tmp_path):

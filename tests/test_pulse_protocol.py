@@ -192,6 +192,37 @@ def test_gaussian_window_far_tail_keeps_relative_accuracy():
         assert value == pytest.approx(want, rel=1e-14)
 
 
+def _scipy_window_integral(win, tau):
+    """The erf/erfc branch formula on scipy.special's erf and erfc."""
+    from scipy.special import erf, erfc
+
+    c = win.center * tau if win.relative else win.center
+    w = win.width * tau if win.relative else win.width
+    a, b = (tau - c) / w, c / w
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    both = np.where(lo < 0.0, erfc(-lo) - erfc(hi), erf(a) + erf(b))
+    return 0.5 * math.sqrt(math.pi) * w * both
+
+
+@pytest.mark.parametrize("relative,centers,widths", [
+    (False, (-5.0, -1.0, 0.0, 0.3, 1.0, 5.0, 50.0, 150.0), (0.01, 0.1, 1.0, 10.0)),
+    (True, (-0.5, 0.0, 0.2, 0.5, 0.9, 1.5), (0.05, 0.2, 1.0)),
+])
+def test_gaussian_window_matches_scipy_reference(relative, centers, widths):
+    # libm's erf/erfc against scipy's; at tau much below the width both forms
+    # subtract two nearly equal erfc values, which sets the 1e-11. Below the
+    # normal range scipy flushes to 0 where libm keeps subnormals.
+    taus = np.geomspace(1e-3, 200.0, 801)
+    for c in centers:
+        for w in widths:
+            win = GaussianWindow(center=c, width=w, relative=relative)
+            got = win.window_integral(taus)
+            assert got.dtype == np.float64 and got.shape == taus.shape
+            np.testing.assert_allclose(got, _scipy_window_integral(win, taus),
+                                       rtol=1e-11, atol=1e-300)
+            assert win.window_integral(float(taus[400])) == got[400]
+
+
 def test_custom_switching_tables():
     # trapezoid is exact on piecewise-linear tables
     ramp = CustomSwitching(t=(0.0, 1.0), eta=(0.0, 1.0))

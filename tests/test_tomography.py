@@ -90,6 +90,39 @@ def test_chi_grid_validation():
         ChiGrid(axes=(off, off), values=np.zeros((3, 3)), provenance="exact")
 
 
+def test_axes_must_be_uniform_and_mirror_symmetric():
+    # odd, increasing and centred on 0, but on this axis the fill would take
+    # chi(-1, 0) from chi(2, 0) (0.135 for a vacuum, against 0.607) and steps
+    # would read 0.6
+    bad = np.array([-1.0, -0.4, 0.0, 0.5, 2.0])
+    wide = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])  # mirror-symmetric, not uniform
+    ax = grid_axis(1.0, 5)
+    for axes, d in (((bad, ax), 0), ((ax, bad), 1), ((ax, ax, ax, wide), 3)):
+        shape = (5,) * len(axes)
+        with pytest.raises(ValidationError, match=f"axis {d} is not uniform and symmetric"):
+            ChiGrid(axes=axes, values=np.ones(shape))
+        with pytest.raises(ValidationError, match=f"axis {d} is not uniform and symmetric"):
+            WignerGrid(axes=axes, values=np.ones(shape), normalization=1.0)
+    chi = chi_grid_from_state(VACUUM, (ax, ax))
+    with pytest.raises(ValidationError, match="axis 0"):
+        wigner_transform(chi, (bad, ax), boundary_tol=np.inf)
+    with pytest.raises(ValidationError, match="axis 1"):
+        inverse_wigner_transform(wigner_transform(chi, boundary_tol=np.inf), (ax, bad))
+    with pytest.raises(ValidationError, match="axis 0"):
+        chi_grid_from_state(VACUUM, (bad, ax))
+    # rounding is not a defect: np.linspace is uniform and symmetric only to
+    # within a few ulps; 1e-9 of the extent is the stated tolerance
+    lin = np.linspace(-3.0, 3.0, 61)
+    assert np.ptp(np.diff(lin)) > 0 and not np.array_equal(lin, -lin[::-1])
+    assert chi_grid_from_state(VACUUM, (lin, lin)).steps == (lin[1] - lin[0],) * 2
+    nudged = ax.copy()
+    nudged[-1] += 0.5e-9
+    ChiGrid(axes=(nudged, ax), values=np.ones((5, 5)))
+    nudged[-1] += 2e-9
+    with pytest.raises(ValidationError, match="axis 0"):
+        ChiGrid(axes=(nudged, ax), values=np.ones((5, 5)))
+
+
 def test_exact_grid_values_and_origin():
     g = chi_grid_from_state(THERMAL, square_axes(3.0, 21))
     assert g.provenance == "exact"
@@ -667,7 +700,11 @@ def test_dense_layers_stay_within_their_memory_budgets():
     grid = chi.values.nbytes
     assert peak <= 1.6 * grid  # one real exponent and the complex result
     _, peak, _ = _traced(hermitian_fill, chi)
-    assert peak <= 2.5 * grid  # the result, the mirrored partner and masks
+    assert peak <= 1.4 * grid  # the mirrored partner, which becomes the result, and masks
+    for half in (False, True):
+        sampled = sampled_chi_grid(_BUDGET_STATE, _BUDGET_AXES, shots=100, half=half)
+        _, peak, _ = _traced(hermitian_fill, sampled)
+        assert peak <= 2.4 * grid  # and stderr's buffer with one squared temporary
     _, peak, _ = _traced(gaussian_fit, chi)
     assert peak <= 1.0 * grid  # |chi| and the kept cells' rows only
     w, peak, kept = _traced(wigner_transform, chi)
