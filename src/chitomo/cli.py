@@ -386,8 +386,6 @@ def cmd_moments(config: dict) -> None:
             return complex(char_points(state, xi)[0])
 
         src_mode = 0
-        if h is None:
-            h = 0.01
     rows = []
     for order in _get(config, "orders", listed(listed(integer))):
         if len(order) != 2:

@@ -536,16 +536,9 @@ def run_displacement_draws(
     return reports
 
 
-def _chi_report(state: GaussianFieldState, label: str, xi: complex, D: int, tol: float) -> dict:
-    defect = abs(chi_fock(state, xi, D) - char_analytic(state, [xi]))
-    return {
-        "check": "chi_closed_form",
-        "inputs": {"state": label, "xi": [xi.real, xi.imag]},
-        "D": D,
-        "defect": defect,
-        "tolerance": tol,
-        "passed": bool(defect <= tol),
-    }
+def _report(check: str, inputs: dict, D: int, defect: float, tol: float) -> dict:
+    return {"check": check, "inputs": inputs, "D": D, "defect": defect,
+            "tolerance": tol, "passed": bool(defect <= tol)}
 
 
 def run_default_suite(n_draws: int = 20, D: int = 40, seed: int = 0) -> list[dict]:
@@ -560,27 +553,24 @@ def run_default_suite(n_draws: int = 20, D: int = 40, seed: int = 0) -> list[dic
         (0.0 + 0.0j, 0.3, 4, 1e-12),
     ]:
         defect = verify_displacement_composition(x, y, N, D=D)
-        reports.append(
-            {
-                "check": "displacement_composition",
-                "inputs": {"x": [x.real, x.imag], "y": y, "N": N},
-                "D": D,
-                "defect": defect,
-                "tolerance": tol,
-                "passed": bool(defect <= tol),
-            }
-        )
+        reports.append(_report("displacement_composition",
+                               {"x": [x.real, x.imag], "y": y, "N": N}, D, defect, tol))
 
     modes = ModeSet(spatial_dim=1, box_side=2.0 * np.pi, mass=1.0, mode_indices=((0,),))
     vacuum = GaussianFieldState(modes, (Vacuum(),))
     thermal = GaussianFieldState(modes, (Thermal(n=1.0),))
     squeezed = GaussianFieldState(modes, (Squeezed(r=1.0, theta=0.0),))
-    reports.append(_chi_report(vacuum, "vacuum", 1.0 + 0.0j, D, 1e-10))
-    reports.append(_chi_report(thermal, "thermal n=1", 0.5 + 0.0j, max(D, 60), 1e-8))
     # the squeezed pair distinguishes the two sign conventions: the wrong one
     # swaps the fast and slow decay axes
-    reports.append(_chi_report(squeezed, "squeezed r=1", 0.5 + 0.0j, 160, 1e-8))
-    reports.append(_chi_report(squeezed, "squeezed r=1", 0.0 + 0.5j, 160, 1e-8))
+    for state, label, xi, dim, tol in [
+        (vacuum, "vacuum", 1.0 + 0.0j, D, 1e-10),
+        (thermal, "thermal n=1", 0.5 + 0.0j, max(D, 60), 1e-8),
+        (squeezed, "squeezed r=1", 0.5 + 0.0j, 160, 1e-8),
+        (squeezed, "squeezed r=1", 0.0 + 0.5j, 160, 1e-8),
+    ]:
+        defect = abs(chi_fock(state, xi, dim) - char_analytic(state, [xi]))
+        reports.append(_report("chi_closed_form", {"state": label, "xi": [xi.real, xi.imag]},
+                               dim, defect, tol))
 
     sched = PulseSchedule(lam=0.01, tau=1.0, N=2, smearing=Delta(), switching=Constant(1.0))
     mode = FieldMode(k=1.0, omega=1.0, box_side=2.0 * np.pi, spatial_dim=1)
@@ -593,14 +583,7 @@ def run_default_suite(n_draws: int = 20, D: int = 40, seed: int = 0) -> list[dic
         -math.cos(theta),
     )
     defect = max(abs(b - e) for b, e in zip(bloch, expected))
-    reports.append(
-        {
-            "check": "joint_qubit_bloch",
-            "inputs": {"state": "thermal n=1", "theta": theta, "N": sched.N},
-            "D": max(D, 60),
-            "defect": defect,
-            "tolerance": 1e-6,
-            "passed": bool(defect <= 1e-6),
-        }
-    )
+    reports.append(_report("joint_qubit_bloch",
+                           {"state": "thermal n=1", "theta": theta, "N": sched.N},
+                           max(D, 60), defect, 1e-6))
     return reports

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -307,25 +307,14 @@ def char_analytic_grid(
     return np.exp(expo, out=expo).astype(complex)
 
 
-def _pairings(slots: list[str]) -> Iterable[list[tuple[str, str]]]:
-    if not slots:
-        yield []
-        return
-    first, rest = slots[0], slots[1:]
-    for i in range(len(rest)):
-        pair = (first, rest[i])
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in _pairings(remaining):
-            yield [pair] + tail
-
-
 def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> complex:
     """Symmetric-ordered moment <[(a^dag)^p a^q]_S> of one mode, p + q <= 4.
 
-    Implemented as the Wick pairing sum over the derivative slots of the
-    Gaussian exponent: each (xi, xi) pair contributes -B, (xi, conj xi)
-    contributes -A/2, (conj xi, conj xi) contributes -C, and the moment is
-    (-1)^q times the sum over perfect matchings.
+    The Wick (Isserlis) sum over perfect matchings of the derivative slots of
+    the Gaussian exponent: a (xi, xi) pair gives -B, (xi, conj xi) -A/2 and
+    (conj xi, conj xi) -C; the moment is (-1)^q times the sum. The matchings
+    with m mixed pairs, m = p mod 2, ..., min(p, q) in steps of 2, number
+    C(p,m) C(q,m) m! (p-m-1)!! (q-m-1)!!, with (-1)!! = 1.
     """
     mode = _check_mode(mode, state.n_modes)
     p, q = converted(integer, p, "p"), converted(integer, q, "q")
@@ -333,8 +322,6 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
         raise ValidationError("moment orders must be nonnegative")
     if p + q > 4:
         raise ValidationError(f"moment order p + q = {p + q} beyond the implemented table (4)")
-    if p + q == 0:
-        return 1.0 + 0.0j
     if (p + q) % 2 == 1:
         return 0.0 + 0.0j
     # chi = exp(-Q/2) with Q = A xi conj(xi) + B xi^2 + C conj(xi)^2, the
@@ -343,19 +330,12 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
     A = (gxx + gyy) / 2.0
     B = complex((gxx - gyy) / 4.0, -gxy / 2.0)
     C = B.conjugate()
-    pair_value = {
-        ("d", "d"): -B,
-        ("d", "c"): -A / 2.0,
-        ("c", "d"): -A / 2.0,
-        ("c", "c"): -C,
-    }
-    slots = ["d"] * p + ["c"] * q
-    total = 0.0j
-    for matching in _pairings(slots):
-        prod = 1.0 + 0.0j
-        for pair in matching:
-            prod *= pair_value[pair]
-        total += prod
+    total = sum(
+        math.comb(p, m) * math.comb(q, m) * math.factorial(m)
+        * math.prod(range(p - m - 1, 0, -2)) * math.prod(range(q - m - 1, 0, -2))
+        * (-A / 2.0) ** m * (-B) ** ((p - m) // 2) * (-C) ** ((q - m) // 2)
+        for m in range(p % 2, min(p, q) + 1, 2)
+    )
     return complex((-1.0) ** q * total)
 
 

@@ -20,8 +20,12 @@ derivatives at the origin,
     <[(a+)^p a^q]_S> = (-1)^q  d^{p+q} chi / d xi^p d conj(xi)^q | 0,
 
 evaluated by central finite differences with optional Richardson
-extrapolation. For sampled grids the per-point binomial errors are pushed
-through the stencil coefficients to an error bar on the moment.
+extrapolation, as one array of weights on the lattice of half-steps. Each
+node is summed together with its mirror -xi, whose weight carries the
+stencil's parity (-1)^(p+q); a p = q stencil has exactly real weights, so on
+a Hermitian source, where chi(-xi) = conj chi(xi) holds to the bit, a p = q
+moment is exactly real. For sampled grids the per-point binomial errors are
+pushed through the same weights to an error bar on the moment.
 
 The dense layers allocate no full-size array that their result does not
 need. Their peak allocation, counted in complex grids of the input's size
@@ -432,54 +436,41 @@ def inverse_wigner_transform(
 # --------------------------------------------------------------------------
 # symmetric-ordered moments by finite differences
 
-# second-order central stencils, (offset, coefficient), divide by h^order
-_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
+# second-order central 1-D stencils of orders 0..4 on offsets -2..2 steps,
+# to be divided by step^order
+_CENTRAL = np.array([
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, -0.5, 0.0, 0.5, 0.0],
+    [0.0, 1.0, -2.0, 1.0, 0.0],
+    [-0.5, 1.0, 0.0, -1.0, 0.5],
+    [1.0, -4.0, 6.0, -4.0, 1.0],
+])
 
 
-def _node_coefficients(p: int, q: int, h: float) -> dict[tuple[int, int], complex]:
-    """Stencil for d^{p+q} / d xi^p d conj(xi)^q at 0, as {(ix, iy): coeff}.
+def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
+    """Weights of (2h)^{p+q} d^{p+q} / d xi^p d conj(xi)^q at 0 on the 9 x 9
+    lattice of half-steps h/2 about the origin, Re xi along axis 0.
 
     Wirtinger: d/dxi = (d/dx - i d/dy)/2, d/dconj(xi) = (d/dx + i d/dy)/2;
     expanding binomially gives mixed (x, y) partials of total order p + q,
-    each realized as an outer product of 1-D central stencils.
+    each an outer product of two 1-D stencils. Before the Richardson division
+    by 3 every weight is a small dyadic number, so the imaginary parts of a
+    p = q stencil cancel exactly.
     """
-    nodes: dict[tuple[int, int], complex] = {}
-    scale = 0.5 ** (p + q) / h ** (p + q)
-    for i in range(p + 1):
-        for j in range(q + 1):
-            coeff = (
-                math.comb(p, i)
-                * math.comb(q, j)
-                * (-1j) ** (p - i)
-                * (1j) ** (q - j)
-                * scale
-            )
-            for ox, cx in _STENCILS[i + j]:
-                for oy, cy in _STENCILS[(p - i) + (q - j)]:
-                    key = (ox, oy)
-                    nodes[key] = nodes.get(key, 0.0) + coeff * cx * cy
-    return nodes
-
-
-def _combined_nodes(p: int, q: int, h: float, richardson: bool):
-    """Node map on the h/2 lattice; Richardson combines (4 A(h/2) - A(h))/3."""
-    if not richardson:
-        return {(2 * ox, 2 * oy): c for (ox, oy), c in _node_coefficients(p, q, h).items()}
-    coarse = _node_coefficients(p, q, h)
-    fine = _node_coefficients(p, q, h / 2.0)
-    nodes: dict[tuple[int, int], complex] = {}
-    for (ox, oy), c in fine.items():
-        nodes[(ox, oy)] = nodes.get((ox, oy), 0.0) + 4.0 * c / 3.0
-    for (ox, oy), c in coarse.items():
-        key = (2 * ox, 2 * oy)
-        nodes[key] = nodes.get(key, 0.0) - c / 3.0
-    return nodes
+    unit = sum(
+        math.comb(p, i) * math.comb(q, j) * (-1j) ** (p - i) * 1j ** (q - j)
+        * np.outer(_CENTRAL[i + j], _CENTRAL[p + q - i - j])
+        for i in range(p + 1)
+        for j in range(q + 1)
+    )
+    weights = np.zeros((9, 9), dtype=complex)
+    if richardson:  # (4 A(h/2) - A(h)) / 3; the step h/2 scales A by 2^(p+q)
+        weights[2:7, 2:7] = 4.0 * 2.0 ** (p + q) * unit
+        weights[::2, ::2] -= unit
+        weights /= 3.0
+    else:
+        weights[::2, ::2] = unit
+    return weights
 
 
 def moments_fd(
@@ -494,76 +485,83 @@ def moments_fd(
     """Symmetric-ordered moment <[(a+)^p a^q]_S> for one mode, p + q <= 4.
 
     chi_source is either a callable chi(xi: complex) restricted to the chosen
-    mode's plane, or a ChiGrid (other modes held at the origin). Grid sources
-    need h to be an even multiple of the step (default 2 steps) so that every
-    stencil node, including Richardson half-steps, lands on a grid point.
-    Sampled grids propagate their binomial errors through the stencil; a
-    warning is raised when the moment is smaller than its error bar. With
-    with_error=True returns (value, error) instead of the bare value.
+    mode's plane, or a ChiGrid (other modes held at the origin). h must be
+    finite and positive with (1/(2h))^4 a finite nonzero float; callables
+    take h = 0.01 by default. Grid sources need h to be an even multiple of
+    the step (default 2 steps) so that every stencil node, including
+    Richardson half-steps, lands on a grid point. Sampled grids propagate
+    their binomial errors through the stencil; a warning is raised when the
+    moment is smaller than its error bar. With with_error=True returns
+    (value, error) instead of the bare value.
     """
     mode = converted(integer, mode, "mode")
     p, q = converted(integer, p, "p"), converted(integer, q, "q")
     if p < 0 or q < 0 or p + q > 4:
         raise ValidationError("orders must be nonnegative with p + q <= 4")
-
     if callable(chi_source):
         if mode != 0:
             raise ValidationError("callable sources are single-plane; use mode = 0")
         if h is None:
             h = 0.01
-        read = lambda ox, oy: complex(chi_source(complex(ox * h / 2.0, oy * h / 2.0)))
-        err_at = None
     elif isinstance(chi_source, ChiGrid):
         if not 0 <= mode < chi_source.n_modes:
             raise ValidationError(f"grid has no mode {mode}")
-        ax_r = chi_source.axes[2 * mode]
-        ax_i = chi_source.axes[2 * mode + 1]
-        step_r, step_i = float(ax_r[1] - ax_r[0]), float(ax_i[1] - ax_i[0])
+        step_r, step_i = chi_source.steps[2 * mode : 2 * mode + 2]
         if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):
             raise ValidationError("mode axes must share one step for the stencil")
         if h is None:
             h = 2.0 * step_r
+    else:
+        raise ValidationError("chi_source must be callable or a ChiGrid")
+    # the stencil scale is checked at the highest order, so that a bad h is
+    # refused before any chi is read, whatever the order
+    h = converted(float, h, "h")
+    if not (0.0 < h < math.inf and 0.0 < math.prod([0.5 / h] * 4) < math.inf):
+        raise ValidationError(
+            f"h = {h!r} must be finite and positive, with a finite nonzero stencil "
+            f"scale (1/(2h))^4"
+        )
+    scale = (0.5 / h) ** (p + q)
+
+    weights = _stencil(p, q, richardson).ravel()
+    nodes = np.flatnonzero(weights)  # row-major: node k mirrors node K - 1 - k
+    weights = weights[nodes]
+    offsets = np.stack(np.divmod(nodes, 9)) - 4  # (Re, Im) in half-steps
+    error = None
+    if callable(chi_source):
+        values = np.array([complex(chi_source(complex(ox * h / 2.0, oy * h / 2.0)))
+                           for ox, oy in offsets.T.tolist()])
+    else:
         m = h / step_r
         if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
             raise ValidationError("grid stencils need h an even multiple of the step")
         unit = round(m) // 2  # grid points per half-step
-        center = tuple(a.size // 2 for a in chi_source.axes)
-
-        def grid_index(ox: int, oy: int) -> tuple[int, ...]:
-            idx = list(center)
-            idx[2 * mode] = center[2 * mode] + ox * unit
-            idx[2 * mode + 1] = center[2 * mode + 1] + oy * unit
-            if not (0 <= idx[2 * mode] < ax_r.size and 0 <= idx[2 * mode + 1] < ax_i.size):
+        index = [a.size // 2 for a in chi_source.axes]
+        for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
+            index[d] = [index[d] + unit * o for o in off]
+            if not (0 <= min(index[d]) and max(index[d]) < chi_source.axes[d].size):
                 raise ValidationError("stencil exits the grid; shrink h or widen the grid")
-            return tuple(idx)
+        values = chi_source.values[tuple(index)]
+        if np.any(np.isnan(values)):
+            raise ValidationError("stencil touches an unmeasured point")
+        if chi_source.stderr is not None:
+            err = chi_source.stderr[tuple(index)]
+            error = scale * math.sqrt(float(np.sum(np.abs(weights) ** 2 * err**2)))
 
-        def read(ox, oy):
-            v = complex(chi_source.values[grid_index(ox, oy)])
-            if math.isnan(v.real) or math.isnan(v.imag):
-                raise ValidationError("stencil touches an unmeasured point")
-            return v
+    # each node summed with its mirror -xi, whose weight has the stencil's
+    # parity (-1)^(p+q)
+    half = (nodes.size + 1) // 2
+    pairs = values[:half] + (-1) ** (p + q) * values[::-1][:half]
+    if nodes.size % 2:  # the origin is its own mirror
+        pairs[-1] = values[half - 1]
+    value = complex((-1) ** q * scale * (weights[:half] @ pairs))
 
-        err_at = (
-            (lambda ox, oy: float(chi_source.stderr[grid_index(ox, oy)]))
-            if chi_source.stderr is not None
-            else None
+    if error is not None and error > abs(value):
+        warnings.warn(
+            f"moment ({p},{q}) = {value:.3e} is below its shot-noise error bar "
+            f"{error:.3e}; decrease the noise or increase h",
+            stacklevel=2,
         )
-    else:
-        raise ValidationError("chi_source must be callable or a ChiGrid")
-
-    nodes = _combined_nodes(p, q, float(h), richardson)
-    value = complex(sum(c * read(ox, oy) for (ox, oy), c in nodes.items()))
-    value *= (-1.0) ** q
-
-    error = None
-    if err_at is not None:
-        error = math.sqrt(sum(abs(c) ** 2 * err_at(ox, oy) ** 2 for (ox, oy), c in nodes.items()))
-        if error > abs(value):
-            warnings.warn(
-                f"moment ({p},{q}) = {value:.3e} is below its shot-noise error bar "
-                f"{error:.3e}; decrease the noise or increase h",
-                stacklevel=2,
-            )
     return (value, error) if with_error else value
 
 

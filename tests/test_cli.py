@@ -626,7 +626,13 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
       "state.modes[0].params is missing field 'n'"),
      (("chi-scan", "--set",
        'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
-      "thermal occupation must be finite")],
+      "thermal occupation must be finite"),
+     (("moments", "--set", "h=0"), "h = 0.0 "),
+     (("moments", "--set", "h=1e-300"), "h = 1e-300 "),
+     (("moments", "--set", "h=1e300"), "h = 1e+300 "),
+     (("moments", "--set", "h=-0.01"), "h = -0.01 "),
+     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=NaN"), "h = nan "),
+     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 ")],
 )
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"

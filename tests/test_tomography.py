@@ -379,6 +379,65 @@ def test_moments_fd_order_and_mode_limits():
         moments_fd(f, 1, 1, 1)  # callables are single-plane
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, 1e-300, 1e300, math.nan, math.inf, "a"])
+def test_moments_fd_refuses_a_bad_h_before_reading_chi(h):
+    # finite, positive, and with (1/(2h))^4 a finite nonzero float
+    reads = []
+    f = lambda xi: reads.append(xi) or char_analytic(THERMAL, xi)
+    grid = chi_grid_from_state(THERMAL, square_axes(3.0, 31))
+    for source in (f, grid):
+        for p, q in ((0, 0), (1, 0), (2, 2)):
+            with pytest.raises(ValidationError, match="h = "):
+                moments_fd(source, 0, p, q, h=h)
+    assert reads == []
+
+
+def _monomial(a: int, b: int):
+    return lambda xi: xi**a * np.conj(xi) ** b
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_moments_fd_is_exact_on_monomials(richardson):
+    # second-order central stencils differentiate xi^a conj(xi)^b exactly for
+    # a + b <= p + q + 1, so every weight of every stencil is pinned here;
+    # the grid holds the same values with step h/2
+    axis = grid_axis(1.0, 9)
+    xi = axis[:, None] + 1j * axis[None, :]
+    for p in range(5):
+        for q in range(5 - p):
+            for a in range(p + q + 2):
+                for b in range(p + q + 2 - a):
+                    want = (-1) ** q * math.factorial(p) * math.factorial(q) * ((a, b) == (p, q))
+                    grid = ChiGrid(axes=(axis, axis), values=_monomial(a, b)(xi))
+                    for source in (_monomial(a, b), grid):
+                        got = moments_fd(source, 0, p, q, h=0.5, richardson=richardson)
+                        assert abs(got - want) <= 1e-12, (p, q, a, b, source is grid)
+
+
+def test_moments_fd_equal_orders_are_real_on_a_hermitian_source():
+    # each node is summed with its mirror -xi, so chi(-xi) = conj chi(xi)
+    # leaves no rounding-size imaginary part in a p = q moment
+    axes = square_axes(3.0, 13) * 2
+    states = (
+        GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.3, theta=0.4)]),
+        GaussianFieldState(modes=MS2, mode_states=[SqueezedThermal(n=0.4, r=0.5, theta=1.0),
+                                                   Vacuum()]),
+    )
+    grids = [chi_grid_from_state(state, axes) for state in states]
+    for state in states:
+        for seed in range(10):
+            grids.append(hermitian_fill(
+                sampled_chi_grid(state, axes, shots=1000, seed=seed, half=True)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # (2,2) of a 1000-shot grid is mostly noise
+        for grid in grids:
+            for mode in range(2):
+                for p in range(3):
+                    for richardson in (True, False):
+                        value = moments_fd(grid, mode, p, p, richardson=richardson)
+                        assert value.imag == 0.0, (grid.provenance, mode, p, richardson)
+
+
 def _two_thermal_grid() -> ChiGrid:
     state = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Thermal(n=1.0)])
     return chi_grid_from_state(state, square_axes(4.0, 17) * 2)
