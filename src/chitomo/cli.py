@@ -354,9 +354,7 @@ def _chi_grid_for(config: dict):
 
 
 def cmd_wigner(config: dict) -> None:
-    grid = _chi_grid_for(config)
-    if grid.provenance != "exact" or np.any(np.isnan(grid.values)):
-        grid = hermitian_fill(grid)
+    grid = hermitian_fill(_chi_grid_for(config))
     alpha_axes = _grid_axes(config, "alpha", grid.n_modes) if config.get("alpha") else None
     wgrid = wigner_transform(grid, alpha_axes, boundary_tol=_get(config, "boundary_tol", float))
     save_wigner_grid(wgrid, config["out"], meta=_meta("wigner", config),

@@ -32,7 +32,9 @@ need. Their peak allocation, counted in complex grids of the input's size
 (the input itself not counted; tracemalloc on exact two-mode grids):
 
     chi_grid_from_state       1.5   the real exponent and the complex result
-    hermitian_fill            1.3   the mirrored partner, which becomes the
+    hermitian_fill            0.3   on a complete Hermitian grid, which it
+                                    returns as it is (nothing kept); else 1.3:
+                                    the mirrored partner, which becomes the
                                     result, and masks; 2.1 on a sampled grid
                                     (stderr's buffer and one squared temporary)
     gaussian_fit              0.7   |chi|, then only the kept cells' rows
@@ -292,13 +294,40 @@ def sampled_chi_grid(
     )
 
 
+def _is_hermitian(values: np.ndarray) -> bool:
+    """True when chi(-xi) == conj chi(xi) on every cell of a C-ordered array
+    that holds no NaN and no -0.0, so that the fill's average is the identity.
+
+    Reversing every axis of a C-ordered array reverses its flat order, so each
+    (xi, -xi) pair is compared once, from the first half of the flat view.
+    """
+    if not values.flags.c_contiguous:
+        return False
+    flat = values.reshape(-1)
+    half = flat.size // 2 + 1
+    head, mirror = flat[:half], flat[::-1][:half]
+    # NaN compares unequal; -0.0 is the one float whose int64 view is the minimum
+    return (
+        np.array_equal(head.real, mirror.real)
+        and np.array_equal(head.imag, np.negative(mirror.imag))
+        and not np.any(flat.view(np.int64) == np.iinfo(np.int64).min)
+    )
+
+
 def hermitian_fill(grid: ChiGrid) -> ChiGrid:
     """Complete a grid through chi(-xi) = conj chi(xi), exactly.
 
     Points measured on both halves are averaged as (chi(xi) + conj
     chi(-xi))/2, which makes the stored array Hermitian to the last bit.
     Fails if some point is missing from both halves.
+
+    A grid the average would not change is returned as it is, the same
+    object, with nothing allocated: one without stderr whose values are
+    complete and Hermitian to the bit and hold no -0.0 (the average turns
+    -0.0 + +0.0 into +0.0). Exact grids from chi_grid_from_state are such.
     """
+    if grid.stderr is None and _is_hermitian(grid.values):
+        return grid
     # the result is built in the buffer of the conjugated mirror: the cells
     # measured only at xi are copied in, the doubly measured ones averaged
     rev = tuple(slice(None, None, -1) for _ in grid.axes)

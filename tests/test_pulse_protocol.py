@@ -192,8 +192,33 @@ def test_gaussian_window_far_tail_keeps_relative_accuracy():
         assert value == pytest.approx(want, rel=1e-14)
 
 
+# the window integral to 35 digits: mpmath's erfc(-min) - erfc(max) (or
+# erf(a) + erf(b)) at 80 digits on the exact binary inputs, which mpmath's
+# quadrature of exp(-((s - center)/width)^2) over [0, tau] matches to 1e-59
+_WINDOW_REFERENCES = [
+    # tau far below the width, where the erf difference cancels
+    ((150.0, 100.0, 1e-3), 1.0540080556252938266585900308427221e-4),
+    ((5.0, 2.0, 1e-4), 1.9306954614958784770886006733867493e-7),
+    # short segments far out in the tails, past and before the center
+    ((8.0, 1.0, 1e-3), 1.6167095404730328328727398271024034e-31),
+    ((-10.0, 1.0, 1e-3), 3.6831207646714256602575898738198635e-47),
+    # tau about the width
+    ((5.0, 2.0, 2.0), 5.9355759985259818763708391916972399e-2),
+]
+
+
+@pytest.mark.parametrize("window,want", _WINDOW_REFERENCES)
+def test_gaussian_window_matches_high_precision_references(window, want):
+    center, width, tau = window
+    got = GaussianWindow(center=center, width=width).window_integral(tau)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert GaussianWindow(center=center, width=width).window_integral(np.array([tau]))[0] == got
+
+
 def _scipy_window_integral(win, tau):
-    """The erf/erfc branch formula on scipy.special's erf and erfc."""
+    """The erf/erfc branch formula on scipy.special's erf and erfc; on the
+    short intervals where its erfc difference cancels, scipy.integrate.quad."""
+    from scipy.integrate import quad
     from scipy.special import erf, erfc
 
     c = win.center * tau if win.relative else win.center
@@ -201,7 +226,12 @@ def _scipy_window_integral(win, tau):
     a, b = (tau - c) / w, c / w
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     both = np.where(lo < 0.0, erfc(-lo) - erfc(hi), erf(a) + erf(b))
-    return 0.5 * math.sqrt(math.pi) * w * both
+    out = 0.5 * math.sqrt(math.pi) * w * both
+    c, w = np.broadcast_to(c, tau.shape), np.broadcast_to(w, tau.shape)
+    for i in np.flatnonzero((lo < 0.0) & (tau / w * (1.0 + hi - lo) < 1.0)):
+        out[i] = quad(lambda s: math.exp(-(((s - c[i]) / w[i]) ** 2)), 0.0, tau[i],
+                      epsabs=0.0, epsrel=1e-13)[0]
+    return out
 
 
 @pytest.mark.parametrize("relative,centers,widths", [
@@ -209,9 +239,10 @@ def _scipy_window_integral(win, tau):
     (True, (-0.5, 0.0, 0.2, 0.5, 0.9, 1.5), (0.05, 0.2, 1.0)),
 ])
 def test_gaussian_window_matches_scipy_reference(relative, centers, widths):
-    # libm's erf/erfc against scipy's; at tau much below the width both forms
-    # subtract two nearly equal erfc values, which sets the 1e-11. Below the
-    # normal range scipy flushes to 0 where libm keeps subnormals.
+    # libm's erf/erfc against scipy's, and the library's short-interval sum
+    # against scipy's quadrature; the largest gap, 9.4e-14 at center 150 and
+    # width 10, is the rounding of a = (tau - c)/w grown by a^2 in the tail.
+    # Below the normal range scipy flushes to 0 where libm keeps subnormals.
     taus = np.geomspace(1e-3, 200.0, 801)
     for c in centers:
         for w in widths:
@@ -219,7 +250,7 @@ def test_gaussian_window_matches_scipy_reference(relative, centers, widths):
             got = win.window_integral(taus)
             assert got.dtype == np.float64 and got.shape == taus.shape
             np.testing.assert_allclose(got, _scipy_window_integral(win, taus),
-                                       rtol=1e-11, atol=1e-300)
+                                       rtol=1e-12, atol=1e-300)
             assert win.window_integral(float(taus[400])) == got[400]
 
 

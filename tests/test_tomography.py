@@ -733,6 +733,66 @@ def test_dense_layers_match_references_bitwise(n_modes, kind, negzero, data):
     assert fit.residual == residual and fit.n_points == n_points
 
 
+# ------------------------------------------------- fill pass-through rule
+
+def _nudged(grid, cell):
+    """grid with the real part at cell one ulp up."""
+    values = grid.values.copy()
+    values.real[cell] = np.nextafter(values.real[cell], np.inf)
+    return ChiGrid(axes=grid.axes, values=values, provenance=grid.provenance,
+                   shots=grid.shots, stderr=grid.stderr)
+
+
+def _assert_averaged(grid):
+    filled = hermitian_fill(grid)
+    assert filled is not grid
+    want_values, want_stderr = _fill_reference(grid)
+    assert _same_bits(filled.values, want_values)
+    assert (filled.stderr is None) == (want_stderr is None)
+    if want_stderr is not None:
+        assert _same_bits(filled.stderr, want_stderr)
+    return filled
+
+
+@pytest.mark.parametrize("state", [SQ_TILTED, GaussianFieldState(
+    modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.3, theta=0.4)])])
+def test_fill_returns_an_exact_grid_itself(state):
+    axes = tuple(grid_axis(3.0, 9) for _ in range(2 * state.n_modes))
+    chi = chi_grid_from_state(state, axes)
+    assert hermitian_fill(chi) is chi
+    # the same values in Fortran order go through the average, to the same bits
+    fortran = ChiGrid(axes=axes, values=np.asfortranarray(chi.values))
+    assert _same_bits(_assert_averaged(fortran).values, chi.values)
+
+
+def test_fill_averages_a_signed_zero_pair():
+    axes = square_axes(2.0, 9)
+    chi = chi_grid_from_state(SQ_TILTED, axes)
+    values = chi.values.copy()
+    values.imag[2, 3] = values.imag[6, 5] = -0.0  # xi and -xi, still Hermitian
+    filled = _assert_averaged(ChiGrid(axes=axes, values=values))
+    assert not np.signbit(filled.values.imag[2, 3]) and not np.signbit(filled.values.imag[6, 5])
+
+
+def test_fill_averages_a_complete_sampled_grid_with_stderr():
+    axes = square_axes(2.0, 11)
+    sampled = sampled_chi_grid(THERMAL, axes, shots=400, seed=7)
+    # Hermitian values to the bit: only stderr asks for the average
+    values = hermitian_fill(sampled).values
+    filled = _assert_averaged(ChiGrid(axes=axes, values=values, provenance="sampled",
+                                      shots=400, stderr=sampled.stderr))
+    assert _same_bits(filled.values, values)
+
+
+def test_fill_averages_a_grid_off_hermitian():
+    axes = square_axes(2.0, 9)
+    chi = chi_grid_from_state(SQ_TILTED, axes)
+    # one ulp off at one cell, and an even imaginary part where an odd one is due
+    for grid in (_nudged(chi, (1, 2)), ChiGrid(axes=axes, values=chi.values + 0.25j)):
+        filled = _assert_averaged(grid)
+        np.testing.assert_array_equal(filled.values, filled.values[::-1, ::-1].conj())
+
+
 # ---------------------------------------------------------- memory budgets
 
 # an exact two-mode grid of 21^4 = 194,481 cells (3.1 MB complex)
@@ -758,7 +818,10 @@ def test_dense_layers_stay_within_their_memory_budgets():
     chi, peak, _ = _traced(chi_grid_from_state, _BUDGET_STATE, _BUDGET_AXES)
     grid = chi.values.nbytes
     assert peak <= 1.6 * grid  # one real exponent and the complex result
-    _, peak, _ = _traced(hermitian_fill, chi)
+    filled, peak, kept = _traced(hermitian_fill, chi)
+    assert filled is chi and kept <= 0.01 * grid
+    assert peak <= 0.4 * grid  # half the mirrored imaginary part and masks
+    _, peak, _ = _traced(hermitian_fill, _nudged(chi, (1, 2, 3, 4)))
     assert peak <= 1.4 * grid  # the mirrored partner, which becomes the result, and masks
     for half in (False, True):
         sampled = sampled_chi_grid(_BUDGET_STATE, _BUDGET_AXES, shots=100, half=half)
