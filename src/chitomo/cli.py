@@ -369,28 +369,16 @@ def cmd_moments(config: dict) -> None:
     mode = _get(config, "mode", integer)
     h = None if config["h"] is None else _get(config, "h", float)
     if config.get("chi_file") or _get(config, "shots", integer) > 0:
-        source = _chi_grid_for(config)
-        if np.any(np.isnan(source.values)):
-            source = hermitian_fill(source)
-        src_mode = mode
+        source = hermitian_fill(_chi_grid_for(config))
     else:
-        state = _state(config)
-        if not 0 <= mode < state.n_modes:
-            raise ValidationError(f"state has no mode {mode}")
-
-        def source(z: complex) -> complex:
-            xi = np.zeros((1, state.n_modes), dtype=complex)
-            xi[0, mode] = z
-            return complex(char_points(state, xi)[0])
-
-        src_mode = 0
+        source = _state(config)
     rows = []
     for order in _get(config, "orders", listed(listed(integer))):
         if len(order) != 2:
             raise ValidationError(f"each moment order is a pair [p, q], got {order}")
         p, q = order
         value, error = moments_fd(
-            source, src_mode, p, q,
+            source, mode, p, q,
             h=h,
             richardson=_get(config, "richardson", boolean),
             with_error=True,

@@ -43,6 +43,18 @@ states carry tail/boundary checks. Comparisons between a computed unitary and
 a target displacement are restricted to the low Fock columns (j < D/2) after
 aligning the global phase on the interior of the matrix, since the top edge
 of a truncated displacement is wrong by construction.
+
+The guards are module constants, one value for every caller:
+
+  * TAIL_TOL = 1e-10 bounds the discarded thermal tail weight (n+1) p_D;
+  * BOUNDARY_TOL = 1e-8 bounds a squeezed state's amplitude on the top two
+    Fock levels;
+  * LEAK_TOL = 1e-8 bounds the top-level population a segment feeds from the
+    low Fock columns;
+  * DEFECT_TOL = 1e-5 bounds |xi_closed - xi_fock| for a passing identity
+    check;
+  * RESIDUAL_TOL = 1e-6 bounds the distance of the sequence operator from a
+    pure displacement, above which no xi is read off it.
 """
 from __future__ import annotations
 
@@ -63,6 +75,13 @@ from .gaussian_field import (
     char_analytic,
 )
 from .pulse_protocol import PulseSchedule, displacement_param, smearing_ft, switching_integral
+
+# truncation and identity guards (module docstring)
+TAIL_TOL = 1e-10
+BOUNDARY_TOL = 1e-8
+LEAK_TOL = 1e-8
+DEFECT_TOL = 1e-5
+RESIDUAL_TOL = 1e-6
 
 __all__ = [
     "FieldMode",
@@ -172,11 +191,11 @@ def number_rotation(D: int, y: float) -> NDArray[np.complex128]:
     return np.diag(np.exp(1j * float(y) * np.arange(D)))
 
 
-def thermal_density(D: int, n: float, tail_tol: float = 1e-10) -> NDArray[np.complex128]:
+def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
     """Truncated thermal density matrix, p_j = n^j / (n+1)^(j+1).
 
     The discarded tail has total weight (n+1) p_D; the check on p_D keeps the
-    trace deficit below (n+1) tail_tol. Not renormalized, so the truncation
+    trace deficit below (n+1) TAIL_TOL. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
     if not 0 <= n < math.inf:
@@ -188,9 +207,9 @@ def thermal_density(D: int, n: float, tail_tol: float = 1e-10) -> NDArray[np.com
     j = np.arange(D)
     logp = j * math.log(n) - (j + 1) * math.log(n + 1.0)
     p = np.exp(logp)
-    if p[-1] * (n + 1.0) >= tail_tol:
+    if p[-1] * (n + 1.0) >= TAIL_TOL:
         raise NumericalCheckError(
-            f"thermal tail weight {p[-1] * (n + 1.0):.3e} at D = {D} exceeds {tail_tol:.1e}"
+            f"thermal tail weight {p[-1] * (n + 1.0):.3e} at D = {D} exceeds {TAIL_TOL:.1e}"
         )
     return np.diag(p).astype(complex)
 
@@ -216,17 +235,15 @@ def _check_boundary(top, D: int, boundary_tol: float) -> None:
         )
 
 
-def fock_density(
-    mode_state, D: int, tail_tol: float = 1e-10, boundary_tol: float = 1e-8
-) -> NDArray[np.complex128]:
+def fock_density(mode_state, D: int) -> NDArray[np.complex128]:
     """S rho_th S-dagger of one mode state (n, r, theta); S acts only when r > 0."""
-    rho = thermal_density(D, mode_state.n, tail_tol)
+    rho = thermal_density(D, mode_state.n)
     if mode_state.r > 0:
         p = rho.diagonal()  # rho_th is diagonal: only the columns it weights enter
         k = np.flatnonzero(p)
         S = _squeezer(D, mode_state.r, mode_state.theta, k)
         rho = (S * p[k]) @ S.conj().T
-        _check_boundary(np.sqrt(np.abs(np.diag(rho)[-2:])), D, boundary_tol)
+        _check_boundary(np.sqrt(np.abs(np.diag(rho)[-2:])), D, BOUNDARY_TOL)
     return rho
 
 
@@ -254,14 +271,12 @@ class SegmentOperators:
     leak: float
 
 
-def build_segment(
-    sched: PulseSchedule, mode: FieldMode, D: int, leak_tol: float = 1e-8
-) -> SegmentOperators:
+def build_segment(sched: PulseSchedule, mode: FieldMode, D: int) -> SegmentOperators:
     """Dense segment unitaries u_g = exp(-i v_e) exp(-i v_g), u_e swapped.
 
     The pi pulse in the middle of a segment swaps the qubit branch, so the
     field conditioned on starting in g evolves first under v_g, then v_e.
-    Raises when any low Fock column leaks population above leak_tol into the
+    Raises when any low Fock column leaks population above LEAK_TOL into the
     top level, which is the signal to enlarge D.
     """
     D = converted(at_least(8), D, "segment cutoff D")
@@ -283,7 +298,7 @@ def build_segment(
         float(np.max(np.abs(u_g[D - 1, :half]) ** 2)),
         float(np.max(np.abs(u_e[D - 1, :half]) ** 2)),
     )
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         raise NumericalCheckError(
             f"segment leaks population {leak:.3e} into the top Fock level at D = {D}; "
             "increase the cutoff"
@@ -332,12 +347,10 @@ class IdentityReport:
     defect: float
     residual: float
     dim: int
-    defect_tol: float
-    residual_tol: float
 
     @property
     def passed(self) -> bool:
-        return self.defect <= self.defect_tol and self.residual <= self.residual_tol
+        return self.defect <= DEFECT_TOL and self.residual <= RESIDUAL_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -346,8 +359,8 @@ class IdentityReport:
             "defect": self.defect,
             "residual": self.residual,
             "D": self.dim,
-            "tolerance": self.defect_tol,
-            "residual_tolerance": self.residual_tol,
+            "tolerance": DEFECT_TOL,
+            "residual_tolerance": RESIDUAL_TOL,
             "passed": self.passed,
         }
 
@@ -358,12 +371,7 @@ def default_cutoff(xi: complex) -> int:
 
 
 def verify_displacement_identity(
-    sched: PulseSchedule,
-    mode: FieldMode,
-    D: int | None = None,
-    defect_tol: float = 1e-5,
-    residual_tol: float = 1e-6,
-    leak_tol: float = 1e-8,
+    sched: PulseSchedule, mode: FieldMode, D: int | None = None
 ) -> IdentityReport:
     """Check that the pulse sequence really is D(xi) with the closed-form xi.
 
@@ -375,14 +383,14 @@ def verify_displacement_identity(
     xi_closed = mode.closed_form_xi(sched)
     if D is None:
         D = default_cutoff(xi_closed)
-    seg = build_segment(sched, mode, D, leak_tol=leak_tol)
+    seg = build_segment(sched, mode, D)
     U = evolve_pulse_sequence(seg, sched.N)
     xi_fock = _extract_displacement(U)
     residual = _aligned_low_column_distance(U, displacement_operator(seg.dim, xi_fock))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NumericalCheckError(
             f"sequence operator is {residual:.3e} away from a pure displacement "
-            f"(tolerance {residual_tol:.1e}) at D = {seg.dim}"
+            f"(tolerance {RESIDUAL_TOL:.1e}) at D = {seg.dim}"
         )
     return IdentityReport(
         xi_closed=xi_closed,
@@ -390,8 +398,6 @@ def verify_displacement_identity(
         defect=abs(xi_closed - xi_fock),
         residual=residual,
         dim=seg.dim,
-        defect_tol=defect_tol,
-        residual_tol=residual_tol,
     )
 
 
@@ -426,16 +432,10 @@ def _single_mode_state(state: GaussianFieldState):
     return state.mode_states[0]
 
 
-def chi_fock(
-    state: GaussianFieldState,
-    xi: complex,
-    D: int,
-    tail_tol: float = 1e-10,
-    boundary_tol: float = 1e-8,
-) -> complex:
+def chi_fock(state: GaussianFieldState, xi: complex, D: int) -> complex:
     """Tr[rho_D D(xi)] for a single-mode state, everything dense at cutoff D."""
     mode_state = _single_mode_state(state)
-    rho = fock_density(mode_state, D, tail_tol, boundary_tol)
+    rho = fock_density(mode_state, D)
     return complex(np.einsum("ij,ji->", rho, displacement_operator(D, xi)))
 
 
@@ -446,9 +446,9 @@ _SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def _qubit_rotation(theta: float, phi: float) -> NDArray[np.complex128]:
-    axis = np.cos(phi) * _SX + np.sin(phi) * _SY
-    return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * axis
+def _qubit_rotation(theta: float) -> NDArray[np.complex128]:
+    """R(theta) = exp(-i theta sigma_x / 2), a rotation about the x axis."""
+    return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * _SX
 
 
 def joint_bloch_oracle(
@@ -457,21 +457,18 @@ def joint_bloch_oracle(
     mode: FieldMode,
     theta: float,
     D: int,
-    phi: float = 0.0,
-    tail_tol: float = 1e-10,
-    boundary_tol: float = 1e-8,
 ) -> tuple[float, float, float]:
     """Bloch vector after the full sequence, from the explicit joint evolution.
 
-    Prepares R(theta, phi)|g> x rho_field on the 2D-dimensional joint space,
+    Prepares R(theta)|g> x rho_field on the 2D-dimensional joint space,
     applies [pi-pulse * half-segment] four times per segment... precisely,
     S = P F P F with F the branch-conditioned half-segment evolution and P
     the pi pulse, then S^N, then traces out the field. No closed form enters.
     """
     mode_state = _single_mode_state(state)
     seg = build_segment(sched, mode, D)
-    rho_f = fock_density(mode_state, seg.dim, tail_tol, boundary_tol)
-    q0 = _qubit_rotation(theta, phi) @ np.array([1.0, 0.0], dtype=complex)
+    rho_f = fock_density(mode_state, seg.dim)
+    q0 = _qubit_rotation(theta) @ np.array([1.0, 0.0], dtype=complex)
     rho = np.kron(np.outer(q0, q0.conj()), rho_f)
 
     proj_g = np.zeros((2, 2), dtype=complex)
@@ -479,7 +476,7 @@ def joint_bloch_oracle(
     proj_e = np.zeros((2, 2), dtype=complex)
     proj_e[1, 1] = 1.0
     F = np.kron(proj_g, seg.half_g) + np.kron(proj_e, seg.half_e)
-    P = np.kron(_qubit_rotation(np.pi, 0.0), np.eye(seg.dim, dtype=complex))
+    P = np.kron(_qubit_rotation(np.pi), np.eye(seg.dim, dtype=complex))
     S = P @ F @ P @ F
     total = np.linalg.matrix_power(S, sched.N)
 
@@ -495,18 +492,16 @@ def joint_bloch_oracle(
 # --------------------------------------------------------------------------
 # report-producing suites (consumed by the CLI and the acceptance tests)
 
-def run_displacement_draws(
-    n_draws: int,
-    D: int = 40,
-    seed: int = 0,
-    lam_max: float = 0.02,
-    N_max: int = 6,
-    defect_tol: float = 1e-5,
-    residual_tol: float = 1e-6,
-) -> list[dict]:
+# the ranges of the random draws: lam below 0.02, N up to 6
+_DRAW_LAM_MAX = 0.02
+_DRAW_N_MAX = 6
+
+
+def run_displacement_draws(n_draws: int, D: int = 40, seed: int = 0) -> list[dict]:
     """Random (lam, tau, N) draws of the closed-form-vs-oracle check.
 
-    omega = 1, L = 2 pi, n = 1, point smearing, constant switching; tau spans
+    omega = 1, L = 2 pi, n = 1, point smearing, constant switching; lam is
+    drawn from [0.1, 1) _DRAW_LAM_MAX, N from 1.._DRAW_N_MAX, and tau spans
     (0, 2 pi) including the neighbourhood of the removable singularity.
     """
     from .pulse_protocol import Constant, Delta
@@ -517,15 +512,13 @@ def run_displacement_draws(
     mode = FieldMode(k=1.0, omega=1.0, box_side=2.0 * np.pi, spatial_dim=1)
     reports = []
     for _ in range(n_draws):
-        lam = rng.uniform(0.1 * lam_max, lam_max)
+        lam = rng.uniform(0.1 * _DRAW_LAM_MAX, _DRAW_LAM_MAX)
         tau = rng.uniform(0.05, 2.0 * np.pi - 0.05)
-        N = int(rng.integers(1, N_max + 1))
+        N = int(rng.integers(1, _DRAW_N_MAX + 1))
         sched = PulseSchedule(
             lam=lam, tau=tau, N=N, smearing=Delta(), switching=Constant(1.0)
         )
-        rep = verify_displacement_identity(
-            sched, mode, D, defect_tol=defect_tol, residual_tol=residual_tol
-        )
+        rep = verify_displacement_identity(sched, mode, D)
         reports.append(
             {
                 "check": "displacement_identity",

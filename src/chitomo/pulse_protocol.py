@@ -67,9 +67,7 @@ __all__ = [
     "displacement_surface",
     "displacement_param",
     "reachable_manifold",
-    "smearing_to_dict",
     "smearing_from_dict",
-    "switching_to_dict",
     "switching_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
@@ -459,19 +457,11 @@ register_switching_kind(
 register_switching_kind("custom", CustomSwitching, {"t": listed(float), "eta": listed(float)})
 
 
-def smearing_to_dict(f) -> dict:
-    return f.to_dict()
-
-
 def smearing_from_dict(doc: dict):
     kind = read_field(doc, "kind", str, "smearing")
     if kind not in _SMEARING_KINDS:
         raise ValidationError(f"unknown smearing kind {kind!r}")
     return read_object(doc, *_SMEARING_KINDS[kind], "smearing", also=("kind",))
-
-
-def switching_to_dict(eta) -> dict:
-    return eta.to_dict()
 
 
 def switching_from_dict(doc: dict):
@@ -486,8 +476,8 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
         "lambda": sched.lam,
         "tau": sched.tau,
         "N": sched.N,
-        "smearing": smearing_to_dict(sched.smearing),
-        "switching": switching_to_dict(sched.switching),
+        "smearing": sched.smearing.to_dict(),
+        "switching": sched.switching.to_dict(),
     }
 
 

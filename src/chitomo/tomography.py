@@ -20,7 +20,10 @@ derivatives at the origin,
     <[(a+)^p a^q]_S> = (-1)^q  d^{p+q} chi / d xi^p d conj(xi)^q | 0,
 
 evaluated by central finite differences with optional Richardson
-extrapolation, as one array of weights on the lattice of half-steps. Each
+extrapolation, as one array of weights on the lattice of half-steps. The
+source is one of two kinds: a ChiGrid, whose stencil nodes are gathered from
+its cells, or a GaussianFieldState, whose closed form is evaluated once on
+the stencil's own 9 x 9 lattice and then read as a grid in the same way. Each
 node is summed together with its mirror -xi, whose weight carries the
 stencil's parity (-1)^(p+q); a p = q stencil has exactly real weights, so on
 a Hermitian source, where chi(-xi) = conj chi(xi) holds to the bit, a p = q
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -503,7 +506,7 @@ def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
 
 
 def moments_fd(
-    chi_source,
+    chi_source: ChiGrid | GaussianFieldState,
     mode: int,
     p: int,
     q: int,
@@ -513,35 +516,32 @@ def moments_fd(
 ):
     """Symmetric-ordered moment <[(a+)^p a^q]_S> for one mode, p + q <= 4.
 
-    chi_source is either a callable chi(xi: complex) restricted to the chosen
-    mode's plane, or a ChiGrid (other modes held at the origin). h must be
-    finite and positive with (1/(2h))^4 a finite nonzero float; callables
-    take h = 0.01 by default. Grid sources need h to be an even multiple of
-    the step (default 2 steps) so that every stencil node, including
-    Richardson half-steps, lands on a grid point. Sampled grids propagate
-    their binomial errors through the stencil; a warning is raised when the
-    moment is smaller than its error bar. With with_error=True returns
-    (value, error) instead of the bare value.
+    chi_source is a ChiGrid or a GaussianFieldState; every other mode is held
+    at the origin. A state is evaluated once, in closed form, on the stencil's
+    own 9 x 9 lattice of half-steps in the mode's plane, and that lattice is
+    then read as a grid. h must be finite and positive with (1/(2h))^4 a
+    finite nonzero float; it defaults to 0.01 on a state and to 2 steps on a
+    grid, where it must be an even multiple of the step so that every stencil
+    node, including Richardson half-steps, lands on a grid point. Sampled
+    grids propagate their binomial errors through the stencil; a warning is
+    raised when the moment is smaller than its error bar. With
+    with_error=True returns (value, error) instead of the bare value.
     """
     mode = converted(integer, mode, "mode")
     p, q = converted(integer, p, "p"), converted(integer, q, "q")
     if p < 0 or q < 0 or p + q > 4:
         raise ValidationError("orders must be nonnegative with p + q <= 4")
-    if callable(chi_source):
-        if mode != 0:
-            raise ValidationError("callable sources are single-plane; use mode = 0")
-        if h is None:
-            h = 0.01
-    elif isinstance(chi_source, ChiGrid):
-        if not 0 <= mode < chi_source.n_modes:
-            raise ValidationError(f"grid has no mode {mode}")
+    if not isinstance(chi_source, (ChiGrid, GaussianFieldState)):
+        raise ValidationError("chi_source must be a ChiGrid or a GaussianFieldState")
+    is_grid = isinstance(chi_source, ChiGrid)
+    if not 0 <= mode < chi_source.n_modes:
+        raise ValidationError(f"{'grid' if is_grid else 'state'} has no mode {mode}")
+    if is_grid:
         step_r, step_i = chi_source.steps[2 * mode : 2 * mode + 2]
         if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):
             raise ValidationError("mode axes must share one step for the stencil")
-        if h is None:
-            h = 2.0 * step_r
-    else:
-        raise ValidationError("chi_source must be callable or a ChiGrid")
+    if h is None:
+        h = 2.0 * step_r if is_grid else 0.01
     # the stencil scale is checked at the highest order, so that a bad h is
     # refused before any chi is read, whatever the order
     h = converted(float, h, "h")
@@ -551,31 +551,36 @@ def moments_fd(
             f"scale (1/(2h))^4"
         )
     scale = (0.5 / h) ** (p + q)
+    if not is_grid:
+        # the mode's plane on the stencil's own lattice of half-steps, every
+        # other mode at the origin: a 9 x 9 grid read like any other
+        axis = grid_axis(2.0 * h, 9)
+        axes = [np.zeros(1)] * (2 * chi_source.n_modes)
+        axes[2 * mode] = axes[2 * mode + 1] = axis
+        values = char_analytic_grid(chi_source, axes).reshape(9, 9)
+        chi_source, mode, step_r = ChiGrid(axes=(axis, axis), values=values), 0, h / 2.0
+
+    m = h / step_r
+    if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
+        raise ValidationError("grid stencils need h an even multiple of the step")
+    unit = round(m) // 2  # grid points per half-step
 
     weights = _stencil(p, q, richardson).ravel()
     nodes = np.flatnonzero(weights)  # row-major: node k mirrors node K - 1 - k
     weights = weights[nodes]
     offsets = np.stack(np.divmod(nodes, 9)) - 4  # (Re, Im) in half-steps
+    index = [a.size // 2 for a in chi_source.axes]
+    for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
+        index[d] = [index[d] + unit * o for o in off]
+        if not (0 <= min(index[d]) and max(index[d]) < chi_source.axes[d].size):
+            raise ValidationError("stencil exits the grid; shrink h or widen the grid")
+    values = chi_source.values[tuple(index)]
+    if np.any(np.isnan(values)):
+        raise ValidationError("stencil touches an unmeasured point")
     error = None
-    if callable(chi_source):
-        values = np.array([complex(chi_source(complex(ox * h / 2.0, oy * h / 2.0)))
-                           for ox, oy in offsets.T.tolist()])
-    else:
-        m = h / step_r
-        if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
-            raise ValidationError("grid stencils need h an even multiple of the step")
-        unit = round(m) // 2  # grid points per half-step
-        index = [a.size // 2 for a in chi_source.axes]
-        for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
-            index[d] = [index[d] + unit * o for o in off]
-            if not (0 <= min(index[d]) and max(index[d]) < chi_source.axes[d].size):
-                raise ValidationError("stencil exits the grid; shrink h or widen the grid")
-        values = chi_source.values[tuple(index)]
-        if np.any(np.isnan(values)):
-            raise ValidationError("stencil touches an unmeasured point")
-        if chi_source.stderr is not None:
-            err = chi_source.stderr[tuple(index)]
-            error = scale * math.sqrt(float(np.sum(np.abs(weights) ** 2 * err**2)))
+    if chi_source.stderr is not None:
+        err = chi_source.stderr[tuple(index)]
+        error = scale * math.sqrt(float(np.sum(np.abs(weights) ** 2 * err**2)))
 
     # each node summed with its mirror -xi, whose weight has the stencil's
     # parity (-1)^(p+q)
@@ -645,16 +650,20 @@ class GaussianFit:
         return GaussianFieldState(modes, tuple(states))
 
 
-def gaussian_fit(grid: ChiGrid, min_abs: float = 1e-3) -> GaussianFit:
+# |chi| at or below which a cell says too little about the exponent to be fit
+FIT_MIN_ABS = 1e-3
+
+
+def gaussian_fit(grid: ChiGrid) -> GaussianFit:
     """Fit -2 ln|chi| = sum_m v_m^T (Omega V_m Omega^T) v_m by weighted lstsq.
 
     Weights are |chi|^2 (points near the noise floor say little about the
-    exponent and get masked below min_abs entirely). Returns the full
+    exponent and get masked at or below FIT_MIN_ABS entirely). Returns the full
     block-diagonal covariance; flags, never repairs, unphysical results.
     """
     n = grid.n_modes
     absval = np.abs(grid.values)
-    mask = np.isfinite(absval) & (absval > min_abs)
+    mask = np.isfinite(absval) & (absval > FIT_MIN_ABS)
     # the kept cells in C order, with their coordinates read off the axes
     kept = np.nonzero(mask)
     w = absval[kept]

@@ -291,7 +291,7 @@ def test_criterion_7_tomography_loop():
         recovered.append(gaussian_fit(hermitian_fill(grid)).nbar[0])
     n_gap = max(abs(n - 1.0) for n in recovered)
 
-    moment = moments_fd(lambda z: char_analytic(thermal, z), 0, 1, 1)
+    moment = moments_fd(thermal, 0, 1, 1)
     moment_gap = abs(moment - 1.5)
 
     w_vac = wigner_transform(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from chitomo.gaussian_field import (
     state_to_dict,
 )
 from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
-from chitomo.tomography import chi_grid_from_state, grid_axis
+from chitomo.tomography import chi_grid_from_state, grid_axis, hermitian_fill, moments_fd
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 # the fields of a Bogoliubov-weighted smearing without its optional sign
@@ -510,6 +511,28 @@ def test_moments_from_grid_file(tmp_path):
     ) == 0
     _, rows, _ = read_table(out)
     assert rows[0][2] == pytest.approx(1.5, abs=2e-3)
+
+
+def test_moments_of_a_complete_sampled_file_read_the_filled_grid(tmp_path):
+    # a complete sampled grid is not Hermitian to the bit; it is filled like
+    # any other grid source, so every p = q moment is exactly real
+    chi_out = tmp_path / "chi.csv"
+    assert run("chi-scan", "--shots", "1000", "--set", "grid.points=65",
+               "--out", str(chi_out)) == 0
+    out = tmp_path / "m.csv"
+    orders = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # odd orders of the vacuum are noise only
+        assert run("moments", "--set", f'chi_file="{chi_out}"',
+                   "--set", f"orders={json.dumps(orders)}", "--out", str(out)) == 0
+        filled = hermitian_fill(load_chi_grid(chi_out))
+        want = [moments_fd(filled, 0, p, q, with_error=True) for p, q in orders]
+    _, rows, _ = read_table(out)
+    for (p, q), row, (value, error) in zip(orders, rows.tolist(), want):
+        assert row == [p, q, value.real, value.imag, error]
+        if p == q:
+            assert row[3] == 0.0
+    assert rows[1][2:4].tolist() == [rows[2][2], -rows[2][3]]  # (1,0) = conj (0,1)
 
 
 # ------------------------------------------------------------- oracle-check

@@ -20,6 +20,7 @@ from chitomo.gaussian_field import (
     Thermal,
     Vacuum,
     char_analytic,
+    char_points,
     covariance,
     moments_analytic,
 )
@@ -36,7 +37,8 @@ from chitomo.tomography import (
     sampled_chi_grid,
     wigner_transform,
 )
-from chitomo.tomography import _half_space_mask
+from chitomo import tomography
+from chitomo.tomography import _half_space_mask, _stencil
 
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
@@ -331,28 +333,62 @@ def test_transform_roundtrip(state):
 # ----------------------------------------------------------------- moments
 
 def test_moments_fd_trivial_orders():
-    f = lambda xi: char_analytic(THERMAL, xi)
-    assert moments_fd(f, 0, 0, 0) == 1.0
-    assert moments_fd(f, 0, 1, 0) == pytest.approx(0.0, abs=1e-10)
+    assert moments_fd(THERMAL, 0, 0, 0) == 1.0
+    assert moments_fd(THERMAL, 0, 1, 0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_moments_fd_matches_analytic():
-    for state in (VACUUM, THERMAL, GaussianFieldState(modes=MS1, mode_states=[Squeezed(r=1.0, theta=0.7)])):
-        f = lambda xi: char_analytic(state, xi)
+    for state in (VACUUM, THERMAL, SQ_TILTED):
         for p in range(5):
             for q in range(5 - p):
-                got = moments_fd(f, 0, p, q)
+                got = moments_fd(state, 0, p, q)
                 want = moments_analytic(state, 0, p, q)
                 assert got == pytest.approx(want, abs=1e-3), (state.mode_states[0], p, q)
 
 
 def test_moments_fd_thermal_example():
-    f = lambda xi: char_analytic(THERMAL, xi)
-    value, err = moments_fd(f, 0, 1, 1, h=0.01, with_error=True)
+    value, err = moments_fd(THERMAL, 0, 1, 1, h=0.01, with_error=True)
     assert value == pytest.approx(1.5, abs=1e-3)
     assert err is None  # exact source carries no shot noise
-    plain = moments_fd(f, 0, 1, 1, h=0.01, richardson=False)
+    plain = moments_fd(THERMAL, 0, 1, 1, h=0.01, richardson=False)
     assert plain == pytest.approx(1.5, abs=1e-3)
+
+
+def _node_by_node_moment(state, mode, p, q, h, richardson):
+    """The moment with chi read point by point: char_points at every stencil
+    node of the mode's plane (other modes at 0), each node summed with its
+    mirror -xi under the stencil's parity."""
+    weights = _stencil(p, q, richardson).ravel()
+    nodes = np.flatnonzero(weights)
+    weights = weights[nodes]
+    xi = np.zeros((nodes.size, state.n_modes), dtype=complex)
+    for row, (ox, oy) in enumerate((np.stack(np.divmod(nodes, 9)).T - 4).tolist()):
+        xi[row, mode] = complex(ox * h / 2.0, oy * h / 2.0)
+    values = np.array([char_points(state, point[None, :])[0] for point in xi])
+    half = (nodes.size + 1) // 2
+    pairs = values[:half] + (-1) ** (p + q) * values[::-1][:half]
+    if nodes.size % 2:
+        pairs[-1] = values[half - 1]
+    return complex((-1) ** q * (0.5 / h) ** (p + q) * (weights[:half] @ pairs))
+
+
+def test_moments_fd_of_a_state_is_its_chi_read_node_by_node():
+    # the state's 9 x 9 lattice of half-steps holds chi at the stencil nodes
+    # to the bit, so the moment is bitwise the node-by-node one on every mode
+    states = (
+        GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.3, theta=0.4)]),
+        GaussianFieldState(modes=MS2, mode_states=[SqueezedThermal(n=0.4, r=0.5, theta=1.0),
+                                                   Vacuum()]),
+    )
+    for state in states:
+        for mode in range(2):
+            for h in (1e-3, 0.01, 0.37):
+                for richardson in (True, False):
+                    for p in range(5):
+                        for q in range(5 - p):
+                            got = moments_fd(state, mode, p, q, h=h, richardson=richardson)
+                            want = _node_by_node_moment(state, mode, p, q, h, richardson)
+                            assert got == want, (mode, h, richardson, p, q)
 
 
 def test_moments_fd_grid_source():
@@ -372,35 +408,37 @@ def test_moments_fd_grid_rejects_nan_under_stencil():
 
 
 def test_moments_fd_order_and_mode_limits():
-    f = lambda xi: char_analytic(THERMAL, xi)
     with pytest.raises(ValidationError):
-        moments_fd(f, 0, 3, 2)
-    with pytest.raises(ValidationError):
-        moments_fd(f, 1, 1, 1)  # callables are single-plane
+        moments_fd(THERMAL, 0, 3, 2)
+    with pytest.raises(ValidationError, match="state has no mode 1"):
+        moments_fd(THERMAL, 1, 1, 1)
+    with pytest.raises(ValidationError, match="chi_source must be"):
+        moments_fd(lambda xi: char_analytic(THERMAL, xi), 0, 1, 1)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.01, 1e-300, 1e300, math.nan, math.inf, "a"])
-def test_moments_fd_refuses_a_bad_h_before_reading_chi(h):
-    # finite, positive, and with (1/(2h))^4 a finite nonzero float
-    reads = []
-    f = lambda xi: reads.append(xi) or char_analytic(THERMAL, xi)
+def test_moments_fd_refuses_a_bad_h_before_reading_chi(h, monkeypatch):
+    # finite, positive, and with (1/(2h))^4 a finite nonzero float; the state
+    # is never evaluated
     grid = chi_grid_from_state(THERMAL, square_axes(3.0, 31))
-    for source in (f, grid):
+    reads = []
+    evaluate = tomography.char_analytic_grid
+    monkeypatch.setattr(tomography, "char_analytic_grid",
+                        lambda *args: reads.append(args) or evaluate(*args))
+    for source in (THERMAL, grid):
         for p, q in ((0, 0), (1, 0), (2, 2)):
             with pytest.raises(ValidationError, match="h = "):
                 moments_fd(source, 0, p, q, h=h)
     assert reads == []
-
-
-def _monomial(a: int, b: int):
-    return lambda xi: xi**a * np.conj(xi) ** b
+    moments_fd(THERMAL, 0, 1, 1)  # a good h reads the state once
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("richardson", [True, False])
 def test_moments_fd_is_exact_on_monomials(richardson):
     # second-order central stencils differentiate xi^a conj(xi)^b exactly for
-    # a + b <= p + q + 1, so every weight of every stencil is pinned here;
-    # the grid holds the same values with step h/2
+    # a + b <= p + q + 1, so every weight of every stencil is pinned here on
+    # a grid of step h/2
     axis = grid_axis(1.0, 9)
     xi = axis[:, None] + 1j * axis[None, :]
     for p in range(5):
@@ -408,10 +446,9 @@ def test_moments_fd_is_exact_on_monomials(richardson):
             for a in range(p + q + 2):
                 for b in range(p + q + 2 - a):
                     want = (-1) ** q * math.factorial(p) * math.factorial(q) * ((a, b) == (p, q))
-                    grid = ChiGrid(axes=(axis, axis), values=_monomial(a, b)(xi))
-                    for source in (_monomial(a, b), grid):
-                        got = moments_fd(source, 0, p, q, h=0.5, richardson=richardson)
-                        assert abs(got - want) <= 1e-12, (p, q, a, b, source is grid)
+                    grid = ChiGrid(axes=(axis, axis), values=xi**a * np.conj(xi) ** b)
+                    got = moments_fd(grid, 0, p, q, h=0.5, richardson=richardson)
+                    assert abs(got - want) <= 1e-12, (p, q, a, b)
 
 
 def test_moments_fd_equal_orders_are_real_on_a_hermitian_source():
