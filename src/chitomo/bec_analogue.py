@@ -19,7 +19,7 @@ alternative is a one-line swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -141,15 +141,6 @@ class BogoliubovWeighted:
     def ft(self, kmag, n: int):
         return self.sign * _weight(kmag, self.m_B, self.g_rho0) * self.base.ft(kmag, n)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bogoliubov_weighted",
-            "base": self.base.to_dict(),
-            "m_B": self.m_B,
-            "g_rho0": self.g_rho0,
-            "sign": self.sign,
-        }
-
 
 register_smearing_kind(
     "bogoliubov_weighted",
@@ -198,51 +189,24 @@ def map_to_protocol(
     weights = bogoliubov_weight(modes.wavevectors, params)  # refuses k = 0
     omegas = bogoliubov_omega(modes.wavevectors, params)
     lambda_eff = (params.g_e - params.g_g) * math.sqrt(params.rho0) / 2.0
-    if lambda_eff == 0.0:
-        return MappedProtocol(
-            params=params,
-            modes=modes,
-            schedule=None,
-            omegas=omegas,
-            weights=weights,
-            lambda_eff=0.0,
-        )
-    smearing = BogoliubovWeighted(
-        base=template.smearing,
-        m_B=params.m_B,
-        g_rho0=params.g_rho0,
-        sign=math.copysign(1.0, lambda_eff),
-    )
-    sched = PulseSchedule(
-        lam=abs(lambda_eff),
-        tau=template.tau,
-        N=template.N,
-        smearing=smearing,
-        switching=template.switching,
-    )
-    return MappedProtocol(
-        params=params,
-        modes=modes,
-        schedule=sched,
-        omegas=omegas,
-        weights=weights,
-        lambda_eff=lambda_eff,
-    )
+    sched = None
+    if lambda_eff != 0.0:
+        sign = math.copysign(1.0, lambda_eff)
+        smearing = BogoliubovWeighted(template.smearing, params.m_B, params.g_rho0, sign)
+        sched = replace(template, lam=abs(lambda_eff), smearing=smearing)
+    return MappedProtocol(params=params, modes=modes, schedule=sched, omegas=omegas,
+                          weights=weights, lambda_eff=lambda_eff if sched else 0.0)
 
 
 # --------------------------------------------------------------------------
 # serialization
 
+_PARAM_FIELDS = {f.name: float for f in fields(BecParams)}
+
+
 def params_to_dict(params: BecParams) -> dict:
-    return {
-        "rho0": params.rho0,
-        "g_g": params.g_g,
-        "g_e": params.g_e,
-        "g_rho0": params.g_rho0,
-        "m_B": params.m_B,
-        "omega0": params.omega0,
-    }
+    return {name: getattr(params, name) for name in _PARAM_FIELDS}
 
 
 def params_from_dict(doc: dict) -> BecParams:
-    return read_object(doc, BecParams, {f.name: float for f in fields(BecParams)}, "bec")
+    return read_object(doc, BecParams, _PARAM_FIELDS, "bec")

@@ -5,7 +5,8 @@ oracle-check | bec-map. Each takes a JSON config file (--config), dotted
 --set key=value overrides, and a few dedicated flags; the fully resolved
 config is embedded in every output header, so a result file is sufficient to
 rerun itself. Identical config + seed gives byte-identical output; headers
-carry timestamps only behind --timestamps.
+carry timestamps only behind --timestamps, on the subcommands that write
+tables.
 
 Exit codes: 0 success, 1 bad input, 2 failed numerical safeguard.
 """
@@ -133,7 +134,6 @@ _DEFAULTS: dict[str, dict] = {
         "n_draws": 20,
         "D": 40,
         "seed": 0,
-        "timestamps": False,
     },
     "bec-map": {
         "bec": {
@@ -146,16 +146,18 @@ _DEFAULTS: dict[str, dict] = {
         },
         "modes": {"spatial_dim": 1, "box_side": _TWO_PI, "indices": [[1], [2], [3]]},
         "schedule": _BASE_SCHEDULE,
-        "timestamps": False,
     },
 }
 
 
 # dedicated flags; a subcommand takes one only when its defaults carry the key
+# (timestamps: the subcommands that write tables)
 _FLAGS = {
-    "seed": (int, "RNG seed recorded in the output"),
-    "shots": (int, "measurements per point (0 = exact)"),
-    "theta": (float, "preparation angle"),
+    "seed": {"type": int, "help": "RNG seed recorded in the output"},
+    "shots": {"type": int, "help": "measurements per point (0 = exact)"},
+    "theta": {"type": float, "help": "preparation angle"},
+    "timestamps": {"action": "store_true", "default": None,
+                   "help": "stamp table headers with the generation time"},
 }
 
 
@@ -201,8 +203,6 @@ def _resolve_config(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             config[flag] = value
-    if args.timestamps:
-        config["timestamps"] = True
     known_fields(config, (*_DEFAULTS[args.command], "out"), f"the {args.command} config")
     if "out" not in config and args.command != "oracle-check":
         raise ValidationError("an output path is required (--out or config key 'out')")
@@ -247,8 +247,10 @@ def _grid_axes(config: dict, key: str, n_modes: int):
     return tuple(grid_axis(extent, points) for _ in range(2 * n_modes))
 
 
-def _meta(command: str, config: dict) -> dict:
-    return {"command": command, "config": config}
+def _header(command: str, config: dict) -> dict:
+    """The meta and timestamps arguments of a table writer."""
+    return {"meta": {"command": command, "config": config},
+            "timestamps": _get(config, "timestamps", boolean)}
 
 
 def _manifold_spec(schedule, N_list, tau) -> tuple:
@@ -273,8 +275,7 @@ def cmd_manifold(config: dict) -> None:
     mode = _fields(config["mode"], {"k": float, "omega": float, "L": float, "n": integer}, "mode")
     curves = reachable_manifold(sched, counts, taus, *mode)
     rows = _surface_rows(counts, taus, np.array([c.xis for c in curves])[..., None])
-    write_table(config["out"], ["N", "tau", "re_xi", "im_xi"], rows,
-                meta=_meta("manifold", config), timestamps=config["timestamps"])
+    write_table(config["out"], ["N", "tau", "re_xi", "im_xi"], rows, **_header("manifold", config))
     print(f"wrote {len(rows)} manifold points to {config['out']}")
 
 
@@ -296,8 +297,7 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
         stderr = [np.array([r.chi_stderr for r in readouts])]
         columns.append("stderr")
     rows = _surface_rows(counts, taus, xis, chis.real, chis.imag, *stderr)
-    write_table(config["out"], columns, rows, meta=_meta("chi-scan", config),
-                timestamps=config["timestamps"])
+    write_table(config["out"], columns, rows, **_header("chi-scan", config))
     print(f"wrote {len(rows)} chi values to {config['out']}")
 
 
@@ -306,8 +306,7 @@ def cmd_chi_scan(config: dict) -> None:
         _chi_scan_manifold(config, _state(config))
         return
     grid = _chi_grid_for(config)
-    save_chi_grid(grid, config["out"], meta=_meta("chi-scan", config),
-                  timestamps=config["timestamps"])
+    save_chi_grid(grid, config["out"], **_header("chi-scan", config))
     print(f"wrote a {grid.values.shape} chi grid to {config['out']}")
 
 
@@ -331,14 +330,22 @@ def cmd_simulate(config: dict) -> None:
             flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist()
         )
     ]
-    write_table(config["out"], columns, rows, meta=_meta("simulate", config),
-                timestamps=config["timestamps"])
+    write_table(config["out"], columns, rows, **_header("simulate", config))
     print(f"wrote {len(rows)} readout records to {config['out']}")
 
 
+def _chi_file(config: dict) -> str | None:
+    """The chi_file path, or None to compute the grid from the state."""
+    path = config.get("chi_file")
+    if path is not None and not (isinstance(path, str) and path):
+        raise ValidationError(f"chi_file must be null or a file path, got {path!r}")
+    return path
+
+
 def _chi_grid_for(config: dict):
-    if config.get("chi_file"):
-        return load_chi_grid(config["chi_file"])
+    path = _chi_file(config)
+    if path is not None:
+        return load_chi_grid(path)
     state = _state(config)
     axes = _grid_axes(config, "grid", state.n_modes)
     shots = _get(config, "shots", integer)
@@ -357,8 +364,7 @@ def cmd_wigner(config: dict) -> None:
     grid = hermitian_fill(_chi_grid_for(config))
     alpha_axes = _grid_axes(config, "alpha", grid.n_modes) if config.get("alpha") else None
     wgrid = wigner_transform(grid, alpha_axes, boundary_tol=_get(config, "boundary_tol", float))
-    save_wigner_grid(wgrid, config["out"], meta=_meta("wigner", config),
-                     timestamps=config["timestamps"])
+    save_wigner_grid(wgrid, config["out"], **_header("wigner", config))
     print(
         f"wrote a {wgrid.values.shape} Wigner grid to {config['out']} "
         f"(integral target {wgrid.normalization:.6g})"
@@ -368,7 +374,7 @@ def cmd_wigner(config: dict) -> None:
 def cmd_moments(config: dict) -> None:
     mode = _get(config, "mode", integer)
     h = None if config["h"] is None else _get(config, "h", float)
-    if config.get("chi_file") or _get(config, "shots", integer) > 0:
+    if _chi_file(config) is not None or _get(config, "shots", integer) > 0:
         source = hermitian_fill(_chi_grid_for(config))
     else:
         source = _state(config)
@@ -384,13 +390,8 @@ def cmd_moments(config: dict) -> None:
             with_error=True,
         )
         rows.append([p, q, value.real, value.imag, float("nan") if error is None else error])
-    write_table(
-        config["out"],
-        ["p", "q", "re_moment", "im_moment", "error"],
-        rows,
-        meta=_meta("moments", config),
-        timestamps=config["timestamps"],
-    )
+    write_table(config["out"], ["p", "q", "re_moment", "im_moment", "error"], rows,
+                **_header("moments", config))
     print(f"wrote {len(rows)} moments to {config['out']}")
 
 
@@ -501,14 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted config override, value parsed as JSON (repeatable)",
         )
         p.add_argument("--out", help="output file path")
-        for flag, (kind, flag_help) in _FLAGS.items():
+        for flag, spec in _FLAGS.items():
             if flag in _DEFAULTS[name]:
-                p.add_argument(f"--{flag}", type=kind, help=flag_help)
-        p.add_argument(
-            "--timestamps",
-            action="store_true",
-            help="stamp output headers with the generation time",
-        )
+                p.add_argument(f"--{flag}", **spec)
     return parser
 
 

@@ -55,6 +55,11 @@ The guards are module constants, one value for every caller:
     check;
   * RESIDUAL_TOL = 1e-6 bounds the distance of the sequence operator from a
     pure displacement, above which no xi is read off it.
+
+Every check reports one plain dict, the record oracle-check writes: check
+(its name), inputs, the cutoff D, defect, tolerance and passed (defect <=
+tolerance). The displacement identity adds xi_closed and xi_fock as [re, im]
+pairs, residual and residual_tolerance.
 """
 from __future__ import annotations
 
@@ -86,7 +91,6 @@ RESIDUAL_TOL = 1e-6
 __all__ = [
     "FieldMode",
     "SegmentOperators",
-    "IdentityReport",
     "ladder",
     "displacement_operator",
     "number_rotation",
@@ -338,31 +342,10 @@ def _extract_displacement(U: NDArray[np.complex128]) -> complex:
     return complex(U[1, 0] / U[0, 0])
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Closed form vs brute force for one (schedule, mode) input."""
-
-    xi_closed: complex
-    xi_fock: complex
-    defect: float
-    residual: float
-    dim: int
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= DEFECT_TOL and self.residual <= RESIDUAL_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "xi_closed": [self.xi_closed.real, self.xi_closed.imag],
-            "xi_fock": [self.xi_fock.real, self.xi_fock.imag],
-            "defect": self.defect,
-            "residual": self.residual,
-            "D": self.dim,
-            "tolerance": DEFECT_TOL,
-            "residual_tolerance": RESIDUAL_TOL,
-            "passed": self.passed,
-        }
+def _report(check: str, inputs: dict, D: int, defect: float, tol: float) -> dict:
+    """The report dict every check shares (module docstring)."""
+    return {"check": check, "inputs": inputs, "D": D, "defect": defect,
+            "tolerance": tol, "passed": bool(defect <= tol)}
 
 
 def default_cutoff(xi: complex) -> int:
@@ -372,13 +355,17 @@ def default_cutoff(xi: complex) -> int:
 
 def verify_displacement_identity(
     sched: PulseSchedule, mode: FieldMode, D: int | None = None
-) -> IdentityReport:
+) -> dict:
     """Check that the pulse sequence really is D(xi) with the closed-form xi.
 
     xi_fock is read off the matrix elements <0|U|0> and <1|U|0>; the residual
     measures how far U is from being any displacement at all (low columns,
     global phase aligned), and raising on it guards against reading a xi off
     a matrix that is not a displacement.
+
+    Returns the check's report dict (module docstring) with inputs {lambda,
+    tau, N}, defect |xi_closed - xi_fock| and tolerance DEFECT_TOL; a report
+    whose residual exceeds RESIDUAL_TOL is never returned.
     """
     xi_closed = mode.closed_form_xi(sched)
     if D is None:
@@ -392,13 +379,14 @@ def verify_displacement_identity(
             f"sequence operator is {residual:.3e} away from a pure displacement "
             f"(tolerance {RESIDUAL_TOL:.1e}) at D = {seg.dim}"
         )
-    return IdentityReport(
-        xi_closed=xi_closed,
-        xi_fock=xi_fock,
-        defect=abs(xi_closed - xi_fock),
-        residual=residual,
-        dim=seg.dim,
-    )
+    inputs = {"lambda": sched.lam, "tau": sched.tau, "N": sched.N}
+    return {
+        **_report("displacement_identity", inputs, seg.dim, abs(xi_closed - xi_fock), DEFECT_TOL),
+        "xi_closed": [xi_closed.real, xi_closed.imag],
+        "xi_fock": [xi_fock.real, xi_fock.imag],
+        "residual": residual,
+        "residual_tolerance": RESIDUAL_TOL,
+    }
 
 
 def verify_displacement_composition(x: complex, y: float, N: int, D: int = 40) -> float:
@@ -503,6 +491,7 @@ def run_displacement_draws(n_draws: int, D: int = 40, seed: int = 0) -> list[dic
     omega = 1, L = 2 pi, n = 1, point smearing, constant switching; lam is
     drawn from [0.1, 1) _DRAW_LAM_MAX, N from 1.._DRAW_N_MAX, and tau spans
     (0, 2 pi) including the neighbourhood of the removable singularity.
+    One verify_displacement_identity report per draw.
     """
     from .pulse_protocol import Constant, Delta
 
@@ -518,24 +507,13 @@ def run_displacement_draws(n_draws: int, D: int = 40, seed: int = 0) -> list[dic
         sched = PulseSchedule(
             lam=lam, tau=tau, N=N, smearing=Delta(), switching=Constant(1.0)
         )
-        rep = verify_displacement_identity(sched, mode, D)
-        reports.append(
-            {
-                "check": "displacement_identity",
-                "inputs": {"lambda": lam, "tau": tau, "N": N},
-                **rep.to_dict(),
-            }
-        )
+        reports.append(verify_displacement_identity(sched, mode, D))
     return reports
 
 
-def _report(check: str, inputs: dict, D: int, defect: float, tol: float) -> dict:
-    return {"check": check, "inputs": inputs, "D": D, "defect": defect,
-            "tolerance": tol, "passed": bool(defect <= tol)}
-
-
 def run_default_suite(n_draws: int = 20, D: int = 40, seed: int = 0) -> list[dict]:
-    """The oracle battery behind `oracle-check`: one report dict per check."""
+    """The oracle battery behind `oracle-check`: one report dict per check
+    (module docstring), the displacement draws first."""
     from .pulse_protocol import Constant, Delta
 
     reports = run_displacement_draws(n_draws, D=D, seed=seed)

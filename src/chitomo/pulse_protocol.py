@@ -34,7 +34,7 @@ scipy.special is the 2-D radial table transform (Bessel j0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -93,9 +93,6 @@ class SphericalGaussian:
     def ft(self, kmag, n: int):
         return np.exp(-0.5 * self.sigma**2 * np.square(kmag))
 
-    def to_dict(self) -> dict:
-        return {"kind": "spherical_gaussian", "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class Delta:
@@ -103,9 +100,6 @@ class Delta:
 
     def ft(self, kmag, n: int) -> complex:
         return 1.0 + 0.0j
-
-    def to_dict(self) -> dict:
-        return {"kind": "delta"}
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,6 @@ class CustomRadial:
         else:
             raise ValidationError(f"unsupported spatial dimension {n} for radial table")
         return np.trapezoid(integrand, r, axis=-1)
-
-    def to_dict(self) -> dict:
-        return {"kind": "custom_radial", "r": list(self.r), "f": list(self.f)}
 
 
 SmearingFunction = Union[SphericalGaussian, Delta, CustomRadial]
@@ -195,9 +186,6 @@ class Constant:
 
     def window_integral(self, tau):
         return self.value * tau
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 # the 8-point Gauss-Legendre rule on [-1, 1]: positive nodes, their weights
@@ -250,14 +238,6 @@ class GaussianWindow:
         both = _erf_sum((tau - c) / w, c / w, tau / w)
         return 0.5 * math.sqrt(math.pi) * w * np.asarray(both, dtype=float)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "gaussian",
-            "center": self.center,
-            "width": self.width,
-            "relative": self.relative,
-        }
-
 
 @dataclass(frozen=True)
 class CustomSwitching:
@@ -289,9 +269,6 @@ class CustomSwitching:
         x = np.clip(tau, ts[0], ts[-1])
         i = np.clip(np.searchsorted(ts, x, side="right") - 1, 0, ts.size - 2)
         return table[i] + 0.5 * (x - ts[i]) * (es[i] + np.interp(x, t, e))
-
-    def to_dict(self) -> dict:
-        return {"kind": "custom", "t": list(self.t), "eta": list(self.eta)}
 
 
 SwitchingFunction = Union[Constant, GaussianWindow, CustomSwitching]
@@ -434,7 +411,8 @@ def reachable_manifold(
 # serialization
 
 # kind name -> (class, {field: converter}); a document holds "kind" and the
-# class's fields, which default to the class's own defaults
+# class's fields, which default to the class's own defaults. One table both
+# reads and writes a kind: register_*_kind is all a new kind needs.
 _SMEARING_KINDS: dict[str, tuple[type, dict]] = {}
 _SWITCHING_KINDS: dict[str, tuple[type, dict]] = {}
 
@@ -457,18 +435,38 @@ register_switching_kind(
 register_switching_kind("custom", CustomSwitching, {"t": listed(float), "eta": listed(float)})
 
 
+def _read_kind(doc: dict, kinds: dict, what: str):
+    kind = read_field(doc, "kind", str, what)
+    if kind not in kinds:
+        raise ValidationError(f"unknown {what} kind {kind!r}")
+    return read_object(doc, *kinds[kind], what, also=("kind",))
+
+
+def _write_kind(obj, kinds: dict, what: str) -> dict:
+    """The document _read_kind reads back as obj: the kind its class is
+    registered under, then each field of that kind from the attribute of the
+    same name, a tuple as a list and a nested kind (a dataclass, such as a
+    weighted smearing's base) through the same table."""
+    for kind, (cls, names) in kinds.items():
+        if type(obj) is cls:
+            doc = {"kind": kind}
+            for name in names:
+                value = getattr(obj, name)
+                if isinstance(value, tuple):
+                    value = list(value)
+                elif is_dataclass(value):
+                    value = _write_kind(value, kinds, what)
+                doc[name] = value
+            return doc
+    raise ValidationError(f"unsupported {what} object {obj!r}")
+
+
 def smearing_from_dict(doc: dict):
-    kind = read_field(doc, "kind", str, "smearing")
-    if kind not in _SMEARING_KINDS:
-        raise ValidationError(f"unknown smearing kind {kind!r}")
-    return read_object(doc, *_SMEARING_KINDS[kind], "smearing", also=("kind",))
+    return _read_kind(doc, _SMEARING_KINDS, "smearing")
 
 
 def switching_from_dict(doc: dict):
-    kind = read_field(doc, "kind", str, "switching")
-    if kind not in _SWITCHING_KINDS:
-        raise ValidationError(f"unknown switching kind {kind!r}")
-    return read_object(doc, *_SWITCHING_KINDS[kind], "switching", also=("kind",))
+    return _read_kind(doc, _SWITCHING_KINDS, "switching")
 
 
 def schedule_to_dict(sched: PulseSchedule) -> dict:
@@ -476,8 +474,8 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
         "lambda": sched.lam,
         "tau": sched.tau,
         "N": sched.N,
-        "smearing": sched.smearing.to_dict(),
-        "switching": sched.switching.to_dict(),
+        "smearing": _write_kind(sched.smearing, _SMEARING_KINDS, "smearing"),
+        "switching": _write_kind(sched.switching, _SWITCHING_KINDS, "switching"),
     }
 
 

@@ -588,7 +588,10 @@ def moments_fd(
     pairs = values[:half] + (-1) ** (p + q) * values[::-1][:half]
     if nodes.size % 2:  # the origin is its own mirror
         pairs[-1] = values[half - 1]
-    value = complex((-1) ** q * scale * (weights[:half] @ pairs))
+    total = (-1) ** q * scale * (weights[:half] @ pairs)
+    # adding +0.0 to each part turns the sign-flipped zero of an exactly zero
+    # part into +0.0 and leaves every other value as it is
+    value = complex(total.real + 0.0, total.imag + 0.0)
 
     if error is not None and error > abs(value):
         warnings.warn(

@@ -1,7 +1,11 @@
 """Condensate dispersion, mode weights, and the impurity protocol mapping."""
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +207,23 @@ def test_mapped_schedule_serializes():
     doc = schedule_to_dict(mapped.schedule)
     assert doc["smearing"]["kind"] == "bogoliubov_weighted"
     assert schedule_from_dict(doc) == mapped.schedule
+
+
+def test_mapped_schedule_reads_back_after_importing_only_pulse_protocol():
+    # the package registers bogoliubov_weighted on any import, so a written
+    # weighted schedule reads back without importing chitomo.bec_analogue
+    weighted = template(smearing=SphericalGaussian(sigma=0.3))
+    sched = map_to_protocol(params(g_e=-0.02), modes_1d(1), weighted).schedule
+    doc = json.dumps(schedule_to_dict(sched))
+    code = (
+        "import json; from chitomo.pulse_protocol import schedule_from_dict; "
+        f"print(schedule_from_dict(json.loads({doc!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == repr(sched)
 
 
 # ------------------------------------------------------------ serialization

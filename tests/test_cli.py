@@ -431,6 +431,17 @@ def test_wigner_missing_chi_file(tmp_path):
     assert run("wigner", "--set", 'chi_file="/nonexistent/chi.csv"', "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("command,value", [("wigner", "7"), ("moments", "0"), ("wigner", '""')])
+def test_chi_file_that_is_not_a_path_is_exit_1(tmp_path, capsys, monkeypatch, command, value):
+    # 7 would open file descriptor 7, and 0 would fall back to the state
+    monkeypatch.setattr("chitomo.cli.load_chi_grid", None)  # nothing may be opened
+    out = tmp_path / "x.csv"
+    assert run(command, "--set", f"chi_file={value}", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "chi_file" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["cell", "short_row"])
 def test_wigner_corrupt_chi_file_is_exit_1(tmp_path, capsys, damage):
     chi = tmp_path / "chi.csv"
@@ -680,7 +691,9 @@ def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
      (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
        '"width": 0.2, "relative": "false"}'), "switching.relative"),
      (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
-     (("oracle-check", "--set", "seed=0.5"), "seed")],
+     (("oracle-check", "--set", "seed=0.5"), "seed"),
+     (("manifold", "--set", "timestamps=no"), "timestamps"),
+     (("manifold", "--set", 'timestamps="false"'), "timestamps")],
 )
 def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
     # 9.7 is not truncated to 9, nor the string "false" read as true
@@ -766,7 +779,8 @@ def test_chi_scan_overflowing_squeezing_is_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("manifold", "--seed", "1"), ("bec-map", "--shots", "5"), ("manifold", "--theta", "0.3")],
+    [("manifold", "--seed", "1"), ("bec-map", "--shots", "5"), ("manifold", "--theta", "0.3"),
+     ("oracle-check", "--timestamps"), ("bec-map", "--timestamps")],
 )
 def test_flag_of_another_subcommand_is_exit_1(tmp_path, argv):
     out = tmp_path / "x.out"

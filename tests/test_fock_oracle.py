@@ -286,21 +286,19 @@ def test_evolution_inherits_unitarity():
 
 def test_identity_canonical_inputs():
     rep = verify_displacement_identity(sched(), MODE, D=40)
-    assert rep.defect < 1e-6 and rep.residual < 1e-6
-    assert rep.passed
-    assert rep.xi_closed == pytest.approx(MODE.closed_form_xi(sched()), abs=0)
-    d = rep.to_dict()
-    assert d["passed"] is True and d["D"] == 40
+    assert rep["defect"] < 1e-6 and rep["residual"] < 1e-6
+    assert complex(*rep["xi_closed"]) == pytest.approx(MODE.closed_form_xi(sched()), abs=0)
+    assert rep["passed"] is True and rep["D"] == 40
 
 
 def test_identity_maximum_law_on_fock_side():
     rep = verify_displacement_identity(sched(tau=math.pi), MODE, D=40)
     eta = math.pi / math.sqrt(4 * math.pi)
-    assert abs(rep.xi_fock) == pytest.approx(8 * 0.01 * 3 * eta / math.pi, abs=1e-6)
+    assert abs(complex(*rep["xi_fock"])) == pytest.approx(8 * 0.01 * 3 * eta / math.pi, abs=1e-6)
 
 
 def test_identity_defect_converges_with_cutoff():
-    defects = [verify_displacement_identity(sched(), MODE, D=D).defect for D in (20, 40, 80)]
+    defects = [verify_displacement_identity(sched(), MODE, D=D)["defect"] for D in (20, 40, 80)]
     assert defects[1] <= defects[0] + 2e-17
     assert defects[2] <= defects[1] + 2e-17
     assert max(defects) < 1e-15
@@ -310,8 +308,8 @@ def test_identity_default_cutoff_heuristic():
     assert default_cutoff(0.0) == 16
     assert default_cutoff(1.0) == 64
     rep = verify_displacement_identity(sched(), MODE)  # D chosen from |xi|
-    assert rep.dim == default_cutoff(rep.xi_closed)
-    assert rep.passed
+    assert rep["D"] == default_cutoff(complex(*rep["xi_closed"]))
+    assert rep["passed"]
 
 
 # ------------------------------------------------------------- composition

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chitomo.errors import ValidationError
+from chitomo import pulse_protocol
 from chitomo.fileio import read_json, write_json
 from chitomo.pulse_protocol import (
     Constant,
@@ -526,6 +528,23 @@ def test_schedule_file_roundtrip(tmp_path):
     path = tmp_path / "sched.json"
     write_json(path, schedule_to_dict(sched))
     assert schedule_from_dict(read_json(path)) == sched
+
+
+@dataclass(frozen=True)
+class _TopHat:
+    """A smearing kind known only to its table entry: no to_dict of its own."""
+
+    half_width: float
+    scale: float = 1.0
+
+
+def test_a_kind_registered_on_its_table_round_trips(monkeypatch):
+    monkeypatch.setitem(pulse_protocol._SMEARING_KINDS, "top_hat",
+                        (_TopHat, {"half_width": float, "scale": float}))
+    sched = canonical(smearing=_TopHat(half_width=0.5, scale=2.0))
+    doc = schedule_to_dict(sched)
+    assert doc["smearing"] == {"kind": "top_hat", "half_width": 0.5, "scale": 2.0}
+    assert schedule_from_dict(doc) == sched
 
 
 def test_schedule_unknown_kind_rejected():

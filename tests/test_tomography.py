@@ -475,6 +475,24 @@ def test_moments_fd_equal_orders_are_real_on_a_hermitian_source():
                         assert value.imag == 0.0, (grid.provenance, mode, p, richardson)
 
 
+def test_moments_fd_writes_no_negative_zero():
+    # the (-1)^q factor must not flip an exactly zero part to -0.0, which a
+    # text table would print as "-0.0"
+    grid = hermitian_fill(sampled_chi_grid(VACUUM, square_axes(6.0, 33), shots=1000, seed=1,
+                                           half=True))
+    orders = [(p, q) for p in range(5) for q in range(5 - p)]
+    zeros = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # high orders of a 1000-shot grid are mostly noise
+        for source in (VACUUM, THERMAL, SQ_TILTED, grid):
+            for p, q in orders:
+                value = moments_fd(source, 0, p, q)
+                for part in (value.real, value.imag):
+                    assert not (part == 0.0 and math.copysign(1.0, part) < 0), (source, p, q)
+                    zeros += part == 0.0
+    assert zeros > 0  # the check has zeros to look at
+
+
 def _two_thermal_grid() -> ChiGrid:
     state = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Thermal(n=1.0)])
     return chi_grid_from_state(state, square_axes(4.0, 17) * 2)
