@@ -5,14 +5,18 @@ Every file opens with a format tag line, a meta line holding one JSON object
 by plain CSV rows. Columns are typed: each is written as integers if its
 cells convert to an integer array and with repr if they convert to a float
 array (any other dtype is refused). Rows are formatted and written a block
-at a time, which bounds the memory beyond the table itself. Within a block a
-float column is formatted as a dictionary: each distinct bit pattern is
-passed to repr once and its text reused for every cell that holds it. Equal
-bits give equal text, so the bytes are those of formatting every cell;
--0.0 and 0.0 stay distinct, and every NaN prints as nan. repr round-trips
-exactly, and read_table parses the data block into one 2-D float64 array, so
-loading a grid reproduces the saved arrays bit for bit; a grid file whose
-coordinate columns are not the outer product of its meta axes is refused.
+at a time. Each column is formatted as a dictionary: each distinct key (the
+bit pattern of a float, the value of an integer) is passed to repr once and
+its text reused for every cell that holds it, and a column's dictionary
+carries into the next block, so a value recurring across blocks is formatted
+once. Beyond the table, memory is bounded by one block's cell labels plus
+the previous block's keys and labels per column. Equal bits give equal
+text, so the bytes are those of formatting every cell; -0.0 and 0.0 stay
+distinct, and every NaN prints as nan. repr round-trips exactly, and
+read_table parses the data block into one 2-D float64 array, so loading a
+grid reproduces the saved arrays bit for bit, signed zeros and NaN or
+infinite parts included; a grid file whose coordinate columns are not the
+outer product of its meta axes is refused.
 Headers carry no timestamp unless explicitly requested, keeping identical
 runs byte-identical.
 """
@@ -46,8 +50,8 @@ _WIGNER_COORDS = ("x", "p")
 
 
 def _typed_columns(rows, width: int) -> list:
-    """(formatter, 1-D array) per column of rows, a 2-D array or a list of
-    rows of width cells, each column converted once."""
+    """The 1-D integer or float64 array of each column of rows, a 2-D array
+    or a list of rows of width cells, each column converted once."""
     if hasattr(rows, "shape"):  # an array's columns are views sharing its dtype
         ok, cols = rows.shape[1:] == (width,), list(rows.T)
     else:
@@ -56,26 +60,36 @@ def _typed_columns(rows, width: int) -> list:
         raise ValidationError("row width does not match the column list")
     if any(col.dtype.kind not in "iuf" for col in cols):
         raise ValidationError("table columns must convert to integer or float arrays")
-    return [(_int_cells, c) if c.dtype.kind in "iu"
-            else (_float_cells, c.astype(float, copy=False)) for c in cols]
+    return [c.astype(float, copy=False) if c.dtype.kind == "f" else c for c in cols]
 
 
-def _int_cells(block):
-    return map(str, block.tolist())
+_NO_LABELS = (np.empty(0, np.int64), np.empty(0, object))  # the dictionary before block 0
 
 
-def _float_cells(block) -> list:
-    """repr of each cell, each distinct bit pattern formatted once: equal bits
-    give an equal repr, so the text is that of formatting every cell."""
-    bits, where = np.unique(block.view(np.int64), return_inverse=True)
-    labels = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return labels[where].tolist()
+def _cells(block, prev) -> tuple[list, tuple]:
+    """(repr of each cell of block, the block's dictionary): keys are the bit
+    patterns of a float column or the integers themselves (repr(int) is
+    str(int)), and each distinct key is formatted once. prev, the previous
+    block's (sorted keys, labels), carries into this block, so only keys new
+    to it are formatted. Beyond the table this holds one block's labels plus
+    the previous block's keys and labels. Equal bits give an equal repr, so
+    the text is that of formatting every cell."""
+    keys, where = np.unique(block.view(np.int64) if block.dtype.kind == "f" else block,
+                            return_inverse=True)
+    old_keys, old_labels = prev
+    at = np.searchsorted(old_keys, keys)
+    found = at < old_keys.size
+    found[found] = old_keys[at[found]] == keys[found]
+    labels = np.empty(keys.size, dtype=object)
+    labels[found] = old_labels[at[found]]
+    labels[~found] = list(map(repr, keys[~found].view(block.dtype).tolist()))
+    return labels[where].tolist(), (keys, labels)
 
 
 def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool = False) -> None:
     """CSV with a '#' header: tag, optional timestamp, meta JSON, column names."""
     columns = list(columns)
-    typed = _typed_columns(rows, len(columns))
+    cols = _typed_columns(rows, len(columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_TAG}\n")
         if timestamps:
@@ -83,8 +97,12 @@ def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool 
             fh.write(f"# generated: {stamp}\n")
         fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
+        dicts = [_NO_LABELS] * len(cols)
         for start in range(0, len(rows), _BLOCK):
-            cells = [fmt(col[start:start + _BLOCK]) for fmt, col in typed]
+            cells = []
+            for j, col in enumerate(cols):
+                text, dicts[j] = _cells(col[start:start + _BLOCK], dicts[j])
+                cells.append(text)
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -195,9 +213,12 @@ def load_chi_grid(path) -> ChiGrid:
     axes, (re, im, stderr), meta = _load_grid(
         path, "chi_grid", _CHI_COORDS, ("re_chi", "im_chi"), ("stderr",)
     )
+    # re + 1j * im would turn a -0.0 real part into 0.0 and 1j * inf into nan + infj
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
     return ChiGrid(
         axes=axes,
-        values=re + 1j * im,
+        values=values,
         provenance=str(meta.get("provenance", "exact")),
         shots=read_field(meta, "shots", integer, f"{path} meta", 0),
         stderr=stderr,

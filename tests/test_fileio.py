@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chitomo import fileio
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
     _BLOCK,
@@ -28,6 +29,7 @@ from chitomo.fileio import (
 )
 from chitomo.gaussian_field import GaussianFieldState, ModeSet, Squeezed, Thermal
 from chitomo.tomography import (
+    ChiGrid,
     chi_grid_from_state,
     grid_axis,
     hermitian_fill,
@@ -157,8 +159,21 @@ def _repetitive_tables(draw):
     return [f"c{j}" for j in range(len(kinds))], rows
 
 
+def _returning_table():
+    """A float and an int column whose values of block 0 vanish from block 1,
+    which holds others, and return in block 2: a dictionary carried stale or
+    out of step with its keys misprints them."""
+    floats = ([0.1, -0.0, math.nan], [0.0, 2.5, -2.5, math.inf], [0.1, 2.5, -0.0, 0.0], [math.nan])
+    ints = ([1, 2], [3, -1, 7], [1, 7, 2], [2])
+    sizes = (_BLOCK, _BLOCK, _BLOCK, 7)
+    f = np.concatenate([np.resize(v, n) for v, n in zip(floats, sizes)])
+    i = np.concatenate([np.resize(v, n) for v, n in zip(ints, sizes)])
+    return ["f", "i"], [list(r) for r in zip(f.tolist(), i.tolist())]
+
+
 @settings(max_examples=120, deadline=None)
 @given(table=_repetitive_tables())
+@example(table=_returning_table())
 def test_dictionary_formatting_matches_the_repr_reference(tmp_path_factory, table):
     columns, rows = table
     d = tmp_path_factory.mktemp("t")
@@ -173,6 +188,21 @@ def test_dictionary_formatting_keeps_signed_zeros_and_nan_payloads(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["x"], col[:, None])
     assert data_lines_of(path) == ["0.0", "-0.0", "nan", "nan", "-0.0", "5e-324"] * 300
+
+
+def test_each_distinct_value_is_formatted_once_across_blocks(tmp_path, monkeypatch):
+    n = 3 * _BLOCK + 7
+    floats = np.linspace(-1.0, 1.0, 101)[np.arange(n) % 101]
+    ints = np.arange(n) % 8 - 3
+    calls = []
+
+    def counting_repr(v):
+        calls.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    write_table(tmp_path / "t.csv", ["f", "i"], list(zip(floats.tolist(), ints.tolist())))
+    assert len(calls) == 101 + 8  # once per distinct value, not once per block
 
 
 def test_table_roundtrip_exact(tmp_path):
@@ -260,6 +290,17 @@ def test_chi_grid_roundtrip_bitwise(tmp_path):
     assert back.shots == g.shots
 
 
+def test_chi_grid_roundtrip_keeps_signed_zeros_and_nonfinite_parts(tmp_path):
+    values = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0),
+                       complex(1.0, math.nan), complex(1.0, math.inf), complex(math.inf, 1.0),
+                       complex(math.nan, -2.0), complex(-math.inf, -math.inf), 1.0])
+    g = ChiGrid(axes=(grid_axis(1.0, 3),) * 2, values=values.reshape(3, 3))
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    back = load_chi_grid(path)
+    assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("shots", ['"abc"', "100.7", "true"])
 def test_chi_grid_meta_shots_must_be_an_exact_integer(tmp_path, shots):
     g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 5),) * 2, shots=100, seed=1)
@@ -303,16 +344,25 @@ def test_grid_rows_match_a_meshgrid_table(tmp_path, sampled):
     assert data_lines_of(path) == data_lines_of(ref)
 
 
-def test_chi_grid_save_peak_memory(tmp_path):
-    g = chi_grid_from_state(TWO_MODE, (grid_axis(3.0, 17),) * 4)
+def _save_peak(g, path) -> int:
     tracemalloc.start()
     try:
-        save_chi_grid(g, tmp_path / "chi.csv")
-        peak = tracemalloc.get_traced_memory()[1]
+        save_chi_grid(g, path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_chi_grid_save_peak_memory(tmp_path):
+    axes = (grid_axis(3.0, 17),) * 4
+    g = chi_grid_from_state(TWO_MODE, axes)
     # one (cells x 6) float table is 3.0 grids; a meshgrid and a stack made 6.1
-    assert peak <= 4.0 * g.values.nbytes
+    assert _save_peak(g, tmp_path / "chi.csv") <= 4.0 * g.values.nbytes
+    # a sampled half grid: a stderr column and a NaN half; its (cells x 7)
+    # float table is 3.5 grids, and the allowance beyond it is the same 1.0
+    g = sampled_chi_grid(TWO_MODE, axes, shots=100, seed=2, half=True)
+    table = g.values.size * 7 * 8
+    assert _save_peak(g, tmp_path / "sampled.csv") <= table + 1.0 * g.values.nbytes
 
 
 def _damage_cell(path, row: int, col: int) -> None:
