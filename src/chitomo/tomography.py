@@ -41,9 +41,14 @@ need. Their peak allocation, counted in complex grids of the input's size
                                     result, and masks; 2.1 on a sampled grid
                                     (stderr's buffer and one squared temporary)
     gaussian_fit              0.7   |chi|, then only the kept cells' rows
-    wigner_transform          2.0   one stage's input and output; the result
-                                    is a contiguous real array (0.5)
-    inverse_wigner_transform  2.0   the same, from the real W
+    wigner_transform          1.1   one stage's input and output, each on
+                                    the rows x_0 >= 0 of a real chi (2.0 on
+                                    a complex chi); the result is a
+                                    contiguous real array (0.5)
+    inverse_wigner_transform  1.5   the complex cast of the real W and the
+                                    first stage's output on the rows
+                                    Re xi_0 >= 0; then that half and the
+                                    result
 """
 from __future__ import annotations
 
@@ -93,8 +98,8 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
     with the even quadratic forms this makes Hermitian symmetry of exact
     grids exact in floating point too, not just up to rounding.
     """
-    if not extent > 0:
-        raise ValidationError("axis extent must be positive")
+    if not 0 < extent < math.inf:
+        raise ValidationError(f"axis extent {extent} must be finite and positive")
     points = converted(integer, points, "points")
     if points < 3:
         raise ValidationError("axis needs at least 3 points")
@@ -115,6 +120,8 @@ def _check_axes(axes: Sequence[np.ndarray]) -> tuple[NDArray[np.float64], ...]:
     for d, a in enumerate(axes):
         if a.ndim != 1 or a.size < 3 or a.size % 2 == 0:
             raise ValidationError("axes must be 1-D, odd-length, >= 3 points")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"axis {d} holds the non-finite value {a[~np.isfinite(a)][0]}")
         if np.any(np.diff(a) <= 0):
             raise ValidationError("axes must be strictly increasing")
         if a[a.size // 2] != 0.0:
@@ -375,18 +382,43 @@ def _boundary_max(values: np.ndarray) -> float:
     return worst
 
 
-def _contract_axes(values: np.ndarray, kernels) -> NDArray[np.complex128]:
+def _contract_axes(values: np.ndarray, kernels, half: bool = False) -> NDArray[np.complex128]:
     """Contract axis d of values with the d-th (m, n) kernel over n, in order.
 
     Each stage is one matrix product on transposed views (the summed axis
     leaves the front, the new m axis joins at the back), so only the stage's
     input and output are alive; a real input is cast inside the first one.
+
+    With half=True only the rows a >= 0 of the first kernel (its last
+    m//2 + 1) are used and every later stage runs on that half: the result
+    is the output's rows a >= 0 along the first axis, bit for bit those of
+    the full contraction. For a real input, _unfold completes it.
     """
     out = values
-    for kernel in kernels:
+    for d, kernel in enumerate(kernels):
+        if half and d == 0:
+            kernel = kernel[kernel.shape[0] // 2 :]
         shape = out.shape[1:] + kernel.shape[:1]
         rows = out.reshape(out.shape[0], -1).T
         out = (rows.astype(complex, copy=False) @ kernel.T).reshape(shape)
+    return out
+
+
+def _mirrored(axes) -> bool:
+    """True when every axis is mirror-symmetric to the bit, so that the point
+    -a of each axis sits at the reversed index of a."""
+    return all(np.array_equal(a, -a[::-1]) for a in axes)
+
+
+def _unfold(upper: np.ndarray) -> np.ndarray:
+    """The transform of a real input from its rows a >= 0 along the odd-length
+    first axis, by out(-a, -a') = conj out(a, a'), exact on output axes that
+    are mirror-symmetric to the bit: the rows a < 0 are the reversed
+    conjugate of the rows a > 0 (a reversed copy for a real upper)."""
+    h = upper.shape[0] - 1
+    out = np.empty((2 * h + 1,) + upper.shape[1:], dtype=upper.dtype)
+    out[h:] = upper
+    np.conjugate(upper[1:][(slice(None, None, -1),) * upper.ndim], out=out[:h])
     return out
 
 
@@ -407,6 +439,13 @@ def wigner_transform(
     The kernel is exp[2i sum_m (Re xi_m x_m + Im xi_m p_m)] with measure
     d^2n xi/(2 pi)^2n. Refuses grids whose chi has not decayed below
     boundary_tol at the edges (aliasing). One or two modes.
+
+    A real chi (every imaginary part zero, as on exact grids) transforms to
+    W(-alpha) = conj W(alpha). When every alpha axis is mirror-symmetric to
+    the bit, as the default ones are, only the rows x_0 >= 0 are computed;
+    the rows x_0 < 0 are their reversed real part, and imag_residual is the
+    largest |imag| over the computed rows. A complex chi, such as a sampled
+    one, is transformed on every row.
     """
     if grid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
@@ -428,25 +467,35 @@ def wigner_transform(
         if len(alpha_axes) != len(grid.axes):
             raise ValidationError("alpha axis count must match the chi grid")
 
+    half = _mirrored(alpha_axes) and not np.any(grid.values.imag)
     out = _contract_axes(
         grid.values,
         (
             np.exp(2j * np.outer(al_ax, xi_ax)) * (float(xi_ax[1] - xi_ax[0]) / (2.0 * np.pi))
             for xi_ax, al_ax in zip(grid.axes, alpha_axes)
         ),
+        half,
     )
+    # taken before the unfold, so that |imag| and the result are not alive together
+    residual = float(np.max(np.abs(out.imag)))
     return WignerGrid(
         axes=tuple(alpha_axes),
-        values=out.real,
+        values=_unfold(out.real) if half else out.real,
         normalization=float(4.0 ** (-grid.n_modes) * np.real(grid.origin_value)),
-        imag_residual=float(np.max(np.abs(out.imag))),
+        imag_residual=residual,
     )
 
 
 def inverse_wigner_transform(
     wgrid: WignerGrid, xi_axes: Sequence[np.ndarray] | None = None
 ) -> ChiGrid:
-    """chi(xi) = 4^n integral d^2n alpha exp[-2i sum Re(conj(xi) alpha)] W."""
+    """chi(xi) = 4^n integral d^2n alpha exp[-2i sum Re(conj(xi) alpha)] W.
+
+    W is real, so chi(-xi) = conj chi(xi): when every xi axis is
+    mirror-symmetric to the bit, as the default ones are, only the rows
+    Re xi_0 >= 0 are computed and the rows Re xi_0 < 0 are their reversed
+    conjugate.
+    """
     if wgrid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
     if xi_axes is None:
@@ -455,13 +504,17 @@ def inverse_wigner_transform(
         xi_axes = _check_axes(xi_axes)
         if len(xi_axes) != len(wgrid.axes):
             raise ValidationError("xi axis count must match the Wigner grid")
+    half = _mirrored(xi_axes)
     out = _contract_axes(
         wgrid.values,
         (
             np.exp(-2j * np.outer(xi_ax, al_ax)) * (2.0 * float(al_ax[1] - al_ax[0]))
             for al_ax, xi_ax in zip(wgrid.axes, xi_axes)
         ),
+        half,
     )
+    if half:
+        out = _unfold(out)
     return ChiGrid(axes=tuple(xi_axes), values=out, provenance="reconstructed")
 
 

@@ -486,6 +486,22 @@ def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["wigner", "moments"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chi_file_with_a_non_finite_axis_is_exit_1(tmp_path, capsys, command, bad):
+    # the meta axes and coordinate columns agree, so only the axis check sees it
+    axes = (grid_axis(1.0, 5), np.array([-bad, -1.0, 0.0, 1.0, bad]))
+    chi = tmp_path / "chi.csv"
+    _save_grid(chi, "chi_grid", SimpleNamespace(axes=axes, n_modes=1), ("re_xi", "im_xi"),
+               {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None, False)
+    out = tmp_path / "out.csv"
+    assert run(command, "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "axis 1 holds the non-finite value" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- moments
 
 def test_moments_thermal_table(tmp_path):

@@ -415,6 +415,18 @@ def test_load_refuses_an_axis_that_is_not_uniform_and_symmetric(tmp_path):
             load(path)
 
 
+def test_load_refuses_a_non_finite_axis(tmp_path):
+    # NaN and inf round-trip through the meta header and the coordinate columns
+    grid = SimpleNamespace(axes=(np.array([math.nan, -1.0, 0.0, 1.0, math.nan]),
+                                 np.array([-math.inf, -1.0, 0.0, 1.0, math.inf])), n_modes=1)
+    path = tmp_path / "chi.csv"
+    _save_grid(path, "chi_grid", grid, _CHI_COORDS,
+               {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None, False)
+    with pytest.raises(ValidationError, match="axis 0 holds the non-finite value nan"):
+        load_chi_grid(path)
+
+
 def test_load_refuses_a_grid_without_its_coordinates(tmp_path):
     g = chi_grid_from_state(THERMAL, (grid_axis(2.0, 5),) * 2)
     path = tmp_path / "chi.csv"
