@@ -291,7 +291,7 @@ def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
     columns = ["N", "tau", *_coordinate_names(_CHI_COORDS, state.n_modes), "re_chi", "im_chi"]
     shots, stderr = _get(config, "shots", integer), []
     if shots > 0:  # curve N reads out from seed + N
-        theta, seed = _get(config, "theta", float), _get(config, "seed", integer)
+        theta, seed = _get(config, "theta", float), _get(config, "seed", at_least(0))
         readouts = [readout_chi(chi, theta, shots, seed + N) for N, chi in zip(counts, chis)]
         chis = np.array([r.chi_est for r in readouts])
         stderr = [np.array([r.chi_stderr for r in readouts])]
@@ -320,7 +320,7 @@ def cmd_simulate(config: dict) -> None:
     flat = np.array(points)
     theta = _get(config, "theta", float)
     shots = _get(config, "shots", integer)
-    seed = _get(config, "seed", integer)
+    seed = _get(config, "seed", at_least(0))
     r = readout_chi(char_points(state, flat[:, 0::2] + 1j * flat[:, 1::2]), theta, shots, seed)
     columns = _coordinate_names(_CHI_COORDS, n)
     columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
@@ -354,7 +354,7 @@ def _chi_grid_for(config: dict):
             state, axes,
             theta=_get(config, "theta", float),
             shots=shots,
-            seed=_get(config, "seed", integer),
+            seed=_get(config, "seed", at_least(0)),
             half=converted(boolean, config.get("half", False), "half"),
         )
     return chi_grid_from_state(state, axes)
@@ -398,7 +398,7 @@ def cmd_moments(config: dict) -> None:
 def cmd_oracle_check(config: dict) -> int:
     reports = run_default_suite(
         n_draws=_get(config, "n_draws", integer), D=_get(config, "D", integer),
-        seed=_get(config, "seed", integer),
+        seed=_get(config, "seed", at_least(0)),
     )
     all_passed = all(r["passed"] for r in reports)
     for r in reports:

@@ -44,12 +44,15 @@ def integer(value) -> int:
     return int(value)
 
 
-def at_least(least: int):
-    """A converter of an exact integer >= least (see integer)."""
+def at_least(least: int, most: int | None = None):
+    """A converter of an exact integer >= least, and <= most if given (see
+    integer)."""
     def convert(value) -> int:
         n = integer(value)
         if n < least:
             raise ValueError(f"an integer >= {least} is expected")
+        if most is not None and n > most:
+            raise ValueError(f"an integer <= {most} is expected")
         return n
     return convert
 

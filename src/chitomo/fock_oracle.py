@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError, at_least, converted, dimension, integer
+from .errors import NumericalCheckError, ValidationError, at_least, converted, dimension
 from .gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -79,7 +79,9 @@ from .gaussian_field import (
     Vacuum,
     char_analytic,
 )
-from .pulse_protocol import PulseSchedule, displacement_param, smearing_ft, switching_integral
+from .pulse_protocol import (
+    Constant, Delta, PulseSchedule, displacement_param, smearing_ft, switching_integral,
+)
 
 # truncation and identity guards (module docstring)
 TAIL_TOL = 1e-10
@@ -493,10 +495,8 @@ def run_displacement_draws(n_draws: int, D: int = 40, seed: int = 0) -> list[dic
     (0, 2 pi) including the neighbourhood of the removable singularity.
     One verify_displacement_identity report per draw.
     """
-    from .pulse_protocol import Constant, Delta
-
     n_draws = converted(at_least(1), n_draws, "n_draws")
-    entropy = converted(integer, seed, "seed")
+    entropy = converted(at_least(0), seed, "seed")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
     mode = FieldMode(k=1.0, omega=1.0, box_side=2.0 * np.pi, spatial_dim=1)
     reports = []
@@ -514,8 +514,6 @@ def run_displacement_draws(n_draws: int, D: int = 40, seed: int = 0) -> list[dic
 def run_default_suite(n_draws: int = 20, D: int = 40, seed: int = 0) -> list[dict]:
     """The oracle battery behind `oracle-check`: one report dict per check
     (module docstring), the displacement draws first."""
-    from .pulse_protocol import Constant, Delta
-
     reports = run_displacement_draws(n_draws, D=D, seed=seed)
 
     for x, y, N, tol in [

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, at_least, converted, integer
+from .errors import ValidationError, at_least, converted
 from .gaussian_field import GaussianFieldState, char_points
 
 __all__ = [
@@ -93,6 +93,10 @@ def bloch_expectation(qs: QubitState, basis: str) -> float:
         raise ValidationError(f"unknown basis {basis!r}") from None
 
 
+# the largest shot count numpy's binomial draw takes (an int64)
+MAX_SHOTS = 2**63 - 1
+
+
 def shot_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for a named stream.
 
@@ -100,7 +104,7 @@ def shot_rng(seed: int, *stream: int) -> np.random.Generator:
     readout uses one per basis) are statistically independent.
     """
     ss = np.random.SeedSequence(
-        entropy=converted(integer, seed, "seed"), spawn_key=tuple(int(s) for s in stream)
+        entropy=converted(at_least(0), seed, "seed"), spawn_key=tuple(int(s) for s in stream)
     )
     return np.random.Generator(np.random.Philox(ss))
 
@@ -124,11 +128,22 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     P(+1) = (1 + <sigma>)/2; returns the sample mean and its binomial
     standard error sqrt((1 - mean^2)/M). rng is a Generator or an int seed.
     """
-    M = converted(at_least(1), M, "shot count M")
+    M = converted(at_least(1, MAX_SHOTS), M, "shot count M")
     if not isinstance(rng, np.random.Generator):
         rng = shot_rng(rng)
     est, stderr = _sample_mean(bloch_expectation(qs, basis), M, rng)
     return ShotResult(estimate=float(est), stderr=float(stderr))
+
+
+def _sin_theta(theta) -> float:
+    """sin(theta) of a finite theta whose sin is not rounding of 0."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta = {theta!r} must be finite")
+    s = math.sin(theta)
+    if abs(s) <= np.spacing(abs(theta)):
+        raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
+                              "protocol encodes no information")
+    return s
 
 
 def estimate_chi(rec_x, rec_y, theta: float):
@@ -137,12 +152,10 @@ def estimate_chi(rec_x, rec_y, theta: float):
     Accepts ShotResults, floats or arrays of estimates (elementwise). theta
     with sin(theta) = 0 encodes no field information on the qubit and is
     rejected. A float multiple of pi has a sin of rounding size, not 0, so
-    any |sin(theta)| within theta's own spacing counts as 0.
+    any |sin(theta)| within theta's own spacing counts as 0. theta must be
+    finite.
     """
-    s = math.sin(theta)
-    if abs(s) <= np.spacing(abs(theta)):
-        raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
-                              "protocol encodes no information")
+    s = _sin_theta(theta)
     est_x, est_y = getattr(rec_x, "estimate", rec_x), getattr(rec_y, "estimate", rec_y)
     return est_y / s + 1j * (est_x / s)
 
@@ -173,17 +186,17 @@ class ChiReadout(NamedTuple):
 def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     """Read out an array of chi values through the qubit, elementwise.
 
-    The Bloch components are (sin th Im chi, sin th Re chi). shots = 0 returns
-    them exactly, with zero errors. Otherwise each basis takes one binomial
-    draw of M = shots per point from shot_rng(seed, basis), basis 0 for X and
-    1 for Y, in the points' C order.
+    The Bloch components are (sin th Im chi, sin th Re chi). theta, shots
+    (0 to MAX_SHOTS) and seed (>= 0) are checked before any draw. shots = 0
+    returns them exactly, with zero errors. Otherwise each basis takes one
+    binomial draw of M = shots per point from shot_rng(seed, basis), basis 0
+    for X and 1 for Y, in the points' C order.
     """
     chi = np.asarray(chi, dtype=complex)
-    shots, seed = converted(integer, shots, "shots"), converted(integer, seed, "seed")
-    if shots < 0:
-        raise ValidationError("shots must be >= 0")
+    shots = converted(at_least(0, MAX_SHOTS), shots, "shots")
+    seed = converted(at_least(0), seed, "seed")
+    s = _sin_theta(theta)
     _check_characteristic(chi)
-    s = math.sin(theta)
     bloch_x, bloch_y = s * chi.imag, s * chi.real
     if shots == 0:
         est_x, est_y = bloch_x, bloch_y

@@ -3,7 +3,8 @@
 The characteristic function lives on uniform symmetric grids, one (Re xi,
 Im xi) axis pair per mode, with the origin always a grid point. Unmeasured
 points are NaN; hermitian_fill completes a half grid through chi(-xi) =
-conj chi(xi) and makes the symmetry exact on the stored array.
+conj chi(xi) and makes the symmetry exact on the stored array. ChiGrid and
+WignerGrid check their axes and values in one private base.
 
 The quasiprobability is the Fourier transform
 
@@ -12,7 +13,8 @@ The quasiprobability is the Fourier transform
 whose exponent is the pure phase 2i sum_m Re(conj(xi_m) alpha_m). Under this
 kernel the transform of a normalized chi integrates to 4^-n rather than 1;
 that constant is recorded on the WignerGrid instead of being silently
-rescaled away, and the inverse transform carries the compensating 4^n.
+rescaled away, and the inverse transform carries the compensating 4^n. Both
+are one private core, run with conjugate kernel phases.
 
 Moments of symmetric-ordered operator products come from Wirtinger
 derivatives at the origin,
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -139,33 +142,20 @@ def _check_axes(axes: Sequence[np.ndarray]) -> tuple[NDArray[np.float64], ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class ChiGrid:
-    """chi values on a uniform symmetric grid; NaN marks unmeasured points.
-
-    axes holds (Re xi_0, Im xi_0, Re xi_1, ...); values has one axis per
-    entry, same order. provenance is "exact", "sampled" or "reconstructed";
-    sampled grids carry per-point combined standard errors.
-    """
+class _Grid:
+    """values on checked axes, one axis per entry of axes, cast by _cast."""
 
     axes: tuple[NDArray[np.float64], ...]
-    values: NDArray[np.complex128]
-    provenance: str = "exact"
-    shots: int = 0
-    stderr: NDArray[np.float64] | None = None
+    values: NDArray
 
     def __post_init__(self) -> None:
         axes = _check_axes(self.axes)
         object.__setattr__(self, "axes", axes)
-        values = np.asarray(self.values, dtype=complex)
+        values = self._cast(self.values)
         shape = tuple(a.size for a in axes)
         if values.shape != shape:
             raise ValidationError(f"values shape {values.shape} does not match axes {shape}")
         object.__setattr__(self, "values", values)
-        if self.stderr is not None:
-            err = np.asarray(self.stderr, dtype=float)
-            if err.shape != shape:
-                raise ValidationError("stderr shape does not match the grid")
-            object.__setattr__(self, "stderr", err)
 
     @property
     def n_modes(self) -> int:
@@ -174,6 +164,30 @@ class ChiGrid:
     @property
     def steps(self) -> tuple[float, ...]:
         return tuple(float(a[1] - a[0]) for a in self.axes)
+
+
+@dataclass(frozen=True, eq=False)
+class ChiGrid(_Grid):
+    """chi values on a uniform symmetric grid; NaN marks unmeasured points.
+
+    axes holds (Re xi_0, Im xi_0, Re xi_1, ...); values has one axis per
+    entry, same order. provenance is "exact", "sampled" or "reconstructed";
+    sampled grids carry per-point combined standard errors.
+    """
+
+    provenance: str = "exact"
+    shots: int = 0
+    stderr: NDArray[np.float64] | None = None
+
+    _cast = staticmethod(partial(np.asarray, dtype=complex))
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.stderr is not None:
+            err = np.asarray(self.stderr, dtype=float)
+            if err.shape != self.values.shape:
+                raise ValidationError("stderr shape does not match the grid")
+            object.__setattr__(self, "stderr", err)
 
     @property
     def origin_value(self) -> complex:
@@ -182,7 +196,7 @@ class ChiGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class WignerGrid:
+class WignerGrid(_Grid):
     """Real quasiprobability samples on quadrature axes (x_0, p_0, x_1, ...).
 
     normalization records the value the grid integral should take under the
@@ -190,36 +204,18 @@ class WignerGrid:
     imaginary part discarded when realifying the transform.
     """
 
-    axes: tuple[NDArray[np.float64], ...]
-    values: NDArray[np.float64]
     normalization: float
     imag_residual: float = 0.0
 
-    def __post_init__(self) -> None:
-        axes = _check_axes(self.axes)
-        object.__setattr__(self, "axes", axes)
-        # a contiguous copy of a strided view (such as .real of a complex
-        # array), so that the grid does not keep the complex array alive
-        values = np.ascontiguousarray(self.values, dtype=float)
-        shape = tuple(a.size for a in axes)
-        if values.shape != shape:
-            raise ValidationError(f"values shape {values.shape} does not match axes {shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.axes) // 2
-
-    @property
-    def steps(self) -> tuple[float, ...]:
-        return tuple(float(a[1] - a[0]) for a in self.axes)
+    # a contiguous copy of a strided view (such as .real of a complex array),
+    # so that the grid does not keep the complex array alive
+    _cast = staticmethod(partial(np.ascontiguousarray, dtype=float))
 
 
 def grid_integral(grid) -> float:
     """Riemann cell sum over the full grid (the same quadrature the discrete
     transform uses)."""
-    cell = math.prod(float(a[1] - a[0]) for a in grid.axes)
-    return float(np.sum(np.real(grid.values)) * cell)
+    return float(np.sum(np.real(grid.values)) * math.prod(grid.steps))
 
 
 # --------------------------------------------------------------------------
@@ -382,34 +378,6 @@ def _boundary_max(values: np.ndarray) -> float:
     return worst
 
 
-def _contract_axes(values: np.ndarray, kernels, half: bool = False) -> NDArray[np.complex128]:
-    """Contract axis d of values with the d-th (m, n) kernel over n, in order.
-
-    Each stage is one matrix product on transposed views (the summed axis
-    leaves the front, the new m axis joins at the back), so only the stage's
-    input and output are alive; a real input is cast inside the first one.
-
-    With half=True only the rows a >= 0 of the first kernel (its last
-    m//2 + 1) are used and every later stage runs on that half: the result
-    is the output's rows a >= 0 along the first axis, bit for bit those of
-    the full contraction. For a real input, _unfold completes it.
-    """
-    out = values
-    for d, kernel in enumerate(kernels):
-        if half and d == 0:
-            kernel = kernel[kernel.shape[0] // 2 :]
-        shape = out.shape[1:] + kernel.shape[:1]
-        rows = out.reshape(out.shape[0], -1).T
-        out = (rows.astype(complex, copy=False) @ kernel.T).reshape(shape)
-    return out
-
-
-def _mirrored(axes) -> bool:
-    """True when every axis is mirror-symmetric to the bit, so that the point
-    -a of each axis sits at the reversed index of a."""
-    return all(np.array_equal(a, -a[::-1]) for a in axes)
-
-
 def _unfold(upper: np.ndarray) -> np.ndarray:
     """The transform of a real input from its rows a >= 0 along the odd-length
     first axis, by out(-a, -a') = conj out(a, a'), exact on output axes that
@@ -422,33 +390,53 @@ def _unfold(upper: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_axis(xi_axis: np.ndarray) -> NDArray[np.float64]:
-    # half the DFT Nyquist extent; the factor 2 in the kernel phase doubles
-    # the effective frequency of each alpha
-    step = float(xi_axis[1] - xi_axis[0])
-    return grid_axis(np.pi / (2.0 * step), xi_axis.size)
+def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
+    """The transform behind wigner_transform and its inverse: grid axis x is
+    contracted, in order, with exp(phase * outer(y, x)) * measure(step of x)
+    onto output axis y (by default the dual axis of x), one matrix product on
+    transposed views per stage, so that only a stage's input and output live.
 
-
-def wigner_transform(
-    grid: ChiGrid,
-    alpha_axes: Sequence[np.ndarray] | None = None,
-    boundary_tol: float = 1e-6,
-) -> WignerGrid:
-    """Discrete Fourier transform of chi to the quasiprobability W.
-
-    The kernel is exp[2i sum_m (Re xi_m x_m + Im xi_m p_m)] with measure
-    d^2n xi/(2 pi)^2n. Refuses grids whose chi has not decayed below
-    boundary_tol at the edges (aliasing). One or two modes.
-
-    A real chi (every imaginary part zero, as on exact grids) transforms to
-    W(-alpha) = conj W(alpha). When every alpha axis is mirror-symmetric to
-    the bit, as the default ones are, only the rows x_0 >= 0 are computed;
-    the rows x_0 < 0 are their reversed real part, and imag_residual is the
-    largest |imag| over the computed rows. A complex chi, such as a sampled
-    one, is transformed on every row.
+    More than two modes are refused ahead of every other check; guard() runs
+    next. A real input on output axes mirror-symmetric to the bit is taken
+    onto the rows y_0 >= 0 only, bit for bit those of the full contraction;
+    the returned half says so, and _unfold completes it.
     """
     if grid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
+    if guard is not None:
+        guard()
+    if out_axes is None:
+        # half the DFT Nyquist extent; the factor 2 in the kernel phase
+        # doubles the effective frequency of each alpha
+        out_axes = tuple(grid_axis(np.pi / (2.0 * h), x.size)
+                         for x, h in zip(grid.axes, grid.steps))
+    else:
+        out_axes = _check_axes(out_axes)
+        if len(out_axes) != len(grid.axes):
+            raise ValidationError(
+                f"{len(out_axes)} output axes do not match the {len(grid.axes)} axes of the grid"
+            )
+    out = grid.values
+    half = all(np.array_equal(y, -y[::-1]) for y in out_axes) and not (
+        np.iscomplexobj(out) and np.any(out.imag)
+    )
+    for d, (x, y, h) in enumerate(zip(grid.axes, out_axes, grid.steps)):
+        if half and d == 0:
+            y = y[y.size // 2 :]
+        kernel = np.exp(phase * np.outer(y, x)) * measure(h)
+        rows = out.reshape(out.shape[0], -1).T  # a real input is cast in the first stage
+        out = (rows.astype(complex, copy=False) @ kernel.T).reshape(out.shape[1:] + y.shape)
+    return out_axes, out, half
+
+
+def _check_decay(grid: ChiGrid, boundary_tol) -> None:
+    """The aliasing guard: boundary_tol > 0 (inf for none) bounds |chi| on
+    every face of a grid that has no unmeasured point."""
+    boundary_tol = converted(float, boundary_tol, "boundary_tol")
+    if not boundary_tol > 0:
+        raise ValidationError(
+            f"boundary_tol = {boundary_tol!r} must be > 0, or inf for no aliasing guard"
+        )
     if np.any(np.isnan(grid.values)):
         raise ValidationError("grid has unmeasured points; hermitian_fill it first")
     decay = _boundary_max(grid.values)
@@ -460,26 +448,35 @@ def wigner_transform(
         raise NumericalCheckError(
             f"|chi| = {decay:.3e} at the grid boundary exceeds {boundary_tol:.1e}; {remedy}"
         )
-    if alpha_axes is None:
-        alpha_axes = tuple(_dual_axis(a) for a in grid.axes)
-    else:
-        alpha_axes = _check_axes(alpha_axes)
-        if len(alpha_axes) != len(grid.axes):
-            raise ValidationError("alpha axis count must match the chi grid")
 
-    half = _mirrored(alpha_axes) and not np.any(grid.values.imag)
-    out = _contract_axes(
-        grid.values,
-        (
-            np.exp(2j * np.outer(al_ax, xi_ax)) * (float(xi_ax[1] - xi_ax[0]) / (2.0 * np.pi))
-            for xi_ax, al_ax in zip(grid.axes, alpha_axes)
-        ),
-        half,
+
+def wigner_transform(
+    grid: ChiGrid,
+    alpha_axes: Sequence[np.ndarray] | None = None,
+    boundary_tol: float = 1e-6,
+) -> WignerGrid:
+    """Discrete Fourier transform of chi to the quasiprobability W.
+
+    The kernel is exp[2i sum_m (Re xi_m x_m + Im xi_m p_m)] with measure
+    d^2n xi/(2 pi)^2n. Refuses grids whose chi has not decayed below
+    boundary_tol at the edges (aliasing); boundary_tol must be > 0, and inf
+    switches that guard off. One or two modes.
+
+    A real chi (every imaginary part zero, as on exact grids) transforms to
+    W(-alpha) = conj W(alpha). When every alpha axis is mirror-symmetric to
+    the bit, as the default ones are, only the rows x_0 >= 0 are computed;
+    the rows x_0 < 0 are their reversed real part, and imag_residual is the
+    largest |imag| over the computed rows. A complex chi, such as a sampled
+    one, is transformed on every row.
+    """
+    alpha_axes, out, half = _fourier(
+        grid, alpha_axes, 2j, lambda step: step / (2.0 * np.pi),
+        guard=lambda: _check_decay(grid, boundary_tol),
     )
     # taken before the unfold, so that |imag| and the result are not alive together
     residual = float(np.max(np.abs(out.imag)))
     return WignerGrid(
-        axes=tuple(alpha_axes),
+        axes=alpha_axes,
         values=_unfold(out.real) if half else out.real,
         normalization=float(4.0 ** (-grid.n_modes) * np.real(grid.origin_value)),
         imag_residual=residual,
@@ -496,26 +493,8 @@ def inverse_wigner_transform(
     Re xi_0 >= 0 are computed and the rows Re xi_0 < 0 are their reversed
     conjugate.
     """
-    if wgrid.n_modes > 2:
-        raise ValidationError("transform supports one or two modes")
-    if xi_axes is None:
-        xi_axes = tuple(_dual_axis(a) for a in wgrid.axes)
-    else:
-        xi_axes = _check_axes(xi_axes)
-        if len(xi_axes) != len(wgrid.axes):
-            raise ValidationError("xi axis count must match the Wigner grid")
-    half = _mirrored(xi_axes)
-    out = _contract_axes(
-        wgrid.values,
-        (
-            np.exp(-2j * np.outer(xi_ax, al_ax)) * (2.0 * float(al_ax[1] - al_ax[0]))
-            for al_ax, xi_ax in zip(wgrid.axes, xi_axes)
-        ),
-        half,
-    )
-    if half:
-        out = _unfold(out)
-    return ChiGrid(axes=tuple(xi_axes), values=out, provenance="reconstructed")
+    xi_axes, out, half = _fourier(wgrid, xi_axes, -2j, lambda step: 2.0 * step)
+    return ChiGrid(axes=xi_axes, values=_unfold(out) if half else out, provenance="reconstructed")
 
 
 # --------------------------------------------------------------------------

@@ -682,7 +682,21 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
      (("moments", "--set", "h=1e300"), "h = 1e+300 "),
      (("moments", "--set", "h=-0.01"), "h = -0.01 "),
      (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=NaN"), "h = nan "),
-     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 ")],
+     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 "),
+     # a non-finite theta, a negative seed or an int64-overflowing shot count
+     # is refused before any draw, not written as NaN rows or escaping numpy
+     (("simulate", "--theta", "nan", "--shots", "0"), "theta = nan "),
+     (("simulate", "--theta", "nan"), "theta = nan "),
+     (("simulate", "--theta", "inf"), "theta = inf "),
+     (("chi-scan", "--theta", "nan", "--shots", "10"), "theta = nan "),
+     (("simulate", "--seed", "-1"), "seed = -1 "),
+     (("chi-scan", "--shots", "10", "--seed", "-3"), "seed = -3 "),
+     (("oracle-check", "--set", "seed=-1"), "seed = -1 "),
+     (("simulate", "--set", "shots=100000000000000000000000"),
+      "shots = 100000000000000000000000 "),
+     # NaN switched the aliasing guard off; -1 was reported as a failed check
+     (("wigner", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
+     (("wigner", "--set", "boundary_tol=-1"), "boundary_tol = -1.0 ")],
 )
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"

@@ -414,6 +414,8 @@ def test_displacement_draws_batch():
         assert r["defect"] <= 1e-5
         assert 0.0 < r["inputs"]["lambda"] <= 0.02
         assert 1 <= r["inputs"]["N"] <= 6
+    with pytest.raises(ValidationError, match="seed = -1 "):
+        run_displacement_draws(1, D=40, seed=-1)
 
 
 def test_default_suite_passes():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chitomo.errors import ValidationError
 from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, char_analytic
+from chitomo import ramsey_readout
 from chitomo.ramsey_readout import (
     QubitState,
     bloch_expectation,
@@ -130,6 +131,19 @@ def test_estimate_chi_rejects_degenerate_theta():
     assert estimate_chi(0.0, 1e-300, 1e-300) == 1.0
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_refused_before_any_draw(theta, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew shots for a non-finite theta")
+
+    monkeypatch.setattr(ramsey_readout, "_sample_mean", no_draw)
+    for shots in (0, 10):
+        with pytest.raises(ValidationError, match=f"theta = {theta!r} must be finite"):
+            readout_chi([0.5], theta, shots=shots)
+    with pytest.raises(ValidationError, match="must be finite"):
+        estimate_chi(0.1, 0.1, theta)
+
+
 # ------------------------------------------------------------------- shots
 
 def test_shot_rng_streams_are_reproducible_and_distinct():
@@ -140,6 +154,21 @@ def test_shot_rng_streams_are_reproducible_and_distinct():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_seeds_and_shot_counts_are_refused_by_name():
+    # numpy's ValueError and OverflowError escaped from these
+    for seed in (-1, 2.5):
+        with pytest.raises(ValidationError, match="seed"):
+            shot_rng(seed)
+        with pytest.raises(ValidationError, match="seed"):
+            readout_chi([0.5], 1.0, shots=10, seed=seed)
+    qs = QubitState(bx=0.0, by=0.5, bz=0.0)
+    with pytest.raises(ValidationError, match="shots = 9223372036854775808 "):
+        readout_chi([0.5], 1.0, shots=2**63)
+    with pytest.raises(ValidationError, match="shot count M = 9223372036854775808 "):
+        sample_shots(qs, "y", 2**63, shot_rng(0))
+    assert abs(sample_shots(qs, "y", 2**63 - 1, shot_rng(0)).estimate - 0.5) < 1e-6
 
 
 def test_sample_shots_statistics():

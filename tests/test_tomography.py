@@ -344,6 +344,27 @@ def test_wigner_guards():
         wigner_transform(g3)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, "abc"])
+def test_wigner_boundary_tol_must_be_positive(tol):
+    # NaN switched the guard off (decay > NaN is False) and -1 was reported as
+    # a failed numerical check; inf switches the guard off on purpose
+    chi = chi_grid_from_state(THERMAL, square_axes(2.0, 21))
+    with pytest.raises(ValidationError, match=f"boundary_tol = {tol!r} "):
+        wigner_transform(chi, boundary_tol=tol)
+    assert wigner_transform(chi, boundary_tol=math.inf).values.shape == (21, 21)
+
+
+def test_transforms_refuse_three_modes_ahead_of_every_other_check():
+    # undecayed, unmeasured values, a bad tolerance and a bad axis count
+    ax = grid_axis(1.0, 3)
+    chi = ChiGrid(axes=(ax,) * 6, values=np.full((3,) * 6, np.nan))
+    with pytest.raises(ValidationError, match="one or two modes"):
+        wigner_transform(chi, (ax, ax), boundary_tol=math.nan)
+    w = WignerGrid(axes=(ax,) * 6, values=np.ones((3,) * 6), normalization=1.0)
+    with pytest.raises(ValidationError, match="one or two modes"):
+        inverse_wigner_transform(w, (ax, ax))
+
+
 @pytest.mark.parametrize("state", [VACUUM, THERMAL])
 def test_transform_roundtrip(state):
     g = chi_grid_from_state(state, square_axes(6.0, 257))
