@@ -6,7 +6,8 @@ oracle-check | bec-map. Each takes a JSON config file (--config), dotted
 config is embedded in every output header, so a result file is sufficient to
 rerun itself. Identical config + seed gives byte-identical output; headers
 carry timestamps only behind --timestamps, on the subcommands that write
-tables.
+tables. Every field a run reads is converted and checked once, by _spec,
+before any grid is built, sampled, transformed or written.
 
 Exit codes: 0 success, 1 bad input, 2 failed numerical safeguard.
 """
@@ -17,48 +18,29 @@ import copy
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
 from .errors import (
-    NumericalCheckError,
-    ValidationError,
-    at_least,
-    boolean,
-    converted,
-    integer,
-    known_fields,
-    listed,
-    read_field,
+    NumericalCheckError, ValidationError, at_least, boolean, converted, integer, known_fields,
+    listed, read_field,
 )
 from .fileio import (
-    _CHI_COORDS,
-    _coordinate_names,
-    load_chi_grid,
-    read_json,
-    save_chi_grid,
-    save_wigner_grid,
-    write_json,
-    write_table,
+    _CHI_COORDS, _coordinate_names, load_chi_grid, read_json, save_chi_grid, save_wigner_grid,
+    write_json, write_table,
 )
 from .fock_oracle import run_default_suite
-from .gaussian_field import GaussianFieldState, ModeSet, char_points, state_from_dict
+from .gaussian_field import ModeSet, char_points, state_from_dict
 from .pulse_protocol import (
-    displacement_surface,
-    reachable_manifold,
-    schedule_from_dict,
-    schedule_to_dict,
+    displacement_surface, reachable_manifold, schedule_from_dict, schedule_to_dict,
 )
-from .ramsey_readout import readout_chi
+from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
-    chi_grid_from_state,
-    grid_axis,
-    hermitian_fill,
-    moments_fd,
-    sampled_chi_grid,
-    wigner_transform,
+    _boundary_tol, _check_h, _moment_order, _state_axes, chi_grid_from_state, grid_axis,
+    hermitian_fill, moments_fd, sampled_chi_grid, wigner_transform,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -220,14 +202,6 @@ def _inline_or_file(value, loader, what):
     raise ValidationError(f"{what} must be an inline object or a file path")
 
 
-def _state(config) -> GaussianFieldState:
-    return _inline_or_file(config["state"], state_from_dict, "state")
-
-
-def _get(config: dict, key: str, kind):
-    return converted(kind, config[key], key)
-
-
 def _fields(doc, fields: dict, key: str) -> list:
     """The values of the config object at key, which must hold exactly the
     given fields; a field mapped to a converter (not None) is converted."""
@@ -242,20 +216,108 @@ def _tau_grid(doc, key: str) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _grid_axes(config: dict, key: str, n_modes: int):
-    extent, points = _fields(config[key], {"extent": float, "points": integer}, key)
-    return tuple(grid_axis(extent, points) for _ in range(2 * n_modes))
+def _axis(doc, key: str) -> np.ndarray:
+    return grid_axis(*_fields(doc, {"extent": float, "points": integer}, key))
 
 
-def _header(command: str, config: dict) -> dict:
-    """The meta and timestamps arguments of a table writer."""
-    return {"meta": {"command": command, "config": config},
-            "timestamps": _get(config, "timestamps", boolean)}
+def _chi_path(path, key: str) -> str | None:
+    if path is not None and not (isinstance(path, str) and path):
+        raise ValidationError(f"{key} must be null or a file path, got {path!r}")
+    return path
 
 
-def _manifold_spec(schedule, N_list, tau) -> tuple:
-    counts = converted(listed(at_least(1)), N_list, "N_list")
-    return schedule_from_dict(schedule), counts, _tau_grid(tau, "tau")
+def _orders(value, key: str) -> list:
+    orders = converted(listed(listed(integer)), value, key)
+    for order in orders:
+        if len(order) != 2:
+            raise ValidationError(f"each moment order is a pair [p, q], got {order}")
+        _moment_order(*order)
+    return orders
+
+
+def _mode_set(doc, key: str) -> ModeSet:
+    fields = {"spatial_dim": integer, "box_side": float, "indices": listed(listed(integer))}
+    spatial_dim, box_side, indices = _fields(doc, fields, key)
+    return ModeSet(spatial_dim, box_side, 0.0, indices)
+
+
+_SURFACE = ("schedule", "N_list", "tau")
+
+# the converter of each config field, called with its value and name; a name
+# that means one thing per subcommand is keyed by (subcommand, name)
+_CONVERT = {
+    **dict.fromkeys(("shots", "n_draws", "D", ("moments", "mode")), partial(converted, integer)),
+    **dict.fromkeys(("timestamps", "half", "richardson"), partial(converted, boolean)),
+    "theta": partial(converted, float),
+    "seed": partial(converted, at_least(0)),
+    "N_list": partial(converted, listed(at_least(1))),
+    "points": partial(converted, listed(lambda e: np.asarray(e, dtype=float).reshape(-1))),
+    "h": lambda h, key: h if h is None else converted(float, h, key),
+    "boundary_tol": lambda tol, key: _boundary_tol(tol),
+    "orders": _orders,
+    "chi_file": _chi_path,
+    "state": lambda doc, key: _inline_or_file(doc, state_from_dict, key),
+    "bec": lambda doc, key: _inline_or_file(doc, params_from_dict, "bec parameters"),
+    "schedule": lambda doc, key: schedule_from_dict(doc),
+    "tau": _tau_grid,
+    "grid": _axis,
+    "alpha": lambda doc, key: _axis(doc, key) if doc else None,
+    "manifold": lambda doc, key: doc and dict(
+        zip(_SURFACE, _fields(doc, dict.fromkeys(_SURFACE), key))),
+    "modes": _mode_set,
+    ("manifold", "mode"): lambda doc, key: _fields(
+        doc, {"k": float, "omega": float, "L": float, "n": integer}, key),
+}
+
+# the fields a run reads whatever the values; _spec reads the others where the run does
+_READS = {
+    "manifold": (*_SURFACE, "mode", "timestamps"),
+    "chi-scan": ("manifold", "timestamps"),
+    "simulate": ("state", "points", "shots", "theta", "seed", "timestamps"),
+    "wigner": ("chi_file", "alpha", "boundary_tol", "timestamps"),
+    "moments": ("mode", "h", "chi_file", "orders", "timestamps"),
+    "oracle-check": ("n_draws", "D", "seed"),
+    "bec-map": ("bec", "modes", "schedule"),
+}
+
+
+def _spec(command: str, config: dict) -> dict:
+    """The checked value of every field a run of command reads, beside the raw
+    config and out (chi_file and manifold are None where not read). A field
+    is read only where the run reads it: theta only with shots > 0, say. The
+    readout arguments, the grid budget, h and the moment orders go through
+    their layer's own check, so bad input is refused before any work."""
+    spec = {"config": config, "out": config.get("out"), "chi_file": None, "manifold": None}
+
+    def read(*keys, doc=config):  # the value of the last key
+        for key in keys:
+            spec[key] = (_CONVERT.get((command, key)) or _CONVERT[key])(doc[key], key)
+        return spec[keys[-1]]
+
+    read(*_READS[command])
+    if spec["manifold"]:  # chi along the displacement surface, not on a grid
+        read(*_SURFACE, doc=spec["manifold"])
+    if command == "simulate":
+        n = spec["state"].n_modes
+        if not spec["points"] or any(flat.size != 2 * n for flat in spec["points"]):
+            raise ValidationError(f"points must be one or more lists of {2 * n} reals (re, im)")
+    elif command in ("chi-scan", "wigner", "moments") and spec["chi_file"] is None:
+        state, shots = read("state"), read("shots")
+        on_grid = not spec["manifold"] and (command != "moments" or shots > 0)
+        if shots > 0:
+            read("theta", "seed", *(("half",) if on_grid and command == "chi-scan" else ()))
+        if on_grid:
+            spec["grid"] = _state_axes(state, (read("grid"),) * (2 * state.n_modes))
+    if "theta" in spec:  # read only where chi is read out
+        _readout_args(spec["theta"], spec["shots"], spec["seed"])
+    if command == "moments" and spec["orders"]:  # read per order, so not without one
+        read("richardson")
+        if spec["h"] is not None:
+            _check_h(spec["h"])
+    if "timestamps" in spec:  # the meta and timestamps arguments of a table writer
+        spec["header"] = {"meta": {"command": command, "config": config},
+                          "timestamps": spec["timestamps"]}
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -270,195 +332,119 @@ def _surface_rows(counts, taus, xis, *values) -> list:
             for tau, row in zip(taus.tolist(), block)]
 
 
-def cmd_manifold(config: dict) -> None:
-    sched, counts, taus = _manifold_spec(config["schedule"], config["N_list"], config["tau"])
-    mode = _fields(config["mode"], {"k": float, "omega": float, "L": float, "n": integer}, "mode")
-    curves = reachable_manifold(sched, counts, taus, *mode)
+def cmd_manifold(spec: dict) -> None:
+    counts, taus = spec["N_list"], spec["tau"]
+    curves = reachable_manifold(spec["schedule"], counts, taus, *spec["mode"])
     rows = _surface_rows(counts, taus, np.array([c.xis for c in curves])[..., None])
-    write_table(config["out"], ["N", "tau", "re_xi", "im_xi"], rows, **_header("manifold", config))
-    print(f"wrote {len(rows)} manifold points to {config['out']}")
+    write_table(spec["out"], ["N", "tau", "re_xi", "im_xi"], rows, **spec["header"])
+    print(f"wrote {len(rows)} manifold points to {spec['out']}")
 
 
-def _chi_scan_manifold(config: dict, state: GaussianFieldState) -> None:
+def _chi_scan_manifold(spec: dict) -> None:
     """chi along xi(tau, N) of every mode of the state, which the probe
     displaces at once; the modes' |k|, omega_k and box come from the state."""
-    spec = _fields(config["manifold"], dict.fromkeys(("schedule", "N_list", "tau")), "manifold")
-    sched, counts, taus = _manifold_spec(*spec)
+    state, counts, taus = spec["state"], spec["N_list"], spec["tau"]
     modes = state.modes
-    xis = displacement_surface(sched, counts, taus, modes.wavenumbers, modes.omegas,
+    xis = displacement_surface(spec["schedule"], counts, taus, modes.wavenumbers, modes.omegas,
                                modes.box_side, modes.spatial_dim)
     chis = char_points(state, xis.reshape(-1, state.n_modes)).reshape(xis.shape[:2])
     columns = ["N", "tau", *_coordinate_names(_CHI_COORDS, state.n_modes), "re_chi", "im_chi"]
-    shots, stderr = _get(config, "shots", integer), []
-    if shots > 0:  # curve N reads out from seed + N
-        theta, seed = _get(config, "theta", float), _get(config, "seed", at_least(0))
+    stderr = []
+    if spec["shots"] > 0:  # curve N reads out from seed + N
+        theta, shots, seed = spec["theta"], spec["shots"], spec["seed"]
         readouts = [readout_chi(chi, theta, shots, seed + N) for N, chi in zip(counts, chis)]
         chis = np.array([r.chi_est for r in readouts])
         stderr = [np.array([r.chi_stderr for r in readouts])]
         columns.append("stderr")
     rows = _surface_rows(counts, taus, xis, chis.real, chis.imag, *stderr)
-    write_table(config["out"], columns, rows, **_header("chi-scan", config))
-    print(f"wrote {len(rows)} chi values to {config['out']}")
+    write_table(spec["out"], columns, rows, **spec["header"])
+    print(f"wrote {len(rows)} chi values to {spec['out']}")
 
 
-def cmd_chi_scan(config: dict) -> None:
-    if config.get("manifold"):
-        _chi_scan_manifold(config, _state(config))
+def cmd_chi_scan(spec: dict) -> None:
+    if spec["manifold"]:
+        _chi_scan_manifold(spec)
         return
-    grid = _chi_grid_for(config)
-    save_chi_grid(grid, config["out"], **_header("chi-scan", config))
-    print(f"wrote a {grid.values.shape} chi grid to {config['out']}")
+    grid = _chi_grid_for(spec)
+    save_chi_grid(grid, spec["out"], **spec["header"])
+    print(f"wrote a {grid.values.shape} chi grid to {spec['out']}")
 
 
-def cmd_simulate(config: dict) -> None:
-    state = _state(config)
-    n = state.n_modes
-    reals = listed(lambda entry: np.asarray(entry, dtype=float).reshape(-1))
-    points = _get(config, "points", reals)
-    if not points or any(flat.size != 2 * n for flat in points):
-        raise ValidationError(f"points must be one or more lists of {2 * n} reals (re, im)")
-    flat = np.array(points)
-    theta = _get(config, "theta", float)
-    shots = _get(config, "shots", integer)
-    seed = _get(config, "seed", at_least(0))
+def cmd_simulate(spec: dict) -> None:
+    state, flat = spec["state"], np.array(spec["points"])
+    theta, shots, seed = spec["theta"], spec["shots"], spec["seed"]
     r = readout_chi(char_points(state, flat[:, 0::2] + 1j * flat[:, 1::2]), theta, shots, seed)
-    columns = _coordinate_names(_CHI_COORDS, n)
+    columns = _coordinate_names(_CHI_COORDS, state.n_modes)
     columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
-    rows = [
-        [*xi, theta, shots, sx, sy, chi.real, chi.imag, seed]
-        for xi, sx, sy, chi in zip(
-            flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist()
-        )
-    ]
-    write_table(config["out"], columns, rows, **_header("simulate", config))
-    print(f"wrote {len(rows)} readout records to {config['out']}")
+    rows = [[*xi, theta, shots, sx, sy, chi.real, chi.imag, seed] for xi, sx, sy, chi in zip(
+        flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist())]
+    write_table(spec["out"], columns, rows, **spec["header"])
+    print(f"wrote {len(rows)} readout records to {spec['out']}")
 
 
-def _chi_file(config: dict) -> str | None:
-    """The chi_file path, or None to compute the grid from the state."""
-    path = config.get("chi_file")
-    if path is not None and not (isinstance(path, str) and path):
-        raise ValidationError(f"chi_file must be null or a file path, got {path!r}")
-    return path
+def _chi_grid_for(spec: dict):
+    if spec["chi_file"] is not None:
+        return load_chi_grid(spec["chi_file"])
+    if spec["shots"] > 0:
+        return sampled_chi_grid(spec["state"], spec["grid"], spec["theta"], spec["shots"],
+                                spec["seed"], spec.get("half", False))
+    return chi_grid_from_state(spec["state"], spec["grid"])
 
 
-def _chi_grid_for(config: dict):
-    path = _chi_file(config)
-    if path is not None:
-        return load_chi_grid(path)
-    state = _state(config)
-    axes = _grid_axes(config, "grid", state.n_modes)
-    shots = _get(config, "shots", integer)
-    if shots > 0:
-        return sampled_chi_grid(
-            state, axes,
-            theta=_get(config, "theta", float),
-            shots=shots,
-            seed=_get(config, "seed", at_least(0)),
-            half=converted(boolean, config.get("half", False), "half"),
-        )
-    return chi_grid_from_state(state, axes)
+def cmd_wigner(spec: dict) -> None:
+    grid = hermitian_fill(_chi_grid_for(spec))
+    alpha = None if spec["alpha"] is None else (spec["alpha"],) * (2 * grid.n_modes)
+    wgrid = wigner_transform(grid, alpha, boundary_tol=spec["boundary_tol"])
+    save_wigner_grid(wgrid, spec["out"], **spec["header"])
+    print(f"wrote a {wgrid.values.shape} Wigner grid to {spec['out']} "
+          f"(integral target {wgrid.normalization:.6g})")
 
 
-def cmd_wigner(config: dict) -> None:
-    grid = hermitian_fill(_chi_grid_for(config))
-    alpha_axes = _grid_axes(config, "alpha", grid.n_modes) if config.get("alpha") else None
-    wgrid = wigner_transform(grid, alpha_axes, boundary_tol=_get(config, "boundary_tol", float))
-    save_wigner_grid(wgrid, config["out"], **_header("wigner", config))
-    print(
-        f"wrote a {wgrid.values.shape} Wigner grid to {config['out']} "
-        f"(integral target {wgrid.normalization:.6g})"
-    )
-
-
-def cmd_moments(config: dict) -> None:
-    mode = _get(config, "mode", integer)
-    h = None if config["h"] is None else _get(config, "h", float)
-    if _chi_file(config) is not None or _get(config, "shots", integer) > 0:
-        source = hermitian_fill(_chi_grid_for(config))
-    else:
-        source = _state(config)
+def cmd_moments(spec: dict) -> None:
+    # a chi file or a sampled state is read as a filled grid, an exact state as it is
+    grid = spec["chi_file"] is not None or "grid" in spec
+    source = hermitian_fill(_chi_grid_for(spec)) if grid else spec["state"]
     rows = []
-    for order in _get(config, "orders", listed(listed(integer))):
-        if len(order) != 2:
-            raise ValidationError(f"each moment order is a pair [p, q], got {order}")
-        p, q = order
-        value, error = moments_fd(
-            source, mode, p, q,
-            h=h,
-            richardson=_get(config, "richardson", boolean),
-            with_error=True,
-        )
+    for p, q in spec["orders"]:
+        value, error = moments_fd(source, spec["mode"], p, q, h=spec["h"],
+                                  richardson=spec["richardson"], with_error=True)
         rows.append([p, q, value.real, value.imag, float("nan") if error is None else error])
-    write_table(config["out"], ["p", "q", "re_moment", "im_moment", "error"], rows,
-                **_header("moments", config))
-    print(f"wrote {len(rows)} moments to {config['out']}")
+    write_table(spec["out"], ["p", "q", "re_moment", "im_moment", "error"], rows, **spec["header"])
+    print(f"wrote {len(rows)} moments to {spec['out']}")
 
 
-def cmd_oracle_check(config: dict) -> int:
-    reports = run_default_suite(
-        n_draws=_get(config, "n_draws", integer), D=_get(config, "D", integer),
-        seed=_get(config, "seed", at_least(0)),
-    )
+def cmd_oracle_check(spec: dict) -> int:
+    reports = run_default_suite(n_draws=spec["n_draws"], D=spec["D"], seed=spec["seed"])
     all_passed = all(r["passed"] for r in reports)
     for r in reports:
         status = "ok  " if r["passed"] else "FAIL"
-        print(
-            f"{status} {r['check']:<26} defect {r['defect']:.3e} "
-            f"(tol {r['tolerance']:.1e}) D={r['D']}"
-        )
-    if config.get("out"):
-        write_json(
-            config["out"],
-            {"config": config, "reports": reports, "all_passed": all_passed},
-        )
-        print(f"wrote {len(reports)} oracle reports to {config['out']}")
+        print(f"{status} {r['check']:<26} defect {r['defect']:.3e} "
+              f"(tol {r['tolerance']:.1e}) D={r['D']}")
+    if spec["out"]:
+        write_json(spec["out"], {"config": spec["config"], "reports": reports,
+                                 "all_passed": all_passed})
+        print(f"wrote {len(reports)} oracle reports to {spec['out']}")
     if not all_passed:
         print("oracle suite FAILED", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_bec_map(config: dict) -> None:
-    params = _inline_or_file(config["bec"], params_from_dict, "bec parameters")
-    spatial_dim, box_side, indices = _fields(
-        config["modes"],
-        {"spatial_dim": integer, "box_side": float, "indices": listed(listed(integer))},
-        "modes",
-    )
-    modes = ModeSet(
-        spatial_dim=spatial_dim,
-        box_side=box_side,
-        mass=0.0,
-        mode_indices=tuple(map(tuple, indices)),
-    )
-    template = schedule_from_dict(config["schedule"])
-    mapped = map_to_protocol(params, modes, template)
-    xis = mapped.displacements()
-    per_mode = []
-    for m, j in enumerate(modes.mode_indices):
-        per_mode.append(
-            {
-                "j": list(j),
-                "kmag": float(modes.wavenumbers[m]),
-                "omega": float(mapped.omegas[m]),
-                "weight": float(mapped.weights[m]),
-                "re_xi": float(xis[m].real),
-                "im_xi": float(xis[m].imag),
-            }
-        )
-    write_json(
-        config["out"],
-        {
-            "config": config,
-            "lambda_eff": mapped.lambda_eff,
-            "no_signal": mapped.no_signal,
-            "schedule": None if mapped.no_signal else schedule_to_dict(mapped.schedule),
-            "per_mode": per_mode,
-        },
-    )
+def cmd_bec_map(spec: dict) -> None:
+    modes = spec["modes"]
+    mapped = map_to_protocol(spec["bec"], modes, spec["schedule"])
+    per_mode = [
+        {"j": list(j), "kmag": float(k), "omega": float(omega), "weight": float(weight),
+         "re_xi": float(xi.real), "im_xi": float(xi.imag)}
+        for j, k, omega, weight, xi in zip(modes.mode_indices, modes.wavenumbers, mapped.omegas,
+                                           mapped.weights, mapped.displacements())
+    ]
+    schedule = None if mapped.no_signal else schedule_to_dict(mapped.schedule)
+    write_json(spec["out"], {"config": spec["config"], "lambda_eff": mapped.lambda_eff,
+                             "no_signal": mapped.no_signal, "schedule": schedule,
+                             "per_mode": per_mode})
     flag = " (no signal: g_e = g_g)" if mapped.no_signal else ""
-    print(f"wrote the mapped protocol for {len(per_mode)} modes to {config['out']}{flag}")
+    print(f"wrote the mapped protocol for {len(per_mode)} modes to {spec['out']}{flag}")
 
 
 # --------------------------------------------------------------------------
@@ -485,22 +471,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="chitomo",
-        description="characteristic-function readout protocol: simulation and validation",
-    )
+    parser = _Parser(prog="chitomo", description="characteristic-function readout protocol: "
+                     "simulation and validation")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file merged over the defaults")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="dotted config override, value parsed as JSON (repeatable)",
-        )
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="dotted config override, value parsed as JSON (repeatable)")
         p.add_argument("--out", help="output file path")
         for flag, spec in _FLAGS.items():
             if flag in _DEFAULTS[name]:
@@ -511,18 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        result = args.func(config)
-        return int(result) if result is not None else 0
-    except ValidationError as exc:
+        return args.func(_spec(args.command, _resolve_config(args))) or 0
+    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalCheckError as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON in input file: {exc}", file=sys.stderr)
         return 1

@@ -319,10 +319,6 @@ class PulseSchedule:
             raise ValidationError("tau must be positive")
         object.__setattr__(self, "N", _segment_count(self.N))
 
-    @property
-    def total_time(self) -> float:
-        return 2.0 * self.N * self.tau
-
 
 def _sin_tan_product(u, N):
     """sin(N u) * tan(u/2) with the poles at u = (2m+1) pi removed.

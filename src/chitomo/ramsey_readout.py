@@ -78,10 +78,11 @@ def final_qubit_state(theta: float, chi: complex) -> QubitState:
 
     Bloch vector (sin th Im chi, sin th Re chi, -cos th); purity
     |b| = sqrt(cos^2 th + sin^2 th |chi|^2) <= 1 with equality iff |chi| = 1.
+    theta must be finite; sin th = 0 is a valid state that reads out nothing.
     """
     chi = complex(chi)
     _check_characteristic(chi)
-    s = math.sin(theta)
+    s = math.sin(_finite(theta))
     return QubitState(bx=s * chi.imag, by=s * chi.real, bz=-math.cos(theta))
 
 
@@ -135,11 +136,15 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     return ShotResult(estimate=float(est), stderr=float(stderr))
 
 
-def _sin_theta(theta) -> float:
-    """sin(theta) of a finite theta whose sin is not rounding of 0."""
+def _finite(theta):
     if not math.isfinite(theta):
         raise ValidationError(f"theta = {theta!r} must be finite")
-    s = math.sin(theta)
+    return theta
+
+
+def _sin_theta(theta) -> float:
+    """sin(theta) of a finite theta whose sin is not rounding of 0."""
+    s = math.sin(_finite(theta))
     if abs(s) <= np.spacing(abs(theta)):
         raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
                               "protocol encodes no information")
@@ -183,6 +188,13 @@ class ChiReadout(NamedTuple):
     chi_stderr: NDArray[np.float64]
 
 
+def _readout_args(theta, shots, seed) -> tuple[int, int, float]:
+    """shots (0 to MAX_SHOTS), seed (>= 0) and sin(theta) of a readout, each
+    refused by name: the one check of readout_chi's arguments."""
+    shots = converted(at_least(0, MAX_SHOTS), shots, "shots")
+    return shots, converted(at_least(0), seed, "seed"), _sin_theta(theta)
+
+
 def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     """Read out an array of chi values through the qubit, elementwise.
 
@@ -193,9 +205,7 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     for X and 1 for Y, in the points' C order.
     """
     chi = np.asarray(chi, dtype=complex)
-    shots = converted(at_least(0, MAX_SHOTS), shots, "shots")
-    seed = converted(at_least(0), seed, "seed")
-    s = _sin_theta(theta)
+    shots, seed, s = _readout_args(theta, shots, seed)
     _check_characteristic(chi)
     bloch_x, bloch_y = s * chi.imag, s * chi.real
     if shots == 0:

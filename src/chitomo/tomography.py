@@ -75,7 +75,7 @@ from .gaussian_field import (
     _check_mode,
     char_analytic_grid,
 )
-from .ramsey_readout import readout_chi
+from .ramsey_readout import _readout_args, readout_chi
 
 __all__ = [
     "ChiGrid",
@@ -281,9 +281,10 @@ def sampled_chi_grid(
     the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|. The measured
     points are read out in C order by one readout_chi call. With half=True
     only the canonical half-space is measured (NaN elsewhere), ready for
-    hermitian_fill.
+    hermitian_fill. theta, shots and seed are checked before chi is evaluated.
     """
     axes = _state_axes(state, axes)
+    _readout_args(theta, shots, seed)
     chi = char_analytic_grid(state, axes)
     measured = _half_space_mask(axes) if half else np.ones(chi.shape, dtype=bool)
     readout = readout_chi(chi[measured], theta, shots, seed)
@@ -429,14 +430,19 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
     return out_axes, out, half
 
 
-def _check_decay(grid: ChiGrid, boundary_tol) -> None:
-    """The aliasing guard: boundary_tol > 0 (inf for none) bounds |chi| on
-    every face of a grid that has no unmeasured point."""
+def _boundary_tol(boundary_tol) -> float:
     boundary_tol = converted(float, boundary_tol, "boundary_tol")
     if not boundary_tol > 0:
         raise ValidationError(
             f"boundary_tol = {boundary_tol!r} must be > 0, or inf for no aliasing guard"
         )
+    return boundary_tol
+
+
+def _check_decay(grid: ChiGrid, boundary_tol) -> None:
+    """The aliasing guard: boundary_tol > 0 (inf for none) bounds |chi| on
+    every face of a grid that has no unmeasured point."""
+    boundary_tol = _boundary_tol(boundary_tol)
     if np.any(np.isnan(grid.values)):
         raise ValidationError("grid has unmeasured points; hermitian_fill it first")
     decay = _boundary_max(grid.values)
@@ -537,6 +543,26 @@ def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
     return weights
 
 
+def _moment_order(p, q) -> tuple[int, int]:
+    p, q = converted(integer, p, "p"), converted(integer, q, "q")
+    if p < 0 or q < 0 or p + q > 4:
+        raise ValidationError("orders must be nonnegative with p + q <= 4")
+    return p, q
+
+
+def _check_h(h) -> float:
+    """h, finite and positive, with the stencil scale of the highest order
+    (1/(2h))^4 a finite nonzero float, so that a bad h is refused whatever
+    the order."""
+    h = converted(float, h, "h")
+    if not (0.0 < h < math.inf and 0.0 < math.prod([0.5 / h] * 4) < math.inf):
+        raise ValidationError(
+            f"h = {h!r} must be finite and positive, with a finite nonzero stencil "
+            f"scale (1/(2h))^4"
+        )
+    return h
+
+
 def moments_fd(
     chi_source: ChiGrid | GaussianFieldState,
     mode: int,
@@ -560,9 +586,7 @@ def moments_fd(
     with_error=True returns (value, error) instead of the bare value.
     """
     mode = converted(integer, mode, "mode")
-    p, q = converted(integer, p, "p"), converted(integer, q, "q")
-    if p < 0 or q < 0 or p + q > 4:
-        raise ValidationError("orders must be nonnegative with p + q <= 4")
+    p, q = _moment_order(p, q)
     if not isinstance(chi_source, (ChiGrid, GaussianFieldState)):
         raise ValidationError("chi_source must be a ChiGrid or a GaussianFieldState")
     is_grid = isinstance(chi_source, ChiGrid)
@@ -574,14 +598,7 @@ def moments_fd(
             raise ValidationError("mode axes must share one step for the stencil")
     if h is None:
         h = 2.0 * step_r if is_grid else 0.01
-    # the stencil scale is checked at the highest order, so that a bad h is
-    # refused before any chi is read, whatever the order
-    h = converted(float, h, "h")
-    if not (0.0 < h < math.inf and 0.0 < math.prod([0.5 / h] * 4) < math.inf):
-        raise ValidationError(
-            f"h = {h!r} must be finite and positive, with a finite nonzero stencil "
-            f"scale (1/(2h))^4"
-        )
+    h = _check_h(h)
     scale = (0.5 / h) ** (p + q)
     if not is_grid:
         # the mode's plane on the stencil's own lattice of half-steps, every

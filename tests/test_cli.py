@@ -34,6 +34,80 @@ THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 # the fields of a Bogoliubov-weighted smearing without its optional sign
 _WEIGHTED = '"kind": "bogoliubov_weighted", "base": {"kind": "delta"}, "m_B": 1.0, "g_rho0": 1.0'
 
+# exit-1 argv with a piece of the refusal each, shared with
+# test_bad_input_is_refused_before_any_layer_runs
+NON_NUMERIC = [
+    (("chi-scan", "--set", 'grid.points="abc"'), "grid.points"),
+    (("manifold", "--set", 'N_list=["x"]'), "N_list"),
+    (("manifold", "--set", "tau.points=null"), "tau.points"),
+    (("manifold", "--set", 'schedule.lambda="a"'), "schedule.lambda"),
+    (("bec-map", "--set", 'bec.rho0="a"'), "bec.rho0"),
+    (("chi-scan", "--set",
+      'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": "a"}}]'),
+     "state.modes[0].params.n"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "thermal", "params": {}}]'),
+     "state.modes[0].params is missing field 'n'"),
+    (("chi-scan", "--set",
+      'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
+     "thermal occupation must be finite"),
+    (("moments", "--set", "h=0"), "h = 0.0 "),
+    (("moments", "--set", "h=1e-300"), "h = 1e-300 "),
+    (("moments", "--set", "h=1e300"), "h = 1e+300 "),
+    (("moments", "--set", "h=-0.01"), "h = -0.01 "),
+    (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=NaN"), "h = nan "),
+    (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 "),
+    # a non-finite theta, a negative seed or an int64-overflowing shot count
+    # is refused before any draw, not written as NaN rows or escaping numpy
+    (("simulate", "--theta", "nan", "--shots", "0"), "theta = nan "),
+    (("simulate", "--theta", "nan"), "theta = nan "),
+    (("simulate", "--theta", "inf"), "theta = inf "),
+    (("chi-scan", "--theta", "nan", "--shots", "10"), "theta = nan "),
+    (("simulate", "--seed", "-1"), "seed = -1 "),
+    (("chi-scan", "--shots", "10", "--seed", "-3"), "seed = -3 "),
+    (("oracle-check", "--set", "seed=-1"), "seed = -1 "),
+    (("simulate", "--set", "shots=100000000000000000000000"),
+     "shots = 100000000000000000000000 "),
+    # NaN switched the aliasing guard off; -1 was reported as a failed check
+    (("wigner", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
+    (("wigner", "--set", "boundary_tol=-1"), "boundary_tol = -1.0 "),
+]
+INEXACT = [
+    (("chi-scan", "--set", "grid.points=9.7"), "grid.points"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1.5]}]'), "state.modes[0].j"),
+    (("chi-scan", "--set", "state.spatial_dim=true"), "state.spatial_dim"),
+    (("moments", "--set", "mode=0.5"), "mode"),
+    (("moments", "--set", "orders=[[1, 1.5]]"), "orders"),
+    (("oracle-check", "--set", "n_draws=2.5"), "n_draws"),
+    (("oracle-check", "--set", "D=40.5"), "D"),
+    (("bec-map", "--set", "modes.spatial_dim=1.5"), "modes.spatial_dim"),
+    (("chi-scan", "--shots", "100", "--set", 'half="false"'), "half"),
+    (("moments", "--set", 'richardson="false"'), "richardson"),
+    (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
+      '"width": 0.2, "relative": "false"}'), "switching.relative"),
+    (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
+    (("oracle-check", "--set", "seed=0.5"), "seed"),
+    (("manifold", "--set", "timestamps=no"), "timestamps"),
+    (("manifold", "--set", 'timestamps="false"'), "timestamps"),
+]
+UNKNOWN_FIELD = [
+    (("chi-scan", "--set",
+      'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 0.5, "r": 0.3}}]'), "'r'"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum", "parms": {}}]'),
+     "'parms'"),
+    (("chi-scan", "--set", "state.colour=1"), "'colour'"),
+    (("manifold", "--set", "schedule.foo=1"), "'foo'"),
+    (("manifold", "--set", 'schedule.switching={"kind": "constant", "width": 0.2}'),
+     "'width'"),
+    (("manifold", "--set", 'schedule.smearing={"kind": "delta", "sigma": 0.2}'), "'sigma'"),
+    (("manifold", "--set", 'schedule.smearing={"kind": "spherical_gaussian", "sigma": 0.2, '
+      '"width": 1.0}'), "'width'"),
+    (("manifold", "--set", 'schedule.switching={"kind": "custom", "t": [0, 2], '
+      '"eta": [1, 1], "dt": 0.1}'), "'dt'"),
+    (("manifold", "--set", f'schedule.smearing={{{_WEIGHTED}, "weight": 2.0}}'), "'weight'"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1], "params": {"n": 0.5}}]'), "'n'"),
+    (("bec-map", "--set", "bec.rho=2"), "'rho'"),
+]
+
 
 def run(*argv):
     return main(list(argv))
@@ -662,42 +736,7 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, argv, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv,key",
-    [(("chi-scan", "--set", 'grid.points="abc"'), "grid.points"),
-     (("manifold", "--set", 'N_list=["x"]'), "N_list"),
-     (("manifold", "--set", "tau.points=null"), "tau.points"),
-     (("manifold", "--set", 'schedule.lambda="a"'), "schedule.lambda"),
-     (("bec-map", "--set", 'bec.rho0="a"'), "bec.rho0"),
-     (("chi-scan", "--set",
-       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": "a"}}]'),
-      "state.modes[0].params.n"),
-     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "thermal", "params": {}}]'),
-      "state.modes[0].params is missing field 'n'"),
-     (("chi-scan", "--set",
-       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
-      "thermal occupation must be finite"),
-     (("moments", "--set", "h=0"), "h = 0.0 "),
-     (("moments", "--set", "h=1e-300"), "h = 1e-300 "),
-     (("moments", "--set", "h=1e300"), "h = 1e+300 "),
-     (("moments", "--set", "h=-0.01"), "h = -0.01 "),
-     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=NaN"), "h = nan "),
-     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 "),
-     # a non-finite theta, a negative seed or an int64-overflowing shot count
-     # is refused before any draw, not written as NaN rows or escaping numpy
-     (("simulate", "--theta", "nan", "--shots", "0"), "theta = nan "),
-     (("simulate", "--theta", "nan"), "theta = nan "),
-     (("simulate", "--theta", "inf"), "theta = inf "),
-     (("chi-scan", "--theta", "nan", "--shots", "10"), "theta = nan "),
-     (("simulate", "--seed", "-1"), "seed = -1 "),
-     (("chi-scan", "--shots", "10", "--seed", "-3"), "seed = -3 "),
-     (("oracle-check", "--set", "seed=-1"), "seed = -1 "),
-     (("simulate", "--set", "shots=100000000000000000000000"),
-      "shots = 100000000000000000000000 "),
-     # NaN switched the aliasing guard off; -1 was reported as a failed check
-     (("wigner", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
-     (("wigner", "--set", "boundary_tol=-1"), "boundary_tol = -1.0 ")],
-)
+@pytest.mark.parametrize("argv,key", NON_NUMERIC)
 def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     out = tmp_path / "x.csv"
     assert run(*argv, "--out", str(out)) == 1  # a ValidationError, not an escaping traceback
@@ -706,25 +745,7 @@ def test_non_numeric_config_value_is_exit_1(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv,key",
-    [(("chi-scan", "--set", "grid.points=9.7"), "grid.points"),
-     (("chi-scan", "--set", 'state.modes=[{"j": [1.5]}]'), "state.modes[0].j"),
-     (("chi-scan", "--set", "state.spatial_dim=true"), "state.spatial_dim"),
-     (("moments", "--set", "mode=0.5"), "mode"),
-     (("moments", "--set", "orders=[[1, 1.5]]"), "orders"),
-     (("oracle-check", "--set", "n_draws=2.5"), "n_draws"),
-     (("oracle-check", "--set", "D=40.5"), "D"),
-     (("bec-map", "--set", "modes.spatial_dim=1.5"), "modes.spatial_dim"),
-     (("chi-scan", "--shots", "100", "--set", 'half="false"'), "half"),
-     (("moments", "--set", 'richardson="false"'), "richardson"),
-     (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
-       '"width": 0.2, "relative": "false"}'), "switching.relative"),
-     (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
-     (("oracle-check", "--set", "seed=0.5"), "seed"),
-     (("manifold", "--set", "timestamps=no"), "timestamps"),
-     (("manifold", "--set", 'timestamps="false"'), "timestamps")],
-)
+@pytest.mark.parametrize("argv,key", INEXACT)
 def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
     # 9.7 is not truncated to 9, nor the string "false" read as true
     out = tmp_path / "x.csv"
@@ -734,25 +755,7 @@ def test_inexact_integer_or_boolean_is_exit_1(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv,field",
-    [(("chi-scan", "--set",
-       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 0.5, "r": 0.3}}]'), "'r'"),
-     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum", "parms": {}}]'),
-      "'parms'"),
-     (("chi-scan", "--set", "state.colour=1"), "'colour'"),
-     (("manifold", "--set", "schedule.foo=1"), "'foo'"),
-     (("manifold", "--set", 'schedule.switching={"kind": "constant", "width": 0.2}'),
-      "'width'"),
-     (("manifold", "--set", 'schedule.smearing={"kind": "delta", "sigma": 0.2}'), "'sigma'"),
-     (("manifold", "--set", 'schedule.smearing={"kind": "spherical_gaussian", "sigma": 0.2, '
-       '"width": 1.0}'), "'width'"),
-     (("manifold", "--set", 'schedule.switching={"kind": "custom", "t": [0, 2], '
-       '"eta": [1, 1], "dt": 0.1}'), "'dt'"),
-     (("manifold", "--set", f'schedule.smearing={{{_WEIGHTED}, "weight": 2.0}}'), "'weight'"),
-     (("chi-scan", "--set", 'state.modes=[{"j": [1], "params": {"n": 0.5}}]'), "'n'"),
-     (("bec-map", "--set", "bec.rho=2"), "'rho'")],
-)
+@pytest.mark.parametrize("argv,field", UNKNOWN_FIELD)
 def test_unknown_document_field_is_exit_1(tmp_path, capsys, argv, field):
     # a field the loader does not read is refused, not dropped
     out = tmp_path / "x.out"
@@ -906,6 +909,94 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path):
     assert proc.stdout.splitlines() == ["refused", "refused", "1"], proc.stderr
     assert proc.stderr.startswith("error:") and "cells" in proc.stderr
     assert not out.exists()
+
+
+# ------------------------------------------------------- refusal before work
+
+_SIN_PI = "rounding of 0 at theta = "
+# every exit-1 argv of this file that the config alone refuses, with a piece of
+# its refusal (test_missing_out_is_exit_1's has no --out, and is refused before
+# any field is read); a --config value that starts with "{" is written to a file
+REFUSED = [
+    (("manifold", "--set", "schedule.N=0"), "segment count N = 0 is not usable"),
+    (("manifold", "--set", "N_list=[2.5]"), "N_list = [2.5] is not usable"),
+    (("chi-scan", "--set", 'manifold={"schedule": {"lambda": 0.01, "tau": 1.0, "N": 1, '
+      '"smearing": {"kind": "delta"}, "switching": {"kind": "constant"}}, '
+      '"mode": {"k": 1.0, "omega": 1.0, "L": 6.283185307179586, "n": 1}, '
+      '"N_list": [1], "tau": {"min": 0.1, "max": 6.0, "points": 5}}'),
+     "manifold has unknown field(s) 'mode'"),
+    (("simulate", "--set", "points=[[0.1]]"), "points must be one or more lists of 2 reals"),
+    (("simulate", "--set", "points=[]"), "points must be one or more lists of 2 reals"),
+    *(((*argv, "--shots", "100", "--theta", repr(theta)), _SIN_PI + repr(theta))
+      for argv in (("simulate",), ("chi-scan", "--set", "grid.points=5"))
+      for theta in (math.pi, -math.pi, 2.0 * math.pi)),
+    (("wigner", "--set", "chi_file=7"), "chi_file must be null or a file path, got 7"),
+    (("moments", "--set", "chi_file=0"), "chi_file must be null or a file path, got 0"),
+    (("wigner", "--set", 'chi_file=""'), "chi_file must be null or a file path, got ''"),
+    (("chi-scan", "--set", "grid.point=9"), "grid has unknown field(s) 'point'"),
+    (("chi-scan", "--set", "bogus=1"), "the chi-scan config has unknown field(s) 'bogus'"),
+    (("chi-scan", "--config", '{"stat": {}}'), "unknown field(s) 'stat'"),
+    (("manifold", "--config", "{not json"), "bad JSON in input file"),
+    (("manifold", "--config", "missing.json"), "No such file or directory: 'missing.json'"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "squeezed", "params": {"r": 400}}]',
+      "--set", "grid.points=3"), "covariance overflows"),
+    (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum"}, {"j": [2], "kind": '
+      '"vacuum"}]'), "a 129x129x129x129 grid has 276922881 cells, above the budget"),
+    # each of these used to be refused only after the work ahead of it
+    (("wigner", "--set", "grid.points=9", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
+    (("wigner", "--set", "grid.points=9", "--set", 'alpha={"extent": -1, "points": 5}'),
+     "axis extent -1.0 must be finite and positive"),
+    (("chi-scan", "--set", "grid.points=9", "--set", 'timestamps="no"'),
+     "timestamps = 'no' is not usable"),
+    (("moments", "--shots", "1000", "--set", "grid.points=9", "--set", "orders=[[1]]"),
+     "each moment order is a pair [p, q], got [1]"),
+    (("manifold", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("bec-map", "--shots", "5"), "unrecognized arguments: --shots 5"),
+    (("manifold", "--theta", "0.3"), "unrecognized arguments: --theta 0.3"),
+    (("oracle-check", "--timestamps"), "unrecognized arguments: --timestamps"),
+    (("bec-map", "--timestamps"), "unrecognized arguments: --timestamps"),
+    (("chi-scan", "--threads", "4"), "unrecognized arguments: --threads 4"),
+    (("chi-scan", "--no-such-flag"), "unrecognized arguments: --no-such-flag"),
+    *NON_NUMERIC,
+    *INEXACT,
+    *(((argv, f"unknown field(s) {field}") for argv, field in UNKNOWN_FIELD)),
+]
+
+# the layers a run does its work in, as chitomo.cli names them
+_LAYERS = ("readout_chi", "sampled_chi_grid", "chi_grid_from_state", "hermitian_fill",
+           "wigner_transform", "moments_fd", "displacement_surface", "reachable_manifold",
+           "run_default_suite", "map_to_protocol", "write_table")
+
+
+@pytest.mark.parametrize("argv,message", REFUSED)
+def test_bad_input_is_refused_before_any_layer_runs(tmp_path, capsys, monkeypatch, argv, message):
+    def work(*args, **kwargs):
+        raise AssertionError("a layer ran before the config was refused")
+
+    for name in _LAYERS:
+        monkeypatch.setattr(f"chitomo.cli.{name}", work)
+    monkeypatch.setattr("chitomo.tomography.char_analytic_grid", work)
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    if "--config" in argv and argv[argv.index("--config") + 1].startswith("{"):
+        (tmp_path / "cfg.json").write_text(argv[argv.index("--config") + 1])
+        argv[argv.index("--config") + 1] = "cfg.json"
+    try:
+        code = main([*argv, "--out", "x.out"])
+    except SystemExit as exc:  # argparse's refusal of a flag
+        code = exc.code
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv", [("chi-scan", "--theta", "nan"), ("wigner", "--seed", "-1")])
+def test_a_bad_field_the_run_never_reads_is_not_refused(tmp_path, argv):
+    # at shots 0 nothing is read out, so theta and seed are never read
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    assert run(*argv, "--shots", "0", "--set", "grid.points=9", "--out", str(bad)) == 0
+    assert run(argv[0], "--shots", "0", "--set", "grid.points=9", "--out", str(good)) == 0
+    assert data_lines(bad) == data_lines(good)
 
 
 def test_version_exits_0(capsys):

@@ -290,7 +290,6 @@ def test_schedule_validation():
     with pytest.raises(ValidationError):
         canonical(N=2.5)
     assert canonical(N=2.0).N == 2
-    assert canonical(tau=0.7, N=4).total_time == pytest.approx(5.6)
 
 
 # --------------------------------------------------- displacement parameter

@@ -107,6 +107,18 @@ def test_final_state_rejects_unphysical_chi():
         final_qubit_state(1.0, 1.5 + 0.0j)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_final_state_refuses_a_non_finite_theta_by_name(theta):
+    # NaN gave QubitState(nan, nan, nan), and inf escaped as "math domain error"
+    with pytest.raises(ValidationError, match=f"theta = {theta!r} must be finite"):
+        final_qubit_state(theta, 0.5)
+
+
+def test_final_state_at_sin_theta_zero_is_a_state_without_readout():
+    qs = final_qubit_state(0.0, 0.4 - 0.25j)
+    assert (qs.bx, qs.by, qs.bz) == (0.0, 0.0, -1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     theta=st.floats(0.11, math.pi - 0.11),

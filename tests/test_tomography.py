@@ -38,6 +38,7 @@ from chitomo.tomography import (
     wigner_transform,
 )
 from chitomo import tomography
+from chitomo.ramsey_readout import readout_chi
 from chitomo.tomography import _half_space_mask, _stencil
 
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
@@ -236,6 +237,24 @@ def test_sampled_grid_error_scale():
     coarse = sampled_chi_grid(THERMAL, axes, shots=100, seed=0)
     fine = sampled_chi_grid(THERMAL, axes, shots=10_000, seed=0)
     assert np.median(coarse.stderr) == pytest.approx(10 * np.median(fine.stderr), rel=0.3)
+
+
+@pytest.mark.parametrize(
+    "readout", [{"theta": math.nan}, {"seed": -1}, {"shots": 2**63}], ids=["theta", "seed", "shots"]
+)
+def test_sampled_grid_refuses_readout_arguments_before_evaluating_chi(readout, monkeypatch):
+    # the refusal is readout_chi's own, and no cell of chi is evaluated first
+    args = {"theta": math.pi / 2, "shots": 10, "seed": 0, **readout}
+    with pytest.raises(ValidationError) as want:
+        readout_chi(np.ones(1), **args)
+
+    def evaluate(*_):
+        raise AssertionError("chi was evaluated before the readout arguments were checked")
+
+    monkeypatch.setattr(tomography, "char_analytic_grid", evaluate)
+    with pytest.raises(ValidationError) as got:
+        sampled_chi_grid(THERMAL, square_axes(6.0, 2049), **args)
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------- hermitian fill
