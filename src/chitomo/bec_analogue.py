@@ -19,12 +19,12 @@ alternative is a one-line swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, read_object
+from .errors import ValidationError, converted, finite, positive, read_object
 from .gaussian_field import ModeSet, _kmag
 from .pulse_protocol import (
     PulseSchedule,
@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+# the rule of each BecParams field, which the class and its reader both apply
+_PARAM_FIELDS = {"rho0": positive, "g_g": finite, "g_e": finite, "g_rho0": positive,
+                 "m_B": positive, "omega0": finite}
+
+
 @dataclass(frozen=True)
 class BecParams:
     """Condensate and impurity parameters.
@@ -64,15 +69,8 @@ class BecParams:
     omega0: float
 
     def __post_init__(self) -> None:
-        if not self.rho0 > 0:
-            raise ValidationError("condensate density must be positive")
-        if not self.m_B > 0:
-            raise ValidationError("atom mass must be positive")
-        if not self.g_rho0 > 0:
-            raise ValidationError("interaction scale g*rho0 must be positive")
-        for name in ("g_g", "g_e", "omega0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        for name, kind in _PARAM_FIELDS.items():
+            converted(kind, getattr(self, name), name)
 
     @property
     def healing_length(self) -> float:
@@ -135,8 +133,8 @@ class BogoliubovWeighted:
     def __post_init__(self) -> None:
         if self.sign not in (-1.0, 1.0):
             raise ValidationError("sign must be +1 or -1")
-        if not (self.m_B > 0 and self.g_rho0 > 0):
-            raise ValidationError("weight needs positive m_B and g*rho0")
+        converted(positive, self.m_B, "m_B")
+        converted(positive, self.g_rho0, "g_rho0")
 
     def ft(self, kmag, n: int):
         return self.sign * _weight(kmag, self.m_B, self.g_rho0) * self.base.ft(kmag, n)
@@ -145,7 +143,7 @@ class BogoliubovWeighted:
 register_smearing_kind(
     "bogoliubov_weighted",
     BogoliubovWeighted,
-    {"base": smearing_from_dict, "m_B": float, "g_rho0": float, "sign": float},
+    {"base": smearing_from_dict, "m_B": positive, "g_rho0": positive, "sign": float},
 )
 
 
@@ -200,8 +198,6 @@ def map_to_protocol(
 
 # --------------------------------------------------------------------------
 # serialization
-
-_PARAM_FIELDS = {f.name: float for f in fields(BecParams)}
 
 
 def params_to_dict(params: BecParams) -> dict:

@@ -25,15 +25,15 @@ import numpy as np
 from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
 from .errors import (
-    NumericalCheckError, ValidationError, at_least, boolean, converted, integer, known_fields,
-    listed, read_field,
+    NumericalCheckError, ValidationError, at_least, boolean, converted, dimension, finite, integer,
+    known_fields, listed, positive, read_field,
 )
 from .fileio import (
     _CHI_COORDS, _coordinate_names, load_chi_grid, read_json, save_chi_grid, save_wigner_grid,
     write_json, write_table,
 )
 from .fock_oracle import run_default_suite
-from .gaussian_field import ModeSet, char_points, state_from_dict
+from .gaussian_field import ModeSet, _check_mode, char_points, state_from_dict
 from .pulse_protocol import (
     displacement_surface, reachable_manifold, schedule_from_dict, schedule_to_dict,
 )
@@ -186,8 +186,6 @@ def _resolve_config(args) -> dict:
         if value is not None:
             config[flag] = value
     known_fields(config, (*_DEFAULTS[args.command], "out"), f"the {args.command} config")
-    if "out" not in config and args.command != "oracle-check":
-        raise ValidationError("an output path is required (--out or config key 'out')")
     return config
 
 
@@ -210,19 +208,19 @@ def _fields(doc, fields: dict, key: str) -> list:
 
 
 def _tau_grid(doc, key: str) -> np.ndarray:
-    lo, hi, points = _fields(doc, {"min": float, "max": float, "points": integer}, key)
-    if not (0 < lo < hi and points >= 2):
-        raise ValidationError("tau grid needs 0 < min < max and >= 2 points")
+    lo, hi, points = _fields(doc, {"min": positive, "max": positive, "points": at_least(2)}, key)
+    if not lo < hi:
+        raise ValidationError(f"{key} needs min < max")
     return np.linspace(lo, hi, points)
 
 
 def _axis(doc, key: str) -> np.ndarray:
-    return grid_axis(*_fields(doc, {"extent": float, "points": integer}, key))
+    return grid_axis(*_fields(doc, {"extent": positive, "points": integer}, key))
 
 
-def _chi_path(path, key: str) -> str | None:
-    if path is not None and not (isinstance(path, str) and path):
-        raise ValidationError(f"{key} must be null or a file path, got {path!r}")
+def _path(path, key: str, optional: bool = False) -> str | None:
+    if not (isinstance(path, str) and path or optional and path is None):
+        raise ValidationError(f"{key} must be {'null or ' * optional}a file path, got {path!r}")
     return path
 
 
@@ -236,7 +234,7 @@ def _orders(value, key: str) -> list:
 
 
 def _mode_set(doc, key: str) -> ModeSet:
-    fields = {"spatial_dim": integer, "box_side": float, "indices": listed(listed(integer))}
+    fields = {"spatial_dim": integer, "box_side": positive, "indices": listed(listed(integer))}
     spatial_dim, box_side, indices = _fields(doc, fields, key)
     return ModeSet(spatial_dim, box_side, 0.0, indices)
 
@@ -255,7 +253,9 @@ _CONVERT = {
     "h": lambda h, key: h if h is None else converted(float, h, key),
     "boundary_tol": lambda tol, key: _boundary_tol(tol),
     "orders": _orders,
-    "chi_file": _chi_path,
+    "chi_file": partial(_path, optional=True),
+    "out": _path,
+    ("oracle-check", "out"): partial(_path, optional=True),
     "state": lambda doc, key: _inline_or_file(doc, state_from_dict, key),
     "bec": lambda doc, key: _inline_or_file(doc, params_from_dict, "bec parameters"),
     "schedule": lambda doc, key: schedule_from_dict(doc),
@@ -266,7 +266,7 @@ _CONVERT = {
         zip(_SURFACE, _fields(doc, dict.fromkeys(_SURFACE), key))),
     "modes": _mode_set,
     ("manifold", "mode"): lambda doc, key: _fields(
-        doc, {"k": float, "omega": float, "L": float, "n": integer}, key),
+        doc, {"k": finite, "omega": positive, "L": positive, "n": dimension}, key),
 }
 
 # the fields a run reads whatever the values; _spec reads the others where the run does
@@ -285,16 +285,17 @@ def _spec(command: str, config: dict) -> dict:
     """The checked value of every field a run of command reads, beside the raw
     config and out (chi_file and manifold are None where not read). A field
     is read only where the run reads it: theta only with shots > 0, say. The
-    readout arguments, the grid budget, h and the moment orders go through
-    their layer's own check, so bad input is refused before any work."""
-    spec = {"config": config, "out": config.get("out"), "chi_file": None, "manifold": None}
+    readout arguments, the grid budget, h, the moment orders and a state's
+    moment mode go through their layer's own check, so bad input is refused
+    before any work."""
+    spec = {"config": config, "chi_file": None, "manifold": None}
 
     def read(*keys, doc=config):  # the value of the last key
         for key in keys:
-            spec[key] = (_CONVERT.get((command, key)) or _CONVERT[key])(doc[key], key)
+            spec[key] = (_CONVERT.get((command, key)) or _CONVERT[key])(doc.get(key), key)
         return spec[keys[-1]]
 
-    read(*_READS[command])
+    read("out", *_READS[command])
     if spec["manifold"]:  # chi along the displacement surface, not on a grid
         read(*_SURFACE, doc=spec["manifold"])
     if command == "simulate":
@@ -303,6 +304,8 @@ def _spec(command: str, config: dict) -> dict:
             raise ValidationError(f"points must be one or more lists of {2 * n} reals (re, im)")
     elif command in ("chi-scan", "wigner", "moments") and spec["chi_file"] is None:
         state, shots = read("state"), read("shots")
+        if command == "moments":
+            _check_mode(spec["mode"], state.n_modes)
         on_grid = not spec["manifold"] and (command != "moments" or shots > 0)
         if shots > 0:
             read("theta", "seed", *(("half",) if on_grid and command == "chi-scan" else ()))

@@ -6,6 +6,8 @@ boundary-decay check (CLI exit code 2).
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
@@ -63,6 +65,31 @@ def dimension(value) -> int:
     if n not in (1, 2, 3):
         raise ValueError("a spatial dimension is 1, 2 or 3")
     return n
+
+
+def finite(value):
+    """A finite number, a real one as a float: NaN and infinities (in either
+    part of a complex) are refused."""
+    x = value if isinstance(value, complex) else float(value)
+    if not cmath.isfinite(x):
+        raise ValueError("a finite number is expected")
+    return x
+
+
+def positive(value) -> float:
+    """A finite real number > 0, as a float."""
+    x = float(value)
+    if not 0 < x < math.inf:
+        raise ValueError("a finite number > 0 is expected")
+    return x
+
+
+def nonnegative(value) -> float:
+    """A finite real number >= 0, as a float."""
+    x = float(value)
+    if not 0 <= x < math.inf:
+        raise ValueError("a finite number >= 0 is expected")
+    return x
 
 
 def boolean(value) -> bool:

@@ -70,7 +70,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError, at_least, converted, dimension
+from .errors import (
+    NumericalCheckError, ValidationError, at_least, converted, dimension, finite, nonnegative,
+    positive,
+)
 from .gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -119,10 +122,9 @@ class FieldMode:
     spatial_dim: int
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValidationError("mode frequency must be positive")
-        if not self.box_side > 0:
-            raise ValidationError("bad box parameters")
+        converted(finite, self.k, "k")
+        converted(positive, self.omega, "omega")
+        converted(positive, self.box_side, "box_side")
         dim = converted(dimension, self.spatial_dim, "spatial_dim")
         object.__setattr__(self, "spatial_dim", dim)
 
@@ -165,11 +167,6 @@ def _phased(V: NDArray[np.float64], phi: float) -> NDArray[np.complex128]:
     return np.exp(1j * phi * np.arange(V.shape[0]))[:, None] * V
 
 
-def _finite(value: complex, name: str) -> None:
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 @functools.lru_cache(maxsize=8)
 def _quadrature_basis(D: int, p: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Read-only eigh of the real symmetric (a^p + a-dagger^p)/p at cutoff D."""
@@ -186,8 +183,7 @@ def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
     The generator is |xi| P (a + a-dagger) P-dagger, phi = arg xi + pi/2.
     """
     D = converted(at_least(2), D, "Fock cutoff D")
-    xi = complex(xi)
-    _finite(xi, "xi")
+    xi = converted(finite, complex(xi), "xi")
     w, V = _quadrature_basis(D, 1)
     return _exp_from_basis(abs(xi) * w, _phased(V, np.angle(xi) + np.pi / 2))
 
@@ -204,8 +200,7 @@ def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
     trace deficit below (n+1) TAIL_TOL. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
-    if not 0 <= n < math.inf:
-        raise ValidationError(f"thermal occupation n must be finite and >= 0, got {n!r}")
+    n = converted(nonnegative, n, "n")
     if n == 0:
         rho = np.zeros((D, D), dtype=complex)
         rho[0, 0] = 1.0
@@ -226,10 +221,7 @@ def _squeezer(D: int, r: float, theta: float, cols=slice(None)) -> NDArray[np.co
     -r P [(a^2 + a-dagger^2)/2] P-dagger, phi = theta/2 + pi/4, never from
     closed-form Fock amplitudes."""
     D = converted(at_least(2), D, "Fock cutoff D")
-    _finite(r, "r")
-    _finite(theta, "theta")
-    if r < 0:
-        raise ValidationError("squeezing modulus must be >= 0")
+    r, theta = converted(nonnegative, r, "r"), converted(finite, theta, "theta")
     w, V = _quadrature_basis(D, 2)
     return _exp_from_basis(-r * w, _phased(V, theta / 2.0 + np.pi / 4.0), cols)
 
@@ -398,10 +390,7 @@ def verify_displacement_composition(x: complex, y: float, N: int, D: int = 40) -
     is taken over the low Fock columns modulo a global phase.
     """
     N = converted(at_least(1), N, "N")
-    x = complex(x)
-    y = float(y)
-    _finite(x, "x")
-    _finite(y, "y")
+    x, y = converted(finite, complex(x), "x"), converted(finite, y, "y")
     step = displacement_operator(D, x) @ number_rotation(D, y)
     lhs = np.linalg.matrix_power(step, N)
     ratio = 1.0 - np.exp(1j * y)

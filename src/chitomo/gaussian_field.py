@@ -4,7 +4,7 @@ The field is expanded in discrete modes k = 2*pi*j/L, j in Z^n, with
 dispersion omega_k = sqrt(m^2 + |k|^2). Each mode is an independent harmonic
 oscillator in a mean-zero Gaussian state. By Williamson's theorem every such
 single-mode state is a thermal state squeezed by zeta = r e^(i theta), so each
-mode carries the same three parameters (n, r, theta): the thermal occupation
+mode carries the same three finite parameters (n, r, theta): the thermal occupation
 n >= 0, the squeezing modulus r >= 0 and its phase theta. SqueezedThermal
 takes all three; Vacuum (0, 0, 0), Thermal(n) (n, 0, 0) and Squeezed(r, theta)
 (0, r, theta) are its special cases, and no formula branches on them.
@@ -64,9 +64,12 @@ from .errors import (
     ValidationError,
     converted,
     dimension,
+    finite,
     integer,
     known_fields,
     listed,
+    nonnegative,
+    positive,
     read_field,
     read_object,
 )
@@ -116,10 +119,8 @@ class ModeSet:
     def __post_init__(self) -> None:
         dim = converted(dimension, self.spatial_dim, "spatial_dim")
         object.__setattr__(self, "spatial_dim", dim)
-        if not self.box_side > 0:
-            raise ValidationError("box_side must be positive")
-        if self.mass < 0:
-            raise ValidationError("mass must be nonnegative")
+        converted(positive, self.box_side, "box_side")
+        converted(nonnegative, self.mass, "mass")
         idx = tuple(tuple(converted(listed(integer), j, "mode index")) for j in self.mode_indices)
         object.__setattr__(self, "mode_indices", idx)
         for j in idx:
@@ -151,6 +152,10 @@ class ModeSet:
         return np.sqrt(self.mass**2 + np.sum(k * k, axis=1))
 
 
+# the rule of each mode parameter, which SqueezedThermal and state_from_dict both apply
+_MODE_PARAMS = {"n": nonnegative, "r": nonnegative, "theta": finite}
+
+
 @dataclass(frozen=True)
 class SqueezedThermal:
     """Thermal occupation n squeezed by zeta = r e^(i theta); Vacuum, Thermal
@@ -161,13 +166,8 @@ class SqueezedThermal:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        # finite, or V and chi turn NaN
-        if not 0 <= self.n < math.inf:
-            raise ValidationError(f"thermal occupation must be finite and >= 0, got {self.n}")
-        if not 0 <= self.r < math.inf or not math.isfinite(self.theta):
-            raise ValidationError(
-                f"squeezing must be finite with r >= 0, got r = {self.r}, theta = {self.theta}"
-            )
+        for name, kind in _MODE_PARAMS.items():
+            converted(kind, getattr(self, name), name)
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
         # a finite r can still overflow V: e^(2r) = inf, and inf * 0 is NaN
         if not np.all(np.isfinite(_covariance(self))):
@@ -341,14 +341,12 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
 
 def n_from_beta(beta: float, omega: float) -> float:
     """Bose occupation n = 1/(exp(beta*omega) - 1)."""
-    if beta <= 0 or omega <= 0:
-        raise ValidationError("beta and omega must be positive")
+    beta, omega = converted(positive, beta, "beta"), converted(positive, omega, "omega")
     return 1.0 / math.expm1(beta * omega)
 
 
 def beta_from_n(n: float, omega: float) -> float:
-    if n <= 0 or omega <= 0:
-        raise ValidationError("n and omega must be positive")
+    n, omega = converted(positive, n, "n"), converted(positive, omega, "omega")
     return math.log1p(1.0 / n) / omega
 
 
@@ -358,8 +356,8 @@ _KINDS = {"vacuum": Vacuum, "thermal": Thermal, "squeezed": Squeezed,
 _KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
 
 
-def _params(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
+def _params(cls) -> dict:
+    return {f.name: _MODE_PARAMS[f.name] for f in fields(cls) if f.init}
 
 
 def state_to_dict(state: GaussianFieldState) -> dict:
@@ -382,8 +380,8 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
     where = [f"state.modes[{i}]" for i in range(len(entries))]
     modeset = ModeSet(
         spatial_dim=read_field(doc, "spatial_dim", integer, "state"),
-        box_side=read_field(doc, "box_side", float, "state"),
-        mass=read_field(doc, "mass", float, "state"),
+        box_side=read_field(doc, "box_side", positive, "state"),
+        mass=read_field(doc, "mass", nonnegative, "state"),
         mode_indices=tuple(read_field(e, "j", listed(integer), w) for e, w in zip(entries, where)),
     )
     states = []
@@ -393,5 +391,5 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
         if kind not in _KINDS:
             raise ValidationError(f"unknown mode kind {kind!r}")
         cls, params = _KINDS[kind], read_field(e, "params", None, w, {})
-        states.append(read_object(params, cls, dict.fromkeys(_params(cls), float), f"{w}.params"))
+        states.append(read_object(params, cls, _params(cls), f"{w}.params"))
     return GaussianFieldState(modes=modeset, mode_states=tuple(states))

@@ -46,8 +46,11 @@ from .errors import (
     boolean,
     converted,
     dimension,
+    finite,
     known_fields,
     listed,
+    nonnegative,
+    positive,
     read_field,
     read_object,
 )
@@ -87,8 +90,7 @@ class SphericalGaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValidationError("smearing width must be positive")
+        converted(positive, self.sigma, "sigma")
 
     def ft(self, kmag, n: int):
         return np.exp(-0.5 * self.sigma**2 * np.square(kmag))
@@ -148,7 +150,7 @@ def _wave_number(k, n: int) -> float:
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.ndim != 1 or kv.size not in (1, n):
         raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
-    return float(_kmag(kv)) if kv.size == n else abs(float(kv[0]))
+    return converted(finite, float(_kmag(kv)) if kv.size == n else abs(float(kv[0])), "|k|")
 
 
 def _transform(f, kmag, n: int):
@@ -181,8 +183,7 @@ class Constant:
     value: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.value >= 0:
-            raise ValidationError("switching must be nonnegative")
+        converted(nonnegative, self.value, "value")
 
     def window_integral(self, tau):
         return self.value * tau
@@ -228,8 +229,8 @@ class GaussianWindow:
     relative: bool = False
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValidationError("window width must be positive")
+        converted(finite, self.center, "center")
+        converted(positive, self.width, "width")
 
     def window_integral(self, tau):
         # (w sqrt(pi)/2) [erf(a) + erf(b)], element by element
@@ -281,12 +282,10 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
     """
     tau = np.asarray(tau, dtype=float)
     omega_k = np.asarray(omega_k, dtype=float)
-    if not np.all(tau > 0):
-        raise ValidationError("tau must be positive")
-    if not np.all(omega_k > 0):
-        raise ValidationError("omega must be positive")
-    if not L > 0:
-        raise ValidationError("bad box parameters")
+    for name, a in (("tau", tau), ("omega", omega_k)):  # NaN spreads to min and max
+        for bound in (a.min(), a.max()) if a.size else ():
+            converted(positive, float(bound), name)
+    converted(positive, L, "L")
     n = converted(dimension, n, "spatial dimension")
     try:
         window = eta.window_integral
@@ -313,10 +312,8 @@ class PulseSchedule:
     switching: SwitchingFunction
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValidationError("coupling must be positive")
-        if not self.tau > 0:
-            raise ValidationError("tau must be positive")
+        converted(positive, self.lam, "lam")
+        converted(positive, self.tau, "tau")
         object.__setattr__(self, "N", _segment_count(self.N))
 
 
@@ -421,12 +418,12 @@ def register_switching_kind(name: str, cls: type, fields: dict) -> None:
     _SWITCHING_KINDS[name] = (cls, fields)
 
 
-register_smearing_kind("spherical_gaussian", SphericalGaussian, {"sigma": float})
+register_smearing_kind("spherical_gaussian", SphericalGaussian, {"sigma": positive})
 register_smearing_kind("delta", Delta, {})
 register_smearing_kind("custom_radial", CustomRadial, {"r": listed(float), "f": listed(float)})
-register_switching_kind("constant", Constant, {"value": float})
+register_switching_kind("constant", Constant, {"value": nonnegative})
 register_switching_kind(
-    "gaussian", GaussianWindow, {"center": float, "width": float, "relative": boolean}
+    "gaussian", GaussianWindow, {"center": finite, "width": positive, "relative": boolean}
 )
 register_switching_kind("custom", CustomSwitching, {"t": listed(float), "eta": listed(float)})
 
@@ -478,8 +475,8 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
 def schedule_from_dict(doc: dict) -> PulseSchedule:
     known_fields(doc, ("lambda", "tau", "N", "smearing", "switching"), "schedule")
     return PulseSchedule(
-        lam=read_field(doc, "lambda", float, "schedule"),
-        tau=read_field(doc, "tau", float, "schedule"),
+        lam=read_field(doc, "lambda", positive, "schedule"),
+        tau=read_field(doc, "tau", positive, "schedule"),
         N=read_field(doc, "N", None, "schedule"),
         smearing=read_field(doc, "smearing", smearing_from_dict, "schedule"),
         switching=read_field(doc, "switching", switching_from_dict, "schedule"),

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, at_least, converted
+from .errors import ValidationError, at_least, converted, finite, positive
 from .gaussian_field import GaussianFieldState, char_points
 
 __all__ = [
@@ -82,7 +82,7 @@ def final_qubit_state(theta: float, chi: complex) -> QubitState:
     """
     chi = complex(chi)
     _check_characteristic(chi)
-    s = math.sin(_finite(theta))
+    s = math.sin(converted(finite, theta, "theta"))
     return QubitState(bx=s * chi.imag, by=s * chi.real, bz=-math.cos(theta))
 
 
@@ -136,15 +136,9 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     return ShotResult(estimate=float(est), stderr=float(stderr))
 
 
-def _finite(theta):
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta = {theta!r} must be finite")
-    return theta
-
-
 def _sin_theta(theta) -> float:
     """sin(theta) of a finite theta whose sin is not rounding of 0."""
-    s = math.sin(_finite(theta))
+    s = math.sin(converted(finite, theta, "theta"))
     if abs(s) <= np.spacing(abs(theta)):
         raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
                               "protocol encodes no information")
@@ -171,9 +165,7 @@ def required_shots(target_error: float) -> int:
     The constant 2 is the worst case of two unit-variance Pauli estimators
     entering quadratically, Delta_chi^2 = Delta_sx^2 + Delta_sy^2.
     """
-    if not target_error > 0:
-        raise ValidationError("target error must be positive")
-    return math.ceil(2.0 / target_error**2)
+    return math.ceil(2.0 / converted(positive, target_error, "target_error") ** 2)
 
 
 class ChiReadout(NamedTuple):

@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError, converted, integer
+from .errors import NumericalCheckError, ValidationError, at_least, converted, integer, positive
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
@@ -101,11 +101,8 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
     with the even quadratic forms this makes Hermitian symmetry of exact
     grids exact in floating point too, not just up to rounding.
     """
-    if not 0 < extent < math.inf:
-        raise ValidationError(f"axis extent {extent} must be finite and positive")
-    points = converted(integer, points, "points")
-    if points < 3:
-        raise ValidationError("axis needs at least 3 points")
+    converted(positive, extent, "extent")
+    points = converted(at_least(3), points, "points")
     if points % 2 == 0:
         points += 1
     half = np.linspace(0.0, extent, points // 2 + 1)
@@ -585,13 +582,11 @@ def moments_fd(
     raised when the moment is smaller than its error bar. With
     with_error=True returns (value, error) instead of the bare value.
     """
-    mode = converted(integer, mode, "mode")
     p, q = _moment_order(p, q)
     if not isinstance(chi_source, (ChiGrid, GaussianFieldState)):
         raise ValidationError("chi_source must be a ChiGrid or a GaussianFieldState")
     is_grid = isinstance(chi_source, ChiGrid)
-    if not 0 <= mode < chi_source.n_modes:
-        raise ValidationError(f"{'grid' if is_grid else 'state'} has no mode {mode}")
+    mode = _check_mode(mode, chi_source.n_modes)
     if is_grid:
         step_r, step_i = chi_source.steps[2 * mode : 2 * mode + 2]
         if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):

@@ -49,7 +49,7 @@ NON_NUMERIC = [
      "state.modes[0].params is missing field 'n'"),
     (("chi-scan", "--set",
       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
-     "thermal occupation must be finite"),
+     "state.modes[0].params.n = inf is not usable: a finite number >= 0"),
     (("moments", "--set", "h=0"), "h = 0.0 "),
     (("moments", "--set", "h=1e-300"), "h = 1e-300 "),
     (("moments", "--set", "h=1e300"), "h = 1e+300 "),
@@ -70,6 +70,15 @@ NON_NUMERIC = [
     # NaN switched the aliasing guard off; -1 was reported as a failed check
     (("wigner", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
     (("wigner", "--set", "boundary_tol=-1"), "boundary_tol = -1.0 "),
+    # every physical parameter is a finite number; each of these exited 0 with
+    # NaN rows, a NaN header, NaN displacements or all-zero xi
+    (("manifold", "--set", "schedule.lambda=1e999"), "schedule.lambda = inf is not usable"),
+    (("manifold", "--set", "schedule.switching.value=1e999"), "switching.value = inf "),
+    (("manifold", "--set", "mode.omega=1e999"), "mode.omega = inf is not usable"),
+    (("manifold", "--set", "mode.k=NaN"), "mode.k = nan is not usable"),
+    (("manifold", "--set", 'schedule.smearing={"kind": "spherical_gaussian", "sigma": 1e999}'),
+     "smearing.sigma = inf is not usable"),
+    (("bec-map", "--set", "bec.rho0=1e999"), "bec.rho0 = inf is not usable"),
 ]
 INEXACT = [
     (("chi-scan", "--set", "grid.points=9.7"), "grid.points"),
@@ -716,8 +725,9 @@ def test_malformed_config_is_exit_1(tmp_path):
                "--out", str(tmp_path / "y.csv")) == 1
 
 
-def test_missing_out_is_exit_1():
+def test_missing_out_is_exit_1(capsys):
     assert run("manifold") == 1
+    assert "out must be a file path, got None" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -915,8 +925,8 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path):
 
 _SIN_PI = "rounding of 0 at theta = "
 # every exit-1 argv of this file that the config alone refuses, with a piece of
-# its refusal (test_missing_out_is_exit_1's has no --out, and is refused before
-# any field is read); a --config value that starts with "{" is written to a file
+# its refusal; an argv gets --out x.out unless it sets out itself, and a
+# --config value that starts with "{" is written to a file
 REFUSED = [
     (("manifold", "--set", "schedule.N=0"), "segment count N = 0 is not usable"),
     (("manifold", "--set", "N_list=[2.5]"), "N_list = [2.5] is not usable"),
@@ -945,7 +955,7 @@ REFUSED = [
     # each of these used to be refused only after the work ahead of it
     (("wigner", "--set", "grid.points=9", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
     (("wigner", "--set", "grid.points=9", "--set", 'alpha={"extent": -1, "points": 5}'),
-     "axis extent -1.0 must be finite and positive"),
+     "alpha.extent = -1 is not usable: a finite number > 0"),
     (("chi-scan", "--set", "grid.points=9", "--set", 'timestamps="no"'),
      "timestamps = 'no' is not usable"),
     (("moments", "--shots", "1000", "--set", "grid.points=9", "--set", "orders=[[1]]"),
@@ -957,6 +967,12 @@ REFUSED = [
     (("bec-map", "--timestamps"), "unrecognized arguments: --timestamps"),
     (("chi-scan", "--threads", "4"), "unrecognized arguments: --threads 4"),
     (("chi-scan", "--no-such-flag"), "unrecognized arguments: --no-such-flag"),
+    # out=1 wrote to file descriptor 1 and closed it; out=null failed after the work
+    (("chi-scan", "--set", "out=1", "--set", "grid.points=3"), "out must be a file path, got 1"),
+    (("manifold", "--set", "out=null"), "out must be a file path, got None"),
+    (("oracle-check", "--set", 'out=""'), "out must be null or a file path, got ''"),
+    (("moments", "--shots", "1000", "--set", "mode=1", "--set", "grid.points=513"),
+     "mode index 1 out of range 0..0"),
     *NON_NUMERIC,
     *INEXACT,
     *(((argv, f"unknown field(s) {field}") for argv, field in UNKNOWN_FIELD)),
@@ -981,8 +997,9 @@ def test_bad_input_is_refused_before_any_layer_runs(tmp_path, capsys, monkeypatc
     if "--config" in argv and argv[argv.index("--config") + 1].startswith("{"):
         (tmp_path / "cfg.json").write_text(argv[argv.index("--config") + 1])
         argv[argv.index("--config") + 1] = "cfg.json"
+    out = [] if any(a.startswith("out=") for a in argv) else ["--out", "x.out"]
     try:
-        code = main([*argv, "--out", "x.out"])
+        code = main([*argv, *out])
     except SystemExit as exc:  # argparse's refusal of a flag
         code = exc.code
     assert code == 1

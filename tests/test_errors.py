@@ -1,23 +1,37 @@
-"""The exact integer and boolean field kinds, and the allowed-fields rule."""
+"""The exact integer, finite number and boolean field kinds, and the
+allowed-fields rule."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from chitomo.bec_analogue import BecParams, BogoliubovWeighted
 from chitomo.errors import ValidationError, boolean, converted, integer, known_fields
 from chitomo.fock_oracle import (
     FieldMode,
+    _squeezer,
     build_segment,
     evolve_pulse_sequence,
     ladder,
     run_displacement_draws,
+    thermal_density,
     verify_displacement_composition,
 )
-from chitomo.gaussian_field import ModeSet
-from chitomo.pulse_protocol import Constant, Delta, PulseSchedule, smearing_ft, switching_integral
-from chitomo.ramsey_readout import QubitState, readout_chi, sample_shots, shot_rng
+from chitomo.gaussian_field import ModeSet, SqueezedThermal, beta_from_n, n_from_beta
+from chitomo.pulse_protocol import (
+    Constant,
+    Delta,
+    GaussianWindow,
+    PulseSchedule,
+    SphericalGaussian,
+    smearing_ft,
+    switching_integral,
+)
+from chitomo.ramsey_readout import QubitState, readout_chi, required_shots, sample_shots, shot_rng
+from chitomo.tomography import _boundary_tol
 
 
 @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
@@ -75,6 +89,60 @@ def test_library_integer_arguments_are_exact(argument, bad):
     # 16.5 is not truncated to 16, nor True read as 1
     with pytest.raises(ValidationError, match=" = "):
         _INTEGER_ARGUMENTS[argument](bad)
+
+
+_BEC = {"rho0": 1.0, "g_g": 0.0, "g_e": 0.02, "g_rho0": 1.0, "m_B": 1.0, "omega0": 1.0}
+_MODE = {"k": 1.0, "omega": 1.0, "box_side": 6.28, "spatial_dim": 1}
+_PULSE = {"lam": 0.01, "tau": 1.0, "N": 1, "smearing": Delta(), "switching": Constant(1.0)}
+
+# one library call per physical parameter, taking the bad value; the last part
+# of each name is the name the refusal gives. The Fock oracle's xi, x, y, n, r
+# and theta, the readout's theta and grid_axis's extent are refused by name in
+# their own modules' tests.
+_REAL_ARGUMENTS = {
+    **{f"BecParams.{name}": lambda v, name=name: BecParams(**{**_BEC, name: v}) for name in _BEC},
+    "BogoliubovWeighted.m_B": lambda v: BogoliubovWeighted(Delta(), v, 1.0),
+    "BogoliubovWeighted.g_rho0": lambda v: BogoliubovWeighted(Delta(), 1.0, v),
+    **{f"FieldMode.{name}": lambda v, name=name: FieldMode(**{**_MODE, name: v})
+       for name in ("k", "omega", "box_side")},
+    "ModeSet.box_side": lambda v: ModeSet(1, v, 1.0, ((1,),)),
+    "ModeSet.mass": lambda v: ModeSet(1, 6.28, v, ((1,),)),
+    "SqueezedThermal.n": lambda v: SqueezedThermal(v, 0.1, 0.2),
+    "SqueezedThermal.r": lambda v: SqueezedThermal(0.5, v, 0.2),
+    "SqueezedThermal.theta": lambda v: SqueezedThermal(0.5, 0.1, v),
+    "n_from_beta.beta": lambda v: n_from_beta(v, 1.0),
+    "n_from_beta.omega": lambda v: n_from_beta(1.0, v),
+    "beta_from_n.n": lambda v: beta_from_n(v, 1.0),
+    "beta_from_n.omega": lambda v: beta_from_n(1.0, v),
+    "SphericalGaussian.sigma": lambda v: SphericalGaussian(v),
+    "GaussianWindow.center": lambda v: GaussianWindow(v, 0.2),
+    "GaussianWindow.width": lambda v: GaussianWindow(0.5, v),
+    "Constant.value": lambda v: Constant(v),
+    "PulseSchedule.lam": lambda v: PulseSchedule(**{**_PULSE, "lam": v}),
+    "PulseSchedule.tau": lambda v: PulseSchedule(**{**_PULSE, "tau": v}),
+    "smearing_ft.|k|": lambda v: smearing_ft(Delta(), [0.5, v], 2),
+    "switching_integral.tau": lambda v: switching_integral(Constant(1.0), [1.0, v], 1.0, 6.28, 1),
+    "switching_integral.omega": lambda v: switching_integral(Constant(1.0), 1.0, [v], 6.28, 1),
+    "switching_integral.L": lambda v: switching_integral(Constant(1.0), 1.0, 1.0, v, 1),
+    "required_shots.target_error": lambda v: required_shots(v),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_REAL_ARGUMENTS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_physical_parameters_refuse_non_finite_values_by_name(argument, bad):
+    name = re.escape(argument.split(".")[-1])
+    with pytest.raises(ValidationError, match=rf"^{name} = .+ is not usable: a finite number"):
+        _REAL_ARGUMENTS[argument](bad)
+
+
+def test_the_boundary_values_stay_accepted():
+    assert ModeSet(1, 6.28, 0.0, ((1,),)).omegas[0] > 0  # mass 0
+    assert SqueezedThermal(0.0, 0.0, 0.0).theta == 0.0  # n, r and theta 0
+    assert thermal_density(8, 0)[0, 0] == 1.0
+    assert np.allclose(_squeezer(8, 0.0, 0.0), np.eye(8))
+    assert Constant(0).window_integral(2.0) == 0.0
+    assert _boundary_tol(math.inf) == math.inf  # no aliasing guard
 
 
 def test_known_fields_names_the_unknown_field():

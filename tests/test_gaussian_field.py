@@ -461,7 +461,8 @@ def test_occupation_temperature_roundtrip():
     for n in (0.1, 1.0, 7.3):
         beta = beta_from_n(n, omega=2.0)
         assert n_from_beta(beta, omega=2.0) == pytest.approx(n, rel=1e-12)
-    assert n_from_beta(math.inf, omega=1.0) == 0.0
+    with pytest.raises(ValidationError, match="^beta = inf is not usable: a finite number > 0"):
+        n_from_beta(math.inf, omega=1.0)  # zero temperature is n = 0, not beta = inf
 
 
 # ------------------------------------------------------------ serialization

@@ -110,7 +110,7 @@ def test_final_state_rejects_unphysical_chi():
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_final_state_refuses_a_non_finite_theta_by_name(theta):
     # NaN gave QubitState(nan, nan, nan), and inf escaped as "math domain error"
-    with pytest.raises(ValidationError, match=f"theta = {theta!r} must be finite"):
+    with pytest.raises(ValidationError, match=f"theta = {theta!r} is not usable: a finite number is expected"):
         final_qubit_state(theta, 0.5)
 
 
@@ -150,9 +150,9 @@ def test_non_finite_theta_is_refused_before_any_draw(theta, monkeypatch):
 
     monkeypatch.setattr(ramsey_readout, "_sample_mean", no_draw)
     for shots in (0, 10):
-        with pytest.raises(ValidationError, match=f"theta = {theta!r} must be finite"):
+        with pytest.raises(ValidationError, match=f"theta = {theta!r} is not usable: a finite number is expected"):
             readout_chi([0.5], theta, shots=shots)
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match="is not usable: a finite number is expected"):
         estimate_chi(0.1, 0.1, theta)
 
 
