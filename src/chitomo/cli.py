@@ -33,13 +33,13 @@ from .fileio import (
     write_json, write_table,
 )
 from .fock_oracle import run_default_suite
-from .gaussian_field import ModeSet, _check_mode, char_points, state_from_dict
+from .gaussian_field import ModeSet, _check_mode, _moment_order, char_points, state_from_dict
 from .pulse_protocol import (
     displacement_surface, reachable_manifold, schedule_from_dict, schedule_to_dict,
 )
 from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
-    _boundary_tol, _check_h, _moment_order, _state_axes, chi_grid_from_state, grid_axis,
+    _boundary_tol, _check_h, _state_axes, chi_grid_from_state, grid_axis,
     hermitian_fill, moments_fd, sampled_chi_grid, wigner_transform,
 )
 

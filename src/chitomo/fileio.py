@@ -201,8 +201,10 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = ()):
 def save_chi_grid(
     grid: ChiGrid, path, meta: dict | None = None, timestamps: bool = False
 ) -> None:
-    """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr]."""
-    values = {"re_chi": grid.values.real, "im_chi": grid.values.imag}
+    """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr].
+    A real grid writes +0.0 as its Im chi, as its complex copy would."""
+    im = grid.values.imag if np.iscomplexobj(grid.values) else 0.0  # no grid of zeros
+    values = {"re_chi": grid.values.real, "im_chi": im}
     if grid.stderr is not None:
         values["stderr"] = grid.stderr
     fields = {"provenance": grid.provenance, "shots": grid.shots}

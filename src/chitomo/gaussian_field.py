@@ -41,7 +41,8 @@ oracle (see fock_oracle.chi_fock); it also follows from the covariance matrix
 above. Displacement vectors are plain complex arrays ordered like the mode
 list; there is no wrapper class. One exponent expression serves a batch of
 points (char_points, shape (P, n_modes)), a single point (char_analytic) and
-a separable grid (char_analytic_grid), so all three agree bit for bit.
+a separable grid (char_analytic_grid, stored real), so all three agree bit
+for bit.
 
 Symmetric-ordered moments are generated by Wirtinger derivatives at the
 origin,
@@ -62,6 +63,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     ValidationError,
+    at_least,
     converted,
     dimension,
     finite,
@@ -242,6 +244,15 @@ def covariance(state: GaussianFieldState, mode: int) -> NDArray[np.float64]:
     return _covariance(state.mode_states[_check_mode(mode, state.n_modes)])
 
 
+def _moment_order(p, q) -> tuple[int, int]:
+    """(p, q) of a moment, closed-form or finite-difference: exact integers
+    >= 0 with p + q <= 4."""
+    p, q = converted(at_least(0), p, "p"), converted(at_least(0), q, "q")
+    if p + q > 4:
+        raise ValidationError(f"moment order p + q = {p + q} is above the implemented 4")
+    return p, q
+
+
 def _chi_coeffs(state: GaussianFieldState, mode: int) -> tuple[float, float, float]:
     """(Gxx, Gxy, Gyy) of G = Omega V Omega^T, the form acting on (Re xi, Im xi),
     read off V exactly: Omega only permutes and negates its entries."""
@@ -285,11 +296,13 @@ def char_analytic(state: GaussianFieldState, xi) -> complex:
 
 def char_analytic_grid(
     state: GaussianFieldState, axes: Sequence[NDArray[np.float64]]
-) -> NDArray[np.complex128]:
+) -> NDArray[np.float64]:
     """chi over a separable grid, as an outer sum of the per-mode exponents.
 
     axes holds 2*n_modes 1-D arrays ordered (re_0, im_0, re_1, im_1, ...);
-    the result has shape (len(re_0), len(im_0), ...).
+    the result has shape (len(re_0), len(im_0), ...). A mean-zero Gaussian
+    chi is real on every cell, so the result is float64: the values of
+    char_points, whose imaginary parts are all +0.0.
     """
     if len(axes) != 2 * state.n_modes:
         raise ValidationError(
@@ -303,8 +316,8 @@ def char_analytic_grid(
         new_shape = [1] * (2 * state.n_modes)
         new_shape[2 * k : 2 * k + 2] = len(x), len(y)
         expo += _exponent(_chi_coeffs(state, k), x[:, None], y[None, :]).reshape(new_shape)
-    # exp in place: one real and one complex grid alive, not a second real one
-    return np.exp(expo, out=expo).astype(complex)
+    # exp in place: the exponent's buffer becomes the result
+    return np.exp(expo, out=expo)
 
 
 def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> complex:
@@ -317,11 +330,7 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
     C(p,m) C(q,m) m! (p-m-1)!! (q-m-1)!!, with (-1)!! = 1.
     """
     mode = _check_mode(mode, state.n_modes)
-    p, q = converted(integer, p, "p"), converted(integer, q, "q")
-    if p < 0 or q < 0:
-        raise ValidationError("moment orders must be nonnegative")
-    if p + q > 4:
-        raise ValidationError(f"moment order p + q = {p + q} beyond the implemented table (4)")
+    p, q = _moment_order(p, q)
     if (p + q) % 2 == 1:
         return 0.0 + 0.0j
     # chi = exp(-Q/2) with Q = A xi conj(xi) + B xi^2 + C conj(xi)^2, the

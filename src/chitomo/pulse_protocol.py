@@ -113,16 +113,14 @@ class CustomRadial:
     f: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        r = tuple(float(v) for v in self.r)
-        f = tuple(float(v) for v in self.f)
+        r = tuple(converted(listed(finite), tuple(self.r), "r"))
+        f = tuple(converted(listed(finite), tuple(self.f), "f"))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "f", f)
         if len(r) != len(f) or len(r) < 2:
             raise ValidationError("radial table needs matching r/f arrays, length >= 2")
         if any(b <= a for a, b in zip(r, r[1:])) or r[0] < 0:
             raise ValidationError("radial grid must be ascending and nonnegative")
-        if not all(math.isfinite(v) for v in f):
-            raise ValidationError("radial profile contains non-finite values")
 
     def ft(self, kmag, n: int):
         r = np.asarray(self.r)
@@ -248,16 +246,14 @@ class CustomSwitching:
     eta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        t = tuple(float(v) for v in self.t)
-        e = tuple(float(v) for v in self.eta)
+        t = tuple(converted(listed(finite), tuple(self.t), "t"))
+        e = tuple(converted(listed(nonnegative), tuple(self.eta), "eta"))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "eta", e)
         if len(t) != len(e) or len(t) < 2:
             raise ValidationError("switching table needs matching t/eta arrays, length >= 2")
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValidationError("switching time grid must be strictly ascending")
-        if not all(math.isfinite(v) and v >= 0 for v in e):
-            raise ValidationError("switching table must be finite and nonnegative")
 
     def window_integral(self, tau):
         # the interpolant's exact integral from a cumulative table; nodes before
@@ -420,12 +416,14 @@ def register_switching_kind(name: str, cls: type, fields: dict) -> None:
 
 register_smearing_kind("spherical_gaussian", SphericalGaussian, {"sigma": positive})
 register_smearing_kind("delta", Delta, {})
-register_smearing_kind("custom_radial", CustomRadial, {"r": listed(float), "f": listed(float)})
+register_smearing_kind("custom_radial", CustomRadial, {"r": listed(finite), "f": listed(finite)})
 register_switching_kind("constant", Constant, {"value": nonnegative})
 register_switching_kind(
     "gaussian", GaussianWindow, {"center": finite, "width": positive, "relative": boolean}
 )
-register_switching_kind("custom", CustomSwitching, {"t": listed(float), "eta": listed(float)})
+register_switching_kind(
+    "custom", CustomSwitching, {"t": listed(finite), "eta": listed(nonnegative)}
+)
 
 
 def _read_kind(doc: dict, kinds: dict, what: str):

@@ -32,25 +32,32 @@ a Hermitian source, where chi(-xi) = conj chi(xi) holds to the bit, a p = q
 moment is exactly real. For sampled grids the per-point binomial errors are
 pushed through the same weights to an error bar on the moment.
 
-The dense layers allocate no full-size array that their result does not
-need. Their peak allocation, counted in complex grids of the input's size
-(the input itself not counted; tracemalloc on exact two-mode grids):
+Exact grids are stored real: a mean-zero Gaussian chi is real on every cell,
+so chi_grid_from_state keeps float64 values, and every layer tells a real
+input from its dtype. Sampled and reconstructed grids are complex.
 
-    chi_grid_from_state       1.5   the real exponent and the complex result
-    hermitian_fill            0.3   on a complete Hermitian grid, which it
-                                    returns as it is (nothing kept); else 1.3:
-                                    the mirrored partner, which becomes the
-                                    result, and masks; 2.1 on a sampled grid
-                                    (stderr's buffer and one squared temporary)
+The dense layers allocate no full-size array that their result does not
+need. Their peak allocation, counted in complex grids of the input's shape
+(16 bytes a cell; an exact real grid is 0.5 of one), the input itself not
+counted (tracemalloc on exact two-mode grids):
+
+    chi_grid_from_state       0.5   the real exponent, which becomes the
+                                    result
+    hermitian_fill            0.1   on a complete Hermitian grid, which it
+                                    returns as it is (nothing kept); else the
+                                    mirrored partner, which becomes the
+                                    result, and masks: 0.8 on a real grid,
+                                    1.3 on a complex one; 2.1 on a sampled
+                                    grid (stderr's buffer and one squared
+                                    temporary)
     gaussian_fit              0.7   |chi|, then only the kept cells' rows
     wigner_transform          1.1   one stage's input and output, each on
                                     the rows x_0 >= 0 of a real chi (2.0 on
                                     a complex chi); the result is a
                                     contiguous real array (0.5)
-    inverse_wigner_transform  1.5   the complex cast of the real W and the
-                                    first stage's output on the rows
-                                    Re xi_0 >= 0; then that half and the
-                                    result
+    inverse_wigner_transform  1.5   one stage's input and output, each on
+                                    the rows Re xi_0 >= 0 of the real W;
+                                    then the last of them and the result
 """
 from __future__ import annotations
 
@@ -63,7 +70,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError, at_least, converted, integer, positive
+from .errors import NumericalCheckError, ValidationError, at_least, converted, positive
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
@@ -73,6 +80,7 @@ from .gaussian_field import (
     Thermal,
     Vacuum,
     _check_mode,
+    _moment_order,
     char_analytic_grid,
 )
 from .ramsey_readout import _readout_args, readout_chi
@@ -168,15 +176,21 @@ class ChiGrid(_Grid):
     """chi values on a uniform symmetric grid; NaN marks unmeasured points.
 
     axes holds (Re xi_0, Im xi_0, Re xi_1, ...); values has one axis per
-    entry, same order. provenance is "exact", "sampled" or "reconstructed";
-    sampled grids carry per-point combined standard errors.
+    entry, same order: float64 on exact grids, complex otherwise. provenance
+    is "exact", "sampled" or "reconstructed"; sampled grids carry per-point
+    combined standard errors.
     """
 
     provenance: str = "exact"
     shots: int = 0
     stderr: NDArray[np.float64] | None = None
 
-    _cast = staticmethod(partial(np.asarray, dtype=complex))
+    @staticmethod
+    def _cast(values) -> NDArray:
+        """A float64 array is kept real, as exact chi is stored; anything else
+        is cast to complex."""
+        values = np.asarray(values)
+        return values if values.dtype == np.float64 else values.astype(complex, copy=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -311,11 +325,12 @@ def _is_hermitian(values: np.ndarray) -> bool:
     half = flat.size // 2 + 1
     head, mirror = flat[:half], flat[::-1][:half]
     # NaN compares unequal; -0.0 is the one float whose int64 view is the minimum
-    return (
-        np.array_equal(head.real, mirror.real)
-        and np.array_equal(head.imag, np.negative(mirror.imag))
-        and not np.any(flat.view(np.int64) == np.iinfo(np.int64).min)
-    )
+    if np.iscomplexobj(flat):
+        mirrored = np.array_equal(head.real, mirror.real) and np.array_equal(
+            head.imag, np.negative(mirror.imag))
+    else:
+        mirrored = np.array_equal(head, mirror)
+    return mirrored and not np.any(flat.view(np.int64) == np.iinfo(np.int64).min)
 
 
 def hermitian_fill(grid: ChiGrid) -> ChiGrid:
@@ -395,9 +410,12 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
     transposed views per stage, so that only a stage's input and output live.
 
     More than two modes are refused ahead of every other check; guard() runs
-    next. A real input on output axes mirror-symmetric to the bit is taken
-    onto the rows y_0 >= 0 only, bit for bit those of the full contraction;
-    the returned half says so, and _unfold completes it.
+    next. A real input is told by its dtype, float64, or by a complex one
+    whose imaginary parts are all zero, which is then read as its real part.
+    Its first stage is one real product against the kernel's (Re, Im) pairs.
+    On output axes mirror-symmetric to the bit it is taken onto the rows
+    y_0 >= 0 only, bit for bit those of the full contraction; the returned
+    half says so, and _unfold completes it.
     """
     if grid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
@@ -415,15 +433,21 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
                 f"{len(out_axes)} output axes do not match the {len(grid.axes)} axes of the grid"
             )
     out = grid.values
-    half = all(np.array_equal(y, -y[::-1]) for y in out_axes) and not (
-        np.iscomplexobj(out) and np.any(out.imag)
-    )
+    if np.iscomplexobj(out) and not np.any(out.imag):
+        out = out.real  # such as an exact chi read from a file: transformed as the real one
+    real = not np.iscomplexobj(out)
+    half = real and all(np.array_equal(y, -y[::-1]) for y in out_axes)
     for d, (x, y, h) in enumerate(zip(grid.axes, out_axes, grid.steps)):
         if half and d == 0:
             y = y[y.size // 2 :]
         kernel = np.exp(phase * np.outer(y, x)) * measure(h)
-        rows = out.reshape(out.shape[0], -1).T  # a real input is cast in the first stage
-        out = (rows.astype(complex, copy=False) @ kernel.T).reshape(out.shape[1:] + y.shape)
+        rows = out.reshape(out.shape[0], -1).T
+        if real and d == 0:
+            # one real product with the kernel's (Re, Im) pairs, read back as complex
+            stage = (rows @ np.ascontiguousarray(kernel.T).view(float)).view(complex)
+        else:
+            stage = rows @ kernel.T
+        out = stage.reshape(out.shape[1:] + y.shape)
     return out_axes, out, half
 
 
@@ -538,13 +562,6 @@ def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
     else:
         weights[::2, ::2] = unit
     return weights
-
-
-def _moment_order(p, q) -> tuple[int, int]:
-    p, q = converted(integer, p, "p"), converted(integer, q, "q")
-    if p < 0 or q < 0 or p + q > 4:
-        raise ValidationError("orders must be nonnegative with p + q <= 4")
-    return p, q
 
 
 def _check_h(h) -> float:
@@ -711,8 +728,9 @@ def gaussian_fit(grid: ChiGrid) -> GaussianFit:
     n = grid.n_modes
     absval = np.abs(grid.values)
     mask = np.isfinite(absval) & (absval > FIT_MIN_ABS)
-    # the kept cells in C order, with their coordinates read off the axes
-    kept = np.nonzero(mask)
+    # the kept cells in C order, with their coordinates read off the axes;
+    # flat indices unravelled are np.nonzero(mask), found without an N-D scan
+    kept = np.unravel_index(np.flatnonzero(mask), mask.shape)
     w = absval[kept]
     if w.size < 3 * n + 1:
         raise ValidationError("too few usable grid points for the fit")

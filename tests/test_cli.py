@@ -79,6 +79,11 @@ NON_NUMERIC = [
     (("manifold", "--set", 'schedule.smearing={"kind": "spherical_gaussian", "sigma": 1e999}'),
      "smearing.sigma = inf is not usable"),
     (("bec-map", "--set", "bec.rho0=1e999"), "bec.rho0 = inf is not usable"),
+    # a table entry too: an infinite radius wrote NaN xi rows, an infinite time was taken
+    (("manifold", "--set", 'schedule.smearing={"kind": "custom_radial", "r": [0, 1, 1e999], '
+      '"f": [1, 0.5, 0]}'), "smearing.r = [0, 1, inf] is not usable"),
+    (("manifold", "--set", 'schedule.switching={"kind": "custom", "t": [-1e999, 1], '
+      '"eta": [1, 1]}'), "switching.t = [-inf, 1] is not usable"),
 ]
 INEXACT = [
     (("chi-scan", "--set", "grid.points=9.7"), "grid.points"),
@@ -468,6 +473,56 @@ def test_wigner_vacuum_output(tmp_path):
     total = w.values.sum() * cell
     mid = tuple(s // 2 for s in w.values.shape)
     assert w.values[mid] / total == pytest.approx(2.0 / math.pi, rel=1e-4)
+
+
+def _fresh_run(cwd, *argv):
+    """python -m chitomo.cli argv as a fresh process in the directory cwd."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "chitomo.cli", *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _wigner_of_file_twice(tmp_path, chi_file) -> list:
+    """The bytes two fresh wigner runs, each in a directory of its own, write
+    from chi_file."""
+    written = []
+    for d in ("run1", "run2"):
+        (tmp_path / d).mkdir()
+        _fresh_run(tmp_path / d, "wigner", "--set", f"chi_file={json.dumps(str(chi_file))}",
+                   "--out", "w.csv")
+        written.append((tmp_path / d / "w.csv").read_bytes())
+    return written
+
+
+def test_wigner_of_an_exact_chi_file_reruns_byte_for_byte(tmp_path):
+    # an exact grid is Hermitian to the bit, so hermitian_fill passes it
+    # through unchanged; both runs read the same file
+    _fresh_run(tmp_path, "chi-scan", "--out", "exact_chi.csv")
+    first, second = _wigner_of_file_twice(tmp_path, tmp_path / "exact_chi.csv")
+    assert first == second
+
+
+def test_wigner_of_an_exact_squeezed_thermal_chi_file_mirrors_its_rows(tmp_path):
+    # a real chi is transformed on the rows x >= 0 and the rows x < 0 are
+    # copied from them, so W(-x, -p) == W(x, p) bit for bit on every row x > 0
+    state = '[{"j": [1], "kind": "squeezed_thermal", "params": {"n": 0.5, "r": 0.3, "theta": 0.4}}]'
+    _fresh_run(tmp_path, "chi-scan", "--set", f"state.modes={state}", "--out", "st_chi.csv")
+    first, second = _wigner_of_file_twice(tmp_path, tmp_path / "st_chi.csv")
+    assert first == second
+    w = load_wigner_grid(tmp_path / "run1" / "w.csv").values
+    h = w.shape[0] // 2
+    assert w[h + 1 :].tobytes() == w[:h][::-1, ::-1].tobytes()
+
+
+def test_wigner_of_the_state_and_of_its_chi_file_write_the_same_rows(tmp_path):
+    # the file's chi is complex with no imaginary part, and is transformed as
+    # the real exact grid the state gives
+    _fresh_run(tmp_path, "chi-scan", "--out", "chi.csv")
+    _fresh_run(tmp_path, "wigner", "--out", "w_state.csv")
+    _fresh_run(tmp_path, "wigner", "--set", 'chi_file="chi.csv"', "--out", "w_file.csv")
+    assert data_lines(tmp_path / "w_state.csv") == data_lines(tmp_path / "w_file.csv")
 
 
 def test_wigner_boundary_guard_exit_code(tmp_path):

@@ -325,6 +325,22 @@ def test_chi_grid_roundtrip_exact_and_two_mode(tmp_path):
     assert columns[:4] == ["re_xi0", "im_xi0", "re_xi1", "im_xi1"]
 
 
+def test_a_real_chi_grid_writes_the_bytes_of_its_complex_copy(tmp_path):
+    g = chi_grid_from_state(TWO_MODE, (grid_axis(3.0, 7),) * 4)
+    assert g.values.dtype == np.float64
+    real, twin = tmp_path / "real.csv", tmp_path / "complex.csv"
+    save_chi_grid(g, real)
+    save_chi_grid(ChiGrid(axes=g.axes, values=g.values.astype(complex)), twin)
+    assert real.read_bytes() == twin.read_bytes()
+    # read back it is complex with no imaginary part, and transforms as the real grid
+    back = load_chi_grid(real)
+    assert back.values.dtype == complex and not np.any(back.values.imag)
+    want = wigner_transform(g, boundary_tol=np.inf)
+    got = wigner_transform(back, boundary_tol=np.inf)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.imag_residual == want.imag_residual
+
+
 RAGGED_AXES = tuple(grid_axis(2.0 + 0.5 * k, n) for k, n in enumerate((9, 7, 9, 7)))
 
 
@@ -356,13 +372,14 @@ def _save_peak(g, path) -> int:
 def test_chi_grid_save_peak_memory(tmp_path):
     axes = (grid_axis(3.0, 17),) * 4
     g = chi_grid_from_state(TWO_MODE, axes)
+    grid = 16 * g.values.size  # the bytes of one complex grid; exact chi is stored real
     # one (cells x 6) float table is 3.0 grids; a meshgrid and a stack made 6.1
-    assert _save_peak(g, tmp_path / "chi.csv") <= 4.0 * g.values.nbytes
+    assert _save_peak(g, tmp_path / "chi.csv") <= 4.0 * grid
     # a sampled half grid: a stderr column and a NaN half; its (cells x 7)
     # float table is 3.5 grids, and the allowance beyond it is the same 1.0
     g = sampled_chi_grid(TWO_MODE, axes, shots=100, seed=2, half=True)
     table = g.values.size * 7 * 8
-    assert _save_peak(g, tmp_path / "sampled.csv") <= table + 1.0 * g.values.nbytes
+    assert _save_peak(g, tmp_path / "sampled.csv") <= table + 1.0 * grid
 
 
 def _damage_cell(path, row: int, col: int) -> None:

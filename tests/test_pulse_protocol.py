@@ -276,6 +276,20 @@ def test_custom_switching_tables():
         CustomSwitching(t=(0.0, 1.0), eta=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tables_refuse_a_non_finite_entry(bad):
+    # an infinite radius made the transform NaN with a RuntimeWarning, and
+    # infinite times were taken as they were
+    with pytest.raises(ValidationError, match=r"^r = \(0.0, 1.0, .*a finite number is expected"):
+        CustomRadial(r=(0.0, 1.0, bad), f=(1.0, 0.5, 0.0))
+    with pytest.raises(ValidationError, match=r"^f = .*a finite number is expected"):
+        CustomRadial(r=(0.0, 1.0, 2.0), f=(1.0, bad, 0.0))
+    with pytest.raises(ValidationError, match=r"^t = .*a finite number is expected"):
+        CustomSwitching(t=(bad, 1.0), eta=(1.0, 1.0))
+    with pytest.raises(ValidationError, match=r"^eta = .*a finite number >= 0 is expected"):
+        CustomSwitching(t=(0.0, 1.0), eta=(1.0, bad))
+
+
 # ----------------------------------------------------------- pulse schedule
 
 def test_schedule_validation():

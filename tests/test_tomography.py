@@ -483,6 +483,20 @@ def test_moments_fd_order_and_mode_limits():
         moments_fd(lambda xi: char_analytic(THERMAL, xi), 0, 1, 1)
 
 
+@pytest.mark.parametrize("p,q,message", [
+    (-1, 0, "p = -1 is not usable: an integer >= 0 is expected"),
+    (0, -1, "q = -1 is not usable: an integer >= 0 is expected"),
+    (1.5, 0, "p = 1.5 is not usable: an integer is expected"),
+    (3, 2, "moment order p + q = 5 is above the implemented 4"),
+    (0, 5, "moment order p + q = 5 is above the implemented 4"),
+])
+def test_both_moment_functions_refuse_an_order_with_one_message(p, q, message):
+    for moments in (moments_fd, moments_analytic):
+        with pytest.raises(ValidationError) as exc:
+            moments(THERMAL, 0, p, q)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("h", [0.0, -0.01, 1e-300, 1e300, math.nan, math.inf, "a"])
 def test_moments_fd_refuses_a_bad_h_before_reading_chi(h, monkeypatch):
     # finite, positive, and with (1/(2h))^4 a finite nonzero float; the state
@@ -823,14 +837,18 @@ def test_dense_layers_match_references_bitwise(n_modes, kind, negzero, data):
     axes = tuple(grid_axis(data.draw(st.floats(1.0, 6.0)), data.draw(st.sampled_from(sizes)))
                  for _ in range(2 * n_modes))
     grid = chi_grid_from_state(state, axes)
-    assert _same_bits(grid.values, _chi_grid_reference(state, axes))
+    # exact chi is stored real: the reference's real part, whose imaginary
+    # part is all +0.0
+    want = _chi_grid_reference(state, axes)
+    assert _same_bits(grid.values, want.real)
+    assert not np.any(want.imag) and not np.any(np.signbit(want.imag))
     if kind != "exact":
         grid = sampled_chi_grid(state, axes, shots=200, seed=data.draw(st.integers(0, 99)),
                                 half=kind == "half")
     if negzero:
         # signed zeros on measured cells, where conj and averaging meet them
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-        values = grid.values.copy()
+        values = grid.values.astype(complex)  # a copy, complex also for an exact grid
         values.real[rng.random(values.shape) < 0.3] = -0.0
         values.imag[rng.random(values.shape) < 0.3] = -0.0
         values[np.isnan(grid.values)] = np.nan
@@ -916,7 +934,7 @@ def test_fill_returns_an_exact_grid_itself(state):
 def test_fill_averages_a_signed_zero_pair():
     axes = square_axes(2.0, 9)
     chi = chi_grid_from_state(SQ_TILTED, axes)
-    values = chi.values.copy()
+    values = chi.values.astype(complex)  # stored complex, to hold the imaginary -0.0
     values.imag[2, 3] = values.imag[6, 5] = -0.0  # xi and -xi, still Hermitian
     filled = _assert_averaged(ChiGrid(axes=axes, values=values))
     assert not np.signbit(filled.values.imag[2, 3]) and not np.signbit(filled.values.imag[6, 5])
@@ -964,11 +982,11 @@ def test_dense_layers_stay_within_their_memory_budgets():
     # peaks in units of one complex grid; each bound sits between the layer's
     # own peak and that of its full-size-temporary reference form above
     chi, peak, _ = _traced(chi_grid_from_state, _BUDGET_STATE, _BUDGET_AXES)
-    grid = chi.values.nbytes
-    assert peak <= 1.6 * grid  # one real exponent and the complex result
+    grid = 16 * chi.values.size  # the bytes of one complex grid; exact chi is stored real
+    assert peak <= 1.6 * grid  # room for a complex result; the real one alone is tested below
     filled, peak, kept = _traced(hermitian_fill, chi)
     assert filled is chi and kept <= 0.01 * grid
-    assert peak <= 0.4 * grid  # half the mirrored imaginary part and masks
+    assert peak <= 0.4 * grid  # the masks of the mirror comparison
     _, peak, _ = _traced(hermitian_fill, _nudged(chi, (1, 2, 3, 4)))
     assert peak <= 1.4 * grid  # the mirrored partner, which becomes the result, and masks
     for half in (False, True):
@@ -983,7 +1001,7 @@ def test_dense_layers_stay_within_their_memory_budgets():
     assert peak <= 1.2 * grid  # one half-size stage's input and output
     assert kept <= 0.55 * grid  # the real result alone
     _, peak, _ = _traced(inverse_wigner_transform, w)
-    assert peak <= 1.7 * grid  # the first stage's complex cast of W and its half output
+    assert peak <= 1.7 * grid  # half-size stages, then the last one's output and the result
 
 
 def test_wigner_grid_owns_a_contiguous_real_array():
@@ -994,3 +1012,61 @@ def test_wigner_grid_owns_a_contiguous_real_array():
     assert not np.shares_memory(w.values, out)
     w = wigner_transform(chi_grid_from_state(VACUUM, square_axes(6.0, 41)))
     assert w.values.flags.c_contiguous and w.values.base is None
+
+
+# ------------------------------------------------------ exact grids stored real
+
+def _complex_copy(grid):
+    """grid with the same values stored complex, every imaginary part +0.0."""
+    return ChiGrid(axes=grid.axes, values=grid.values.astype(complex),
+                   provenance=grid.provenance)
+
+
+@pytest.mark.parametrize("state", [SQ_TILTED, _BUDGET_STATE])
+def test_exact_chi_is_stored_real_and_filled_as_itself(state):
+    axes = tuple(grid_axis(4.0, 11) for _ in range(2 * state.n_modes))
+    chi = chi_grid_from_state(state, axes)
+    assert chi.values.dtype == np.float64
+    assert hermitian_fill(chi) is chi
+    twin = _complex_copy(chi)
+    assert hermitian_fill(twin) is twin
+
+
+def test_exact_chi_grid_makes_no_complex_copy():
+    # the real exponent, which becomes the result, is half a complex grid
+    chi, peak, _ = _traced(chi_grid_from_state, _BUDGET_STATE, _BUDGET_AXES)
+    assert peak <= 0.6 * 16 * chi.values.size
+
+
+@pytest.mark.parametrize("state", [SQ_TILTED, _BUDGET_STATE])
+@pytest.mark.parametrize("skew", [False, True])
+def test_transforms_of_a_real_grid_are_those_of_its_complex_copy(state, skew):
+    # a complex grid whose imaginary parts are all zero takes the real path,
+    # on mirror-symmetric output axes and (skew) on an axis that is not so
+    axes = tuple(grid_axis(6.0, 17) for _ in range(2 * state.n_modes))
+    alpha_axes = [grid_axis(2.0, 11) for _ in axes]
+    if skew:
+        alpha_axes[0][1] = np.nextafter(alpha_axes[0][1], 0.0)
+    chi = chi_grid_from_state(state, axes)
+    twin = _complex_copy(chi)
+    w = wigner_transform(chi, alpha_axes, boundary_tol=np.inf)
+    w_twin = wigner_transform(twin, alpha_axes, boundary_tol=np.inf)
+    assert _same_bits(w.values, w_twin.values)
+    assert w.imag_residual == w_twin.imag_residual
+    assert w.normalization == w_twin.normalization
+    for xi_axes in (None, axes):
+        back = inverse_wigner_transform(w, xi_axes)
+        assert _same_bits(back.values, inverse_wigner_transform(w_twin, xi_axes).values)
+
+
+def test_fit_gathers_the_cells_of_the_dense_mask_in_c_order():
+    # the kept cells found from flat indices are np.nonzero's, in its C order,
+    # so the fit is bit for bit the one built on the dense mask
+    axes = (grid_axis(7.0, 13),) * 4
+    chi = chi_grid_from_state(_BUDGET_STATE, axes)
+    sampled = hermitian_fill(sampled_chi_grid(_BUDGET_STATE, axes, shots=400, seed=3, half=True))
+    for grid in (chi, _complex_copy(chi), sampled):
+        cov, residual, n_points = _fit_reference(grid)
+        fit = gaussian_fit(grid)
+        assert _same_bits(fit.covariance, cov)
+        assert fit.residual == residual and fit.n_points == n_points
