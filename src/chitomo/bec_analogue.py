@@ -19,12 +19,11 @@ alternative is a one-line swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, converted, finite, positive, read_object
+from .errors import Record, ValidationError, converted, finite, positive, read_object
 from .gaussian_field import ModeSet, _kmag
 from .pulse_protocol import (
     PulseSchedule,
@@ -51,8 +50,7 @@ _PARAM_FIELDS = {"rho0": positive, "g_g": finite, "g_e": finite, "g_rho0": posit
                  "m_B": positive, "omega0": finite}
 
 
-@dataclass(frozen=True)
-class BecParams:
+class BecParams(Record):
     """Condensate and impurity parameters.
 
     g_rho0 is the interaction scale g rho0 (chemical potential); couplings
@@ -116,8 +114,7 @@ def bogoliubov_weight(k, params: BecParams):
     return _weight(_kmag(k), params.m_B, params.g_rho0)
 
 
-@dataclass(frozen=True)
-class BogoliubovWeighted:
+class BogoliubovWeighted(Record):
     """Smearing wrapper folding the mode weight (and the coupling sign) into
     the transform: F_eff(k) = sign * w(k) * F_base(k).
 
@@ -147,8 +144,7 @@ register_smearing_kind(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class MappedProtocol:
+class MappedProtocol(Record, eq=False):
     """Result of the mapping: a schedule ready for displacement_param, the
     Bogoliubov frequencies to use instead of the ModeSet's own, and the
     per-mode weights. schedule is None when g_e = g_g (nothing is encoded)."""
@@ -191,7 +187,8 @@ def map_to_protocol(
     if lambda_eff != 0.0:
         sign = math.copysign(1.0, lambda_eff)
         smearing = BogoliubovWeighted(template.smearing, params.m_B, params.g_rho0, sign)
-        sched = replace(template, lam=abs(lambda_eff), smearing=smearing)
+        sched = PulseSchedule(abs(lambda_eff), template.tau, template.N, smearing,
+                              template.switching)
     return MappedProtocol(params=params, modes=modes, schedule=sched, omegas=omegas,
                           weights=weights, lambda_eff=lambda_eff if sched else 0.0)
 

@@ -9,12 +9,14 @@ carry timestamps only behind --timestamps, on the subcommands that write
 tables. Every field a run reads is converted and checked once, by _spec,
 before any grid is built, sampled, transformed or written.
 
-Exit codes: 0 success, 1 bad input, 2 failed numerical safeguard.
+Exit codes: 0 success, 1 bad input (an unusable input or output path too),
+2 failed numerical safeguard.
 """
 from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import math
 import sys
@@ -495,7 +497,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_spec(args.command, _resolve_config(args))) or 0
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalCheckError as exc:
@@ -506,5 +508,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry(argv=None) -> int:
+    """main as the entry of a fresh process (python -m chitomo.cli and the
+    chitomo script). On every way out, argparse's own exits included, it
+    freezes the objects the process holds, so that the interpreter's last
+    collections skip its module, class and function objects, which the OS
+    reclaims anyway; atexit handlers and the std-stream flushes still run."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,4 +1,5 @@
-"""Shared exception types and the readers of input fields that raise them.
+"""Shared exception types, the readers of input fields that raise them, and
+the frozen record base of the layers' value classes.
 
 ValueError subclasses signal bad inputs (CLI exit code 1); NumericalCheckError
 signals a failed runtime numerical safeguard such as a truncation-leak or
@@ -8,10 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import MISSING, fields
+from inspect import Parameter, Signature
 from numbers import Integral, Real
 
-_REQUIRED = MISSING  # a field without a default is required, as in a dataclass
+_REQUIRED = Parameter.empty  # a field without a default is required
 
 
 class ValidationError(ValueError):
@@ -132,10 +133,104 @@ def known_fields(doc, names, where: str) -> None:
 
 
 def read_object(doc, cls, kinds: dict, where: str, also: tuple = ()):
-    """The dataclass cls from the input object named where: each field name
-    of kinds is converted by kinds[name] and defaults to cls's own default;
-    a field outside kinds and also is refused."""
+    """The object cls from the input object named where: each field name of
+    kinds is converted by kinds[name] and defaults to cls's class attribute
+    of that name (a record's or a dataclass's default); a field outside kinds
+    and also is refused."""
     known_fields(doc, (*also, *kinds), where)
-    defaults = {f.name: f.default for f in fields(cls)}
-    return cls(**{name: read_field(doc, name, kind, where, defaults[name])
+    return cls(**{name: read_field(doc, name, kind, where, getattr(cls, name, _REQUIRED))
                   for name, kind in kinds.items()})
+
+
+class Pinned:
+    """The default of a record field that a subclass pins: the field keeps
+    value, is no argument of __init__ and is left out of repr."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+
+class Record:
+    """A frozen value class whose fields are its annotated class attributes.
+
+    A field's class attribute is its default. Fields are ordered as first
+    annotated along the bases; a subclass redeclares a field in place. Each
+    subclass gets an __init__ that takes its fields but the Pinned ones, in
+    that order, then calls __post_init__ if the class has one; a repr of the
+    same fields; and, unless it is declared with eq=False, == and hash over
+    all its fields, between instances of the same class. Assigning or
+    deleting an attribute raises AttributeError; __post_init__ sets a field
+    through object.__setattr__.
+    """
+
+    _fields: dict = {}  # field name -> Parameter: its default and annotation
+    _args: tuple = ()  # the fields __init__ takes and repr shows, in order
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        fields = dict(cls._fields)
+        pinned = fields.keys() - cls._args
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+            default = getattr(cls, name, _REQUIRED)
+            if isinstance(default, Pinned):
+                default = default.value
+                setattr(cls, name, default)
+                pinned.add(name)
+            else:
+                pinned.discard(name)
+            fields[name] = Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                                     default=default, annotation=annotation)
+        cls._fields = fields
+        cls._args = tuple(name for name in fields if name not in pinned)
+        cls.__init__ = _init(cls)
+        if eq:
+            cls.__eq__, cls.__hash__ = Record._eq, Record._hash
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _eq(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _init(cls):
+    """cls's __init__: a complete positional or keyword call sets the fields
+    with one dict update, any other call is bound by the signature."""
+    names = cls._args
+    count, keys = len(names), frozenset(names)
+    sig = Signature([cls._fields[name] for name in names], return_annotation=None)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != count:
+            if args or kwargs.keys() != keys:
+                try:
+                    bound = sig.bind(*args, **kwargs)
+                except TypeError as exc:
+                    raise TypeError(f"{cls.__qualname__}() {exc}") from None
+                bound.apply_defaults()
+                kwargs = bound.arguments
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    __init__.__signature__ = sig.replace(parameters=[
+        Parameter("self", Parameter.POSITIONAL_OR_KEYWORD), *sig.parameters.values()])
+    return __init__

@@ -65,14 +65,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    NumericalCheckError, ValidationError, at_least, converted, dimension, finite, nonnegative,
-    positive,
+    NumericalCheckError, Record, ValidationError, at_least, converted, dimension, finite,
+    nonnegative, positive,
 )
 from .gaussian_field import (
     GaussianFieldState,
@@ -112,8 +111,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldMode:
+class FieldMode(Record):
     """One field mode (k, omega) plus the box data the closed form needs."""
 
     k: float
@@ -248,8 +246,7 @@ def fock_density(mode_state, D: int) -> NDArray[np.complex128]:
 # --------------------------------------------------------------------------
 # pulse-sequence evolution
 
-@dataclass(frozen=True, eq=False)
-class SegmentOperators:
+class SegmentOperators(Record, eq=False):
     """Segment and half-segment unitaries for one [tau - pi - tau - pi] segment.
 
     half_g = exp(-i v_g) and half_e = exp(-i v_e) evolve the field over one

@@ -55,13 +55,14 @@ exponent; moments_analytic implements the pairing sum up to p + q = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    Pinned,
+    Record,
     ValidationError,
     at_least,
     converted,
@@ -104,8 +105,7 @@ def _kmag(k):
     return np.sqrt(np.sum(np.square(np.atleast_1d(np.asarray(k, dtype=float))), axis=-1))
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(Record):
     """Discrete modes j in Z^n on a torus of side L with mass m.
 
     Wave vectors are k = 2*pi*j/L exactly; frequencies omega_k =
@@ -158,8 +158,7 @@ class ModeSet:
 _MODE_PARAMS = {"n": nonnegative, "r": nonnegative, "theta": finite}
 
 
-@dataclass(frozen=True)
-class SqueezedThermal:
+class SqueezedThermal(Record):
     """Thermal occupation n squeezed by zeta = r e^(i theta); Vacuum, Thermal
     and Squeezed are this mode with their other parameters pinned at 0."""
 
@@ -176,34 +175,26 @@ class SqueezedThermal:
             raise ValidationError(f"covariance overflows at n = {self.n}, r = {self.r}")
 
 
-def _fixed():  # a parameter a special case pins at 0
-    return field(default=0.0, init=False, repr=False)
-
-
-@dataclass(frozen=True)
 class Vacuum(SqueezedThermal):
-    n: float = _fixed()
-    r: float = _fixed()
-    theta: float = _fixed()
+    n: float = Pinned(0.0)
+    r: float = Pinned(0.0)
+    theta: float = Pinned(0.0)
 
 
-@dataclass(frozen=True)
 class Thermal(SqueezedThermal):
-    r: float = _fixed()
-    theta: float = _fixed()
+    r: float = Pinned(0.0)
+    theta: float = Pinned(0.0)
 
 
-@dataclass(frozen=True)
 class Squeezed(SqueezedThermal):
-    n: float = _fixed()
+    n: float = Pinned(0.0)
 
 
-@dataclass(frozen=True)
-class GaussianFieldState:
+class GaussianFieldState(Record):
     """Product of independent mean-zero Gaussian modes over a ModeSet."""
 
     modes: ModeSet
-    mode_states: tuple[SqueezedThermal, ...] = field(default=())
+    mode_states: tuple[SqueezedThermal, ...] = ()
 
     def __post_init__(self) -> None:
         states = tuple(self.mode_states) if self.mode_states is not None else ()
@@ -366,7 +357,7 @@ _KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
 
 
 def _params(cls) -> dict:
-    return {f.name: _MODE_PARAMS[f.name] for f in fields(cls) if f.init}
+    return {name: _MODE_PARAMS[name] for name in cls._args}
 
 
 def state_to_dict(state: GaussianFieldState) -> dict:

@@ -34,13 +34,13 @@ scipy.special is the 2-D radial table transform (Bessel j0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass
 from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    Record,
     ValidationError,
     at_least,
     boolean,
@@ -82,8 +82,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 # smearing functions (spatial profiles)
 
-@dataclass(frozen=True)
-class SphericalGaussian:
+class SphericalGaussian(Record):
     """Normalized isotropic Gaussian profile, F(x) = exp(-|x|^2/(2 sigma^2))
     / (2 pi sigma^2)^(n/2). Its transform is exp(-sigma^2 k^2 / 2) in any n."""
 
@@ -96,16 +95,14 @@ class SphericalGaussian:
         return np.exp(-0.5 * self.sigma**2 * np.square(kmag))
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(Record):
     """Point-like profile at the origin; F(k) = 1 for all k."""
 
     def ft(self, kmag, n: int) -> complex:
         return 1.0 + 0.0j
 
 
-@dataclass(frozen=True)
-class CustomRadial:
+class CustomRadial(Record):
     """Tabulated radial profile F(|x|); transformed by the radial quadrature
     appropriate to the spatial dimension (cosine, Hankel J0, spherical sinc)."""
 
@@ -176,8 +173,7 @@ def smearing_ft(f, k, n: int) -> complex:
 # --------------------------------------------------------------------------
 # switching functions (temporal profiles over one segment window)
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     value: float = 1.0
 
     def __post_init__(self) -> None:
@@ -214,8 +210,7 @@ def _erf_pair(a: float, b: float, d: float) -> float:
 _erf_sum = np.frompyfunc(_erf_pair, 3, 1)
 
 
-@dataclass(frozen=True)
-class GaussianWindow:
+class GaussianWindow(Record):
     """eta(s) = exp(-((s - center)/width)^2) integrated over [0, tau].
 
     With relative=True, center and width are fractions of the segment length
@@ -238,8 +233,7 @@ class GaussianWindow:
         return 0.5 * math.sqrt(math.pi) * w * np.asarray(both, dtype=float)
 
 
-@dataclass(frozen=True)
-class CustomSwitching:
+class CustomSwitching(Record):
     """Tabulated eta(t) on an ascending grid; zero outside the table."""
 
     t: tuple[float, ...]
@@ -297,8 +291,7 @@ def _segment_count(N) -> int:
     return converted(at_least(1), N, "segment count N")
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+class PulseSchedule(Record):
     """N cycles of [tau - pi - tau - pi] at coupling lam, total time 2 N tau."""
 
     lam: float
@@ -361,8 +354,7 @@ def displacement_param(
     return complex(xi[0, 0, 0])
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """One reachable-manifold curve: xi(tau) at fixed pulse number N."""
 
     N: int
@@ -436,8 +428,8 @@ def _read_kind(doc: dict, kinds: dict, what: str):
 def _write_kind(obj, kinds: dict, what: str) -> dict:
     """The document _read_kind reads back as obj: the kind its class is
     registered under, then each field of that kind from the attribute of the
-    same name, a tuple as a list and a nested kind (a dataclass, such as a
-    weighted smearing's base) through the same table."""
+    same name, a tuple as a list and a nested kind (an object whose class is
+    registered, such as a weighted smearing's base) through the same table."""
     for kind, (cls, names) in kinds.items():
         if type(obj) is cls:
             doc = {"kind": kind}
@@ -445,7 +437,7 @@ def _write_kind(obj, kinds: dict, what: str) -> dict:
                 value = getattr(obj, name)
                 if isinstance(value, tuple):
                     value = list(value)
-                elif is_dataclass(value):
+                elif any(type(value) is c for c, _ in kinds.values()):
                     value = _write_kind(value, kinds, what)
                 doc[name] = value
             return doc

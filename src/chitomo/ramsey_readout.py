@@ -25,13 +25,12 @@ the same samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError, at_least, converted, finite, positive
+from .errors import Record, ValidationError, at_least, converted, finite, positive
 from .gaussian_field import GaussianFieldState, char_points
 
 __all__ = [
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(Record):
     """Qubit state as a Bloch vector; rho = (1 + b . sigma)/2."""
 
     bx: float
@@ -212,8 +210,7 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     )
 
 
-@dataclass(frozen=True)
-class ReadoutRecord:
+class ReadoutRecord(Record):
     """One (xi, theta) readout: Pauli estimates and the implied chi."""
 
     xi: NDArray[np.complex128]

@@ -63,14 +63,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, ValidationError, at_least, converted, positive
+from .errors import NumericalCheckError, Record, ValidationError, at_least, converted, positive
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
@@ -146,8 +145,7 @@ def _check_axes(axes: Sequence[np.ndarray]) -> tuple[NDArray[np.float64], ...]:
     return axes
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
+class _Grid(Record, eq=False):
     """values on checked axes, one axis per entry of axes, cast by _cast."""
 
     axes: tuple[NDArray[np.float64], ...]
@@ -171,8 +169,7 @@ class _Grid:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
 
-@dataclass(frozen=True, eq=False)
-class ChiGrid(_Grid):
+class ChiGrid(_Grid, eq=False):
     """chi values on a uniform symmetric grid; NaN marks unmeasured points.
 
     axes holds (Re xi_0, Im xi_0, Re xi_1, ...); values has one axis per
@@ -206,8 +203,7 @@ class ChiGrid(_Grid):
         return complex(self.values[center])
 
 
-@dataclass(frozen=True, eq=False)
-class WignerGrid(_Grid):
+class WignerGrid(_Grid, eq=False):
     """Real quasiprobability samples on quadrature axes (x_0, p_0, x_1, ...).
 
     normalization records the value the grid integral should take under the
@@ -666,8 +662,7 @@ def moments_fd(
 # --------------------------------------------------------------------------
 # Gaussian covariance fit
 
-@dataclass(frozen=True, eq=False)
-class GaussianFit:
+class GaussianFit(Record, eq=False):
     """Weighted least-squares covariance recovered from -2 ln|chi|.
 
     covariance is block diagonal per mode (the model is a product state);

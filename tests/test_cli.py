@@ -1,6 +1,7 @@
 """End-to-end command-line runs, exit codes, and output determinism."""
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -8,12 +9,13 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chitomo.cli import main
+from chitomo.cli import entry, main
 from chitomo.fileio import _save_grid, load_chi_grid, load_wigner_grid, read_json, read_table
 from chitomo.fock_oracle import FieldMode
 from chitomo.gaussian_field import (
@@ -475,13 +477,15 @@ def test_wigner_vacuum_output(tmp_path):
     assert w.values[mid] / total == pytest.approx(2.0 / math.pi, rel=1e-4)
 
 
-def _fresh_run(cwd, *argv):
-    """python -m chitomo.cli argv as a fresh process in the directory cwd."""
+def _fresh_run(cwd, *argv, code=0):
+    """python -m chitomo.cli argv as a fresh process in the directory cwd,
+    which must exit with code; its stderr."""
     proc = subprocess.run(
         [sys.executable, "-m", "chitomo.cli", *argv], cwd=cwd, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    return proc.stderr
 
 
 def _wigner_of_file_twice(tmp_path, chi_file) -> list:
@@ -523,6 +527,61 @@ def test_wigner_of_the_state_and_of_its_chi_file_write_the_same_rows(tmp_path):
     _fresh_run(tmp_path, "wigner", "--out", "w_state.csv")
     _fresh_run(tmp_path, "wigner", "--set", 'chi_file="chi.csv"', "--out", "w_file.csv")
     assert data_lines(tmp_path / "w_state.csv") == data_lines(tmp_path / "w_file.csv")
+
+
+def test_oracle_check_reruns_byte_for_byte(tmp_path):
+    # two fresh runs on the cached eigenbases write the same bytes; the config
+    # records --out, so both runs write the same file name
+    written = []
+    for d in ("first", "second"):
+        (tmp_path / d).mkdir()
+        _fresh_run(tmp_path / d, "oracle-check", "--out", "oracle.json")
+        written.append((tmp_path / d / "oracle.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_bec_map_reruns_byte_for_byte_and_its_schedule_reads_back(tmp_path):
+    # the package registers the bogoliubov_weighted smearing kind itself, so
+    # the written schedule reads back after importing only pulse_protocol
+    written = []
+    for d in ("bec1", "bec2"):
+        (tmp_path / d).mkdir()
+        _fresh_run(tmp_path / d, "bec-map", "--out", "bec.json")
+        written.append((tmp_path / d / "bec.json").read_bytes())
+    assert written[0] == written[1]
+    code = (
+        "import json; from chitomo.pulse_protocol import schedule_from_dict; "
+        "print(schedule_from_dict(json.load(open('bec1/bec.json'))['schedule']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    sched = schedule_from_dict(read_json(tmp_path / "bec1" / "bec.json")["schedule"])
+    assert out.strip() == repr(sched)
+    assert out.startswith("PulseSchedule(lam=") and "BogoliubovWeighted(base=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
+    # tolerance, a negative alpha extent, a moment order that is not a pair, a
+    # timestamps value that is not a boolean, an infinite coupling or
+    # condensate density, and an output or input path through a regular file
+    ("moments", "--set", "h=0"), ("simulate", "--theta", "nan", "--shots", "0"),
+    ("simulate", "--seed", "-1"), ("wigner", "--set", "boundary_tol=nan"),
+    ("wigner", "--set", 'alpha={"extent":-1,"points":5}'),
+    ("moments", "--shots", "1000", "--set", "orders=[[1]]"),
+    ("chi-scan", "--set", 'timestamps="no"'), ("manifold", "--set", "schedule.lambda=1e999"),
+    ("bec-map", "--set", "bec.rho0=1e999"),
+    ("chi-scan", "--set", "grid.points=5", "--out", "afile/x.csv"),
+    ("wigner", "--set", 'chi_file="afile/x.csv"'),
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_1_with_an_error_line_and_writes_nothing(tmp_path, argv):
+    (tmp_path / "afile").write_text("a regular file\n")
+    out = () if "--out" in argv else ("--out", "bad.csv")
+    err = _fresh_run(tmp_path, *argv, *out, code=1)
+    assert err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 def test_wigner_boundary_guard_exit_code(tmp_path):
@@ -900,16 +959,17 @@ def test_unknown_flag_is_exit_1(tmp_path, flag):
 def test_cli_import_loads_no_heavy_scipy():
     # scipy.integrate, .linalg and .special load only where they are used,
     # while every layer module (fock_oracle too) is loaded by the cli
+    # and the records build without the stdlib dataclasses module
     code = (
-        "import sys, chitomo.cli; "
+        "import sys, numpy; bare = set(sys.modules); import chitomo.cli; "
         "print(sorted(m for m in ('chitomo.fock_oracle', 'scipy.integrate', 'scipy.linalg', "
-        "'scipy.special') if m in sys.modules))"
+        "'scipy.special') if m in sys.modules)); print('dataclasses' in set(sys.modules) - bare)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
-    assert out.strip() == "['chitomo.fock_oracle']"
+    assert out.split() == ["['chitomo.fock_oracle']", "False"]
 
 
 def test_oracle_check_loads_no_scipy_linalg(tmp_path):
@@ -1069,6 +1129,39 @@ def test_a_bad_field_the_run_never_reads_is_not_refused(tmp_path, argv):
     assert run(*argv, "--shots", "0", "--set", "grid.points=9", "--out", str(bad)) == 0
     assert run(argv[0], "--shots", "0", "--set", "grid.points=9", "--out", str(good)) == 0
     assert data_lines(bad) == data_lines(good)
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert run("bec-map", "--out", str(tmp_path / "bec.json")) == 0
+    assert gc.get_freeze_count() == before
+
+
+def _outcome(call, argv):
+    try:
+        return call(argv)
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("bec-map",), 0), (("simulate", "--seed", "-1"), 1), (("wigner", "--shots", "10000"), 2),
+    (("--help",), "SystemExit(0)"), (("--version",), "SystemExit(0)"),
+    (("--no-such-flag",), "SystemExit(1)"),
+], ids=["exit 0", "exit 1", "exit 2", "help", "version", "usage error"])
+def test_the_process_entry_is_main_then_a_freeze(tmp_path, monkeypatch, capsys, argv, expected):
+    argv = list(argv) if argv[0].startswith("-") else [*argv, "--out", str(tmp_path / "out")]
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    assert _outcome(main, argv) == expected and freezes == []
+    assert _outcome(entry, argv) == expected and freezes == [1]
+    assert (tmp_path / "out").exists() == (expected == 0)
+
+
+def test_the_chitomo_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['chitomo = "chitomo.cli:entry"']
 
 
 def test_version_exits_0(capsys):
