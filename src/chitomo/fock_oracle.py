@@ -28,6 +28,14 @@ a small memo, and a segment takes one real eigendecomposition for v_g and
 pairs half_e = Pi half_g Pi exactly. The generators are still exponentiated:
 no closed-form amplitude, and no code of the analytic layer, enters.
 
+A mode's density enters as weighted columns, rho = sum_k p_k |s_k><s_k|:
+p_k are its nonzero thermal populations and s_k = S|k> the columns of its
+exponentiated squeezer (the unit vectors |k> when r = 0); fock_density
+multiplies them out. chi_fock sums p_k <s_k|D(xi)|s_k> in the eigenbasis
+of the displacement's generator, and joint_bloch_oracle evolves each joint
+column R(theta)|g> x |s_k> through the pulse sequence before the partial
+trace, so neither forms a D x D displacement nor a 2D x 2D joint density.
+
 Conventions validated against the closed-form layer:
 
   * one segment evolves the field under v_g = omega tau n + coupling with the
@@ -160,8 +168,9 @@ def _exp_from_basis(
     return (V * np.exp(-1j * w)) @ V[cols].conj().T
 
 
-def _phased(V: NDArray[np.float64], phi: float) -> NDArray[np.complex128]:
-    """P V with P = diag(e^(i phi n)): the eigenbasis of P H P-dagger."""
+def _phased(V: NDArray, phi: float) -> NDArray[np.complex128]:
+    """P V with P = diag(e^(i phi n)): the eigenbasis of P H P-dagger for an
+    eigenbasis V of H, or the columns V rotated by P."""
     return np.exp(1j * phi * np.arange(V.shape[0]))[:, None] * V
 
 
@@ -198,11 +207,16 @@ def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
     trace deficit below (n+1) TAIL_TOL. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
+    return np.diag(_thermal_populations(D, n)).astype(complex)
+
+
+def _thermal_populations(D: int, n: float) -> NDArray[np.float64]:
+    """The diagonal p_j of thermal_density(D, n), with its tail guard."""
     n = converted(nonnegative, n, "n")
     if n == 0:
-        rho = np.zeros((D, D), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+        p = np.zeros(D)
+        p[0] = 1.0
+        return p
     j = np.arange(D)
     logp = j * math.log(n) - (j + 1) * math.log(n + 1.0)
     p = np.exp(logp)
@@ -210,7 +224,7 @@ def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
         raise NumericalCheckError(
             f"thermal tail weight {p[-1] * (n + 1.0):.3e} at D = {D} exceeds {TAIL_TOL:.1e}"
         )
-    return np.diag(p).astype(complex)
+    return p
 
 
 def _squeezer(D: int, r: float, theta: float, cols=slice(None)) -> NDArray[np.complex128]:
@@ -231,16 +245,30 @@ def _check_boundary(top, D: int, boundary_tol: float) -> None:
         )
 
 
+def _weighted_columns(mode_state, D: int) -> tuple[NDArray, NDArray[np.float64]]:
+    """(cols, p) with rho = (cols * p) cols-dagger for one mode state (n, r, theta).
+
+    p holds the nonzero thermal populations p_k, and cols the matching
+    columns s_k: the unit vectors |k>, selected from the identity, when
+    r = 0, else S|k>, exponentiated from the squeezer's generator. Raises
+    when a squeezed state's amplitude on the top two Fock levels reaches
+    BOUNDARY_TOL.
+    """
+    D = converted(at_least(2), D, "Fock cutoff D")
+    p = _thermal_populations(D, mode_state.n)
+    k = np.flatnonzero(p)
+    if mode_state.r == 0:
+        return np.eye(D)[:, k], p[k]
+    cols = _squeezer(D, mode_state.r, mode_state.theta, k)
+    _check_boundary(np.sqrt(np.abs(cols[-2:]) ** 2 @ p[k]), D, BOUNDARY_TOL)
+    return cols, p[k]
+
+
 def fock_density(mode_state, D: int) -> NDArray[np.complex128]:
-    """S rho_th S-dagger of one mode state (n, r, theta); S acts only when r > 0."""
-    rho = thermal_density(D, mode_state.n)
-    if mode_state.r > 0:
-        p = rho.diagonal()  # rho_th is diagonal: only the columns it weights enter
-        k = np.flatnonzero(p)
-        S = _squeezer(D, mode_state.r, mode_state.theta, k)
-        rho = (S * p[k]) @ S.conj().T
-        _check_boundary(np.sqrt(np.abs(np.diag(rho)[-2:])), D, BOUNDARY_TOL)
-    return rho
+    """S rho_th S-dagger of one mode state (n, r, theta), from its weighted
+    columns (S acts only when r > 0)."""
+    cols, p = _weighted_columns(mode_state, D)
+    return ((cols * p) @ cols.conj().T).astype(complex, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -409,10 +437,22 @@ def _single_mode_state(state: GaussianFieldState):
 
 
 def chi_fock(state: GaussianFieldState, xi: complex, D: int) -> complex:
-    """Tr[rho_D D(xi)] for a single-mode state, everything dense at cutoff D."""
+    """Tr[rho_D D(xi)] = sum_k p_k <s_k|D(xi)|s_k> for a single-mode state.
+
+    rho_D = sum_k p_k |s_k><s_k| comes as fock_density's weighted columns.
+    D(xi) = P V diag(e^(-i |xi| w)) V^T P-dagger in the phased eigenbasis of
+    its generator |xi| P (a + a-dagger) P-dagger (module docstring), so each
+    column enters through its weights |V^T P-dagger s_k|^2 on the
+    eigenvalues w. The phase acts on the columns and the real V on their
+    real and imaginary parts: no D x D operator is formed.
+    """
     mode_state = _single_mode_state(state)
-    rho = fock_density(mode_state, D)
-    return complex(np.einsum("ij,ji->", rho, displacement_operator(D, xi)))
+    xi = converted(finite, complex(xi), "xi")
+    cols, p = _weighted_columns(mode_state, D)
+    w, V = _quadrature_basis(cols.shape[0], 1)
+    s = _phased(cols, -(np.angle(xi) + np.pi / 2))
+    weights = (V.T @ s.real) ** 2 + (V.T @ s.imag) ** 2
+    return complex(np.exp(-1j * abs(xi) * w) @ (weights @ p))
 
 
 # The qubit algebra is restated here on purpose: the oracle must not import
@@ -436,28 +476,25 @@ def joint_bloch_oracle(
 ) -> tuple[float, float, float]:
     """Bloch vector after the full sequence, from the explicit joint evolution.
 
-    Prepares R(theta)|g> x rho_field on the 2D-dimensional joint space,
-    applies [pi-pulse * half-segment] four times per segment... precisely,
-    S = P F P F with F the branch-conditioned half-segment evolution and P
-    the pi pulse, then S^N, then traces out the field. No closed form enters.
+    Prepares R(theta)|g> x rho_field with rho_field = sum_k p_k |s_k><s_k|
+    (fock_density's weighted columns) and evolves each joint column
+    psi_k = R(theta)|g> x |s_k> through the 2N rounds of S^N, S = P F P F:
+    F applies half_g to the g half of psi_k and half_e to its e half, then
+    the pi pulse P = R(pi) mixes the two halves. The qubit state is the
+    field's partial trace of sum_k p_k psi_k psi_k-dagger. No closed form
+    enters.
     """
     mode_state = _single_mode_state(state)
+    theta = converted(finite, theta, "theta")
     seg = build_segment(sched, mode, D)
-    rho_f = fock_density(mode_state, seg.dim)
+    cols, p = _weighted_columns(mode_state, seg.dim)
     q0 = _qubit_rotation(theta) @ np.array([1.0, 0.0], dtype=complex)
-    rho = np.kron(np.outer(q0, q0.conj()), rho_f)
-
-    proj_g = np.zeros((2, 2), dtype=complex)
-    proj_g[0, 0] = 1.0
-    proj_e = np.zeros((2, 2), dtype=complex)
-    proj_e[1, 1] = 1.0
-    F = np.kron(proj_g, seg.half_g) + np.kron(proj_e, seg.half_e)
-    P = np.kron(_qubit_rotation(np.pi), np.eye(seg.dim, dtype=complex))
-    S = P @ F @ P @ F
-    total = np.linalg.matrix_power(S, sched.N)
-
-    rho = total @ rho @ total.conj().T
-    rho_q = np.einsum("imjm->ij", rho.reshape(2, seg.dim, 2, seg.dim))
+    psi = q0[:, None, None] * cols  # (qubit, field, column)
+    pulse = _qubit_rotation(np.pi)
+    for _ in range(2 * sched.N):
+        psi = np.stack([seg.half_g @ psi[0], seg.half_e @ psi[1]])
+        psi = np.tensordot(pulse, psi, axes=1)
+    rho_q = (psi * p).reshape(2, -1) @ psi.reshape(2, -1).conj().T
     return (
         float(np.real(np.trace(rho_q @ _SX))),
         float(np.real(np.trace(rho_q @ _SY))),

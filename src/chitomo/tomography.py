@@ -50,7 +50,8 @@ counted (tracemalloc on exact two-mode grids):
                                     1.3 on a complex one; 2.1 on a sampled
                                     grid (stderr's buffer and one squared
                                     temporary)
-    gaussian_fit              0.7   |chi|, then only the kept cells' rows
+    gaussian_fit              0.2   the masks, then only the kept cells'
+                                    rows (0.7 on a complex chi: |chi| too)
     wigner_transform          1.1   one stage's input and output, each on
                                     the rows x_0 >= 0 of a real chi (2.0 on
                                     a complex chi); the result is a
@@ -721,12 +722,19 @@ def gaussian_fit(grid: ChiGrid) -> GaussianFit:
     block-diagonal covariance; flags, never repairs, unphysical results.
     """
     n = grid.n_modes
-    absval = np.abs(grid.values)
-    mask = np.isfinite(absval) & (absval > FIT_MIN_ABS)
+    values = grid.values
+    # a real chi is masked by comparing it with +-FIT_MIN_ABS, so |chi| is
+    # taken on the kept cells only; a complex one needs its full |chi|
+    real = values.dtype == np.float64
+    mag = values if real else np.abs(values)
+    mask = mag > FIT_MIN_ABS
+    if real:
+        mask |= mag < -FIT_MIN_ABS
+    mask &= np.isfinite(mag)
     # the kept cells in C order, with their coordinates read off the axes;
     # flat indices unravelled are np.nonzero(mask), found without an N-D scan
     kept = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    w = absval[kept]
+    w = np.abs(mag[kept])
     if w.size < 3 * n + 1:
         raise ValidationError("too few usable grid points for the fit")
     y = -2.0 * np.log(w)

@@ -562,6 +562,41 @@ def test_bec_map_reruns_byte_for_byte_and_its_schedule_reads_back(tmp_path):
     assert out.startswith("PulseSchedule(lam=") and "BogoliubovWeighted(base=" in out
 
 
+def test_moments_of_a_sampled_half_plane_chi_file_rerun_byte_for_byte(tmp_path):
+    # the half grid is filled through chi(-xi) = conj chi(xi), and each
+    # stencil node is summed with its mirror; both runs read the same file
+    _fresh_run(tmp_path, "chi-scan", "--shots", "1000", "--set", "half=true",
+               "--out", "half_chi.csv")
+    chi_file = json.dumps(str(tmp_path / "half_chi.csv"))
+    written = []
+    for d in ("moments1", "moments2"):
+        (tmp_path / d).mkdir()
+        _fresh_run(tmp_path / d, "moments", "--set", f"chi_file={chi_file}", "--out", "m.csv")
+        written.append((tmp_path / d / "m.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_moments_of_a_complete_sampled_chi_file_read_the_filled_grid(tmp_path):
+    # every grid source is filled through chi(-xi) = conj chi(xi), so the
+    # p = q moment (1,1) is exactly real
+    _fresh_run(tmp_path, "chi-scan", "--shots", "1000", "--out", "full_chi.csv")
+    _fresh_run(tmp_path, "moments", "--set", 'chi_file="full_chi.csv"', "--out", "full_m.csv")
+    _, rows, _ = read_table(tmp_path / "full_m.csv")
+    (row,) = [r for r in rows.tolist() if r[:2] == [1, 1]]
+    assert row[3] == 0
+
+
+def test_chi_file_with_a_nan_meta_axis_exits_1_and_names_the_axis(tmp_path):
+    axes = (np.array([np.nan, -1.0, 0.0, 1.0, np.nan]), grid_axis(1.0, 5))
+    _save_grid(tmp_path / "nan_chi.csv", "chi_grid", SimpleNamespace(axes=axes, n_modes=1),
+               ("re_xi", "im_xi"), {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None, False)
+    err = _fresh_run(tmp_path, "wigner", "--set", 'chi_file="nan_chi.csv"', "--out", "nan_w.csv",
+                     code=1)
+    assert "axis 0 holds the non-finite value nan" in err
+    assert not (tmp_path / "nan_w.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
     # tolerance, a negative alpha extent, a moment order that is not a pair, a

@@ -10,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from chitomo import fock_oracle
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.fock_oracle import (
     FieldMode,
+    SegmentOperators,
+    _SX,
+    _SY,
+    _SZ,
     _check_boundary,
+    _qubit_rotation,
     _quadrature_basis,
     _squeezer,
     _unitary,
@@ -381,10 +387,48 @@ def test_fock_density_boundary_guard_sees_the_mixed_tail():
     assert np.abs(rho - rho.conj().T).max() < 1e-15
 
 
+def chi_dense(mode_state, xi, D):
+    """Tr[rho D(xi)] with both operators dense: the form chi_fock replaces."""
+    return complex(np.einsum("ij,ji->", fock_density(mode_state, D), displacement_operator(D, xi)))
+
+
+# (mode state, cutoff): vacuum, thermal, squeezed and squeezed thermal at
+# cutoffs that pass the tail and boundary guards
+ORACLE_STATES = [
+    pytest.param(mode_state, D, id=f"{type(mode_state).__name__}-D{D}")
+    for mode_state, D in [
+        (Vacuum(), 40), (Vacuum(), 160), (Thermal(n=1.0), 60), (Thermal(n=1.0), 120),
+        (Squeezed(r=1.0, theta=0.0), 160), (Squeezed(r=0.5, theta=0.3), 80),
+        (SqueezedThermal(n=0.5, r=0.3, theta=0.4), 80),
+        (SqueezedThermal(n=0.2, r=0.5, theta=-1.0), 160),
+    ]
+]
+
+
+@pytest.mark.parametrize("mode_state,D", ORACLE_STATES)
+def test_chi_fock_matches_the_dense_trace(mode_state, D):
+    st_ = state_of(mode_state)
+    for xi in (0.0, 0.5, 0.5j, 0.3 + 0.2j, -0.4 + 0.7j, 1.2 - 0.3j):
+        assert abs(chi_fock(st_, xi, D) - chi_dense(mode_state, xi, D)) <= 1e-13
+
+
 def test_chi_fock_single_mode_only():
     modes2 = ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1], [2]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="single-mode"):
         chi_fock(GaussianFieldState(modes=modes2), 0.5, D=20)
+    with pytest.raises(ValidationError, match="single-mode"):
+        joint_bloch_oracle(GaussianFieldState(modes=modes2), sched(), MODE, 1.0, D=20)
+
+
+@pytest.mark.parametrize("D", [1, 0, -3, 2.5])
+def test_bad_oracle_cutoff_is_refused_by_name(D):
+    vac = state_of(Vacuum())
+    with pytest.raises(ValidationError, match=rf"^Fock cutoff D = {D!r} is not usable"):
+        chi_fock(vac, 0.5, D)
+    with pytest.raises(ValidationError, match=rf"^Fock cutoff D = {D!r} is not usable"):
+        fock_density(Squeezed(r=0.5, theta=0.0), D)
+    with pytest.raises(ValidationError, match=rf"^segment cutoff D = {D!r} is not usable"):
+        joint_bloch_oracle(vac, sched(), MODE, 1.0, D)
 
 
 # ------------------------------------------------------------- joint qubit
@@ -402,6 +446,83 @@ def test_joint_oracle_matches_encoding_formula(mode_state, D):
     assert bl[0] == pytest.approx(qs.bx, abs=1e-12)
     assert bl[1] == pytest.approx(qs.by, abs=1e-12)
     assert bl[2] == pytest.approx(qs.bz, abs=1e-12)
+
+
+def bloch_dense(state, s, mode, theta, D):
+    """The joint oracle on the 2D-dimensional joint space: R(theta)|g><g|R-dagger
+    x rho, S = P F P F with F = |g><g| x half_g + |e><e| x half_e and
+    P = R(pi) x 1, then T rho T-dagger with T = S^N and the field traced out:
+    the form joint_bloch_oracle replaces."""
+    seg = build_segment(s, mode, D)
+    q0 = _qubit_rotation(theta) @ np.array([1.0, 0.0], dtype=complex)
+    rho = np.kron(np.outer(q0, q0.conj()), fock_density(state.mode_states[0], seg.dim))
+    F = np.kron(np.diag([1.0, 0.0]), seg.half_g) + np.kron(np.diag([0.0, 1.0]), seg.half_e)
+    P = np.kron(_qubit_rotation(np.pi), np.eye(seg.dim))
+    T = np.linalg.matrix_power(P @ F @ P @ F, s.N)
+    rho = T @ rho @ T.conj().T
+    rho_q = np.einsum("imjm->ij", rho.reshape(2, seg.dim, 2, seg.dim))
+    return tuple(float(np.real(np.trace(rho_q @ sigma))) for sigma in (_SX, _SY, _SZ))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("mode_state,D", ORACLE_STATES)
+def test_joint_oracle_matches_the_dense_joint_evolution(mode_state, D, N):
+    st_, s = state_of(mode_state), sched(N=N)
+    got = joint_bloch_oracle(st_, s, MODE, 0.6 * math.pi, D)
+    want = bloch_dense(st_, s, MODE, 0.6 * math.pi, D)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
+
+
+def _superposition_columns(mode_state, D):
+    """(|0> + |1>)/sqrt(2) as one weighted column: a state whose chi is not
+    even in xi, so the sign of xi shows in the readout (every mean-zero
+    Gaussian chi is real and even)."""
+    cols = np.zeros((D, 1), dtype=complex)
+    cols[:2, 0] = 1.0 / math.sqrt(2.0)
+    return cols, np.ones(1)
+
+
+def _superposition_chi(xi):
+    # <psi|D(xi)|psi> from <0|D|0> = e^(-|xi|^2/2), <1|D|1> = (1 - |xi|^2) e^(-|xi|^2/2),
+    # <1|D|0> = xi e^(-|xi|^2/2) and <0|D|1> = -conj(xi) e^(-|xi|^2/2)
+    return math.exp(-abs(xi) ** 2 / 2) * complex(1.0 - abs(xi) ** 2 / 2, xi.imag)
+
+
+def _swapped_halves(build):
+    def mutated(*args):
+        seg = build(*args)
+        return SegmentOperators(dim=seg.dim, u_g=seg.u_e, u_e=seg.u_g,
+                                half_g=seg.half_e, half_e=seg.half_g, leak=seg.leak)
+    return mutated
+
+
+def _bloch_miss(theta=0.6 * math.pi, D=40):
+    """Largest distance of the joint oracle's Bloch vector from the encoding
+    formula at the superposition's closed-form chi."""
+    s = sched(lam=0.1, N=2)
+    bl = joint_bloch_oracle(state_of(Vacuum()), s, MODE, theta, D)
+    qs = final_qubit_state(theta, _superposition_chi(MODE.closed_form_xi(s)))
+    return max(abs(b - e) for b, e in zip(bl, (qs.bx, qs.by, qs.bz)))
+
+
+def test_joint_oracle_mutations_miss_the_closed_form(monkeypatch):
+    monkeypatch.setattr(fock_oracle, "_weighted_columns", _superposition_columns)
+    assert _bloch_miss() <= 1e-12
+    # half_g and half_e swapped: the sequence reads chi(-xi) = conj chi(xi)
+    with monkeypatch.context() as m:
+        m.setattr(fock_oracle, "build_segment", _swapped_halves(build_segment))
+        assert _bloch_miss() > 1e-2
+    # the sign of R flipped, R(theta) = exp(+i theta sigma_x / 2): it shows
+    # through the preparation R(theta)|g>, since for any pulse P that swaps g
+    # and e, P diag(a, b) P = P_ge P_eg diag(b, a), so the pulse's own sign
+    # is a global phase of each segment
+    with monkeypatch.context() as m:
+        m.setattr(fock_oracle, "_qubit_rotation", lambda t: _qubit_rotation(-t))
+        assert _bloch_miss() > 1e-1
+    with monkeypatch.context() as m:
+        m.setattr(fock_oracle, "_qubit_rotation",
+                  lambda t: -_qubit_rotation(t) if t == np.pi else _qubit_rotation(t))
+        assert _bloch_miss() <= 1e-12
 
 
 # -------------------------------------------------------------- batch runs
@@ -468,7 +589,12 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
      pytest.param(lambda v: squeezed_ket(8, 0.1, v), "theta", id="squeezed_ket-theta"),
      pytest.param(lambda v: _squeezer(8, v, 0.0), "r", id="squeezer-r"),
      pytest.param(lambda v: _squeezer(8, 0.1, v), "theta", id="squeezer-theta"),
-     pytest.param(lambda v: thermal_density(8, v), "n", id="thermal_density-n")],
+     pytest.param(lambda v: thermal_density(8, v), "n", id="thermal_density-n"),
+     pytest.param(lambda v: chi_fock(state_of(Vacuum()), v, 8), "xi", id="chi_fock-xi"),
+     pytest.param(lambda v: chi_fock(state_of(Vacuum()), complex(0.1, v), 8), "xi",
+                  id="chi_fock-xi-imag"),
+     pytest.param(lambda v: joint_bloch_oracle(state_of(Vacuum()), sched(), MODE, v, 40),
+                  "theta", id="joint_bloch_oracle-theta")],
 )
 def test_non_finite_oracle_input_is_refused(call, name, bad):
     # a cached basis would turn NaN or inf silently into an all-NaN matrix
