@@ -36,7 +36,6 @@ __all__ = [
     "BecParams",
     "BogoliubovWeighted",
     "MappedProtocol",
-    "bogoliubov_energy",
     "bogoliubov_omega",
     "bogoliubov_weight",
     "map_to_protocol",
@@ -70,14 +69,6 @@ class BecParams(Record):
         for name, kind in _PARAM_FIELDS.items():
             converted(kind, getattr(self, name), name)
 
-    @property
-    def healing_length(self) -> float:
-        return 1.0 / math.sqrt(2.0 * self.m_B * self.g_rho0)
-
-    @property
-    def sound_speed(self) -> float:
-        return math.sqrt(self.g_rho0 / self.m_B)
-
 
 def _dispersion(kmag, m_B: float, g_rho0: float):
     """E_k = k^2 / (2 m_B) and omega_k = sqrt(E_k (E_k + 2 g rho0)) at kmag."""
@@ -93,16 +84,10 @@ def _weight(kmag, m_B: float, g_rho0: float):
     return np.sqrt(E / omega)
 
 
-def bogoliubov_energy(k, params: BecParams):
-    """Free-particle energy E_k = k^2 / (2 m_B); like bogoliubov_omega and
-    bogoliubov_weight, one value per row of an (M, n) stack of wave vectors."""
-    return _dispersion(_kmag(k), params.m_B, params.g_rho0)[0]
-
-
 def bogoliubov_omega(k, params: BecParams):
     """Excitation frequency omega_k = sqrt(E_k (E_k + 2 g rho0)).
 
-    Phonon-like (c |k|) for k much below 1/healing_length, free-particle
+    Phonon-like (c |k|) for k << sqrt(2 m_B g rho0), free-particle
     quadratic far above.
     """
     return _dispersion(_kmag(k), params.m_B, params.g_rho0)[1]

@@ -34,14 +34,14 @@ from .fileio import (
     _CHI_COORDS, _coordinate_names, load_chi_grid, read_json, save_chi_grid, save_wigner_grid,
     write_json, write_table,
 )
-from .fock_oracle import run_default_suite
+from .fock_oracle import _cutoff, run_default_suite
 from .gaussian_field import ModeSet, _check_mode, _moment_order, char_points, state_from_dict
 from .pulse_protocol import (
     displacement_surface, reachable_manifold, schedule_from_dict, schedule_to_dict,
 )
 from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
-    _boundary_tol, _check_h, _state_axes, chi_grid_from_state, grid_axis,
+    _boundary_tol, _check_h, _state_axes, _stencil_nodes, chi_grid_from_state, grid_axis,
     hermitian_fill, moments_fd, sampled_chi_grid, wigner_transform,
 )
 
@@ -246,10 +246,11 @@ _SURFACE = ("schedule", "N_list", "tau")
 # the converter of each config field, called with its value and name; a name
 # that means one thing per subcommand is keyed by (subcommand, name)
 _CONVERT = {
-    **dict.fromkeys(("shots", "n_draws", "D", ("moments", "mode")), partial(converted, integer)),
+    **dict.fromkeys(("shots", "n_draws", ("moments", "mode")), partial(converted, integer)),
     **dict.fromkeys(("timestamps", "half", "richardson"), partial(converted, boolean)),
     "theta": partial(converted, float),
     "seed": partial(converted, at_least(0)),
+    "D": lambda D, key: _cutoff(D, 8, key),
     "N_list": partial(converted, listed(at_least(1))),
     "points": partial(converted, listed(lambda e: np.asarray(e, dtype=float).reshape(-1))),
     "h": lambda h, key: h if h is None else converted(float, h, key),
@@ -287,9 +288,9 @@ def _spec(command: str, config: dict) -> dict:
     """The checked value of every field a run of command reads, beside the raw
     config and out (chi_file and manifold are None where not read). A field
     is read only where the run reads it: theta only with shots > 0, say. The
-    readout arguments, the grid budget, h, the moment orders and a state's
-    moment mode go through their layer's own check, so bad input is refused
-    before any work."""
+    readout arguments, the grid budget, h (with each order's stencil on a
+    planned grid), the moment orders and a state's moment mode go through
+    their layer's own check, so bad input is refused before any work."""
     spec = {"config": config, "chi_file": None, "manifold": None}
 
     def read(*keys, doc=config):  # the value of the last key
@@ -317,7 +318,10 @@ def _spec(command: str, config: dict) -> dict:
         _readout_args(spec["theta"], spec["shots"], spec["seed"])
     if command == "moments" and spec["orders"]:  # read per order, so not without one
         read("richardson")
-        if spec["h"] is not None:
+        if "grid" in spec:  # each order's stencil on the planned grid
+            for p, q in spec["orders"]:
+                _stencil_nodes(spec["grid"], spec["mode"], spec["h"], p, q, spec["richardson"])
+        elif spec["h"] is not None:
             _check_h(spec["h"])
     if "timestamps" in spec:  # the meta and timestamps arguments of a table writer
         spec["header"] = {"meta": {"command": command, "config": config},

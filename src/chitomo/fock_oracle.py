@@ -62,7 +62,9 @@ The guards are module constants, one value for every caller:
   * DEFECT_TOL = 1e-5 bounds |xi_closed - xi_fock| for a passing identity
     check;
   * RESIDUAL_TOL = 1e-6 bounds the distance of the sequence operator from a
-    pure displacement, above which no xi is read off it.
+    pure displacement, above which no xi is read off it;
+  * MAX_CUTOFF = 1024 bounds every cutoff D, so that one complex D x D
+    matrix takes at most 16 MB.
 
 Every check reports one plain dict, the record oracle-check writes: check
 (its name), inputs, the cutoff D, defect, tolerance and passed (defect <=
@@ -93,12 +95,13 @@ from .pulse_protocol import (
     Constant, Delta, PulseSchedule, displacement_param, smearing_ft, switching_integral,
 )
 
-# truncation and identity guards (module docstring)
+# truncation, identity and size guards (module docstring)
 TAIL_TOL = 1e-10
 BOUNDARY_TOL = 1e-8
 LEAK_TOL = 1e-8
 DEFECT_TOL = 1e-5
 RESIDUAL_TOL = 1e-6
+MAX_CUTOFF = 1024
 
 __all__ = [
     "FieldMode",
@@ -150,9 +153,14 @@ class FieldMode(Record):
 # --------------------------------------------------------------------------
 # operator algebra at cutoff D
 
+def _cutoff(D, least: int = 2, name: str = "Fock cutoff D") -> int:
+    """D as a Fock cutoff: an exact integer from least to MAX_CUTOFF."""
+    return converted(at_least(least, MAX_CUTOFF), D, name)
+
+
 def ladder(D: int) -> NDArray[np.complex128]:
     """Annihilation operator, a|n> = sqrt(n)|n-1>, as a dense D x D matrix."""
-    D = converted(at_least(2), D, "Fock cutoff D")
+    D = _cutoff(D)
     return np.diag(np.sqrt(np.arange(1.0, D)), k=1).astype(complex)
 
 
@@ -189,7 +197,7 @@ def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
 
     The generator is |xi| P (a + a-dagger) P-dagger, phi = arg xi + pi/2.
     """
-    D = converted(at_least(2), D, "Fock cutoff D")
+    D = _cutoff(D)
     xi = converted(finite, complex(xi), "xi")
     w, V = _quadrature_basis(D, 1)
     return _exp_from_basis(abs(xi) * w, _phased(V, np.angle(xi) + np.pi / 2))
@@ -197,7 +205,7 @@ def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
 
 def number_rotation(D: int, y: float) -> NDArray[np.complex128]:
     """exp(i y n) as a diagonal matrix."""
-    return np.diag(np.exp(1j * float(y) * np.arange(D)))
+    return np.diag(np.exp(1j * float(y) * np.arange(_cutoff(D))))
 
 
 def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
@@ -207,7 +215,7 @@ def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
     trace deficit below (n+1) TAIL_TOL. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
-    return np.diag(_thermal_populations(D, n)).astype(complex)
+    return np.diag(_thermal_populations(_cutoff(D), n)).astype(complex)
 
 
 def _thermal_populations(D: int, n: float) -> NDArray[np.float64]:
@@ -232,7 +240,7 @@ def _squeezer(D: int, r: float, theta: float, cols=slice(None)) -> NDArray[np.co
     zeta = r e^(i theta), exponentiated from its generator
     -r P [(a^2 + a-dagger^2)/2] P-dagger, phi = theta/2 + pi/4, never from
     closed-form Fock amplitudes."""
-    D = converted(at_least(2), D, "Fock cutoff D")
+    D = _cutoff(D)
     r, theta = converted(nonnegative, r, "r"), converted(finite, theta, "theta")
     w, V = _quadrature_basis(D, 2)
     return _exp_from_basis(-r * w, _phased(V, theta / 2.0 + np.pi / 4.0), cols)
@@ -254,7 +262,7 @@ def _weighted_columns(mode_state, D: int) -> tuple[NDArray, NDArray[np.float64]]
     when a squeezed state's amplitude on the top two Fock levels reaches
     BOUNDARY_TOL.
     """
-    D = converted(at_least(2), D, "Fock cutoff D")
+    D = _cutoff(D)
     p = _thermal_populations(D, mode_state.n)
     k = np.flatnonzero(p)
     if mode_state.r == 0:
@@ -302,7 +310,7 @@ def build_segment(sched: PulseSchedule, mode: FieldMode, D: int) -> SegmentOpera
     Raises when any low Fock column leaks population above LEAK_TOL into the
     top level, which is the signal to enlarge D.
     """
-    D = converted(at_least(8), D, "segment cutoff D")
+    D = _cutoff(D, 8, "segment cutoff D")
     eta = switching_integral(
         sched.switching, sched.tau, mode.omega, mode.box_side, mode.spatial_dim
     )
@@ -368,7 +376,8 @@ def _report(check: str, inputs: dict, D: int, defect: float, tol: float) -> dict
 
 
 def default_cutoff(xi: complex) -> int:
-    """Cutoff heuristic D = (4|xi| + 4)^2, floor 16; leak checks still apply."""
+    """Cutoff heuristic D = (4|xi| + 4)^2, floor 16; leak checks still apply,
+    and above |xi| = 7 the cutoff passes MAX_CUTOFF and is refused."""
     return max(16, math.ceil((4.0 * abs(xi) + 4.0) ** 2))
 
 

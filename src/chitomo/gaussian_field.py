@@ -89,8 +89,6 @@ __all__ = [
     "char_analytic",
     "char_analytic_grid",
     "moments_analytic",
-    "n_from_beta",
-    "beta_from_n",
     "state_to_dict",
     "state_from_dict",
 ]
@@ -337,17 +335,6 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
         for m in range(p % 2, min(p, q) + 1, 2)
     )
     return complex((-1.0) ** q * total)
-
-
-def n_from_beta(beta: float, omega: float) -> float:
-    """Bose occupation n = 1/(exp(beta*omega) - 1)."""
-    beta, omega = converted(positive, beta, "beta"), converted(positive, omega, "omega")
-    return 1.0 / math.expm1(beta * omega)
-
-
-def beta_from_n(n: float, omega: float) -> float:
-    n, omega = converted(positive, n, "n"), converted(positive, omega, "omega")
-    return math.log1p(1.0 / n) / omega
 
 
 # state-document kind name -> class; each kind's params are its init fields

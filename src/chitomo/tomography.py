@@ -74,11 +74,6 @@ from .errors import NumericalCheckError, Record, ValidationError, at_least, conv
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
-    ModeSet,
-    Squeezed,
-    SqueezedThermal,
-    Thermal,
-    Vacuum,
     _check_mode,
     _moment_order,
     char_analytic_grid,
@@ -574,6 +569,33 @@ def _check_h(h) -> float:
     return h
 
 
+def _stencil_nodes(axes, mode: int, h, p: int, q: int, richardson: bool):
+    """(h, weights, index) of the (p, q) stencil in mode's plane of a grid on
+    axes, every other mode at the origin: h checked (2 steps if None), the
+    nonzero stencil weights, and the grid index of their nodes, row-major in
+    the 9 x 9 lattice, so node k mirrors node K - 1 - k. h must be an even
+    multiple of the step, so that every node, Richardson half-steps included,
+    lands on a grid point, and every node must lie inside the grid."""
+    step_r, step_i = (float(a[1] - a[0]) for a in axes[2 * mode : 2 * mode + 2])
+    if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):
+        raise ValidationError("mode axes must share one step for the stencil")
+    h = _check_h(2.0 * step_r if h is None else h)
+    m = h / step_r
+    if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
+        raise ValidationError("grid stencils need h an even multiple of the step")
+    unit = round(m) // 2  # grid points per half-step
+
+    weights = _stencil(p, q, richardson).ravel()
+    nodes = np.flatnonzero(weights)
+    offsets = np.stack(np.divmod(nodes, 9)) - 4  # (Re, Im) in half-steps
+    index = [a.size // 2 for a in axes]
+    for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
+        index[d] = [index[d] + unit * o for o in off]
+        if not (0 <= min(index[d]) and max(index[d]) < axes[d].size):
+            raise ValidationError("stencil exits the grid; shrink h or widen the grid")
+    return h, weights[nodes], tuple(index)
+
+
 def moments_fd(
     chi_source: ChiGrid | GaussianFieldState,
     mode: int,
@@ -599,52 +621,31 @@ def moments_fd(
     p, q = _moment_order(p, q)
     if not isinstance(chi_source, (ChiGrid, GaussianFieldState)):
         raise ValidationError("chi_source must be a ChiGrid or a GaussianFieldState")
-    is_grid = isinstance(chi_source, ChiGrid)
     mode = _check_mode(mode, chi_source.n_modes)
-    if is_grid:
-        step_r, step_i = chi_source.steps[2 * mode : 2 * mode + 2]
-        if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):
-            raise ValidationError("mode axes must share one step for the stencil")
-    if h is None:
-        h = 2.0 * step_r if is_grid else 0.01
-    h = _check_h(h)
-    scale = (0.5 / h) ** (p + q)
-    if not is_grid:
+    if isinstance(chi_source, GaussianFieldState):
         # the mode's plane on the stencil's own lattice of half-steps, every
         # other mode at the origin: a 9 x 9 grid read like any other
+        h = _check_h(0.01 if h is None else h)
         axis = grid_axis(2.0 * h, 9)
         axes = [np.zeros(1)] * (2 * chi_source.n_modes)
         axes[2 * mode] = axes[2 * mode + 1] = axis
         values = char_analytic_grid(chi_source, axes).reshape(9, 9)
-        chi_source, mode, step_r = ChiGrid(axes=(axis, axis), values=values), 0, h / 2.0
-
-    m = h / step_r
-    if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
-        raise ValidationError("grid stencils need h an even multiple of the step")
-    unit = round(m) // 2  # grid points per half-step
-
-    weights = _stencil(p, q, richardson).ravel()
-    nodes = np.flatnonzero(weights)  # row-major: node k mirrors node K - 1 - k
-    weights = weights[nodes]
-    offsets = np.stack(np.divmod(nodes, 9)) - 4  # (Re, Im) in half-steps
-    index = [a.size // 2 for a in chi_source.axes]
-    for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
-        index[d] = [index[d] + unit * o for o in off]
-        if not (0 <= min(index[d]) and max(index[d]) < chi_source.axes[d].size):
-            raise ValidationError("stencil exits the grid; shrink h or widen the grid")
-    values = chi_source.values[tuple(index)]
+        chi_source, mode = ChiGrid(axes=(axis, axis), values=values), 0
+    h, weights, index = _stencil_nodes(chi_source.axes, mode, h, p, q, richardson)
+    scale = (0.5 / h) ** (p + q)
+    values = chi_source.values[index]
     if np.any(np.isnan(values)):
         raise ValidationError("stencil touches an unmeasured point")
     error = None
     if chi_source.stderr is not None:
-        err = chi_source.stderr[tuple(index)]
+        err = chi_source.stderr[index]
         error = scale * math.sqrt(float(np.sum(np.abs(weights) ** 2 * err**2)))
 
     # each node summed with its mirror -xi, whose weight has the stencil's
     # parity (-1)^(p+q)
-    half = (nodes.size + 1) // 2
+    half = (weights.size + 1) // 2
     pairs = values[:half] + (-1) ** (p + q) * values[::-1][:half]
-    if nodes.size % 2:  # the origin is its own mirror
+    if weights.size % 2:  # the origin is its own mirror
         pairs[-1] = values[half - 1]
     total = (-1) ** q * scale * (weights[:half] @ pairs)
     # adding +0.0 to each part turns the sign-flipped zero of an exactly zero
@@ -682,32 +683,6 @@ class GaussianFit(Record, eq=False):
     def mode_block(self, mode: int) -> NDArray[np.float64]:
         i = 2 * _check_mode(mode, self.covariance.shape[0] // 2)
         return self.covariance[i : i + 2, i : i + 2]
-
-    def to_state(self, modes: ModeSet) -> GaussianFieldState:
-        """Nearest product state: each block read as V = nu S(r, theta) S^T
-        with nu = 2n + 1, and a parameter within rounding of 0 taken as 0."""
-        n = self.covariance.shape[0] // 2
-        if modes.n_modes != n:
-            raise ValidationError("mode count does not match the fitted covariance")
-        states = []
-        for m in range(n):
-            V = self.mode_block(m)
-            det = float(np.linalg.det(V))
-            # det alone misses negative-definite blocks (det = product of two
-            # negative eigenvalues is positive), so check the trace too
-            if det <= 0 or V[0, 0] + V[1, 1] <= 0:
-                raise ValidationError("fitted covariance block is not positive definite")
-            nu = math.sqrt(det)
-            n_th = max((nu - 1.0) / 2.0, 0.0)
-            evals = np.linalg.eigvalsh(V / nu)
-            r = 0.25 * math.log(evals[-1] / evals[0])
-            if r <= 1e-6:
-                states.append(Vacuum() if n_th <= 1e-9 else Thermal(n=n_th))
-                continue
-            sinh2r = math.sinh(2.0 * r)
-            theta = math.atan2(-V[0, 1] / (nu * sinh2r), (V[1, 1] - V[0, 0]) / (2.0 * nu * sinh2r))
-            states.append(Squeezed(r, theta) if n_th <= 1e-6 else SqueezedThermal(n_th, r, theta))
-        return GaussianFieldState(modes, tuple(states))
 
 
 # |chi| at or below which a cell says too little about the exponent to be fit

@@ -13,7 +13,6 @@ import pytest
 from chitomo.bec_analogue import (
     BecParams,
     BogoliubovWeighted,
-    bogoliubov_energy,
     bogoliubov_omega,
     bogoliubov_weight,
     map_to_protocol,
@@ -54,10 +53,7 @@ def template(tau=1.0, N=3, smearing=None):
 
 # -------------------------------------------------------------- dispersion
 
-def test_params_validation_and_scales():
-    p = params(g_rho0=2.0, m_B=0.5)
-    assert p.healing_length == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    assert p.sound_speed == pytest.approx(2.0, rel=1e-15)
+def test_params_validation():
     with pytest.raises(ValidationError):
         params(rho0=0.0)
     with pytest.raises(ValidationError):
@@ -68,13 +64,15 @@ def test_params_validation_and_scales():
 
 def test_dispersion_limits():
     p = params()
-    c, xi_h = p.sound_speed, p.healing_length
-    # phonon branch: linear within 1% for k << 1/healing_length
+    # sound speed c and healing length xi_h of the condensate
+    c = math.sqrt(p.g_rho0 / p.m_B)
+    xi_h = 1.0 / math.sqrt(2.0 * p.m_B * p.g_rho0)
+    # phonon branch: linear within 1% for k << 1/xi_h
     for k in (0.01 / xi_h, 0.1 / xi_h):
         assert bogoliubov_omega(k, p) / (c * k) == pytest.approx(1.0, abs=0.01)
-    # free branch: quadratic at large k
+    # free branch: the free-particle energy k^2 / 2 m_B at large k
     k = 80.0 / xi_h
-    assert bogoliubov_omega(k, p) / bogoliubov_energy(k, p) == pytest.approx(1.0, abs=1e-3)
+    assert bogoliubov_omega(k, p) / (k**2 / (2.0 * p.m_B)) == pytest.approx(1.0, abs=1e-3)
     # exact midpoint value, E(E + 2 g rho0) at E = g rho0
     k_mu = math.sqrt(2.0 * p.m_B * p.g_rho0)
     assert bogoliubov_omega(k_mu, p) == pytest.approx(math.sqrt(3.0) * p.g_rho0, rel=1e-14)
@@ -86,10 +84,9 @@ def test_weight_values_and_limits():
     assert bogoliubov_weight(k_mu, p) == pytest.approx(WEIGHT_AT_MU, abs=1e-15)
     assert bogoliubov_weight(200.0, p) == pytest.approx(1.0, abs=1e-4)
     # phonon suppression: w ~ sqrt(k / (2 m c)), within 1% deep in the branch
-    k = 0.02 / p.healing_length
-    assert bogoliubov_weight(k, p) == pytest.approx(
-        math.sqrt(k / (2.0 * p.m_B * p.sound_speed)), rel=0.01
-    )
+    c = math.sqrt(p.g_rho0 / p.m_B)
+    k = 0.02 * math.sqrt(2.0 * p.m_B * p.g_rho0)  # 0.02 / healing length
+    assert bogoliubov_weight(k, p) == pytest.approx(math.sqrt(k / (2.0 * p.m_B * c)), rel=0.01)
     with pytest.raises(ValidationError):
         bogoliubov_weight(0.0, p)
     # vector k accepted
@@ -191,7 +188,7 @@ def test_mapped_run_equals_weighted_scalar_run():
 def test_dispersion_takes_a_stack_of_wave_vectors():
     p = params()
     stack = BOX_3D.wavevectors
-    for fn in (bogoliubov_energy, bogoliubov_omega, bogoliubov_weight):
+    for fn in (bogoliubov_omega, bogoliubov_weight):
         rows = fn(stack, p)
         assert rows.shape == (BOX_3D.n_modes,)
         assert rows.tobytes() == np.array([fn(k, p) for k in stack]).tobytes()

@@ -597,6 +597,42 @@ def test_chi_file_with_a_nan_meta_axis_exits_1_and_names_the_axis(tmp_path):
     assert not (tmp_path / "nan_w.csv").exists()
 
 
+def test_sampled_two_mode_manifold_scan_reruns_byte_for_byte(tmp_path):
+    # the probe displaces both modes of the state at once; curve N draws from
+    # seed + N, so two fresh runs write the same bytes
+    modes = ('[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}, '
+             '{"j": [2], "kind": "squeezed", "params": {"r": 0.3}}]')
+    manifold = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+                '"switching": {"kind": "constant"}}, "N_list": [1, 4], '
+                '"tau": {"min": 0.1, "max": 6.0, "points": 40}}')
+    written = []
+    for d in ("scan1", "scan2"):
+        (tmp_path / d).mkdir()
+        _fresh_run(tmp_path / d, "chi-scan", "--shots", "1000", "--seed", "3",
+                   "--set", f"state.modes={modes}", "--set", f"manifold={manifold}",
+                   "--out", "scan.csv")
+        written.append((tmp_path / d / "scan.csv").read_bytes())
+    assert written[0] == written[1]
+    assert len(data_lines(tmp_path / "scan1" / "scan.csv")) == 2 * 40
+
+
+@pytest.mark.parametrize("argv", [(), ("--shots", "10000", "--set", "half=true")],
+                         ids=["exact", "sampled-half"])
+def test_every_chi_file_cell_is_the_repr_of_its_value(tmp_path, argv):
+    # the writer formats each distinct value once and reuses its text, so
+    # re-rendering each data cell with repr(float(cell)) rewrites the file
+    # byte for byte, the NaN cells of a half grid too
+    _fresh_run(tmp_path, "chi-scan", *argv, "--out", "chi.csv")
+    text = (tmp_path / "chi.csv").read_text(encoding="utf-8")
+    rerendered = "".join(
+        line if line.startswith("#")
+        else ",".join(repr(float(c)) for c in line.rstrip("\n").split(",")) + "\n"
+        for line in text.splitlines(keepends=True)
+    )
+    assert rerendered == text
+    assert any("nan" in line for line in data_lines(tmp_path / "chi.csv")) == bool(argv)
+
+
 @pytest.mark.parametrize("argv", [
     # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
     # tolerance, a negative alpha extent, a moment order that is not a pair, a
@@ -992,8 +1028,9 @@ def test_unknown_flag_is_exit_1(tmp_path, flag):
 
 
 def test_cli_import_loads_no_heavy_scipy():
-    # scipy.integrate, .linalg and .special load only where they are used,
-    # while every layer module (fock_oracle too) is loaded by the cli
+    # scipy.special loads only where a 2-D radial table uses it, and the
+    # package uses scipy.integrate and .linalg nowhere, so importing the cli
+    # loads none of them, while it loads every layer module (fock_oracle too)
     # and the records build without the stdlib dataclasses module
     code = (
         "import sys, numpy; bare = set(sys.modules); import chitomo.cli; "
@@ -1123,6 +1160,14 @@ REFUSED = [
     (("oracle-check", "--set", 'out=""'), "out must be null or a file path, got ''"),
     (("moments", "--shots", "1000", "--set", "mode=1", "--set", "grid.points=513"),
      "mode index 1 out of range 0..0"),
+    # each stencil is checked on the planned grid before it is sampled
+    (("moments", "--shots", "1000", "--set", "grid.points=2049", "--set", "h=0.5"),
+     "grid stencils need h an even multiple of the step"),
+    (("moments", "--shots", "1000", "--set", "grid.points=9", "--set", "h=9"),
+     "stencil exits the grid"),
+    (("oracle-check", "--set", "D=20000", "--set", "n_draws=1"),
+     "D = 20000 is not usable: an integer <= 1024 is expected"),
+    (("oracle-check", "--set", "D=5"), "D = 5 is not usable: an integer >= 8 is expected"),
     *NON_NUMERIC,
     *INEXACT,
     *(((argv, f"unknown field(s) {field}") for argv, field in UNKNOWN_FIELD)),

@@ -20,7 +20,7 @@ from chitomo.fock_oracle import (
     thermal_density,
     verify_displacement_composition,
 )
-from chitomo.gaussian_field import ModeSet, SqueezedThermal, beta_from_n, n_from_beta
+from chitomo.gaussian_field import ModeSet, SqueezedThermal
 from chitomo.pulse_protocol import (
     Constant,
     Delta,
@@ -110,10 +110,6 @@ _REAL_ARGUMENTS = {
     "SqueezedThermal.n": lambda v: SqueezedThermal(v, 0.1, 0.2),
     "SqueezedThermal.r": lambda v: SqueezedThermal(0.5, v, 0.2),
     "SqueezedThermal.theta": lambda v: SqueezedThermal(0.5, 0.1, v),
-    "n_from_beta.beta": lambda v: n_from_beta(v, 1.0),
-    "n_from_beta.omega": lambda v: n_from_beta(1.0, v),
-    "beta_from_n.n": lambda v: beta_from_n(v, 1.0),
-    "beta_from_n.omega": lambda v: beta_from_n(1.0, v),
     "SphericalGaussian.sigma": lambda v: SphericalGaussian(v),
     "GaussianWindow.center": lambda v: GaussianWindow(v, 0.2),
     "GaussianWindow.width": lambda v: GaussianWindow(0.5, v),

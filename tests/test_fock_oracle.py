@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from chitomo import fock_oracle
 from chitomo.errors import NumericalCheckError, ValidationError
 from chitomo.fock_oracle import (
+    MAX_CUTOFF,
     FieldMode,
     SegmentOperators,
     _SX,
@@ -429,6 +430,23 @@ def test_bad_oracle_cutoff_is_refused_by_name(D):
         fock_density(Squeezed(r=0.5, theta=0.0), D)
     with pytest.raises(ValidationError, match=rf"^segment cutoff D = {D!r} is not usable"):
         joint_bloch_oracle(vac, sched(), MODE, 1.0, D)
+
+
+@pytest.mark.parametrize("call", [
+    ladder,
+    lambda D: displacement_operator(D, 0.5),
+    lambda D: number_rotation(D, 0.3),
+    lambda D: thermal_density(D, 1.0),
+    lambda D: fock_density(Thermal(n=1.0), D),
+    lambda D: chi_fock(state_of(Vacuum()), 0.5, D),
+    lambda D: build_segment(sched(), MODE, D),
+], ids=["ladder", "displacement_operator", "number_rotation", "thermal_density",
+        "fock_density", "chi_fock", "build_segment"])
+def test_cutoff_above_the_maximum_is_refused_before_any_matrix(call):
+    D = MAX_CUTOFF + 1
+    with pytest.raises(ValidationError, match=rf"cutoff D = {D} is not usable: "
+                                              rf"an integer <= {MAX_CUTOFF} is expected"):
+        call(D)
 
 
 # ------------------------------------------------------------- joint qubit

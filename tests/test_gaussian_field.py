@@ -18,13 +18,11 @@ from chitomo.gaussian_field import (
     SqueezedThermal,
     Thermal,
     Vacuum,
-    beta_from_n,
     char_analytic,
     char_analytic_grid,
     char_points,
     covariance,
     moments_analytic,
-    n_from_beta,
     state_from_dict,
     state_to_dict,
 )
@@ -456,16 +454,6 @@ def test_moment_20_carries_squeezing_phase():
     got = moments_analytic(st_, 0, 2, 0)
     want = -0.5 * math.sinh(1.0) * np.exp(-1j * th)
     assert got == pytest.approx(want, abs=1e-14)
-
-
-# ----------------------------------------------------------- thermal helper
-
-def test_occupation_temperature_roundtrip():
-    for n in (0.1, 1.0, 7.3):
-        beta = beta_from_n(n, omega=2.0)
-        assert n_from_beta(beta, omega=2.0) == pytest.approx(n, rel=1e-12)
-    with pytest.raises(ValidationError, match="^beta = inf is not usable: a finite number > 0"):
-        n_from_beta(math.inf, omega=1.0)  # zero temperature is n = 0, not beta = inf
 
 
 # ------------------------------------------------------------ serialization

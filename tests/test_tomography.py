@@ -625,24 +625,20 @@ def test_fit_exact_thermal():
     assert fit.psd_ok and fit.uncertainty_ok
     assert fit.nbar[0] == pytest.approx(1.0, abs=1e-8)
     assert fit.residual < 1e-10
-    st_ = fit.to_state(MS1)
-    assert isinstance(st_.mode_states[0], Thermal)
-    assert st_.mode_states[0].n == pytest.approx(1.0, abs=1e-8)
+    np.testing.assert_allclose(fit.mode_block(0), covariance(THERMAL, 0), atol=1e-8)
 
 
 def test_fit_exact_squeezed():
     fit = gaussian_fit(chi_grid_from_state(SQ_TILTED, square_axes(2.5, 81)))
     eigs = np.linalg.eigvalsh(fit.mode_block(0))
     np.testing.assert_allclose(eigs, [math.exp(-2.0), math.exp(2.0)], rtol=1e-6)
-    recovered = fit.to_state(MS1).mode_states[0]
-    assert isinstance(recovered, Squeezed)
-    assert recovered.r == pytest.approx(1.0, abs=1e-6)
-    assert recovered.theta == pytest.approx(0.7, abs=1e-6)
+    # the whole block, not only its eigenvalues, pins the tilt theta = 0.7
+    np.testing.assert_allclose(fit.mode_block(0), covariance(SQ_TILTED, 0), rtol=1e-6)
 
 
-def test_fit_vacuum_classifies_as_vacuum():
+def test_fit_vacuum():
     fit = gaussian_fit(chi_grid_from_state(VACUUM, square_axes(4.0, 41)))
-    assert isinstance(fit.to_state(MS1).mode_states[0], Vacuum)
+    np.testing.assert_allclose(fit.mode_block(0), covariance(VACUUM, 0), atol=1e-8)
 
 
 def test_fit_two_mode_blocks():
@@ -652,8 +648,8 @@ def test_fit_two_mode_blocks():
     np.testing.assert_allclose(
         np.diag(fit.mode_block(1)), [math.exp(-0.8), math.exp(0.8)], rtol=1e-6
     )
-    back = fit.to_state(MS2).mode_states
-    assert isinstance(back[0], Thermal) and isinstance(back[1], Squeezed)
+    for m in range(2):
+        np.testing.assert_allclose(fit.mode_block(m), covariance(st2, m), atol=1e-6)
     for bad in (-1, 2):
         with pytest.raises(ValidationError, match="out of range"):
             fit.mode_block(bad)
@@ -666,22 +662,13 @@ def test_fit_flags_unphysical_grids():
                       provenance="exact")
     fit = gaussian_fit(growing)
     assert not fit.psd_ok
-    with pytest.raises(ValidationError):
-        fit.to_state(MS1)
     squeezed_below = ChiGrid(axes=axes, values=np.exp(-0.25 * (x**2 + y**2)).astype(complex),
                              provenance="exact")
     fit = gaussian_fit(squeezed_below)
     assert fit.psd_ok and not fit.uncertainty_ok
 
 
-def _assert_mode(got, n, r, theta):
-    assert isinstance(got, SqueezedThermal)
-    assert got.n == pytest.approx(n, abs=1e-6)
-    assert got.r == pytest.approx(r, abs=1e-6)
-    assert math.remainder(got.theta - theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_fit_round_trips_mixed_squeezed_state():
+def test_fit_recovers_mixed_squeezed_state():
     # squeezed and mixed at once: V = (2n+1) S S^T with n = 0.5, r = 1, theta = 0,
     # built here from its exponent rather than from the library's chi
     axes = square_axes(2.0, 41)
@@ -691,15 +678,15 @@ def test_fit_round_trips_mixed_squeezed_state():
     fit = gaussian_fit(grid)
     assert fit.psd_ok and fit.uncertainty_ok
     assert fit.nbar[0] == pytest.approx(0.5, abs=1e-6)
-    _assert_mode(fit.to_state(MS1).mode_states[0], 0.5, 1.0, 0.0)
+    mixed = GaussianFieldState(modes=MS1, mode_states=[SqueezedThermal(n=0.5, r=1.0)])
+    np.testing.assert_allclose(fit.mode_block(0), covariance(mixed, 0), rtol=1e-6)
 
-    # two modes: exact grid -> fit -> state gives back both modes
+    # two modes: exact grid -> fit gives back both modes' blocks
     modes = (SqueezedThermal(n=0.5, r=1.0), SqueezedThermal(n=0.25, r=0.4, theta=0.7))
     st2 = GaussianFieldState(modes=MS2, mode_states=modes)
     fit = gaussian_fit(chi_grid_from_state(st2, (grid_axis(2.0, 21),) * 4))
-    back = fit.to_state(MS2).mode_states
-    for got, want in zip(back, modes):
-        _assert_mode(got, want.n, want.r, want.theta)
+    for m in range(2):
+        np.testing.assert_allclose(fit.mode_block(m), covariance(st2, m), rtol=1e-6, atol=1e-12)
 
 
 def test_fit_needs_enough_usable_points():
