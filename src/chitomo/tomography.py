@@ -114,6 +114,9 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
 
 # rounding allowed in an axis's steps and mirror symmetry, relative to its extent
 _AXIS_RTOL = 1e-9
+# the (chi, stderr) that sampled_chi_grid stores at a point it does not
+# measure; a chi file gives such a point no row
+_UNMEASURED = (complex(math.nan, 0.0), math.nan)
 
 
 def _check_axes(axes: Sequence[np.ndarray]) -> tuple[NDArray[np.float64], ...]:
@@ -291,8 +294,8 @@ def sampled_chi_grid(
     chi = char_analytic_grid(state, axes)
     measured = _half_space_mask(axes) if half else np.ones(chi.shape, dtype=bool)
     readout = readout_chi(chi[measured], theta, shots, seed)
-    values = np.full(chi.shape, np.nan + 0j)
-    stderr = np.full(chi.shape, np.nan)
+    values = np.full(chi.shape, _UNMEASURED[0])
+    stderr = np.full(chi.shape, _UNMEASURED[1])
     values[measured] = readout.chi_est
     stderr[measured] = readout.chi_stderr
     return ChiGrid(

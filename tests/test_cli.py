@@ -621,7 +621,7 @@ def test_sampled_two_mode_manifold_scan_reruns_byte_for_byte(tmp_path):
 def test_every_chi_file_cell_is_the_repr_of_its_value(tmp_path, argv):
     # the writer formats each distinct value once and reuses its text, so
     # re-rendering each data cell with repr(float(cell)) rewrites the file
-    # byte for byte, the NaN cells of a half grid too
+    # byte for byte; a half grid lists only its (n^2 + 1) / 2 measured points
     _fresh_run(tmp_path, "chi-scan", *argv, "--out", "chi.csv")
     text = (tmp_path / "chi.csv").read_text(encoding="utf-8")
     rerendered = "".join(
@@ -630,7 +630,9 @@ def test_every_chi_file_cell_is_the_repr_of_its_value(tmp_path, argv):
         for line in text.splitlines(keepends=True)
     )
     assert rerendered == text
-    assert any("nan" in line for line in data_lines(tmp_path / "chi.csv")) == bool(argv)
+    rows = data_lines(tmp_path / "chi.csv")
+    assert len(rows) == ((129**2 + 1) // 2 if argv else 129**2)
+    assert not any("nan" in line for line in rows)
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chitomo import fileio
+from chitomo.cli import main
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
     _BLOCK,
@@ -290,15 +292,40 @@ def test_chi_grid_roundtrip_bitwise(tmp_path):
     assert back.shots == g.shots
 
 
+@pytest.mark.parametrize("half", [False, True])
+def test_a_callers_rows_field_gives_way_to_the_files_own(tmp_path, half):
+    g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, shots=200, seed=5, half=half)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path, meta={"note": 1, "rows": 3})
+    assert read_table(path)[2].get("rows") == (61 if half else None)
+    assert load_chi_grid(path).values.tobytes() == g.values.tobytes()
+
+
 def test_chi_grid_roundtrip_keeps_signed_zeros_and_nonfinite_parts(tmp_path):
+    # only nan + 0.0j, what sampled_chi_grid leaves unmeasured, loses its row
     values = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0),
                        complex(1.0, math.nan), complex(1.0, math.inf), complex(math.inf, 1.0),
-                       complex(math.nan, -2.0), complex(-math.inf, -math.inf), 1.0])
-    g = ChiGrid(axes=(grid_axis(1.0, 3),) * 2, values=values.reshape(3, 3))
+                       complex(math.nan, -2.0), complex(-math.inf, -math.inf), 1.0,
+                       complex(math.nan, 0.0), complex(math.nan, -0.0), complex(math.nan, 1.0),
+                       complex(math.nan, 0.0), 2.0, complex(math.nan, 0.0)])
+    g = ChiGrid(axes=(grid_axis(1.0, 3), grid_axis(1.0, 5)), values=values.reshape(3, 5))
     path = tmp_path / "chi.csv"
     save_chi_grid(g, path)
+    assert len(data_lines_of(path)) == 12
     back = load_chi_grid(path)
     assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
+    assert back.stderr is None
+    # with a stderr column a point loses its row only where its stderr is NaN
+    # too; a measured cell may carry a NaN stderr
+    stderr = np.full(15, 0.5)
+    stderr[[1, 9, 10, 14]] = math.nan  # 9 and 14 are nan + 0.0j: no row
+    g = ChiGrid(axes=g.axes, values=g.values, provenance="sampled", shots=10,
+                stderr=stderr.reshape(3, 5))
+    save_chi_grid(g, path)
+    assert len(data_lines_of(path)) == 13
+    back = load_chi_grid(path)
+    assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
+    assert back.stderr.view(np.int64).tolist() == g.stderr.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("shots", ['"abc"', "100.7", "true"])
@@ -355,6 +382,10 @@ def test_grid_rows_match_a_meshgrid_table(tmp_path, sampled):
     mesh = np.meshgrid(*g.axes, indexing="ij")
     values = [g.values.real, g.values.imag] + ([] if g.stderr is None else [g.stderr])
     table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
+    if sampled:  # a point the half-plane scan did not measure has no row
+        unmeasured = np.isnan(table[:, 4]) & (table[:, 5].view(np.int64) == 0)
+        table = table[~(unmeasured & np.isnan(table[:, 6]))]
+        assert len(table) == (g.values.size + 1) // 2
     columns, _, _ = read_table(path)
     _repr_reference_write_table(ref, columns, table)
     assert data_lines_of(path) == data_lines_of(ref)
@@ -375,11 +406,28 @@ def test_chi_grid_save_peak_memory(tmp_path):
     grid = 16 * g.values.size  # the bytes of one complex grid; exact chi is stored real
     # one (cells x 6) float table is 3.0 grids; a meshgrid and a stack made 6.1
     assert _save_peak(g, tmp_path / "chi.csv") <= 4.0 * grid
-    # a sampled half grid: a stderr column and a NaN half; its (cells x 7)
-    # float table is 3.5 grids, and the allowance beyond it is the same 1.0
+    # a sampled half grid: a stderr column and an unmeasured half with no
+    # rows; its (measured points x 7) float table is 1.75 grids, and the
+    # allowance beyond it is the same 1.0
     g = sampled_chi_grid(TWO_MODE, axes, shots=100, seed=2, half=True)
-    table = g.values.size * 7 * 8
+    table = np.count_nonzero(~np.isnan(g.values)) * 7 * 8
     assert _save_peak(g, tmp_path / "sampled.csv") <= table + 1.0 * grid
+
+
+def test_chi_grid_load_peak_memory(tmp_path):
+    # a complete exact two-mode file: the parsed (cells x 6) table is 3.0
+    # grids and np.loadtxt peaks at 4.0; its coordinate check adds only a
+    # boolean column
+    g = chi_grid_from_state(TWO_MODE, (grid_axis(3.0, 17),) * 4)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    tracemalloc.start()
+    try:
+        load_chi_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 16 * g.values.size
 
 
 def _damage_cell(path, row: int, col: int) -> None:
@@ -453,6 +501,118 @@ def test_load_refuses_a_grid_without_its_coordinates(tmp_path):
     write_table(path, ["re_chi", "im_chi"], values, meta)
     with pytest.raises(ValidationError, match="lacks one of the columns"):
         load_chi_grid(path)
+
+
+def _half_plane_file(path):
+    """A sampled half-plane chi file of 11 x 11 points: 61 data rows."""
+    g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, shots=200, seed=5, half=True)
+    save_chi_grid(g, path)
+    assert len(data_lines_of(path)) == 61
+    return path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("damage", ["swap", "repeat"])
+def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage):
+    path = tmp_path / "chi.csv"
+    lines = _half_plane_file(path)
+    first = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 10  # data row 11
+    if damage == "swap":
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    else:  # the row count stays as the header says
+        lines[first + 1] = lines[first]
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError, match="data row 12 does not follow data row 11 in C order"):
+        load_chi_grid(path)
+
+
+@pytest.mark.parametrize("column, col", [("re_xi", 0), ("im_xi", 1)])
+def test_load_refuses_a_half_plane_coordinate_one_ulp_off_its_axis(tmp_path, column, col):
+    path = tmp_path / "chi.csv"
+    _half_plane_file(path)
+    _damage_cell(path, 30, col)
+    with pytest.raises(ValidationError,
+                       match=f"column {column} does not match the meta axes at data row 31"):
+        load_chi_grid(path)
+
+
+def _delete_data_row(path, row: int) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    del lines[data[row]]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled", "half"])
+@pytest.mark.parametrize("row", [0, 40, -1])
+def test_load_refuses_a_chi_file_that_lost_a_row(tmp_path, kind, row):
+    # a complete file lists every point; a half-plane one as many as its
+    # meta field rows says; neither may load with a lost point unmeasured
+    axes = (grid_axis(2.0, 11),) * 2
+    path = tmp_path / "chi.csv"
+    if kind == "exact":
+        save_chi_grid(chi_grid_from_state(THERMAL, axes), path)
+    else:
+        save_chi_grid(sampled_chi_grid(THERMAL, axes, shots=200, seed=5, half=kind == "half"),
+                      path)
+    assert ('"rows": 61' in path.read_text()) == (kind == "half")
+    _delete_data_row(path, row)
+    with pytest.raises(ValidationError, match="row count does not match the axes"):
+        load_chi_grid(path)
+
+
+@pytest.mark.parametrize("rows, message", [('"61"', "meta.rows"), ("60.5", "meta.rows"),
+                                           ("true", "meta.rows"),
+                                           ("122", "row count does not match the axes")])
+def test_load_refuses_a_rows_field_that_is_not_the_row_count(tmp_path, rows, message):
+    path = tmp_path / "chi.csv"
+    _half_plane_file(path)
+    path.write_text(path.read_text().replace('"rows": 61', f'"rows": {rows}'))
+    with pytest.raises(ValidationError, match=message):
+        load_chi_grid(path)
+
+
+def test_load_refuses_a_wigner_file_without_every_point(tmp_path):
+    w = wigner_transform(chi_grid_from_state(THERMAL, (grid_axis(6.0, 17),) * 2))
+    path = tmp_path / "w.csv"
+    save_wigner_grid(w, path)
+    lines = path.read_text().splitlines(keepends=True)
+    del lines[-100]
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError, match="row count does not match the axes"):
+        load_wigner_grid(path)
+
+
+def test_a_half_plane_file_that_lists_every_point_loads_and_runs_the_same(tmp_path, monkeypatch):
+    # a file written before unmeasured points lost their rows lists every
+    # point, with a nan,0.0,nan row for each one the scan did not measure
+    g = sampled_chi_grid(THERMAL, (grid_axis(6.0, 33),) * 2, shots=20000, seed=5, half=True)
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir(), old.mkdir()
+    save_chi_grid(g, new / "chi.csv", meta={"note": 1})
+    columns, _, meta = read_table(new / "chi.csv")
+    assert meta.pop("rows") == 33**2 - 544  # only a file that leaves points out counts them
+    mesh = np.meshgrid(*g.axes, indexing="ij")
+    values = [g.values.real, g.values.imag, g.stderr]
+    table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
+    _repr_reference_write_table(old / "chi.csv", columns, table, meta)
+    full = data_lines_of(old / "chi.csv")
+    assert len(full) == 33**2 and sum(ln.endswith(",nan,0.0,nan") for ln in full) == 544
+    assert data_lines_of(new / "chi.csv") == [ln for ln in full if not ln.endswith(",nan,0.0,nan")]
+    a, b = load_chi_grid(new / "chi.csv"), load_chi_grid(old / "chi.csv")
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.axes, b.axes))
+    assert a.values.tobytes() == b.values.tobytes() == g.values.tobytes()
+    assert a.stderr.tobytes() == b.stderr.tobytes() == g.stderr.tobytes()
+    assert (a.provenance, a.shots) == (b.provenance, b.shots) == ("sampled", 20000)
+    for d in (new, old):
+        monkeypatch.chdir(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (2,0) of a thermal state is noise only
+            assert main(["moments", "--set", 'chi_file="chi.csv"', "--out", "m.csv"]) == 0
+        # shot noise at the grid edge sits far above the exact-decay default
+        assert main(["wigner", "--set", 'chi_file="chi.csv"', "--set", "boundary_tol=0.1",
+                     "--out", "w.csv"]) == 0
+    for name in ("m.csv", "w.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes()
 
 
 def test_wigner_grid_roundtrip(tmp_path):
