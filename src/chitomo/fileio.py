@@ -14,18 +14,18 @@ the previous block's keys and labels per column. Equal bits give equal
 text, so the bytes are those of formatting every cell; -0.0 and 0.0 stay
 distinct, and every NaN prints as nan. repr round-trips exactly, and
 read_table parses the data block into one 2-D float64 array.
-A grid file holds one row per grid point, in strictly increasing C order,
-each coordinate bitwise on its meta axis; a file whose rows break that rule
-is refused. A Wigner file lists every point. A chi file lists its measured
-points only: a point holding what sampled_chi_grid stores for an unmeasured
-one (Re chi NaN, Im chi +0.0, stderr NaN or no stderr column) has no row, so
-a half-plane scan writes and parses only its half, and loading gives that
-value back to every point without a row. Such a file counts its rows in
-the meta field rows, and any other grid file must list every point, so a
-file that lost a row is refused. Loading a grid therefore reproduces
-the saved arrays bit for bit, signed zeros and NaN or infinite parts
-included, and a chi file that lists every point, as files written before
-the rule did, loads as before.
+A grid file has one rule: its rows are grid points in C order, each
+coordinate bitwise on its meta axis, and only a leading run of unmeasured
+points may be left out; a file that breaks it is refused. An unmeasured
+point holds what sampled_chi_grid stores there (Re chi NaN, Im chi +0.0,
+stderr NaN or no stderr column), so only a chi file leaves points out: a
+half-plane scan's lower half is such a run, so it writes and parses only
+its upper half, and loading gives the run that value back. A file that
+leaves points out counts its rows in the meta field rows, and any other
+grid file must list every point, so a file that lost a row is refused.
+Loading a grid therefore reproduces the saved arrays bit for bit, signed
+zeros and NaN or infinite parts included, and a chi file that lists every
+point, as files written before the rule did, loads as before.
 Headers carry no timestamp unless explicitly requested, keeping identical
 runs byte-identical.
 """
@@ -38,8 +38,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ValidationError, integer, read_field
-from .tomography import _UNMEASURED, ChiGrid, WignerGrid, _check_axes
+from .errors import ValidationError, at_least, integer, listed, read_field
+from .tomography import _UNMEASURED, ChiGrid, WignerGrid
 
 __all__ = [
     "write_table",
@@ -56,8 +56,8 @@ _TAG = "chitomo-table v1"
 _BLOCK = 1024  # rows formatted and written at a time
 _CHI_COORDS = ("re_xi", "im_xi")  # the coordinate pair of each mode in a grid file
 _WIGNER_COORDS = ("x", "p")
-# a chi file's cells at a point that sampled_chi_grid left unmeasured; such
-# a point has no row
+# a chi file's cells at a point that sampled_chi_grid left unmeasured; a
+# leading run of such points has no rows
 _MISSING = {"re_chi": _UNMEASURED[0].real, "im_chi": _UNMEASURED[0].imag,
             "stderr": _UNMEASURED[1]}
 
@@ -172,89 +172,61 @@ def _holds(column, value: float):
 
 
 def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, timestamps,
-               keep=None):
-    """One row per grid point, C order: the coordinates, then values. keep,
-    a boolean array on the grid's shape, marks the only points given a row;
-    the meta field rows then counts them."""
+               skip: int = 0):
+    """One row per grid point in C order, the coordinates then values, but
+    for the first skip points; the meta field rows then counts the rows."""
     names = _coordinate_names(coords, grid.n_modes) + list(values)
     axes = [np.asarray(a, dtype=float) for a in grid.axes]
     doc = {k: v for k, v in (meta or {}).items() if k != "rows"}  # the file's own field
     doc.update(fields, kind=kind, axes=[a.tolist() for a in axes])
     shape = tuple(a.size for a in axes)
-    rows, table_shape = ..., shape  # every point, the table on the grid's shape
-    if keep is not None:  # the header counts the rows, so a cut file is refused
-        doc["rows"] = int(np.count_nonzero(keep))
-        rows, table_shape = keep, (doc["rows"],)
-    table = np.empty(table_shape + (len(names),))
+    rows = math.prod(shape) - skip
+    if skip:  # the header counts the rows, so a cut file is refused
+        doc["rows"] = rows
+    table = np.empty((rows, len(names)))
     columns = [_along(a, k, len(shape)) for k, a in enumerate(axes)] + list(values.values())
     for k, c in enumerate(columns):  # filled column by column, no mesh
-        table[..., k] = np.broadcast_to(c, shape)[rows]
-    write_table(path, names, table.reshape(-1, len(names)), doc, timestamps)
-
-
-def _row_points(path, data, columns, names, axes):
-    """The C-order grid index of each data row: its coordinates must lie bit
-    for bit on the axes, and the rows must run in strictly increasing order."""
-    axes = _check_axes(axes)  # finite and increasing, so a coordinate has one place
-    point = np.zeros(data.shape[0], dtype=np.int64)
-    for name, a in zip(names, axes):
-        col = data[:, columns.index(name)]
-        at = np.searchsorted(a, col)
-        np.minimum(at, a.size - 1, out=at)
-        off = np.flatnonzero(a.view(np.int64)[at] != col.view(np.int64))
-        if off.size:
-            raise ValidationError(
-                f"{path}: column {name} does not match the meta axes at data row {off[0] + 1}")
-        point *= a.size
-        point += at
-    back = np.flatnonzero(point[1:] <= point[:-1])
-    if back.size:
-        raise ValidationError(
-            f"{path}: data row {back[0] + 2} does not follow data row {back[0] + 1} in C order")
-    return point
+        table[:, k] = np.broadcast_to(c, shape).reshape(-1)[skip:]
+    write_table(path, names, table, doc, timestamps)
 
 
 def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), missing=None):
     """(axes, the required then the optional columns on the axes' shape, with
     None for an absent optional one, meta) of a grid file of the given kind.
-    Each row is a grid point, in strictly increasing C order, each coordinate
-    bitwise on its meta axis. The file lists every point, so its coordinate
-    columns are the C-order outer product of the axes, unless missing maps
-    each column to its cell at a point that has no row; the file must then
-    have as many rows as its meta field rows says, every point if it has
-    none."""
+    Its coordinate columns must be, bit for bit, the last rows points of the
+    C-order outer product of its meta axes. rows is every point unless
+    missing maps each column to its cell at a point without a row; rows is
+    then the meta field rows, every point if there is none, and each leading
+    point left out gets those cells."""
     columns, data, meta = read_table(path)
-    if meta.get("kind") != kind:
+    where = f"{path} meta"
+    if read_field(meta, "kind", None, where, None) != kind:
         raise ValidationError(f"{path} is not a {kind.replace('_', ' ')} file")
-    try:
-        axes = tuple(np.array(a, dtype=float) for a in meta["axes"])
-    except KeyError:
-        raise ValidationError("grid file carries no axes in its meta header") from None
+    axes = tuple(map(np.array, read_field(meta, "axes", listed(listed(float)), where)))
     names = _coordinate_names(coords, len(axes) // 2)
-    if not axes or len(names) != len(axes) or any(a.ndim != 1 for a in axes):
+    if not axes or len(names) != len(axes):
         raise ValidationError(f"{path}: meta axes are not one 1-D (Re, Im) pair per mode")
     shape = tuple(a.size for a in axes)
     cells = math.prod(shape)
-    rows = cells if missing is None else read_field(meta, "rows", integer, f"{path} meta", cells)
+    rows = cells if missing is None else read_field(meta, "rows", integer, where, cells)
     if data.shape[0] != rows or rows > cells:
         raise ValidationError(f"{path}: row count does not match the axes")
     needed = names + list(required)
     if not set(needed) <= set(columns):
         raise ValidationError(f"{path} lacks one of the columns {', '.join(needed)}")
-    point = None  # each row's C-order index, where the file leaves points out
-    if rows == cells:
-        for k, (name, a) in enumerate(zip(names, axes)):
-            col = data[:, columns.index(name)].reshape(shape).view(np.int64)
-            if not np.all(col == _along(a.view(np.int64), k, len(shape))):
-                raise ValidationError(f"{path}: column {name} does not match the meta axes")
-    else:
-        point = _row_points(path, data, columns, names, axes)
+    skip = cells - rows
+    for k, (name, a) in enumerate(zip(names, axes)):
+        want = np.broadcast_to(_along(a, k, len(shape)), shape).reshape(-1)[skip:]
+        off = np.flatnonzero(data[:, columns.index(name)].view(np.int64) != want.view(np.int64))
+        if off.size:
+            raise ValidationError(
+                f"{path}: column {name} does not match the meta axes at data row {off[0] + 1}")
+    del want  # so that the value columns are built without it
 
     def column(name):
         col = data[:, columns.index(name)]
-        if point is not None:
-            col, given = np.full(cells, missing[name]), col
-            col[point] = given
+        if skip:
+            col = np.concatenate((np.full(skip, missing[name]), col))
         return col.reshape(shape)
 
     values = [column(name) if name in columns else None for name in required + optional]
@@ -264,11 +236,12 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
 def save_chi_grid(
     grid: ChiGrid, path, meta: dict | None = None, timestamps: bool = False
 ) -> None:
-    """One row per measured grid point, C order: coordinates, Re chi, Im chi[,
-    stderr]. A point with Re chi NaN, Im chi +0.0 and stderr NaN or absent,
-    as sampled_chi_grid leaves a point it did not measure, has no row, so a
-    half-plane grid writes its half and the meta field rows counts them. A
-    real grid writes +0.0 as its Im chi, as its complex copy would."""
+    """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr].
+    The leading run of points with Re chi NaN, Im chi +0.0 and stderr NaN or
+    absent, as sampled_chi_grid leaves the points it did not measure, has no
+    rows, so a half-plane grid writes its upper half and the meta field rows
+    counts them. A real grid writes +0.0 as its Im chi, as its complex copy
+    would."""
     im = grid.values.imag if np.iscomplexobj(grid.values) else 0.0  # no grid of zeros
     values = {"re_chi": grid.values.real, "im_chi": im}
     if grid.stderr is not None:
@@ -276,15 +249,15 @@ def save_chi_grid(
     unmeasured = True
     for name, column in values.items():
         unmeasured = unmeasured & _holds(column, _MISSING[name])
-    keep = ~unmeasured if unmeasured.any() else None
-    del unmeasured  # so that a complete grid's save holds no mask
+    skip = int(np.count_nonzero(np.logical_and.accumulate(unmeasured.reshape(-1))))
+    del unmeasured  # so that the save holds no mask
     fields = {"provenance": grid.provenance, "shots": grid.shots}
-    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, timestamps, keep)
+    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, timestamps, skip)
 
 
 def load_chi_grid(path) -> ChiGrid:
-    """The grid save_chi_grid wrote, or any chi file of its layout: each point
-    without a row holds the cells of _MISSING."""
+    """The grid save_chi_grid wrote, or any chi file of its layout: the
+    leading points without a row hold the cells of _MISSING."""
     axes, (re, im, stderr), meta = _load_grid(
         path, "chi_grid", _CHI_COORDS, ("re_chi", "im_chi"), ("stderr",), _MISSING
     )
@@ -294,8 +267,8 @@ def load_chi_grid(path) -> ChiGrid:
     return ChiGrid(
         axes=axes,
         values=values,
-        provenance=str(meta.get("provenance", "exact")),
-        shots=read_field(meta, "shots", integer, f"{path} meta", 0),
+        provenance=read_field(meta, "provenance", None, f"{path} meta", "exact"),
+        shots=read_field(meta, "shots", at_least(0), f"{path} meta", 0),
         stderr=stderr,
     )
 
@@ -313,8 +286,8 @@ def load_wigner_grid(path) -> WignerGrid:
     return WignerGrid(
         axes=axes,
         values=values,
-        normalization=float(meta.get("normalization", float("nan"))),
-        imag_residual=float(meta.get("imag_residual", 0.0)),
+        normalization=read_field(meta, "normalization", float, f"{path} meta", math.nan),
+        imag_residual=read_field(meta, "imag_residual", float, f"{path} meta", 0.0),
     )
 
 

@@ -137,15 +137,6 @@ class FieldMode(Record):
         dim = converted(dimension, self.spatial_dim, "spatial_dim")
         object.__setattr__(self, "spatial_dim", dim)
 
-    @classmethod
-    def from_mode_set(cls, modes: ModeSet, index: int = 0) -> "FieldMode":
-        return cls(
-            k=float(modes.wavenumbers[index]),
-            omega=float(modes.omegas[index]),
-            box_side=modes.box_side,
-            spatial_dim=modes.spatial_dim,
-        )
-
     def closed_form_xi(self, sched: PulseSchedule) -> complex:
         return displacement_param(sched, self.k, self.omega, self.box_side, self.spatial_dim)
 
@@ -162,11 +153,6 @@ def ladder(D: int) -> NDArray[np.complex128]:
     """Annihilation operator, a|n> = sqrt(n)|n-1>, as a dense D x D matrix."""
     D = _cutoff(D)
     return np.diag(np.sqrt(np.arange(1.0, D)), k=1).astype(complex)
-
-
-def _unitary(H: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """exp(-i H) for a Hermitian H, from its eigendecomposition."""
-    return _exp_from_basis(*np.linalg.eigh(H))
 
 
 def _exp_from_basis(

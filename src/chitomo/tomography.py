@@ -115,7 +115,7 @@ def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
 # rounding allowed in an axis's steps and mirror symmetry, relative to its extent
 _AXIS_RTOL = 1e-9
 # the (chi, stderr) that sampled_chi_grid stores at a point it does not
-# measure; a chi file gives such a point no row
+# measure; a chi file may leave out a leading run of such points
 _UNMEASURED = (complex(math.nan, 0.0), math.nan)
 
 
@@ -190,6 +190,9 @@ class ChiGrid(_Grid, eq=False):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.provenance not in ("exact", "sampled", "reconstructed"):
+            raise ValidationError(
+                f"provenance {self.provenance!r} is not exact, sampled or reconstructed")
         if self.stderr is not None:
             err = np.asarray(self.stderr, dtype=float)
             if err.shape != self.values.shape:
@@ -256,23 +259,6 @@ def chi_grid_from_state(
     return ChiGrid(axes=axes, values=char_analytic_grid(state, axes), provenance="exact")
 
 
-def _half_space_mask(axes: Sequence[np.ndarray]) -> NDArray[np.bool_]:
-    """True on the canonical half: first nonzero coordinate positive, plus 0.
-
-    Lexicographic sign test, one axis at a time: a point is decided at its
-    first nonzero coordinate; points still undecided after the last axis are
-    the origin.
-    """
-    shape = tuple(a.size for a in axes)
-    mask = np.zeros(shape, dtype=bool)
-    undecided = np.ones(shape, dtype=bool)
-    for d, a in enumerate(axes):
-        c = np.reshape(a, [-1 if k == d else 1 for k in range(len(shape))])
-        mask |= undecided & (c > 0)
-        undecided &= c == 0
-    return mask | undecided
-
-
 def sampled_chi_grid(
     state: GaussianFieldState,
     axes: Sequence[np.ndarray] | None = None,
@@ -287,17 +273,20 @@ def sampled_chi_grid(
     the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|. The measured
     points are read out in C order by one readout_chi call. With half=True
     only the canonical half-space is measured (NaN elsewhere), ready for
-    hermitian_fill. theta, shots and seed are checked before chi is evaluated.
+    hermitian_fill: first nonzero coordinate positive, plus the origin. On
+    odd axes mirror-symmetric about an exact 0, C order is the coordinates'
+    lexicographic order, so that half is the flat indices from size // 2 on.
+    theta, shots and seed are checked before chi is evaluated.
     """
     axes = _state_axes(state, axes)
     _readout_args(theta, shots, seed)
     chi = char_analytic_grid(state, axes)
-    measured = _half_space_mask(axes) if half else np.ones(chi.shape, dtype=bool)
-    readout = readout_chi(chi[measured], theta, shots, seed)
+    measured = slice(chi.size // 2 if half else 0, None)  # of the flat C order
+    readout = readout_chi(chi.reshape(-1)[measured], theta, shots, seed)
     values = np.full(chi.shape, _UNMEASURED[0])
     stderr = np.full(chi.shape, _UNMEASURED[1])
-    values[measured] = readout.chi_est
-    stderr[measured] = readout.chi_stderr
+    values.reshape(-1)[measured] = readout.chi_est
+    stderr.reshape(-1)[measured] = readout.chi_stderr
     return ChiGrid(
         axes=axes,
         values=values,

@@ -17,7 +17,6 @@ import pytest
 
 from chitomo.cli import entry, main
 from chitomo.fileio import _save_grid, load_chi_grid, load_wigner_grid, read_json, read_table
-from chitomo.fock_oracle import FieldMode
 from chitomo.gaussian_field import (
     GaussianFieldState,
     ModeSet,
@@ -742,6 +741,28 @@ def test_wigner_refuses_a_chi_file_whose_coordinates_are_not_its_axes(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda m: dict(m, axes=[["a"] * 5] * 2), "meta.axes"),
+    (lambda m: dict(m, axes=5), "meta.axes"),
+    (lambda m: [1], "meta must be an object"),
+    (lambda m: dict(m, provenance="banana"), "provenance 'banana'"),
+    (lambda m: dict(m, shots=-3), "meta.shots"),
+], ids=["axes-strings", "axes-number", "meta-list", "provenance", "shots"])
+def test_wigner_refuses_a_chi_file_with_a_malformed_header(tmp_path, capsys, change, message):
+    chi = tmp_path / "chi.csv"
+    assert run("chi-scan", "--set", "grid.points=5", "--out", str(chi)) == 0
+    lines = chi.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("# meta: "))
+    meta = json.loads(lines[at][len("# meta: "):])
+    lines[at] = f"# meta: {json.dumps(change(meta))}\n"
+    chi.write_text("".join(lines))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
     # odd, increasing and centred on 0, but neither uniform nor symmetric
     axes = (np.array([-1.0, -0.4, 0.0, 0.5, 2.0]), grid_axis(1.0, 5))
@@ -873,7 +894,6 @@ def test_bec_map_kmag_is_the_wave_number_of_every_other_layer(tmp_path):
     assert run("bec-map", "--set", f"modes={spec}", "--out", str(out)) == 0
     kmag = [pm["kmag"] for pm in read_json(out)["per_mode"]]
     assert kmag == modes.wavenumbers.tolist()
-    assert kmag == [FieldMode.from_mode_set(modes, m).k for m in range(len(idx))]
 
 
 def test_bec_map_no_signal_flag(tmp_path):

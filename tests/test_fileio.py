@@ -302,27 +302,39 @@ def test_a_callers_rows_field_gives_way_to_the_files_own(tmp_path, half):
 
 
 def test_chi_grid_roundtrip_keeps_signed_zeros_and_nonfinite_parts(tmp_path):
-    # only nan + 0.0j, what sampled_chi_grid leaves unmeasured, loses its row
-    values = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0),
-                       complex(1.0, math.nan), complex(1.0, math.inf), complex(math.inf, 1.0),
-                       complex(math.nan, -2.0), complex(-math.inf, -math.inf), 1.0,
-                       complex(math.nan, 0.0), complex(math.nan, -0.0), complex(math.nan, 1.0),
-                       complex(math.nan, 0.0), 2.0, complex(math.nan, 0.0)])
+    # only the leading run of nan + 0.0j, what sampled_chi_grid leaves
+    # unmeasured, loses its rows; nan - 0.0j, nan + 1j and a nan + 0.0j after
+    # the first measured point keep theirs
+    values = np.array([complex(math.nan, 0.0), complex(math.nan, 0.0), complex(-0.0, 1.0),
+                       complex(1.0, -0.0), complex(-0.0, -0.0), complex(1.0, math.nan),
+                       complex(1.0, math.inf), complex(math.inf, 1.0), complex(math.nan, -2.0),
+                       complex(-math.inf, -math.inf), complex(math.nan, -0.0),
+                       complex(math.nan, 1.0), complex(math.nan, 0.0), 2.0,
+                       complex(math.nan, 0.0)])
     g = ChiGrid(axes=(grid_axis(1.0, 3), grid_axis(1.0, 5)), values=values.reshape(3, 5))
     path = tmp_path / "chi.csv"
     save_chi_grid(g, path)
-    assert len(data_lines_of(path)) == 12
+    assert len(data_lines_of(path)) == 13
     back = load_chi_grid(path)
     assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
     assert back.stderr is None
     # with a stderr column a point loses its row only where its stderr is NaN
     # too; a measured cell may carry a NaN stderr
     stderr = np.full(15, 0.5)
-    stderr[[1, 9, 10, 14]] = math.nan  # 9 and 14 are nan + 0.0j: no row
+    stderr[[0, 1, 3, 12, 14]] = math.nan  # 0 and 1 lead: no rows
     g = ChiGrid(axes=g.axes, values=g.values, provenance="sampled", shots=10,
                 stderr=stderr.reshape(3, 5))
     save_chi_grid(g, path)
     assert len(data_lines_of(path)) == 13
+    back = load_chi_grid(path)
+    assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
+    assert back.stderr.view(np.int64).tolist() == g.stderr.view(np.int64).tolist()
+    # an unmeasured point that carries a stderr starts no run
+    stderr[0] = 0.5
+    g = ChiGrid(axes=g.axes, values=g.values, provenance="sampled", shots=10,
+                stderr=stderr.reshape(3, 5))
+    save_chi_grid(g, path)
+    assert len(data_lines_of(path)) == 15
     back = load_chi_grid(path)
     assert back.values.view(np.int64).tolist() == g.values.view(np.int64).tolist()
     assert back.stderr.view(np.int64).tolist() == g.stderr.view(np.int64).tolist()
@@ -511,8 +523,8 @@ def _half_plane_file(path):
     return path.read_text().splitlines(keepends=True)
 
 
-@pytest.mark.parametrize("damage", ["swap", "repeat"])
-def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage):
+@pytest.mark.parametrize("damage, row", [("swap", 11), ("repeat", 12)])
+def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage, row):
     path = tmp_path / "chi.csv"
     lines = _half_plane_file(path)
     first = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 10  # data row 11
@@ -521,8 +533,37 @@ def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage):
     else:  # the row count stays as the header says
         lines[first + 1] = lines[first]
     path.write_text("".join(lines))
-    with pytest.raises(ValidationError, match="data row 12 does not follow data row 11 in C order"):
+    with pytest.raises(ValidationError,
+                       match=f"column im_xi does not match the meta axes at data row {row}$"):
         load_chi_grid(path)
+
+
+def test_load_refuses_a_chi_file_that_leaves_out_an_interior_point(tmp_path):
+    # only a leading run of points may go without rows, even when the meta
+    # field rows counts the rows that are there
+    path = tmp_path / "chi.csv"
+    _half_plane_file(path)
+    _delete_data_row(path, 30)
+    path.write_text(path.read_text().replace('"rows": 61', '"rows": 60'))
+    # each row is one point early; re_xi first differs at the last point with Re xi = 0
+    with pytest.raises(ValidationError,
+                       match="column re_xi does not match the meta axes at data row 6$"):
+        load_chi_grid(path)
+
+
+@pytest.mark.parametrize("n", [(11, 9), (9, 7, 9, 7)], ids=["1mode", "2mode"])
+def test_a_half_plane_file_is_the_tail_of_the_complete_file(tmp_path, n):
+    # without shots both scans read chi exactly, so their common rows agree
+    state = THERMAL if len(n) == 2 else TWO_MODE
+    axes = tuple(grid_axis(2.0, k) for k in n)
+    half, full = tmp_path / "half.csv", tmp_path / "full.csv"
+    save_chi_grid(sampled_chi_grid(state, axes, shots=0, half=True), half)
+    save_chi_grid(sampled_chi_grid(state, axes, shots=0), full)
+    size = math.prod(n)
+    rows = data_lines_of(half)
+    assert len(rows) == size // 2 + 1 == read_table(half)[2]["rows"]
+    assert rows[0].startswith(",".join(["0.0"] * len(n)) + ",")  # the origin
+    assert rows == data_lines_of(full)[size // 2:]
 
 
 @pytest.mark.parametrize("column, col", [("re_xi", 0), ("im_xi", 1)])
@@ -569,6 +610,42 @@ def test_load_refuses_a_rows_field_that_is_not_the_row_count(tmp_path, rows, mes
     path.write_text(path.read_text().replace('"rows": 61', f'"rows": {rows}'))
     with pytest.raises(ValidationError, match=message):
         load_chi_grid(path)
+
+
+def _rewrite_meta(path, change) -> None:
+    """Replace the meta object of a table file by change(meta)."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("# meta: "))
+    lines[at] = f"# meta: {json.dumps(change(read_table(path)[2]), sort_keys=True)}\n"
+    path.write_text("".join(lines))
+
+
+MALFORMED_HEADERS = {
+    "axes-strings": (lambda m: dict(m, axes=[["a"] * 5] * 2), "meta.axes"),
+    "axes-number": (lambda m: dict(m, axes=5), "meta.axes"),
+    "meta-list": (lambda m: [1], "meta must be an object"),
+    "provenance": (lambda m: dict(m, provenance="banana"), "provenance 'banana' is not exact"),
+    "shots": (lambda m: dict(m, shots=-3), "meta.shots"),
+}
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+def test_load_refuses_a_malformed_header_by_name(tmp_path, change, message):
+    path = tmp_path / "chi.csv"
+    save_chi_grid(sampled_chi_grid(THERMAL, (grid_axis(2.0, 5),) * 2, shots=100, seed=1), path)
+    _rewrite_meta(path, change)
+    with pytest.raises(ValidationError, match=message):
+        load_chi_grid(path)
+
+
+@pytest.mark.parametrize("field", ["normalization", "imag_residual"])
+def test_load_refuses_a_wigner_header_field_that_is_not_a_number(tmp_path, field):
+    path = tmp_path / "w.csv"
+    save_wigner_grid(wigner_transform(chi_grid_from_state(THERMAL, (grid_axis(6.0, 17),) * 2)),
+                     path)
+    _rewrite_meta(path, lambda m: dict(m, **{field: "banana"}))
+    with pytest.raises(ValidationError, match=f"meta.{field} = 'banana' is not usable"):
+        load_wigner_grid(path)
 
 
 def test_load_refuses_a_wigner_file_without_every_point(tmp_path):

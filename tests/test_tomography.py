@@ -39,7 +39,7 @@ from chitomo.tomography import (
 )
 from chitomo import tomography
 from chitomo.ramsey_readout import readout_chi
-from chitomo.tomography import _half_space_mask, _stencil
+from chitomo.tomography import _stencil
 
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
@@ -190,10 +190,11 @@ def test_sampled_grid_shapes_and_streams():
 def test_sampled_grid_without_shots_is_the_exact_grid():
     axes = square_axes(2.0, 21)
     g = sampled_chi_grid(SQ_TILTED, axes, theta=math.pi / 2, shots=0, half=True)
-    mask = _half_space_mask(axes)
-    np.testing.assert_array_equal(g.values[mask], chi_grid_from_state(SQ_TILTED, axes).values[mask])
-    np.testing.assert_array_equal(g.stderr[mask], 0.0)
-    assert np.isnan(g.values[~mask].real).all()
+    half = g.values.size // 2  # the measured half is the flat tail from here
+    exact = chi_grid_from_state(SQ_TILTED, axes).values.reshape(-1)
+    np.testing.assert_array_equal(g.values.reshape(-1)[half:], exact[half:])
+    np.testing.assert_array_equal(g.stderr.reshape(-1)[half:], 0.0)
+    assert np.isnan(g.values.reshape(-1)[:half].real).all()
 
 
 def _half_space_mask_reference(axes):
@@ -209,23 +210,25 @@ def _half_space_mask_reference(axes):
 
 @settings(max_examples=60, deadline=None)
 @given(n_modes=st.sampled_from([1, 2]), data=st.data())
-def test_half_space_mask_matches_pointwise_definition(n_modes, data):
+def test_a_half_plane_scan_measures_the_pointwise_half_space(n_modes, data):
     sizes = data.draw(st.lists(st.sampled_from([3, 5, 7, 9, 11]),
                                min_size=2 * n_modes, max_size=2 * n_modes))
     extents = data.draw(st.lists(st.floats(0.1, 10.0), min_size=2 * n_modes,
                                  max_size=2 * n_modes))
     axes = tuple(grid_axis(e, n) for e, n in zip(extents, sizes))
-    mask = _half_space_mask(axes)
-    assert mask.dtype == bool
-    np.testing.assert_array_equal(mask, _half_space_mask_reference(axes))
-    # exactly the origin plus one of each +-xi pair
-    assert np.count_nonzero(mask) == (mask.size + 1) // 2
+    state = VACUUM if n_modes == 1 else GaussianFieldState(modes=MS2)
+    g = sampled_chi_grid(state, axes, shots=0, half=True)
+    measured = ~np.isnan(g.stderr)  # shots=0 gives stderr 0.0 where measured
+    np.testing.assert_array_equal(measured, _half_space_mask_reference(axes))
+    # on these axes C order is lexicographic: the half is the flat tail
+    np.testing.assert_array_equal(np.flatnonzero(measured),
+                                  np.arange(measured.size // 2, measured.size))
 
 
 def test_sampled_grid_half_space():
     axes = square_axes(2.0, 21)
     g = sampled_chi_grid(THERMAL, axes, shots=300, seed=1, half=True)
-    mask = _half_space_mask(axes)
+    mask = np.arange(g.values.size).reshape(g.values.shape) >= g.values.size // 2
     assert np.isnan(g.values.real[~mask]).all()
     assert not np.any(np.isnan(g.values.real[mask]))
     # measured half agrees with truth within a few standard errors
@@ -264,7 +267,7 @@ def test_fill_restores_exact_half_grid_bitwise():
     axes = square_axes(2.0, 41)
     full = chi_grid_from_state(SQ_TILTED, axes)
     hv = full.values.copy()
-    hv[~_half_space_mask(axes)] = np.nan
+    hv.reshape(-1)[:hv.size // 2] = np.nan  # the lower half of the flat C order
     filled = hermitian_fill(ChiGrid(axes=axes, values=hv, provenance="exact"))
     np.testing.assert_array_equal(filled.values, full.values)
 
@@ -272,8 +275,7 @@ def test_fill_restores_exact_half_grid_bitwise():
 def test_fill_single_conjugate_pair():
     ax = grid_axis(1.0, 3)
     vals = np.full((3, 3), np.nan, dtype=complex)
-    mask = _half_space_mask((ax, ax))
-    vals[mask] = 1.0  # make the half-space complete
+    vals.reshape(-1)[4:] = 1.0  # make the half-space, the flat tail of C order, complete
     vals[2, 1] = 0.3 + 0.1j  # xi = 1.0 + 0i
     filled = hermitian_fill(ChiGrid(axes=(ax, ax), values=vals, provenance="sampled"))
     assert filled.values[0, 1] == 0.3 - 0.1j
