@@ -11,6 +11,7 @@ import cmath
 import math
 from inspect import Parameter, Signature
 from numbers import Integral, Real
+from reprlib import repr as _short
 
 _REQUIRED = Parameter.empty  # a field without a default is required
 
@@ -27,14 +28,15 @@ def converted(kind, value, name: str):
     """kind(value) for the input field name; a value kind refuses is bad input.
 
     A ValidationError raised by kind itself (a nested loader) passes through
-    with its own message.
+    with its own message. The message shows value through reprlib, so a long
+    list or string is cut to its first entries or characters.
     """
     try:
         return kind(value)
     except ValidationError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} = {value!r} is not usable: {exc}") from None
+        raise ValidationError(f"{name} = {_short(value)} is not usable: {exc}") from None
 
 
 def integer(value) -> int:
@@ -113,7 +115,7 @@ def read_field(doc, key: str, kind, where: str, default=_REQUIRED):
     """Field key of the input object named where, converted by kind (None
     keeps it as it is); without a default a missing field is bad input."""
     if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be an object, got {doc!r}")
+        raise ValidationError(f"{where} must be an object, got {_short(doc)}")
     if key not in doc and default is _REQUIRED:
         raise ValidationError(f"{where} is missing field {key!r}")
     value = doc.get(key, default)
@@ -124,7 +126,7 @@ def known_fields(doc, names, where: str) -> None:
     """Refuse the input object named where if it holds a field outside names;
     whether a field of names may be missing is read_field's to decide."""
     if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be an object, got {doc!r}")
+        raise ValidationError(f"{where} must be an object, got {_short(doc)}")
     unknown = ", ".join(repr(k) for k in doc if k not in names)
     if unknown:
         raise ValidationError(

@@ -18,7 +18,8 @@ restates them on purpose, and in the tests.
 The map from chi to the Bloch vector is elementwise, so readout_chi runs it
 over whole arrays of chi values at once. Finite-shot mode draws M independent
 +-1 outcomes per basis with P(+1) = (1 + <sigma>)/2, as one binomial draw per
-point. Each basis has one counter-based (Philox) stream keyed by (seed,
+point, and reads the count k of +1 outcomes as the mean (k - (M - k)) / M.
+Each basis has one counter-based (Philox) stream keyed by (seed,
 basis), consumed in point order, so a given seed and point list always give
 the same samples.
 """
@@ -115,17 +116,27 @@ class ShotResult(NamedTuple):
 
 def _sample_mean(bloch, M: int, rng: np.random.Generator):
     """Mean of M projective +-1 reads with P(+1) = (1 + bloch)/2 and its
-    binomial standard error sqrt((1 - mean^2)/M), elementwise over bloch."""
-    k = rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0))
-    est = 2.0 * k / M - 1.0
+    binomial standard error sqrt((1 - mean^2)/M), elementwise over bloch.
+
+    With k reads of +1 the mean is the count ratio (k - (M - k)) / M; the
+    counts stay int64 up to the one division, where 2 * k - M would overflow
+    int64 near MAX_SHOTS.
+    For M <= 2**53 that is the correctly rounded (2k - M)/M: exactly +-1 at
+    k = 0 or M, and for M = 2**a 5**b (10**4, 10**5) an exact short decimal
+    whose repr is that decimal.
+    """
+    k = np.asarray(rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0)))
+    est = (k - (M - k)) / M
     return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
 
 
 def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     """Sample mean of M projective +-1 measurements of sigma_basis.
 
-    P(+1) = (1 + <sigma>)/2; returns the sample mean and its binomial
-    standard error sqrt((1 - mean^2)/M). rng is a Generator or an int seed.
+    P(+1) = (1 + <sigma>)/2; returns the sample mean, the count ratio
+    (k - (M - k)) / M of k reads of +1, and its binomial standard error
+    sqrt((1 - mean^2)/M). rng is a Generator or an int seed. The draw and
+    the arithmetic are readout_chi's, so the two agree bit for bit.
     """
     M = converted(at_least(1, MAX_SHOTS), M, "shot count M")
     if not isinstance(rng, np.random.Generator):
@@ -135,9 +146,18 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
 
 
 def _sin_theta(theta) -> float:
-    """sin(theta) of a finite theta whose sin is not rounding of 0."""
+    """sin(theta) of a finite theta whose sin is not rounding of 0.
+
+    Where theta's own spacing is a radian or more, the float theta fixes no
+    angle, so any sin it has is refused as rounding.
+    """
     s = math.sin(converted(finite, theta, "theta"))
-    if abs(s) <= np.spacing(abs(theta)):
+    ulp = float(np.spacing(abs(theta)))
+    if ulp >= 1.0:
+        raise ValidationError(f"theta = {theta!r} fixes no angle: its float spacing, {ulp:.3g}, "
+                              "is 1 radian or more, so its sin is rounding: "
+                              "protocol encodes no information")
+    if abs(s) <= ulp:
         raise ValidationError(f"sin(theta) = {s:.3g} is rounding of 0 at theta = {theta!r}: "
                               "protocol encodes no information")
     return s
@@ -168,7 +188,12 @@ def required_shots(target_error: float) -> int:
 
 class ChiReadout(NamedTuple):
     """Arrays of X/Y estimates with their binomial errors, the chi estimate,
-    and its combined error sqrt(stderr_sx^2 + stderr_sy^2)/|sin theta|."""
+    and its combined error sqrt(stderr_sx^2 + stderr_sy^2)/|sin theta|.
+
+    A sampled estimate is the count ratio (k - (M - k)) / M (see
+    sample_shots); at theta = pi/2, where sin is exactly 1.0, chi_est holds
+    the two ratios unchanged.
+    """
 
     est_sx: NDArray[np.float64]
     est_sy: NDArray[np.float64]
@@ -192,7 +217,8 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
     (0 to MAX_SHOTS) and seed (>= 0) are checked before any draw. shots = 0
     returns them exactly, with zero errors. Otherwise each basis takes one
     binomial draw of M = shots per point from shot_rng(seed, basis), basis 0
-    for X and 1 for Y, in the points' C order.
+    for X and 1 for Y, in the points' C order, and its estimate is the count
+    ratio (k - (M - k)) / M of the k reads of +1.
     """
     chi = np.asarray(chi, dtype=complex)
     shots, seed, s = _readout_args(theta, shots, seed)

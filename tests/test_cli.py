@@ -6,9 +6,11 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,9 +28,11 @@ from chitomo.gaussian_field import (
     Vacuum,
     char_analytic,
     char_points,
+    state_from_dict,
     state_to_dict,
 )
 from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
+from chitomo.ramsey_readout import shot_rng
 from chitomo.tomography import chi_grid_from_state, grid_axis, hermitian_fill, moments_fd
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
@@ -634,6 +638,29 @@ def test_every_chi_file_cell_is_the_repr_of_its_value(tmp_path, argv):
     assert not any("nan" in line for line in rows)
 
 
+def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_path):
+    # at theta = pi/2 (sin exactly 1) a re_chi or im_chi cell is the mean
+    # (2k - M)/M of its basis's count k; at M = 10**4 that is a decimal of at
+    # most four places, and the cell's text is that decimal
+    chi = tmp_path / "chi.csv"
+    assert run("chi-scan", "--shots", "10000", "--set", "half=true", "--out", str(chi)) == 0
+    assert chi.stat().st_size <= 420_000
+    _, _, meta = read_table(chi)
+    M, seed = meta["shots"], meta["config"]["seed"]
+    assert (M, meta["config"]["theta"]) == (10_000, math.pi / 2)
+    exact = chi_grid_from_state(state_from_dict(meta["config"]["state"]),
+                                load_chi_grid(chi).axes).values.reshape(-1)
+    exact = exact[exact.size // 2:]  # the measured half, in row order
+    counts = [shot_rng(seed, basis).binomial(M, (1.0 + part) / 2.0)
+              for basis, part in enumerate((exact.imag, exact.real))]
+    cells = [line.split(",") for line in data_lines(chi)]
+    assert len(cells) == exact.size
+    for column, k in ((3, counts[0]), (2, counts[1])):
+        for row, count in zip(cells, k.tolist()):
+            assert re.fullmatch(r"-?[01]\.\d{1,4}", row[column]), row
+            assert Fraction(row[column]) == Fraction(2 * count - M, M), row
+
+
 @pytest.mark.parametrize("argv", [
     # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
     # tolerance, a negative alpha extent, a moment order that is not a pair, a
@@ -761,6 +788,25 @@ def test_wigner_refuses_a_chi_file_with_a_malformed_header(tmp_path, capsys, cha
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_refused_chi_file_axis_gives_one_short_error_line(tmp_path, capsys, monkeypatch):
+    # the refused value is shown through reprlib, so a default 129-point axis
+    # pair with one entry "x" is cut to its first entries
+    monkeypatch.chdir(tmp_path)
+    assert run("chi-scan", "--out", "chi.csv") == 0
+    lines = Path("chi.csv").read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("# meta: "))
+    meta = json.loads(lines[at][len("# meta: "):])
+    meta["axes"][1][3] = "x"
+    lines[at] = f"# meta: {json.dumps(meta)}\n"
+    Path("chi.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert run("wigner", "--set", 'chi_file="chi.csv"', "--out", "w.csv") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and len(line.encode()) < 200, line
+    assert "meta.axes" in line and "could not convert string to float: 'x'" in line
+    assert not Path("w.csv").exists()
 
 
 def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
@@ -1193,6 +1239,9 @@ REFUSED = [
     *NON_NUMERIC,
     *INEXACT,
     *(((argv, f"unknown field(s) {field}") for argv, field in UNKNOWN_FIELD)),
+    *(((*argv, "--shots", "100", "--theta", "1e308"),
+       "theta = 1e+308 fixes no angle: its float spacing, 2e+292, is 1 radian or more")
+      for argv in (("simulate",), ("chi-scan", "--set", "grid.points=5"))),
 ]
 
 # the layers a run does its work in, as chitomo.cli names them

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chitomo.errors import ValidationError
 from chitomo.gaussian_field import GaussianFieldState, ModeSet, Thermal, char_analytic
 from chitomo import ramsey_readout
 from chitomo.ramsey_readout import (
+    MAX_SHOTS,
     QubitState,
     bloch_expectation,
     estimate_chi,
@@ -143,6 +146,18 @@ def test_estimate_chi_rejects_degenerate_theta():
     assert estimate_chi(0.0, 1e-300, 1e-300) == 1.0
 
 
+@pytest.mark.parametrize("theta", [1e308, -1e20, 2.0**52])
+def test_a_theta_whose_float_spacing_is_a_radian_fixes_no_angle(theta):
+    # sin(1e308) = 0.453 is no datum because adjacent floats are 2e292
+    # radians apart, which the refusal names
+    message = rf"^theta = {re.escape(repr(theta))} fixes no angle: its float spacing, "
+    with pytest.raises(ValidationError, match=message):
+        estimate_chi(0.1, 0.1, theta)
+    with pytest.raises(ValidationError, match=message):
+        readout_chi([0.5], theta, shots=10)
+    assert estimate_chi(0.0, 1.0, 2.0**52 - 1.0) != 0  # spacing 0.5: a usable angle
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_non_finite_theta_is_refused_before_any_draw(theta, monkeypatch):
     def no_draw(*args):
@@ -188,6 +203,67 @@ def test_sample_shots_statistics():
     res = sample_shots(qs, "y", 200_000, shot_rng(0))
     assert res.estimate == pytest.approx(0.6, abs=5 * res.stderr)
     assert res.stderr == pytest.approx(math.sqrt((1 - res.estimate**2) / 200_000))
+
+
+class _Counts:
+    """A generator stand-in whose binomial draw returns the given counts."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def binomial(self, M, p):
+        return self.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), M=st.integers(1, 2**53))
+def test_a_basis_mean_is_the_correctly_rounded_count_ratio(data, M):
+    k = data.draw(st.integers(0, M))
+    exact = float(Fraction(2 * k - M, M))
+    est, _ = ramsey_readout._sample_mean(0.0, M, _Counts(k))
+    assert est == (k - (M - k)) / M == exact
+    est, err = ramsey_readout._sample_mean(np.zeros(3), M, _Counts(np.array([0, k, M])))
+    assert est.tolist() == [-1.0, exact, 1.0]
+    assert err[0] == err[2] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, MAX_SHOTS))
+def test_a_saturated_basis_reads_exactly_one(M):
+    # 2 * k - M wraps an int64 array, and warns on a numpy scalar, near MAX_SHOTS
+    for k, one in ((0, -1.0), (M, 1.0)):
+        assert ramsey_readout._sample_mean(0.0, M, _Counts(k)) == (one, 0.0)
+        est, err = ramsey_readout._sample_mean(np.zeros(2), M, _Counts(np.array([k, k])))
+        assert est.tolist() == [one, one] and err.tolist() == [0.0, 0.0]
+
+
+def test_max_shots_reads_out_without_overflow():
+    r = readout_chi([1.0, -1.0, 0.5j], math.pi / 2, shots=MAX_SHOTS, seed=3)
+    assert r.est_sy.tolist()[:2] == [1.0, -1.0] and r.stderr_sy.tolist()[:2] == [0.0, 0.0]
+    kx = shot_rng(3, 0).binomial(MAX_SHOTS, [0.5, 0.5, 0.75])
+    np.testing.assert_array_equal(r.est_sx, (kx - (MAX_SHOTS - kx)) / MAX_SHOTS)
+    for by in (1.0, -1.0):
+        qs = QubitState(bx=0.0, by=by, bz=0.0)
+        assert sample_shots(qs, "y", MAX_SHOTS, shot_rng(3)) == (by, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.one_of(st.integers(1, 10**6), st.integers(1, MAX_SHOTS)),
+    seed=st.integers(0, 2**32),
+    theta=st.floats(0.11, math.pi - 0.11),
+    re=st.floats(-1.0, 1.0),
+    im=st.floats(-1.0, 1.0),
+)
+def test_sample_shots_and_readout_chi_agree_bit_for_bit(M, seed, theta, re, im):
+    chi = complex(re, im)
+    if abs(chi) > 1.0:
+        chi /= abs(chi)
+    r = readout_chi([chi], theta, shots=M, seed=seed)
+    qs = final_qubit_state(theta, chi)
+    for basis, (est, err) in enumerate(((r.est_sx, r.stderr_sx), (r.est_sy, r.stderr_sy))):
+        got = sample_shots(qs, "xy"[basis], M, shot_rng(seed, basis))
+        assert got == (est[0], err[0])
 
 
 def test_sample_shots_deterministic_edges():
@@ -239,8 +315,10 @@ def test_readout_draws_one_binomial_per_basis_in_point_order():
     s = math.sin(theta)
     kx = shot_rng(seed, 0).binomial(M, (1.0 + s * chi.imag) / 2.0)
     ky = shot_rng(seed, 1).binomial(M, (1.0 + s * chi.real) / 2.0)
-    np.testing.assert_array_equal(r.est_sx, 2.0 * kx / M - 1.0)
-    np.testing.assert_array_equal(r.est_sy, 2.0 * ky / M - 1.0)
+    np.testing.assert_array_equal(r.est_sx, (kx - (M - kx)) / M)
+    np.testing.assert_array_equal(r.est_sy, (ky - (M - ky)) / M)
+    for est, k in ((r.est_sx, kx), (r.est_sy, ky)):
+        assert est.tolist() == [float(Fraction(2 * n - M, M)) for n in k.tolist()]
     np.testing.assert_array_equal(r.stderr_sx, np.sqrt((1.0 - r.est_sx**2) / M))
     np.testing.assert_array_equal(r.chi_stderr, np.sqrt(r.stderr_sx**2 + r.stderr_sy**2) / s)
     again = readout_chi(chi, theta, shots=M, seed=seed)
