@@ -26,7 +26,7 @@ from .gaussian_field import (
     moments_analytic,
 )
 from .pulse_protocol import PulseSchedule, displacement_param, reachable_manifold
-from . import bec_analogue  # noqa: F401  registers the bogoliubov_weighted smearing kind
+from . import bec_analogue  # noqa: F401  adds bogoliubov_weighted to the smearing table
 from .ramsey_readout import estimate_chi, final_qubit_state, required_shots, sample_shots
 from .tomography import (
     ChiGrid,

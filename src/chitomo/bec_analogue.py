@@ -23,14 +23,9 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import Record, ValidationError, converted, finite, positive, read_object
+from .errors import Record, ValidationError, finite, positive, read_object, real
 from .gaussian_field import ModeSet, _kmag
-from .pulse_protocol import (
-    PulseSchedule,
-    displacement_surface,
-    register_smearing_kind,
-    smearing_from_dict,
-)
+from .pulse_protocol import _SMEARING_KINDS, PulseSchedule, _smearing, displacement_surface
 
 __all__ = [
     "BecParams",
@@ -39,14 +34,8 @@ __all__ = [
     "bogoliubov_omega",
     "bogoliubov_weight",
     "map_to_protocol",
-    "params_to_dict",
     "params_from_dict",
 ]
-
-
-# the rule of each BecParams field, which the class and its reader both apply
-_PARAM_FIELDS = {"rho0": positive, "g_g": finite, "g_e": finite, "g_rho0": positive,
-                 "m_B": positive, "omega0": finite}
 
 
 class BecParams(Record):
@@ -64,10 +53,8 @@ class BecParams(Record):
     g_rho0: float
     m_B: float
     omega0: float
-
-    def __post_init__(self) -> None:
-        for name, kind in _PARAM_FIELDS.items():
-            converted(kind, getattr(self, name), name)
+    _rules = {"rho0": positive, "g_g": finite, "g_e": finite, "g_rho0": positive,
+              "m_B": positive, "omega0": finite}
 
 
 def _dispersion(kmag, m_B: float, g_rho0: float):
@@ -111,22 +98,17 @@ class BogoliubovWeighted(Record):
     m_B: float
     g_rho0: float
     sign: float = 1.0
+    _rules = {"base": _smearing, "m_B": positive, "g_rho0": positive, "sign": real}
 
     def __post_init__(self) -> None:
         if self.sign not in (-1.0, 1.0):
             raise ValidationError("sign must be +1 or -1")
-        converted(positive, self.m_B, "m_B")
-        converted(positive, self.g_rho0, "g_rho0")
 
     def ft(self, kmag, n: int):
         return self.sign * _weight(kmag, self.m_B, self.g_rho0) * self.base.ft(kmag, n)
 
 
-register_smearing_kind(
-    "bogoliubov_weighted",
-    BogoliubovWeighted,
-    {"base": smearing_from_dict, "m_B": positive, "g_rho0": positive, "sign": float},
-)
+_SMEARING_KINDS["bogoliubov_weighted"] = BogoliubovWeighted
 
 
 class MappedProtocol(Record, eq=False):
@@ -181,10 +163,5 @@ def map_to_protocol(
 # --------------------------------------------------------------------------
 # serialization
 
-
-def params_to_dict(params: BecParams) -> dict:
-    return {name: getattr(params, name) for name in _PARAM_FIELDS}
-
-
 def params_from_dict(doc: dict) -> BecParams:
-    return read_object(doc, BecParams, _PARAM_FIELDS, "bec")
+    return read_object(doc, BecParams, "bec")

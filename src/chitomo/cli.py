@@ -28,7 +28,7 @@ from . import __version__
 from .bec_analogue import map_to_protocol, params_from_dict
 from .errors import (
     NumericalCheckError, ValidationError, at_least, boolean, converted, dimension, finite, integer,
-    known_fields, listed, positive, read_field,
+    known_fields, listed, positive, read_field, real,
 )
 from .fileio import (
     _CHI_COORDS, _coordinate_names, load_chi_grid, read_json, save_chi_grid, save_wigner_grid,
@@ -230,13 +230,15 @@ def _orders(value, key: str) -> list:
     orders = converted(listed(listed(integer)), value, key)
     for order in orders:
         if len(order) != 2:
-            raise ValidationError(f"each moment order is a pair [p, q], got {order}")
+            raise ValidationError(f"each moment order is a pair [p, q], got {list(order)}")
         _moment_order(*order)
     return orders
 
 
 def _mode_set(doc, key: str) -> ModeSet:
-    fields = {"spatial_dim": integer, "box_side": positive, "indices": listed(listed(integer))}
+    rules = ModeSet._rules
+    fields = {"spatial_dim": rules["spatial_dim"], "box_side": rules["box_side"],
+              "indices": rules["mode_indices"]}
     spatial_dim, box_side, indices = _fields(doc, fields, key)
     return ModeSet(spatial_dim, box_side, 0.0, indices)
 
@@ -248,12 +250,12 @@ _SURFACE = ("schedule", "N_list", "tau")
 _CONVERT = {
     **dict.fromkeys(("shots", "n_draws", ("moments", "mode")), partial(converted, integer)),
     **dict.fromkeys(("timestamps", "half", "richardson"), partial(converted, boolean)),
-    "theta": partial(converted, float),
+    "theta": partial(converted, real),
     "seed": partial(converted, at_least(0)),
     "D": lambda D, key: _cutoff(D, 8, key),
     "N_list": partial(converted, listed(at_least(1))),
     "points": partial(converted, listed(lambda e: np.asarray(e, dtype=float).reshape(-1))),
-    "h": lambda h, key: h if h is None else converted(float, h, key),
+    "h": lambda h, key: h if h is None else converted(real, h, key),
     "boundary_tol": lambda tol, key: _boundary_tol(tol),
     "orders": _orders,
     "chi_file": partial(_path, optional=True),

@@ -1,6 +1,11 @@
 """Shared exception types, the readers of input fields that raise them, and
 the frozen record base of the layers' value classes.
 
+Each field's rule is stated once, on its record: a class's _rules maps a
+field to its converter, which the class's __init__ and every document reader
+of the class (read_object, or a reader that takes the rule off the class)
+apply alike.
+
 ValueError subclasses signal bad inputs (CLI exit code 1); NumericalCheckError
 signals a failed runtime numerical safeguard such as a truncation-leak or
 boundary-decay check (CLI exit code 2).
@@ -70,26 +75,34 @@ def dimension(value) -> int:
     return n
 
 
+def real(value) -> float:
+    """A real number as a float; true and false are refused rather than read
+    as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise TypeError("a number is expected, not bool")
+    return float(value)
+
+
 def finite(value):
-    """A finite number, a real one as a float: NaN and infinities (in either
-    part of a complex) are refused."""
-    x = value if isinstance(value, complex) else float(value)
+    """A finite number, a real one as a float (see real): NaN and infinities
+    (in either part of a complex) are refused."""
+    x = value if isinstance(value, complex) else real(value)
     if not cmath.isfinite(x):
         raise ValueError("a finite number is expected")
     return x
 
 
 def positive(value) -> float:
-    """A finite real number > 0, as a float."""
-    x = float(value)
+    """A finite real number > 0, as a float (see real)."""
+    x = real(value)
     if not 0 < x < math.inf:
         raise ValueError("a finite number > 0 is expected")
     return x
 
 
 def nonnegative(value) -> float:
-    """A finite real number >= 0, as a float."""
-    x = float(value)
+    """A finite real number >= 0, as a float (see real)."""
+    x = real(value)
     if not 0 <= x < math.inf:
         raise ValueError("a finite number >= 0 is expected")
     return x
@@ -103,11 +116,22 @@ def boolean(value) -> bool:
 
 
 def listed(kind):
-    """A converter of an input list whose entries kind converts."""
-    def convert(values) -> list:
-        if not isinstance(values, (list, tuple)):
+    """A converter of an input list (a list, a tuple or an array of at least
+    one dimension) to the tuple of its entries, each converted by kind."""
+    def convert(values) -> tuple:
+        if not isinstance(values, (list, tuple)) and not getattr(values, "ndim", 0):
             raise TypeError(f"a list is expected, not {type(values).__name__}")
-        return [kind(v) for v in values]
+        return tuple(kind(v) for v in values)
+    return convert
+
+
+def named(table: dict):
+    """A converter of a name in table to its entry; a name outside table, or
+    a value that is no string, is refused."""
+    def convert(name):
+        if not isinstance(name, str) or name not in table:
+            raise ValueError(f"one of {', '.join(map(repr, table))} is expected")
+        return table[name]
     return convert
 
 
@@ -134,14 +158,13 @@ def known_fields(doc, names, where: str) -> None:
         )
 
 
-def read_object(doc, cls, kinds: dict, where: str, also: tuple = ()):
-    """The object cls from the input object named where: each field name of
-    kinds is converted by kinds[name] and defaults to cls's class attribute
-    of that name (a record's or a dataclass's default); a field outside kinds
-    and also is refused."""
-    known_fields(doc, (*also, *kinds), where)
-    return cls(**{name: read_field(doc, name, kind, where, getattr(cls, name, _REQUIRED))
-                  for name, kind in kinds.items()})
+def read_object(doc, cls, where: str, also: tuple = ()):
+    """The record cls from the input object named where: each field __init__
+    takes is read by its rule in cls._rules (one without a rule as it is) and
+    defaults to its default; a field outside them and also is refused."""
+    known_fields(doc, (*also, *cls._args), where)
+    return cls(**{name: read_field(doc, name, cls._rules.get(name), where,
+                                   cls._fields[name].default) for name in cls._args})
 
 
 class Pinned:
@@ -158,15 +181,18 @@ class Record:
     A field's class attribute is its default. Fields are ordered as first
     annotated along the bases; a subclass redeclares a field in place. Each
     subclass gets an __init__ that takes its fields but the Pinned ones, in
-    that order, then calls __post_init__ if the class has one; a repr of the
-    same fields; and, unless it is declared with eq=False, == and hash over
-    all its fields, between instances of the same class. Assigning or
-    deleting an attribute raises AttributeError; __post_init__ sets a field
-    through object.__setattr__.
+    that order, stores each of them that _rules (a class attribute left
+    unannotated, so no field) names as converted(rule, value, name), then
+    calls __post_init__ if the class has one; a repr of the same fields;
+    and, unless it is declared with eq=False, == and hash over all its
+    fields, between instances of the same class. Assigning or deleting an
+    attribute raises AttributeError; __post_init__ sets a field through
+    object.__setattr__.
     """
 
     _fields: dict = {}  # field name -> Parameter: its default and annotation
     _args: tuple = ()  # the fields __init__ takes and repr shows, in order
+    _rules: dict = {}  # field name -> the converter __init__ stores it through
 
     def __init_subclass__(cls, eq: bool = True) -> None:
         fields = dict(cls._fields)
@@ -210,11 +236,13 @@ class Record:
 
 
 def _init(cls):
-    """cls's __init__: a complete positional or keyword call sets the fields
-    with one dict update, any other call is bound by the signature."""
+    """cls's __init__: a complete positional or keyword call takes the fields
+    as given, any other call is bound by the signature; each field with a
+    rule is then converted, and all are set with one dict update."""
     names = cls._args
     count, keys = len(names), frozenset(names)
     sig = Signature([cls._fields[name] for name in names], return_annotation=None)
+    rules = tuple((name, cls._rules[name]) for name in names if name in cls._rules)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs) -> None:
@@ -226,9 +254,11 @@ def _init(cls):
                     raise TypeError(f"{cls.__qualname__}() {exc}") from None
                 bound.apply_defaults()
                 kwargs = bound.arguments
-            self.__dict__.update(kwargs)
         else:
-            self.__dict__.update(zip(names, args))
+            kwargs = dict(zip(names, args))
+        for name, rule in rules:
+            kwargs[name] = converted(rule, kwargs[name], name)
+        self.__dict__.update(kwargs)
         if post_init is not None:
             post_init(self)
 

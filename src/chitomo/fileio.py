@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ValidationError, at_least, integer, listed, read_field
+from .errors import ValidationError, at_least, integer, listed, read_field, real
 from .tomography import _UNMEASURED, ChiGrid, WignerGrid
 
 __all__ = [
@@ -202,7 +202,7 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
     where = f"{path} meta"
     if read_field(meta, "kind", None, where, None) != kind:
         raise ValidationError(f"{path} is not a {kind.replace('_', ' ')} file")
-    axes = tuple(map(np.array, read_field(meta, "axes", listed(listed(float)), where)))
+    axes = tuple(map(np.array, read_field(meta, "axes", listed(listed(real)), where)))
     names = _coordinate_names(coords, len(axes) // 2)
     if not axes or len(names) != len(axes):
         raise ValidationError(f"{path}: meta axes are not one 1-D (Re, Im) pair per mode")
@@ -286,8 +286,8 @@ def load_wigner_grid(path) -> WignerGrid:
     return WignerGrid(
         axes=axes,
         values=values,
-        normalization=read_field(meta, "normalization", float, f"{path} meta", math.nan),
-        imag_residual=read_field(meta, "imag_residual", float, f"{path} meta", 0.0),
+        normalization=read_field(meta, "normalization", real, f"{path} meta", math.nan),
+        imag_residual=read_field(meta, "imag_residual", real, f"{path} meta", 0.0),
     )
 
 

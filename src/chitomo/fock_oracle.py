@@ -129,13 +129,7 @@ class FieldMode(Record):
     omega: float
     box_side: float
     spatial_dim: int
-
-    def __post_init__(self) -> None:
-        converted(finite, self.k, "k")
-        converted(positive, self.omega, "omega")
-        converted(positive, self.box_side, "box_side")
-        dim = converted(dimension, self.spatial_dim, "spatial_dim")
-        object.__setattr__(self, "spatial_dim", dim)
+    _rules = {"k": finite, "omega": positive, "box_side": positive, "spatial_dim": dimension}
 
     def closed_form_xi(self, sched: PulseSchedule) -> complex:
         return displacement_param(sched, self.k, self.omega, self.box_side, self.spatial_dim)

@@ -71,6 +71,7 @@ from .errors import (
     integer,
     known_fields,
     listed,
+    named,
     nonnegative,
     positive,
     read_field,
@@ -89,7 +90,6 @@ __all__ = [
     "char_analytic",
     "char_analytic_grid",
     "moments_analytic",
-    "state_to_dict",
     "state_from_dict",
 ]
 
@@ -101,6 +101,9 @@ def _kmag(k):
     stack, by one rule: the root of the row's sum of squares. (np.linalg.norm
     of a single vector is a dot product, which can differ in the last bit.)"""
     return np.sqrt(np.sum(np.square(np.atleast_1d(np.asarray(k, dtype=float))), axis=-1))
+
+
+_mode_index = listed(integer)  # one entry of ModeSet.mode_indices, j in Z^n
 
 
 class ModeSet(Record):
@@ -115,14 +118,11 @@ class ModeSet(Record):
     box_side: float
     mass: float
     mode_indices: tuple[tuple[int, ...], ...]
+    _rules = {"spatial_dim": dimension, "box_side": positive, "mass": nonnegative,
+              "mode_indices": listed(_mode_index)}
 
     def __post_init__(self) -> None:
-        dim = converted(dimension, self.spatial_dim, "spatial_dim")
-        object.__setattr__(self, "spatial_dim", dim)
-        converted(positive, self.box_side, "box_side")
-        converted(nonnegative, self.mass, "mass")
-        idx = tuple(tuple(converted(listed(integer), j, "mode index")) for j in self.mode_indices)
-        object.__setattr__(self, "mode_indices", idx)
+        idx = self.mode_indices
         for j in idx:
             if len(j) != self.spatial_dim:
                 raise ValidationError(f"mode index {j} has wrong dimension")
@@ -152,10 +152,6 @@ class ModeSet(Record):
         return np.sqrt(self.mass**2 + np.sum(k * k, axis=1))
 
 
-# the rule of each mode parameter, which SqueezedThermal and state_from_dict both apply
-_MODE_PARAMS = {"n": nonnegative, "r": nonnegative, "theta": finite}
-
-
 class SqueezedThermal(Record):
     """Thermal occupation n squeezed by zeta = r e^(i theta); Vacuum, Thermal
     and Squeezed are this mode with their other parameters pinned at 0."""
@@ -163,11 +159,10 @@ class SqueezedThermal(Record):
     n: float
     r: float
     theta: float = 0.0
+    _rules = {"n": nonnegative, "r": nonnegative, "theta": finite}
 
     def __post_init__(self) -> None:
-        for name, kind in _MODE_PARAMS.items():
-            converted(kind, getattr(self, name), name)
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
+        object.__setattr__(self, "theta", self.theta % (2.0 * np.pi))
         # a finite r can still overflow V: e^(2r) = inf, and inf * 0 is NaN
         if not np.all(np.isfinite(_covariance(self))):
             raise ValidationError(f"covariance overflows at n = {self.n}, r = {self.r}")
@@ -337,28 +332,9 @@ def moments_analytic(state: GaussianFieldState, mode: int, p: int, q: int) -> co
     return complex((-1.0) ** q * total)
 
 
-# state-document kind name -> class; each kind's params are its init fields
+# state-document kind name -> class; each kind's params are its __init__ fields
 _KINDS = {"vacuum": Vacuum, "thermal": Thermal, "squeezed": Squeezed,
           "squeezed_thermal": SqueezedThermal}
-_KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
-
-
-def _params(cls) -> dict:
-    return {name: _MODE_PARAMS[name] for name in cls._args}
-
-
-def state_to_dict(state: GaussianFieldState) -> dict:
-    modes = [
-        {"j": list(j), "kind": _KIND_NAMES[type(s)],
-         "params": {name: getattr(s, name) for name in _params(type(s))}}
-        for j, s in zip(state.modes.mode_indices, state.mode_states)
-    ]
-    return {
-        "spatial_dim": state.modes.spatial_dim,
-        "box_side": state.modes.box_side,
-        "mass": state.modes.mass,
-        "modes": modes,
-    }
 
 
 def state_from_dict(doc: dict) -> GaussianFieldState:
@@ -366,17 +342,13 @@ def state_from_dict(doc: dict) -> GaussianFieldState:
     entries = read_field(doc, "modes", listed(dict), "state")
     where = [f"state.modes[{i}]" for i in range(len(entries))]
     modeset = ModeSet(
-        spatial_dim=read_field(doc, "spatial_dim", integer, "state"),
-        box_side=read_field(doc, "box_side", positive, "state"),
-        mass=read_field(doc, "mass", nonnegative, "state"),
-        mode_indices=tuple(read_field(e, "j", listed(integer), w) for e, w in zip(entries, where)),
+        **{name: read_field(doc, name, ModeSet._rules[name], "state")
+           for name in ("spatial_dim", "box_side", "mass")},
+        mode_indices=tuple(read_field(e, "j", _mode_index, w) for e, w in zip(entries, where)),
     )
     states = []
     for e, w in zip(entries, where):
         known_fields(e, ("j", "kind", "params"), w)
-        kind = read_field(e, "kind", None, w, "vacuum")
-        if kind not in _KINDS:
-            raise ValidationError(f"unknown mode kind {kind!r}")
-        cls, params = _KINDS[kind], read_field(e, "params", None, w, {})
-        states.append(read_object(params, cls, _params(cls), f"{w}.params"))
+        cls = read_field(e, "kind", named(_KINDS), w, "vacuum")
+        states.append(read_object(read_field(e, "params", None, w, {}), cls, f"{w}.params"))
     return GaussianFieldState(modes=modeset, mode_states=tuple(states))

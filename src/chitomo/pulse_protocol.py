@@ -49,6 +49,7 @@ from .errors import (
     finite,
     known_fields,
     listed,
+    named,
     nonnegative,
     positive,
     read_field,
@@ -74,8 +75,6 @@ __all__ = [
     "switching_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
-    "register_smearing_kind",
-    "register_switching_kind",
 ]
 
 
@@ -87,9 +86,7 @@ class SphericalGaussian(Record):
     / (2 pi sigma^2)^(n/2). Its transform is exp(-sigma^2 k^2 / 2) in any n."""
 
     sigma: float
-
-    def __post_init__(self) -> None:
-        converted(positive, self.sigma, "sigma")
+    _rules = {"sigma": positive}
 
     def ft(self, kmag, n: int):
         return np.exp(-0.5 * self.sigma**2 * np.square(kmag))
@@ -108,12 +105,10 @@ class CustomRadial(Record):
 
     r: tuple[float, ...]
     f: tuple[float, ...]
+    _rules = {"r": listed(finite), "f": listed(finite)}
 
     def __post_init__(self) -> None:
-        r = tuple(converted(listed(finite), tuple(self.r), "r"))
-        f = tuple(converted(listed(finite), tuple(self.f), "f"))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "f", f)
+        r, f = self.r, self.f
         if len(r) != len(f) or len(r) < 2:
             raise ValidationError("radial table needs matching r/f arrays, length >= 2")
         if any(b <= a for a, b in zip(r, r[1:])) or r[0] < 0:
@@ -175,9 +170,7 @@ def smearing_ft(f, k, n: int) -> complex:
 
 class Constant(Record):
     value: float = 1.0
-
-    def __post_init__(self) -> None:
-        converted(nonnegative, self.value, "value")
+    _rules = {"value": nonnegative}
 
     def window_integral(self, tau):
         return self.value * tau
@@ -220,10 +213,7 @@ class GaussianWindow(Record):
     center: float
     width: float
     relative: bool = False
-
-    def __post_init__(self) -> None:
-        converted(finite, self.center, "center")
-        converted(positive, self.width, "width")
+    _rules = {"center": finite, "width": positive, "relative": boolean}
 
     def window_integral(self, tau):
         # (w sqrt(pi)/2) [erf(a) + erf(b)], element by element
@@ -238,12 +228,10 @@ class CustomSwitching(Record):
 
     t: tuple[float, ...]
     eta: tuple[float, ...]
+    _rules = {"t": listed(finite), "eta": listed(nonnegative)}
 
     def __post_init__(self) -> None:
-        t = tuple(converted(listed(finite), tuple(self.t), "t"))
-        e = tuple(converted(listed(nonnegative), tuple(self.eta), "eta"))
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "eta", e)
+        t, e = self.t, self.eta
         if len(t) != len(e) or len(t) < 2:
             raise ValidationError("switching table needs matching t/eta arrays, length >= 2")
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -299,11 +287,7 @@ class PulseSchedule(Record):
     N: int
     smearing: SmearingFunction
     switching: SwitchingFunction
-
-    def __post_init__(self) -> None:
-        converted(positive, self.lam, "lam")
-        converted(positive, self.tau, "tau")
-        object.__setattr__(self, "N", _segment_count(self.N))
+    _rules = {"lam": positive, "tau": positive, "N": _segment_count}
 
 
 def _sin_tan_product(u, N):
@@ -391,57 +375,43 @@ def reachable_manifold(
 # --------------------------------------------------------------------------
 # serialization
 
-# kind name -> (class, {field: converter}); a document holds "kind" and the
-# class's fields, which default to the class's own defaults. One table both
-# reads and writes a kind: register_*_kind is all a new kind needs.
-_SMEARING_KINDS: dict[str, tuple[type, dict]] = {}
-_SWITCHING_KINDS: dict[str, tuple[type, dict]] = {}
-
-
-def register_smearing_kind(name: str, cls: type, fields: dict) -> None:
-    _SMEARING_KINDS[name] = (cls, fields)
-
-
-def register_switching_kind(name: str, cls: type, fields: dict) -> None:
-    _SWITCHING_KINDS[name] = (cls, fields)
-
-
-register_smearing_kind("spherical_gaussian", SphericalGaussian, {"sigma": positive})
-register_smearing_kind("delta", Delta, {})
-register_smearing_kind("custom_radial", CustomRadial, {"r": listed(finite), "f": listed(finite)})
-register_switching_kind("constant", Constant, {"value": nonnegative})
-register_switching_kind(
-    "gaussian", GaussianWindow, {"center": finite, "width": positive, "relative": boolean}
-)
-register_switching_kind(
-    "custom", CustomSwitching, {"t": listed(finite), "eta": listed(nonnegative)}
-)
+# kind name -> class; a document holds "kind" and the class's __init__
+# fields, each read by the class's own rule and defaulting to its default.
+# One entry both reads and writes a kind.
+_SMEARING_KINDS = {"spherical_gaussian": SphericalGaussian, "delta": Delta,
+                   "custom_radial": CustomRadial}
+_SWITCHING_KINDS = {"constant": Constant, "gaussian": GaussianWindow,
+                    "custom": CustomSwitching}
 
 
 def _read_kind(doc: dict, kinds: dict, what: str):
-    kind = read_field(doc, "kind", str, what)
-    if kind not in kinds:
-        raise ValidationError(f"unknown {what} kind {kind!r}")
-    return read_object(doc, *kinds[kind], what, also=("kind",))
+    cls = read_field(doc, "kind", named(kinds), what)
+    return read_object(doc, cls, what, also=("kind",))
 
 
 def _write_kind(obj, kinds: dict, what: str) -> dict:
-    """The document _read_kind reads back as obj: the kind its class is
-    registered under, then each field of that kind from the attribute of the
-    same name, a tuple as a list and a nested kind (an object whose class is
-    registered, such as a weighted smearing's base) through the same table."""
-    for kind, (cls, names) in kinds.items():
+    """The document _read_kind reads back as obj: the kind of its class, then
+    each __init__ field from the attribute of the same name, a tuple as a
+    list and a nested kind (an object of a class in kinds, such as a weighted
+    smearing's base) through the same table."""
+    for kind, cls in kinds.items():
         if type(obj) is cls:
             doc = {"kind": kind}
-            for name in names:
+            for name in cls._args:
                 value = getattr(obj, name)
                 if isinstance(value, tuple):
                     value = list(value)
-                elif any(type(value) is c for c, _ in kinds.values()):
+                elif type(value) in kinds.values():
                     value = _write_kind(value, kinds, what)
                 doc[name] = value
             return doc
     raise ValidationError(f"unsupported {what} object {obj!r}")
+
+
+def _smearing(value):
+    """A smearing field: a profile (an object with ft) as it is, anything
+    else as a document the smearing table reads."""
+    return value if hasattr(value, "ft") else smearing_from_dict(value)
 
 
 def smearing_from_dict(doc: dict):
@@ -464,9 +434,10 @@ def schedule_to_dict(sched: PulseSchedule) -> dict:
 
 def schedule_from_dict(doc: dict) -> PulseSchedule:
     known_fields(doc, ("lambda", "tau", "N", "smearing", "switching"), "schedule")
+    rules = PulseSchedule._rules
     return PulseSchedule(
-        lam=read_field(doc, "lambda", positive, "schedule"),
-        tau=read_field(doc, "tau", positive, "schedule"),
+        lam=read_field(doc, "lambda", rules["lam"], "schedule"),
+        tau=read_field(doc, "tau", rules["tau"], "schedule"),
         N=read_field(doc, "N", None, "schedule"),
         smearing=read_field(doc, "smearing", smearing_from_dict, "schedule"),
         switching=read_field(doc, "switching", switching_from_dict, "schedule"),

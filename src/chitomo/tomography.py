@@ -70,7 +70,9 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalCheckError, Record, ValidationError, at_least, converted, positive
+from .errors import (
+    NumericalCheckError, Record, ValidationError, at_least, converted, positive, real,
+)
 from .gaussian_field import (
     OMEGA_2X2,
     GaussianFieldState,
@@ -436,7 +438,7 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
 
 
 def _boundary_tol(boundary_tol) -> float:
-    boundary_tol = converted(float, boundary_tol, "boundary_tol")
+    boundary_tol = converted(real, boundary_tol, "boundary_tol")
     if not boundary_tol > 0:
         raise ValidationError(
             f"boundary_tol = {boundary_tol!r} must be > 0, or inf for no aliasing guard"
@@ -552,7 +554,7 @@ def _check_h(h) -> float:
     """h, finite and positive, with the stencil scale of the highest order
     (1/(2h))^4 a finite nonzero float, so that a bad h is refused whatever
     the order."""
-    h = converted(float, h, "h")
+    h = converted(real, h, "h")
     if not (0.0 < h < math.inf and 0.0 < math.prod([0.5 / h] * 4) < math.inf):
         raise ValidationError(
             f"h = {h!r} must be finite and positive, with a finite nonzero stencil "

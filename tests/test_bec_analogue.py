@@ -17,7 +17,6 @@ from chitomo.bec_analogue import (
     bogoliubov_weight,
     map_to_protocol,
     params_from_dict,
-    params_to_dict,
 )
 from chitomo.errors import ValidationError
 from chitomo.fileio import read_json, write_json
@@ -33,6 +32,8 @@ from chitomo.pulse_protocol import (
     schedule_to_dict,
     smearing_ft,
 )
+
+from documents import fields_of
 
 WEIGHT_AT_MU = 0.7598356856515925   # (1/3)^{1/4}, where E_k = g rho0
 
@@ -227,7 +228,7 @@ def test_mapped_schedule_reads_back_after_importing_only_pulse_protocol():
 
 def test_params_roundtrip(tmp_path):
     p = params(g_g=0.011, g_e=0.023, g_rho0=1.7, m_B=0.9)
-    assert params_from_dict(params_to_dict(p)) == p
+    assert params_from_dict(fields_of(p)) == p
     path = tmp_path / "bec.json"
-    write_json(path, params_to_dict(p))
+    write_json(path, fields_of(p))
     assert params_from_dict(read_json(path)) == p

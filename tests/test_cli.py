@@ -29,11 +29,12 @@ from chitomo.gaussian_field import (
     char_analytic,
     char_points,
     state_from_dict,
-    state_to_dict,
 )
 from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
 from chitomo.ramsey_readout import shot_rng
 from chitomo.tomography import chi_grid_from_state, grid_axis, hermitian_fill, moments_fd
+
+from documents import state_to_dict
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 # the fields of a Bogoliubov-weighted smearing without its optional sign
@@ -661,25 +662,39 @@ def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_pa
             assert Fraction(row[column]) == Fraction(2 * count - M, M), row
 
 
-@pytest.mark.parametrize("argv", [
+# exit-1 argv, each with the piece of its one error line that names the field
+BAD_INPUT = [
     # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
     # tolerance, a negative alpha extent, a moment order that is not a pair, a
     # timestamps value that is not a boolean, an infinite coupling or
     # condensate density, and an output or input path through a regular file
-    ("moments", "--set", "h=0"), ("simulate", "--theta", "nan", "--shots", "0"),
-    ("simulate", "--seed", "-1"), ("wigner", "--set", "boundary_tol=nan"),
-    ("wigner", "--set", 'alpha={"extent":-1,"points":5}'),
-    ("moments", "--shots", "1000", "--set", "orders=[[1]]"),
-    ("chi-scan", "--set", 'timestamps="no"'), ("manifold", "--set", "schedule.lambda=1e999"),
-    ("bec-map", "--set", "bec.rho0=1e999"),
-    ("chi-scan", "--set", "grid.points=5", "--out", "afile/x.csv"),
-    ("wigner", "--set", 'chi_file="afile/x.csv"'),
-], ids=lambda argv: " ".join(argv))
-def test_bad_input_exits_1_with_an_error_line_and_writes_nothing(tmp_path, argv):
+    (("moments", "--set", "h=0"), "h = "),
+    (("simulate", "--theta", "nan", "--shots", "0"), "theta"),
+    (("simulate", "--seed", "-1"), "seed"),
+    (("wigner", "--set", "boundary_tol=nan"), "boundary_tol"),
+    (("wigner", "--set", 'alpha={"extent":-1,"points":5}'), "alpha.extent"),
+    (("moments", "--shots", "1000", "--set", "orders=[[1]]"), "moment order"),
+    (("chi-scan", "--set", 'timestamps="no"'), "timestamps"),
+    (("manifold", "--set", "schedule.lambda=1e999"), "schedule.lambda"),
+    (("bec-map", "--set", "bec.rho0=1e999"), "bec.rho0"),
+    (("chi-scan", "--set", "grid.points=5", "--out", "afile/x.csv"), "afile/x.csv"),
+    (("wigner", "--set", 'chi_file="afile/x.csv"'), "afile/x.csv"),
+    # a JSON boolean for a number was read as 1.0
+    (("manifold", "--set", "schedule.lambda=true"), "schedule.lambda"),
+    (("bec-map", "--set", "bec.rho0=true"), "bec.rho0"),
+    (("wigner", "--set", "grid.extent=true"), "grid.extent"),
+    # a mode kind that is no string raised TypeError
+    (("chi-scan", "--set", 'state.modes=[{"j":[0],"kind":[1]}]'), "state.modes[0].kind"),
+    (("chi-scan", "--set", 'state.modes=[{"j":[0],"kind":{"a":1}}]'), "state.modes[0].kind"),
+]
+
+
+@pytest.mark.parametrize("argv,named", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT])
+def test_bad_input_exits_1_with_an_error_line_and_writes_nothing(tmp_path, argv, named):
     (tmp_path / "afile").write_text("a regular file\n")
     out = () if "--out" in argv else ("--out", "bad.csv")
     err = _fresh_run(tmp_path, *argv, *out, code=1)
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 

@@ -24,8 +24,9 @@ from chitomo.gaussian_field import (
     covariance,
     moments_analytic,
     state_from_dict,
-    state_to_dict,
 )
+
+from documents import state_to_dict
 
 # brute-force oracle values, frozen (truncated-Fock route, D = 160/200)
 CHI_SQ_HALF = 0.39707424035439476        # r=1, theta=0, xi = 0.5

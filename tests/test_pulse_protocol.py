@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from chitomo.errors import ValidationError
+from chitomo.errors import Record, ValidationError, positive
 from chitomo import pulse_protocol
 from chitomo.fileio import read_json, write_json
 from chitomo.pulse_protocol import (
@@ -543,21 +542,27 @@ def test_schedule_file_roundtrip(tmp_path):
     assert schedule_from_dict(read_json(path)) == sched
 
 
-@dataclass(frozen=True)
-class _TopHat:
-    """A smearing kind known only to its table entry: no to_dict of its own."""
+class _TopHat(Record):
+    """A smearing kind known only to its table entry: no reader or writer of
+    its own, and its field rules only on the class."""
 
     half_width: float
     scale: float = 1.0
+    _rules = {"half_width": positive, "scale": positive}
 
 
 def test_a_kind_registered_on_its_table_round_trips(monkeypatch):
-    monkeypatch.setitem(pulse_protocol._SMEARING_KINDS, "top_hat",
-                        (_TopHat, {"half_width": float, "scale": float}))
-    sched = canonical(smearing=_TopHat(half_width=0.5, scale=2.0))
+    monkeypatch.setitem(pulse_protocol._SMEARING_KINDS, "top_hat", _TopHat)
+    sched = canonical(smearing=_TopHat(half_width=0.5, scale=2))
     doc = schedule_to_dict(sched)
     assert doc["smearing"] == {"kind": "top_hat", "half_width": 0.5, "scale": 2.0}
     assert schedule_from_dict(doc) == sched
+    # the reader takes the class's rules and defaults
+    doc["smearing"] = {"kind": "top_hat", "half_width": 1}
+    assert repr(schedule_from_dict(doc).smearing) == "_TopHat(half_width=1.0, scale=1.0)"
+    doc["smearing"]["scale"] = True
+    with pytest.raises(ValidationError, match=r"^smearing\.scale = True is not usable"):
+        schedule_from_dict(doc)
 
 
 def test_schedule_unknown_kind_rejected():
@@ -576,6 +581,8 @@ def test_schedule_unknown_kind_rejected():
      ("smearing", {"sigma": 1.0}, "missing field 'kind'"),
      ("switching", {"kind": "custom", "t": "ab", "eta": [1.0, 1.0]}, "switching.t"),
      ("N", True, "segment count N"),
+     ("smearing", {"kind": "bogoliubov_weighted", "base": 5, "m_B": 1.0, "g_rho0": 1.0},
+      "^smearing must be an object, got 5$"),
      ("switching", {"kind": "gaussian", "center": 0.5, "width": 0.2, "relative": "false"},
       "switching.relative")],
 )

@@ -1,5 +1,6 @@
 """The record base against the stdlib: each value class behaves as a frozen
-dataclass with the same fields would, which the tests take as the reference."""
+dataclass with the same fields would, which the tests take as the reference.
+And each class a document reader builds takes every field as its reader does."""
 from __future__ import annotations
 
 import functools
@@ -12,7 +13,7 @@ import pytest
 
 from chitomo import bec_analogue, fock_oracle, gaussian_field, pulse_protocol, ramsey_readout
 from chitomo import tomography
-from chitomo.errors import Record
+from chitomo.errors import Record, ValidationError, read_object
 
 _MODES = gaussian_field.ModeSet(1, 2 * math.pi, 1.0, ((1,),))
 _BEC = bec_analogue.BecParams(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0, omega0=5.0)
@@ -94,8 +95,10 @@ def outcome(call):
 
 
 def _records(cls=Record):
+    """The record classes of the package (a test may declare its own)."""
     for sub in cls.__subclasses__():
-        yield sub
+        if sub.__module__.startswith("chitomo."):
+            yield sub
         yield from _records(sub)
 
 
@@ -130,3 +133,90 @@ def test_a_record_behaves_as_its_dataclass_twin(cls, examples):
     for bad in ({"no_such_field": 1.0}, {"args": (1.0,) * (len(cls._args) + 1)}):
         call = (lambda c: c(*bad["args"])) if "args" in bad else (lambda c: c(**bad))
         assert outcome(lambda: call(cls)) is outcome(lambda: call(ref)) is TypeError
+
+
+# ------------------------------------------------ the class and its readers agree
+
+_STATE = {"spatial_dim": 1, "box_side": 6.0, "mass": 1.0}
+_SCHEDULE = {"smearing": {"kind": "delta"}, "switching": {"kind": "constant"}}
+
+
+def _mode_set_doc(kw):
+    indices = kw["mode_indices"]
+    modes = [{"j": j} for j in indices] if isinstance(indices, list) else indices
+    return {"spatial_dim": kw["spatial_dim"], "box_side": kw["box_side"], "mass": kw["mass"],
+            "modes": modes}
+
+
+# each class a document reader builds: valid keyword arguments in document
+# form, and the record that the reader makes of them
+READERS = {
+    **{cls: lambda kw, kind=kind: pulse_protocol.smearing_from_dict({"kind": kind, **kw})
+       for kind, cls in pulse_protocol._SMEARING_KINDS.items()},
+    **{cls: lambda kw, kind=kind: pulse_protocol.switching_from_dict({"kind": kind, **kw})
+       for kind, cls in pulse_protocol._SWITCHING_KINDS.items()},
+    **{cls: lambda kw, kind=kind: gaussian_field.state_from_dict(
+        {**_STATE, "modes": [{"j": [1], "kind": kind, "params": kw}]}).mode_states[0]
+       for kind, cls in gaussian_field._KINDS.items()},
+    bec_analogue.BecParams: bec_analogue.params_from_dict,
+    pulse_protocol.PulseSchedule: lambda kw: pulse_protocol.schedule_from_dict(
+        {"lambda": kw["lam"], "tau": kw["tau"], "N": kw["N"], **_SCHEDULE}),
+    gaussian_field.ModeSet: lambda kw: gaussian_field.state_from_dict(_mode_set_doc(kw)).modes,
+    fock_oracle.FieldMode: lambda kw: read_object(kw, fock_oracle.FieldMode, "mode"),
+}
+VALID = {
+    pulse_protocol.SphericalGaussian: dict(sigma=0.5),
+    pulse_protocol.CustomRadial: dict(r=[0.0, 1.0], f=[1.0, 0.0]),
+    bec_analogue.BogoliubovWeighted: dict(base={"kind": "delta"}, m_B=1.0, g_rho0=2.0, sign=-1.0),
+    pulse_protocol.Constant: dict(value=2.0),
+    pulse_protocol.GaussianWindow: dict(center=0.5, width=0.2, relative=True),
+    pulse_protocol.CustomSwitching: dict(t=[0.0, 1.0], eta=[1.0, 0.5]),
+    gaussian_field.SqueezedThermal: dict(n=0.5, r=0.3, theta=7.0),
+    gaussian_field.Thermal: dict(n=0.7),
+    gaussian_field.Squeezed: dict(r=0.4, theta=1.1),
+    bec_analogue.BecParams: dict(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0, omega0=5.0),
+    pulse_protocol.PulseSchedule: dict(lam=0.01, tau=1.0, N=2),
+    gaussian_field.ModeSet: dict(spatial_dim=2, box_side=3.0, mass=0.5,
+                                 mode_indices=[[1, 0], [0, 2]]),
+    fock_oracle.FieldMode: dict(k=1.0, omega=1.5, box_side=2 * math.pi, spatial_dim=1),
+}
+# the value each field of a probed record takes in turn
+PROBES = ["0.3", "x", "no", True, False, None, -1.0, 0, 2, 2.5, math.nan, math.inf, 5,
+          [0.3], [[1]], [[1, 2]], {"kind": "delta"}]
+
+
+def _built(cls, kw):
+    if cls is pulse_protocol.PulseSchedule:
+        return cls(**kw, smearing=_DELTA, switching=pulse_protocol.Constant())
+    return cls(**kw)
+
+
+def _made(call):
+    """call()'s record, or the ValidationError it raised."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return exc
+
+
+def test_every_document_class_is_probed():
+    assert set(VALID) | {pulse_protocol.Delta, gaussian_field.Vacuum} == set(READERS)
+
+
+@pytest.mark.parametrize("cls", READERS, ids=lambda cls: cls.__qualname__)
+def test_a_record_and_its_reader_take_each_field_alike(cls):
+    # a value the reader refuses is refused by the class, by name (or for a
+    # rule across fields or a nested document, with the reader's own message);
+    # a value the reader converts is stored converted
+    valid = VALID.get(cls, {})
+    assert READERS[cls](valid) == _built(cls, valid)
+    for name in (name for name in cls._args if name in cls._rules):
+        for probe in PROBES:
+            kw = {**valid, name: probe}
+            read, built = _made(lambda: READERS[cls](kw)), _made(lambda: _built(cls, kw))
+            if isinstance(read, ValidationError):
+                assert isinstance(built, ValidationError), (name, probe, built)
+                head = str(built).split(" = ")[0]
+                assert head.endswith(name) or str(built) == str(read), (name, probe, built)
+            else:
+                assert built == read and repr(getattr(built, name)) == repr(getattr(read, name))
