@@ -42,9 +42,9 @@ class BecParams(Record):
     """Condensate and impurity parameters.
 
     g_rho0 is the interaction scale g rho0 (chemical potential); couplings
-    g_g, g_e are the impurity-state-dependent density couplings; omega0 is
-    the impurity gap (spectator here: it sets the pulse carrier, not the
-    displacement).
+    g_g, g_e are the impurity-state-dependent density couplings. The
+    impurity's gap is no field: it sets only the pulse carrier, which drops
+    out of the readout.
     """
 
     rho0: float
@@ -52,9 +52,8 @@ class BecParams(Record):
     g_e: float
     g_rho0: float
     m_B: float
-    omega0: float
     _rules = {"rho0": positive, "g_g": finite, "g_e": finite, "g_rho0": positive,
-              "m_B": positive, "omega0": finite}
+              "m_B": positive}
 
 
 def _dispersion(kmag, m_B: float, g_rho0: float):
@@ -116,7 +115,6 @@ class MappedProtocol(Record, eq=False):
     Bogoliubov frequencies to use instead of the ModeSet's own, and the
     per-mode weights. schedule is None when g_e = g_g (nothing is encoded)."""
 
-    params: BecParams
     modes: ModeSet
     schedule: PulseSchedule | None
     omegas: NDArray[np.float64]
@@ -156,8 +154,8 @@ def map_to_protocol(
         smearing = BogoliubovWeighted(template.smearing, params.m_B, params.g_rho0, sign)
         sched = PulseSchedule(abs(lambda_eff), template.tau, template.N, smearing,
                               template.switching)
-    return MappedProtocol(params=params, modes=modes, schedule=sched, omegas=omegas,
-                          weights=weights, lambda_eff=lambda_eff if sched else 0.0)
+    return MappedProtocol(modes=modes, schedule=sched, omegas=omegas, weights=weights,
+                          lambda_eff=lambda_eff if sched else 0.0)
 
 
 # --------------------------------------------------------------------------

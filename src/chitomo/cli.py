@@ -2,12 +2,12 @@
 
 Subcommands: manifold | chi-scan | simulate | wigner | moments |
 oracle-check | bec-map. Each takes a JSON config file (--config), dotted
---set key=value overrides, and a few dedicated flags; the fully resolved
-config is embedded in every output header, so a result file is sufficient to
-rerun itself. Identical config + seed gives byte-identical output; headers
-carry timestamps only behind --timestamps, on the subcommands that write
-tables. Every field a run reads is converted and checked once, by _spec,
-before any grid is built, sampled, transformed or written.
+--set key=value overrides, and a few dedicated flags, each read as the
+--set of its key; the fully resolved config is embedded in every output
+header, so a result file is sufficient to rerun itself. Identical config +
+seed gives byte-identical output. Every field a run reads is converted and
+checked once, by _spec, before any grid is built, sampled, transformed or
+written.
 
 Exit codes: 0 success, 1 bad input (an unusable input or output path too),
 2 failed numerical safeguard.
@@ -70,7 +70,6 @@ _DEFAULTS: dict[str, dict] = {
         "mode": _BASE_MODE,
         "N_list": [1, 4, 5, 6, 7, 8, 9, 10],
         "tau": {"min": 0.02, "max": _TWO_PI, "points": 315},
-        "timestamps": False,
     },
     "chi-scan": {
         "state": _VACUUM_STATE,
@@ -80,7 +79,6 @@ _DEFAULTS: dict[str, dict] = {
         "shots": 0,
         "half": False,
         "seed": 0,
-        "timestamps": False,
     },
     "simulate": {
         "state": _VACUUM_STATE,
@@ -88,7 +86,6 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 10_000,
         "seed": 0,
-        "timestamps": False,
     },
     "wigner": {
         "state": _VACUUM_STATE,
@@ -99,7 +96,6 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 0,
         "seed": 0,
-        "timestamps": False,
     },
     "moments": {
         "state": _VACUUM_STATE,
@@ -112,7 +108,6 @@ _DEFAULTS: dict[str, dict] = {
         "theta": math.pi / 2,
         "shots": 0,
         "seed": 0,
-        "timestamps": False,
     },
     "oracle-check": {
         "n_draws": 20,
@@ -126,7 +121,6 @@ _DEFAULTS: dict[str, dict] = {
             "g_e": 0.02,
             "g_rho0": 1.0,
             "m_B": 1.0,
-            "omega0": 1.0,
         },
         "modes": {"spatial_dim": 1, "box_side": _TWO_PI, "indices": [[1], [2], [3]]},
         "schedule": _BASE_SCHEDULE,
@@ -134,14 +128,12 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-# dedicated flags; a subcommand takes one only when its defaults carry the key
-# (timestamps: the subcommands that write tables)
+# dedicated flags and their help; a subcommand takes one only when its
+# defaults carry the key, and --flag value is read as --set flag=value
 _FLAGS = {
-    "seed": {"type": int, "help": "RNG seed recorded in the output"},
-    "shots": {"type": int, "help": "measurements per point (0 = exact)"},
-    "theta": {"type": float, "help": "preparation angle"},
-    "timestamps": {"action": "store_true", "default": None,
-                   "help": "stamp table headers with the generation time"},
+    "seed": "RNG seed recorded in the output",
+    "shots": "measurements per point (0 = exact)",
+    "theta": "preparation angle",
 }
 
 
@@ -183,10 +175,9 @@ def _resolve_config(args) -> dict:
             raise ValidationError(f"{args.config} must hold a JSON object")
         _deep_update(config, doc)
     _apply_set(config, args.set)
-    for flag in (*_FLAGS, "out"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
+    _apply_set(config, getattr(args, "flags", None))  # after --set, so a flag wins
+    if args.out is not None:
+        config["out"] = args.out
     known_fields(config, (*_DEFAULTS[args.command], "out"), f"the {args.command} config")
     return config
 
@@ -249,7 +240,7 @@ _SURFACE = ("schedule", "N_list", "tau")
 # that means one thing per subcommand is keyed by (subcommand, name)
 _CONVERT = {
     **dict.fromkeys(("shots", "n_draws", ("moments", "mode")), partial(converted, integer)),
-    **dict.fromkeys(("timestamps", "half", "richardson"), partial(converted, boolean)),
+    **dict.fromkeys(("half", "richardson"), partial(converted, boolean)),
     "theta": partial(converted, real),
     "seed": partial(converted, at_least(0)),
     "D": lambda D, key: _cutoff(D, 8, key),
@@ -276,11 +267,11 @@ _CONVERT = {
 
 # the fields a run reads whatever the values; _spec reads the others where the run does
 _READS = {
-    "manifold": (*_SURFACE, "mode", "timestamps"),
-    "chi-scan": ("manifold", "timestamps"),
-    "simulate": ("state", "points", "shots", "theta", "seed", "timestamps"),
-    "wigner": ("chi_file", "alpha", "boundary_tol", "timestamps"),
-    "moments": ("mode", "h", "chi_file", "orders", "timestamps"),
+    "manifold": (*_SURFACE, "mode"),
+    "chi-scan": ("manifold",),
+    "simulate": ("state", "points", "shots", "theta", "seed"),
+    "wigner": ("chi_file", "alpha", "boundary_tol"),
+    "moments": ("mode", "h", "chi_file", "orders"),
     "oracle-check": ("n_draws", "D", "seed"),
     "bec-map": ("bec", "modes", "schedule"),
 }
@@ -288,12 +279,14 @@ _READS = {
 
 def _spec(command: str, config: dict) -> dict:
     """The checked value of every field a run of command reads, beside the raw
-    config and out (chi_file and manifold are None where not read). A field
+    config, the meta of a table's header (the command and config) and out
+    (chi_file and manifold are None where not read). A field
     is read only where the run reads it: theta only with shots > 0, say. The
     readout arguments, the grid budget, h (with each order's stencil on a
     planned grid), the moment orders and a state's moment mode go through
     their layer's own check, so bad input is refused before any work."""
-    spec = {"config": config, "chi_file": None, "manifold": None}
+    spec = {"config": config, "meta": {"command": command, "config": config},
+            "chi_file": None, "manifold": None}
 
     def read(*keys, doc=config):  # the value of the last key
         for key in keys:
@@ -325,9 +318,6 @@ def _spec(command: str, config: dict) -> dict:
                 _stencil_nodes(spec["grid"], spec["mode"], spec["h"], p, q, spec["richardson"])
         elif spec["h"] is not None:
             _check_h(spec["h"])
-    if "timestamps" in spec:  # the meta and timestamps arguments of a table writer
-        spec["header"] = {"meta": {"command": command, "config": config},
-                          "timestamps": spec["timestamps"]}
     return spec
 
 
@@ -347,7 +337,7 @@ def cmd_manifold(spec: dict) -> None:
     counts, taus = spec["N_list"], spec["tau"]
     curves = reachable_manifold(spec["schedule"], counts, taus, *spec["mode"])
     rows = _surface_rows(counts, taus, np.array([c.xis for c in curves])[..., None])
-    write_table(spec["out"], ["N", "tau", "re_xi", "im_xi"], rows, **spec["header"])
+    write_table(spec["out"], ["N", "tau", "re_xi", "im_xi"], rows, spec["meta"])
     print(f"wrote {len(rows)} manifold points to {spec['out']}")
 
 
@@ -368,7 +358,7 @@ def _chi_scan_manifold(spec: dict) -> None:
         stderr = [np.array([r.chi_stderr for r in readouts])]
         columns.append("stderr")
     rows = _surface_rows(counts, taus, xis, chis.real, chis.imag, *stderr)
-    write_table(spec["out"], columns, rows, **spec["header"])
+    write_table(spec["out"], columns, rows, spec["meta"])
     print(f"wrote {len(rows)} chi values to {spec['out']}")
 
 
@@ -377,7 +367,7 @@ def cmd_chi_scan(spec: dict) -> None:
         _chi_scan_manifold(spec)
         return
     grid = _chi_grid_for(spec)
-    save_chi_grid(grid, spec["out"], **spec["header"])
+    save_chi_grid(grid, spec["out"], spec["meta"])
     print(f"wrote a {grid.values.shape} chi grid to {spec['out']}")
 
 
@@ -389,7 +379,7 @@ def cmd_simulate(spec: dict) -> None:
     columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
     rows = [[*xi, theta, shots, sx, sy, chi.real, chi.imag, seed] for xi, sx, sy, chi in zip(
         flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist())]
-    write_table(spec["out"], columns, rows, **spec["header"])
+    write_table(spec["out"], columns, rows, spec["meta"])
     print(f"wrote {len(rows)} readout records to {spec['out']}")
 
 
@@ -406,7 +396,7 @@ def cmd_wigner(spec: dict) -> None:
     grid = hermitian_fill(_chi_grid_for(spec))
     alpha = None if spec["alpha"] is None else (spec["alpha"],) * (2 * grid.n_modes)
     wgrid = wigner_transform(grid, alpha, boundary_tol=spec["boundary_tol"])
-    save_wigner_grid(wgrid, spec["out"], **spec["header"])
+    save_wigner_grid(wgrid, spec["out"], spec["meta"])
     print(f"wrote a {wgrid.values.shape} Wigner grid to {spec['out']} "
           f"(integral target {wgrid.normalization:.6g})")
 
@@ -420,7 +410,7 @@ def cmd_moments(spec: dict) -> None:
         value, error = moments_fd(source, spec["mode"], p, q, h=spec["h"],
                                   richardson=spec["richardson"], with_error=True)
         rows.append([p, q, value.real, value.imag, float("nan") if error is None else error])
-    write_table(spec["out"], ["p", "q", "re_moment", "im_moment", "error"], rows, **spec["header"])
+    write_table(spec["out"], ["p", "q", "re_moment", "im_moment", "error"], rows, spec["meta"])
     print(f"wrote {len(rows)} moments to {spec['out']}")
 
 
@@ -493,9 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted config override, value parsed as JSON (repeatable)")
         p.add_argument("--out", help="output file path")
-        for flag, spec in _FLAGS.items():
+        for flag, help_text in _FLAGS.items():
             if flag in _DEFAULTS[name]:
-                p.add_argument(f"--{flag}", **spec)
+                p.add_argument(f"--{flag}", dest="flags", action="append", metavar=flag.upper(),
+                               type=f"{flag}={{}}".format, help=help_text)
     return parser
 
 

@@ -12,10 +12,9 @@ boundary-decay check (CLI exit code 2).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from inspect import Parameter, Signature
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 from reprlib import repr as _short
 
 _REQUIRED = Parameter.empty  # a field without a default is required
@@ -77,19 +76,25 @@ def dimension(value) -> int:
 
 def real(value) -> float:
     """A real number as a float; true and false are refused rather than read
-    as 1.0 and 0.0."""
-    if isinstance(value, bool):
-        raise TypeError("a number is expected, not bool")
+    as 1.0 and 0.0, and a complex number rather than cut to its real part."""
+    if isinstance(value, bool) or (isinstance(value, Complex) and not isinstance(value, Real)):
+        raise TypeError(f"a real number is expected, not {type(value).__name__}")
     return float(value)
 
 
-def finite(value):
-    """A finite number, a real one as a float (see real): NaN and infinities
-    (in either part of a complex) are refused."""
-    x = value if isinstance(value, complex) else real(value)
-    if not cmath.isfinite(x):
+def finite(value) -> float:
+    """A finite real number as a float (see real): NaN and infinities are
+    refused."""
+    x = real(value)
+    if not math.isfinite(x):
         raise ValueError("a finite number is expected")
     return x
+
+
+def finite_complex(value) -> complex:
+    """A complex number whose parts are each finite (see finite)."""
+    z = complex(value)
+    return complex(finite(z.real), finite(z.imag))
 
 
 def positive(value) -> float:

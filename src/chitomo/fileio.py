@@ -26,15 +26,15 @@ grid file must list every point, so a file that lost a row is refused.
 Loading a grid therefore reproduces the saved arrays bit for bit, signed
 zeros and NaN or infinite parts included, and a chi file that lists every
 point, as files written before the rule did, loads as before.
-Headers carry no timestamp unless explicitly requested, keeping identical
-runs byte-identical.
+Headers carry no timestamp, so identical runs write identical bytes;
+read_table skips a '#' line it does not know, such as the generated:
+stamp of older files.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -99,15 +99,12 @@ def _cells(block, prev) -> tuple[list, tuple]:
     return labels[where].tolist(), (keys, labels)
 
 
-def write_table(path, columns, rows, meta: dict | None = None, timestamps: bool = False) -> None:
-    """CSV with a '#' header: tag, optional timestamp, meta JSON, column names."""
+def write_table(path, columns, rows, meta: dict | None = None) -> None:
+    """CSV with a '#' header: tag, meta JSON, column names."""
     columns = list(columns)
     cols = _typed_columns(rows, len(columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_TAG}\n")
-        if timestamps:
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            fh.write(f"# generated: {stamp}\n")
         fh.write(f"# meta: {json.dumps(meta or {}, sort_keys=True)}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
         dicts = [_NO_LABELS] * len(cols)
@@ -171,8 +168,7 @@ def _holds(column, value: float):
     return np.asarray(column, dtype=float).view(np.int64) == np.float64(value).view(np.int64)
 
 
-def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, timestamps,
-               skip: int = 0):
+def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, skip: int = 0):
     """One row per grid point in C order, the coordinates then values, but
     for the first skip points; the meta field rows then counts the rows."""
     names = _coordinate_names(coords, grid.n_modes) + list(values)
@@ -187,7 +183,7 @@ def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, 
     columns = [_along(a, k, len(shape)) for k, a in enumerate(axes)] + list(values.values())
     for k, c in enumerate(columns):  # filled column by column, no mesh
         table[:, k] = np.broadcast_to(c, shape).reshape(-1)[skip:]
-    write_table(path, names, table, doc, timestamps)
+    write_table(path, names, table, doc)
 
 
 def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), missing=None):
@@ -233,9 +229,7 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
     return axes, values, meta
 
 
-def save_chi_grid(
-    grid: ChiGrid, path, meta: dict | None = None, timestamps: bool = False
-) -> None:
+def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr].
     The leading run of points with Re chi NaN, Im chi +0.0 and stderr NaN or
     absent, as sampled_chi_grid leaves the points it did not measure, has no
@@ -252,7 +246,7 @@ def save_chi_grid(
     skip = int(np.count_nonzero(np.logical_and.accumulate(unmeasured.reshape(-1))))
     del unmeasured  # so that the save holds no mask
     fields = {"provenance": grid.provenance, "shots": grid.shots}
-    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, timestamps, skip)
+    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, skip)
 
 
 def load_chi_grid(path) -> ChiGrid:
@@ -273,12 +267,9 @@ def load_chi_grid(path) -> ChiGrid:
     )
 
 
-def save_wigner_grid(
-    grid: WignerGrid, path, meta: dict | None = None, timestamps: bool = False
-) -> None:
+def save_wigner_grid(grid: WignerGrid, path, meta: dict | None = None) -> None:
     fields = {"normalization": grid.normalization, "imag_residual": grid.imag_residual}
-    _save_grid(path, "wigner_grid", grid, _WIGNER_COORDS, {"w": grid.values}, fields, meta,
-               timestamps)
+    _save_grid(path, "wigner_grid", grid, _WIGNER_COORDS, {"w": grid.values}, fields, meta)
 
 
 def load_wigner_grid(path) -> WignerGrid:

@@ -69,7 +69,8 @@ The guards are module constants, one value for every caller:
 Every check reports one plain dict, the record oracle-check writes: check
 (its name), inputs, the cutoff D, defect, tolerance and passed (defect <=
 tolerance). The displacement identity adds xi_closed and xi_fock as [re, im]
-pairs, residual and residual_tolerance.
+pairs, residual and residual_tolerance, and its segment's leak and
+leak_tolerance.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     NumericalCheckError, Record, ValidationError, at_least, converted, dimension, finite,
-    nonnegative, positive,
+    finite_complex, nonnegative, positive,
 )
 from .gaussian_field import (
     GaussianFieldState,
@@ -109,7 +110,6 @@ __all__ = [
     "ladder",
     "displacement_operator",
     "number_rotation",
-    "thermal_density",
     "fock_density",
     "build_segment",
     "evolve_pulse_sequence",
@@ -178,7 +178,7 @@ def displacement_operator(D: int, xi: complex) -> NDArray[np.complex128]:
     The generator is |xi| P (a + a-dagger) P-dagger, phi = arg xi + pi/2.
     """
     D = _cutoff(D)
-    xi = converted(finite, complex(xi), "xi")
+    xi = converted(finite_complex, xi, "xi")
     w, V = _quadrature_basis(D, 1)
     return _exp_from_basis(abs(xi) * w, _phased(V, np.angle(xi) + np.pi / 2))
 
@@ -188,18 +188,13 @@ def number_rotation(D: int, y: float) -> NDArray[np.complex128]:
     return np.diag(np.exp(1j * float(y) * np.arange(_cutoff(D))))
 
 
-def thermal_density(D: int, n: float) -> NDArray[np.complex128]:
-    """Truncated thermal density matrix, p_j = n^j / (n+1)^(j+1).
+def _thermal_populations(D: int, n: float) -> NDArray[np.float64]:
+    """Truncated thermal populations p_j = n^j / (n+1)^(j+1), j < D.
 
     The discarded tail has total weight (n+1) p_D; the check on p_D keeps the
     trace deficit below (n+1) TAIL_TOL. Not renormalized, so the truncation
     error stays visible in any comparison.
     """
-    return np.diag(_thermal_populations(_cutoff(D), n)).astype(complex)
-
-
-def _thermal_populations(D: int, n: float) -> NDArray[np.float64]:
-    """The diagonal p_j of thermal_density(D, n), with its tail guard."""
     n = converted(nonnegative, n, "n")
     if n == 0:
         p = np.zeros(D)
@@ -355,15 +350,7 @@ def _report(check: str, inputs: dict, D: int, defect: float, tol: float) -> dict
             "tolerance": tol, "passed": bool(defect <= tol)}
 
 
-def default_cutoff(xi: complex) -> int:
-    """Cutoff heuristic D = (4|xi| + 4)^2, floor 16; leak checks still apply,
-    and above |xi| = 7 the cutoff passes MAX_CUTOFF and is refused."""
-    return max(16, math.ceil((4.0 * abs(xi) + 4.0) ** 2))
-
-
-def verify_displacement_identity(
-    sched: PulseSchedule, mode: FieldMode, D: int | None = None
-) -> dict:
+def verify_displacement_identity(sched: PulseSchedule, mode: FieldMode, D: int) -> dict:
     """Check that the pulse sequence really is D(xi) with the closed-form xi.
 
     xi_fock is read off the matrix elements <0|U|0> and <1|U|0>; the residual
@@ -371,13 +358,12 @@ def verify_displacement_identity(
     global phase aligned), and raising on it guards against reading a xi off
     a matrix that is not a displacement.
 
-    Returns the check's report dict (module docstring) with inputs {lambda,
-    tau, N}, defect |xi_closed - xi_fock| and tolerance DEFECT_TOL; a report
-    whose residual exceeds RESIDUAL_TOL is never returned.
+    Returns the check's report dict (module docstring) at cutoff D with
+    inputs {lambda, tau, N}, defect |xi_closed - xi_fock|, tolerance
+    DEFECT_TOL and the segment's leak; a report whose residual exceeds
+    RESIDUAL_TOL, or whose leak exceeds LEAK_TOL, is never returned.
     """
     xi_closed = mode.closed_form_xi(sched)
-    if D is None:
-        D = default_cutoff(xi_closed)
     seg = build_segment(sched, mode, D)
     U = evolve_pulse_sequence(seg, sched.N)
     xi_fock = _extract_displacement(U)
@@ -394,6 +380,8 @@ def verify_displacement_identity(
         "xi_fock": [xi_fock.real, xi_fock.imag],
         "residual": residual,
         "residual_tolerance": RESIDUAL_TOL,
+        "leak": seg.leak,
+        "leak_tolerance": LEAK_TOL,
     }
 
 
@@ -404,7 +392,7 @@ def verify_displacement_composition(x: complex, y: float, N: int, D: int = 40) -
     is taken over the low Fock columns modulo a global phase.
     """
     N = converted(at_least(1), N, "N")
-    x, y = converted(finite, complex(x), "x"), converted(finite, y, "y")
+    x, y = converted(finite_complex, x, "x"), converted(finite, y, "y")
     step = displacement_operator(D, x) @ number_rotation(D, y)
     lhs = np.linalg.matrix_power(step, N)
     ratio = 1.0 - np.exp(1j * y)
@@ -436,7 +424,7 @@ def chi_fock(state: GaussianFieldState, xi: complex, D: int) -> complex:
     real and imaginary parts: no D x D operator is formed.
     """
     mode_state = _single_mode_state(state)
-    xi = converted(finite, complex(xi), "xi")
+    xi = converted(finite_complex, xi, "xi")
     cols, p = _weighted_columns(mode_state, D)
     w, V = _quadrature_basis(cols.shape[0], 1)
     s = _phased(cols, -(np.angle(xi) + np.pi / 2))

@@ -183,24 +183,24 @@ class Squeezed(SqueezedThermal):
     n: float = Pinned(0.0)
 
 
+def _mode_state(s) -> SqueezedThermal:
+    if not isinstance(s, SqueezedThermal):
+        raise ValidationError(f"unknown mode state {s!r}")
+    return s
+
+
 class GaussianFieldState(Record):
     """Product of independent mean-zero Gaussian modes over a ModeSet."""
 
     modes: ModeSet
-    mode_states: tuple[SqueezedThermal, ...] = ()
+    mode_states: tuple[SqueezedThermal, ...]
+    _rules = {"mode_states": listed(_mode_state)}
 
     def __post_init__(self) -> None:
-        states = tuple(self.mode_states) if self.mode_states is not None else ()
-        if not states:
-            states = tuple(Vacuum() for _ in range(self.modes.n_modes))
-        object.__setattr__(self, "mode_states", states)
-        if len(states) != self.modes.n_modes:
+        if len(self.mode_states) != self.modes.n_modes:
             raise ValidationError(
-                f"{len(states)} mode states for {self.modes.n_modes} modes"
+                f"{len(self.mode_states)} mode states for {self.modes.n_modes} modes"
             )
-        for s in states:
-            if not isinstance(s, SqueezedThermal):
-                raise ValidationError(f"unknown mode state {s!r}")
 
     @property
     def n_modes(self) -> int:
@@ -339,7 +339,7 @@ _KINDS = {"vacuum": Vacuum, "thermal": Thermal, "squeezed": Squeezed,
 
 def state_from_dict(doc: dict) -> GaussianFieldState:
     known_fields(doc, ("spatial_dim", "box_side", "mass", "modes"), "state")
-    entries = read_field(doc, "modes", listed(dict), "state")
+    entries = read_field(doc, "modes", listed(lambda entry: entry), "state")
     where = [f"state.modes[{i}]" for i in range(len(entries))]
     modeset = ModeSet(
         **{name: read_field(doc, name, ModeSet._rules[name], "state")

@@ -135,12 +135,10 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
 
     P(+1) = (1 + <sigma>)/2; returns the sample mean, the count ratio
     (k - (M - k)) / M of k reads of +1, and its binomial standard error
-    sqrt((1 - mean^2)/M). rng is a Generator or an int seed. The draw and
-    the arithmetic are readout_chi's, so the two agree bit for bit.
+    sqrt((1 - mean^2)/M). rng is a numpy Generator, such as shot_rng's. The
+    draw and the arithmetic are readout_chi's, so the two agree bit for bit.
     """
     M = converted(at_least(1, MAX_SHOTS), M, "shot count M")
-    if not isinstance(rng, np.random.Generator):
-        rng = shot_rng(rng)
     est, stderr = _sample_mean(bloch_expectation(qs, basis), M, rng)
     return ShotResult(estimate=float(est), stderr=float(stderr))
 

@@ -236,11 +236,9 @@ def grid_integral(grid) -> float:
 MAX_GRID_CELLS = 2**25
 
 
-def _state_axes(state: GaussianFieldState, axes: Sequence[np.ndarray] | None):
-    """Checked axes for a grid of state (default: 129 points at extent 6 on
-    every axis); a grid above MAX_GRID_CELLS is refused before it exists."""
-    if axes is None:
-        axes = tuple(grid_axis(6.0, 129) for _ in range(2 * state.n_modes))
+def _state_axes(state: GaussianFieldState, axes: Sequence[np.ndarray]):
+    """Checked axes for a grid of state, one (Re xi, Im xi) pair per mode; a
+    grid above MAX_GRID_CELLS is refused before it exists."""
     axes = _check_axes(axes)
     if len(axes) != 2 * state.n_modes:
         raise ValidationError("axis count does not match the state's mode count")
@@ -253,9 +251,7 @@ def _state_axes(state: GaussianFieldState, axes: Sequence[np.ndarray] | None):
     return axes
 
 
-def chi_grid_from_state(
-    state: GaussianFieldState, axes: Sequence[np.ndarray] | None = None
-) -> ChiGrid:
+def chi_grid_from_state(state: GaussianFieldState, axes: Sequence[np.ndarray]) -> ChiGrid:
     """Exact chi on a grid, straight from the closed form."""
     axes = _state_axes(state, axes)
     return ChiGrid(axes=axes, values=char_analytic_grid(state, axes), provenance="exact")
@@ -263,7 +259,7 @@ def chi_grid_from_state(
 
 def sampled_chi_grid(
     state: GaussianFieldState,
-    axes: Sequence[np.ndarray] | None = None,
+    axes: Sequence[np.ndarray],
     theta: float = np.pi / 2,
     shots: int = 10_000,
     seed: int = 0,

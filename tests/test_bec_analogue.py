@@ -39,7 +39,7 @@ WEIGHT_AT_MU = 0.7598356856515925   # (1/3)^{1/4}, where E_k = g rho0
 
 
 def params(g_g=0.0, g_e=0.02, g_rho0=1.0, m_B=1.0, rho0=1.0):
-    return BecParams(rho0=rho0, g_g=g_g, g_e=g_e, g_rho0=g_rho0, m_B=m_B, omega0=1.0)
+    return BecParams(rho0=rho0, g_g=g_g, g_e=g_e, g_rho0=g_rho0, m_B=m_B)
 
 
 def template(tau=1.0, N=3, smearing=None):
@@ -60,7 +60,7 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         params(g_rho0=-1.0)
     with pytest.raises(ValidationError):
-        BecParams(rho0=1.0, g_g=0.0, g_e=0.02, g_rho0=1.0, m_B=0.0, omega0=1.0)
+        BecParams(rho0=1.0, g_g=0.0, g_e=0.02, g_rho0=1.0, m_B=0.0)
 
 
 def test_dispersion_limits():

@@ -106,8 +106,8 @@ INEXACT = [
       '"width": 0.2, "relative": "false"}'), "switching.relative"),
     (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
     (("oracle-check", "--set", "seed=0.5"), "seed"),
-    (("manifold", "--set", "timestamps=no"), "timestamps"),
-    (("manifold", "--set", 'timestamps="false"'), "timestamps"),
+    (("moments", "--set", "richardson=no"), "richardson"),
+    (("chi-scan", "--shots", "100", "--set", "half=0"), "half"),
 ]
 UNKNOWN_FIELD = [
     (("chi-scan", "--set",
@@ -126,6 +126,9 @@ UNKNOWN_FIELD = [
     (("manifold", "--set", f'schedule.smearing={{{_WEIGHTED}, "weight": 2.0}}'), "'weight'"),
     (("chi-scan", "--set", 'state.modes=[{"j": [1], "params": {"n": 0.5}}]'), "'n'"),
     (("bec-map", "--set", "bec.rho=2"), "'rho'"),
+    # fields no run reads, which older configs carry
+    (("chi-scan", "--set", "timestamps=false"), "'timestamps'"),
+    (("bec-map", "--set", "bec.omega0=1.0"), "'omega0'"),
 ]
 
 
@@ -666,15 +669,15 @@ def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_pa
 BAD_INPUT = [
     # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
     # tolerance, a negative alpha extent, a moment order that is not a pair, a
-    # timestamps value that is not a boolean, an infinite coupling or
-    # condensate density, and an output or input path through a regular file
+    # half value that is not a boolean, an infinite coupling or condensate
+    # density, and an output or input path through a regular file
     (("moments", "--set", "h=0"), "h = "),
     (("simulate", "--theta", "nan", "--shots", "0"), "theta"),
     (("simulate", "--seed", "-1"), "seed"),
     (("wigner", "--set", "boundary_tol=nan"), "boundary_tol"),
     (("wigner", "--set", 'alpha={"extent":-1,"points":5}'), "alpha.extent"),
     (("moments", "--shots", "1000", "--set", "orders=[[1]]"), "moment order"),
-    (("chi-scan", "--set", 'timestamps="no"'), "timestamps"),
+    (("chi-scan", "--shots", "100", "--set", 'half="no"'), "half"),
     (("manifold", "--set", "schedule.lambda=1e999"), "schedule.lambda"),
     (("bec-map", "--set", "bec.rho0=1e999"), "bec.rho0"),
     (("chi-scan", "--set", "grid.points=5", "--out", "afile/x.csv"), "afile/x.csv"),
@@ -686,6 +689,9 @@ BAD_INPUT = [
     # a mode kind that is no string raised TypeError
     (("chi-scan", "--set", 'state.modes=[{"j":[0],"kind":[1]}]'), "state.modes[0].kind"),
     (("chi-scan", "--set", 'state.modes=[{"j":[0],"kind":{"a":1}}]'), "state.modes[0].kind"),
+    # a mode entry that is a list of pairs was read as the object of those pairs
+    (("chi-scan", "--set", 'state.modes=[[["j",[1]]]]', "--set", "grid.points=5"),
+     "state.modes[0]"),
 ]
 
 
@@ -927,6 +933,10 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert {r["check"] for r in doc["reports"]} >= {
         "displacement_identity", "chi_closed_form", "joint_qubit_bloch",
     }
+    # each identity check reports its segment's leak beside the guard on it
+    for r in doc["reports"]:
+        if r["check"] == "displacement_identity":
+            assert 0.0 <= r["leak"] <= r["leak_tolerance"] == 1e-8
 
 
 # ---------------------------------------------------------------- bec-map
@@ -983,6 +993,72 @@ def test_config_file_and_set_precedence(tmp_path):
     assert meta["config"]["schedule"]["lambda"] == 0.02  # from file
     assert meta["config"]["schedule"]["N"] == 3          # --set wins over file
     assert meta["config"]["schedule"]["tau"] == 1.0      # default survives
+
+
+# (flag, value, the other argv of the run), each run as chi-scan on 5 points
+_FLAG_RUNS = [
+    ("--shots", "1e3", ()),
+    ("--seed", "2.0", ("--set", "shots=100")),
+    ("--theta", "1.2", ("--set", "shots=100")),
+    ("--theta", "nan", ("--set", "shots=100")),
+    ("--seed", "-1", ("--set", "shots=100")),
+    ("--shots", "many", ()),
+]
+
+
+@pytest.mark.parametrize("flag,value,rest", _FLAG_RUNS)
+def test_a_flag_runs_as_its_set_spelling(tmp_path, monkeypatch, capsys, flag, value, rest):
+    # --shots 1e3 ran 1000 shots only as --set shots=1e3, and was refused as a flag
+    outcomes = []
+    for side, spelling in (("flag", (flag, value)), ("set", ("--set", f"{flag[2:]}={value}"))):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        code = run("chi-scan", "--set", "grid.points=5", *rest, *spelling, "--out", "chi.csv")
+        out = Path("chi.csv")
+        outcomes.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (1 if value in ("nan", "-1", "many") else 0)
+
+
+def test_a_flag_wins_over_set_wherever_it_stands(tmp_path):
+    out = tmp_path / "chi.csv"
+    for argv in (("--set", "seed=5", "--seed", "3"), ("--seed", "3", "--set", "seed=5")):
+        assert run("chi-scan", "--set", "grid.points=5", "--shots", "10", *argv,
+                   "--out", str(out)) == 0
+        assert read_table(out)[2]["config"]["seed"] == 3
+
+
+# each subcommand at a reduced size, and the chi files wigner and moments read
+_RERUNS = {
+    "manifold": ("manifold", "--set", "tau.points=63"),
+    "chi-scan": ("chi-scan", "--set", "grid.points=33"),
+    "chi-scan-half": ("chi-scan", "--shots", "10000", "--set", "half=true",
+                      "--set", "grid.points=33"),
+    "simulate": ("simulate",),
+    "wigner": ("wigner", "--set", "grid.points=33"),
+    "wigner-of-file": ("wigner", "--set", 'chi_file="chi-scan.out"'),
+    "moments": ("moments",),
+    "moments-of-half-file": ("moments", "--set", 'chi_file="chi-scan-half.out"'),
+    "oracle-check": ("oracle-check", "--set", "n_draws=2"),
+    "bec-map": ("bec-map",),
+}
+
+
+def test_every_output_reruns_from_its_own_config(tmp_path, monkeypatch):
+    # a result file is its own rerun recipe: the config its header (or its
+    # JSON document) records, run with another out, writes the same bytes
+    # but for the out value
+    monkeypatch.chdir(tmp_path)
+    for name, argv in _RERUNS.items():
+        first, second = f"{name}.out", f"{name}.rerun"
+        assert run(*argv, "--out", first) == 0
+        text = Path(first).read_bytes()
+        doc = read_json(first) if text.startswith(b"{") else read_table(first)[2]
+        Path(f"{name}.json").write_text(json.dumps(doc["config"]))
+        assert run(argv[0], "--config", f"{name}.json", "--out", second) == 0
+        out = f'"out": "{first}"'.encode()
+        assert text.count(out) == 1, name
+        assert Path(second).read_bytes() == text.replace(out, f'"out": "{second}"'.encode()), name
 
 
 def test_malformed_config_is_exit_1(tmp_path):
@@ -1091,7 +1167,7 @@ def test_chi_scan_overflowing_squeezing_is_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [("manifold", "--seed", "1"), ("bec-map", "--shots", "5"), ("manifold", "--theta", "0.3"),
-     ("oracle-check", "--timestamps"), ("bec-map", "--timestamps")],
+     ("oracle-check", "--shots", "5"), ("bec-map", "--seed", "1")],
 )
 def test_flag_of_another_subcommand_is_exit_1(tmp_path, argv):
     out = tmp_path / "x.out"
@@ -1171,13 +1247,14 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path):
         "import resource, sys\n"
         "from chitomo.cli import main\n"
         "from chitomo.errors import ValidationError\n"
-        "from chitomo.gaussian_field import GaussianFieldState, ModeSet\n"
-        "from chitomo.tomography import chi_grid_from_state, sampled_chi_grid\n"
+        "from chitomo.gaussian_field import GaussianFieldState, ModeSet, Vacuum\n"
+        "from chitomo.tomography import chi_grid_from_state, grid_axis, sampled_chi_grid\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "state = GaussianFieldState(ModeSet(1, 6.28, 1.0, ((1,), (2,))))\n"
+        "state = GaussianFieldState(ModeSet(1, 6.28, 1.0, ((1,), (2,))), (Vacuum(), Vacuum()))\n"
+        "axes = (grid_axis(6.0, 129),) * 4\n"
         "for build in (chi_grid_from_state, sampled_chi_grid):\n"
         "    try:\n"
-        "        build(state)\n"
+        "        build(state, axes)\n"
         "    except ValidationError:\n"
         "        print('refused')\n"
         f"print(main({argv!r}))\n"
@@ -1226,15 +1303,16 @@ REFUSED = [
     (("wigner", "--set", "grid.points=9", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
     (("wigner", "--set", "grid.points=9", "--set", 'alpha={"extent": -1, "points": 5}'),
      "alpha.extent = -1 is not usable: a finite number > 0"),
-    (("chi-scan", "--set", "grid.points=9", "--set", 'timestamps="no"'),
-     "timestamps = 'no' is not usable"),
+    (("chi-scan", "--shots", "100", "--set", "grid.points=9", "--set", 'half="no"'),
+     "half = 'no' is not usable"),
     (("moments", "--shots", "1000", "--set", "grid.points=9", "--set", "orders=[[1]]"),
      "each moment order is a pair [p, q], got [1]"),
     (("manifold", "--seed", "1"), "unrecognized arguments: --seed 1"),
     (("bec-map", "--shots", "5"), "unrecognized arguments: --shots 5"),
     (("manifold", "--theta", "0.3"), "unrecognized arguments: --theta 0.3"),
-    (("oracle-check", "--timestamps"), "unrecognized arguments: --timestamps"),
-    (("bec-map", "--timestamps"), "unrecognized arguments: --timestamps"),
+    (("oracle-check", "--shots", "5"), "unrecognized arguments: --shots 5"),
+    (("bec-map", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("chi-scan", "--timestamps"), "unrecognized arguments: --timestamps"),
     (("chi-scan", "--threads", "4"), "unrecognized arguments: --threads 4"),
     (("chi-scan", "--no-such-flag"), "unrecognized arguments: --no-such-flag"),
     # out=1 wrote to file descriptor 1 and closed it; out=null failed after the work

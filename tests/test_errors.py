@@ -15,12 +15,12 @@ from chitomo.fock_oracle import (
     _squeezer,
     build_segment,
     evolve_pulse_sequence,
+    fock_density,
     ladder,
     run_displacement_draws,
-    thermal_density,
     verify_displacement_composition,
 )
-from chitomo.gaussian_field import ModeSet, SqueezedThermal
+from chitomo.gaussian_field import ModeSet, SqueezedThermal, Thermal
 from chitomo.pulse_protocol import (
     Constant,
     Delta,
@@ -30,7 +30,9 @@ from chitomo.pulse_protocol import (
     smearing_ft,
     switching_integral,
 )
-from chitomo.ramsey_readout import QubitState, readout_chi, required_shots, sample_shots, shot_rng
+from chitomo.ramsey_readout import (
+    QubitState, final_qubit_state, readout_chi, required_shots, sample_shots, shot_rng,
+)
 from chitomo.tomography import _boundary_tol
 
 
@@ -76,7 +78,7 @@ _INTEGER_ARGUMENTS = {
     "evolve_pulse_sequence.N": lambda v: evolve_pulse_sequence(_SEG, v),
     "verify_displacement_composition.N": lambda v: verify_displacement_composition(
         0.1, 0.7, v, D=16),
-    "sample_shots.M": lambda v: sample_shots(QubitState(0.0, 0.0, 1.0), "x", v, 0),
+    "sample_shots.M": lambda v: sample_shots(QubitState(0.0, 0.0, 1.0), "x", v, shot_rng(0)),
     "readout_chi.shots": lambda v: readout_chi([0.5], 1.0, v, 0),
     "readout_chi.seed": lambda v: readout_chi([0.5], 1.0, 10, v),
     "shot_rng.seed": lambda v: shot_rng(v),
@@ -91,7 +93,7 @@ def test_library_integer_arguments_are_exact(argument, bad):
         _INTEGER_ARGUMENTS[argument](bad)
 
 
-_BEC = {"rho0": 1.0, "g_g": 0.0, "g_e": 0.02, "g_rho0": 1.0, "m_B": 1.0, "omega0": 1.0}
+_BEC = {"rho0": 1.0, "g_g": 0.0, "g_e": 0.02, "g_rho0": 1.0, "m_B": 1.0}
 _MODE = {"k": 1.0, "omega": 1.0, "box_side": 6.28, "spatial_dim": 1}
 _PULSE = {"lam": 0.01, "tau": 1.0, "N": 1, "smearing": Delta(), "switching": Constant(1.0)}
 
@@ -132,10 +134,32 @@ def test_physical_parameters_refuse_non_finite_values_by_name(argument, bad):
         _REAL_ARGUMENTS[argument](bad)
 
 
+# one library call per real field, taking a complex value; the last part of
+# each name is the name the refusal gives
+_COMPLEX_ARGUMENTS = {
+    "BecParams.g_g": lambda v: BecParams(**{**_BEC, "g_g": v}),
+    "FieldMode.k": lambda v: FieldMode(**{**_MODE, "k": v}),
+    "GaussianWindow.center": lambda v: GaussianWindow(center=v, width=1.0),
+    "SqueezedThermal.theta": lambda v: SqueezedThermal(0.5, 0.1, v),
+    "readout_chi.theta": lambda v: readout_chi([0.5], v, 10, 0),
+    "final_qubit_state.theta": lambda v: final_qubit_state(v, 0.5),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_COMPLEX_ARGUMENTS))
+@pytest.mark.parametrize("bad", [1j, 1 + 0j, np.complex128(1j), np.complex64(1)])
+def test_real_fields_refuse_complex_values_by_name(argument, bad):
+    # a complex value is refused, not cut to its real part nor left to fail
+    # in the arithmetic with a bare TypeError
+    name = re.escape(argument.split(".")[-1])
+    with pytest.raises(ValidationError, match=rf"^{name} = .+ is not usable: a real number"):
+        _COMPLEX_ARGUMENTS[argument](bad)
+
+
 def test_the_boundary_values_stay_accepted():
     assert ModeSet(1, 6.28, 0.0, ((1,),)).omegas[0] > 0  # mass 0
     assert SqueezedThermal(0.0, 0.0, 0.0).theta == 0.0  # n, r and theta 0
-    assert thermal_density(8, 0)[0, 0] == 1.0
+    assert fock_density(Thermal(n=0), 8)[0, 0] == 1.0
     assert np.allclose(_squeezer(8, 0.0, 0.0), np.eye(8))
     assert Constant(0).window_integral(2.0) == 0.0
     assert _boundary_tol(math.inf) == math.inf  # no aliasing guard

@@ -230,10 +230,14 @@ def test_table_is_deterministic_without_timestamps(tmp_path):
     assert b"generated" not in a.read_bytes()
 
 
-def test_table_timestamp_flag(tmp_path):
+def test_table_with_a_generated_stamp_still_loads(tmp_path):
+    # files written before headers lost their timestamp carry a generated: line
     path = tmp_path / "t.csv"
-    write_table(path, ["x"], [[1.0]], timestamps=True)
-    assert b"# generated:" in path.read_bytes()
+    write_table(path, ["x"], [[1.0]], meta={"s": 1})
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[0], "# generated: 2024-01-01T00:00:00+00:00\n", *lines[1:]]))
+    columns, data, meta = read_table(path)
+    assert columns == ["x"] and data.tolist() == [[1.0]] and meta == {"s": 1}
 
 
 def test_table_rejects_bad_cells(tmp_path):

@@ -21,9 +21,9 @@ from chitomo.fock_oracle import (
     _qubit_rotation,
     _quadrature_basis,
     _squeezer,
+    _thermal_populations,
     build_segment,
     chi_fock,
-    default_cutoff,
     displacement_operator,
     evolve_pulse_sequence,
     fock_density,
@@ -32,7 +32,6 @@ from chitomo.fock_oracle import (
     number_rotation,
     run_default_suite,
     run_displacement_draws,
-    thermal_density,
     verify_displacement_composition,
     verify_displacement_identity,
 )
@@ -208,7 +207,7 @@ def test_number_rotation_phases():
 
 
 def test_thermal_density_geometric_diagonal():
-    rho = thermal_density(80, 1.0)
+    rho = fock_density(Thermal(n=1.0), 80)
     d = np.diag(rho).real
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(d[1:20] / d[:19], 0.5, rtol=1e-12)
@@ -217,10 +216,9 @@ def test_thermal_density_geometric_diagonal():
 
 def test_thermal_density_tail_guard():
     with pytest.raises(NumericalCheckError):
-        thermal_density(10, 1.0)
+        fock_density(Thermal(n=1.0), 10)
     # vacuum limit is exact at any cutoff
-    rho = thermal_density(16, 0.0)
-    assert rho[0, 0] == 1.0
+    assert _thermal_populations(16, 0.0)[0] == 1.0
 
 
 def test_squeezed_ket_structure():
@@ -295,12 +293,12 @@ def test_identity_defect_converges_with_cutoff():
     assert max(defects) < 1e-15
 
 
-def test_identity_default_cutoff_heuristic():
-    assert default_cutoff(0.0) == 16
-    assert default_cutoff(1.0) == 64
-    rep = verify_displacement_identity(sched(), MODE)  # D chosen from |xi|
-    assert rep["D"] == default_cutoff(complex(*rep["xi_closed"]))
-    assert rep["passed"]
+def test_identity_reports_the_segment_leak():
+    # the report carries the leak build_segment refuses above LEAK_TOL
+    rep = verify_displacement_identity(sched(), MODE, D=40)
+    assert rep["leak"] == build_segment(sched(), MODE, 40).leak
+    assert rep["leak_tolerance"] == fock_oracle.LEAK_TOL
+    assert 0.0 <= rep["leak"] <= rep["leak_tolerance"]
 
 
 # ------------------------------------------------------------- composition
@@ -316,7 +314,7 @@ def test_composition_cases():
 # --------------------------------------------------------------- chi values
 
 def test_chi_fock_vacuum():
-    vac = GaussianFieldState(modes=MODES_1D)
+    vac = GaussianFieldState(modes=MODES_1D, mode_states=[Vacuum()])
     assert chi_fock(vac, 1.0, D=40) == pytest.approx(math.exp(-0.5), abs=1e-10)
     for xi in (0.3, -1.2j, 1.4 + 0.8j, 2.0):
         assert chi_fock(vac, xi, D=64) == pytest.approx(char_analytic(vac, xi), abs=1e-10)
@@ -351,11 +349,14 @@ def test_chi_fock_pins_squeezed_thermal(mode_state, D):
 
 
 def test_fock_density_squeezes_only_when_r_is_positive():
-    # vacuum and thermal densities are thermal_density's own, bit for bit
-    np.testing.assert_array_equal(fock_density(Vacuum(), 40), thermal_density(40, 0.0))
-    np.testing.assert_array_equal(fock_density(Thermal(n=1.0), 60), thermal_density(60, 1.0))
+    # vacuum and thermal densities are the diagonal thermal populations, bit for bit
+    def thermal(D, n):
+        return np.diag(_thermal_populations(D, n)).astype(complex)
+
+    np.testing.assert_array_equal(fock_density(Vacuum(), 40), thermal(40, 0.0))
+    np.testing.assert_array_equal(fock_density(Thermal(n=1.0), 60), thermal(60, 1.0))
     np.testing.assert_array_equal(
-        fock_density(SqueezedThermal(n=1.0, r=0.0, theta=0.5), 60), thermal_density(60, 1.0)
+        fock_density(SqueezedThermal(n=1.0, r=0.0, theta=0.5), 60), thermal(60, 1.0)
     )
     # a pure squeezed density is the squeezed ket's projector
     psi = squeezed_ket(160, 1.0, 0.7)
@@ -399,10 +400,11 @@ def test_chi_fock_matches_the_dense_trace(mode_state, D):
 
 def test_chi_fock_single_mode_only():
     modes2 = ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1], [2]])
+    state2 = GaussianFieldState(modes=modes2, mode_states=[Vacuum()] * 2)
     with pytest.raises(ValidationError, match="single-mode"):
-        chi_fock(GaussianFieldState(modes=modes2), 0.5, D=20)
+        chi_fock(state2, 0.5, D=20)
     with pytest.raises(ValidationError, match="single-mode"):
-        joint_bloch_oracle(GaussianFieldState(modes=modes2), sched(), MODE, 1.0, D=20)
+        joint_bloch_oracle(state2, sched(), MODE, 1.0, D=20)
 
 
 @pytest.mark.parametrize("D", [1, 0, -3, 2.5])
@@ -420,12 +422,11 @@ def test_bad_oracle_cutoff_is_refused_by_name(D):
     ladder,
     lambda D: displacement_operator(D, 0.5),
     lambda D: number_rotation(D, 0.3),
-    lambda D: thermal_density(D, 1.0),
     lambda D: fock_density(Thermal(n=1.0), D),
     lambda D: chi_fock(state_of(Vacuum()), 0.5, D),
     lambda D: build_segment(sched(), MODE, D),
-], ids=["ladder", "displacement_operator", "number_rotation", "thermal_density",
-        "fock_density", "chi_fock", "build_segment"])
+], ids=["ladder", "displacement_operator", "number_rotation", "fock_density", "chi_fock",
+        "build_segment"])
 def test_cutoff_above_the_maximum_is_refused_before_any_matrix(call):
     D = MAX_CUTOFF + 1
     with pytest.raises(ValidationError, match=rf"cutoff D = {D} is not usable: "
@@ -591,7 +592,7 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
      pytest.param(lambda v: squeezed_ket(8, 0.1, v), "theta", id="squeezed_ket-theta"),
      pytest.param(lambda v: _squeezer(8, v, 0.0), "r", id="squeezer-r"),
      pytest.param(lambda v: _squeezer(8, 0.1, v), "theta", id="squeezer-theta"),
-     pytest.param(lambda v: thermal_density(8, v), "n", id="thermal_density-n"),
+     pytest.param(lambda v: _thermal_populations(8, v), "n", id="thermal_populations-n"),
      pytest.param(lambda v: chi_fock(state_of(Vacuum()), v, 8), "xi", id="chi_fock-xi"),
      pytest.param(lambda v: chi_fock(state_of(Vacuum()), complex(0.1, v), 8), "xi",
                   id="chi_fock-xi-imag"),

@@ -99,10 +99,9 @@ def per_kind_chi(state, x, y):
     return np.exp(expo).astype(complex)
 
 
-def single_mode(mode_state=None, mass=1.0):
+def single_mode(mode_state=Vacuum(), mass=1.0):
     modes = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=mass, mode_indices=[[1]])
-    states = None if mode_state is None else [mode_state]
-    return GaussianFieldState(modes=modes, mode_states=states)
+    return GaussianFieldState(modes=modes, mode_states=[mode_state])
 
 
 def two_mode(s0, s1):
@@ -135,12 +134,17 @@ def test_mode_set_rejects_duplicates_and_massless_zero_mode():
         ModeSet(spatial_dim=2, box_side=1.0, mass=1.0, mode_indices=[[1]])
 
 
-def test_state_defaults_to_vacuum_and_checks_length():
-    st_ = single_mode()
-    assert isinstance(st_.mode_states[0], Vacuum)
-    modes = st_.modes
-    with pytest.raises(ValidationError):
+def test_state_takes_one_mode_state_per_mode():
+    modes = single_mode().modes
+    assert GaussianFieldState(modes, [Vacuum()]).mode_states == (Vacuum(),)
+    with pytest.raises(TypeError, match="mode_states"):
+        GaussianFieldState(modes=modes)  # no vacuum by default
+    with pytest.raises(ValidationError, match="^mode_states = None is not usable"):
+        GaussianFieldState(modes=modes, mode_states=None)
+    with pytest.raises(ValidationError, match="2 mode states for 1 modes"):
         GaussianFieldState(modes=modes, mode_states=[Vacuum(), Vacuum()])
+    with pytest.raises(ValidationError, match="unknown mode state 'vacuum'"):
+        GaussianFieldState(modes=modes, mode_states=["vacuum"])
 
 
 def test_mode_state_parameter_validation():

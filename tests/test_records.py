@@ -16,7 +16,6 @@ from chitomo import tomography
 from chitomo.errors import Record, ValidationError, read_object
 
 _MODES = gaussian_field.ModeSet(1, 2 * math.pi, 1.0, ((1,),))
-_BEC = bec_analogue.BecParams(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0, omega0=5.0)
 _AXES = (tomography.grid_axis(2.0, 5),) * 2
 _DELTA, _CONSTANT = pulse_protocol.Delta(), pulse_protocol.Constant()
 _U = np.eye(3, dtype=complex)
@@ -24,11 +23,11 @@ _U = np.eye(3, dtype=complex)
 # every record class, with keyword arguments of valid instances: the first
 # complete, any further one leaving defaults out
 CASES = [
-    (bec_analogue.BecParams, [dict(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0, omega0=5.0)]),
+    (bec_analogue.BecParams, [dict(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0)]),
     (bec_analogue.BogoliubovWeighted, [dict(base=_DELTA, m_B=1.0, g_rho0=2.0, sign=-1.0),
                                        dict(base=_DELTA, m_B=1.0, g_rho0=2.0)]),
-    (bec_analogue.MappedProtocol, [dict(params=_BEC, modes=_MODES, schedule=None,
-                                        omegas=np.ones(1), weights=np.ones(1), lambda_eff=0.0)]),
+    (bec_analogue.MappedProtocol, [dict(modes=_MODES, schedule=None, omegas=np.ones(1),
+                                        weights=np.ones(1), lambda_eff=0.0)]),
     (fock_oracle.FieldMode, [dict(k=1.0, omega=1.5, box_side=2 * math.pi, spatial_dim=1.0)]),
     (fock_oracle.SegmentOperators, [dict(dim=3, u_g=_U, u_e=_U, half_g=_U, half_e=_U, leak=0.0)]),
     (gaussian_field.ModeSet, [dict(spatial_dim=2, box_side=3.0, mass=0.0,
@@ -38,7 +37,7 @@ CASES = [
     (gaussian_field.Thermal, [dict(n=0.7)]),
     (gaussian_field.Squeezed, [dict(r=0.4, theta=1.1), dict(r=0.4)]),
     (gaussian_field.GaussianFieldState, [
-        dict(modes=_MODES, mode_states=(gaussian_field.Thermal(n=0.7),)), dict(modes=_MODES)]),
+        dict(modes=_MODES, mode_states=(gaussian_field.Thermal(n=0.7),))]),
     (pulse_protocol.SphericalGaussian, [dict(sigma=0.5)]),
     (pulse_protocol.Delta, [{}]),
     (pulse_protocol.CustomRadial, [dict(r=[0.0, 1.0], f=[1.0, 0.0])]),
@@ -174,7 +173,7 @@ VALID = {
     gaussian_field.SqueezedThermal: dict(n=0.5, r=0.3, theta=7.0),
     gaussian_field.Thermal: dict(n=0.7),
     gaussian_field.Squeezed: dict(r=0.4, theta=1.1),
-    bec_analogue.BecParams: dict(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0, omega0=5.0),
+    bec_analogue.BecParams: dict(rho0=1.0, g_g=0.1, g_e=0.3, g_rho0=1.0, m_B=1.0),
     pulse_protocol.PulseSchedule: dict(lam=0.01, tau=1.0, N=2),
     gaussian_field.ModeSet: dict(spatial_dim=2, box_side=3.0, mass=0.5,
                                  mode_indices=[[1, 0], [0, 2]]),

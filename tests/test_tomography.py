@@ -43,7 +43,8 @@ from chitomo.tomography import _stencil
 
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
-VACUUM = GaussianFieldState(modes=MS1)
+VACUUM = GaussianFieldState(modes=MS1, mode_states=[Vacuum()])
+VACUUM2 = GaussianFieldState(modes=MS2, mode_states=[Vacuum()] * 2)
 THERMAL = GaussianFieldState(modes=MS1, mode_states=[Thermal(n=1.0)])
 SQUEEZED = GaussianFieldState(modes=MS1, mode_states=[Squeezed(r=1.0)])
 SQ_TILTED = GaussianFieldState(modes=MS1, mode_states=[Squeezed(r=1.0, theta=0.7)])
@@ -216,7 +217,7 @@ def test_a_half_plane_scan_measures_the_pointwise_half_space(n_modes, data):
     extents = data.draw(st.lists(st.floats(0.1, 10.0), min_size=2 * n_modes,
                                  max_size=2 * n_modes))
     axes = tuple(grid_axis(e, n) for e, n in zip(extents, sizes))
-    state = VACUUM if n_modes == 1 else GaussianFieldState(modes=MS2)
+    state = VACUUM if n_modes == 1 else VACUUM2
     g = sampled_chi_grid(state, axes, shots=0, half=True)
     measured = ~np.isnan(g.stderr)  # shots=0 gives stderr 0.0 where measured
     np.testing.assert_array_equal(measured, _half_space_mask_reference(axes))
@@ -342,7 +343,7 @@ def test_wigner_squeezed_anisotropy():
 
 
 def test_wigner_two_mode_product():
-    g = chi_grid_from_state(GaussianFieldState(modes=MS2), (grid_axis(6.0, 41),) * 4)
+    g = chi_grid_from_state(VACUUM2, (grid_axis(6.0, 41),) * 4)
     w = wigner_transform(g)
     mid = tuple(s // 2 for s in w.values.shape)
     assert w.values[mid] / grid_integral(w) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-6)
@@ -358,7 +359,8 @@ def test_wigner_guards():
     g3 = chi_grid_from_state(
         GaussianFieldState(
             modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0,
-                          mode_indices=[[1], [2], [3]])
+                          mode_indices=[[1], [2], [3]]),
+            mode_states=[Vacuum()] * 3,
         ),
         (grid_axis(6.0, 9),) * 6,
     )
