@@ -17,6 +17,8 @@ from inspect import Parameter, Signature
 from numbers import Complex, Integral, Real
 from reprlib import repr as _short
 
+import numpy as np
+
 _REQUIRED = Parameter.empty  # a field without a default is required
 
 
@@ -80,6 +82,15 @@ def real(value) -> float:
     if isinstance(value, bool) or (isinstance(value, Complex) and not isinstance(value, Real)):
         raise TypeError(f"a real number is expected, not {type(value).__name__}")
     return float(value)
+
+
+def real_array(value) -> np.ndarray:
+    """An array of real numbers as float64 (see real): one holding a complex
+    number is refused rather than cut to its real parts."""
+    a = np.asarray(value)
+    if a.dtype.kind == "c":
+        raise TypeError(f"real numbers are expected, not {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def finite(value) -> float:

@@ -26,6 +26,12 @@ grid file must list every point, so a file that lost a row is refused.
 Loading a grid therefore reproduces the saved arrays bit for bit, signed
 zeros and NaN or infinite parts included, and a chi file that lists every
 point, as files written before the rule did, loads as before.
+A sampled chi file records its readout's theta in the meta beside shots,
+and its stderr column is derived data: each point's error is a function of
+its own chi, theta and shots (ramsey_readout._counts), so the column is
+left out wherever that derivation gives the grid's errors back bit for bit,
+and loading derives them. A file with a stderr column, such as one written
+before theta was recorded, is read as it is.
 Headers carry no timestamp, so identical runs write identical bytes;
 read_table skips a '#' line it does not know, such as the generated:
 stamp of older files.
@@ -39,6 +45,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError, at_least, integer, listed, read_field, real
+from .ramsey_readout import _counts, _sin_theta
 from .tomography import _UNMEASURED, ChiGrid, WignerGrid
 
 __all__ = [
@@ -229,13 +236,23 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
     return axes, values, meta
 
 
+def _derived_stderr(values, theta, shots: int, skip: int):
+    """The stderr _counts derives from the chi values of the points from skip
+    on in C order, the ones a chi file has rows for."""
+    return _counts(values.reshape(-1)[skip:], theta, shots).chi_stderr
+
+
 def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr].
     The leading run of points with Re chi NaN, Im chi +0.0 and stderr NaN or
     absent, as sampled_chi_grid leaves the points it did not measure, has no
     rows, so a half-plane grid writes its upper half and the meta field rows
     counts them. A real grid writes +0.0 as its Im chi, as its complex copy
-    would."""
+    would. A grid with a theta records it in the meta; its stderr column is
+    left out when the errors _counts derives from the written chi values,
+    theta and shots are the grid's bit for bit, as they are on a grid that
+    sampled_chi_grid returns, and kept otherwise (shots = 0, or a filled
+    grid's averaged cells)."""
     im = grid.values.imag if np.iscomplexobj(grid.values) else 0.0  # no grid of zeros
     values = {"re_chi": grid.values.real, "im_chi": im}
     if grid.stderr is not None:
@@ -246,24 +263,53 @@ def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     skip = int(np.count_nonzero(np.logical_and.accumulate(unmeasured.reshape(-1))))
     del unmeasured  # so that the save holds no mask
     fields = {"provenance": grid.provenance, "shots": grid.shots}
+    if grid.theta is not None:
+        fields["theta"] = grid.theta
+        if grid.stderr is not None and grid.shots >= 1 and np.array_equal(
+                _derived_stderr(grid.values, grid.theta, grid.shots, skip).view(np.int64),
+                grid.stderr.reshape(-1)[skip:].view(np.int64)):
+            del values["stderr"]
     _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, skip)
+
+
+def _meta_theta(meta, where: str) -> float | None:
+    """The theta field of a chi file's meta, None if it has none; a theta that
+    readout_chi would refuse is refused by name."""
+    if "theta" not in meta:
+        return None
+    theta = read_field(meta, "theta", real, where)
+    try:
+        _sin_theta(theta)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.theta: {exc}") from None
+    return theta
 
 
 def load_chi_grid(path) -> ChiGrid:
     """The grid save_chi_grid wrote, or any chi file of its layout: the
-    leading points without a row hold the cells of _MISSING."""
+    leading points without a row hold the cells of _MISSING. A file without
+    a stderr column whose meta has theta and shots >= 1 gets the errors
+    _counts derives from its rows, as save_chi_grid checked they would be."""
     axes, (re, im, stderr), meta = _load_grid(
         path, "chi_grid", _CHI_COORDS, ("re_chi", "im_chi"), ("stderr",), _MISSING
     )
     # re + 1j * im would turn a -0.0 real part into 0.0 and 1j * inf into nan + infj
     values = np.empty(re.shape, dtype=complex)
     values.real, values.imag = re, im
+    where = f"{path} meta"
+    shots = read_field(meta, "shots", at_least(0), where, 0)
+    theta = _meta_theta(meta, where)
+    if stderr is None and theta is not None and shots >= 1:
+        skip = values.size - read_field(meta, "rows", integer, where, values.size)
+        stderr = np.full(values.shape, _MISSING["stderr"])
+        stderr.reshape(-1)[skip:] = _derived_stderr(values, theta, shots, skip)
     return ChiGrid(
         axes=axes,
         values=values,
-        provenance=read_field(meta, "provenance", None, f"{path} meta", "exact"),
-        shots=read_field(meta, "shots", at_least(0), f"{path} meta", 0),
+        provenance=read_field(meta, "provenance", None, where, "exact"),
+        shots=shots,
         stderr=stderr,
+        theta=theta,
     )
 
 

@@ -54,6 +54,7 @@ from .errors import (
     positive,
     read_field,
     read_object,
+    real_array,
 )
 from .gaussian_field import _kmag
 
@@ -137,7 +138,7 @@ SmearingFunction = Union[SphericalGaussian, Delta, CustomRadial]
 
 def _wave_number(k, n: int) -> float:
     """|k| of a wave vector (length n) or of a scalar magnitude."""
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
+    kv = np.atleast_1d(converted(real_array, k, "k"))
     if kv.ndim != 1 or kv.size not in (1, n):
         raise ValidationError(f"wave vector of length {kv.size} in dimension {n}")
     return converted(finite, float(_kmag(kv)) if kv.size == n else abs(float(kv[0])), "|k|")
@@ -258,8 +259,7 @@ def switching_integral(eta, tau, omega_k, L: float, n: int):
 
     tau and omega_k may be arrays; they broadcast against each other.
     """
-    tau = np.asarray(tau, dtype=float)
-    omega_k = np.asarray(omega_k, dtype=float)
+    tau, omega_k = converted(real_array, tau, "tau"), converted(real_array, omega_k, "omega_k")
     for name, a in (("tau", tau), ("omega", omega_k)):  # NaN spreads to min and max
         for bound in (a.min(), a.max()) if a.size else ():
             converted(positive, float(bound), name)
@@ -310,7 +310,8 @@ def displacement_surface(sched: PulseSchedule, Ns, taus, kmag, omega, L: float, 
     (len(Ns), len(taus), M): one switching integral over taus x omega and one
     F(k) over kmag. The schedule's own tau and N are not read."""
     n = converted(dimension, n, "spatial dimension")
-    taus, kmag, omega = (np.asarray(a, dtype=float) for a in (taus, kmag, omega))
+    taus, kmag, omega = (converted(real_array, a, name) for a, name in
+                         ((taus, "taus"), (kmag, "kmag"), (omega, "omega")))
     if taus.ndim != 1 or kmag.ndim != 1 or kmag.shape != omega.shape:
         raise ValidationError("need a 1-D tau array and one |k| per omega")
     if len(Ns) == 0:
@@ -361,7 +362,7 @@ def reachable_manifold(
     origin at tau = 2 pi m / omega_k and at every tau = m pi / (N omega_k)
     that is not an odd multiple of pi / omega_k.
     """
-    taus = np.asarray(list(tau_grid), dtype=float)
+    taus = converted(real_array, list(tau_grid), "tau_grid")
     if taus.size == 0:
         raise ValidationError("empty tau grid")
     if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):

@@ -127,7 +127,17 @@ def _sample_mean(bloch, M: int, rng: np.random.Generator):
     """
     k = np.asarray(rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0)))
     est = (k - (M - k)) / M
-    return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
+    return est, _mean_stderr(est, M)
+
+
+def _mean_stderr(est, M: int):
+    """Binomial standard error sqrt((1 - mean^2)/M) of a mean of M +-1 reads."""
+    return np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
+
+
+def _chi_stderr(err_x, err_y, s: float):
+    """Combined chi error sqrt(err_x^2 + err_y^2)/|sin theta| of the two bases."""
+    return np.sqrt(err_x**2 + err_y**2) / abs(s)
 
 
 def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
@@ -229,9 +239,38 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
         est_x, err_x = _sample_mean(bloch_x, shots, shot_rng(seed, 0))
         est_y, err_y = _sample_mean(bloch_y, shots, shot_rng(seed, 1))
     chi_est = estimate_chi(est_x, est_y, theta)
-    return ChiReadout(
-        est_x, est_y, err_x, err_y, chi_est, np.sqrt(err_x**2 + err_y**2) / abs(s)
-    )
+    return ChiReadout(est_x, est_y, err_x, err_y, chi_est, _chi_stderr(err_x, err_y, s))
+
+
+class _Counts(NamedTuple):
+    """Counts of +1 reads per basis, their count ratios and the combined chi
+    error, as recovered from sampled chi estimates by _counts."""
+
+    k_x: NDArray[np.float64]
+    k_y: NDArray[np.float64]
+    est_sx: NDArray[np.float64]
+    est_sy: NDArray[np.float64]
+    chi_stderr: NDArray[np.float64]
+
+
+def _counts(chi, theta: float, shots: int) -> _Counts:
+    """The counts behind chi estimates that readout_chi drew with shots >= 1.
+
+    Elementwise over chi of any shape, each basis's count of +1 reads is
+    k = rint(M (1 + sin(theta) c) / 2), with c = Im chi for X and Re chi for
+    Y, and its estimate the count ratio (k - (M - k)) / M. The errors are
+    readout_chi's formulas, so for M <= 2**53 the estimates and chi_stderr
+    are readout_chi's bit for bit. The counts are floats, so a NaN chi (an
+    unmeasured point) carries NaN through; a cell that was not read out as
+    one point, such as one the fill averaged, gives no count of its own.
+    """
+    s = _sin_theta(theta)
+    M = converted(at_least(1, MAX_SHOTS), shots, "shots")
+    chi = np.asarray(chi, dtype=complex)
+    k_x, k_y = (np.rint(M * (1.0 + s * c) / 2.0) for c in (chi.imag, chi.real))
+    est_x, est_y = (k_x - (M - k_x)) / M, (k_y - (M - k_y)) / M
+    return _Counts(k_x, k_y, est_x, est_y,
+                   _chi_stderr(_mean_stderr(est_x, M), _mean_stderr(est_y, M), s))
 
 
 class ReadoutRecord(Record):

@@ -80,7 +80,7 @@ from .gaussian_field import (
     _moment_order,
     char_analytic_grid,
 )
-from .ramsey_readout import _readout_args, readout_chi
+from .ramsey_readout import _readout_args, _sin_theta, readout_chi
 
 __all__ = [
     "ChiGrid",
@@ -176,12 +176,14 @@ class ChiGrid(_Grid, eq=False):
     axes holds (Re xi_0, Im xi_0, Re xi_1, ...); values has one axis per
     entry, same order: float64 on exact grids, complex otherwise. provenance
     is "exact", "sampled" or "reconstructed"; sampled grids carry per-point
-    combined standard errors.
+    combined standard errors and the preparation angle theta of their
+    readout, from which, with shots, a chi file derives those errors.
     """
 
     provenance: str = "exact"
     shots: int = 0
     stderr: NDArray[np.float64] | None = None
+    theta: float | None = None
 
     @staticmethod
     def _cast(values) -> NDArray:
@@ -200,6 +202,9 @@ class ChiGrid(_Grid, eq=False):
             if err.shape != self.values.shape:
                 raise ValidationError("stderr shape does not match the grid")
             object.__setattr__(self, "stderr", err)
+        if self.theta is not None:
+            _sin_theta(self.theta)  # a theta that reads out nothing is refused
+            object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def origin_value(self) -> complex:
@@ -268,12 +273,13 @@ def sampled_chi_grid(
     """Simulated finite-shot chi grid via the qubit readout.
 
     Each grid point is an independent two-basis measurement; stderr combines
-    the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|. The measured
-    points are read out in C order by one readout_chi call. With half=True
-    only the canonical half-space is measured (NaN elsewhere), ready for
-    hermitian_fill: first nonzero coordinate positive, plus the origin. On
-    odd axes mirror-symmetric about an exact 0, C order is the coordinates'
-    lexicographic order, so that half is the flat indices from size // 2 on.
+    the two binomial errors, sqrt(sx^2 + sy^2)/|sin theta|, and the grid
+    keeps theta. The measured points are read out in C order by one
+    readout_chi call. With half=True only the canonical half-space is
+    measured (NaN elsewhere), ready for hermitian_fill: first nonzero
+    coordinate positive, plus the origin. On odd axes mirror-symmetric about
+    an exact 0, C order is the coordinates' lexicographic order, so that half
+    is the flat indices from size // 2 on.
     theta, shots and seed are checked before chi is evaluated.
     """
     axes = _state_axes(state, axes)
@@ -291,6 +297,7 @@ def sampled_chi_grid(
         provenance="sampled",
         shots=int(shots),
         stderr=stderr,
+        theta=theta,
     )
 
 
@@ -357,6 +364,7 @@ def hermitian_fill(grid: ChiGrid) -> ChiGrid:
         provenance=grid.provenance,
         shots=grid.shots,
         stderr=stderr,
+        theta=grid.theta,
     )
 
 

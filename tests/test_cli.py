@@ -32,7 +32,9 @@ from chitomo.gaussian_field import (
 )
 from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
 from chitomo.ramsey_readout import shot_rng
-from chitomo.tomography import chi_grid_from_state, grid_axis, hermitian_fill, moments_fd
+from chitomo.tomography import (
+    chi_grid_from_state, grid_axis, hermitian_fill, moments_fd, sampled_chi_grid,
+)
 
 from documents import state_to_dict
 
@@ -604,6 +606,43 @@ def test_chi_file_with_a_nan_meta_axis_exits_1_and_names_the_axis(tmp_path):
     assert not (tmp_path / "nan_w.csv").exists()
 
 
+def test_moments_of_a_sampled_chi_file_read_its_derived_errors(tmp_path):
+    # the file records theta instead of a stderr column, and a fresh process
+    # derives the errors that the moments' error bars are pushed from
+    _fresh_run(tmp_path, "chi-scan", "--shots", "10000", "--set", "half=true", "--out", "s.csv")
+    _fresh_run(tmp_path, "moments", "--set", 'chi_file="s.csv"', "--out", "m.csv")
+    columns, _, meta = read_table(tmp_path / "s.csv")
+    assert columns[-1] == "im_chi" and meta["theta"] == math.pi / 2
+    back = load_chi_grid(tmp_path / "s.csv")
+    sampled = sampled_chi_grid(state_from_dict(meta["config"]["state"]), back.axes,
+                               shots=10_000, seed=0, half=True)
+    assert back.stderr.tobytes() == sampled.stderr.tobytes()
+    grid = hermitian_fill(back)
+    _, rows, _ = read_table(tmp_path / "m.csv")
+    assert len(rows) > 0
+    for p, q, re_m, im_m, error in rows.tolist():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (2,0) of the vacuum is noise only
+            value, err = moments_fd(grid, 0, int(p), int(q), with_error=True)
+        assert (re_m, im_m, error) == (value.real, value.imag, err) and math.isfinite(error)
+
+
+@pytest.mark.parametrize("theta", ["NaN", "Infinity", "true", "0", "3.141592653589793"])
+def test_a_chi_file_whose_theta_reads_out_nothing_exits_1(tmp_path, capsys, theta):
+    chi = tmp_path / "chi.csv"
+    assert run("chi-scan", "--shots", "100", "--set", 'grid={"extent":2,"points":9}',
+               "--out", str(chi)) == 0
+    text = chi.read_text()
+    old = '"theta": 1.5707963267948966}\n'  # the meta's own, its last field
+    assert text.count(old) == 1
+    chi.write_text(text.replace(old, f'"theta": {theta}}}\n'))
+    capsys.readouterr()
+    assert run("wigner", "--set", f"chi_file={json.dumps(str(chi))}",
+               "--out", str(tmp_path / "w.csv")) == 1
+    assert "meta.theta" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_sampled_two_mode_manifold_scan_reruns_byte_for_byte(tmp_path):
     # the probe displaces both modes of the state at once; curve N draws from
     # seed + N, so two fresh runs write the same bytes
@@ -648,7 +687,7 @@ def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_pa
     # most four places, and the cell's text is that decimal
     chi = tmp_path / "chi.csv"
     assert run("chi-scan", "--shots", "10000", "--set", "half=true", "--out", str(chi)) == 0
-    assert chi.stat().st_size <= 420_000
+    assert chi.stat().st_size <= 250_000  # no stderr column: it is derived on load
     _, _, meta = read_table(chi)
     M, seed = meta["shots"], meta["config"]["seed"]
     assert (M, meta["config"]["theta"]) == (10_000, math.pi / 2)

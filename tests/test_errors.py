@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from chitomo.pulse_protocol import (
     GaussianWindow,
     PulseSchedule,
     SphericalGaussian,
+    displacement_surface,
+    reachable_manifold,
     smearing_ft,
     switching_integral,
 )
@@ -154,6 +157,39 @@ def test_real_fields_refuse_complex_values_by_name(argument, bad):
     name = re.escape(argument.split(".")[-1])
     with pytest.raises(ValidationError, match=rf"^{name} = .+ is not usable: a real number"):
         _COMPLEX_ARGUMENTS[argument](bad)
+
+
+_SCHEDULE = PulseSchedule(lam=0.1, tau=1.0, N=1, smearing=Delta(), switching=Constant(1.0))
+
+# one library call per real array argument, taking an array that holds the
+# value; the last part of each name is the name the refusal gives
+_COMPLEX_ARRAY_ARGUMENTS = {
+    "smearing_ft.k": lambda v: smearing_ft(Delta(), [0.5, v], 2),
+    "switching_integral.tau": lambda v: switching_integral(Constant(1.0), [1.0, v], 1.0, 6.28, 1),
+    "switching_integral.omega_k": lambda v: switching_integral(Constant(1.0), 1.0, [1.0, v],
+                                                               6.28, 1),
+    "displacement_surface.taus": lambda v: displacement_surface(_SCHEDULE, [1], [1.0, v], [1.0],
+                                                                [1.0], 6.28, 1),
+    "displacement_surface.kmag": lambda v: displacement_surface(_SCHEDULE, [1], [1.0], [v],
+                                                                [1.0], 6.28, 1),
+    "displacement_surface.omega": lambda v: displacement_surface(_SCHEDULE, [1], [1.0], [1.0],
+                                                                 [v], 6.28, 1),
+    "reachable_manifold.tau_grid": lambda v: reachable_manifold(_SCHEDULE, [1], [1.0, v], 1.0,
+                                                                1.0, 6.28, 1),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_COMPLEX_ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("bad", [1j, np.complex128(1)])
+def test_real_arrays_refuse_complex_values_by_name(argument, bad):
+    # not cut to real parts with a ComplexWarning, nor left to fail with a
+    # bare TypeError
+    name = re.escape(argument.split(".")[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=rf"^{name} = .+ is not usable: real numbers are expected"):
+            _COMPLEX_ARRAY_ARGUMENTS[argument](bad)
 
 
 def test_the_boundary_values_stay_accepted():

@@ -287,13 +287,60 @@ def test_chi_grid_roundtrip_bitwise(tmp_path):
                          shots=200, seed=5, half=True)
     path = tmp_path / "chi.csv"
     save_chi_grid(g, path, meta={"note": 1})
+    columns, _, meta = read_table(path)
+    # the errors are derived from chi, theta and shots on load
+    assert "stderr" not in columns and meta["theta"] == math.pi / 2
     back = load_chi_grid(path)
     np.testing.assert_array_equal(back.values, g.values)  # NaN half included
-    np.testing.assert_array_equal(back.stderr, g.stderr)
+    assert back.stderr.tobytes() == g.stderr.tobytes()
     for a, b in zip(back.axes, g.axes):
         np.testing.assert_array_equal(a, b)
-    assert back.provenance == g.provenance
-    assert back.shots == g.shots
+    assert (back.provenance, back.shots, back.theta) == (g.provenance, g.shots, g.theta)
+
+
+@pytest.mark.parametrize("theta", [0.3, -1.1])
+def test_a_filled_sampled_grid_keeps_its_stderr_column(tmp_path, theta):
+    # the fill averages the origin's two reads, an error no count gives
+    g = hermitian_fill(sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, theta=theta,
+                                        shots=300, seed=4, half=True))
+    assert g.theta == theta
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    assert read_table(path)[0][-1] == "stderr"
+    back = load_chi_grid(path)
+    assert back.values.tobytes() == g.values.tobytes()
+    assert back.stderr.tobytes() == g.stderr.tobytes()
+    assert (back.shots, back.theta) == (300, theta)
+
+
+def test_a_two_mode_sampled_half_grid_roundtrips_without_its_stderr_column(tmp_path):
+    g = sampled_chi_grid(TWO_MODE, (grid_axis(3.0, 17),) * 4, theta=2.5, shots=1000, seed=6,
+                         half=True)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    columns, data, meta = read_table(path)
+    assert "stderr" not in columns and len(data) == meta["rows"] == (17**4 + 1) // 2
+    back = load_chi_grid(path)
+    assert back.values.tobytes() == g.values.tobytes()
+    assert back.stderr.tobytes() == g.stderr.tobytes()
+    assert (back.shots, back.theta) == (1000, 2.5)
+
+
+def test_a_chi_file_without_errors_or_shots_loads_without_stderr(tmp_path):
+    g = ChiGrid(axes=(grid_axis(1.0, 3),) * 2, values=np.full((3, 3), 0.5 + 0.25j),
+                provenance="sampled", theta=0.3)
+    path = tmp_path / "chi.csv"
+    save_chi_grid(g, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_chi_grid(path)
+    assert back.stderr is None and (back.shots, back.theta) == (0, 0.3)
+    # shots = 0 keeps a stderr column of zeros
+    g = ChiGrid(axes=g.axes, values=g.values, provenance="sampled", theta=0.3,
+                stderr=np.zeros((3, 3)))
+    save_chi_grid(g, path)
+    assert read_table(path)[0][-1] == "stderr"
+    assert load_chi_grid(path).stderr.tobytes() == g.stderr.tobytes()
 
 
 @pytest.mark.parametrize("half", [False, True])
@@ -387,22 +434,25 @@ def test_a_real_chi_grid_writes_the_bytes_of_its_complex_copy(tmp_path):
 RAGGED_AXES = tuple(grid_axis(2.0 + 0.5 * k, n) for k, n in enumerate((9, 7, 9, 7)))
 
 
-@pytest.mark.parametrize("sampled", [False, True])
-def test_grid_rows_match_a_meshgrid_table(tmp_path, sampled):
-    if sampled:
-        g = sampled_chi_grid(TWO_MODE, RAGGED_AXES, shots=50, seed=3, half=True)
-    else:
+@pytest.mark.parametrize("kind", ["exact", "sampled", "filled"])
+def test_grid_rows_match_a_meshgrid_table(tmp_path, kind):
+    if kind == "exact":
         g = chi_grid_from_state(TWO_MODE, RAGGED_AXES)
+    else:
+        g = sampled_chi_grid(TWO_MODE, RAGGED_AXES, shots=50, seed=3, half=True)
+    if kind == "filled":  # the averaged origin keeps the stderr column
+        g = hermitian_fill(g)
     path, ref = tmp_path / "chi.csv", tmp_path / "ref.csv"
     save_chi_grid(g, path)
     mesh = np.meshgrid(*g.axes, indexing="ij")
-    values = [g.values.real, g.values.imag] + ([] if g.stderr is None else [g.stderr])
+    values = [g.values.real, g.values.imag] + ([g.stderr] if kind == "filled" else [])
     table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
-    if sampled:  # a point the half-plane scan did not measure has no row
+    if kind == "sampled":  # a point the half-plane scan did not measure has no row
         unmeasured = np.isnan(table[:, 4]) & (table[:, 5].view(np.int64) == 0)
-        table = table[~(unmeasured & np.isnan(table[:, 6]))]
+        table = table[~unmeasured]
         assert len(table) == (g.values.size + 1) // 2
     columns, _, _ = read_table(path)
+    assert ("stderr" in columns) == (kind == "filled")
     _repr_reference_write_table(ref, columns, table)
     assert data_lines_of(path) == data_lines_of(ref)
 
@@ -422,12 +472,13 @@ def test_chi_grid_save_peak_memory(tmp_path):
     grid = 16 * g.values.size  # the bytes of one complex grid; exact chi is stored real
     # one (cells x 6) float table is 3.0 grids; a meshgrid and a stack made 6.1
     assert _save_peak(g, tmp_path / "chi.csv") <= 4.0 * grid
-    # a sampled half grid: a stderr column and an unmeasured half with no
-    # rows; its (measured points x 7) float table is 1.75 grids, and the
-    # allowance beyond it is the same 1.0
+    # a sampled half grid: no stderr column, as the errors are derived on
+    # load, and an unmeasured half with no rows; its (measured points x 6)
+    # float table is 1.5 grids, and the allowance beyond it is the same 1.0
     g = sampled_chi_grid(TWO_MODE, axes, shots=100, seed=2, half=True)
-    table = np.count_nonzero(~np.isnan(g.values)) * 7 * 8
+    table = np.count_nonzero(~np.isnan(g.values)) * 6 * 8
     assert _save_peak(g, tmp_path / "sampled.csv") <= table + 1.0 * grid
+    assert "stderr" not in read_table(tmp_path / "sampled.csv")[0]
 
 
 def test_chi_grid_load_peak_memory(tmp_path):
@@ -630,6 +681,11 @@ MALFORMED_HEADERS = {
     "meta-list": (lambda m: [1], "meta must be an object"),
     "provenance": (lambda m: dict(m, provenance="banana"), "provenance 'banana' is not exact"),
     "shots": (lambda m: dict(m, shots=-3), "meta.shots"),
+    "theta-nan": (lambda m: dict(m, theta=math.nan), "meta.theta: theta = nan"),
+    "theta-inf": (lambda m: dict(m, theta=-math.inf), "meta.theta: theta = -inf"),
+    "theta-bool": (lambda m: dict(m, theta=True), "meta.theta = True"),
+    "theta-pi": (lambda m: dict(m, theta=math.pi), "meta.theta: sin.* is rounding of 0"),
+    "theta-zero": (lambda m: dict(m, theta=0), "meta.theta: sin.* is rounding of 0"),
 }
 
 
@@ -665,26 +721,35 @@ def test_load_refuses_a_wigner_file_without_every_point(tmp_path):
 
 def test_a_half_plane_file_that_lists_every_point_loads_and_runs_the_same(tmp_path, monkeypatch):
     # a file written before unmeasured points lost their rows lists every
-    # point, with a nan,0.0,nan row for each one the scan did not measure
+    # point, with a nan,0.0,nan row for each one the scan did not measure; a
+    # file written before theta was recorded leaves them out but keeps its
+    # stderr column
     g = sampled_chi_grid(THERMAL, (grid_axis(6.0, 33),) * 2, shots=20000, seed=5, half=True)
-    new, old = tmp_path / "new", tmp_path / "old"
-    new.mkdir(), old.mkdir()
+    dirs = new, parent, old = tmp_path / "new", tmp_path / "parent", tmp_path / "old"
+    for d in dirs:
+        d.mkdir()
     save_chi_grid(g, new / "chi.csv", meta={"note": 1})
     columns, _, meta = read_table(new / "chi.csv")
-    assert meta.pop("rows") == 33**2 - 544  # only a file that leaves points out counts them
+    assert "stderr" not in columns and meta.pop("theta") == g.theta == math.pi / 2
+    columns.append("stderr")
     mesh = np.meshgrid(*g.axes, indexing="ij")
     values = [g.values.real, g.values.imag, g.stderr]
     table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
+    _repr_reference_write_table(parent / "chi.csv", columns, table[544:], meta)
+    assert meta.pop("rows") == 33**2 - 544  # only a file that leaves points out counts them
     _repr_reference_write_table(old / "chi.csv", columns, table, meta)
     full = data_lines_of(old / "chi.csv")
     assert len(full) == 33**2 and sum(ln.endswith(",nan,0.0,nan") for ln in full) == 544
-    assert data_lines_of(new / "chi.csv") == [ln for ln in full if not ln.endswith(",nan,0.0,nan")]
-    a, b = load_chi_grid(new / "chi.csv"), load_chi_grid(old / "chi.csv")
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.axes, b.axes))
-    assert a.values.tobytes() == b.values.tobytes() == g.values.tobytes()
-    assert a.stderr.tobytes() == b.stderr.tobytes() == g.stderr.tobytes()
-    assert (a.provenance, a.shots) == (b.provenance, b.shots) == ("sampled", 20000)
-    for d in (new, old):
+    assert data_lines_of(parent / "chi.csv") == full[544:]
+    assert data_lines_of(new / "chi.csv") == [ln.rsplit(",", 1)[0] for ln in full[544:]]
+    grids = [load_chi_grid(d / "chi.csv") for d in dirs]
+    for b in grids:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(b.axes, g.axes))
+        assert b.values.tobytes() == g.values.tobytes()
+        assert b.stderr.tobytes() == g.stderr.tobytes()
+        assert (b.provenance, b.shots) == ("sampled", 20000)
+    assert [b.theta for b in grids] == [g.theta, None, None]
+    for d in dirs:
         monkeypatch.chdir(d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # (2,0) of a thermal state is noise only
@@ -693,7 +758,8 @@ def test_a_half_plane_file_that_lists_every_point_loads_and_runs_the_same(tmp_pa
         assert main(["wigner", "--set", 'chi_file="chi.csv"', "--set", "boundary_tol=0.1",
                      "--out", "w.csv"]) == 0
     for name in ("m.csv", "w.csv"):
-        assert (new / name).read_bytes() == (old / name).read_bytes()
+        assert (new / name).read_bytes() == (parent / name).read_bytes() == (
+            old / name).read_bytes()
 
 
 def test_wigner_grid_roundtrip(tmp_path):

@@ -328,6 +328,33 @@ def test_readout_draws_one_binomial_per_basis_in_point_order():
     assert not np.array_equal(r.chi_est, other.chi_est)
 
 
+@pytest.mark.parametrize("M", [1, 7, 10**3, 10**5, 10**9])
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.3, 2.5, -1.1])
+def test_counts_recover_a_readout_bit_for_bit(theta, M):
+    rng = np.random.default_rng(1)
+    n = 200_000
+    chi = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    chi[:4] = [1.0, -1.0, 1j, -1j]
+    r = readout_chi(chi, theta, shots=M, seed=3)
+    c = ramsey_readout._counts(r.chi_est.reshape(400, 500), theta, M)  # any shape
+    assert c.k_x.shape == (400, 500)
+    s = math.sin(theta)
+    kx = shot_rng(3, 0).binomial(M, np.clip((1.0 + s * chi.imag) / 2.0, 0.0, 1.0))
+    ky = shot_rng(3, 1).binomial(M, np.clip((1.0 + s * chi.real) / 2.0, 0.0, 1.0))
+    assert np.array_equal(c.k_x.reshape(-1), kx) and np.array_equal(c.k_y.reshape(-1), ky)
+    for got, want in ((c.est_sx, r.est_sx), (c.est_sy, r.est_sy), (c.chi_stderr, r.chi_stderr)):
+        assert got.reshape(-1).tobytes() == want.tobytes()
+
+
+def test_counts_carry_an_unmeasured_point_and_refuse_what_reads_out_nothing():
+    c = ramsey_readout._counts([complex(math.nan, 0.0), 0.5], math.pi / 2, 100)
+    assert np.isnan(c.chi_stderr[0]) and c.chi_stderr[1] == pytest.approx(math.sqrt(0.0175), rel=1e-15)
+    with pytest.raises(ValidationError, match="shots"):
+        ramsey_readout._counts([0.5], math.pi / 2, 0)
+    with pytest.raises(ValidationError, match="rounding of 0"):
+        ramsey_readout._counts([0.5], math.pi, 100)
+
+
 def test_readout_guards():
     with pytest.raises(ValidationError):
         readout_chi([0.5, 1.5], 1.0)
