@@ -257,8 +257,8 @@ _CONVERT = {
     "schedule": lambda doc, key: schedule_from_dict(doc),
     "tau": _tau_grid,
     "grid": _axis,
-    "alpha": lambda doc, key: _axis(doc, key) if doc else None,
-    "manifold": lambda doc, key: doc and dict(
+    "alpha": lambda doc, key: None if doc is None else _axis(doc, key),
+    "manifold": lambda doc, key: None if doc is None else dict(
         zip(_SURFACE, _fields(doc, dict.fromkeys(_SURFACE), key))),
     "modes": _mode_set,
     ("manifold", "mode"): lambda doc, key: _fields(

@@ -78,8 +78,10 @@ def dimension(value) -> int:
 
 def real(value) -> float:
     """A real number as a float; true and false are refused rather than read
-    as 1.0 and 0.0, and a complex number rather than cut to its real part."""
-    if isinstance(value, bool) or (isinstance(value, Complex) and not isinstance(value, Real)):
+    as 1.0 and 0.0, a complex number rather than cut to its real part, and a
+    string such as '1.5' rather than parsed."""
+    if isinstance(value, (bool, str, bytes)) or (
+            isinstance(value, Complex) and not isinstance(value, Real)):
         raise TypeError(f"a real number is expected, not {type(value).__name__}")
     return float(value)
 

@@ -252,7 +252,14 @@ def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     left out when the errors _counts derives from the written chi values,
     theta and shots are the grid's bit for bit, as they are on a grid that
     sampled_chi_grid returns, and kept otherwise (shots = 0, or a filled
-    grid's averaged cells)."""
+    grid's averaged cells). A grid with a theta and shots >= 1 but no stderr
+    is refused before anything is written: its file would load with the
+    errors derived from them."""
+    if grid.theta is not None and grid.shots >= 1 and grid.stderr is None:
+        raise ValidationError(
+            f"a grid with theta = {grid.theta} and shots = {grid.shots} but no stderr "
+            f"would load with errors derived from them; give it its stderr or no theta"
+        )
     im = grid.values.imag if np.iscomplexobj(grid.values) else 0.0  # no grid of zeros
     values = {"re_chi": grid.values.real, "im_chi": im}
     if grid.stderr is not None:

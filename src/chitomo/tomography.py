@@ -16,6 +16,16 @@ that constant is recorded on the WignerGrid instead of being silently
 rescaled away, and the inverse transform carries the compensating 4^n. Both
 are one private core, run with conjugate kernel phases.
 
+The core transforms real parity parts. The input's real and imaginary parts
+are each even, odd, or split into an even and an odd part under x -> -x (all
+axes at once); an even real part transforms to a real, even array and an odd
+one to i times a real, odd array. Each part is contracted only on its rows
+x_last >= 0, the parity giving the rest, and evaluated only on the output
+rows y_0 >= 0, its realness giving the rest, so its stages run on a quarter
+of the grid's rows. Every chi is Hermitian, chi(-xi) = conj chi(xi): an
+exact chi is one even real part, a filled one an even real and an odd
+imaginary part, and neither leaves an imaginary part in W.
+
 Moments of symmetric-ordered operator products come from Wirtinger
 derivatives at the origin,
 
@@ -34,7 +44,8 @@ pushed through the same weights to an error bar on the moment.
 
 Exact grids are stored real: a mean-zero Gaussian chi is real on every cell,
 so chi_grid_from_state keeps float64 values, and every layer tells a real
-input from its dtype. Sampled and reconstructed grids are complex.
+input from its dtype. Sampled grids are complex, and so are reconstructed
+ones, but for the chi of a W even to the bit, which is real.
 
 The dense layers allocate no full-size array that their result does not
 need. Their peak allocation, counted in complex grids of the input's shape
@@ -52,13 +63,16 @@ counted (tracemalloc on exact two-mode grids):
                                     temporary)
     gaussian_fit              0.2   the masks, then only the kept cells'
                                     rows (0.7 on a complex chi: |chi| too)
-    wigner_transform          1.1   one stage's input and output, each on
-                                    the rows x_0 >= 0 of a real chi (2.0 on
-                                    a complex chi); the result is a
-                                    contiguous real array (0.5)
-    inverse_wigner_transform  1.5   one stage's input and output, each on
-                                    the rows Re xi_0 >= 0 of the real W;
-                                    then the last of them and the result
+    wigner_transform          1.0   an exact chi: the part's rows x_last >= 0
+                                    (0.26), one quarter-size stage's input
+                                    and output, then the last stage's input
+                                    and the result, a contiguous real array
+                                    (0.5); 1.5 on a filled chi, whose second
+                                    part's result is added to the first's,
+                                    2.5 on an unfilled complex one
+    inverse_wigner_transform  1.0   the same on the even W of an exact chi,
+                                    whose chi is real; 2.0 with an imaginary
+                                    part, which a complex result then joins
 """
 from __future__ import annotations
 
@@ -381,31 +395,110 @@ def _boundary_max(values: np.ndarray) -> float:
     return worst
 
 
-def _unfold(upper: np.ndarray) -> np.ndarray:
-    """The transform of a real input from its rows a >= 0 along the odd-length
-    first axis, by out(-a, -a') = conj out(a, a'), exact on output axes that
-    are mirror-symmetric to the bit: the rows a < 0 are the reversed
-    conjugate of the rows a > 0 (a reversed copy for a real upper)."""
-    h = upper.shape[0] - 1
-    out = np.empty((2 * h + 1,) + upper.shape[1:], dtype=upper.dtype)
-    out[h:] = upper
-    np.conjugate(upper[1:][(slice(None, None, -1),) * upper.ndim], out=out[:h])
-    return out
+def _parity_parts(values: np.ndarray):
+    """The real parity parts of values, each as (its rows x_last >= 0, odd,
+    imaginary).
+
+    values is read as real arrays: itself if real, else its real and its
+    imaginary part, the latter left out when it is all zero. An array that
+    equals its reverse over all axes, v(-x), or its negated reverse, to the
+    bit, is one even or odd part; any other splits into (v + v(-x))/2 and
+    (v - v(-x))/2. Only the rows x_last >= 0 are built, contiguous.
+
+    Reversing every axis reverses the C order, so each (x, -x) pair is
+    compared once, from the first half of the flat view, as _is_hermitian
+    compares.
+    """
+    h = values.shape[-1] // 2
+    rev = (slice(None, None, -1),) * values.ndim
+    arrays = [values]
+    if np.iscomplexobj(values):
+        arrays = [values.real] + ([values.imag] if np.any(values.imag) else [])
+    for imag, a in enumerate(arrays):
+        flat = a.reshape(-1)
+        first, mirrored = flat[: flat.size // 2 + 1], flat[::-1][: flat.size // 2 + 1]
+        if np.array_equal(first, mirrored):
+            yield np.ascontiguousarray(a[..., h:]), False, bool(imag)
+        elif np.array_equal(first, np.negative(mirrored)):
+            yield np.ascontiguousarray(a[..., h:]), True, bool(imag)
+        else:
+            head, mirror = a[..., h:], a[rev][..., h:]  # v(x) and v(-x) on x_last >= 0
+            for odd, combine in ((False, np.add), (True, np.subtract)):
+                part = combine(head, mirror)
+                part *= 0.5
+                yield part, odd, bool(imag)
+                del part
+
+
+def _transform_part(head, odd: bool, axes, steps, out_axes, h0: int, phase: complex, measure):
+    """Re (an even part) or Im (an odd part) of the transform of a real part
+    from its rows x_last >= 0, on the output rows y_0 >= out_axes[0][h0] of
+    a full-size real array whose rows y_0 below are left unset.
+
+    Axis x is contracted, in order, with exp(phase * outer(y, x)) *
+    measure(step of x) onto output axis y, one matrix product on transposed
+    views per stage, so that only a stage's input and output live. The first
+    stage is one real product against the kernel's (Re, Im) pairs, the
+    middle ones are complex. The parity v(-x) = +-v(x) stands in for the
+    rows x_last < 0: the last stage weights the rows x_last >= 0 (1, 2, 2,
+    ...) and keeps the Re or Im of its sum, one real product of its input's
+    (Re, Im) pairs against the kernel's (Re, -Im) columns into the result.
+    """
+    out = head
+    for d in range(len(axes) - 1):
+        y = out_axes[d][h0:] if d == 0 else out_axes[d]
+        kernel = np.exp(phase * np.outer(axes[d], y)) * measure(steps[d])
+        if d == 0:
+            kernel = kernel.view(float)  # (Re, Im) pairs, for the real input
+        shape = out.shape[1:] + y.shape
+        out = (out.reshape(out.shape[0], -1).T @ kernel).view(complex).reshape(shape)
+    x, y = axes[-1][axes[-1].size // 2 :], out_axes[-1]
+    weights = np.full((x.size, 1), 2.0 * measure(steps[-1]))
+    weights[0] /= 2.0  # the slab x_last = 0 is its own mirror
+    kernel = np.exp(phase * np.outer(x, y)) * weights
+    if odd:
+        kernel *= -1j  # Im z = Re(-i z)
+    pairs = np.stack((kernel.real, -kernel.imag), axis=1).reshape(2 * x.size, y.size)
+    rows = np.ascontiguousarray(out.reshape(out.shape[0], -1).T).view(float)
+    del out
+    result = np.empty(tuple(a.size for a in out_axes))
+    np.matmul(rows, pairs, out=result[h0:].reshape(-1, y.size))
+    return result
+
+
+def _unfold(out: np.ndarray, odd: bool) -> None:
+    """Complete, in place, the rows y_0 < 0 of an even or odd transform from
+    its rows y_0 > 0, by out(-y) = +-out(y) on output axes mirror-symmetric
+    to the bit. The slab y_0 = 0 is first averaged with its mirror, so that
+    the whole array is even or odd to the bit."""
+    h = out.shape[0] // 2
+    rev = (slice(None, None, -1),) * out.ndim
+    slab = out[h]
+    mirror = slab[rev[1:]]
+    slab[...] = ((slab - mirror) if odd else (slab + mirror)) * 0.5
+    if odd:
+        np.negative(out[h + 1 :][rev], out=out[:h])
+    else:
+        out[:h] = out[h + 1 :][rev]
 
 
 def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
-    """The transform behind wigner_transform and its inverse: grid axis x is
-    contracted, in order, with exp(phase * outer(y, x)) * measure(step of x)
-    onto output axis y (by default the dual axis of x), one matrix product on
-    transposed views per stage, so that only a stage's input and output live.
+    """The transform behind wigner_transform and its inverse, onto out_axes
+    (by default the dual axes of the grid's), as its real and imaginary
+    parts, None for a part that nothing contributes to.
 
     More than two modes are refused ahead of every other check; guard() runs
-    next. A real input is told by its dtype, float64, or by a complex one
-    whose imaginary parts are all zero, which is then read as its real part.
-    Its first stage is one real product against the kernel's (Re, Im) pairs.
-    On output axes mirror-symmetric to the bit it is taken onto the rows
-    y_0 >= 0 only, bit for bit those of the full contraction; the returned
-    half says so, and _unfold completes it.
+    next. The grid's values are split into real parity parts (_parity_parts),
+    and each is transformed on its own (_transform_part): an even part to a
+    real array, C, and an odd part to i times a real array, S, so that
+
+        T[Re_e + Re_o + i Im_e + i Im_o] = C[Re_e] - S[Im_o] + i (S[Re_o] + C[Im_e]).
+
+    An exact or Hermitian-filled grid has no Re_o and no Im_e, so its
+    transform is real with no rounding left in an imaginary part. On output
+    axes mirror-symmetric to the bit each part is computed on the rows
+    y_0 >= 0 only and unfolded by its parity (_unfold); on any other axes
+    every row is computed.
     """
     if grid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
@@ -422,23 +515,22 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
             raise ValidationError(
                 f"{len(out_axes)} output axes do not match the {len(grid.axes)} axes of the grid"
             )
-    out = grid.values
-    if np.iscomplexobj(out) and not np.any(out.imag):
-        out = out.real  # such as an exact chi read from a file: transformed as the real one
-    real = not np.iscomplexobj(out)
-    half = real and all(np.array_equal(y, -y[::-1]) for y in out_axes)
-    for d, (x, y, h) in enumerate(zip(grid.axes, out_axes, grid.steps)):
-        if half and d == 0:
-            y = y[y.size // 2 :]
-        kernel = np.exp(phase * np.outer(y, x)) * measure(h)
-        rows = out.reshape(out.shape[0], -1).T
-        if real and d == 0:
-            # one real product with the kernel's (Re, Im) pairs, read back as complex
-            stage = (rows @ np.ascontiguousarray(kernel.T).view(float)).view(complex)
+    symmetric = all(np.array_equal(y, -y[::-1]) for y in out_axes)
+    h0 = out_axes[0].size // 2 if symmetric else 0
+    sums = [None, None]  # the real and the imaginary part of the transform
+    for head, odd, imag in _parity_parts(grid.values):
+        part = _transform_part(head, odd, grid.axes, grid.steps, out_axes, h0, phase, measure)
+        del head
+        if symmetric:
+            _unfold(part, odd)
+        if odd and imag:  # i times i S
+            np.negative(part, out=part)
+        k = int(odd != imag)
+        if sums[k] is None:
+            sums[k] = part
         else:
-            stage = rows @ kernel.T
-        out = stage.reshape(out.shape[1:] + y.shape)
-    return out_axes, out, half
+            sums[k] += part
+    return out_axes, *sums
 
 
 def _boundary_tol(boundary_tol) -> float:
@@ -479,24 +571,24 @@ def wigner_transform(
     boundary_tol at the edges (aliasing); boundary_tol must be > 0, and inf
     switches that guard off. One or two modes.
 
-    A real chi (every imaginary part zero, as on exact grids) transforms to
-    W(-alpha) = conj W(alpha). When every alpha axis is mirror-symmetric to
-    the bit, as the default ones are, only the rows x_0 >= 0 are computed;
-    the rows x_0 < 0 are their reversed real part, and imag_residual is the
-    largest |imag| over the computed rows. A complex chi, such as a sampled
-    one, is transformed on every row.
+    chi is transformed by its real parity parts: the even part of Re chi
+    and the odd part of Im chi give W, and the two others give an imaginary
+    part, which is dropped; imag_residual is its largest magnitude. A
+    Hermitian chi, chi(-xi) = conj chi(xi) to the bit as on exact and
+    hermitian_fill-ed grids, has no such parts, and its imag_residual is
+    exactly 0.0. When every alpha axis is mirror-symmetric to the bit, as
+    the default ones are, W of a real even chi is even to the bit.
     """
-    alpha_axes, out, half = _fourier(
+    alpha_axes, re, im = _fourier(
         grid, alpha_axes, 2j, lambda step: step / (2.0 * np.pi),
         guard=lambda: _check_decay(grid, boundary_tol),
     )
-    # taken before the unfold, so that |imag| and the result are not alive together
-    residual = float(np.max(np.abs(out.imag)))
+    shape = tuple(a.size for a in alpha_axes)
     return WignerGrid(
         axes=alpha_axes,
-        values=_unfold(out.real) if half else out.real,
+        values=np.zeros(shape) if re is None else re,
         normalization=float(4.0 ** (-grid.n_modes) * np.real(grid.origin_value)),
-        imag_residual=residual,
+        imag_residual=0.0 if im is None else float(np.max(np.abs(im))),
     )
 
 
@@ -505,13 +597,17 @@ def inverse_wigner_transform(
 ) -> ChiGrid:
     """chi(xi) = 4^n integral d^2n alpha exp[-2i sum Re(conj(xi) alpha)] W.
 
-    W is real, so chi(-xi) = conj chi(xi): when every xi axis is
-    mirror-symmetric to the bit, as the default ones are, only the rows
-    Re xi_0 >= 0 are computed and the rows Re xi_0 < 0 are their reversed
-    conjugate.
+    W is real, so chi(-xi) = conj chi(xi): its even part gives Re chi and
+    its odd part Im chi. A W even to the bit, as the W of an exact chi is,
+    has no odd part, and its chi is returned float64, as exact grids are
+    stored; any other W gives a complex chi.
     """
-    xi_axes, out, half = _fourier(wgrid, xi_axes, -2j, lambda step: 2.0 * step)
-    return ChiGrid(axes=xi_axes, values=_unfold(out) if half else out, provenance="reconstructed")
+    xi_axes, re, im = _fourier(wgrid, xi_axes, -2j, lambda step: 2.0 * step)
+    values = np.zeros(tuple(a.size for a in xi_axes)) if re is None else re
+    if im is not None:
+        values = values.astype(complex)
+        values.imag = im
+    return ChiGrid(axes=xi_axes, values=values, provenance="reconstructed")
 
 
 # --------------------------------------------------------------------------

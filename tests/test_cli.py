@@ -66,18 +66,28 @@ NON_NUMERIC = [
     (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 "),
     # a non-finite theta, a negative seed or an int64-overflowing shot count
     # is refused before any draw, not written as NaN rows or escaping numpy
-    (("simulate", "--theta", "nan", "--shots", "0"), "theta = nan "),
-    (("simulate", "--theta", "nan"), "theta = nan "),
-    (("simulate", "--theta", "inf"), "theta = inf "),
-    (("chi-scan", "--theta", "nan", "--shots", "10"), "theta = nan "),
+    (("simulate", "--theta", "NaN", "--shots", "0"), "theta = nan "),
+    (("simulate", "--theta", "NaN"), "theta = nan "),
+    (("simulate", "--theta", "Infinity"), "theta = inf "),
+    (("chi-scan", "--theta", "NaN", "--shots", "10"), "theta = nan "),
     (("simulate", "--seed", "-1"), "seed = -1 "),
     (("chi-scan", "--shots", "10", "--seed", "-3"), "seed = -3 "),
     (("oracle-check", "--set", "seed=-1"), "seed = -1 "),
     (("simulate", "--set", "shots=100000000000000000000000"),
      "shots = 100000000000000000000000 "),
     # NaN switched the aliasing guard off; -1 was reported as a failed check
-    (("wigner", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
+    (("wigner", "--set", "boundary_tol=NaN"), "boundary_tol = nan "),
     (("wigner", "--set", "boundary_tol=-1"), "boundary_tol = -1.0 "),
+    # a numeric string is not parsed as its number, nor a word that is no
+    # JSON number, such as nan, read as text
+    (("simulate", "--theta", "nan"), "theta = 'nan' is not usable"),
+    (("chi-scan", "--set", 'grid.extent="2"'), "grid.extent = '2' is not usable"),
+    (("wigner", "--set", 'boundary_tol="0.1"'), "boundary_tol = '0.1' is not usable"),
+    # an empty object is read, and refused by its first missing field, not
+    # taken as absent
+    (("chi-scan", "--shots", "100", "--set", "manifold={}"),
+     "manifold is missing field 'schedule'"),
+    (("wigner", "--set", "alpha={}"), "alpha is missing field 'extent'"),
     # every physical parameter is a finite number; each of these exited 0 with
     # NaN rows, a NaN header, NaN displacements or all-zero xi
     (("manifold", "--set", "schedule.lambda=1e999"), "schedule.lambda = inf is not usable"),
@@ -627,7 +637,9 @@ def test_moments_of_a_sampled_chi_file_read_its_derived_errors(tmp_path):
         assert (re_m, im_m, error) == (value.real, value.imag, err) and math.isfinite(error)
 
 
-@pytest.mark.parametrize("theta", ["NaN", "Infinity", "true", "0", "3.141592653589793"])
+# the last is a JSON string, which is not parsed as its number
+@pytest.mark.parametrize("theta", ["NaN", "Infinity", "true", "0", "3.141592653589793",
+                                   '"1.5707963267948966"'])
 def test_a_chi_file_whose_theta_reads_out_nothing_exits_1(tmp_path, capsys, theta):
     chi = tmp_path / "chi.csv"
     assert run("chi-scan", "--shots", "100", "--set", 'grid={"extent":2,"points":9}',
@@ -865,7 +877,7 @@ def test_a_refused_chi_file_axis_gives_one_short_error_line(tmp_path, capsys, mo
     assert run("wigner", "--set", 'chi_file="chi.csv"', "--out", "w.csv") == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and len(line.encode()) < 200, line
-    assert "meta.axes" in line and "could not convert string to float: 'x'" in line
+    assert "meta.axes" in line and "a real number is expected, not str" in line
     assert not Path("w.csv").exists()
 
 
@@ -1339,7 +1351,7 @@ REFUSED = [
     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum"}, {"j": [2], "kind": '
       '"vacuum"}]'), "a 129x129x129x129 grid has 276922881 cells, above the budget"),
     # each of these used to be refused only after the work ahead of it
-    (("wigner", "--set", "grid.points=9", "--set", "boundary_tol=nan"), "boundary_tol = nan "),
+    (("wigner", "--set", "grid.points=9", "--set", "boundary_tol=NaN"), "boundary_tol = nan "),
     (("wigner", "--set", "grid.points=9", "--set", 'alpha={"extent": -1, "points": 5}'),
      "alpha.extent = -1 is not usable: a finite number > 0"),
     (("chi-scan", "--shots", "100", "--set", "grid.points=9", "--set", 'half="no"'),

@@ -159,6 +159,17 @@ def test_real_fields_refuse_complex_values_by_name(argument, bad):
         _COMPLEX_ARGUMENTS[argument](bad)
 
 
+@pytest.mark.parametrize("argument", sorted(_COMPLEX_ARGUMENTS))
+@pytest.mark.parametrize("bad", ["1.5", b"1.5"])
+def test_real_fields_refuse_numeric_strings_by_name(argument, bad):
+    # float() would parse the string as the number 1.5
+    name = re.escape(argument.split(".")[-1])
+    kind = type(bad).__name__
+    with pytest.raises(ValidationError,
+                       match=rf"^{name} = .+ is not usable: a real number is expected, not {kind}"):
+        _COMPLEX_ARGUMENTS[argument](bad)
+
+
 _SCHEDULE = PulseSchedule(lam=0.1, tau=1.0, N=1, smearing=Delta(), switching=Constant(1.0))
 
 # one library call per real array argument, taking an array that holds the

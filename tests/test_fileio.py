@@ -343,6 +343,17 @@ def test_a_chi_file_without_errors_or_shots_loads_without_stderr(tmp_path):
     assert load_chi_grid(path).stderr.tobytes() == g.stderr.tobytes()
 
 
+def test_a_grid_with_theta_and_shots_but_no_stderr_is_refused_before_writing(tmp_path):
+    # its file would load with errors derived from theta and shots that the
+    # grid never had
+    g = ChiGrid(axes=(grid_axis(1.0, 3),) * 2, values=np.full((3, 3), 0.5 + 0.25j),
+                provenance="sampled", shots=100, theta=0.3)
+    path = tmp_path / "chi.csv"
+    with pytest.raises(ValidationError, match="shots = 100 but no stderr"):
+        save_chi_grid(g, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("half", [False, True])
 def test_a_callers_rows_field_gives_way_to_the_files_own(tmp_path, half):
     g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, shots=200, seed=5, half=half)
