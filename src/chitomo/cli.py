@@ -41,7 +41,7 @@ from .pulse_protocol import (
 )
 from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
-    _boundary_tol, _check_h, _state_axes, _stencil_nodes, chi_grid_from_state, grid_axis,
+    _axis_points, _boundary_tol, _state_axes, _stencil_nodes, chi_grid_from_state, grid_axis,
     hermitian_fill, moments_fd, sampled_chi_grid, wigner_transform,
 )
 
@@ -102,8 +102,6 @@ _DEFAULTS: dict[str, dict] = {
         "chi_file": None,
         "orders": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
         "mode": 0,
-        "h": None,
-        "richardson": True,
         "grid": {"extent": 6.0, "points": 129},
         "theta": math.pi / 2,
         "shots": 0,
@@ -208,7 +206,7 @@ def _tau_grid(doc, key: str) -> np.ndarray:
 
 
 def _axis(doc, key: str) -> np.ndarray:
-    return grid_axis(*_fields(doc, {"extent": positive, "points": integer}, key))
+    return grid_axis(*_fields(doc, {"extent": positive, "points": _axis_points}, key))
 
 
 def _path(path, key: str, optional: bool = False) -> str | None:
@@ -240,13 +238,12 @@ _SURFACE = ("schedule", "N_list", "tau")
 # that means one thing per subcommand is keyed by (subcommand, name)
 _CONVERT = {
     **dict.fromkeys(("shots", "n_draws", ("moments", "mode")), partial(converted, integer)),
-    **dict.fromkeys(("half", "richardson"), partial(converted, boolean)),
+    "half": partial(converted, boolean),
     "theta": partial(converted, real),
     "seed": partial(converted, at_least(0)),
     "D": lambda D, key: _cutoff(D, 8, key),
     "N_list": partial(converted, listed(at_least(1))),
-    "points": partial(converted, listed(lambda e: np.asarray(e, dtype=float).reshape(-1))),
-    "h": lambda h, key: h if h is None else converted(real, h, key),
+    "points": partial(converted, listed(listed(finite))),
     "boundary_tol": lambda tol, key: _boundary_tol(tol),
     "orders": _orders,
     "chi_file": partial(_path, optional=True),
@@ -271,7 +268,7 @@ _READS = {
     "chi-scan": ("manifold",),
     "simulate": ("state", "points", "shots", "theta", "seed"),
     "wigner": ("chi_file", "alpha", "boundary_tol"),
-    "moments": ("mode", "h", "chi_file", "orders"),
+    "moments": ("mode", "chi_file", "orders"),
     "oracle-check": ("n_draws", "D", "seed"),
     "bec-map": ("bec", "modes", "schedule"),
 }
@@ -282,8 +279,8 @@ def _spec(command: str, config: dict) -> dict:
     config, the meta of a table's header (the command and config) and out
     (chi_file and manifold are None where not read). A field
     is read only where the run reads it: theta only with shots > 0, say. The
-    readout arguments, the grid budget, h (with each order's stencil on a
-    planned grid), the moment orders and a state's moment mode go through
+    readout arguments, the grid budget, each moment order's stencil on a
+    planned grid, the moment orders and a state's moment mode go through
     their layer's own check, so bad input is refused before any work."""
     spec = {"config": config, "meta": {"command": command, "config": config},
             "chi_file": None, "manifold": None}
@@ -298,7 +295,7 @@ def _spec(command: str, config: dict) -> dict:
         read(*_SURFACE, doc=spec["manifold"])
     if command == "simulate":
         n = spec["state"].n_modes
-        if not spec["points"] or any(flat.size != 2 * n for flat in spec["points"]):
+        if not spec["points"] or any(len(point) != 2 * n for point in spec["points"]):
             raise ValidationError(f"points must be one or more lists of {2 * n} reals (re, im)")
     elif command in ("chi-scan", "wigner", "moments") and spec["chi_file"] is None:
         state, shots = read("state"), read("shots")
@@ -311,13 +308,9 @@ def _spec(command: str, config: dict) -> dict:
             spec["grid"] = _state_axes(state, (read("grid"),) * (2 * state.n_modes))
     if "theta" in spec:  # read only where chi is read out
         _readout_args(spec["theta"], spec["shots"], spec["seed"])
-    if command == "moments" and spec["orders"]:  # read per order, so not without one
-        read("richardson")
-        if "grid" in spec:  # each order's stencil on the planned grid
-            for p, q in spec["orders"]:
-                _stencil_nodes(spec["grid"], spec["mode"], spec["h"], p, q, spec["richardson"])
-        elif spec["h"] is not None:
-            _check_h(spec["h"])
+    if command == "moments" and "grid" in spec:  # each order's stencil on the planned grid
+        for p, q in spec["orders"]:
+            _stencil_nodes(spec["grid"], spec["mode"], p, q)
     return spec
 
 
@@ -407,8 +400,7 @@ def cmd_moments(spec: dict) -> None:
     source = hermitian_fill(_chi_grid_for(spec)) if grid else spec["state"]
     rows = []
     for p, q in spec["orders"]:
-        value, error = moments_fd(source, spec["mode"], p, q, h=spec["h"],
-                                  richardson=spec["richardson"], with_error=True)
+        value, error = moments_fd(source, spec["mode"], p, q, with_error=True)
         rows.append([p, q, value.real, value.imag, float("nan") if error is None else error])
     write_table(spec["out"], ["p", "q", "re_moment", "im_moment", "error"], rows, spec["meta"])
     print(f"wrote {len(rows)} moments to {spec['out']}")

@@ -31,16 +31,17 @@ derivatives at the origin,
 
     <[(a+)^p a^q]_S> = (-1)^q  d^{p+q} chi / d xi^p d conj(xi)^q | 0,
 
-evaluated by central finite differences with optional Richardson
-extrapolation, as one array of weights on the lattice of half-steps. The
-source is one of two kinds: a ChiGrid, whose stencil nodes are gathered from
-its cells, or a GaussianFieldState, whose closed form is evaluated once on
-the stencil's own 9 x 9 lattice and then read as a grid in the same way. Each
-node is summed together with its mirror -xi, whose weight carries the
-stencil's parity (-1)^(p+q); a p = q stencil has exactly real weights, so on
-a Hermitian source, where chi(-xi) = conj chi(xi) holds to the bit, a p = q
-moment is exactly real. For sampled grids the per-point binomial errors are
-pushed through the same weights to an error bar on the moment.
+evaluated by Richardson-extrapolated central finite differences, as one
+array of weights on the lattice of half-steps. The source is one of two
+kinds: a ChiGrid, whose stencil nodes are gathered from its cells at h = 2
+steps, or a GaussianFieldState, whose closed form is evaluated once on the
+stencil's own 9 x 9 lattice at h = 0.01 and then read as a grid in the same
+way. Each node is summed together with its mirror -xi, whose weight carries
+the stencil's parity (-1)^(p+q); a p = q stencil has exactly real weights,
+so on a Hermitian source, where chi(-xi) = conj chi(xi) holds to the bit, a
+p = q moment is exactly real. For sampled grids the per-point binomial
+errors are pushed through the same weights, as if the nodes were
+independent, to an error bar on the moment.
 
 Exact grids are stored real: a mean-zero Gaussian chi is real on every cell,
 so chi_grid_from_state keeps float64 values, and every layer tells a real
@@ -85,7 +86,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    NumericalCheckError, Record, ValidationError, at_least, converted, positive, real,
+    NumericalCheckError, Record, ValidationError, converted, integer, positive, real,
 )
 from .gaussian_field import (
     OMEGA_2X2,
@@ -112,18 +113,23 @@ __all__ = [
 ]
 
 
+def _axis_points(value) -> int:
+    """An axis's point count, odd so that the origin is its middle point."""
+    if (n := integer(value)) < 3 or n % 2 == 0:
+        raise ValueError("an odd integer >= 3 is expected")
+    return n
+
+
 def grid_axis(extent: float, points: int) -> NDArray[np.float64]:
-    """Symmetric axis [-extent, extent]; even counts are bumped to odd so the
-    origin is always a grid point (exact 0.0).
+    """Symmetric axis [-extent, extent] of an odd number of points, the
+    middle one the origin (exact 0.0).
 
     Built by mirroring the positive half, so ax == -ax[::-1] bitwise; paired
     with the even quadratic forms this makes Hermitian symmetry of exact
     grids exact in floating point too, not just up to rounding.
     """
     converted(positive, extent, "extent")
-    points = converted(at_least(3), points, "points")
-    if points % 2 == 0:
-        points += 1
+    points = converted(_axis_points, points, "points")
     half = np.linspace(0.0, extent, points // 2 + 1)
     return np.concatenate((-half[:0:-1], half))
 
@@ -624,15 +630,16 @@ _CENTRAL = np.array([
 ])
 
 
-def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
+def _stencil(p: int, q: int) -> NDArray[np.complex128]:
     """Weights of (2h)^{p+q} d^{p+q} / d xi^p d conj(xi)^q at 0 on the 9 x 9
-    lattice of half-steps h/2 about the origin, Re xi along axis 0.
+    lattice of half-steps h/2 about the origin, Re xi along axis 0: the
+    Richardson extrapolation (4 A(h/2) - A(h)) / 3 of the central stencil A.
 
     Wirtinger: d/dxi = (d/dx - i d/dy)/2, d/dconj(xi) = (d/dx + i d/dy)/2;
     expanding binomially gives mixed (x, y) partials of total order p + q,
-    each an outer product of two 1-D stencils. Before the Richardson division
-    by 3 every weight is a small dyadic number, so the imaginary parts of a
-    p = q stencil cancel exactly.
+    each an outer product of two 1-D stencils. Before the division by 3
+    every weight is a small dyadic number, so the imaginary parts of a p = q
+    stencil cancel exactly.
     """
     unit = sum(
         math.comb(p, i) * math.comb(q, j) * (-1j) ** (p - i) * 1j ** (q - j)
@@ -641,53 +648,31 @@ def _stencil(p: int, q: int, richardson: bool) -> NDArray[np.complex128]:
         for j in range(q + 1)
     )
     weights = np.zeros((9, 9), dtype=complex)
-    if richardson:  # (4 A(h/2) - A(h)) / 3; the step h/2 scales A by 2^(p+q)
-        weights[2:7, 2:7] = 4.0 * 2.0 ** (p + q) * unit
-        weights[::2, ::2] -= unit
-        weights /= 3.0
-    else:
-        weights[::2, ::2] = unit
+    weights[2:7, 2:7] = 4.0 * 2.0 ** (p + q) * unit  # the step h/2 scales A by 2^(p+q)
+    weights[::2, ::2] -= unit
+    weights /= 3.0
     return weights
 
 
-def _check_h(h) -> float:
-    """h, finite and positive, with the stencil scale of the highest order
-    (1/(2h))^4 a finite nonzero float, so that a bad h is refused whatever
-    the order."""
-    h = converted(real, h, "h")
-    if not (0.0 < h < math.inf and 0.0 < math.prod([0.5 / h] * 4) < math.inf):
-        raise ValidationError(
-            f"h = {h!r} must be finite and positive, with a finite nonzero stencil "
-            f"scale (1/(2h))^4"
-        )
-    return h
-
-
-def _stencil_nodes(axes, mode: int, h, p: int, q: int, richardson: bool):
-    """(h, weights, index) of the (p, q) stencil in mode's plane of a grid on
-    axes, every other mode at the origin: h checked (2 steps if None), the
-    nonzero stencil weights, and the grid index of their nodes, row-major in
-    the 9 x 9 lattice, so node k mirrors node K - 1 - k. h must be an even
-    multiple of the step, so that every node, Richardson half-steps included,
-    lands on a grid point, and every node must lie inside the grid."""
+def _stencil_nodes(axes, mode: int, p: int, q: int):
+    """(weights, index) of the (p, q) stencil at h = 2 steps in mode's plane
+    of a grid on axes, every other mode at the origin: the nonzero weights,
+    and the grid index of their nodes, each inside the grid, row-major in the
+    9 x 9 lattice of half-steps (grid steps), so node k mirrors node K - 1 - k."""
     step_r, step_i = (float(a[1] - a[0]) for a in axes[2 * mode : 2 * mode + 2])
     if abs(step_r - step_i) > 1e-12 * max(step_r, step_i):
         raise ValidationError("mode axes must share one step for the stencil")
-    h = _check_h(2.0 * step_r if h is None else h)
-    m = h / step_r
-    if abs(m - round(m)) > 1e-9 or round(m) % 2 != 0 or round(m) < 2:
-        raise ValidationError("grid stencils need h an even multiple of the step")
-    unit = round(m) // 2  # grid points per half-step
-
-    weights = _stencil(p, q, richardson).ravel()
+    weights = _stencil(p, q).ravel()
     nodes = np.flatnonzero(weights)
     offsets = np.stack(np.divmod(nodes, 9)) - 4  # (Re, Im) in half-steps
     index = [a.size // 2 for a in axes]
     for d, off in zip((2 * mode, 2 * mode + 1), offsets.tolist()):
-        index[d] = [index[d] + unit * o for o in off]
+        index[d] = [index[d] + o for o in off]
         if not (0 <= min(index[d]) and max(index[d]) < axes[d].size):
-            raise ValidationError("stencil exits the grid; shrink h or widen the grid")
-    return h, weights[nodes], tuple(index)
+            raise ValidationError("stencil exits the grid; widen the grid")
+    return weights[nodes], tuple(index)
+
+_STATE_H = 0.01  # h on a state, read on its lattice of half-steps grid_axis(2 h, 9)
 
 
 def moments_fd(
@@ -695,37 +680,33 @@ def moments_fd(
     mode: int,
     p: int,
     q: int,
-    h: float | None = None,
-    richardson: bool = True,
     with_error: bool = False,
 ):
     """Symmetric-ordered moment <[(a+)^p a^q]_S> for one mode, p + q <= 4.
 
     chi_source is a ChiGrid or a GaussianFieldState; every other mode is held
-    at the origin. A state is evaluated once, in closed form, on the stencil's
-    own 9 x 9 lattice of half-steps in the mode's plane, and that lattice is
-    then read as a grid. h must be finite and positive with (1/(2h))^4 a
-    finite nonzero float; it defaults to 0.01 on a state and to 2 steps on a
-    grid, where it must be an even multiple of the step so that every stencil
-    node, including Richardson half-steps, lands on a grid point. Sampled
-    grids propagate their binomial errors through the stencil; a warning is
-    raised when the moment is smaller than its error bar. With
-    with_error=True returns (value, error) instead of the bare value.
+    at the origin. On a grid the stencil is taken at h = 2 steps. A state is
+    evaluated once, in closed form, on the stencil's own 9 x 9 lattice of
+    half-steps at h = 0.01 in the mode's plane, and that lattice is then read
+    as a grid. Sampled grids propagate their binomial errors through the
+    stencil, as if its nodes were independent; a warning is raised when the
+    moment is smaller than its error bar. With with_error=True returns
+    (value, error) instead of the bare value.
     """
     p, q = _moment_order(p, q)
     if not isinstance(chi_source, (ChiGrid, GaussianFieldState)):
         raise ValidationError("chi_source must be a ChiGrid or a GaussianFieldState")
     mode = _check_mode(mode, chi_source.n_modes)
     if isinstance(chi_source, GaussianFieldState):
-        # the mode's plane on the stencil's own lattice of half-steps, every
-        # other mode at the origin: a 9 x 9 grid read like any other
-        h = _check_h(0.01 if h is None else h)
+        h = _STATE_H
         axis = grid_axis(2.0 * h, 9)
         axes = [np.zeros(1)] * (2 * chi_source.n_modes)
         axes[2 * mode] = axes[2 * mode + 1] = axis
         values = char_analytic_grid(chi_source, axes).reshape(9, 9)
         chi_source, mode = ChiGrid(axes=(axis, axis), values=values), 0
-    h, weights, index = _stencil_nodes(chi_source.axes, mode, h, p, q, richardson)
+    else:
+        h = 2.0 * chi_source.steps[2 * mode]
+    weights, index = _stencil_nodes(chi_source.axes, mode, p, q)
     scale = (0.5 / h) ** (p + q)
     values = chi_source.values[index]
     if np.any(np.isnan(values)):
@@ -747,11 +728,8 @@ def moments_fd(
     value = complex(total.real + 0.0, total.imag + 0.0)
 
     if error is not None and error > abs(value):
-        warnings.warn(
-            f"moment ({p},{q}) = {value:.3e} is below its shot-noise error bar "
-            f"{error:.3e}; decrease the noise or increase h",
-            stacklevel=2,
-        )
+        warnings.warn(f"moment ({p},{q}) = {value:.3e} is below its shot-noise error bar "
+                      f"{error:.3e}; take more shots", stacklevel=2)
     return (value, error) if with_error else value
 
 

@@ -58,12 +58,6 @@ NON_NUMERIC = [
     (("chi-scan", "--set",
       'state.modes=[{"j": [1], "kind": "thermal", "params": {"n": 1e400}}]'),
      "state.modes[0].params.n = inf is not usable: a finite number >= 0"),
-    (("moments", "--set", "h=0"), "h = 0.0 "),
-    (("moments", "--set", "h=1e-300"), "h = 1e-300 "),
-    (("moments", "--set", "h=1e300"), "h = 1e+300 "),
-    (("moments", "--set", "h=-0.01"), "h = -0.01 "),
-    (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=NaN"), "h = nan "),
-    (("moments", "--shots", "100", "--set", "grid.points=17", "--set", "h=0"), "h = 0.0 "),
     # a non-finite theta, a negative seed or an int64-overflowing shot count
     # is refused before any draw, not written as NaN rows or escaping numpy
     (("simulate", "--theta", "NaN", "--shots", "0"), "theta = nan "),
@@ -83,6 +77,13 @@ NON_NUMERIC = [
     (("simulate", "--theta", "nan"), "theta = 'nan' is not usable"),
     (("chi-scan", "--set", 'grid.extent="2"'), "grid.extent = '2' is not usable"),
     (("wigner", "--set", 'boundary_tol="0.1"'), "boundary_tol = '0.1' is not usable"),
+    # a readout point too: the first two wrote xi = 0.2 and 1.0
+    (("simulate", "--set", 'points=[["0.2", "0"]]'),
+     "points = [['0.2', '0']] is not usable: a real number is expected, not str"),
+    (("simulate", "--set", "points=[[true, false]]"),
+     "points = [[True, False]] is not usable: a real number is expected, not bool"),
+    (("simulate", "--set", "points=[[NaN, 0]]"),
+     "points = [[nan, 0]] is not usable: a finite number is expected"),
     # an empty object is read, and refused by its first missing field, not
     # taken as absent
     (("chi-scan", "--shots", "100", "--set", "manifold={}"),
@@ -113,12 +114,10 @@ INEXACT = [
     (("oracle-check", "--set", "D=40.5"), "D"),
     (("bec-map", "--set", "modes.spatial_dim=1.5"), "modes.spatial_dim"),
     (("chi-scan", "--shots", "100", "--set", 'half="false"'), "half"),
-    (("moments", "--set", 'richardson="false"'), "richardson"),
     (("manifold", "--set", 'schedule.switching={"kind": "gaussian", "center": 0.5, '
       '"width": 0.2, "relative": "false"}'), "switching.relative"),
     (("bec-map", "--set", "modes.indices=[[1.5]]"), "modes.indices"),
     (("oracle-check", "--set", "seed=0.5"), "seed"),
-    (("moments", "--set", "richardson=no"), "richardson"),
     (("chi-scan", "--shots", "100", "--set", "half=0"), "half"),
 ]
 UNKNOWN_FIELD = [
@@ -127,6 +126,9 @@ UNKNOWN_FIELD = [
     (("chi-scan", "--set", 'state.modes=[{"j": [1], "kind": "vacuum", "parms": {}}]'),
      "'parms'"),
     (("chi-scan", "--set", "state.colour=1"), "'colour'"),
+    # the stencil's step and its Richardson switch, retired: the stencil is fixed
+    (("moments", "--set", "h=0.01"), "'h'"),
+    (("moments", "--set", "richardson=false"), "'richardson'"),
     (("manifold", "--set", "schedule.foo=1"), "'foo'"),
     (("manifold", "--set", 'schedule.switching={"kind": "constant", "width": 0.2}'),
      "'width'"),
@@ -718,11 +720,10 @@ def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_pa
 
 # exit-1 argv, each with the piece of its one error line that names the field
 BAD_INPUT = [
-    # a bad stencil step, a non-finite theta, a negative seed, a NaN aliasing
-    # tolerance, a negative alpha extent, a moment order that is not a pair, a
-    # half value that is not a boolean, an infinite coupling or condensate
-    # density, and an output or input path through a regular file
-    (("moments", "--set", "h=0"), "h = "),
+    # a non-finite theta, a negative seed, a NaN aliasing tolerance, a
+    # negative alpha extent, a moment order that is not a pair, a half value
+    # that is not a boolean, an infinite coupling or condensate density, and
+    # an output or input path through a regular file
     (("simulate", "--theta", "nan", "--shots", "0"), "theta"),
     (("simulate", "--seed", "-1"), "seed"),
     (("wigner", "--set", "boundary_tol=nan"), "boundary_tol"),
@@ -743,6 +744,10 @@ BAD_INPUT = [
     # a mode entry that is a list of pairs was read as the object of those pairs
     (("chi-scan", "--set", 'state.modes=[[["j",[1]]]]', "--set", "grid.points=5"),
      "state.modes[0]"),
+    # retired fields, and an even count that wrote a 5 x 5 grid under "points": 4
+    (("moments", "--set", "h=0.01"), "unknown field(s) 'h'"),
+    (("moments", "--set", "richardson=false"), "unknown field(s) 'richardson'"),
+    (("chi-scan", "--set", "grid.points=4"), "grid.points = 4"),
 ]
 
 
@@ -1372,11 +1377,16 @@ REFUSED = [
     (("oracle-check", "--set", 'out=""'), "out must be null or a file path, got ''"),
     (("moments", "--shots", "1000", "--set", "mode=1", "--set", "grid.points=513"),
      "mode index 1 out of range 0..0"),
-    # each stencil is checked on the planned grid before it is sampled
-    (("moments", "--shots", "1000", "--set", "grid.points=2049", "--set", "h=0.5"),
-     "grid stencils need h an even multiple of the step"),
-    (("moments", "--shots", "1000", "--set", "grid.points=9", "--set", "h=9"),
+    # each stencil is checked on the planned grid before it is sampled: a
+    # (2, 2) stencil reaches 4 steps out, past a 7-point grid's 3
+    (("moments", "--shots", "1000", "--set", "grid.points=7", "--set", "orders=[[2, 2]]"),
      "stencil exits the grid"),
+    # an even count has no middle point for the origin; it was bumped to odd
+    # while the header kept the count asked for
+    (("chi-scan", "--set", "grid.points=4"),
+     "grid.points = 4 is not usable: an odd integer >= 3 is expected"),
+    (("wigner", "--set", "grid.points=9", "--set", 'alpha={"extent": 2, "points": 4}'),
+     "alpha.points = 4 is not usable: an odd integer >= 3 is expected"),
     (("oracle-check", "--set", "D=20000", "--set", "n_draws=1"),
      "D = 20000 is not usable: an integer <= 1024 is expected"),
     (("oracle-check", "--set", "D=5"), "D = 5 is not usable: an integer >= 8 is expected"),

@@ -72,7 +72,7 @@ def variances(w):
 # -------------------------------------------------------------------- axes
 
 def test_grid_axis_shape_and_symmetry():
-    ax = grid_axis(2.0, 128)  # even request bumps to odd
+    ax = grid_axis(2.0, 129)
     assert ax.size == 129
     assert ax[64] == 0.0
     assert ax[0] == -2.0 and ax[-1] == 2.0
@@ -81,6 +81,14 @@ def test_grid_axis_shape_and_symmetry():
         grid_axis(0.0, 11)
     with pytest.raises(ValidationError):
         grid_axis(1.0, 2)
+
+
+@pytest.mark.parametrize("points", [2, 4, 128, 1, -3])
+def test_grid_axis_refuses_an_even_or_short_count_by_name(points):
+    # an even count has no middle point for the origin; it is refused, not bumped
+    with pytest.raises(ValidationError,
+                       match=f"^points = {points} is not usable: an odd integer >= 3 is expected$"):
+        grid_axis(2.0, points)
 
 
 @pytest.mark.parametrize("extent", [math.inf, math.nan, -math.inf, -1.0])
@@ -431,24 +439,20 @@ def test_moments_fd_matches_analytic():
 
 
 def test_moments_fd_thermal_example():
-    value, err = moments_fd(THERMAL, 0, 1, 1, h=0.01, with_error=True)
+    value, err = moments_fd(THERMAL, 0, 1, 1, with_error=True)
     assert value == pytest.approx(1.5, abs=1e-3)
     assert err is None  # exact source carries no shot noise
-    plain = moments_fd(THERMAL, 0, 1, 1, h=0.01, richardson=False)
-    assert plain == pytest.approx(1.5, abs=1e-3)
 
 
-def _node_by_node_moment(state, mode, p, q, h, richardson):
-    """The moment with chi read point by point: char_points at every stencil
-    node of the mode's plane (other modes at 0), each node summed with its
-    mirror -xi under the stencil's parity."""
-    weights = _stencil(p, q, richardson).ravel()
+def _node_by_node_moment(chi_at, p, q, h):
+    """The moment with chi read point by point: chi_at(xi) at every stencil
+    node xi, on the lattice of half-steps h/2 of one mode's plane, each node
+    summed with its mirror -xi under the stencil's parity."""
+    weights = _stencil(p, q).ravel()
     nodes = np.flatnonzero(weights)
     weights = weights[nodes]
-    xi = np.zeros((nodes.size, state.n_modes), dtype=complex)
-    for row, (ox, oy) in enumerate((np.stack(np.divmod(nodes, 9)).T - 4).tolist()):
-        xi[row, mode] = complex(ox * h / 2.0, oy * h / 2.0)
-    values = np.array([char_points(state, point[None, :])[0] for point in xi])
+    values = np.array([chi_at(complex(ox * h / 2.0, oy * h / 2.0))
+                       for ox, oy in (np.stack(np.divmod(nodes, 9)).T - 4).tolist()])
     half = (nodes.size + 1) // 2
     pairs = values[:half] + (-1) ** (p + q) * values[::-1][:half]
     if nodes.size % 2:
@@ -466,23 +470,63 @@ def test_moments_fd_of_a_state_is_its_chi_read_node_by_node():
     )
     for state in states:
         for mode in range(2):
-            for h in (1e-3, 0.01, 0.37):
-                for richardson in (True, False):
-                    for p in range(5):
-                        for q in range(5 - p):
-                            got = moments_fd(state, mode, p, q, h=h, richardson=richardson)
-                            want = _node_by_node_moment(state, mode, p, q, h, richardson)
-                            assert got == want, (mode, h, richardson, p, q)
+            def chi_at(xi):  # xi in the mode's plane, every other mode at 0
+                point = np.zeros((1, state.n_modes), dtype=complex)
+                point[0, mode] = xi
+                return char_points(state, point)[0]
+
+            for p in range(5):
+                for q in range(5 - p):
+                    got = moments_fd(state, mode, p, q)
+                    assert got == _node_by_node_moment(chi_at, p, q, 0.01), (mode, p, q)
+
+
+def test_moments_fd_reads_a_state_once_on_its_lattice_of_half_steps(monkeypatch):
+    # h = 0.01: the mode's plane on grid_axis(0.02, 9), every other mode at 0
+    reads = []
+    evaluate = tomography.char_analytic_grid
+    monkeypatch.setattr(tomography, "char_analytic_grid",
+                        lambda *args: reads.append(args) or evaluate(*args))
+    state = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Vacuum()])
+    moments_fd(state, 1, 2, 2)
+    [(_, axes)] = reads
+    for d, axis in enumerate(axes):
+        want = grid_axis(0.02, 9) if d in (2, 3) else np.zeros(1)
+        np.testing.assert_array_equal(axis, want)
+
+
+def test_moments_fd_of_a_grid_is_its_cells_read_node_by_node():
+    # on a grid h is two steps, so each node is the cell nearest its xi
+    state = GaussianFieldState(modes=MS2, mode_states=[Thermal(n=0.5), Squeezed(r=0.3, theta=0.4)])
+    axes = square_axes(3.0, 13) * 2
+    grids = [chi_grid_from_state(state, axes),
+             hermitian_fill(sampled_chi_grid(state, axes, shots=1000, seed=4, half=True))]
+    for grid in grids:
+        for mode in range(2):
+            def chi_at(xi):  # the cell nearest xi in the mode's plane, other modes at 0
+                index = [a.size // 2 for a in grid.axes]
+                for d, x in zip((2 * mode, 2 * mode + 1), (xi.real, xi.imag)):
+                    index[d] = int(np.argmin(np.abs(grid.axes[d] - x)))
+                return grid.values[tuple(index)]
+
+            h = 2.0 * (grid.axes[2 * mode][1] - grid.axes[2 * mode][0])
+            for p in range(5):
+                for q in range(5 - p):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # a 1000-shot grid's noise
+                        got = moments_fd(grid, mode, p, q)
+                    want = _node_by_node_moment(chi_at, p, q, h)
+                    assert got == want, (grid.provenance, mode, p, q)
 
 
 def test_moments_fd_grid_source():
     g = chi_grid_from_state(THERMAL, square_axes(3.0, 65))
-    got = moments_fd(g, 0, 1, 1)  # h defaults to two grid steps
+    got = moments_fd(g, 0, 1, 1)  # h is two grid steps
     assert got == pytest.approx(1.5, abs=2e-3)
-    with pytest.raises(ValidationError):
-        moments_fd(g, 0, 1, 1, h=3.0 * g.steps[0])  # odd multiple of the step
-    with pytest.raises(ValidationError):
-        moments_fd(g, 0, 1, 1, h=40.0 * g.steps[0])  # stencil exits the grid
+    small = chi_grid_from_state(THERMAL, square_axes(3.0, 7))
+    moments_fd(small, 0, 1, 1)
+    with pytest.raises(ValidationError, match="stencil exits the grid"):
+        moments_fd(small, 0, 2, 2)  # nodes 4 steps out on a grid of 3
 
 
 def test_moments_fd_grid_rejects_nan_under_stencil():
@@ -514,27 +558,8 @@ def test_both_moment_functions_refuse_an_order_with_one_message(p, q, message):
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("h", [0.0, -0.01, 1e-300, 1e300, math.nan, math.inf, "a"])
-def test_moments_fd_refuses_a_bad_h_before_reading_chi(h, monkeypatch):
-    # finite, positive, and with (1/(2h))^4 a finite nonzero float; the state
-    # is never evaluated
-    grid = chi_grid_from_state(THERMAL, square_axes(3.0, 31))
-    reads = []
-    evaluate = tomography.char_analytic_grid
-    monkeypatch.setattr(tomography, "char_analytic_grid",
-                        lambda *args: reads.append(args) or evaluate(*args))
-    for source in (THERMAL, grid):
-        for p, q in ((0, 0), (1, 0), (2, 2)):
-            with pytest.raises(ValidationError, match="h = "):
-                moments_fd(source, 0, p, q, h=h)
-    assert reads == []
-    moments_fd(THERMAL, 0, 1, 1)  # a good h reads the state once
-    assert len(reads) == 1
-
-
-@pytest.mark.parametrize("richardson", [True, False])
-def test_moments_fd_is_exact_on_monomials(richardson):
-    # second-order central stencils differentiate xi^a conj(xi)^b exactly for
+def test_moments_fd_is_exact_on_monomials():
+    # the stencil differentiates xi^a conj(xi)^b exactly for
     # a + b <= p + q + 1, so every weight of every stencil is pinned here on
     # a grid of step h/2
     axis = grid_axis(1.0, 9)
@@ -545,7 +570,7 @@ def test_moments_fd_is_exact_on_monomials(richardson):
                 for b in range(p + q + 2 - a):
                     want = (-1) ** q * math.factorial(p) * math.factorial(q) * ((a, b) == (p, q))
                     grid = ChiGrid(axes=(axis, axis), values=xi**a * np.conj(xi) ** b)
-                    got = moments_fd(grid, 0, p, q, h=0.5, richardson=richardson)
+                    got = moments_fd(grid, 0, p, q)
                     assert abs(got - want) <= 1e-12, (p, q, a, b)
 
 
@@ -568,9 +593,8 @@ def test_moments_fd_equal_orders_are_real_on_a_hermitian_source():
         for grid in grids:
             for mode in range(2):
                 for p in range(3):
-                    for richardson in (True, False):
-                        value = moments_fd(grid, mode, p, p, richardson=richardson)
-                        assert value.imag == 0.0, (grid.provenance, mode, p, richardson)
+                    value = moments_fd(grid, mode, p, p)
+                    assert value.imag == 0.0, (grid.provenance, mode, p)
 
 
 def test_moments_fd_writes_no_negative_zero():
