@@ -7,7 +7,8 @@ oracle-check | bec-map. Each takes a JSON config file (--config), dotted
 header, so a result file is sufficient to rerun itself. Identical config +
 seed gives byte-identical output. Every field a run reads is converted and
 checked once, by _spec, before any grid is built, sampled, transformed or
-written.
+written. A grid is written by fileio.save_chi_grid, and chi or xi at listed
+points (manifold, a manifold chi-scan, simulate) by fileio.save_chi_points.
 
 Exit codes: 0 success, 1 bad input (an unusable input or output path too),
 2 failed numerical safeguard.
@@ -31,13 +32,13 @@ from .errors import (
     known_fields, listed, positive, read_field, real,
 )
 from .fileio import (
-    _CHI_COORDS, _coordinate_names, load_chi_grid, read_json, save_chi_grid, save_wigner_grid,
-    write_json, write_table,
+    load_chi_grid, read_json, save_chi_grid, save_chi_points, save_wigner_grid, write_json,
+    write_table,
 )
 from .fock_oracle import _cutoff, run_default_suite
 from .gaussian_field import ModeSet, _check_mode, _moment_order, char_points, state_from_dict
 from .pulse_protocol import (
-    displacement_surface, reachable_manifold, schedule_from_dict, schedule_to_dict,
+    _wave_number, displacement_surface, schedule_from_dict, schedule_to_dict,
 )
 from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
@@ -200,9 +201,10 @@ def _fields(doc, fields: dict, key: str) -> list:
 
 def _tau_grid(doc, key: str) -> np.ndarray:
     lo, hi, points = _fields(doc, {"min": positive, "max": positive, "points": at_least(2)}, key)
-    if not lo < hi:
-        raise ValidationError(f"{key} needs min < max")
-    return np.linspace(lo, hi, points)
+    taus = np.linspace(lo, hi, points)
+    if not np.all(np.diff(taus) > 0):
+        raise ValidationError(f"{key} needs min < max and points that do not repeat")
+    return taus
 
 
 def _axis(doc, key: str) -> np.ndarray:
@@ -317,63 +319,48 @@ def _spec(command: str, config: dict) -> dict:
 # --------------------------------------------------------------------------
 # subcommands
 
-def _surface_rows(counts, taus, xis, *values) -> list:
-    """One row per (N, tau) of a displacement surface xis: N, tau, Re and Im
-    of xi per mode, then each of values (arrays of shape (N, tau)) there."""
-    cells = np.stack([xis.real, xis.imag], axis=-1).reshape(len(counts), len(taus), -1)
-    cells = np.concatenate([cells, *(v[..., None] for v in values)], axis=-1).tolist()
-    return [[N, tau, *row] for N, block in zip(counts, cells)
-            for tau, row in zip(taus.tolist(), block)]
+def _surface(spec: dict, kmag, omega, L: float, n: int) -> tuple:
+    """xi of the modes |k| = kmag, omega_k = omega at each (N, tau) of a surface
+    scan, as (points x modes) in N-major order, and the scan's N and tau columns."""
+    counts, taus = spec["N_list"], spec["tau"]
+    xis = displacement_surface(spec["schedule"], counts, taus, kmag, omega, L, n)
+    return xis.reshape(-1, len(kmag)), {"N": np.repeat(counts, taus.size),
+                                        "tau": np.tile(taus, len(counts))}
 
 
 def cmd_manifold(spec: dict) -> None:
-    counts, taus = spec["N_list"], spec["tau"]
-    curves = reachable_manifold(spec["schedule"], counts, taus, *spec["mode"])
-    rows = _surface_rows(counts, taus, np.array([c.xis for c in curves])[..., None])
-    write_table(spec["out"], ["N", "tau", "re_xi", "im_xi"], rows, spec["meta"])
-    print(f"wrote {len(rows)} manifold points to {spec['out']}")
-
-
-def _chi_scan_manifold(spec: dict) -> None:
-    """chi along xi(tau, N) of every mode of the state, which the probe
-    displaces at once; the modes' |k|, omega_k and box come from the state."""
-    state, counts, taus = spec["state"], spec["N_list"], spec["tau"]
-    modes = state.modes
-    xis = displacement_surface(spec["schedule"], counts, taus, modes.wavenumbers, modes.omegas,
-                               modes.box_side, modes.spatial_dim)
-    chis = char_points(state, xis.reshape(-1, state.n_modes)).reshape(xis.shape[:2])
-    columns = ["N", "tau", *_coordinate_names(_CHI_COORDS, state.n_modes), "re_chi", "im_chi"]
-    stderr = []
-    if spec["shots"] > 0:  # curve N reads out from seed + N
-        theta, shots, seed = spec["theta"], spec["shots"], spec["seed"]
-        readouts = [readout_chi(chi, theta, shots, seed + N) for N, chi in zip(counts, chis)]
-        chis = np.array([r.chi_est for r in readouts])
-        stderr = [np.array([r.chi_stderr for r in readouts])]
-        columns.append("stderr")
-    rows = _surface_rows(counts, taus, xis, chis.real, chis.imag, *stderr)
-    write_table(spec["out"], columns, rows, spec["meta"])
-    print(f"wrote {len(rows)} chi values to {spec['out']}")
+    k, omega, L, n = spec["mode"]
+    xi, lead = _surface(spec, [_wave_number(k, n)], [omega], L, n)
+    save_chi_points(spec["out"], xi, meta=spec["meta"], lead=lead)
+    print(f"wrote {len(xi)} manifold points to {spec['out']}")
 
 
 def cmd_chi_scan(spec: dict) -> None:
-    if spec["manifold"]:
-        _chi_scan_manifold(spec)
+    if not spec["manifold"]:
+        grid = _chi_grid_for(spec)
+        save_chi_grid(grid, spec["out"], spec["meta"])
+        print(f"wrote a {grid.values.shape} chi grid to {spec['out']}")
         return
-    grid = _chi_grid_for(spec)
-    save_chi_grid(grid, spec["out"], spec["meta"])
-    print(f"wrote a {grid.values.shape} chi grid to {spec['out']}")
+    # chi along xi(tau, N) of every mode of the state, which the probe
+    # displaces at once; the modes' |k|, omega_k and box come from the state
+    state, shots, counts = spec["state"], spec["shots"], spec["N_list"]
+    modes = state.modes
+    xi, lead = _surface(spec, modes.wavenumbers, modes.omegas, modes.box_side, modes.spatial_dim)
+    chi, stderr = char_points(state, xi), None
+    if shots > 0:  # curve N reads out from seed + N
+        readouts = [readout_chi(c, spec["theta"], shots, spec["seed"] + N)
+                    for N, c in zip(counts, chi.reshape(len(counts), -1))]
+        chi = np.concatenate([r.chi_est for r in readouts])
+        stderr = np.concatenate([r.chi_stderr for r in readouts])
+    save_chi_points(spec["out"], xi, chi, stderr, spec.get("theta"), shots, spec["meta"], lead)
+    print(f"wrote {len(xi)} chi values to {spec['out']}")
 
 
 def cmd_simulate(spec: dict) -> None:
-    state, flat = spec["state"], np.array(spec["points"])
-    theta, shots, seed = spec["theta"], spec["shots"], spec["seed"]
-    r = readout_chi(char_points(state, flat[:, 0::2] + 1j * flat[:, 1::2]), theta, shots, seed)
-    columns = _coordinate_names(_CHI_COORDS, state.n_modes)
-    columns += ["theta", "M", "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
-    rows = [[*xi, theta, shots, sx, sy, chi.real, chi.imag, seed] for xi, sx, sy, chi in zip(
-        flat.tolist(), r.est_sx.tolist(), r.est_sy.tolist(), r.chi_est.tolist())]
-    write_table(spec["out"], columns, rows, spec["meta"])
-    print(f"wrote {len(rows)} readout records to {spec['out']}")
+    xi, shots = np.array(spec["points"]).view(complex), spec["shots"]  # a -0.0 stays -0.0
+    r = readout_chi(char_points(spec["state"], xi), spec["theta"], shots, spec["seed"])
+    save_chi_points(spec["out"], xi, r.chi_est, r.chi_stderr, spec["theta"], shots, spec["meta"])
+    print(f"wrote {len(xi)} readout records to {spec['out']}")
 
 
 def _chi_grid_for(spec: dict):

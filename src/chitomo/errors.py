@@ -78,9 +78,10 @@ def dimension(value) -> int:
 
 def real(value) -> float:
     """A real number as a float; true and false are refused rather than read
-    as 1.0 and 0.0, a complex number rather than cut to its real part, and a
-    string such as '1.5' rather than parsed."""
-    if isinstance(value, (bool, str, bytes)) or (
+    as 1.0 and 0.0, a complex number rather than cut to its real part, a
+    string such as '1.5' rather than parsed, and a list, an object or null by
+    the same rule (a value float() takes has __float__)."""
+    if isinstance(value, bool) or not hasattr(value, "__float__") or (
             isinstance(value, Complex) and not isinstance(value, Real)):
         raise TypeError(f"a real number is expected, not {type(value).__name__}")
     return float(value)

@@ -32,6 +32,8 @@ its own chi, theta and shots (ramsey_readout._counts), so the column is
 left out wherever that derivation gives the grid's errors back bit for bit,
 and loading derives them. A file with a stderr column, such as one written
 before theta was recorded, is read as it is.
+A points file (save_chi_points) has a row per point: lead columns such as N
+and tau, each mode's coordinates, re_chi, im_chi and stderr by that rule.
 Headers carry no timestamp, so identical runs write identical bytes;
 read_table skips a '#' line it does not know, such as the generated:
 stamp of older files.
@@ -53,6 +55,7 @@ __all__ = [
     "read_table",
     "save_chi_grid",
     "load_chi_grid",
+    "save_chi_points",
     "save_wigner_grid",
     "load_wigner_grid",
     "write_json",
@@ -236,10 +239,11 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
     return axes, values, meta
 
 
-def _derived_stderr(values, theta, shots: int, skip: int):
-    """The stderr _counts derives from the chi values of the points from skip
-    on in C order, the ones a chi file has rows for."""
-    return _counts(values.reshape(-1)[skip:], theta, shots).chi_stderr
+def _keeps_stderr(chi, stderr, theta, shots: int) -> bool:
+    """Whether a table keeps the errors stderr of its chi (both flat) as a
+    column: unless _counts gives them back bit for bit from chi, theta, shots."""
+    return stderr is not None and not (theta is not None and shots >= 1 and np.array_equal(
+        _counts(chi, theta, shots).chi_stderr.view(np.int64), stderr.view(np.int64)))
 
 
 def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
@@ -248,13 +252,11 @@ def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     absent, as sampled_chi_grid leaves the points it did not measure, has no
     rows, so a half-plane grid writes its upper half and the meta field rows
     counts them. A real grid writes +0.0 as its Im chi, as its complex copy
-    would. A grid with a theta records it in the meta; its stderr column is
-    left out when the errors _counts derives from the written chi values,
-    theta and shots are the grid's bit for bit, as they are on a grid that
-    sampled_chi_grid returns, and kept otherwise (shots = 0, or a filled
-    grid's averaged cells). A grid with a theta and shots >= 1 but no stderr
-    is refused before anything is written: its file would load with the
-    errors derived from them."""
+    would. A grid with a theta records it in the meta; its stderr column
+    goes by _keeps_stderr: left out on a grid that sampled_chi_grid returns,
+    kept at shots = 0 or on a filled grid's averaged cells. A grid with a
+    theta and shots >= 1 but no stderr is refused before anything is
+    written: its file would load with the errors derived from them."""
     if grid.theta is not None and grid.shots >= 1 and grid.stderr is None:
         raise ValidationError(
             f"a grid with theta = {grid.theta} and shots = {grid.shots} but no stderr "
@@ -272,11 +274,25 @@ def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     fields = {"provenance": grid.provenance, "shots": grid.shots}
     if grid.theta is not None:
         fields["theta"] = grid.theta
-        if grid.stderr is not None and grid.shots >= 1 and np.array_equal(
-                _derived_stderr(grid.values, grid.theta, grid.shots, skip).view(np.int64),
-                grid.stderr.reshape(-1)[skip:].view(np.int64)):
-            del values["stderr"]
+    stderr = None if grid.stderr is None else grid.stderr.reshape(-1)[skip:]
+    if not _keeps_stderr(grid.values.reshape(-1)[skip:], stderr, grid.theta, grid.shots):
+        values.pop("stderr", None)
     _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, skip)
+
+
+def save_chi_points(path, xi, chi=None, stderr=None, theta=None, shots: int = 0,
+                    meta: dict | None = None, lead: dict | None = None) -> None:
+    """One row per point: the lead columns (name -> 1-D array), Re and Im xi
+    per mode (xi is points x modes), then, given chi, Re and Im chi and its
+    errors stderr where _keeps_stderr keeps them for a readout at theta and
+    shots >= 1; a readout at shots = 0 is exact and writes no errors."""
+    coords = np.stack([xi.real, xi.imag], axis=-1).reshape(len(xi), -1).T
+    cols = {**(lead or {}), **dict(zip(_coordinate_names(_CHI_COORDS, xi.shape[1]), coords))}
+    if chi is not None:
+        cols.update(re_chi=chi.real, im_chi=chi.imag)
+        if shots and _keeps_stderr(chi, stderr, theta, shots):
+            cols["stderr"] = stderr
+    write_table(path, cols, list(zip(*(np.asarray(c).tolist() for c in cols.values()))), meta)
 
 
 def _meta_theta(meta, where: str) -> float | None:
@@ -309,7 +325,7 @@ def load_chi_grid(path) -> ChiGrid:
     if stderr is None and theta is not None and shots >= 1:
         skip = values.size - read_field(meta, "rows", integer, where, values.size)
         stderr = np.full(values.shape, _MISSING["stderr"])
-        stderr.reshape(-1)[skip:] = _derived_stderr(values, theta, shots, skip)
+        stderr.reshape(-1)[skip:] = _counts(values.reshape(-1)[skip:], theta, shots).chi_stderr
     return ChiGrid(
         axes=axes,
         values=values,

@@ -17,6 +17,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
+# a surface scan of 3 N x 100 tau at coupling 0.5, of a thermal mode
+_SCAN = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+         '"switching": {"kind": "constant"}}, "N_list": [1, 4, 7], '
+         '"tau": {"min": 0.1, "max": 6.0, "points": 100}}')
+_THERMAL = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
+
 # output name -> argv; a later run may read an earlier one's output
 RUNS = {
     "chi_half.csv": ("chi-scan", "--shots", "10000", "--set", "half=true",
@@ -24,6 +30,11 @@ RUNS = {
     "moments.csv": ("moments",),
     "moments_chi_file.csv": ("moments", "--set", 'chi_file="chi_half.csv"'),
     "moments_shots.csv": ("moments", "--shots", "1000", "--set", "grid.points=33"),
+    "manifold.csv": ("manifold", "--set", "tau.points=63"),
+    "chi_scan_manifold.csv": ("chi-scan", "--shots", "10000", "--set", f"state.modes={_THERMAL}",
+                              "--set", f"manifold={_SCAN}"),
+    "simulate.csv": ("simulate", "--theta", "0.3", "--set",
+                     "points=[[0.2, -0.0], [0.0, 0.4], [-1.1, 0.3], [0.7, -0.9]]"),
 }
 
 

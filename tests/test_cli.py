@@ -31,7 +31,7 @@ from chitomo.gaussian_field import (
     state_from_dict,
 )
 from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
-from chitomo.ramsey_readout import shot_rng
+from chitomo.ramsey_readout import _counts, readout_chi, shot_rng
 from chitomo.tomography import (
     chi_grid_from_state, grid_axis, hermitian_fill, moments_fd, sampled_chi_grid,
 )
@@ -39,6 +39,10 @@ from chitomo.tomography import (
 from documents import state_to_dict
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
+# a surface scan of 3 N x 315 tau: the manifold defaults at coupling 0.5
+_SCAN = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+         '"switching": {"kind": "constant"}}, "N_list": [1, 4, 7], '
+         '"tau": {"min": 0.02, "max": 6.283185307179586, "points": 315}}')
 # the fields of a Bogoliubov-weighted smearing without its optional sign
 _WEIGHTED = '"kind": "bogoliubov_weighted", "base": {"kind": "delta"}, "m_B": 1.0, "g_rho0": 1.0'
 
@@ -84,6 +88,18 @@ NON_NUMERIC = [
      "points = [[True, False]] is not usable: a real number is expected, not bool"),
     (("simulate", "--set", "points=[[NaN, 0]]"),
      "points = [[nan, 0]] is not usable: a finite number is expected"),
+    # a list, an object or null where a number belongs was refused in
+    # float()'s own words
+    (("chi-scan", "--set", "grid.extent=null"),
+     "grid.extent = None is not usable: a real number is expected, not NoneType"),
+    (("chi-scan", "--set", "grid.extent=[1]"),
+     "grid.extent = [1] is not usable: a real number is expected, not list"),
+    (("chi-scan", "--set", 'grid.extent={"a":1}'),
+     "grid.extent = {'a': 1} is not usable: a real number is expected, not dict"),
+    (("chi-scan", "--shots", "10", "--set", "theta=[1.5]"),
+     "theta = [1.5] is not usable: a real number is expected, not list"),
+    (("simulate", "--set", "points=[[[0.2, 0]]]"),
+     "points = [[[0.2, 0]]] is not usable: a real number is expected, not list"),
     # an empty object is read, and refused by its first missing field, not
     # taken as absent
     (("chi-scan", "--shots", "100", "--set", "manifold={}"),
@@ -283,7 +299,7 @@ def test_chi_scan_manifold_mode(tmp_path):
     out = tmp_path / "scan.csv"
     assert run("chi-scan", "--config", str(cfg), "--out", str(out)) == 0
     columns, rows, _ = read_table(out)
-    assert columns == ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]
+    assert columns == ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]  # exact: no stderr
     assert len(rows) == 80
     state = GaussianFieldState(
         modes=ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1]]),
@@ -294,7 +310,7 @@ def test_chi_scan_manifold_mode(tmp_path):
         assert complex(re_chi, im_chi) == pytest.approx(want, abs=1e-12)
 
 
-def test_chi_scan_manifold_sampled_writes_stderr(tmp_path):
+def test_chi_scan_manifold_sampled_errors_derive_from_its_cells(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "state": {
@@ -312,15 +328,19 @@ def test_chi_scan_manifold_sampled_writes_stderr(tmp_path):
     out = tmp_path / "scan.csv"
     args = ("chi-scan", "--config", str(cfg), "--shots", "2000", "--seed", "4")
     assert run(*args, "--out", str(out)) == 0
-    columns, rows, _ = read_table(out)
-    assert columns == ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi", "stderr"]
+    columns, rows, meta = read_table(out)
+    # the errors are written through the header: _counts derives them from
+    # each row's chi and the config's theta and shots, as in a grid file
+    assert columns == ["N", "tau", "re_xi", "im_xi", "re_chi", "im_chi"]
     assert len(rows) == 80
+    config = meta["config"]
+    stderr = _counts(rows[:, 4] + 1j * rows[:, 5], config["theta"], config["shots"]).chi_stderr
     state = GaussianFieldState(
         modes=ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1]]),
         mode_states=[Thermal(n=1.0)],
     )
     pulls = []
-    for N, tau, re_xi, im_xi, re_chi, im_chi, err in rows:
+    for (N, tau, re_xi, im_xi, re_chi, im_chi), err in zip(rows, stderr):
         assert 0.0 <= err <= math.sqrt(2.0 / 2000) + 1e-12
         want = char_analytic(state, complex(re_xi, im_xi))
         pulls.append(abs(complex(re_chi, im_chi) - want) / max(err, 1e-12))
@@ -364,7 +384,7 @@ def test_chi_scan_manifold_reads_every_mode_of_the_state(tmp_path):
     first, again = tmp_path / "first.csv", tmp_path / "again.csv"
     assert run(*args, "--out", str(first)) == 0
     assert run(*args, "--out", str(again)) == 0
-    assert read_table(first)[0] == columns + ["stderr"]
+    assert read_table(first)[0] == columns  # the errors derive from chi and the config
     assert data_lines(first) == data_lines(again)
 
 
@@ -423,11 +443,14 @@ def test_simulate_records(tmp_path):
     )
     assert code == 0
     columns, rows, meta = read_table(out)
-    assert {"re_xi", "im_xi", "est_sx", "est_sy", "re_chi", "im_chi", "M"} <= set(columns)
+    # theta, M and the seed are the header's config; the errors and both
+    # Bloch estimates derive from chi and the config through _counts
+    assert columns == ["re_xi", "im_xi", "re_chi", "im_chi"]
     assert len(rows) == 2
-    assert meta["config"]["shots"] == 500
+    assert (meta["config"]["theta"], meta["config"]["shots"], meta["config"]["seed"]) == (
+        math.pi / 2, 500, 3)
     row = dict(zip(columns, rows[0]))
-    assert row["M"] == 500
+    assert (row["re_xi"], row["im_xi"]) == (0.2, 0.0)
     assert abs(complex(row["re_chi"], row["im_chi"])) <= 1.0 / abs(math.sin(math.pi / 2)) + 1e-9
 
 
@@ -457,12 +480,13 @@ def test_simulate_two_mode_columns(tmp_path):
         "--out", str(out),
     )
     assert code == 0
-    columns, rows, _ = read_table(out)
-    assert columns == ["re_xi0", "im_xi0", "re_xi1", "im_xi1", "theta", "M",
-                       "est_sx", "est_sy", "re_chi", "im_chi", "seed"]
+    columns, rows, meta = read_table(out)
+    # shots 0 reads chi out exactly: no stderr column, not one of zeros
+    assert columns == ["re_xi0", "im_xi0", "re_xi1", "im_xi1", "re_chi", "im_chi"]
     row = dict(zip(columns, rows[0]))
     assert (row["re_xi0"], row["im_xi0"], row["re_xi1"], row["im_xi1"]) == (0.2, 0.1, -0.3, 0.4)
-    assert (row["theta"], row["M"], row["seed"]) == (math.pi / 2, 0, 0)
+    config = meta["config"]
+    assert (config["theta"], config["shots"], config["seed"]) == (math.pi / 2, 0, 0)
     state = GaussianFieldState(
         modes=ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]]),
         mode_states=[Thermal(n=1.0), Vacuum()],
@@ -470,6 +494,69 @@ def test_simulate_two_mode_columns(tmp_path):
     want = char_analytic(state, [0.2 + 0.1j, -0.3 + 0.4j])
     assert complex(row["re_chi"], row["im_chi"]) == pytest.approx(want, abs=1e-15)
     assert dict(zip(columns, rows[1]))["re_chi"] == 1.0
+
+
+# ---------------------------------------------------------------- points files
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _readouts(path):
+    """(columns, rows, config, readout) of the points file at path, where
+    readout is readout_chi in process at its points on the run's draws: one
+    call for simulate, one per curve N of a surface scan from seed + N."""
+    columns, rows, meta = read_table(path)
+    config = meta["config"]
+    state = state_from_dict(config["state"])
+    coords = [c for c in columns if c.startswith(("re_xi", "im_xi"))]
+    xi = rows[:, [columns.index(c) for c in coords]].copy().view(complex)
+    chi = char_points(state, xi)
+    args = config["theta"], config["shots"]
+    if "N" not in columns:
+        return columns, rows, config, readout_chi(chi, *args, config["seed"])
+    curves = [readout_chi(chi[rows[:, 0] == N], *args, config["seed"] + N)
+              for N in config["manifold"]["N_list"]]
+    return columns, rows, config, type(curves[0])(*map(np.concatenate, zip(*curves)))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.3])
+def test_a_points_file_rebuilds_its_readout_from_its_cells_and_config(tmp_path, theta):
+    # a sampled points file leaves out the errors and both Bloch means:
+    # _counts rebuilds them from its chi cells and its config's theta and
+    # shots, bit for bit those of readout_chi on the same seeds
+    state = ("--set", f"state.modes={THERMAL_MODES}", "--theta", repr(theta), "--seed", "6")
+    scan, sim = tmp_path / "scan.csv", tmp_path / "sim.csv"
+    assert run("chi-scan", *state, "--set", f"manifold={_SCAN}", "--set", "manifold.tau.points=40",
+               "--shots", "10000", "--out", str(scan)) == 0
+    assert run("simulate", *state, "--set", "points=[[0.2, -0.0], [0.0, 0.4], [-1.1, 0.3]]",
+               "--shots", "777", "--out", str(sim)) == 0
+    for path, points in ((scan, 3 * 40), (sim, 3)):
+        columns, rows, config, want = _readouts(path)
+        assert columns[-2:] == ["re_chi", "im_chi"] and len(rows) == points
+        re, im = rows[:, -2], rows[:, -1]
+        assert (_bits(re), _bits(im)) == (_bits(want.chi_est.real), _bits(want.chi_est.imag))
+        got = _counts(re + 1j * im, config["theta"], config["shots"])
+        for name in ("est_sx", "est_sy", "chi_stderr"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (path.name, name)
+    assert read_table(sim)[1][0, 1].hex() == "-0x0.0p+0"  # a point's -0.0 is written as given
+
+
+@pytest.mark.parametrize("shots,kept", [(10_000, False), (2**53, False), (2**60, True)])
+def test_a_scan_keeps_its_stderr_only_where_counts_cannot_rebuild_it(tmp_path, shots, kept):
+    # above 2**53 shots the count ratios are no longer exact, so _counts does
+    # not give the errors back and the column stays, as readout_chi gave it
+    out = tmp_path / "scan.csv"
+    assert run("chi-scan", "--set", f"manifold={_SCAN}", "--shots", str(shots), "--seed", "2",
+               "--out", str(out)) == 0
+    columns, rows, config, want = _readouts(out)
+    assert len(rows) == 3 * 315
+    assert columns[-1] == ("stderr" if kept else "im_chi")
+    chi = rows[:, columns.index("re_chi")] + 1j * rows[:, columns.index("im_chi")]
+    rebuilt = _counts(chi, config["theta"], shots).chi_stderr
+    assert (_bits(rebuilt) == _bits(want.chi_stderr)) is not kept
+    if kept:
+        assert _bits(rows[:, -1]) == _bits(want.chi_stderr)
 
 
 @pytest.mark.parametrize(
@@ -748,6 +835,14 @@ BAD_INPUT = [
     (("moments", "--set", "h=0.01"), "unknown field(s) 'h'"),
     (("moments", "--set", "richardson=false"), "unknown field(s) 'richardson'"),
     (("chi-scan", "--set", "grid.points=4"), "grid.points = 4"),
+    # a list or null for a number, in the field rule's words
+    (("chi-scan", "--set", "grid.extent=null"), "not NoneType"),
+    (("simulate", "--set", "points=[[[0.2, 0]]]"), "not list"),
+    # a tau spec whose points repeat: the chi-scan wrote three identical rows
+    *(((*argv, "--set", f"{key}.min=1.0", "--set", f"{key}.max=1.0000000000000002",
+        "--set", f"{key}.points=5"), "tau needs min < max and points that do not repeat")
+      for argv, key in ((("manifold",), "tau"),
+                        (("chi-scan", "--set", f"manifold={_SCAN}"), "manifold.tau"))),
 ]
 
 
@@ -1400,7 +1495,7 @@ REFUSED = [
 
 # the layers a run does its work in, as chitomo.cli names them
 _LAYERS = ("readout_chi", "sampled_chi_grid", "chi_grid_from_state", "hermitian_fill",
-           "wigner_transform", "moments_fd", "displacement_surface", "reachable_manifold",
+           "wigner_transform", "moments_fd", "displacement_surface", "save_chi_points",
            "run_default_suite", "map_to_protocol", "write_table")
 
 

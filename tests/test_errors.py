@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chitomo.bec_analogue import BecParams, BogoliubovWeighted
-from chitomo.errors import ValidationError, boolean, converted, integer, known_fields
+from chitomo.errors import ValidationError, boolean, converted, integer, known_fields, real
 from chitomo.fock_oracle import (
     FieldMode,
     _squeezer,
@@ -168,6 +168,23 @@ def test_real_fields_refuse_numeric_strings_by_name(argument, bad):
     with pytest.raises(ValidationError,
                        match=rf"^{name} = .+ is not usable: a real number is expected, not {kind}"):
         _COMPLEX_ARGUMENTS[argument](bad)
+
+
+@pytest.mark.parametrize("argument", sorted(_COMPLEX_ARGUMENTS))
+@pytest.mark.parametrize("bad", [[1.5], {"a": 1.5}, None])
+def test_real_fields_refuse_lists_objects_and_null_by_the_same_rule(argument, bad):
+    # float() refused these in its own words ("float() argument must be ...")
+    name = re.escape(argument.split(".")[-1])
+    kind = type(bad).__name__
+    with pytest.raises(ValidationError,
+                       match=rf"^{name} = .+ is not usable: a real number is expected, not {kind}$"):
+        _COMPLEX_ARGUMENTS[argument](bad)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.25), np.float32(0.25), np.int8(3),
+                                   np.array(0.25), np.array(3)])
+def test_a_0d_numpy_value_is_a_real_number(value):
+    assert real(value) == float(value) and type(real(value)) is float
 
 
 _SCHEDULE = PulseSchedule(lam=0.1, tau=1.0, N=1, smearing=Delta(), switching=Constant(1.0))

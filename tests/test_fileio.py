@@ -25,6 +25,7 @@ from chitomo.fileio import (
     read_json,
     read_table,
     save_chi_grid,
+    save_chi_points,
     save_wigner_grid,
     write_json,
     write_table,
@@ -352,6 +353,45 @@ def test_a_grid_with_theta_and_shots_but_no_stderr_is_refused_before_writing(tmp
     with pytest.raises(ValidationError, match="shots = 100 but no stderr"):
         save_chi_grid(g, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("case", ["drawn", "one ulp off", "no theta", "shots 0"])
+def test_grid_and_points_files_keep_a_stderr_column_by_one_rule(tmp_path, case):
+    # one readout written as a grid and as points: both leave the column out
+    # exactly where _counts gives the errors back bit for bit, except that
+    # points read out at shots = 0 are exact and write no errors at all
+    g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 7),) * 2, theta=0.3, shots=500, seed=3)
+    stderr, theta, shots = g.stderr.copy(), g.theta, g.shots
+    if case == "one ulp off":
+        stderr[2, 3] = np.nextafter(stderr[2, 3], 1.0)
+    theta = None if case == "no theta" else theta
+    shots = 0 if case == "shots 0" else shots
+    grid, points = tmp_path / "grid.csv", tmp_path / "points.csv"
+    save_chi_grid(ChiGrid(axes=g.axes, values=g.values, provenance="sampled", shots=shots,
+                          stderr=stderr, theta=theta), grid)
+    xi = (g.axes[0][:, None] + 1j * g.axes[1]).reshape(-1, 1)
+    save_chi_points(points, xi, g.values.reshape(-1), stderr.reshape(-1), theta, shots)
+    for path in (grid, points):
+        columns, data, _ = read_table(path)
+        assert columns[:4] == ["re_xi", "im_xi", "re_chi", "im_chi"]
+        kept = case != "drawn" and not (path == points and case == "shots 0")
+        assert (columns[-1] == "stderr") is kept
+        if kept:
+            assert data[:, -1].tobytes() == stderr.tobytes()
+    assert load_chi_grid(grid).stderr.tobytes() == stderr.tobytes()
+
+
+def test_a_points_file_lists_its_lead_columns_then_each_modes_coordinates(tmp_path):
+    # integer lead cells stay integers, and every cell is bit for bit, -0.0 too
+    path = tmp_path / "points.csv"
+    xi = np.array([[0.5, -0.0, 1.0, 2.0], [-0.25, 1.5, 0.0, -1.0]]).view(complex)
+    save_chi_points(path, xi, meta={"note": 1},
+                    lead={"N": np.array([1, 4]), "tau": np.array([0.5, 0.75])})
+    assert path.read_text().splitlines()[1:] == [
+        '# meta: {"note": 1}', "# columns: N,tau,re_xi0,im_xi0,re_xi1,im_xi1",
+        "1,0.5,0.5,-0.0,1.0,2.0", "4,0.75,-0.25,1.5,0.0,-1.0"]
+    save_chi_points(path, xi[:, :1], np.array([0.5 + 0.25j, 1.0 + 0.0j]))
+    assert read_table(path)[0] == ["re_xi", "im_xi", "re_chi", "im_chi"]
 
 
 @pytest.mark.parametrize("half", [False, True])
