@@ -130,9 +130,8 @@ class MappedProtocol(Record, eq=False):
         if self.no_signal:
             return np.zeros(self.modes.n_modes, dtype=complex)
         s, m = self.schedule, self.modes
-        xi = displacement_surface(s, [s.N], [s.tau], m.wavenumbers, self.omegas,
-                                  m.box_side, m.spatial_dim)
-        return xi[0, 0]
+        return displacement_surface(s.lam, s.smearing, s.switching, [s.N], [s.tau],
+                                    m.wavenumbers, self.omegas, m.box_side, m.spatial_dim)[0, 0]
 
 
 def map_to_protocol(

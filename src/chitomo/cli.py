@@ -9,6 +9,8 @@ seed gives byte-identical output. Every field a run reads is converted and
 checked once, by _spec, before any grid is built, sampled, transformed or
 written. A grid is written by fileio.save_chi_grid, and chi or xi at listed
 points (manifold, a manifold chi-scan, simulate) by fileio.save_chi_points.
+A surface scan's schedule (manifold, a manifold chi-scan) is its probe alone,
+lambda, smearing and switching; bec-map's is a whole pulse schedule.
 
 Exit codes: 0 success, 1 bad input (an unusable input or output path too),
 2 failed numerical safeguard.
@@ -38,7 +40,8 @@ from .fileio import (
 from .fock_oracle import _cutoff, run_default_suite
 from .gaussian_field import ModeSet, _check_mode, _moment_order, char_points, state_from_dict
 from .pulse_protocol import (
-    _wave_number, displacement_surface, schedule_from_dict, schedule_to_dict,
+    PulseSchedule, _wave_number, displacement_surface, schedule_from_dict, schedule_to_dict,
+    smearing_from_dict, switching_from_dict,
 )
 from .ramsey_readout import _readout_args, readout_chi
 from .tomography import (
@@ -55,10 +58,8 @@ _VACUUM_STATE = {
     "modes": [{"j": [0], "kind": "vacuum", "params": {}}],
 }
 
-_BASE_SCHEDULE = {
+_BASE_PROBE = {
     "lambda": 0.01,
-    "tau": 1.0,
-    "N": 1,
     "smearing": {"kind": "delta"},
     "switching": {"kind": "constant", "value": 1.0},
 }
@@ -67,7 +68,7 @@ _BASE_MODE = {"k": 1.0, "omega": 1.0, "L": _TWO_PI, "n": 1}
 
 _DEFAULTS: dict[str, dict] = {
     "manifold": {
-        "schedule": _BASE_SCHEDULE,
+        "schedule": _BASE_PROBE,
         "mode": _BASE_MODE,
         "N_list": [1, 4, 5, 6, 7, 8, 9, 10],
         "tau": {"min": 0.02, "max": _TWO_PI, "points": 315},
@@ -122,7 +123,7 @@ _DEFAULTS: dict[str, dict] = {
             "m_B": 1.0,
         },
         "modes": {"spatial_dim": 1, "box_side": _TWO_PI, "indices": [[1], [2], [3]]},
-        "schedule": _BASE_SCHEDULE,
+        "schedule": {**_BASE_PROBE, "tau": 1.0, "N": 1},
     },
 }
 
@@ -235,6 +236,9 @@ def _mode_set(doc, key: str) -> ModeSet:
 
 
 _SURFACE = ("schedule", "N_list", "tau")
+# a surface scan's schedule: the probe, displacement_surface's arguments before N and tau
+_PROBE = {"lambda": PulseSchedule._rules["lam"], "smearing": smearing_from_dict,
+          "switching": switching_from_dict}
 
 # the converter of each config field, called with its value and name; a name
 # that means one thing per subcommand is keyed by (subcommand, name)
@@ -253,7 +257,8 @@ _CONVERT = {
     ("oracle-check", "out"): partial(_path, optional=True),
     "state": lambda doc, key: _inline_or_file(doc, state_from_dict, key),
     "bec": lambda doc, key: _inline_or_file(doc, params_from_dict, "bec parameters"),
-    "schedule": lambda doc, key: schedule_from_dict(doc),
+    "schedule": lambda doc, key: _fields(doc, _PROBE, key),
+    ("bec-map", "schedule"): lambda doc, key: schedule_from_dict(doc),
     "tau": _tau_grid,
     "grid": _axis,
     "alpha": lambda doc, key: None if doc is None else _axis(doc, key),
@@ -287,14 +292,14 @@ def _spec(command: str, config: dict) -> dict:
     spec = {"config": config, "meta": {"command": command, "config": config},
             "chi_file": None, "manifold": None}
 
-    def read(*keys, doc=config):  # the value of the last key
+    def read(*keys, doc=config, path=""):  # the value of the last key
         for key in keys:
-            spec[key] = (_CONVERT.get((command, key)) or _CONVERT[key])(doc.get(key), key)
+            spec[key] = (_CONVERT.get((command, key)) or _CONVERT[key])(doc.get(key), path + key)
         return spec[keys[-1]]
 
     read("out", *_READS[command])
     if spec["manifold"]:  # chi along the displacement surface, not on a grid
-        read(*_SURFACE, doc=spec["manifold"])
+        read(*_SURFACE, doc=spec["manifold"], path="manifold.")
     if command == "simulate":
         n = spec["state"].n_modes
         if not spec["points"] or any(len(point) != 2 * n for point in spec["points"]):
@@ -323,7 +328,7 @@ def _surface(spec: dict, kmag, omega, L: float, n: int) -> tuple:
     """xi of the modes |k| = kmag, omega_k = omega at each (N, tau) of a surface
     scan, as (points x modes) in N-major order, and the scan's N and tau columns."""
     counts, taus = spec["N_list"], spec["tau"]
-    xis = displacement_surface(spec["schedule"], counts, taus, kmag, omega, L, n)
+    xis = displacement_surface(*spec["schedule"], counts, taus, kmag, omega, L, n)
     return xis.reshape(-1, len(kmag)), {"N": np.repeat(counts, taus.size),
                                         "tau": np.tile(taus, len(counts))}
 

@@ -19,8 +19,9 @@ u = omega tau = (2m+1) pi, where it tends to -2N(-1)^N; there the magnitude
 attains its maximum 8 lambda N eta_k |F(k)| / pi. Both are handled
 analytically, never through floating-point tan near a pole.
 
-One probe displaces every field mode at once, so displacement_surface gives
-xi of all modes over an N x tau grid; a single displacement, a manifold
+One probe (lam, the smearing and the switching) displaces every field mode
+at once, so displacement_surface takes the probe alone and gives xi of all
+modes over an N x tau grid, its two axes; a single displacement, a manifold
 curve, a manifold scan and the condensate map are calls into it and agree
 bit for bit. The switching window integrals over [0, tau] are exact and take
 tau arrays: erf/erfc for the Gaussian window, a cumulative table for
@@ -305,10 +306,12 @@ def _sin_tan_product(u, N):
     return np.where(np.abs(d) < 0.5, near, np.sin(N * u) * np.tan(0.5 * u))
 
 
-def displacement_surface(sched: PulseSchedule, Ns, taus, kmag, omega, L: float, n: int):
+def displacement_surface(lam, smearing, switching, Ns, taus, kmag, omega, L: float, n: int):
     """xi of M modes (|k| = kmag, omega_k = omega) on Ns x taus, shape
-    (len(Ns), len(taus), M): one switching integral over taus x omega and one
-    F(k) over kmag. The schedule's own tau and N are not read."""
+    (len(Ns), len(taus), M), for the probe of coupling lam > 0 through the
+    smearing F and the switching eta: one switching integral over taus x
+    omega and one F(k) over kmag."""
+    lam = converted(positive, lam, "lam")
     n = converted(dimension, n, "spatial dimension")
     taus, kmag, omega = (converted(real_array, a, name) for a, name in
                          ((taus, "taus"), (kmag, "kmag"), (omega, "omega")))
@@ -317,10 +320,10 @@ def displacement_surface(sched: PulseSchedule, Ns, taus, kmag, omega, L: float, 
     if len(Ns) == 0:
         raise ValidationError("empty N list")
     N = np.array([_segment_count(v) for v in Ns]).reshape(-1, 1, 1)
-    eta_k = switching_integral(sched.switching, taus[:, None], omega, L, n)
-    ft = _transform(sched.smearing, kmag, n)
+    eta_k = switching_integral(switching, taus[:, None], omega, L, n)
+    ft = _transform(smearing, kmag, n)
     u = omega * taus[:, None]
-    return (-4.0 * sched.lam * eta_k * np.conj(ft) / u * _sin_tan_product(u, N)
+    return (-4.0 * lam * eta_k * np.conj(ft) / u * _sin_tan_product(u, N)
             * np.exp(1j * N * u))
 
 
@@ -335,8 +338,8 @@ def displacement_param(
     |xi| = 8 lam N eta_k |F(k)| / pi is the per-mode maximum.
     """
     kmag = _wave_number(k, converted(dimension, n, "spatial dimension"))
-    xi = displacement_surface(sched, [sched.N], [sched.tau], [kmag], [omega_k], L, n)
-    return complex(xi[0, 0, 0])
+    return complex(displacement_surface(sched.lam, sched.smearing, sched.switching, [sched.N],
+                                        [sched.tau], [kmag], [omega_k], L, n)[0, 0, 0])
 
 
 class Curve(Record):
@@ -369,7 +372,8 @@ def reachable_manifold(
         raise ValidationError("tau grid must be positive and strictly increasing")
     counts = [_segment_count(N) for N in N_list]
     kmag = _wave_number(k, converted(dimension, n, "spatial dimension"))
-    xis = displacement_surface(sched_template, counts, taus, [kmag], [omega_k], L, n)
+    xis = displacement_surface(sched_template.lam, sched_template.smearing,
+                               sched_template.switching, counts, taus, [kmag], [omega_k], L, n)
     return [Curve(N=N, taus=taus.copy(), xis=x[:, 0]) for N, x in zip(counts, xis)]
 
 

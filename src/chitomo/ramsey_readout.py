@@ -18,7 +18,8 @@ restates them on purpose, and in the tests.
 The map from chi to the Bloch vector is elementwise, so readout_chi runs it
 over whole arrays of chi values at once. Finite-shot mode draws M independent
 +-1 outcomes per basis with P(+1) = (1 + <sigma>)/2, as one binomial draw per
-point, and reads the count k of +1 outcomes as the mean (k - (M - k)) / M.
+point, and reads the count k of +1 outcomes as the mean (k - (M - k)) / M;
+at shots 0 the readout is exact and gives chi back as it is.
 Each basis has one counter-based (Philox) stream keyed by (seed,
 basis), consumed in point order, so a given seed and point list always give
 the same samples.
@@ -114,25 +115,25 @@ class ShotResult(NamedTuple):
     stderr: float
 
 
-def _sample_mean(bloch, M: int, rng: np.random.Generator):
-    """Mean of M projective +-1 reads with P(+1) = (1 + bloch)/2 and its
-    binomial standard error sqrt((1 - mean^2)/M), elementwise over bloch.
+def _draw(bloch, M: int, rng: np.random.Generator):
+    """The count of +1 among M projective +-1 reads with P(+1) = (1 + bloch)/2:
+    one binomial draw per element of bloch."""
+    return rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0))
 
-    With k reads of +1 the mean is the count ratio (k - (M - k)) / M; the
-    counts stay int64 up to the one division, where 2 * k - M would overflow
-    int64 near MAX_SHOTS.
-    For M <= 2**53 that is the correctly rounded (2k - M)/M: exactly +-1 at
-    k = 0 or M, and for M = 2**a 5**b (10**4, 10**5) an exact short decimal
-    whose repr is that decimal.
+
+def _count_ratio(k, M: int):
+    """Mean of M +-1 reads of which k are +1, and its binomial standard error
+    sqrt((1 - mean^2)/M), elementwise over the counts k.
+
+    The mean is the count ratio (k - (M - k)) / M; integer counts stay int64
+    up to the one division, where 2 * k - M would overflow int64 near
+    MAX_SHOTS. For M <= 2**53 that is the correctly rounded (2k - M)/M:
+    exactly +-1 at k = 0 or M, and for M = 2**a 5**b (10**4, 10**5) an exact
+    short decimal whose repr is that decimal.
     """
-    k = np.asarray(rng.binomial(M, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0)))
+    k = np.asarray(k)
     est = (k - (M - k)) / M
-    return est, _mean_stderr(est, M)
-
-
-def _mean_stderr(est, M: int):
-    """Binomial standard error sqrt((1 - mean^2)/M) of a mean of M +-1 reads."""
-    return np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
+    return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / M)
 
 
 def _chi_stderr(err_x, err_y, s: float):
@@ -149,7 +150,7 @@ def sample_shots(qs: QubitState, basis: str, M: int, rng) -> ShotResult:
     draw and the arithmetic are readout_chi's, so the two agree bit for bit.
     """
     M = converted(at_least(1, MAX_SHOTS), M, "shot count M")
-    est, stderr = _sample_mean(bloch_expectation(qs, basis), M, rng)
+    est, stderr = _count_ratio(_draw(bloch_expectation(qs, basis), M, rng), M)
     return ShotResult(estimate=float(est), stderr=float(stderr))
 
 
@@ -200,7 +201,7 @@ class ChiReadout(NamedTuple):
 
     A sampled estimate is the count ratio (k - (M - k)) / M (see
     sample_shots); at theta = pi/2, where sin is exactly 1.0, chi_est holds
-    the two ratios unchanged.
+    the two ratios unchanged. An exact readout's chi_est is chi itself.
     """
 
     est_sx: NDArray[np.float64]
@@ -223,54 +224,42 @@ def readout_chi(chi, theta: float, shots: int = 0, seed: int = 0) -> ChiReadout:
 
     The Bloch components are (sin th Im chi, sin th Re chi). theta, shots
     (0 to MAX_SHOTS) and seed (>= 0) are checked before any draw. shots = 0
-    returns them exactly, with zero errors. Otherwise each basis takes one
-    binomial draw of M = shots per point from shot_rng(seed, basis), basis 0
-    for X and 1 for Y, in the points' C order, and its estimate is the count
-    ratio (k - (M - k)) / M of the k reads of +1.
+    returns them exactly, with zero errors, and chi itself as chi_est.
+    Otherwise each basis takes one binomial draw of M = shots per point from
+    shot_rng(seed, basis), basis 0 for X and 1 for Y, in the points' C order,
+    and its estimate is the count ratio (k - (M - k)) / M of the k reads of +1.
     """
     chi = np.asarray(chi, dtype=complex)
     shots, seed, s = _readout_args(theta, shots, seed)
     _check_characteristic(chi)
     bloch_x, bloch_y = s * chi.imag, s * chi.real
     if shots == 0:
-        est_x, est_y = bloch_x, bloch_y
+        est_x, est_y, chi_est = bloch_x, bloch_y, chi
         err_x = err_y = np.zeros(chi.shape)
     else:
-        est_x, err_x = _sample_mean(bloch_x, shots, shot_rng(seed, 0))
-        est_y, err_y = _sample_mean(bloch_y, shots, shot_rng(seed, 1))
-    chi_est = estimate_chi(est_x, est_y, theta)
+        est_x, err_x = _count_ratio(_draw(bloch_x, shots, shot_rng(seed, 0)), shots)
+        est_y, err_y = _count_ratio(_draw(bloch_y, shots, shot_rng(seed, 1)), shots)
+        chi_est = estimate_chi(est_x, est_y, theta)
     return ChiReadout(est_x, est_y, err_x, err_y, chi_est, _chi_stderr(err_x, err_y, s))
 
 
-class _Counts(NamedTuple):
-    """Counts of +1 reads per basis, their count ratios and the combined chi
-    error, as recovered from sampled chi estimates by _counts."""
-
-    k_x: NDArray[np.float64]
-    k_y: NDArray[np.float64]
-    est_sx: NDArray[np.float64]
-    est_sy: NDArray[np.float64]
-    chi_stderr: NDArray[np.float64]
-
-
-def _counts(chi, theta: float, shots: int) -> _Counts:
-    """The counts behind chi estimates that readout_chi drew with shots >= 1.
+def _counts(chi, theta: float, shots: int) -> ChiReadout:
+    """The readout behind chi estimates that readout_chi drew with shots >= 1.
 
     Elementwise over chi of any shape, each basis's count of +1 reads is
     k = rint(M (1 + sin(theta) c) / 2), with c = Im chi for X and Re chi for
-    Y, and its estimate the count ratio (k - (M - k)) / M. The errors are
-    readout_chi's formulas, so for M <= 2**53 the estimates and chi_stderr
-    are readout_chi's bit for bit. The counts are floats, so a NaN chi (an
+    Y, and _count_ratio turns it into the basis's estimate and error as in
+    readout_chi. So for M <= 2**53 every field is readout_chi's bit for bit,
+    chi_est being the chi given. The counts are floats, so a NaN chi (an
     unmeasured point) carries NaN through; a cell that was not read out as
     one point, such as one the fill averaged, gives no count of its own.
     """
     s = _sin_theta(theta)
     M = converted(at_least(1, MAX_SHOTS), shots, "shots")
     chi = np.asarray(chi, dtype=complex)
-    k_x, k_y = (np.rint(M * (1.0 + s * c) / 2.0) for c in (chi.imag, chi.real))
-    est_x, est_y = (k_x - (M - k_x)) / M, (k_y - (M - k_y)) / M
-    return _Counts(k_x, k_y, est_x, est_y,
-                   _chi_stderr(_mean_stderr(est_x, M), _mean_stderr(est_y, M), s))
+    (est_x, err_x), (est_y, err_y) = (_count_ratio(np.rint(M * (1.0 + s * c) / 2.0), M)
+                                      for c in (chi.imag, chi.real))
+    return ChiReadout(est_x, est_y, err_x, err_y, chi, _chi_stderr(err_x, err_y, s))
 
 
 class ReadoutRecord(Record):

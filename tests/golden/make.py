@@ -18,13 +18,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 # a surface scan of 3 N x 100 tau at coupling 0.5, of a thermal mode
-_SCAN = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+_SCAN = ('{"schedule": {"lambda": 0.5, "smearing": {"kind": "delta"}, '
          '"switching": {"kind": "constant"}}, "N_list": [1, 4, 7], '
          '"tau": {"min": 0.1, "max": 6.0, "points": 100}}')
 _THERMAL = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 
 # output name -> argv; a later run may read an earlier one's output
 RUNS = {
+    "chi_exact.csv": ("chi-scan", "--set", "grid.points=33"),
+    "wigner.csv": ("wigner", "--set", 'chi_file="chi_exact.csv"'),
+    "bec_map.json": ("bec-map",),
     "chi_half.csv": ("chi-scan", "--shots", "10000", "--set", "half=true",
                      "--set", "grid.points=33"),
     "moments.csv": ("moments",),

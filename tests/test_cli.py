@@ -30,7 +30,7 @@ from chitomo.gaussian_field import (
     char_points,
     state_from_dict,
 )
-from chitomo.pulse_protocol import PulseSchedule, displacement_param, schedule_from_dict
+from chitomo.pulse_protocol import displacement_param, schedule_from_dict
 from chitomo.ramsey_readout import _counts, readout_chi, shot_rng
 from chitomo.tomography import (
     chi_grid_from_state, grid_axis, hermitian_fill, moments_fd, sampled_chi_grid,
@@ -40,9 +40,18 @@ from documents import state_to_dict
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 # a surface scan of 3 N x 315 tau: the manifold defaults at coupling 0.5
-_SCAN = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+_SCAN = ('{"schedule": {"lambda": 0.5, "smearing": {"kind": "delta"}, '
          '"switching": {"kind": "constant"}}, "N_list": [1, 4, 7], '
          '"tau": {"min": 0.02, "max": 6.283185307179586, "points": 315}}')
+# a chi-scan along that surface, and a bad value of each kind of its spec's
+# fields with the start of its error line, which names the field by its path
+SPEC_SCAN = ("chi-scan", "--set", f"manifold={_SCAN}")
+SPEC_FIELDS = [
+    ("manifold.tau.points=1", "error: manifold.tau.points = 1 is not usable"),
+    ("manifold.N_list=[0]", "error: manifold.N_list = [0] is not usable"),
+    ("manifold.schedule.foo=1", "error: manifold.schedule has unknown field(s) 'foo'"),
+    ("manifold.schedule.lambda=0", "error: manifold.schedule.lambda = 0 is not usable"),
+]
 # the fields of a Bogoliubov-weighted smearing without its optional sign
 _WEIGHTED = '"kind": "bogoliubov_weighted", "base": {"kind": "delta"}, "m_B": 1.0, "g_rho0": 1.0'
 
@@ -159,6 +168,11 @@ UNKNOWN_FIELD = [
     # fields no run reads, which older configs carry
     (("chi-scan", "--set", "timestamps=false"), "'timestamps'"),
     (("bec-map", "--set", "bec.omega0=1.0"), "'omega0'"),
+    # a surface scan's tau and N are its own axes, not fields of its probe
+    (("manifold", "--set", "schedule.tau=3.3"), "'tau'"),
+    (("manifold", "--set", "schedule.N=7"), "'N'"),
+    ((*SPEC_SCAN, "--set", "manifold.schedule.tau=3.3"), "'tau'"),
+    ((*SPEC_SCAN, "--set", "manifold.schedule.N=7"), "'N'"),
 ]
 
 
@@ -201,7 +215,7 @@ def test_manifold_scales_linearly_with_coupling(tmp_path):
 
 def test_manifold_rejects_bad_schedule(tmp_path):
     out = tmp_path / "x.csv"
-    assert run("manifold", "--set", "schedule.N=0", "--out", str(out)) == 1
+    assert run("manifold", "--set", "schedule.lambda=0", "--out", str(out)) == 1
     assert not out.exists()
 
 
@@ -289,7 +303,7 @@ def test_chi_scan_manifold_mode(tmp_path):
             "modes": [{"j": [1], "kind": "thermal", "params": {"n": 1.0}}],
         },
         "manifold": {
-            "schedule": {"lambda": 0.01, "tau": 1.0, "N": 1,
+            "schedule": {"lambda": 0.01,
                          "smearing": {"kind": "delta"},
                          "switching": {"kind": "constant", "value": 1.0}},
             "N_list": [1, 4],
@@ -318,7 +332,7 @@ def test_chi_scan_manifold_sampled_errors_derive_from_its_cells(tmp_path):
             "modes": [{"j": [1], "kind": "thermal", "params": {"n": 1.0}}],
         },
         "manifold": {
-            "schedule": {"lambda": 0.5, "tau": 1.0, "N": 1,
+            "schedule": {"lambda": 0.5,
                          "smearing": {"kind": "delta"},
                          "switching": {"kind": "constant", "value": 1.0}},
             "N_list": [1, 4],
@@ -354,7 +368,7 @@ def test_chi_scan_manifold_reads_every_mode_of_the_state(tmp_path):
     # one probe displaces both modes at once: xi columns per mode, chi of the pair
     modes = ModeSet(spatial_dim=1, box_side=2 * math.pi, mass=1.0, mode_indices=[[1], [2]])
     state = GaussianFieldState(modes=modes, mode_states=[Thermal(n=1.0), Squeezed(r=0.3)])
-    schedule = {"lambda": 0.5, "tau": 1.0, "N": 1,
+    schedule = {"lambda": 0.5,
                 "smearing": {"kind": "spherical_gaussian", "sigma": 0.3},
                 "switching": {"kind": "constant", "value": 1.0}}
     cfg = tmp_path / "cfg.json"
@@ -368,10 +382,8 @@ def test_chi_scan_manifold_reads_every_mode_of_the_state(tmp_path):
     columns, rows, _ = read_table(out)
     assert columns == ["N", "tau", "re_xi0", "im_xi0", "re_xi1", "im_xi1", "re_chi", "im_chi"]
     assert len(rows) == 80
-    sched = schedule_from_dict(schedule)
     for N, tau, re0, im0, re1, im1, re_chi, im_chi in rows:
-        one = PulseSchedule(lam=sched.lam, tau=tau, N=int(N), smearing=sched.smearing,
-                            switching=sched.switching)
+        one = schedule_from_dict({**schedule, "tau": tau, "N": int(N)})
         xi = []
         for m, (re, im) in enumerate(((re0, im0), (re1, im1))):
             want = displacement_param(one, modes.wavevectors[m], modes.omegas[m],
@@ -395,7 +407,7 @@ def test_chi_scan_manifold_xi_is_displacement_param_of_the_wave_vector(tmp_path,
     idx = [list(j) for j in itertools.product(range(-4, 5), repeat=3) if any(j)]
     modes = ModeSet(spatial_dim=3, box_side=box, mass=0.5, mode_indices=idx)
     state = GaussianFieldState(modes=modes, mode_states=[Vacuum()] * len(idx))
-    schedule = {"lambda": 0.5, "tau": 1.0, "N": 1,
+    schedule = {"lambda": 0.5,
                 "smearing": {"kind": "spherical_gaussian", "sigma": 0.3},
                 "switching": {"kind": "constant", "value": 1.0}}
     cfg = tmp_path / "cfg.json"
@@ -407,10 +419,8 @@ def test_chi_scan_manifold_xi_is_displacement_param_of_the_wave_vector(tmp_path,
     out = tmp_path / "scan.csv"
     assert run("chi-scan", "--config", str(cfg), "--out", str(out)) == 0
     _, rows, _ = read_table(out)
-    sched = schedule_from_dict(schedule)
     for N, tau, *cells in rows:
-        one = PulseSchedule(lam=sched.lam, tau=tau, N=int(N), smearing=sched.smearing,
-                            switching=sched.switching)
+        one = schedule_from_dict({**schedule, "tau": tau, "N": int(N)})
         want = [displacement_param(one, k, omega, box, 3)
                 for k, omega in zip(modes.wavevectors, modes.omegas)]
         got = np.array(cells[:-2]).reshape(-1, 2)
@@ -421,7 +431,7 @@ def test_chi_scan_manifold_takes_no_mode_of_its_own(tmp_path, capsys):
     # the scanned modes are the state's; a separate manifold mode is refused
     out = tmp_path / "scan.csv"
     assert run("chi-scan", "--set",
-               'manifold={"schedule": {"lambda": 0.01, "tau": 1.0, "N": 1, '
+               'manifold={"schedule": {"lambda": 0.01, '
                '"smearing": {"kind": "delta"}, "switching": {"kind": "constant"}}, '
                '"mode": {"k": 1.0, "omega": 1.0, "L": 6.283185307179586, "n": 1}, '
                '"N_list": [1], "tau": {"min": 0.1, "max": 6.0, "points": 5}}',
@@ -749,7 +759,7 @@ def test_sampled_two_mode_manifold_scan_reruns_byte_for_byte(tmp_path):
     # seed + N, so two fresh runs write the same bytes
     modes = ('[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}, '
              '{"j": [2], "kind": "squeezed", "params": {"r": 0.3}}]')
-    manifold = ('{"schedule": {"lambda": 0.5, "tau": 1.0, "N": 1, "smearing": {"kind": "delta"}, '
+    manifold = ('{"schedule": {"lambda": 0.5, "smearing": {"kind": "delta"}, '
                 '"switching": {"kind": "constant"}}, "N_list": [1, 4], '
                 '"tau": {"min": 0.1, "max": 6.0, "points": 40}}')
     written = []
@@ -840,9 +850,11 @@ BAD_INPUT = [
     (("simulate", "--set", "points=[[[0.2, 0]]]"), "not list"),
     # a tau spec whose points repeat: the chi-scan wrote three identical rows
     *(((*argv, "--set", f"{key}.min=1.0", "--set", f"{key}.max=1.0000000000000002",
-        "--set", f"{key}.points=5"), "tau needs min < max and points that do not repeat")
+        "--set", f"{key}.points=5"), f"error: {key} needs min < max and points that do not repeat")
       for argv, key in ((("manifold",), "tau"),
-                        (("chi-scan", "--set", f"manifold={_SCAN}"), "manifold.tau"))),
+                        (SPEC_SCAN, "manifold.tau"))),
+    # a manifold spec's fields are named by their path
+    *(((*SPEC_SCAN, "--set", assignment), named) for assignment, named in SPEC_FIELDS),
 ]
 
 
@@ -1131,19 +1143,25 @@ def test_bec_map_no_signal_flag(tmp_path):
 
 def test_config_file_and_set_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schedule": {"lambda": 0.02, "N": 2}}))
+    cfg.write_text(json.dumps({"schedule": {"lambda": 0.02, "switching": {"value": 2.0}}}))
     out = tmp_path / "m.csv"
     code = run(
         "manifold", "--config", str(cfg),
-        "--set", "schedule.N=3",
+        "--set", "schedule.switching.value=3.0",
         "--set", "N_list=[2]", "--set", "tau.points=5",
         "--out", str(out),
     )
     assert code == 0
-    _, _, meta = read_table(out)
-    assert meta["config"]["schedule"]["lambda"] == 0.02  # from file
-    assert meta["config"]["schedule"]["N"] == 3          # --set wins over file
-    assert meta["config"]["schedule"]["tau"] == 1.0      # default survives
+    _, rows, meta = read_table(out)
+    schedule = meta["config"]["schedule"]
+    assert schedule["lambda"] == 0.02                                   # from file
+    assert schedule["switching"] == {"kind": "constant", "value": 3.0}  # --set wins over file
+    assert schedule["smearing"] == {"kind": "delta"}                    # default survives
+    # and the run read them: xi is linear in lam and in a constant switching
+    assert run("manifold", "--set", "N_list=[2]", "--set", "tau.points=5",
+               "--out", str(tmp_path / "d.csv")) == 0
+    _, base, _ = read_table(tmp_path / "d.csv")
+    np.testing.assert_allclose(rows[:, 2:], 6.0 * base[:, 2:], rtol=1e-14, atol=0.0)
 
 
 # (flag, value, the other argv of the run), each run as chi-scan on 5 points
@@ -1426,9 +1444,9 @@ _SIN_PI = "rounding of 0 at theta = "
 # its refusal; an argv gets --out x.out unless it sets out itself, and a
 # --config value that starts with "{" is written to a file
 REFUSED = [
-    (("manifold", "--set", "schedule.N=0"), "segment count N = 0 is not usable"),
+    (("manifold", "--set", "schedule.lambda=0"), "schedule.lambda = 0 is not usable"),
     (("manifold", "--set", "N_list=[2.5]"), "N_list = [2.5] is not usable"),
-    (("chi-scan", "--set", 'manifold={"schedule": {"lambda": 0.01, "tau": 1.0, "N": 1, '
+    (("chi-scan", "--set", 'manifold={"schedule": {"lambda": 0.01, '
       '"smearing": {"kind": "delta"}, "switching": {"kind": "constant"}}, '
       '"mode": {"k": 1.0, "omega": 1.0, "L": 6.283185307179586, "n": 1}, '
       '"N_list": [1], "tau": {"min": 0.1, "max": 6.0, "points": 5}}'),
@@ -1491,6 +1509,10 @@ REFUSED = [
     *(((*argv, "--shots", "100", "--theta", "1e308"),
        "theta = 1e+308 fixes no angle: its float spacing, 2e+292, is 1 radian or more")
       for argv in (("simulate",), ("chi-scan", "--set", "grid.points=5"))),
+    *(((*SPEC_SCAN, "--set", assignment), named) for assignment, named in SPEC_FIELDS),
+    # bec-map's schedule is a whole pulse schedule, its tau and N included
+    (("bec-map", "--set", 'schedule={"lambda": 0.01, "N": 1, "smearing": {"kind": "delta"}, '
+      '"switching": {"kind": "constant"}}'), "error: schedule is missing field 'tau'"),
 ]
 
 # the layers a run does its work in, as chitomo.cli names them

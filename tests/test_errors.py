@@ -121,6 +121,8 @@ _REAL_ARGUMENTS = {
     "Constant.value": lambda v: Constant(v),
     "PulseSchedule.lam": lambda v: PulseSchedule(**{**_PULSE, "lam": v}),
     "PulseSchedule.tau": lambda v: PulseSchedule(**{**_PULSE, "tau": v}),
+    "displacement_surface.lam": lambda v: displacement_surface(v, Delta(), Constant(1.0), [1],
+                                                               [1.0], [1.0], [1.0], 6.28, 1),
     "smearing_ft.|k|": lambda v: smearing_ft(Delta(), [0.5, v], 2),
     "switching_integral.tau": lambda v: switching_integral(Constant(1.0), [1.0, v], 1.0, 6.28, 1),
     "switching_integral.omega": lambda v: switching_integral(Constant(1.0), 1.0, [v], 6.28, 1),
@@ -146,6 +148,8 @@ _COMPLEX_ARGUMENTS = {
     "SqueezedThermal.theta": lambda v: SqueezedThermal(0.5, 0.1, v),
     "readout_chi.theta": lambda v: readout_chi([0.5], v, 10, 0),
     "final_qubit_state.theta": lambda v: final_qubit_state(v, 0.5),
+    "displacement_surface.lam": lambda v: displacement_surface(v, Delta(), Constant(1.0), [1],
+                                                               [1.0], [1.0], [1.0], 6.28, 1),
 }
 
 
@@ -188,6 +192,7 @@ def test_a_0d_numpy_value_is_a_real_number(value):
 
 
 _SCHEDULE = PulseSchedule(lam=0.1, tau=1.0, N=1, smearing=Delta(), switching=Constant(1.0))
+_PROBE = (0.1, Delta(), Constant(1.0))
 
 # one library call per real array argument, taking an array that holds the
 # value; the last part of each name is the name the refusal gives
@@ -196,11 +201,11 @@ _COMPLEX_ARRAY_ARGUMENTS = {
     "switching_integral.tau": lambda v: switching_integral(Constant(1.0), [1.0, v], 1.0, 6.28, 1),
     "switching_integral.omega_k": lambda v: switching_integral(Constant(1.0), 1.0, [1.0, v],
                                                                6.28, 1),
-    "displacement_surface.taus": lambda v: displacement_surface(_SCHEDULE, [1], [1.0, v], [1.0],
+    "displacement_surface.taus": lambda v: displacement_surface(*_PROBE, [1], [1.0, v], [1.0],
                                                                 [1.0], 6.28, 1),
-    "displacement_surface.kmag": lambda v: displacement_surface(_SCHEDULE, [1], [1.0], [v],
+    "displacement_surface.kmag": lambda v: displacement_surface(*_PROBE, [1], [1.0], [v],
                                                                 [1.0], 6.28, 1),
-    "displacement_surface.omega": lambda v: displacement_surface(_SCHEDULE, [1], [1.0], [1.0],
+    "displacement_surface.omega": lambda v: displacement_surface(*_PROBE, [1], [1.0], [1.0],
                                                                  [v], 6.28, 1),
     "reachable_manifold.tau_grid": lambda v: reachable_manifold(_SCHEDULE, [1], [1.0, v], 1.0,
                                                                 1.0, 6.28, 1),

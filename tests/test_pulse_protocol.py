@@ -432,7 +432,8 @@ SURFACE_OMEGA = np.array([1.0, 1.7, 0.6, 1.0])
 def test_surface_is_displacement_param_elementwise(pair, n):
     smearing, switching = profile_pairs()[pair]
     sched = canonical(lam=0.01, smearing=smearing, switching=switching)
-    xi = displacement_surface(sched, SURFACE_NS, SURFACE_TAUS, SURFACE_KMAG, SURFACE_OMEGA, L, n)
+    xi = displacement_surface(0.01, smearing, switching, SURFACE_NS, SURFACE_TAUS, SURFACE_KMAG,
+                              SURFACE_OMEGA, L, n)
     assert xi.shape == (len(SURFACE_NS), len(SURFACE_TAUS), len(SURFACE_OMEGA))
     for (i, j, m), got in np.ndenumerate(xi):
         one = canonical(lam=0.01, tau=float(SURFACE_TAUS[j]), N=SURFACE_NS[i],
@@ -447,14 +448,8 @@ def test_surface_is_displacement_param_elementwise(pair, n):
             assert curve.xis.tobytes() == xi[i, :, m].tobytes()
 
 
-def test_surface_ignores_the_schedule_tau_and_N():
-    a = displacement_surface(canonical(tau=1.0, N=1), [3], [0.5, 2.0], [1.0], [1.0], L, 1)
-    b = displacement_surface(canonical(tau=4.0, N=9), [3], [0.5, 2.0], [1.0], [1.0], L, 1)
-    assert a.tobytes() == b.tobytes()
-
-
 def test_surface_validation():
-    sched = canonical()
+    probe = (0.01, Delta(), Constant(1.0))
     for Ns, taus, kmag, omega in (
         ([], [1.0], [1.0], [1.0]),            # no N
         ([0], [1.0], [1.0], [1.0]),           # N < 1
@@ -465,9 +460,18 @@ def test_surface_validation():
         ([1], [1.0], [1.0], [0.0]),           # omega > 0
     ):
         with pytest.raises(ValidationError):
-            displacement_surface(sched, Ns, taus, kmag, omega, L, 1)
+            displacement_surface(*probe, Ns, taus, kmag, omega, L, 1)
     with pytest.raises(ValidationError):
-        displacement_surface(sched, [1], [1.0], [1.0], [1.0], L, 4)
+        displacement_surface(*probe, [1], [1.0], [1.0], [1.0], L, 4)
+    # the probe is refused by name: lam here (and in tests/test_errors.py), the
+    # profiles by the calls that read them
+    for lam in (0.0, -0.01):
+        with pytest.raises(ValidationError, match="^lam = "):
+            displacement_surface(lam, Delta(), Constant(1.0), [1], [1.0], [1.0], [1.0], L, 1)
+    with pytest.raises(ValidationError, match="unsupported smearing object"):
+        displacement_surface(0.01, Constant(1.0), Constant(1.0), [1], [1.0], [1.0], [1.0], L, 1)
+    with pytest.raises(ValidationError, match="unsupported switching object"):
+        displacement_surface(0.01, Delta(), Delta(), [1], [1.0], [1.0], [1.0], L, 1)
 
 
 # ------------------------------------------------ array path vs reference

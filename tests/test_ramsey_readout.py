@@ -163,7 +163,7 @@ def test_non_finite_theta_is_refused_before_any_draw(theta, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew shots for a non-finite theta")
 
-    monkeypatch.setattr(ramsey_readout, "_sample_mean", no_draw)
+    monkeypatch.setattr(ramsey_readout, "_draw", no_draw)
     for shots in (0, 10):
         with pytest.raises(ValidationError, match=f"theta = {theta!r} is not usable: a finite number is expected"):
             readout_chi([0.5], theta, shots=shots)
@@ -205,24 +205,14 @@ def test_sample_shots_statistics():
     assert res.stderr == pytest.approx(math.sqrt((1 - res.estimate**2) / 200_000))
 
 
-class _Counts:
-    """A generator stand-in whose binomial draw returns the given counts."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def binomial(self, M, p):
-        return self.k
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), M=st.integers(1, 2**53))
 def test_a_basis_mean_is_the_correctly_rounded_count_ratio(data, M):
     k = data.draw(st.integers(0, M))
     exact = float(Fraction(2 * k - M, M))
-    est, _ = ramsey_readout._sample_mean(0.0, M, _Counts(k))
+    est, _ = ramsey_readout._count_ratio(k, M)
     assert est == (k - (M - k)) / M == exact
-    est, err = ramsey_readout._sample_mean(np.zeros(3), M, _Counts(np.array([0, k, M])))
+    est, err = ramsey_readout._count_ratio(np.array([0, k, M]), M)
     assert est.tolist() == [-1.0, exact, 1.0]
     assert err[0] == err[2] == 0.0
 
@@ -232,8 +222,8 @@ def test_a_basis_mean_is_the_correctly_rounded_count_ratio(data, M):
 def test_a_saturated_basis_reads_exactly_one(M):
     # 2 * k - M wraps an int64 array, and warns on a numpy scalar, near MAX_SHOTS
     for k, one in ((0, -1.0), (M, 1.0)):
-        assert ramsey_readout._sample_mean(0.0, M, _Counts(k)) == (one, 0.0)
-        est, err = ramsey_readout._sample_mean(np.zeros(2), M, _Counts(np.array([k, k])))
+        assert ramsey_readout._count_ratio(k, M) == (one, 0.0)
+        est, err = ramsey_readout._count_ratio(np.array([k, k]), M)
         assert est.tolist() == [one, one] and err.tolist() == [0.0, 0.0]
 
 
@@ -308,6 +298,18 @@ def test_readout_exact_mode_is_the_bloch_map():
     np.testing.assert_allclose(r.chi_est, chi, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.3, 2.5, -1.1])
+def test_an_exact_readout_returns_chi_bit_for_bit(theta):
+    # (sin th chi) / sin th is not chi on about one point in five at th != pi/2,
+    # and est_y / s + 1j * (est_x / s) turns an Im part of -0.0 into +0.0
+    rng = np.random.default_rng(2)
+    chi = rng.uniform(0.0, 1.0, 2000) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2000))
+    chi[:3] = [complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.5)]
+    got = readout_chi(chi, theta).chi_est
+    assert got.tobytes() == chi.tobytes()
+    assert readout_chi(chi.tolist(), theta).chi_est.tobytes() == chi.tobytes()
+
+
 def test_readout_draws_one_binomial_per_basis_in_point_order():
     chi = np.exp(-0.5 * np.linspace(0.0, 2.0, 7)) * np.exp(1j * np.linspace(0.0, 3.0, 7))
     theta, M, seed = 1.1, 300, 5
@@ -336,13 +338,15 @@ def test_counts_recover_a_readout_bit_for_bit(theta, M):
     chi = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
     chi[:4] = [1.0, -1.0, 1j, -1j]
     r = readout_chi(chi, theta, shots=M, seed=3)
-    c = ramsey_readout._counts(r.chi_est.reshape(400, 500), theta, M)  # any shape
-    assert c.k_x.shape == (400, 500)
+    given = r.chi_est.reshape(400, 500)  # any shape
+    c = ramsey_readout._counts(given, theta, M)
+    assert c.est_sx.shape == (400, 500) and c.chi_est is given  # no copy of chi
     s = math.sin(theta)
     kx = shot_rng(3, 0).binomial(M, np.clip((1.0 + s * chi.imag) / 2.0, 0.0, 1.0))
     ky = shot_rng(3, 1).binomial(M, np.clip((1.0 + s * chi.real) / 2.0, 0.0, 1.0))
-    assert np.array_equal(c.k_x.reshape(-1), kx) and np.array_equal(c.k_y.reshape(-1), ky)
-    for got, want in ((c.est_sx, r.est_sx), (c.est_sy, r.est_sy), (c.chi_stderr, r.chi_stderr)):
+    assert np.array_equal(c.est_sx.reshape(-1), (kx - (M - kx)) / M)
+    assert np.array_equal(c.est_sy.reshape(-1), (ky - (M - ky)) / M)
+    for got, want in zip(c, r):  # est_sx, est_sy, stderr_sx, stderr_sy, chi_est, chi_stderr
         assert got.reshape(-1).tobytes() == want.tobytes()
 
 
