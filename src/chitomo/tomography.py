@@ -16,15 +16,20 @@ that constant is recorded on the WignerGrid instead of being silently
 rescaled away, and the inverse transform carries the compensating 4^n. Both
 are one private core, run with conjugate kernel phases.
 
-The core transforms real parity parts. The input's real and imaginary parts
-are each even, odd, or split into an even and an odd part under x -> -x (all
-axes at once); an even real part transforms to a real, even array and an odd
-one to i times a real, odd array. Each part is contracted only on its rows
-x_last >= 0, the parity giving the rest, and evaluated only on the output
-rows y_0 >= 0, its realness giving the rest, so its stages run on a quarter
-of the grid's rows. Every chi is Hermitian, chi(-xi) = conj chi(xi): an
-exact chi is one even real part, a filled one an even real and an odd
-imaginary part, and neither leaves an imaginary part in W.
+The core transforms real parity parts, one parity per mode. The input's
+real and imaginary parts are each even, odd, or split into an even and an
+odd part under the inversion R_m of each mode m, which reverses that mode's
+two axes (Re xi_m, Im xi_m) -> (-Re xi_m, -Im xi_m); a part odd under k of
+the modes transforms to i^k times a real array of the same parities. Mode by
+mode, each part is contracted only on its rows Im xi_m >= 0, the parity
+giving the rest, and evaluated only on the rows >= 0 of the mode's first
+output axis, its realness giving the rest, so every stage has a real input
+or a real output and runs on a quarter of the grid's rows. For one mode R_0
+inverts all axes at once. Every chi is Hermitian, chi(-xi) = conj chi(xi),
+and leaves no imaginary part in W. An exact chi is a product of per-mode
+factors, each even in its own plane, so it is one real part even under
+each R_m; a filled two-mode chi takes four parts (ee and oo from its real
+part, eo and oe from its imaginary part), each a quarter of the work.
 
 Moments of symmetric-ordered operator products come from Wirtinger
 derivatives at the origin,
@@ -64,14 +69,14 @@ counted (tracemalloc on exact two-mode grids):
                                     temporary)
     gaussian_fit              0.2   the masks, then only the kept cells'
                                     rows (0.7 on a complex chi: |chi| too)
-    wigner_transform          1.0   an exact chi: the part's rows x_last >= 0
-                                    (0.26), one quarter-size stage's input
-                                    and output, then the last stage's input
-                                    and the result, a contiguous real array
-                                    (0.5); 1.5 on a filled chi, whose second
-                                    part's result is added to the first's,
-                                    2.5 on an unfilled complex one
-    inverse_wigner_transform  1.0   the same on the even W of an exact chi,
+    wigner_transform          0.64  an exact chi: quarter-size stages, the
+                                    first on the part's rows Im xi_m >= 0 of
+                                    each mode (0.14), then the last stage's
+                                    input and the result, a contiguous real
+                                    array (0.5); 1.4 on a filled chi, whose
+                                    parts' results are added to the first's,
+                                    2.0 on an unfilled complex one
+    inverse_wigner_transform  0.64  the same on the even W of an exact chi,
                                     whose chi is real; 2.0 with an imaginary
                                     part, which a complex result then joins
 """
@@ -402,90 +407,124 @@ def _boundary_max(values: np.ndarray) -> float:
 
 
 def _parity_parts(values: np.ndarray):
-    """The real parity parts of values, each as (its rows x_last >= 0, odd,
-    imaginary).
+    """The real parity parts of values, each as (a view of its rows p_m >= 0
+    of every mode m, p_m the mode's second axis; its parity under each
+    mode's inversion, True for odd; imaginary).
 
     values is read as real arrays: itself if real, else its real and its
-    imaginary part, the latter left out when it is all zero. An array that
-    equals its reverse over all axes, v(-x), or its negated reverse, to the
-    bit, is one even or odd part; any other splits into (v + v(-x))/2 and
-    (v - v(-x))/2. Only the rows x_last >= 0 are built, contiguous.
-
-    Reversing every axis reverses the C order, so each (x, -x) pair is
-    compared once, from the first half of the flat view, as _is_hermitian
-    compares.
+    imaginary part, the latter left out when it is all zero. Each is split
+    mode by mode (_mode_parts).
     """
-    h = values.shape[-1] // 2
-    rev = (slice(None, None, -1),) * values.ndim
     arrays = [values]
     if np.iscomplexobj(values):
         arrays = [values.real] + ([values.imag] if np.any(values.imag) else [])
     for imag, a in enumerate(arrays):
-        flat = a.reshape(-1)
-        first, mirrored = flat[: flat.size // 2 + 1], flat[::-1][: flat.size // 2 + 1]
-        if np.array_equal(first, mirrored):
-            yield np.ascontiguousarray(a[..., h:]), False, bool(imag)
-        elif np.array_equal(first, np.negative(mirrored)):
-            yield np.ascontiguousarray(a[..., h:]), True, bool(imag)
-        else:
-            head, mirror = a[..., h:], a[rev][..., h:]  # v(x) and v(-x) on x_last >= 0
-            for odd, combine in ((False, np.add), (True, np.subtract)):
-                part = combine(head, mirror)
-                part *= 0.5
-                yield part, odd, bool(imag)
-                del part
+        for head, odd in _mode_parts(a, 0):
+            yield head, odd, bool(imag)
 
 
-def _transform_part(head, odd: bool, axes, steps, out_axes, h0: int, phase: complex, measure):
-    """Re (an even part) or Im (an odd part) of the transform of a real part
-    from its rows x_last >= 0, on the output rows y_0 >= out_axes[0][h0] of
-    a full-size real array whose rows y_0 below are left unset.
+def _mode_parts(a: np.ndarray, m: int):
+    """The parts of a of one parity under the inversion R_m of each mode from
+    m on, which reverses both of that mode's axes, as (a view of the rows
+    p >= 0 of each of those modes, the parities).
+
+    An array that equals R_m v or -R_m v to the bit is one even or odd part
+    under R_m; any other splits into (v + R_m v)/2 and (v - R_m v)/2. The
+    test compares the rows p_m >= 0 of v and of R_m v, views of half the
+    array, and a split builds only those rows.
+    """
+    if 2 * m == a.ndim:
+        yield a, ()
+        return
+    rows = (slice(None),) * (2 * m + 1) + (slice(a.shape[2 * m + 1] // 2, None),)
+    rev = (slice(None),) * (2 * m) + (slice(None, None, -1),) * 2
+    head, mirror = a[rows], a[rev][rows]
+    if np.array_equal(head, mirror):
+        splits = ((False, None),)
+    elif np.array_equal(head, np.negative(mirror)):
+        splits = ((True, None),)
+    else:
+        splits = ((False, np.add), (True, np.subtract))
+    for odd, combine in splits:
+        part = head
+        if combine is not None:
+            part = combine(head, mirror)
+            part *= 0.5
+        for rest, odds in _mode_parts(part, m + 1):
+            yield rest, (odd,) + odds
+        del part
+
+
+def _upper(halves) -> tuple:
+    """The index of the rows from halves[m] on of each mode m's first axis."""
+    return sum(((slice(h, None), slice(None)) for h in halves), ())
+
+
+def _transform_part(head, odd, axes, steps, out_axes, halves, phase: complex, measure):
+    """The transform of a real part from its rows p_m >= 0 of every mode m,
+    as the real array of which it is i^k times, k the number of modes under
+    whose inversion the part is odd (odd[m]), on the rows y_m >=
+    out_axes[2m][halves[m]] of every mode of a full-size array whose other
+    rows are left unset.
 
     Axis x is contracted, in order, with exp(phase * outer(y, x)) *
     measure(step of x) onto output axis y, one matrix product on transposed
-    views per stage, so that only a stage's input and output live. The first
-    stage is one real product against the kernel's (Re, Im) pairs, the
-    middle ones are complex. The parity v(-x) = +-v(x) stands in for the
-    rows x_last < 0: the last stage weights the rows x_last >= 0 (1, 2, 2,
-    ...) and keeps the Re or Im of its sum, one real product of its input's
-    (Re, Im) pairs against the kernel's (Re, -Im) columns into the result.
+    views per stage, so that only a stage's input and output live. A mode
+    takes two stages, each on a quarter of the grid's rows when its halves
+    are kept. The first contracts its Re xi axis over all its rows into the
+    rows y_m kept, one real product against the kernel's (Re, Im) pairs. The
+    parity under R_m stands in for the rows p_m < 0: the second weights the
+    rows p_m >= 0 (1, 2, 2, ...) and keeps the Re of its sum for an even
+    part, the Im for an odd one, one real product of its input's (Re, Im)
+    pairs against the kernel's (Re, -Im) columns. The last stage writes
+    straight into the result.
     """
-    out = head
-    for d in range(len(axes) - 1):
-        y = out_axes[d][h0:] if d == 0 else out_axes[d]
+    out = np.ascontiguousarray(head)
+    for m, h in enumerate(halves):
+        d = 2 * m
+        y = out_axes[d][h:]
         kernel = np.exp(phase * np.outer(axes[d], y)) * measure(steps[d])
-        if d == 0:
-            kernel = kernel.view(float)  # (Re, Im) pairs, for the real input
         shape = out.shape[1:] + y.shape
-        out = (out.reshape(out.shape[0], -1).T @ kernel).view(complex).reshape(shape)
-    x, y = axes[-1][axes[-1].size // 2 :], out_axes[-1]
-    weights = np.full((x.size, 1), 2.0 * measure(steps[-1]))
-    weights[0] /= 2.0  # the slab x_last = 0 is its own mirror
-    kernel = np.exp(phase * np.outer(x, y)) * weights
-    if odd:
-        kernel *= -1j  # Im z = Re(-i z)
-    pairs = np.stack((kernel.real, -kernel.imag), axis=1).reshape(2 * x.size, y.size)
-    rows = np.ascontiguousarray(out.reshape(out.shape[0], -1).T).view(float)
-    del out
+        out = (out.reshape(out.shape[0], -1).T @ kernel.view(float)).view(complex).reshape(shape)
+        x, y = axes[d + 1][axes[d + 1].size // 2 :], out_axes[d + 1]
+        weights = np.full((x.size, 1), 2.0 * measure(steps[d + 1]))
+        weights[0] /= 2.0  # the rows p_m = 0 are their own mirror
+        kernel = np.exp(phase * np.outer(x, y)) * weights
+        if odd[m]:
+            kernel *= -1j  # Im z = Re(-i z)
+        pairs = np.stack((kernel.real, -kernel.imag), axis=1).reshape(2 * x.size, y.size)
+        shape = out.shape[1:] + y.shape
+        rows = np.ascontiguousarray(out.reshape(out.shape[0], -1).T).view(float)
+        del out
+        if m + 1 < len(halves):
+            out = (rows @ pairs).reshape(shape)
+            del rows
     result = np.empty(tuple(a.size for a in out_axes))
-    np.matmul(rows, pairs, out=result[h0:].reshape(-1, y.size))
+    target = result[_upper(halves)]
+    np.matmul(rows.reshape(target.shape[:-1] + (-1,)), pairs, out=target)
     return result
 
 
-def _unfold(out: np.ndarray, odd: bool) -> None:
-    """Complete, in place, the rows y_0 < 0 of an even or odd transform from
-    its rows y_0 > 0, by out(-y) = +-out(y) on output axes mirror-symmetric
-    to the bit. The slab y_0 = 0 is first averaged with its mirror, so that
-    the whole array is even or odd to the bit."""
-    h = out.shape[0] // 2
-    rev = (slice(None, None, -1),) * out.ndim
-    slab = out[h]
-    mirror = slab[rev[1:]]
-    slab[...] = ((slab - mirror) if odd else (slab + mirror)) * 0.5
-    if odd:
-        np.negative(out[h + 1 :][rev], out=out[:h])
-    else:
-        out[:h] = out[h + 1 :][rev]
+def _unfold(out: np.ndarray, odd) -> None:
+    """Complete, in place, the rows y_m < 0 of every mode m of a transform
+    even or odd under each mode's inversion R_m (odd[m]) from its rows
+    y_m > 0, by out(R_m y) = +-out(y) on output axes mirror-symmetric to the
+    bit. The modes are unfolded from the last, each on the rows y_k >= 0 of
+    the modes k before it. A mode's slab y_m = 0 is first averaged with its
+    mirror p_m -> -p_m, so that the whole array has each parity to the bit.
+    """
+    for m in reversed(range(len(odd))):
+        view = out[_upper(s // 2 for s in out.shape[: 2 * m : 2])]
+        pre = (slice(None),) * (2 * m)
+        h = view.shape[2 * m] // 2
+        slab = view[pre + (h,)]
+        mirror = slab[pre + (slice(None, None, -1),)]
+        slab[...] = ((slab - mirror) if odd[m] else (slab + mirror)) * 0.5
+        rows = view[pre + (slice(h + 1, None),)][pre + (slice(None, None, -1),) * 2]
+        if odd[m]:
+            np.negative(rows, out=view[pre + (slice(None, h),)])
+        else:
+            view[pre + (slice(None, h),)] = rows
 
 
 def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
@@ -494,17 +533,15 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
     parts, None for a part that nothing contributes to.
 
     More than two modes are refused ahead of every other check; guard() runs
-    next. The grid's values are split into real parity parts (_parity_parts),
-    and each is transformed on its own (_transform_part): an even part to a
-    real array, C, and an odd part to i times a real array, S, so that
-
-        T[Re_e + Re_o + i Im_e + i Im_o] = C[Re_e] - S[Im_o] + i (S[Re_o] + C[Im_e]).
-
-    An exact or Hermitian-filled grid has no Re_o and no Im_e, so its
+    next. The grid's values are split into real parts of one parity under
+    each mode's inversion R_m (_parity_parts), and each is transformed on
+    its own (_transform_part): a real part odd under k of the modes to i^k
+    times a real array, an imaginary one to i^(k+1) times it. Every part of
+    a Hermitian grid, chi(-xi) = conj chi(xi), has a real power, so its
     transform is real with no rounding left in an imaginary part. On output
     axes mirror-symmetric to the bit each part is computed on the rows
-    y_0 >= 0 only and unfolded by its parity (_unfold); on any other axes
-    every row is computed.
+    y_m >= 0 of every mode only and unfolded by its parities (_unfold); on
+    any other axes every row is computed.
     """
     if grid.n_modes > 2:
         raise ValidationError("transform supports one or two modes")
@@ -522,20 +559,20 @@ def _fourier(grid: _Grid, out_axes, phase: complex, measure, guard=None):
                 f"{len(out_axes)} output axes do not match the {len(grid.axes)} axes of the grid"
             )
     symmetric = all(np.array_equal(y, -y[::-1]) for y in out_axes)
-    h0 = out_axes[0].size // 2 if symmetric else 0
+    halves = tuple(y.size // 2 if symmetric else 0 for y in out_axes[::2])
     sums = [None, None]  # the real and the imaginary part of the transform
     for head, odd, imag in _parity_parts(grid.values):
-        part = _transform_part(head, odd, grid.axes, grid.steps, out_axes, h0, phase, measure)
-        del head
+        part = _transform_part(head, odd, grid.axes, grid.steps, out_axes, halves, phase, measure)
         if symmetric:
             _unfold(part, odd)
-        if odd and imag:  # i times i S
+        k = sum(odd) + imag  # the part's transform is i^k part
+        if k % 4 >= 2:
             np.negative(part, out=part)
-        k = int(odd != imag)
-        if sums[k] is None:
-            sums[k] = part
+        if sums[k % 2] is None:
+            sums[k % 2] = part
         else:
-            sums[k] += part
+            sums[k % 2] += part
+        del part
     return out_axes, *sums
 
 
@@ -583,7 +620,9 @@ def wigner_transform(
     Hermitian chi, chi(-xi) = conj chi(xi) to the bit as on exact and
     hermitian_fill-ed grids, has no such parts, and its imag_residual is
     exactly 0.0. When every alpha axis is mirror-symmetric to the bit, as
-    the default ones are, W of a real even chi is even to the bit.
+    the default ones are, W of a real even chi is even to the bit, and W of
+    a real chi even under each mode's inversion, as an exact chi is, is even
+    to the bit under each.
     """
     alpha_axes, re, im = _fourier(
         grid, alpha_axes, 2j, lambda step: step / (2.0 * np.pi),

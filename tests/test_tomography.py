@@ -905,10 +905,11 @@ def test_dense_layers_match_references_bitwise(n_modes, kind, negzero, data):
 
 # The transforms and their tensordot references evaluate the same kernel
 # entries, up to exact factors of 2 and signs, and differ only in the order
-# of their sums: the parity core folds the rows x_last < 0 onto their
-# mirrors and takes the Re or Im in its last stage. Each output then differs
-# by at most _ROUNDING_K eps sum|v| measure, where sum|v| measure bounds every
-# partial sum; the largest multiple seen over 400 draws was 2.7.
+# of their sums: the parity core folds each mode's rows Im xi_m < 0 onto
+# their mirrors and takes the Re or Im in that mode's second stage. Each
+# output then differs by at most _ROUNDING_K eps sum|v| measure, where
+# sum|v| measure bounds every partial sum; the largest multiple seen over
+# 800 draws was 3.0.
 _ROUNDING_K = 16
 
 
@@ -925,9 +926,10 @@ def _reversed(values):
 @given(**_GRID_DRAWS)
 def test_transforms_match_references_to_rounding(n_modes, kind, negzero, data):
     filled = hermitian_fill(_drawn_grid(n_modes, kind, negzero, data))
-    # each part is evaluated on the rows a >= 0 of the first output axis and
-    # unfolded when every output axis is mirror-symmetric to the bit; one axis
-    # nudged by an ulp, symmetric only within _AXIS_RTOL, takes every row
+    # each part is evaluated on the rows a >= 0 of each mode's first output
+    # axis and unfolded when every output axis is mirror-symmetric to the
+    # bit; one axis nudged by an ulp, symmetric only within _AXIS_RTOL,
+    # takes every row
     alpha_axes = [grid_axis(2.0, 11) for _ in filled.axes]
     xi_axes = list(filled.axes)
     skew = data.draw(st.sampled_from([None, "alpha", "xi"]))
@@ -1053,10 +1055,10 @@ def test_dense_layers_stay_within_their_memory_budgets():
     # the transforms of an even real input run on quarter-size stages: the
     # full-axis form of the same stages peaks at 2.0 grids
     w, peak, kept = _traced(wigner_transform, chi)
-    assert peak <= 1.1 * grid  # the part's rows x_last >= 0, the last stage's input, the result
+    assert peak <= 0.7 * grid  # the last stage's input and the result: 0.65 measured
     assert kept <= 0.55 * grid  # the real result alone
     _, peak, _ = _traced(inverse_wigner_transform, w)
-    assert peak <= 1.1 * grid  # the same for the even W, whose chi is real: 1.04 measured
+    assert peak <= 0.7 * grid  # the same for the even W, whose chi is real: 0.65 measured
 
 
 def test_wigner_grid_owns_a_contiguous_real_array():
@@ -1136,6 +1138,50 @@ def test_an_even_chi_transforms_to_an_even_w_and_back_to_a_real_chi(state, skew)
     filled = hermitian_fill(sampled_chi_grid(state, axes, shots=100, seed=2, half=True))
     assert np.any(filled.values.imag)
     assert wigner_transform(filled, boundary_tol=np.inf).imag_residual == 0.0
+
+
+def _mode_reversed(values, m):
+    """values reversed over mode m's two axes: the mode's inversion."""
+    index = [slice(None)] * values.ndim
+    index[2 * m : 2 * m + 2] = [slice(None, None, -1)] * 2
+    return values[tuple(index)]
+
+
+def test_the_w_of_an_exact_two_mode_chi_is_even_under_each_mode_inversion():
+    # each mode's factor of an exact chi is even in its own plane, and the
+    # core keeps that parity to the bit mode by mode, not only under the
+    # inversion of all four axes at once
+    chi = chi_grid_from_state(_BUDGET_STATE, (grid_axis(7.0, 17),) * 4)
+    w = wigner_transform(chi)
+    back = inverse_wigner_transform(w)
+    assert back.values.dtype == np.float64
+    for values in (w.values, back.values):
+        for m in range(2):
+            assert _same_bits(values, _mode_reversed(values, m))
+
+
+def test_a_grid_even_only_under_the_inversion_of_all_axes_meets_the_references():
+    # exp(-|v|^2/2 - x0 x1/2 - p0 p1/3) is even under the inversion of all
+    # four axes but neither even nor odd under one mode's: it splits into a
+    # part even under both modes' inversions and a part odd under both
+    axes = (grid_axis(6.0, 13),) * 4
+    x0, p0, x1, p1 = np.meshgrid(*axes, indexing="ij", sparse=True)
+    values = np.exp(-(x0**2 + p0**2 + x1**2 + p1**2) / 2 - x0 * x1 / 2 - p0 * p1 / 3)
+    assert _same_bits(values, _reversed(values))
+    assert [odd for _, odd, _ in tomography._parity_parts(values)] == [
+        (False, False), (True, True)]
+    grid = ChiGrid(axes=axes, values=values)
+    alpha_axes = [grid_axis(2.0, 11) for _ in axes]
+    w = wigner_transform(grid, alpha_axes, boundary_tol=np.inf)
+    want = _wigner_reference(grid, alpha_axes)
+    assert np.max(np.abs(w.values - want.real)) <= _rounding_bound(
+        grid, lambda step: step / (2.0 * np.pi))
+    assert w.imag_residual == 0.0
+    assert _same_bits(w.values, _reversed(w.values))
+    back = inverse_wigner_transform(w, axes)
+    assert back.values.dtype == np.float64
+    want = _inverse_reference(w, axes)
+    assert np.max(np.abs(back.values - want)) <= _rounding_bound(w, lambda step: 2.0 * step)
 
 
 def test_fit_gathers_the_cells_of_the_dense_mask_in_c_order():
