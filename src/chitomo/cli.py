@@ -7,8 +7,11 @@ oracle-check | bec-map. Each takes a JSON config file (--config), dotted
 header, so a result file is sufficient to rerun itself. Identical config +
 seed gives byte-identical output. Every field a run reads is converted and
 checked once, by _spec, before any grid is built, sampled, transformed or
-written. A grid is written by fileio.save_chi_grid, and chi or xi at listed
-points (manifold, a manifold chi-scan, simulate) by fileio.save_chi_points.
+written. A grid is written by fileio.save_chi_grid or save_wigner_grid as
+value columns on the header's axes (a permutation of its rows goes unseen;
+files of the older layout, with coordinate columns, still load), and chi or
+xi at listed points (manifold, a manifold chi-scan, simulate) by
+fileio.save_chi_points.
 A surface scan's schedule (manifold, a manifold chi-scan) is its probe alone,
 lambda, smearing and switching; bec-map's is a whole pulse schedule.
 

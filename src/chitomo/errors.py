@@ -81,6 +81,8 @@ def real(value) -> float:
     as 1.0 and 0.0, a complex number rather than cut to its real part, a
     string such as '1.5' rather than parsed, and a list, an object or null by
     the same rule (a value float() takes has __float__)."""
+    if type(value) is float:  # most values, such as each entry of a file's meta axes
+        return value
     if isinstance(value, bool) or not hasattr(value, "__float__") or (
             isinstance(value, Complex) and not isinstance(value, Real)):
         raise TypeError(f"a real number is expected, not {type(value).__name__}")

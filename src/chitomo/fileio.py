@@ -14,18 +14,20 @@ the previous block's keys and labels per column. Equal bits give equal
 text, so the bytes are those of formatting every cell; -0.0 and 0.0 stay
 distinct, and every NaN prints as nan. repr round-trips exactly, and
 read_table parses the data block into one 2-D float64 array.
-A grid file has one rule: its rows are grid points in C order, each
-coordinate bitwise on its meta axis, and only a leading run of unmeasured
-points may be left out; a file that breaks it is refused. An unmeasured
-point holds what sampled_chi_grid stores there (Re chi NaN, Im chi +0.0,
-stderr NaN or no stderr column), so only a chi file leaves points out: a
-half-plane scan's lower half is such a run, so it writes and parses only
-its upper half, and loading gives the run that value back. A file that
-leaves points out counts its rows in the meta field rows, and any other
-grid file must list every point, so a file that lost a row is refused.
-Loading a grid therefore reproduces the saved arrays bit for bit, signed
-zeros and NaN or infinite parts included, and a chi file that lists every
-point, as files written before the rule did, loads as before.
+A grid file holds value columns only (re_chi, im_chi and any stderr, or
+w), its rows the grid points in C order on its meta axes, which fix their
+coordinates; only a leading run of unmeasured points may be left out. An
+unmeasured point holds what sampled_chi_grid stores there (Re chi NaN, Im
+chi +0.0, stderr NaN or no stderr column), so only a chi file leaves points
+out: a half-plane scan writes and parses only its upper half, and loading
+gives the run that value back. Such a file counts its rows in the meta
+field rows, and any other grid file must list every point, so a file with a
+row too few or too many, or without a value column, is refused; a
+permutation of its rows cannot be seen. Loading reproduces the saved arrays
+bit for bit, signed zeros and NaN or infinite parts included. A file of the
+older layout, each mode's coordinate pair (re_xi, im_xi or x, p) before the
+values, loads to the same arrays once each coordinate is bitwise on its
+meta axis, and so does a chi file that lists every point.
 A sampled chi file records its readout's theta in the meta beside shots,
 and its stderr column is derived data: each point's error is a function of
 its own chi, theta and shots (ramsey_readout._counts), so the column is
@@ -64,7 +66,8 @@ __all__ = [
 
 _TAG = "chitomo-table v1"
 _BLOCK = 1024  # rows formatted and written at a time
-_CHI_COORDS = ("re_xi", "im_xi")  # the coordinate pair of each mode in a grid file
+# the coordinate pair of each mode in a points file and in an older grid file
+_CHI_COORDS = ("re_xi", "im_xi")
 _WIGNER_COORDS = ("x", "p")
 # a chi file's cells at a point that sampled_chi_grid left unmeasured; a
 # leading run of such points has no rows
@@ -166,11 +169,6 @@ def _coordinate_names(coords, n_modes: int) -> list[str]:
     return list(coords) if n_modes == 1 else [f"{c}{m}" for m in range(n_modes) for c in coords]
 
 
-def _along(axis, k: int, ndim: int):
-    """axis shaped to vary along dimension k of an ndim-dimensional grid."""
-    return axis.reshape((-1,) + (1,) * (ndim - 1 - k))
-
-
 def _holds(column, value: float):
     """Where column holds value, bit for bit; any NaN holds a NaN value."""
     if math.isnan(value):
@@ -178,32 +176,33 @@ def _holds(column, value: float):
     return np.asarray(column, dtype=float).view(np.int64) == np.float64(value).view(np.int64)
 
 
-def _save_grid(path, kind: str, grid, coords, values: dict, fields: dict, meta, skip: int = 0):
-    """One row per grid point in C order, the coordinates then values, but
-    for the first skip points; the meta field rows then counts the rows."""
-    names = _coordinate_names(coords, grid.n_modes) + list(values)
-    axes = [np.asarray(a, dtype=float) for a in grid.axes]
+def _save_grid(path, kind: str, axes, values: dict, fields: dict, meta, skip: int = 0):
+    """The value columns of each grid point in C order but the first skip
+    points, which the meta field rows then counts: row i is the point at flat
+    C index skip + i of the meta axes, so no row writes its coordinates."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
     doc = {k: v for k, v in (meta or {}).items() if k != "rows"}  # the file's own field
     doc.update(fields, kind=kind, axes=[a.tolist() for a in axes])
     shape = tuple(a.size for a in axes)
     rows = math.prod(shape) - skip
     if skip:  # the header counts the rows, so a cut file is refused
         doc["rows"] = rows
-    table = np.empty((rows, len(names)))
-    columns = [_along(a, k, len(shape)) for k, a in enumerate(axes)] + list(values.values())
-    for k, c in enumerate(columns):  # filled column by column, no mesh
+    table = np.empty((rows, len(values)))
+    for k, c in enumerate(values.values()):  # filled column by column
         table[:, k] = np.broadcast_to(c, shape).reshape(-1)[skip:]
-    write_table(path, names, table, doc)
+    write_table(path, list(values), table, doc)
 
 
 def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), missing=None):
     """(axes, the required then the optional columns on the axes' shape, with
-    None for an absent optional one, meta) of a grid file of the given kind.
-    Its coordinate columns must be, bit for bit, the last rows points of the
-    C-order outer product of its meta axes. rows is every point unless
-    missing maps each column to its cell at a point without a row; rows is
-    then the meta field rows, every point if there is none, and each leading
-    point left out gets those cells."""
+    None for an absent optional one, meta) of a grid file of the given kind,
+    whose rows are the last rows points of the C-order outer product of its
+    meta axes. rows is every point unless missing maps each column to its
+    cell at a point without a row; rows is then the meta field rows, every
+    point if there is none, and each leading point left out gets those
+    cells. Only the row count is checked, so a permutation of the rows goes
+    unnoticed, unless the file has the older layout's coordinate columns,
+    which must then be those points bit for bit."""
     columns, data, meta = read_table(path)
     where = f"{path} meta"
     if read_field(meta, "kind", None, where, None) != kind:
@@ -212,22 +211,26 @@ def _load_grid(path, kind: str, coords, required: tuple, optional: tuple = (), m
     names = _coordinate_names(coords, len(axes) // 2)
     if not axes or len(names) != len(axes):
         raise ValidationError(f"{path}: meta axes are not one 1-D (Re, Im) pair per mode")
+    old = not set(names).isdisjoint(columns)  # the older layout's coordinate columns
+    needed = (names if old else []) + list(required)
+    if not set(needed) <= set(columns):
+        raise ValidationError(f"{path} lacks one of the columns {', '.join(needed)}")
     shape = tuple(a.size for a in axes)
     cells = math.prod(shape)
     rows = cells if missing is None else read_field(meta, "rows", integer, where, cells)
     if data.shape[0] != rows or rows > cells:
         raise ValidationError(f"{path}: row count does not match the axes")
-    needed = names + list(required)
-    if not set(needed) <= set(columns):
-        raise ValidationError(f"{path} lacks one of the columns {', '.join(needed)}")
     skip = cells - rows
-    for k, (name, a) in enumerate(zip(names, axes)):
-        want = np.broadcast_to(_along(a, k, len(shape)), shape).reshape(-1)[skip:]
-        off = np.flatnonzero(data[:, columns.index(name)].view(np.int64) != want.view(np.int64))
-        if off.size:
-            raise ValidationError(
-                f"{path}: column {name} does not match the meta axes at data row {off[0] + 1}")
-    del want  # so that the value columns are built without it
+    if old:
+        for k, (name, a) in enumerate(zip(names, axes)):
+            along = a.reshape((-1,) + (1,) * (len(shape) - 1 - k))  # varies along axis k
+            want = np.broadcast_to(along, shape).reshape(-1)[skip:]
+            off = np.flatnonzero(
+                data[:, columns.index(name)].view(np.int64) != want.view(np.int64))
+            if off.size:
+                raise ValidationError(
+                    f"{path}: column {name} does not match the meta axes at data row {off[0] + 1}")
+        del want  # so that the value columns are built without it
 
     def column(name):
         col = data[:, columns.index(name)]
@@ -247,7 +250,7 @@ def _keeps_stderr(chi, stderr, theta, shots: int) -> bool:
 
 
 def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
-    """One row per grid point, C order: coordinates, Re chi, Im chi[, stderr].
+    """One row per grid point, C order: Re chi, Im chi[, stderr].
     The leading run of points with Re chi NaN, Im chi +0.0 and stderr NaN or
     absent, as sampled_chi_grid leaves the points it did not measure, has no
     rows, so a half-plane grid writes its upper half and the meta field rows
@@ -277,7 +280,7 @@ def save_chi_grid(grid: ChiGrid, path, meta: dict | None = None) -> None:
     stderr = None if grid.stderr is None else grid.stderr.reshape(-1)[skip:]
     if not _keeps_stderr(grid.values.reshape(-1)[skip:], stderr, grid.theta, grid.shots):
         values.pop("stderr", None)
-    _save_grid(path, "chi_grid", grid, _CHI_COORDS, values, fields, meta, skip)
+    _save_grid(path, "chi_grid", grid.axes, values, fields, meta, skip)
 
 
 def save_chi_points(path, xi, chi=None, stderr=None, theta=None, shots: int = 0,
@@ -309,10 +312,11 @@ def _meta_theta(meta, where: str) -> float | None:
 
 
 def load_chi_grid(path) -> ChiGrid:
-    """The grid save_chi_grid wrote, or any chi file of its layout: the
-    leading points without a row hold the cells of _MISSING. A file without
-    a stderr column whose meta has theta and shots >= 1 gets the errors
-    _counts derives from its rows, as save_chi_grid checked they would be."""
+    """The grid save_chi_grid wrote, or any chi file of its layout or of the
+    older one with coordinate columns (see _load_grid): the leading points
+    without a row hold the cells of _MISSING. A file without a stderr column
+    whose meta has theta and shots >= 1 gets the errors _counts derives from
+    its rows, as save_chi_grid checked they would be."""
     axes, (re, im, stderr), meta = _load_grid(
         path, "chi_grid", _CHI_COORDS, ("re_chi", "im_chi"), ("stderr",), _MISSING
     )
@@ -338,7 +342,7 @@ def load_chi_grid(path) -> ChiGrid:
 
 def save_wigner_grid(grid: WignerGrid, path, meta: dict | None = None) -> None:
     fields = {"normalization": grid.normalization, "imag_residual": grid.imag_residual}
-    _save_grid(path, "wigner_grid", grid, _WIGNER_COORDS, {"w": grid.values}, fields, meta)
+    _save_grid(path, "wigner_grid", grid.axes, {"w": grid.values}, fields, meta)
 
 
 def load_wigner_grid(path) -> WignerGrid:

@@ -12,7 +12,6 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from chitomo.tomography import (
     chi_grid_from_state, grid_axis, hermitian_fill, moments_fd, sampled_chi_grid,
 )
 
-from documents import state_to_dict
+from documents import state_to_dict, write_with_coordinates
 
 THERMAL_MODES = '[{"j": [1], "kind": "thermal", "params": {"n": 1.0}}]'
 # a surface scan of 3 N x 315 tau: the manifold defaults at coupling 0.5
@@ -706,9 +705,9 @@ def test_moments_of_a_complete_sampled_chi_file_read_the_filled_grid(tmp_path):
 
 def test_chi_file_with_a_nan_meta_axis_exits_1_and_names_the_axis(tmp_path):
     axes = (np.array([np.nan, -1.0, 0.0, 1.0, np.nan]), grid_axis(1.0, 5))
-    _save_grid(tmp_path / "nan_chi.csv", "chi_grid", SimpleNamespace(axes=axes, n_modes=1),
-               ("re_xi", "im_xi"), {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
-               {"provenance": "exact", "shots": 0}, None, False)
+    _save_grid(tmp_path / "nan_chi.csv", "chi_grid", axes,
+               {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None)
     err = _fresh_run(tmp_path, "wigner", "--set", 'chi_file="nan_chi.csv"', "--out", "nan_w.csv",
                      code=1)
     assert "axis 0 holds the non-finite value nan" in err
@@ -809,7 +808,8 @@ def test_a_sampled_chi_file_holds_each_shot_mean_as_its_exact_count_ratio(tmp_pa
               for basis, part in enumerate((exact.imag, exact.real))]
     cells = [line.split(",") for line in data_lines(chi)]
     assert len(cells) == exact.size
-    for column, k in ((3, counts[0]), (2, counts[1])):
+    columns = read_table(chi)[0]
+    for column, k in ((columns.index("im_chi"), counts[0]), (columns.index("re_chi"), counts[1])):
         for row, count in zip(cells, k.tolist()):
             assert re.fullmatch(r"-?[01]\.\d{1,4}", row[column]), row
             assert Fraction(row[column]) == Fraction(2 * count - M, M), row
@@ -940,6 +940,7 @@ def test_wigner_corrupt_chi_file_is_exit_1(tmp_path, capsys, damage):
 def test_wigner_refuses_a_chi_file_whose_coordinates_are_not_its_axes(tmp_path, capsys):
     chi = tmp_path / "chi.csv"
     assert run("chi-scan", "--set", "grid.points=9", "--out", str(chi)) == 0
+    write_with_coordinates(chi)  # the older layout, which lists them
     lines = chi.read_text().splitlines(keepends=True)
     cells = lines[-5].rstrip("\n").split(",")
     cells[1] = repr(float(np.nextafter(float(cells[1]), np.inf)))  # one ulp off
@@ -997,9 +998,9 @@ def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
     # odd, increasing and centred on 0, but neither uniform nor symmetric
     axes = (np.array([-1.0, -0.4, 0.0, 0.5, 2.0]), grid_axis(1.0, 5))
     chi = tmp_path / "chi.csv"
-    _save_grid(chi, "chi_grid", SimpleNamespace(axes=axes, n_modes=1), ("re_xi", "im_xi"),
+    _save_grid(chi, "chi_grid", axes,
                {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
-               {"provenance": "exact", "shots": 0}, None, False)
+               {"provenance": "exact", "shots": 0}, None)
     out = tmp_path / "w.csv"
     assert run("wigner", "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -1010,12 +1011,12 @@ def test_wigner_refuses_a_chi_file_with_a_non_uniform_axis(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["wigner", "moments"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_chi_file_with_a_non_finite_axis_is_exit_1(tmp_path, capsys, command, bad):
-    # the meta axes and coordinate columns agree, so only the axis check sees it
+    # the file is the meta axes' own, so only the axis check sees it
     axes = (grid_axis(1.0, 5), np.array([-bad, -1.0, 0.0, 1.0, bad]))
     chi = tmp_path / "chi.csv"
-    _save_grid(chi, "chi_grid", SimpleNamespace(axes=axes, n_modes=1), ("re_xi", "im_xi"),
+    _save_grid(chi, "chi_grid", axes,
                {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
-               {"provenance": "exact", "shots": 0}, None, False)
+               {"provenance": "exact", "shots": 0}, None)
     out = tmp_path / "out.csv"
     assert run(command, "--set", f'chi_file="{chi}"', "--out", str(out)) == 1
     err = capsys.readouterr().err

@@ -191,6 +191,22 @@ def test_a_0d_numpy_value_is_a_real_number(value):
     assert real(value) == float(value) and type(real(value)) is float
 
 
+@pytest.mark.parametrize("value", [0.25, -0.0, math.nan, -math.inf, 5e-324])
+def test_a_python_float_is_returned_as_it_is(value):
+    assert real(value) is value
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", 1j, complex(1.0, 0.0), None])
+def test_a_value_that_is_not_exactly_a_float_is_still_checked(value):
+    with pytest.raises(TypeError, match=f"a real number is expected, not {type(value).__name__}"):
+        real(value)
+    assert type(real(_Float(0.5))) is float  # a float subclass is read through float()
+
+
 _SCHEDULE = PulseSchedule(lam=0.1, tau=1.0, N=1, smearing=Delta(), switching=Constant(1.0))
 _PROBE = (0.1, Delta(), Constant(1.0))
 

@@ -5,7 +5,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from chitomo.cli import main
 from chitomo.errors import ValidationError
 from chitomo.fileio import (
     _BLOCK,
-    _CHI_COORDS,
-    _WIGNER_COORDS,
     _save_grid,
     load_chi_grid,
     load_wigner_grid,
@@ -39,6 +36,8 @@ from chitomo.tomography import (
     sampled_chi_grid,
     wigner_transform,
 )
+
+from documents import write_with_coordinates
 
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
@@ -371,9 +370,10 @@ def test_grid_and_points_files_keep_a_stderr_column_by_one_rule(tmp_path, case):
                           stderr=stderr, theta=theta), grid)
     xi = (g.axes[0][:, None] + 1j * g.axes[1]).reshape(-1, 1)
     save_chi_points(points, xi, g.values.reshape(-1), stderr.reshape(-1), theta, shots)
-    for path in (grid, points):
+    for path, values in ((grid, ["re_chi", "im_chi"]),
+                         (points, ["re_xi", "im_xi", "re_chi", "im_chi"])):
         columns, data, _ = read_table(path)
-        assert columns[:4] == ["re_xi", "im_xi", "re_chi", "im_chi"]
+        assert columns[:len(values)] == values
         kept = case != "drawn" and not (path == points and case == "shots 0")
         assert (columns[-1] == "stderr") is kept
         if kept:
@@ -462,8 +462,8 @@ def test_chi_grid_roundtrip_exact_and_two_mode(tmp_path):
     np.testing.assert_array_equal(back.values, g.values)
     assert back.n_modes == 2
     assert back.stderr is None
-    columns, _, _ = read_table(path)
-    assert columns[:4] == ["re_xi0", "im_xi0", "re_xi1", "im_xi1"]
+    columns, data, _ = read_table(path)  # value columns only, at every point
+    assert columns == ["re_chi", "im_chi"] and len(data) == 7**4
 
 
 def test_a_real_chi_grid_writes_the_bytes_of_its_complex_copy(tmp_path):
@@ -485,15 +485,30 @@ def test_a_real_chi_grid_writes_the_bytes_of_its_complex_copy(tmp_path):
 RAGGED_AXES = tuple(grid_axis(2.0 + 0.5 * k, n) for k, n in enumerate((9, 7, 9, 7)))
 
 
+def _assert_same_grid(a, b) -> None:
+    """Two chi or Wigner grids equal to the bit: axes, arrays and fields."""
+    assert len(a.axes) == len(b.axes)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.axes, b.axes))
+    assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+    for name in ("stderr", "provenance", "shots", "theta", "normalization", "imag_residual"):
+        x, y = getattr(a, name, None), getattr(b, name, None)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert x is not None and y is not None and x.tobytes() == y.tobytes(), name
+        else:
+            assert repr(x) == repr(y), name
+
+
 @pytest.mark.parametrize("kind", ["exact", "sampled", "filled"])
-def test_grid_rows_match_a_meshgrid_table(tmp_path, kind):
+def test_grid_rows_are_the_values_in_c_order(tmp_path, kind):
+    # row i holds the point at flat C index skip + i; a file of the older
+    # layout with the same rows beside meshgrid coordinates loads the same
     if kind == "exact":
         g = chi_grid_from_state(TWO_MODE, RAGGED_AXES)
     else:
         g = sampled_chi_grid(TWO_MODE, RAGGED_AXES, shots=50, seed=3, half=True)
     if kind == "filled":  # the averaged origin keeps the stderr column
         g = hermitian_fill(g)
-    path, ref = tmp_path / "chi.csv", tmp_path / "ref.csv"
+    path, ref, old = tmp_path / "chi.csv", tmp_path / "ref.csv", tmp_path / "old.csv"
     save_chi_grid(g, path)
     mesh = np.meshgrid(*g.axes, indexing="ij")
     values = [g.values.real, g.values.imag] + ([g.stderr] if kind == "filled" else [])
@@ -502,10 +517,54 @@ def test_grid_rows_match_a_meshgrid_table(tmp_path, kind):
         unmeasured = np.isnan(table[:, 4]) & (table[:, 5].view(np.int64) == 0)
         table = table[~unmeasured]
         assert len(table) == (g.values.size + 1) // 2
-    columns, _, _ = read_table(path)
-    assert ("stderr" in columns) == (kind == "filled")
-    _repr_reference_write_table(ref, columns, table)
+    columns, _, meta = read_table(path)
+    assert columns == ["re_chi", "im_chi"] + (["stderr"] if kind == "filled" else [])
+    _repr_reference_write_table(ref, columns, table[:, 4:])
     assert data_lines_of(path) == data_lines_of(ref)
+    _repr_reference_write_table(old, ["re_xi0", "im_xi0", "re_xi1", "im_xi1"] + columns, table,
+                                meta)
+    _assert_same_grid(load_chi_grid(old), load_chi_grid(path))
+
+
+OLD_AND_NEW = {
+    "exact": lambda: chi_grid_from_state(THERMAL, (grid_axis(2.0, 11),) * 2),
+    "sampled": lambda: sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, shots=200, seed=5,
+                                        half=True),
+    "filled": lambda: hermitian_fill(sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2,
+                                                      theta=0.3, shots=300, seed=4, half=True)),
+    "two-mode": lambda: sampled_chi_grid(TWO_MODE, RAGGED_AXES, theta=2.5, shots=50, seed=3,
+                                         half=True),
+}
+
+
+@pytest.mark.parametrize("make", OLD_AND_NEW.values(), ids=OLD_AND_NEW)
+def test_a_file_of_the_older_layout_loads_to_the_arrays_of_its_value_only_file(tmp_path, make):
+    g = make()
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    save_chi_grid(g, new)
+    write_with_coordinates(new, old)
+    columns = read_table(old)[0]
+    assert columns[:2 * g.n_modes] == (["re_xi", "im_xi"] if g.n_modes == 1 else
+                                       ["re_xi0", "im_xi0", "re_xi1", "im_xi1"])
+    assert columns[2 * g.n_modes:] == read_table(new)[0]
+    back = load_chi_grid(new)
+    if not np.iscomplexobj(g.values):  # an exact chi is stored real and loads complex
+        g = ChiGrid(axes=g.axes, values=g.values.astype(complex))
+    _assert_same_grid(back, g)
+    _assert_same_grid(load_chi_grid(old), back)
+
+
+def test_a_wigner_file_of_the_older_layout_loads_to_the_arrays_of_its_value_only_file(tmp_path):
+    w = wigner_transform(chi_grid_from_state(TWO_MODE, (grid_axis(3.0, 9),) * 4),
+                         boundary_tol=np.inf)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    save_wigner_grid(w, new)
+    write_with_coordinates(new, old)
+    assert read_table(new)[0] == ["w"]
+    assert read_table(old)[0] == ["x0", "p0", "x1", "p1", "w"]
+    back = load_wigner_grid(new)
+    _assert_same_grid(back, w)
+    _assert_same_grid(load_wigner_grid(old), back)
 
 
 def _save_peak(g, path) -> int:
@@ -563,6 +622,7 @@ def _damage_cell(path, row: int, col: int) -> None:
 def test_load_refuses_coordinates_that_are_not_the_axes(tmp_path, column, col):
     path = tmp_path / "chi.csv"
     save_chi_grid(chi_grid_from_state(TWO_MODE, RAGGED_AXES), path)
+    write_with_coordinates(path)
     load_chi_grid(path)
     _damage_cell(path, 1234, col)
     with pytest.raises(ValidationError, match=f"column {column} does not match"):
@@ -573,6 +633,7 @@ def test_load_refuses_meta_axes_that_are_not_the_coordinates(tmp_path):
     g = chi_grid_from_state(THERMAL, (grid_axis(2.0, 5), grid_axis(3.0, 5)))
     path = tmp_path / "chi.csv"
     save_chi_grid(g, path)
+    write_with_coordinates(path)
     text = path.read_text()
     _, _, meta = read_table(path)
     swapped = dict(meta, axes=meta["axes"][::-1])  # same shape, other order
@@ -585,46 +646,60 @@ def test_load_refuses_meta_axes_that_are_not_the_coordinates(tmp_path):
 def test_load_refuses_an_axis_that_is_not_uniform_and_symmetric(tmp_path):
     # odd, increasing and centred on 0, but neither uniform nor mirror-symmetric
     bad = np.array([-1.0, -0.4, 0.0, 0.5, 2.0])
-    grid = SimpleNamespace(axes=(bad, grid_axis(1.0, 5)), n_modes=1)
+    axes = (bad, grid_axis(1.0, 5))
     ones = np.ones((5, 5))
-    for kind, coords, values, fields, load in (
-        ("chi_grid", _CHI_COORDS, {"re_chi": ones, "im_chi": 0.0 * ones},
+    for kind, values, fields, load in (
+        ("chi_grid", {"re_chi": ones, "im_chi": 0.0 * ones},
          {"provenance": "exact", "shots": 0}, load_chi_grid),
-        ("wigner_grid", _WIGNER_COORDS, {"w": ones}, {"normalization": 0.25}, load_wigner_grid),
+        ("wigner_grid", {"w": ones}, {"normalization": 0.25}, load_wigner_grid),
     ):
         path = tmp_path / f"{kind}.csv"
-        _save_grid(path, kind, grid, coords, values, fields, None, False)
+        _save_grid(path, kind, axes, values, fields, None)
         with pytest.raises(ValidationError, match="axis 0 is not uniform and symmetric"):
             load(path)
 
 
 def test_load_refuses_a_non_finite_axis(tmp_path):
-    # NaN and inf round-trip through the meta header and the coordinate columns
-    grid = SimpleNamespace(axes=(np.array([math.nan, -1.0, 0.0, 1.0, math.nan]),
-                                 np.array([-math.inf, -1.0, 0.0, 1.0, math.inf])), n_modes=1)
+    # NaN and inf round-trip through the meta header, and through the
+    # coordinate columns of the older layout
+    axes = (np.array([math.nan, -1.0, 0.0, 1.0, math.nan]),
+            np.array([-math.inf, -1.0, 0.0, 1.0, math.inf]))
     path = tmp_path / "chi.csv"
-    _save_grid(path, "chi_grid", grid, _CHI_COORDS,
-               {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
-               {"provenance": "exact", "shots": 0}, None, False)
-    with pytest.raises(ValidationError, match="axis 0 holds the non-finite value nan"):
-        load_chi_grid(path)
+    _save_grid(path, "chi_grid", axes, {"re_chi": np.ones((5, 5)), "im_chi": np.zeros((5, 5))},
+               {"provenance": "exact", "shots": 0}, None)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="axis 0 holds the non-finite value nan"):
+            load_chi_grid(path)
+        write_with_coordinates(path)
 
 
-def test_load_refuses_a_grid_without_its_coordinates(tmp_path):
-    g = chi_grid_from_state(THERMAL, (grid_axis(2.0, 5),) * 2)
-    path = tmp_path / "chi.csv"
-    save_chi_grid(g, path)
-    meta = read_table(path)[2]
-    values = np.stack([g.values.real.ravel(), g.values.imag.ravel()], axis=1)
-    write_table(path, ["re_chi", "im_chi"], values, meta)
+@pytest.mark.parametrize("layout, column", [("older", "re_xi"), ("older", "im_xi"),
+                                            ("older", "re_chi"), ("value-only", "re_chi"),
+                                            ("value-only", "im_chi"), ("wigner", "w")])
+def test_load_refuses_a_grid_without_one_of_its_columns(tmp_path, layout, column):
+    # a file of the older layout must list every coordinate it lists any of
+    path = tmp_path / "grid.csv"
+    if layout == "wigner":
+        save_wigner_grid(wigner_transform(chi_grid_from_state(THERMAL, (grid_axis(6.0, 9),) * 2),
+                                          boundary_tol=np.inf), path)
+    else:
+        save_chi_grid(chi_grid_from_state(THERMAL, (grid_axis(2.0, 5),) * 2), path)
+    if layout == "older":
+        write_with_coordinates(path)
+    columns, data, meta = read_table(path)
+    keep = [k for k, c in enumerate(columns) if c != column]
+    write_table(path, [columns[k] for k in keep], data[:, keep], meta)
     with pytest.raises(ValidationError, match="lacks one of the columns"):
-        load_chi_grid(path)
+        (load_wigner_grid if layout == "wigner" else load_chi_grid)(path)
 
 
-def _half_plane_file(path):
-    """A sampled half-plane chi file of 11 x 11 points: 61 data rows."""
+def _half_plane_file(path, coordinates: bool = False):
+    """A sampled half-plane chi file of 11 x 11 points: 61 data rows, with
+    their coordinates beside them in the older layout if coordinates."""
     g = sampled_chi_grid(THERMAL, (grid_axis(2.0, 11),) * 2, shots=200, seed=5, half=True)
     save_chi_grid(g, path)
+    if coordinates:
+        write_with_coordinates(path)
     assert len(data_lines_of(path)) == 61
     return path.read_text().splitlines(keepends=True)
 
@@ -632,7 +707,7 @@ def _half_plane_file(path):
 @pytest.mark.parametrize("damage, row", [("swap", 11), ("repeat", 12)])
 def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage, row):
     path = tmp_path / "chi.csv"
-    lines = _half_plane_file(path)
+    lines = _half_plane_file(path, coordinates=True)
     first = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 10  # data row 11
     if damage == "swap":
         lines[first], lines[first + 1] = lines[first + 1], lines[first]
@@ -646,9 +721,10 @@ def test_load_refuses_rows_that_are_not_in_increasing_c_order(tmp_path, damage, 
 
 def test_load_refuses_a_chi_file_that_leaves_out_an_interior_point(tmp_path):
     # only a leading run of points may go without rows, even when the meta
-    # field rows counts the rows that are there
+    # field rows counts the rows that are there; only the coordinates of the
+    # older layout show it
     path = tmp_path / "chi.csv"
-    _half_plane_file(path)
+    _half_plane_file(path, coordinates=True)
     _delete_data_row(path, 30)
     path.write_text(path.read_text().replace('"rows": 61', '"rows": 60'))
     # each row is one point early; re_xi first differs at the last point with Re xi = 0
@@ -668,14 +744,16 @@ def test_a_half_plane_file_is_the_tail_of_the_complete_file(tmp_path, n):
     size = math.prod(n)
     rows = data_lines_of(half)
     assert len(rows) == size // 2 + 1 == read_table(half)[2]["rows"]
-    assert rows[0].startswith(",".join(["0.0"] * len(n)) + ",")  # the origin
+    assert rows[0] == "1.0,0.0,0.0"  # the origin, where chi is 1 alone, read without error
     assert rows == data_lines_of(full)[size // 2:]
+    write_with_coordinates(half)  # whose coordinates show the origin
+    assert data_lines_of(half)[0] == ",".join(["0.0"] * len(n)) + "," + rows[0]
 
 
 @pytest.mark.parametrize("column, col", [("re_xi", 0), ("im_xi", 1)])
 def test_load_refuses_a_half_plane_coordinate_one_ulp_off_its_axis(tmp_path, column, col):
     path = tmp_path / "chi.csv"
-    _half_plane_file(path)
+    _half_plane_file(path, coordinates=True)
     _damage_cell(path, 30, col)
     with pytest.raises(ValidationError,
                        match=f"column {column} does not match the meta axes at data row 31"):
@@ -705,6 +783,31 @@ def test_load_refuses_a_chi_file_that_lost_a_row(tmp_path, kind, row):
     _delete_data_row(path, row)
     with pytest.raises(ValidationError, match="row count does not match the axes"):
         load_chi_grid(path)
+
+
+@pytest.mark.parametrize("change", ["short", "over"])
+@pytest.mark.parametrize("kind", ["exact", "half", "wigner"])
+def test_a_value_only_file_a_row_off_its_count_is_refused(tmp_path, kind, change):
+    # the count is the meta field rows of a file that leaves points out,
+    # else the axes' size
+    path = tmp_path / "grid.csv"
+    axes = (grid_axis(2.0, 11),) * 2
+    if kind == "wigner":
+        save_wigner_grid(wigner_transform(chi_grid_from_state(THERMAL, axes),
+                                          boundary_tol=np.inf), path)
+    else:
+        save_chi_grid(sampled_chi_grid(THERMAL, axes, shots=0, half=kind == "half"), path)
+    load = load_wigner_grid if kind == "wigner" else load_chi_grid
+    load(path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(data_lines_of(path)) == (61 if kind == "half" else 121)
+    if change == "short":
+        del lines[-1]
+    else:
+        lines.append(lines[-1])
+    path.write_text("".join(lines))
+    with pytest.raises(ValidationError, match="row count does not match the axes"):
+        load(path)
 
 
 @pytest.mark.parametrize("rows, message", [('"61"', "meta.rows"), ("60.5", "meta.rows"),
@@ -782,7 +885,7 @@ def test_a_half_plane_file_that_lists_every_point_loads_and_runs_the_same(tmp_pa
     save_chi_grid(g, new / "chi.csv", meta={"note": 1})
     columns, _, meta = read_table(new / "chi.csv")
     assert "stderr" not in columns and meta.pop("theta") == g.theta == math.pi / 2
-    columns.append("stderr")
+    columns = ["re_xi", "im_xi"] + columns + ["stderr"]  # the older layout's
     mesh = np.meshgrid(*g.axes, indexing="ij")
     values = [g.values.real, g.values.imag, g.stderr]
     table = np.stack([m.reshape(-1) for m in mesh] + [v.reshape(-1) for v in values], axis=1)
@@ -792,7 +895,9 @@ def test_a_half_plane_file_that_lists_every_point_loads_and_runs_the_same(tmp_pa
     full = data_lines_of(old / "chi.csv")
     assert len(full) == 33**2 and sum(ln.endswith(",nan,0.0,nan") for ln in full) == 544
     assert data_lines_of(parent / "chi.csv") == full[544:]
-    assert data_lines_of(new / "chi.csv") == [ln.rsplit(",", 1)[0] for ln in full[544:]]
+    # the value-only file: no coordinates, and its errors derived on load
+    assert data_lines_of(new / "chi.csv") == [
+        ",".join(ln.split(",")[2:4]) for ln in full[544:]]
     grids = [load_chi_grid(d / "chi.csv") for d in dirs]
     for b in grids:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(b.axes, g.axes))

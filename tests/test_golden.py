@@ -38,14 +38,17 @@ roots and exactly rounded products, so they compare exactly.
 
 An exact chi cell (chi_exact.csv) is one numpy exp of an exactly rounded
 exponent, so by the same 4 ulps per implementation each part is held to
-8 eps |chi|; its xi cells are grid coordinates and compare exactly. A
-Wigner cell (wigner.csv, the transform of that chi file) is a sum over the
+8 eps |chi|. A Wigner cell (wigner.csv, the transform of that chi file) is a sum over the
 grid that BLAS orders as it chooses, which rounds within _ROUNDING_K eps
 sum|chi| measure (see tests/test_tomography.py, measure the product of
 step/(2 pi) over the axes), and the transform carries the 8 eps |chi| of
 each chi cell, so each is held to
 
     |fresh - reference| <= (16 + 8) eps sum|chi| measure.
+
+chi_half_coordinates.csv is not a run's output: it is chi_half.csv in the
+older layout of grid files, which listed each row's coordinates, kept to
+show that such a file still loads to the same grid.
 """
 from __future__ import annotations
 
@@ -59,6 +62,7 @@ import pytest
 from chitomo.fileio import load_chi_grid
 from chitomo.tomography import _stencil
 
+from documents import write_with_coordinates
 from golden.make import RUNS, run_all
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -141,11 +145,23 @@ def test_a_fresh_run_matches_its_reference_output(fresh, name):
         cells, ref = line.split(","), ref.split(",")
         if name in PAIRED:
             _assert_pairs_within_bound(columns, cells, ref, *PAIRED[name])
-        elif w_bound is not None:
-            assert cells[:2] == ref[:2], ref
-            _assert_within(cells[2], ref[2], w_bound, ref)
+        elif w_bound is not None:  # a Wigner file's one column, w
+            assert len(cells) == len(ref) == 1, ref
+            _assert_within(cells[0], ref[0], w_bound, ref)
         else:
             assert cells[:2] == ref[:2] and cells[4] == ref[4], ref
             bound = _moment_bound(int(ref[0]), int(ref[1]), MOMENT_H[name])
             for a, b in zip(cells[2:4], ref[2:4]):
                 _assert_within(a, b, bound, ref)
+
+
+def test_the_older_layout_reference_loads_as_its_value_only_reference(tmp_path):
+    old_file, new_file = GOLDEN / "chi_half_coordinates.csv", GOLDEN / "chi_half.csv"
+    old, new = load_chi_grid(old_file), load_chi_grid(new_file)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(old.axes, new.axes))
+    for name in ("values", "stderr"):
+        assert getattr(old, name).tobytes() == getattr(new, name).tobytes(), name
+    assert (old.provenance, old.shots, old.theta) == (new.provenance, new.shots, new.theta)
+    # and the older layout of chi_half.csv is that file byte for byte
+    write_with_coordinates(new_file, tmp_path / "chi.csv")
+    assert (tmp_path / "chi.csv").read_bytes() == old_file.read_bytes()

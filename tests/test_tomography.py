@@ -41,6 +41,8 @@ from chitomo import tomography
 from chitomo.ramsey_readout import readout_chi
 from chitomo.tomography import _stencil
 
+from seed_coverage import assert_errors_cover, square_pulls
+
 MS1 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1]])
 MS2 = ModeSet(spatial_dim=1, box_side=2 * np.pi, mass=1.0, mode_indices=[[1], [2]])
 VACUUM = GaussianFieldState(modes=MS1, mode_states=[Vacuum()])
@@ -306,6 +308,21 @@ def test_fill_averages_doubly_measured_points():
     out = filled.values
     np.testing.assert_array_equal(out, out[::-1, ::-1].conj())
     assert filled.stderr is not None
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half", "full"])
+def test_filled_grid_errors_cover_the_truth_over_seeds(half):
+    # a half grid's fill copies each point's error to its mirror; a full
+    # grid's averages two draws, each pull then counted at xi and -xi. The
+    # origin, measured once, is Re chi(0) = 1 to the bit: a zero pull.
+    axes, shots, seeds = square_axes(2.0, 11), 1000, range(24)
+    truth = chi_grid_from_state(THERMAL, axes).values
+    pulls = []
+    for seed in seeds:
+        filled = hermitian_fill(sampled_chi_grid(THERMAL, axes, shots=shots, seed=seed,
+                                                 half=half))
+        pulls.append(square_pulls(filled.values, truth, filled.stderr))
+    assert_errors_cover(np.concatenate(pulls), independent=len(seeds) * (truth.size + 1) // 2)
 
 
 @settings(max_examples=30, deadline=None)
